@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
 from .errors import MorphismViolation, UsageError
@@ -71,15 +70,12 @@ class HomAlgebra:
         return basis_vector(self.dim, i)
 
 
-def multiply(algebra: HomAlgebra, x, y) -> Vector:
-    """Bilinear extension of the structure constants."""
-    n = algebra.dim
-    if len(x) != n or len(y) != n:
-        raise UsageError("multiply: vector length != dim")
-    out = [Fraction(0)] * n
+def bilinear(tensor, x, y, dim: int) -> Vector:
+    """The sum of x_i y_j tensor[i][j] over all i, j (a length-dim vector)."""
+    out = [Fraction(0)] * dim
     for i, a in enumerate(x):
         if a:
-            row = algebra.mul[i]
+            row = tensor[i]
             for j, b in enumerate(y):
                 if b:
                     c = a * b
@@ -89,13 +85,20 @@ def multiply(algebra: HomAlgebra, x, y) -> Vector:
     return tuple(out)
 
 
+def multiply(algebra: HomAlgebra, x, y) -> Vector:
+    """Bilinear extension of the structure constants."""
+    n = algebra.dim
+    if len(x) != n or len(y) != n:
+        raise UsageError("multiply: vector length != dim")
+    return bilinear(algebra.mul, x, y, n)
+
+
 def apply_alpha(algebra: HomAlgebra, x) -> Vector:
     return algebra.alpha.matvec(x)
 
 
-@lru_cache(maxsize=None)
 def alpha_power(algebra: HomAlgebra, exponent: int) -> Matrix:
-    """alpha^exponent, cached per (algebra, exponent)."""
+    """alpha^exponent."""
     if exponent < 0:
         raise UsageError("negative twist power")
     out = Matrix.identity(algebra.dim)

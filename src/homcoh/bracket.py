@@ -17,6 +17,7 @@ from .algebra import HomAlgebra, alpha_power, apply_alpha, multiply
 from .cochain import MultilinearMap, alternator, is_alternating, permutation_sign
 from .errors import UsageError
 from .exact import Vector, vec_is_zero
+from .operator import apply_operator, hom_operator, lie_operator
 from .rep import HomMorphism
 
 
@@ -201,48 +202,20 @@ def overline_comp(phi: HomMorphism, f: MultilinearMap,
 def derivation_D_assoc(A: HomAlgebra, f: MultilinearMap) -> MultilinearMap:
     """Degree-one derivation: the signed sum of two-slot merges with all
     bystanders twisted (the inner summand group of the coboundary)."""
-    n = f.arity
     if f.source_dim != A.dim:
         raise UsageError("cochain source does not match the algebra")
-    values = {}
-    for t in product(range(A.dim), repeat=n + 1):
-        args = _basis_args(A.dim, t)
-        alphas = [apply_alpha(A, x) for x in args]
-        total = [Fraction(0)] * f.target_dim
-        for i in range(1, n + 1):
-            margs = alphas[:i - 1] + [multiply(A, args[i - 1], args[i])] \
-                + alphas[i + 1:]
-            term = f.evaluate(margs)
-            if i % 2:
-                total = [x - y for x, y in zip(total, term)]
-            else:
-                total = [x + y for x, y in zip(total, term)]
-        values[t] = tuple(total)
-    return MultilinearMap.from_values(n + 1, A.dim, f.target_dim, values)
+    n = f.arity
+    op = hom_operator(A, f.target_dim, n, [(-1) ** (k + 1) for k in range(n)])
+    return apply_operator(op, f)
 
 
 def derivation_D_lie(L: HomAlgebra, f: MultilinearMap) -> MultilinearMap:
     """Lie-kind analogue: signed bracket insertions into the first slot
     with twisted bystanders."""
-    n = f.arity
     if f.source_dim != L.dim:
         raise UsageError("cochain source does not match the algebra")
-    values = {}
-    for t in product(range(L.dim), repeat=n + 1):
-        args = _basis_args(L.dim, t)
-        alphas = [apply_alpha(L, x) for x in args]
-        total = [Fraction(0)] * f.target_dim
-        for i in range(n + 1):
-            for j in range(i + 1, n + 1):
-                rest = [alphas[p] for p in range(n + 1) if p != i and p != j]
-                margs = [multiply(L, args[i], args[j])] + rest
-                term = f.evaluate(margs)
-                if (i + j) % 2:
-                    total = [x - y for x, y in zip(total, term)]
-                else:
-                    total = [x + y for x, y in zip(total, term)]
-        values[t] = tuple(total)
-    return MultilinearMap.from_values(n + 1, L.dim, f.target_dim, values)
+    op = lie_operator(L, f.target_dim, f.arity, reduced=False)
+    return apply_operator(op, f)
 
 
 def alpha_associator(A: HomAlgebra, mu_i: MultilinearMap,

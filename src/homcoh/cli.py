@@ -17,14 +17,16 @@ from .algebra import ASSOCIATIVE, HomAlgebra, validate
 from .cochain import HOM, LIE
 from .cohomology import (ComplexSummary, HomSelfComplex, LieSelfComplex,
                          MorphismComplex, compute_cohomology,
-                         connecting_complex, self_cohomology)
+                         connecting_complex, delta_hom_self, delta_lie_self,
+                         self_cohomology)
 from .deformation import (MorphismDeformation,
                           algebra_obstruction, check_algebra_deformation,
                           check_morphism_deformation, extend_algebra_deformation,
-                          extend_deformation, infinitesimal_report, obstruction)
+                          extend_deformation, infinitesimal_report, obstruction,
+                          solve_algebra_coboundary)
 from .errors import (HomcohError, NotACocycle, ObstructionMismatch, ParseError,
                      UsageError)
-from .exact import Matrix, rational_to_string, solve
+from .exact import rational_to_string
 from .expectations import (compare_connecting_h1, compare_h2_self,
                            g1_parameters_from_name)
 from .rep import HomMorphism, check_morphism
@@ -105,12 +107,17 @@ def _record_json(record, serialize) -> dict:
 
 
 def cmd_validate(args) -> int:
-    data = None
+    """Validate an algebra or a morphism, given as a file or a built-in
+    name."""
+    data = phi = None
     if os.path.isfile(args.input):
         data = files._load_json(args.input)
-    if data is not None and "matrix" in data:
-        phi = files.parse_morphism(data, os.path.dirname(args.input) or ".",
-                                   context=args.input)
+        if "matrix" in data:
+            phi = files.parse_morphism(
+                data, os.path.dirname(args.input) or ".", context=args.input)
+    else:
+        phi = fixtures.builtin_morphism(args.input)
+    if phi is not None:
         report = check_morphism(phi.source, phi.target, phi.matrix)
         payload = {"command": "validate", "type": "morphism",
                    "source": phi.source.name, "target": phi.target.name,
@@ -118,11 +125,7 @@ def cmd_validate(args) -> int:
                    "product_ok": report.product_ok,
                    "twist_ok": report.twist_ok,
                    "product_witness": _witness_json(report.product_witness),
-                   "twist_witness": (
-                       None if report.twist_witness is None else
-                       {"at": report.twist_witness[0],
-                        "defect": [rational_to_string(x)
-                                   for x in report.twist_witness[1]]})}
+                   "twist_witness": _witness_json(report.twist_witness)}
         _emit(payload, args.json,
               [f"morphism {phi.source.name} -> {phi.target.name}: "
                + report.describe()])
@@ -204,15 +207,15 @@ def cmd_morphism_cohomology(args) -> int:
     lines = [f"morphism {phi.source.name} -> {phi.target.name} "
              f"[{coupled.flavor}]"]
     comparisons = []
+    summary_a = self_cohomology(phi.source, degrees)
+    summary_b = self_cohomology(phi.target, degrees)
+    connecting = compute_cohomology(
+        connecting_complex(phi), set(degrees) | {n - 1 for n in degrees} - {0})
     for n in degrees:
         rec = coupled.record(n)
-        summary_a = self_cohomology(phi.source, [n])
-        summary_b = self_cohomology(phi.target, [n])
-        connecting = connecting_complex(phi)
-        conn_at_n = compute_cohomology(connecting, [n]).record(n)
+        conn_at_n = connecting.record(n)
         if n >= 2:
-            conn_prev_h = compute_cohomology(
-                connecting, [n - 1]).record(n - 1).dim_cohomology
+            conn_prev_h = connecting.record(n - 1).dim_cohomology
         else:
             conn_prev_h = phi.target.dim  # arity-0 convention: whole module
         component_sum = (summary_a.record(n).dim_cohomology
@@ -301,7 +304,6 @@ def _deform_check(target, args) -> int:
 def _deform_infinitesimal(target, args) -> int:
     if not isinstance(target, MorphismDeformation):
         theta = target.term(1)
-        from .cohomology import delta_hom_self, delta_lie_self
         delta = (delta_hom_self if target.base.kind == ASSOCIATIVE
                  else delta_lie_self)
         image = delta(target.base, theta)
@@ -335,18 +337,9 @@ def _deform_obstruction(target, args) -> int:
     if not isinstance(target, MorphismDeformation):
         ob = algebra_obstruction(target)
         A = target.base
-        from .cochain import hom_cochain_basis, lie_cochain_basis
-        from .cohomology import delta_hom_self, delta_lie_self
-        if A.kind == ASSOCIATIVE:
-            space = hom_cochain_basis(A, A.dim, A.alpha, 2)
-            delta = lambda f: delta_hom_self(A, f)
-        else:
-            space = lie_cochain_basis(A, A.dim, A.alpha, 2)
-            delta = lambda f: delta_lie_self(A, f)
-        image_zero = delta(ob).is_zero() if ob.arity == 3 else False
-        cols = [delta(f).coeffs for f in space.basis]
-        coboundary = (solve(Matrix.from_columns(cols), ob.coeffs) is not None
-                      if cols else ob.is_zero())
+        delta = delta_hom_self if A.kind == ASSOCIATIVE else delta_lie_self
+        image_zero = delta(A, ob).is_zero() if ob.arity == 3 else False
+        coboundary = solve_algebra_coboundary(A, ob)[1] is not None
         payload = {"command": "deform-obstruction", "kind": "algebra",
                    "is_cocycle": image_zero,
                    "is_coboundary": coboundary,

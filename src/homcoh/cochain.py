@@ -5,9 +5,10 @@ Coefficient layout, fixed because canonical bases depend on it: the flat
 array is indexed row-major lexicographically over the argument tuple
 (i_1, ..., i_k), with the target coordinate innermost.
 
-The alternating space solvers work internally in reduced coordinates (one
-unknown per strictly increasing argument tuple) purely as a solver detail;
-the returned basis elements are always full dense tensors.
+Cochains have two coordinate systems (``Coords``): full coordinates, the
+layout above, and for alternating maps reduced coordinates, one per
+strictly increasing argument tuple.  Cochain spaces store their basis in
+the coordinates of their flavor and build full tensors only on demand.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations, product
 from math import factorial
 
 from .algebra import HomAlgebra
 from .errors import ArityLimitError, UsageError
-from .exact import (Matrix, Vector, nullspace_basis, solve, vec_is_zero,
-                    zero_vector)
+from .exact import (Matrix, Vector, expand_product, lincomb, nullspace_basis,
+                    solve, sparse_vector, vec_is_zero, zero_vector)
 
 HOM = "hom"
 LIE = "lie"
@@ -31,10 +33,16 @@ _DEFAULT_MAX_ARITY = 4
 
 def max_arity() -> int:
     raw = os.environ.get("HOMCOH_MAX_ARITY", "")
-    try:
-        return int(raw) if raw else _DEFAULT_MAX_ARITY
-    except ValueError:
+    if not raw:
         return _DEFAULT_MAX_ARITY
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise UsageError("HOMCOH_MAX_ARITY must be a non-negative integer, "
+                         f"got {raw!r}")
+    return value
 
 
 def _check_arity_guard(k: int):
@@ -234,24 +242,97 @@ def alternator(m: MultilinearMap) -> MultilinearMap:
 
 
 @dataclass(frozen=True)
-class CochainSpace:
+class Coords:
+    """Coordinates of arity-k cochains: one per argument tuple and target
+    index (full, the ``MultilinearMap.coeffs`` layout) or, for alternating
+    maps, one per strictly increasing tuple (reduced)."""
+
+    arity: int
+    source_dim: int
+    target_dim: int
+    reduced: bool
+
+    @cached_property
+    def tuples(self) -> list[tuple[int, ...]]:
+        n, k = self.source_dim, self.arity
+        return list(combinations(range(n), k) if self.reduced
+                    else product(range(n), repeat=k))
+
+    @cached_property
+    def index(self) -> dict[tuple[int, ...], int]:
+        return {t: i for i, t in enumerate(self.tuples)}
+
+    @property
+    def dim(self) -> int:
+        return len(self.tuples) * self.target_dim
+
+    def locate(self, t) -> tuple[int, int] | None:
+        """(tuple index, sign) holding the value on argument tuple t; None
+        where an alternating map vanishes (a repeated argument)."""
+        if not self.reduced:
+            return self.index[t], 1
+        srt, sign = _sort_sign(t)
+        return (self.index[srt], sign) if sign else None
+
+    @cached_property
+    def _layout(self) -> list:
+        return [self.locate(t) for t in
+                product(range(self.source_dim), repeat=self.arity)]
+
+    def to_full(self, x) -> MultilinearMap:
+        if self.reduced:
+            d = self.target_dim
+            x = [loc[1] * x[loc[0] * d + r] if loc else Fraction(0)
+                 for loc in self._layout for r in range(d)]
+        return MultilinearMap(self.arity, self.source_dim, self.target_dim,
+                              tuple(x))
+
+    def project(self, m: MultilinearMap) -> Vector | None:
+        """Coordinates of m; None when reduced coordinates cannot hold it
+        because it is not alternating."""
+        if (m.arity, m.source_dim, m.target_dim) != (
+                self.arity, self.source_dim, self.target_dim):
+            raise UsageError("cochain shape does not match its coordinates")
+        if not self.reduced:
+            return m.coeffs
+        if not is_alternating(m):
+            return None
+        return tuple(x for t in self.tuples for x in m.value_on_basis(t))
+
+
+class _SpaceBasis:
+    """A basis stored as coordinate vectors in ``self.system``; full
+    cochains are built only when asked for."""
+
+    @property
+    def dim(self) -> int:
+        return len(self.coords)
+
+    @cached_property
+    def basis(self) -> tuple:
+        return tuple(self.system.to_full(v) for v in self.coords)
+
+    def combine(self, coords):
+        return self.system.to_full(lincomb(coords, self.coords,
+                                           self.system.dim))
+
+
+@dataclass(frozen=True)
+class CochainSpace(_SpaceBasis):
+    """A cochain space with basis coordinates in the full (hom flavor) or
+    reduced (lie flavor) coordinates of its arity."""
+
     arity: int
     flavor: str  # "hom" | "lie"
     source: HomAlgebra
     target_dim: int
     beta: Matrix
-    basis: tuple[MultilinearMap, ...]
+    coords: tuple[Vector, ...]
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def combine(self, coords) -> MultilinearMap:
-        out = MultilinearMap.zero(self.arity, self.source.dim, self.target_dim)
-        for c, b in zip(coords, self.basis):
-            if c:
-                out = out + b.scale(c)
-        return out
+    @cached_property
+    def system(self) -> Coords:
+        return Coords(self.arity, self.source.dim, self.target_dim,
+                      self.flavor == LIE)
 
     def coordinates(self, m: MultilinearMap) -> Vector | None:
         """Coordinates of m in this basis, or None if outside the span."""
@@ -261,92 +342,50 @@ class CochainSpace:
         return solve(Matrix.from_columns(cols), m.coeffs)
 
 
+def _compatible_space(flavor: str, source: HomAlgebra, target_dim: int,
+                      beta: Matrix, arity: int) -> CochainSpace:
+    """Canonical basis of {f : beta∘f = f∘alpha^(tensor arity)}, solved in
+    the coordinates of the flavor; arity 0 is the whole target space (no
+    structure-map constraint there)."""
+    if arity < 0:
+        raise UsageError("arity must be >= 0")
+    _check_arity_guard(arity)
+    d = target_dim
+    if arity == 0:
+        basis = tuple(tuple(Fraction(int(r == s)) for r in range(d))
+                      for s in range(d))
+        return CochainSpace(0, flavor, source, d, beta, basis)
+    system = Coords(arity, source.dim, d, flavor == LIE)
+    alpha_cols = [sparse_vector(source.alpha.column(j))
+                  for j in range(source.dim)]
+    rows = []
+    for ti, t in enumerate(system.tuples):
+        # f(alpha e_{t_1}, ..., alpha e_{t_k}) in the unknowns of the system
+        terms = {}
+        for s, c in expand_product([alpha_cols[i] for i in t]):
+            loc = system.locate(s)
+            if loc:
+                terms[loc[0]] = terms.get(loc[0], 0) + loc[1] * c
+        for r in range(d):
+            row = [Fraction(0)] * system.dim
+            for s in range(d):
+                e = beta.at(r, s)
+                if e:
+                    row[ti * d + s] += e
+            for j, c in terms.items():
+                row[j * d + r] -= c
+            rows.append(row)
+    return CochainSpace(arity, flavor, source, d, beta,
+                        tuple(nullspace_basis(Matrix.from_rows(rows))))
+
+
 def hom_cochain_basis(source: HomAlgebra, target_dim: int, beta: Matrix,
                       arity: int) -> CochainSpace:
     """Canonical basis of {f : beta∘f = f∘alpha^(tensor arity)}.
 
     Arity 0 is the full target space (no structure-map constraint there).
     """
-    if arity < 0:
-        raise UsageError("arity must be >= 0")
-    _check_arity_guard(arity)
-    n = source.dim
-    if arity == 0:
-        basis = tuple(
-            MultilinearMap.constant(n, [1 if r == s else 0 for r in range(target_dim)])
-            for s in range(target_dim))
-        return CochainSpace(0, HOM, source, target_dim, beta, basis)
-    tuples = list(product(range(n), repeat=arity))
-    index = {t: i for i, t in enumerate(tuples)}
-    nunk = len(tuples) * target_dim
-    alpha_cols = [source.alpha.column(j) for j in range(n)]
-    rows = []
-    for ti, t in enumerate(tuples):
-        # products of alpha-column entries over all image tuples
-        contrib: dict[int, Fraction] = {}
-        _alpha_tuple_expand(alpha_cols, t, contrib, index)
-        for r in range(target_dim):
-            row = [Fraction(0)] * nunk
-            for s in range(target_dim):
-                e = beta.at(r, s)
-                if e:
-                    row[ti * target_dim + s] += e
-            for si, c in contrib.items():
-                row[si * target_dim + r] -= c
-            rows.append(row)
-    basis = []
-    for v in nullspace_basis(Matrix.from_rows(rows)):
-        basis.append(MultilinearMap(arity, n, target_dim, tuple(v)))
-    return CochainSpace(arity, HOM, source, target_dim, beta, tuple(basis))
-
-
-def _alpha_tuple_expand(alpha_cols, t, out: dict, index):
-    """out[tuple index] += product of alpha entries mapping tuple s to t."""
-    n = len(alpha_cols)
-    partial = [((), Fraction(1))]
-    for pos in t:
-        col = alpha_cols[pos]
-        nxt = []
-        for prefix, c in partial:
-            for s in range(n):
-                e = col[s]
-                if e:
-                    nxt.append((prefix + (s,), c * e))
-        partial = nxt
-    for s, c in partial:
-        out[index[s]] = out.get(index[s], Fraction(0)) + c
-
-
-def _expand_alternating(arity: int, source_dim: int, target_dim: int,
-                        reduced: dict) -> MultilinearMap:
-    """Full tensor of an alternating map given on increasing tuples."""
-    coeffs = [Fraction(0)] * (source_dim ** arity * target_dim)
-    for t in product(range(source_dim), repeat=arity):
-        srt, sign = _sort_sign(t)
-        if sign == 0 or srt not in reduced:
-            continue
-        off = MultilinearMap._offset_static(t, source_dim, target_dim)
-        for r, x in enumerate(reduced[srt]):
-            if x:
-                coeffs[off + r] = sign * x
-    return MultilinearMap(arity, source_dim, target_dim, tuple(coeffs))
-
-
-def _minor_det(alpha: Matrix, row_idx, col_idx) -> Fraction:
-    k = len(row_idx)
-    if k == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    for perm in permutations(range(k)):
-        sign = permutation_sign(perm)
-        prod = Fraction(1)
-        for i in range(k):
-            prod *= alpha.at(row_idx[perm[i]], col_idx[i])
-            if prod == 0:
-                break
-        if prod:
-            total += sign * prod
-    return total
+    return _compatible_space(HOM, source, target_dim, beta, arity)
 
 
 def lie_cochain_basis(source: HomAlgebra, target_dim: int, beta: Matrix,
@@ -357,40 +396,7 @@ def lie_cochain_basis(source: HomAlgebra, target_dim: int, beta: Matrix,
     the rationals follows from the adjacent-transposition relations, so the
     reduced system loses nothing.
     """
-    if arity < 0:
-        raise UsageError("arity must be >= 0")
-    _check_arity_guard(arity)
-    n = source.dim
-    if arity == 0:
-        basis = tuple(
-            MultilinearMap.constant(n, [1 if r == s else 0 for r in range(target_dim)])
-            for s in range(target_dim))
-        return CochainSpace(0, LIE, source, target_dim, beta, basis)
-    combos = list(combinations(range(n), arity))
-    index = {c: i for i, c in enumerate(combos)}
-    nunk = len(combos) * target_dim
-    if nunk == 0:
-        return CochainSpace(arity, LIE, source, target_dim, beta, ())
-    rows = []
-    for ti, t in enumerate(combos):
-        # f(alpha e_{t_1}, ..., alpha e_{t_k}) expanded over increasing s
-        for r in range(target_dim):
-            row = [Fraction(0)] * nunk
-            for s in range(target_dim):
-                e = beta.at(r, s)
-                if e:
-                    row[ti * target_dim + s] += e
-            for s in combos:
-                d = _minor_det(source.alpha, s, t)
-                if d:
-                    row[index[s] * target_dim + r] -= d
-            rows.append(row)
-    basis = []
-    for v in nullspace_basis(Matrix.from_rows(rows)):
-        reduced = {c: tuple(v[ci * target_dim:(ci + 1) * target_dim])
-                   for ci, c in enumerate(combos)}
-        basis.append(_expand_alternating(arity, n, target_dim, reduced))
-    return CochainSpace(arity, LIE, source, target_dim, beta, tuple(basis))
+    return _compatible_space(LIE, source, target_dim, beta, arity)
 
 
 def full_multilinear_basis(flavor: str, source: HomAlgebra, target_dim: int,
@@ -398,27 +404,12 @@ def full_multilinear_basis(flavor: str, source: HomAlgebra, target_dim: int,
     """Basis of all multilinear (hom) or all alternating (lie) maps,
     without the twist-compatibility constraint."""
     _check_arity_guard(arity)
-    n = source.dim
-    if arity == 0:
-        basis = tuple(
-            MultilinearMap.constant(n, [1 if r == s else 0 for r in range(target_dim)])
-            for s in range(target_dim))
-        return CochainSpace(0, flavor, source, target_dim, beta, basis)
-    basis = []
-    if flavor == HOM:
-        size = n ** arity * target_dim
-        for u in range(size):
-            coeffs = [Fraction(0)] * size
-            coeffs[u] = Fraction(1)
-            basis.append(MultilinearMap(arity, n, target_dim, tuple(coeffs)))
-    elif flavor == LIE:
-        for c in combinations(range(n), arity):
-            for r in range(target_dim):
-                vec = tuple(Fraction(1 if s == r else 0) for s in range(target_dim))
-                basis.append(_expand_alternating(arity, n, target_dim, {c: vec}))
-    else:
+    if flavor not in (HOM, LIE):
         raise UsageError(f"unknown flavor {flavor!r}")
-    return CochainSpace(arity, flavor, source, target_dim, beta, tuple(basis))
+    size = Coords(arity, source.dim, target_dim, flavor == LIE).dim
+    basis = tuple(tuple(Fraction(int(u == v)) for v in range(size))
+                  for u in range(size))
+    return CochainSpace(arity, flavor, source, target_dim, beta, basis)
 
 
 @dataclass(frozen=True)
@@ -453,9 +444,6 @@ class MorphismCochain:
         return (self.comp_A.is_zero() and self.comp_B.is_zero()
                 and self.comp_AB.is_zero())
 
-    def flat_coeffs(self) -> tuple[Fraction, ...]:
-        return self.comp_A.coeffs + self.comp_B.coeffs + self.comp_AB.coeffs
-
 
 def morphism_cochain_space(phi, degree: int, flavor: str):
     """The three component spaces at a given degree: arities
@@ -468,3 +456,50 @@ def morphism_cochain_space(phi, degree: int, flavor: str):
     space_b = build(B, B.dim, B.alpha, degree)
     space_ab = build(A, B.dim, B.alpha, degree - 1)
     return space_a, space_b, space_ab
+
+
+@dataclass(frozen=True)
+class MorphismCoords:
+    """Coordinates of morphism cochains: those of comp_A, comp_B and
+    comp_AB side by side."""
+
+    parts: tuple[Coords, Coords, Coords]
+
+    @property
+    def dim(self) -> int:
+        return sum(p.dim for p in self.parts)
+
+    def to_full(self, x) -> MorphismCochain:
+        comps, start = [], 0
+        for p in self.parts:
+            comps.append(p.to_full(x[start:start + p.dim]))
+            start += p.dim
+        return MorphismCochain(*comps)
+
+    def project(self, c: MorphismCochain) -> Vector | None:
+        vecs = [p.project(m) for p, m in
+                zip(self.parts, (c.comp_A, c.comp_B, c.comp_AB))]
+        return None if None in vecs else sum(vecs, ())
+
+
+@dataclass(frozen=True)
+class MorphismCochainSpace(_SpaceBasis):
+    """The three component spaces of one degree, as one space whose basis
+    runs over comp_A, then comp_B, then comp_AB."""
+
+    degree: int
+    space_a: CochainSpace
+    space_b: CochainSpace
+    space_ab: CochainSpace
+
+    @cached_property
+    def system(self) -> MorphismCoords:
+        return MorphismCoords((self.space_a.system, self.space_b.system,
+                               self.space_ab.system))
+
+    @cached_property
+    def coords(self) -> tuple[Vector, ...]:
+        spaces = (self.space_a, self.space_b, self.space_ab)
+        pads = [(Fraction(0),) * s.system.dim for s in spaces]
+        return tuple(sum(pads[:i], ()) + v + sum(pads[i + 1:], ())
+                     for i, s in enumerate(spaces) for v in s.coords)

@@ -11,6 +11,11 @@ applied uniformly per flavor:
   cochains (whose images are automatically cocycles for valid multiplicative
   algebras).
 
+Every coboundary is a compiled ``operator.SparseOperator``; a complex
+compiles each degree once and ``compute_cohomology`` decides kernels,
+ranks and pivots on operator coordinates, building full tensors only for
+the reported cocycles.
+
 Invalid input algebras degrade to best-effort reports: the delta-squared
 failure is detected, reported as a warning, and the coboundary space is
 replaced by its intersection with the cocycles so the quotient stays
@@ -20,19 +25,18 @@ meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
-from itertools import product
 
-from .algebra import (ASSOCIATIVE, LIE as LIE_KIND, HomAlgebra, alpha_power,
-                      apply_alpha, multiply, validate)
-from .bracket import compose_after, diamond
-from .cochain import (HOM, LIE, CochainSpace, MorphismCochain, MultilinearMap,
-                      full_multilinear_basis, hom_cochain_basis, is_alternating,
-                      lie_cochain_basis, morphism_cochain_space)
+from .algebra import (ASSOCIATIVE, LIE as LIE_KIND, HomAlgebra, multiply,
+                      validate)
+from .cochain import (HOM, LIE, CochainSpace, MorphismCochain,
+                      MorphismCochainSpace, MultilinearMap, _check_arity_guard,
+                      hom_cochain_basis, lie_cochain_basis,
+                      morphism_cochain_space)
 from .errors import ImageOutsideCodomain, UsageError
-from .exact import (Matrix, Vector, column_rank, independent_subset,
-                    intersection_basis, nullspace_basis)
+from .exact import (Matrix, column_rank, independent_subset,
+                    intersection_basis, lincomb, nullspace_basis)
+from .operator import (apply_operator, hom_delta, hom_operator, lie_operator,
+                       morphism_delta, self_delta)
 from .rep import (Bimodule, HomMorphism, LieModule, adjoint_bimodule,
                   check_morphism, lie_adjoint_module, validate_bimodule,
                   validate_lie_module)
@@ -45,37 +49,9 @@ MORPHISM_HOM = "morphism_hom"
 MORPHISM_LIE = "morphism_lie"
 
 
-def _basis_args(n: int, t) -> list[Vector]:
-    return [tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in t]
-
-
-def _delta_hom(A: HomAlgebra, left, right, target_dim: int,
-               f: MultilinearMap) -> MultilinearMap:
-    """Shared engine for the associative-kind coboundary formula."""
-    n = f.arity
-    if n < 1:
+def _require_arity(f: MultilinearMap):
+    if f.arity < 1:
         raise UsageError("coboundary needs arity >= 1")
-    ap = alpha_power(A, n - 1)
-    values = {}
-    for t in product(range(A.dim), repeat=n + 1):
-        args = _basis_args(A.dim, t)
-        alphas = [apply_alpha(A, a) for a in args]
-        total = list(left(ap.matvec(args[0]), f.evaluate(args[1:])))
-        for k in range(1, n + 1):
-            margs = alphas[:k - 1] + [multiply(A, args[k - 1], args[k])] \
-                + alphas[k + 1:]
-            term = f.evaluate(margs)
-            if k % 2:
-                total = [x - y for x, y in zip(total, term)]
-            else:
-                total = [x + y for x, y in zip(total, term)]
-        last = right(f.evaluate(args[:n]), ap.matvec(args[n]))
-        if (n + 1) % 2:
-            total = [x - y for x, y in zip(total, last)]
-        else:
-            total = [x + y for x, y in zip(total, last)]
-        values[t] = tuple(total)
-    return MultilinearMap.from_values(n + 1, A.dim, target_dim, values)
 
 
 def delta_hom_self(A: HomAlgebra, f: MultilinearMap) -> MultilinearMap:
@@ -84,8 +60,8 @@ def delta_hom_self(A: HomAlgebra, f: MultilinearMap) -> MultilinearMap:
         raise UsageError("delta_hom_self needs an associative-kind algebra")
     if f.source_dim != A.dim or f.target_dim != A.dim:
         raise UsageError("cochain dimensions do not match the algebra")
-    return _delta_hom(A, lambda x, m: multiply(A, x, m),
-                      lambda m, x: multiply(A, m, x), A.dim, f)
+    _require_arity(f)
+    return apply_operator(self_delta(A, f.arity), f)
 
 
 def delta_hom_bimodule(A: HomAlgebra, M: Bimodule,
@@ -96,49 +72,20 @@ def delta_hom_bimodule(A: HomAlgebra, M: Bimodule,
         raise UsageError("bimodule does not belong to the given algebra")
     if f.source_dim != A.dim or f.target_dim != M.carrier_dim:
         raise UsageError("cochain dimensions do not match algebra/module")
-    return _delta_hom(A, M.left, M.right, M.carrier_dim, f)
-
-
-def _delta_lie(L: HomAlgebra, act, target_dim: int,
-               f: MultilinearMap) -> MultilinearMap:
-    n = f.arity
-    if n < 1:
-        raise UsageError("coboundary needs arity >= 1")
-    if not is_alternating(f):
-        raise UsageError("Lie-kind coboundary needs an alternating cochain")
-    ap = alpha_power(L, n - 1)
-    values = {}
-    for t in product(range(L.dim), repeat=n + 1):
-        args = _basis_args(L.dim, t)
-        alphas = [apply_alpha(L, a) for a in args]
-        total = [Fraction(0)] * target_dim
-        for i in range(n + 1):
-            rest = args[:i] + args[i + 1:]
-            term = act(ap.matvec(args[i]), f.evaluate(rest))
-            if i % 2:
-                total = [x - y for x, y in zip(total, term)]
-            else:
-                total = [x + y for x, y in zip(total, term)]
-        for i in range(n + 1):
-            for j in range(i + 1, n + 1):
-                rest = [alphas[p] for p in range(n + 1) if p != i and p != j]
-                margs = [multiply(L, args[i], args[j])] + rest
-                term = f.evaluate(margs)
-                if (i + j) % 2:
-                    total = [x - y for x, y in zip(total, term)]
-                else:
-                    total = [x + y for x, y in zip(total, term)]
-        values[t] = tuple(total)
-    return MultilinearMap.from_values(n + 1, L.dim, target_dim, values)
+    _require_arity(f)
+    op = hom_delta(A, M.rho_l, M.rho_r, M.carrier_dim, f.arity)
+    return apply_operator(op, f)
 
 
 def delta_lie_self(L: HomAlgebra, f: MultilinearMap) -> MultilinearMap:
-    """Chevalley-Eilenberg style coboundary of a self-valued cochain."""
+    """Chevalley-Eilenberg style coboundary of a self-valued cochain; the
+    cochain must be alternating."""
     if L.kind != LIE_KIND:
         raise UsageError("delta_lie_self needs a Lie-kind algebra")
     if f.source_dim != L.dim or f.target_dim != L.dim:
         raise UsageError("cochain dimensions do not match the algebra")
-    return _delta_lie(L, lambda g, v: multiply(L, g, v), L.dim, f)
+    _require_arity(f)
+    return apply_operator(self_delta(L, f.arity), f)
 
 
 def delta_lie_module(L: HomAlgebra, P: LieModule,
@@ -147,17 +94,8 @@ def delta_lie_module(L: HomAlgebra, P: LieModule,
         raise UsageError("module does not belong to the given algebra")
     if f.source_dim != L.dim or f.target_dim != P.carrier_dim:
         raise UsageError("cochain dimensions do not match algebra/module")
-    return _delta_lie(L, P.act, P.carrier_dim, f)
-
-
-@lru_cache(maxsize=None)
-def _lazy_adjoint_bimodule(phi: HomMorphism) -> Bimodule:
-    return adjoint_bimodule(phi, strict=False)
-
-
-@lru_cache(maxsize=None)
-def _lazy_lie_adjoint(phi: HomMorphism) -> LieModule:
-    return lie_adjoint_module(phi, strict=False)
+    _require_arity(f)
+    return apply_operator(lie_operator(L, P.carrier_dim, f.arity, P.action), f)
 
 
 def delta_morphism(phi: HomMorphism, c: MorphismCochain,
@@ -169,30 +107,9 @@ def delta_morphism(phi: HomMorphism, c: MorphismCochain,
     module coboundary of the connecting component; the degree-1 case uses
     the zero map for the arity-0 coboundary.
     """
-    n = c.degree
-    if n < 1:
+    if c.degree < 1:
         raise UsageError("morphism coboundary needs degree >= 1")
-    A, B = phi.source, phi.target
-    defect = compose_after(phi, c.comp_A) - diamond(c.comp_B, phi)
-    if flavor == HOM:
-        d_a = delta_hom_self(A, c.comp_A)
-        d_b = delta_hom_self(B, c.comp_B)
-        if n == 1:
-            d_ab = MultilinearMap.zero(1, A.dim, B.dim)
-        else:
-            d_ab = delta_hom_bimodule(A, _lazy_adjoint_bimodule(phi), c.comp_AB)
-        third = defect - d_ab
-    elif flavor == LIE:
-        d_a = delta_lie_self(A, c.comp_A)
-        d_b = delta_lie_self(B, c.comp_B)
-        if n == 1:
-            d_ab = MultilinearMap.zero(1, A.dim, B.dim)
-        else:
-            d_ab = delta_lie_module(A, _lazy_lie_adjoint(phi), c.comp_AB)
-        third = d_ab + defect.scale((-1) ** (n - 1))
-    else:
-        raise UsageError(f"unknown flavor {flavor!r}")
-    return MorphismCochain(d_a, d_b, third)
+    return apply_operator(morphism_delta(phi, flavor, c.degree), c)
 
 
 def d_component(A: HomAlgebra, M: Bimodule, i: int,
@@ -210,21 +127,10 @@ def d_component(A: HomAlgebra, M: Bimodule, i: int,
         raise UsageError(f"face index {i} out of range 0..{n}")
     if i >= n:
         return MultilinearMap.zero(n + 1, A.dim, M.carrier_dim)
-    ap = alpha_power(A, n - 1)
-    values = {}
-    for t in product(range(A.dim), repeat=n + 1):
-        args = _basis_args(A.dim, t)
-        alphas = [apply_alpha(A, a) for a in args]
-        margs = alphas[:i] + [multiply(A, args[i], args[i + 1])] + alphas[i + 2:]
-        total = list(f.evaluate(margs))
-        if i == 0:
-            term = M.left(ap.matvec(args[0]), f.evaluate(args[1:]))
-            total = [x - y for x, y in zip(total, term)]
-        if i == n - 1:
-            term = M.right(f.evaluate(args[:n]), ap.matvec(args[n]))
-            total = [x - y for x, y in zip(total, term)]
-        values[t] = tuple(total)
-    return MultilinearMap.from_values(n + 1, A.dim, M.carrier_dim, values)
+    op = hom_operator(A, M.carrier_dim, n, [int(k == i) for k in range(n)],
+                      (-1, M.rho_l) if i == 0 else None,
+                      (-1, M.rho_r) if i == n - 1 else None)
+    return apply_operator(op, f)
 
 
 def differential_matrix(space_n: CochainSpace, space_n1: CochainSpace,
@@ -268,19 +174,34 @@ class ComplexSummary:
 
 
 class _ComplexBase:
-    """Shared driver: each concrete complex supplies spaces, the operator,
-    and flat coordinates of a degree-n object."""
+    """Shared engine: each concrete complex supplies its twist-compatible
+    cochain spaces, its compiled operator per degree, and the space the
+    cocycle equation is solved on."""
 
     flavor = "?"
+    full_cocycles = False  # cocycle equation solved on all multilinear maps
 
     def __init__(self):
         self._cycle_cache: dict[int, object] = {}
         self._bound_cache: dict[int, object] = {}
+        self._op_cache: dict[int, object] = {}
         self.warnings: list[str] = []
 
-    def cocycle_space(self, n: int):
+    def operator(self, n: int):
+        """The compiled coboundary from degree n to degree n + 1."""
+        if n not in self._op_cache:
+            self._op_cache[n] = self._compile(n)
+        return self._op_cache[n]
+
+    def cocycle_coords(self, n: int):
+        """Basis coordinates of the space the cocycle equation is solved
+        on, or None when that is the whole multilinear space."""
         if n not in self._cycle_cache:
-            self._cycle_cache[n] = self._build_cocycle_space(n)
+            if self.full_cocycles:
+                _check_arity_guard(n)
+                self._cycle_cache[n] = None
+            else:
+                self._cycle_cache[n] = self.bound_space(n).coords
         return self._cycle_cache[n]
 
     def bound_space(self, n: int):
@@ -289,25 +210,35 @@ class _ComplexBase:
         return self._bound_cache[n]
 
     # overridden by subclasses
-    def _build_cocycle_space(self, n: int):
-        raise NotImplementedError
-
     def _build_bound_space(self, n: int):
         raise NotImplementedError
 
-    def delta(self, f):
+    def _compile(self, n: int):
         raise NotImplementedError
 
-    def raw(self, f) -> tuple:
-        return f.coeffs if isinstance(f, MultilinearMap) else f.flat_coeffs()
+    def delta(self, f):
+        n = f.degree if isinstance(f, MorphismCochain) else f.arity
+        if n < 1:
+            raise UsageError("coboundary needs arity >= 1")
+        return apply_operator(self.operator(n), f)
 
     def degree_zero_images(self) -> list:
         """Images of the optional arity-0 coboundary (off by default)."""
         return []
 
 
+def _degree_zero(source: HomAlgebra, beta: Matrix, image) -> list:
+    """Arity-0 coboundaries: e_i -> image(e_i, m) for each m fixed by beta."""
+    d = beta.rows
+    return [MultilinearMap.from_values(
+        1, source.dim, d,
+        {(i,): image(source.basis_vector(i), m) for i in range(source.dim)})
+        for m in nullspace_basis(beta - Matrix.identity(d))]
+
+
 class HomSelfComplex(_ComplexBase):
     flavor = HOM_SELF
+    full_cocycles = True
 
     def __init__(self, A: HomAlgebra):
         super().__init__()
@@ -320,34 +251,22 @@ class HomSelfComplex(_ComplexBase):
         elif not report.multiplicative:
             self.warnings.append(f"{A.name}: twist is not multiplicative")
 
-    def _build_cocycle_space(self, n: int):
-        return full_multilinear_basis(HOM, self.algebra, self.algebra.dim,
-                                      self.algebra.alpha, n)
-
     def _build_bound_space(self, n: int):
         return hom_cochain_basis(self.algebra, self.algebra.dim,
                                  self.algebra.alpha, n)
 
-    def delta(self, f):
-        return delta_hom_self(self.algebra, f)
+    def _compile(self, n: int):
+        return self_delta(self.algebra, n)
 
     def degree_zero_images(self) -> list:
         A = self.algebra
-        fixed = nullspace_basis(A.alpha - Matrix.identity(A.dim))
-        out = []
-        for m in fixed:
-            values = {}
-            for i in range(A.dim):
-                e = A.basis_vector(i)
-                v = tuple(a - b for a, b in zip(multiply(A, e, m),
-                                                multiply(A, m, e)))
-                values[(i,)] = v
-            out.append(MultilinearMap.from_values(1, A.dim, A.dim, values))
-        return out
+        return _degree_zero(A, A.alpha, lambda e, m: tuple(
+            a - b for a, b in zip(multiply(A, e, m), multiply(A, m, e))))
 
 
 class HomBimoduleComplex(_ComplexBase):
     flavor = HOM_BIMODULE
+    full_cocycles = True
 
     def __init__(self, A: HomAlgebra, M: Bimodule, label: str = "module"):
         super().__init__()
@@ -360,30 +279,18 @@ class HomBimoduleComplex(_ComplexBase):
         for p in problems:
             self.warnings.append(f"{label}: {p}")
 
-    def _build_cocycle_space(self, n: int):
-        return full_multilinear_basis(HOM, self.algebra,
-                                      self.module.carrier_dim,
-                                      self.module.beta, n)
-
     def _build_bound_space(self, n: int):
         return hom_cochain_basis(self.algebra, self.module.carrier_dim,
                                  self.module.beta, n)
 
-    def delta(self, f):
-        return delta_hom_bimodule(self.algebra, self.module, f)
+    def _compile(self, n: int):
+        M = self.module
+        return hom_delta(self.algebra, M.rho_l, M.rho_r, M.carrier_dim, n)
 
     def degree_zero_images(self) -> list:
-        A, M = self.algebra, self.module
-        fixed = nullspace_basis(M.beta - Matrix.identity(M.carrier_dim))
-        out = []
-        for m in fixed:
-            values = {}
-            for i in range(A.dim):
-                e = A.basis_vector(i)
-                v = tuple(a - b for a, b in zip(M.left(e, m), M.right(m, e)))
-                values[(i,)] = v
-            out.append(MultilinearMap.from_values(1, A.dim, M.carrier_dim, values))
-        return out
+        M = self.module
+        return _degree_zero(self.algebra, M.beta, lambda e, m: tuple(
+            a - b for a, b in zip(M.left(e, m), M.right(m, e))))
 
 
 class LieSelfComplex(_ComplexBase):
@@ -400,24 +307,16 @@ class LieSelfComplex(_ComplexBase):
         elif not report.multiplicative:
             self.warnings.append(f"{L.name}: twist is not multiplicative")
 
-    def _build_cocycle_space(self, n: int):
+    def _build_bound_space(self, n: int):
         return lie_cochain_basis(self.algebra, self.algebra.dim,
                                  self.algebra.alpha, n)
 
-    _build_bound_space = _build_cocycle_space
-
-    def delta(self, f):
-        return delta_lie_self(self.algebra, f)
+    def _compile(self, n: int):
+        return self_delta(self.algebra, n)
 
     def degree_zero_images(self) -> list:
         L = self.algebra
-        fixed = nullspace_basis(L.alpha - Matrix.identity(L.dim))
-        out = []
-        for m in fixed:
-            values = {(i,): multiply(L, L.basis_vector(i), m)
-                      for i in range(L.dim)}
-            out.append(MultilinearMap.from_values(1, L.dim, L.dim, values))
-        return out
+        return _degree_zero(L, L.alpha, lambda e, m: multiply(L, e, m))
 
 
 class LieModuleComplex(_ComplexBase):
@@ -433,56 +332,17 @@ class LieModuleComplex(_ComplexBase):
         for p in validate_lie_module(P):
             self.warnings.append(f"{label}: {p}")
 
-    def _build_cocycle_space(self, n: int):
+    def _build_bound_space(self, n: int):
         return lie_cochain_basis(self.algebra, self.module.carrier_dim,
                                  self.module.beta, n)
 
-    _build_bound_space = _build_cocycle_space
-
-    def delta(self, f):
-        return delta_lie_module(self.algebra, self.module, f)
+    def _compile(self, n: int):
+        P = self.module
+        return lie_operator(self.algebra, P.carrier_dim, n, P.action)
 
     def degree_zero_images(self) -> list:
-        L, P = self.algebra, self.module
-        fixed = nullspace_basis(P.beta - Matrix.identity(P.carrier_dim))
-        out = []
-        for m in fixed:
-            values = {(i,): P.act(L.basis_vector(i), m) for i in range(L.dim)}
-            out.append(MultilinearMap.from_values(1, L.dim, P.carrier_dim, values))
-        return out
-
-
-@dataclass(frozen=True)
-class MorphismCochainSpace:
-    degree: int
-    space_a: CochainSpace
-    space_b: CochainSpace
-    space_ab: CochainSpace
-    basis: tuple[MorphismCochain, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def combine(self, coords) -> MorphismCochain:
-        dims = (len(self.space_a.basis), len(self.space_b.basis),
-                len(self.space_ab.basis))
-        a = self.space_a.combine(coords[:dims[0]])
-        b = self.space_b.combine(coords[dims[0]:dims[0] + dims[1]])
-        ab = self.space_ab.combine(coords[dims[0] + dims[1]:])
-        return MorphismCochain(a, b, ab)
-
-
-def _embed_triples(degree, space_a, space_b, space_ab) -> MorphismCochainSpace:
-    za = MultilinearMap.zero(degree, space_a.source.dim, space_a.target_dim)
-    zb = MultilinearMap.zero(degree, space_b.source.dim, space_b.target_dim)
-    zab = MultilinearMap.zero(degree - 1, space_ab.source.dim,
-                              space_ab.target_dim)
-    basis = tuple(
-        [MorphismCochain(a, zb, zab) for a in space_a.basis]
-        + [MorphismCochain(za, b, zab) for b in space_b.basis]
-        + [MorphismCochain(za, zb, c) for c in space_ab.basis])
-    return MorphismCochainSpace(degree, space_a, space_b, space_ab, basis)
+        P = self.module
+        return _degree_zero(self.algebra, P.beta, P.act)
 
 
 class MorphismComplex(_ComplexBase):
@@ -493,6 +353,7 @@ class MorphismComplex(_ComplexBase):
         self.phi = phi
         self.component_flavor = flavor
         self.flavor = MORPHISM_HOM if flavor == HOM else MORPHISM_LIE
+        self.full_cocycles = flavor == HOM
         for X in (phi.source, phi.target):
             report = validate(X)
             if not report.is_valid:
@@ -501,53 +362,50 @@ class MorphismComplex(_ComplexBase):
         if not mreport.is_valid:
             self.warnings.append(f"morphism: {mreport.describe()}")
 
-    def _build_cocycle_space(self, n: int):
-        A, B = self.phi.source, self.phi.target
-        if self.component_flavor == HOM:
-            sa = full_multilinear_basis(HOM, A, A.dim, A.alpha, n)
-            sb = full_multilinear_basis(HOM, B, B.dim, B.alpha, n)
-            sab = full_multilinear_basis(HOM, A, B.dim, B.alpha, n - 1)
-        else:
-            sa = lie_cochain_basis(A, A.dim, A.alpha, n)
-            sb = lie_cochain_basis(B, B.dim, B.alpha, n)
-            sab = lie_cochain_basis(A, B.dim, B.alpha, n - 1)
-        return _embed_triples(n, sa, sb, sab)
-
     def _build_bound_space(self, n: int):
-        sa, sb, sab = morphism_cochain_space(self.phi, n, self.component_flavor)
-        return _embed_triples(n, sa, sb, sab)
+        return MorphismCochainSpace(
+            n, *morphism_cochain_space(self.phi, n, self.component_flavor))
 
-    def delta(self, c):
-        return delta_morphism(self.phi, c, self.component_flavor)
+    def _compile(self, n: int):
+        return morphism_delta(self.phi, self.component_flavor, n)
 
 
 def compute_cohomology(complex_obj: _ComplexBase, degrees,
                        include_degree_zero: bool = False) -> ComplexSummary:
     """Per-degree cocycles, coboundaries, cohomology, and canonical
     representatives chosen by pivot positions of the cocycle basis modulo
-    the coboundaries."""
+    the coboundaries.
+
+    Kernels, ranks and pivots are decided on operator coordinates; they do
+    not change under the injective map to full tensors, so the reported
+    cochains are those of the dense computation.
+    """
     warnings = list(complex_obj.warnings)
     records = []
     for n in sorted(set(int(d) for d in degrees)):
         if n < 1:
             raise UsageError("degrees start at 1")
-        space = complex_obj.cocycle_space(n)
-        delta_cols = [complex_obj.raw(complex_obj.delta(f))
-                      for f in space.basis]
-        if delta_cols:
-            kernel = nullspace_basis(Matrix.from_columns(delta_cols))
+        coords = complex_obj.cocycle_coords(n)
+        op = complex_obj.operator(n)
+        if coords is None:  # the operator is its own differential matrix
+            dim_c = op.source.dim
+            z_raw = nullspace_basis(op.matrix()) if dim_c else []
         else:
-            kernel = []
-        cocycles = [space.combine(coords) for coords in kernel]
-        z_raw = [complex_obj.raw(z) for z in cocycles]
+            dim_c = len(coords)
+            kernel = nullspace_basis(op.matrix(coords)) if coords else []
+            z_raw = [lincomb(k, coords, op.source.dim) for k in kernel]
+        cocycles = [op.source.to_full(z) for z in z_raw]
 
         if n == 1:
             bound_images = (complex_obj.degree_zero_images()
                             if include_degree_zero else [])
+            b_raw_all = [op.source.project(b) for b in bound_images]
         else:
-            bound_images = [complex_obj.delta(g)
-                            for g in complex_obj.bound_space(n - 1).basis]
-        b_raw_all = [complex_obj.raw(b) for b in bound_images]
+            prev = complex_obj.operator(n - 1)
+            b_raw_all = [prev.apply(v)
+                         for v in complex_obj.bound_space(n - 1).coords]
+            if prev.target != op.source:  # images of a non-skew bracket
+                z_raw = [prev.target.project(z) for z in cocycles]
         keep = independent_subset(b_raw_all)
         b_raw = [b_raw_all[i] for i in keep]
 
@@ -563,7 +421,7 @@ def compute_cohomology(complex_obj: _ComplexBase, degrees,
         reps = tuple(cocycles[p - dim_b] for p in pivots if p >= dim_b)
         records.append(DegreeRecord(
             degree=n,
-            dim_cochains=space.dim,
+            dim_cochains=dim_c,
             dim_cocycles=dim_z,
             dim_coboundaries=dim_b,
             dim_cohomology=dim_z - dim_b,
@@ -607,8 +465,9 @@ def connecting_complex(phi: HomMorphism) -> _ComplexBase:
     """The standalone module-valued complex of the connecting component:
     cochains from the source with values in the target seen as the adjoint
     module (or bimodule) through phi."""
+    label = f"adjoint({phi.target.name})"
     if phi.source.kind == ASSOCIATIVE:
-        return HomBimoduleComplex(phi.source, _lazy_adjoint_bimodule(phi),
-                                  label=f"adjoint({phi.target.name})")
-    return LieModuleComplex(phi.source, _lazy_lie_adjoint(phi),
-                            label=f"adjoint({phi.target.name})")
+        return HomBimoduleComplex(phi.source,
+                                  adjoint_bimodule(phi, strict=False), label)
+    return LieModuleComplex(phi.source, lie_adjoint_module(phi, strict=False),
+                            label)

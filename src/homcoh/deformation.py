@@ -17,11 +17,13 @@ from .algebra import (ASSOCIATIVE, LIE as LIE_KIND, HomAlgebra, apply_alpha,
                       validate)
 from .bracket import (alpha_associator, cup_product_assoc, gerstenhaber_bracket,
                       nr_bracket, overline_comp)
-from .cochain import (HOM, LIE, MorphismCochain, MultilinearMap,
+from .cochain import (HOM, LIE, MorphismCochain, MorphismCochainSpace,
+                      MultilinearMap, hom_cochain_basis, lie_cochain_basis,
                       morphism_cochain_space)
-from .cohomology import delta_morphism, _embed_triples
+from .cohomology import delta_morphism
 from .errors import NotACocycle, ObstructionMismatch, UsageError
-from .exact import Matrix, solve, vec_is_zero, zero_vector
+from .exact import Matrix, vec_is_zero, zero_vector
+from .operator import morphism_delta, self_delta, solve_coboundary
 from .rep import HomMorphism
 
 
@@ -212,14 +214,18 @@ def _skew_witness(term: MultilinearMap) -> tuple | None:
     return None
 
 
-def _algebra_order_defect(d: FormalDeformation, s: int) -> MultilinearMap:
+def _algebra_order_defect(d: FormalDeformation, s: int,
+                          tail: bool = False) -> MultilinearMap:
     """Order-s coefficient of the structure identity of the deformed
     multiplication (twisted associator for the associative kind, cyclic
-    twisted double bracket for the Lie kind)."""
+    twisted double bracket for the Lie kind).  With ``tail`` only products
+    of stored terms of positive degree count (the part not involving the
+    unknown extension)."""
     A = d.base
+    orders = range(1, s) if tail else range(s + 1)
     if A.kind == ASSOCIATIVE:
         acc = MultilinearMap.zero(3, A.dim, A.dim)
-        for i in range(s + 1):
+        for i in orders:
             mu_i, mu_j = d.term(i), d.term(s - i)
             if mu_i.is_zero() or mu_j.is_zero():
                 continue
@@ -229,7 +235,7 @@ def _algebra_order_defect(d: FormalDeformation, s: int) -> MultilinearMap:
     for t in product(range(A.dim), repeat=3):
         args = [A.basis_vector(i) for i in t]
         total = zero_vector(A.dim)
-        for i in range(s + 1):
+        for i in orders:
             inner, outer = d.term(i), d.term(s - i)
             if inner.is_zero() or outer.is_zero():
                 continue
@@ -443,41 +449,12 @@ def algebra_obstruction(d: FormalDeformation) -> MultilinearMap:
             acc = acc + gerstenhaber_bracket(A, mu_p, mu_q).scale(Fraction(1, 2))
         else:
             acc = acc + nr_bracket(A, mu_p, mu_q).scale(Fraction(1, 2))
-    direct = _tail_defect(d, N + 1).scale(-1)
+    direct = _algebra_order_defect(d, N + 1, tail=True).scale(-1)
     if acc != direct:
         raise ObstructionMismatch(
             "bracket-form obstruction disagrees with the order coefficient "
             f"of the structure identity for {A.name}")
     return acc
-
-
-def _tail_defect(d: FormalDeformation, s: int) -> MultilinearMap:
-    """Order-s structure-identity coefficient restricted to stored terms
-    of positive degree (the part not involving the unknown extension)."""
-    A = d.base
-    if A.kind == ASSOCIATIVE:
-        acc = MultilinearMap.zero(3, A.dim, A.dim)
-        for i in range(1, s):
-            mu_i, mu_j = d.term(i), d.term(s - i)
-            if mu_i.is_zero() or mu_j.is_zero():
-                continue
-            acc = acc + alpha_associator(A, mu_i, mu_j)
-        return acc
-    values = {}
-    for t in product(range(A.dim), repeat=3):
-        args = [A.basis_vector(i) for i in t]
-        total = zero_vector(A.dim)
-        for i in range(1, s):
-            inner, outer = d.term(i), d.term(s - i)
-            if inner.is_zero() or outer.is_zero():
-                continue
-            for x, y, z in ((args[0], args[1], args[2]),
-                            (args[1], args[2], args[0]),
-                            (args[2], args[0], args[1])):
-                term = outer.evaluate([apply_alpha(A, x), inner.evaluate([y, z])])
-                total = tuple(a + b for a, b in zip(total, term))
-        values[t] = total
-    return MultilinearMap.from_values(3, A.dim, A.dim, values)
 
 
 def _connecting_obstruction(md: MorphismDeformation) -> MultilinearMap:
@@ -610,19 +587,15 @@ def extend_deformation(md: MorphismDeformation) -> MorphismDeformation | None:
     obstruction is not a coboundary."""
     ob = obstruction(md)
     N = md.order
-    spaces = morphism_cochain_space(md.phi, 2, md.flavor)
-    triple_space = _embed_triples(2, *spaces)
-    cols = [delta_morphism(md.phi, c, md.flavor).flat_coeffs()
-            for c in triple_space.basis]
-    target = ob.flat_coeffs()
-    if not cols:
-        return None if any(x != 0 for x in target) else _extended_by(
-            md, triple_space.combine(()))
-    coords = solve(Matrix.from_columns(cols), target)
+    space = MorphismCochainSpace(2, *morphism_cochain_space(md.phi, 2,
+                                                            md.flavor))
+    coords = solve_coboundary(morphism_delta(md.phi, md.flavor, 2),
+                              space.coords, ob)
     if coords is None:
         return None
-    theta = triple_space.combine(coords)
-    extended = _extended_by(md, theta)
+    extended = _extended_by(md, space.combine(coords))
+    if not space.coords:
+        return extended
     before = _verified_families(check_morphism_deformation(md, up_to=N))
     after = check_morphism_deformation(extended, up_to=N + 1)
     for family in before:
@@ -646,24 +619,21 @@ def _extended_by(md: MorphismDeformation, theta: MorphismCochain) -> MorphismDef
     return MorphismDeformation.build(md.phi, def_a, def_b, phi_terms, N1)
 
 
+def solve_algebra_coboundary(A: HomAlgebra, ob: MultilinearMap):
+    """(twist-compatible bilinear cochain space of A, coordinates of a
+    cochain in it whose coboundary is ob, or None when there is none)."""
+    build = hom_cochain_basis if A.kind == ASSOCIATIVE else lie_cochain_basis
+    space = build(A, A.dim, A.alpha, 2)
+    return space, solve_coboundary(self_delta(A, 2), space.coords, ob)
+
+
 def extend_algebra_deformation(d: FormalDeformation) -> FormalDeformation | None:
     """Algebra-only analogue of extend_deformation, solved in the
     twist-compatible bilinear cochain space of the base."""
-    from .cochain import hom_cochain_basis, lie_cochain_basis
-    from .cohomology import delta_hom_self, delta_lie_self
-
-    A = d.base
     ob = algebra_obstruction(d)
-    if A.kind == ASSOCIATIVE:
-        space = hom_cochain_basis(A, A.dim, A.alpha, 2)
-        delta = lambda f: delta_hom_self(A, f)
-    else:
-        space = lie_cochain_basis(A, A.dim, A.alpha, 2)
-        delta = lambda f: delta_lie_self(A, f)
-    cols = [delta(f).coeffs for f in space.basis]
-    if not cols:
+    space, coords = solve_algebra_coboundary(d.base, ob)
+    if not space.coords:
         return d if ob.is_zero() else None
-    coords = solve(Matrix.from_columns(cols), ob.coeffs)
     if coords is None:
         return None
     theta = space.combine(coords)

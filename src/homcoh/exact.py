@@ -57,12 +57,32 @@ def vec_sub(a: Vector, b: Vector) -> Vector:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vec_scale(c: Fraction, a: Vector) -> Vector:
-    return tuple(c * x for x in a)
-
-
 def vec_is_zero(a: Vector) -> bool:
     return all(x == 0 for x in a)
+
+
+def lincomb(coeffs, vectors, length: int) -> Vector:
+    """sum of c * v over paired coefficients and length-``length`` vectors."""
+    out = [Fraction(0)] * length
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for i, x in enumerate(v):
+                if x:
+                    out[i] += c * x
+    return tuple(out)
+
+
+def sparse_vector(v) -> dict[int, Fraction]:
+    return {i: x for i, x in enumerate(v) if x}
+
+
+def expand_product(args) -> list:
+    """Multilinear expansion of sparse vectors {index: coefficient}: the
+    (index tuple, product of coefficients) terms of their tensor product."""
+    terms = [((), 1)]
+    for arg in args:
+        terms = [(t + (i,), c * e) for t, c in terms for i, e in arg.items()]
+    return terms
 
 
 def zero_vector(n: int) -> Vector:

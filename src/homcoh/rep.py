@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .algebra import ASSOCIATIVE, LIE, HomAlgebra, apply_alpha, multiply, validate
+from .algebra import (ASSOCIATIVE, LIE, HomAlgebra, apply_alpha, bilinear,
+                      multiply, validate)
 from .errors import InvalidAlgebra, InvalidMorphism, UsageError
-from .exact import Matrix, Vector, basis_vector
+from .exact import Matrix, Vector, basis_vector, vec_sub
 
 ActionTensor = tuple[tuple[Vector, ...], ...]
 
@@ -115,31 +116,33 @@ class Bimodule:
             self.carrier_dim, self.algebra.dim, self.carrier_dim, self.rho_r))
 
     def left(self, x, m) -> Vector:
-        out = [Fraction(0)] * self.carrier_dim
-        for i, a in enumerate(x):
-            if a:
-                for j, b in enumerate(m):
-                    if b:
-                        c = a * b
-                        for k, e in enumerate(self.rho_l[i][j]):
-                            if e:
-                                out[k] += c * e
-        return tuple(out)
+        return bilinear(self.rho_l, x, m, self.carrier_dim)
 
     def right(self, m, x) -> Vector:
-        out = [Fraction(0)] * self.carrier_dim
-        for j, b in enumerate(m):
-            if b:
-                for i, a in enumerate(x):
-                    if a:
-                        c = a * b
-                        for k, e in enumerate(self.rho_r[j][i]):
-                            if e:
-                                out[k] += c * e
-        return tuple(out)
+        return bilinear(self.rho_r, m, x, self.carrier_dim)
 
     def apply_beta(self, m) -> Vector:
         return self.beta.matvec(m)
+
+
+def _violations(X: HomAlgebra, carrier_dim: int, axioms) -> list[str]:
+    """One message per failing axiom, at its first failing basis arguments.
+
+    Each axiom is (message template, number of algebra arguments, holds):
+    holds(algebra basis vectors..., carrier basis vector) tells whether the
+    equation holds there; the template is formatted with the algebra
+    indices followed by the carrier index.
+    """
+    problems = []
+    for template, slots, holds in axioms:
+        failing = (t + (m,) for t in product(range(X.dim), repeat=slots)
+                   for m in range(carrier_dim)
+                   if not holds(*[X.basis_vector(i) for i in t],
+                                basis_vector(carrier_dim, m)))
+        first = next(failing, None)
+        if first is not None:
+            problems.append(template.format(*first))
+    return problems
 
 
 def validate_bimodule(M: Bimodule) -> list[str]:
@@ -149,44 +152,16 @@ def validate_bimodule(M: Bimodule) -> list[str]:
     right, and the left/right compatibility equation.
     """
     A = M.algebra
-    problems = []
-    for i, j in product(range(A.dim), repeat=2):
-        x, y = A.basis_vector(i), A.basis_vector(j)
-        for m in range(M.carrier_dim):
-            v = basis_vector(M.carrier_dim, m)
-            lhs = M.left(multiply(A, x, y), M.apply_beta(v))
-            rhs = M.left(apply_alpha(A, x), M.left(y, v))
-            if lhs != rhs:
-                problems.append(f"left axiom fails at ({i},{j};{m})")
-                break
-        else:
-            continue
-        break
-    for i, j in product(range(A.dim), repeat=2):
-        x, y = A.basis_vector(i), A.basis_vector(j)
-        for m in range(M.carrier_dim):
-            v = basis_vector(M.carrier_dim, m)
-            lhs = M.right(M.apply_beta(v), multiply(A, x, y))
-            rhs = M.right(M.right(v, x), apply_alpha(A, y))
-            if lhs != rhs:
-                problems.append(f"right axiom fails at ({m};{i},{j})")
-                break
-        else:
-            continue
-        break
-    for i, j in product(range(A.dim), repeat=2):
-        x, z = A.basis_vector(i), A.basis_vector(j)
-        for m in range(M.carrier_dim):
-            v = basis_vector(M.carrier_dim, m)
-            lhs = M.right(M.left(x, v), apply_alpha(A, z))
-            rhs = M.left(apply_alpha(A, x), M.right(v, z))
-            if lhs != rhs:
-                problems.append(f"compatibility fails at ({i};{m};{j})")
-                break
-        else:
-            continue
-        break
-    return problems
+    return _violations(A, M.carrier_dim, (
+        ("left axiom fails at ({0},{1};{2})", 2, lambda x, y, v:
+         M.left(multiply(A, x, y), M.apply_beta(v))
+         == M.left(apply_alpha(A, x), M.left(y, v))),
+        ("right axiom fails at ({2};{0},{1})", 2, lambda x, y, v:
+         M.right(M.apply_beta(v), multiply(A, x, y))
+         == M.right(M.right(v, x), apply_alpha(A, y))),
+        ("compatibility fails at ({0};{2};{1})", 2, lambda x, z, v:
+         M.right(M.left(x, v), apply_alpha(A, z))
+         == M.left(apply_alpha(A, x), M.right(v, z)))))
 
 
 @dataclass(frozen=True)
@@ -205,16 +180,7 @@ class LieModule:
             self.algebra.dim, self.carrier_dim, self.carrier_dim, self.action))
 
     def act(self, x, m) -> Vector:
-        out = [Fraction(0)] * self.carrier_dim
-        for i, a in enumerate(x):
-            if a:
-                for j, b in enumerate(m):
-                    if b:
-                        c = a * b
-                        for k, e in enumerate(self.action[i][j]):
-                            if e:
-                                out[k] += c * e
-        return tuple(out)
+        return bilinear(self.action, x, m, self.carrier_dim)
 
     def apply_beta(self, m) -> Vector:
         return self.beta.matvec(m)
@@ -223,34 +189,14 @@ class LieModule:
 def validate_lie_module(P: LieModule) -> list[str]:
     """Violations of the two module axioms, checked on bases."""
     L = P.algebra
-    problems = []
-    for i in range(L.dim):
-        u = L.basis_vector(i)
-        for m in range(P.carrier_dim):
-            v = basis_vector(P.carrier_dim, m)
-            lhs = P.act(apply_alpha(L, u), P.apply_beta(v))
-            rhs = P.apply_beta(P.act(u, v))
-            if lhs != rhs:
-                problems.append(f"structure-map axiom fails at ({i};{m})")
-                break
-        else:
-            continue
-        break
-    for i, j in product(range(L.dim), repeat=2):
-        u, v = L.basis_vector(i), L.basis_vector(j)
-        for m in range(P.carrier_dim):
-            z = basis_vector(P.carrier_dim, m)
-            lhs = P.act(multiply(L, u, v), P.apply_beta(z))
-            rhs = tuple(a - b for a, b in zip(
-                P.act(apply_alpha(L, u), P.act(v, z)),
-                P.act(apply_alpha(L, v), P.act(u, z))))
-            if lhs != rhs:
-                problems.append(f"module condition fails at ({i},{j};{m})")
-                break
-        else:
-            continue
-        break
-    return problems
+    return _violations(L, P.carrier_dim, (
+        ("structure-map axiom fails at ({0};{1})", 1, lambda u, v:
+         P.act(apply_alpha(L, u), P.apply_beta(v))
+         == P.apply_beta(P.act(u, v))),
+        ("module condition fails at ({0},{1};{2})", 2, lambda u, v, z:
+         P.act(multiply(L, u, v), P.apply_beta(z))
+         == vec_sub(P.act(apply_alpha(L, u), P.act(v, z)),
+                    P.act(apply_alpha(L, v), P.act(u, z))))))
 
 
 def adjoint_bimodule(phi: HomMorphism, strict: bool = True) -> Bimodule:
@@ -320,18 +266,8 @@ def coadjoint_module(rep: LieModule, L: HomAlgebra) -> tuple[LieModule, bool]:
                     for j in range(n)] for i in range(L.dim)]
     dual = LieModule(algebra=L, carrier_dim=n, beta=rep.beta.transpose(),
                      action=dual_action)
-    condition_holds = True
-    for i, j in product(range(L.dim), repeat=2):
-        x, y = L.basis_vector(i), L.basis_vector(j)
-        for m in range(n):
-            v = basis_vector(n, m)
-            lhs = rep.act(multiply(L, x, y), rep.apply_beta(v))
-            rhs = tuple(a - b for a, b in zip(
-                rep.act(x, rep.act(apply_alpha(L, y), v)),
-                rep.act(y, rep.act(apply_alpha(L, x), v))))
-            if lhs != rhs:
-                condition_holds = False
-                break
-        if not condition_holds:
-            break
+    condition_holds = not _violations(L, n, (("", 2, lambda x, y, v:
+        rep.act(multiply(L, x, y), rep.apply_beta(v))
+        == vec_sub(rep.act(x, rep.act(apply_alpha(L, y), v)),
+                   rep.act(y, rep.act(apply_alpha(L, x), v)))),))
     return dual, condition_holds

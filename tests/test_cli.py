@@ -43,6 +43,22 @@ def test_validate_morphism_file(tmp_path, capsys):
     assert "product equation holds" in out
 
 
+def test_validate_builtin_morphism_name_matches_file(tmp_path, capsys):
+    files.write_builtin_files(str(tmp_path))
+    by_name = run(capsys, "validate", "phi12_2", "--json")
+    by_file = run(capsys, "validate", str(tmp_path / "phi12_2.json"), "--json")
+    assert by_name[0] in (0, 1)
+    assert by_name[:2] == by_file[:2]
+    assert json.loads(by_name[1])["type"] == "morphism"
+
+
+def test_malformed_max_arity_is_an_input_error(monkeypatch, capsys):
+    monkeypatch.setenv("HOMCOH_MAX_ARITY", "four")
+    code, _, err = run(capsys, "cohomology", "b2", "--degree", "2")
+    assert code == 2
+    assert "'four'" in err
+
+
 def test_cohomology_command_dims(capsys):
     code, out, _ = run(capsys, "cohomology", "b2", "--degree", "2", "--json")
     assert code == 0

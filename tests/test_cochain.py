@@ -10,7 +10,7 @@ from homcoh.algebra import HomAlgebra
 from homcoh.cochain import (MultilinearMap, alternator, hom_cochain_basis,
                             is_alternating, is_compatible, lie_cochain_basis,
                             morphism_cochain_space)
-from homcoh.errors import ArityLimitError
+from homcoh.errors import ArityLimitError, UsageError
 from homcoh.exact import Matrix
 
 
@@ -169,6 +169,13 @@ def test_arity_guard(monkeypatch, a3):
         hom_cochain_basis(a3, 3, a3.alpha, 3)
     monkeypatch.setenv("HOMCOH_MAX_ARITY", "3")
     assert hom_cochain_basis(a3, 3, a3.alpha, 3).dim >= 0
+
+
+@pytest.mark.parametrize("value", ["four", "-1", "2.5"])
+def test_malformed_arity_setting_is_reported(monkeypatch, a3, value):
+    monkeypatch.setenv("HOMCOH_MAX_ARITY", value)
+    with pytest.raises(UsageError, match=repr(value)):
+        hom_cochain_basis(a3, 3, a3.alpha, 1)
 
 
 def test_evaluate_is_multilinear():
