@@ -399,19 +399,6 @@ def lie_cochain_basis(source: HomAlgebra, target_dim: int, beta: Matrix,
     return _compatible_space(LIE, source, target_dim, beta, arity)
 
 
-def full_multilinear_basis(flavor: str, source: HomAlgebra, target_dim: int,
-                           beta: Matrix, arity: int) -> CochainSpace:
-    """Basis of all multilinear (hom) or all alternating (lie) maps,
-    without the twist-compatibility constraint."""
-    _check_arity_guard(arity)
-    if flavor not in (HOM, LIE):
-        raise UsageError(f"unknown flavor {flavor!r}")
-    size = Coords(arity, source.dim, target_dim, flavor == LIE).dim
-    basis = tuple(tuple(Fraction(int(u == v)) for v in range(size))
-                  for u in range(size))
-    return CochainSpace(arity, flavor, source, target_dim, beta, basis)
-
-
 @dataclass(frozen=True)
 class MorphismCochain:
     """Degree-n cochain of a morphism: a pair of self-valued cochains plus

@@ -33,8 +33,8 @@ from .cochain import (HOM, LIE, CochainSpace, MorphismCochain,
                       hom_cochain_basis, lie_cochain_basis,
                       morphism_cochain_space)
 from .errors import ImageOutsideCodomain, UsageError
-from .exact import (Matrix, column_rank, independent_subset,
-                    intersection_basis, lincomb, nullspace_basis)
+from .exact import (Matrix, independent_subset, intersection_basis, lincomb,
+                    nullspace_basis)
 from .operator import (apply_operator, hom_delta, hom_operator, lie_operator,
                        morphism_delta, self_delta)
 from .rep import (Bimodule, HomMorphism, LieModule, adjoint_bimodule,
@@ -406,19 +406,22 @@ def compute_cohomology(complex_obj: _ComplexBase, degrees,
                          for v in complex_obj.bound_space(n - 1).coords]
             if prev.target != op.source:  # images of a non-skew bracket
                 z_raw = [prev.target.project(z) for z in cocycles]
-        keep = independent_subset(b_raw_all)
-        b_raw = [b_raw_all[i] for i in keep]
-
-        if b_raw and column_rank(b_raw + z_raw) != len(z_raw):
+        # one elimination of [B | Z]: its B pivots span the coboundaries,
+        # its rank is dim(B + Z) and its Z pivots pick the representatives
+        pivots = independent_subset(b_raw_all + z_raw)
+        offset = len(b_raw_all)
+        b_raw = [b_raw_all[p] for p in pivots if p < offset]
+        if b_raw and len(pivots) != len(z_raw):
             warnings.append(
                 f"degree {n}: coboundaries escape the cocycles "
                 "(delta-squared is nonzero; invalid input structure)")
             b_raw = intersection_basis(b_raw, z_raw)
+            offset = len(b_raw)
+            pivots = independent_subset(b_raw + z_raw)
 
         dim_z = len(z_raw)
         dim_b = len(b_raw)
-        pivots = independent_subset(b_raw + z_raw)
-        reps = tuple(cocycles[p - dim_b] for p in pivots if p >= dim_b)
+        reps = tuple(cocycles[p - offset] for p in pivots if p >= offset)
         records.append(DegreeRecord(
             degree=n,
             dim_cochains=dim_c,

@@ -5,32 +5,76 @@ transport, obstruction cochains, and one-step extension by linear solve.
 A deformation is stored as its finitely many coefficient terms; the
 structure identity is checked coefficient-wise in the formal parameter up
 to the order where any product of stored terms could still contribute.
+Each family reads its coefficients once into a list by degree
+(``series``), and the order defects sum only products of nonzero entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
-from .algebra import (ASSOCIATIVE, LIE as LIE_KIND, HomAlgebra, apply_alpha,
-                      validate)
-from .bracket import (alpha_associator, cup_product_assoc, gerstenhaber_bracket,
-                      nr_bracket, overline_comp)
+from .algebra import ASSOCIATIVE, LIE as LIE_KIND, HomAlgebra, validate
+from .bracket import (cup_product_assoc, gerstenhaber_bracket, nr_bracket,
+                      overline_comp)
 from .cochain import (HOM, LIE, MorphismCochain, MorphismCochainSpace,
                       MultilinearMap, hom_cochain_basis, lie_cochain_basis,
                       morphism_cochain_space)
 from .cohomology import delta_morphism
 from .errors import NotACocycle, ObstructionMismatch, UsageError
-from .exact import Matrix, vec_is_zero, zero_vector
+from .exact import Matrix, sparse_vector, vec_is_zero
 from .operator import morphism_delta, self_delta, solve_coboundary
 from .rep import HomMorphism
 
 
-def _as_bilinear(base: HomAlgebra) -> MultilinearMap:
-    values = {(i, j): base.mul[i][j]
-              for i in range(base.dim) for j in range(base.dim)}
-    return MultilinearMap.from_values(2, base.dim, base.dim, values)
+def _series(leading, terms, zero) -> list:
+    """Coefficients by degree, from the leading term up to the highest
+    stored degree; the first stored term of a degree wins."""
+    out = [leading] + [zero] * max((d for d, _ in terms), default=0)
+    for degree, t in reversed(terms):
+        out[degree] = t
+    return out
+
+
+def _get(series: list, degree: int, zero):
+    """Coefficient of a series by degree; ``zero`` outside its range."""
+    return series[degree] if 0 <= degree < len(series) else zero
+
+
+def _entries(values) -> dict:
+    """{key: {row: value}} over the (key, vector) pairs with a nonzero
+    vector: argument tuples of a map, or columns of a matrix."""
+    return {k: c for k, v in values if (c := sparse_vector(v))}
+
+
+def _columns(m: Matrix) -> dict:
+    return _entries((j, m.column(j)) for j in range(m.cols))
+
+
+def _apply(mu: dict, u: dict, w: dict) -> dict:
+    """Sparse bilinear map on sparse arguments."""
+    out = {}
+    for a, ca in u.items():
+        for b, cb in w.items():
+            for r, x in mu.get((a, b), {}).items():
+                out[r] = out.get(r, 0) + ca * cb * x
+    return out
+
+
+def _add(acc: dict, t: tuple, v: dict, c=1):
+    """acc[t] += c * v on sparse vectors."""
+    slot = acc.setdefault(t, {})
+    for r, x in v.items():
+        slot[r] = slot.get(r, 0) + c * x
+
+
+def _to_map(arity: int, source_dim: int, target_dim: int,
+            acc: dict) -> MultilinearMap:
+    values = {t: [v.get(r, 0) for r in range(target_dim)]
+              for t, v in acc.items()}
+    return MultilinearMap.from_values(arity, source_dim, target_dim, values)
 
 
 @dataclass(frozen=True)
@@ -61,13 +105,23 @@ class FormalDeformation:
                    terms: dict[int, MultilinearMap]) -> "FormalDeformation":
         return cls(base, order, tuple(sorted(terms.items())))
 
+    @cached_property
+    def series(self) -> list[MultilinearMap]:
+        """Coefficients by degree; degree 0 is the base multiplication."""
+        A = self.base
+        mu0 = MultilinearMap.from_values(
+            2, A.dim, A.dim, {(i, j): A.mul[i][j]
+                              for i in range(A.dim) for j in range(A.dim)})
+        return _series(mu0, self.terms, MultilinearMap.zero(2, A.dim, A.dim))
+
+    @cached_property
+    def entries(self) -> list[dict]:
+        """Nonzero entries of each coefficient of ``series``."""
+        return [_entries(m.nonzero_entries()) for m in self.series]
+
     def term(self, degree: int) -> MultilinearMap:
-        if degree == 0:
-            return _as_bilinear(self.base)
-        for d, t in self.terms:
-            if d == degree:
-                return t
-        return MultilinearMap.zero(2, self.base.dim, self.base.dim)
+        return _get(self.series, degree,
+                    MultilinearMap.zero(2, self.base.dim, self.base.dim))
 
     def with_term(self, degree: int, term: MultilinearMap) -> "FormalDeformation":
         terms = {d: t for d, t in self.terms}
@@ -75,6 +129,11 @@ class FormalDeformation:
             terms[degree] = term
         return FormalDeformation.from_terms(self.base, max(self.order, degree),
                                             terms)
+
+    def truncated(self, order: int) -> "FormalDeformation":
+        """The family cut off at ``order``."""
+        return FormalDeformation.from_terms(
+            self.base, order, {d: t for d, t in self.terms if d <= order})
 
 
 @dataclass(frozen=True)
@@ -105,13 +164,20 @@ class MorphismDeformation:
               order: int) -> "MorphismDeformation":
         return cls(phi, def_a, def_b, tuple(sorted(phi_terms.items())), order)
 
+    @cached_property
+    def phi_series(self) -> list[Matrix]:
+        """Morphism coefficients by degree; degree 0 is the morphism."""
+        return _series(self.phi.matrix, self.phi_terms,
+                       Matrix.zero(self.phi.target.dim, self.phi.source.dim))
+
+    @cached_property
+    def phi_entries(self) -> list[dict]:
+        """Nonzero columns of each coefficient of ``phi_series``."""
+        return [_columns(m) for m in self.phi_series]
+
     def phi_term(self, degree: int) -> Matrix:
-        if degree == 0:
-            return self.phi.matrix
-        for d, m in self.phi_terms:
-            if d == degree:
-                return m
-        return Matrix.zero(self.phi.target.dim, self.phi.source.dim)
+        return _get(self.phi_series, degree,
+                    Matrix.zero(self.phi.target.dim, self.phi.source.dim))
 
     @property
     def flavor(self) -> str:
@@ -142,15 +208,18 @@ class FormalAutomorphismPair:
                         f"{tag} series term at degree {degree} does not "
                         "commute with the twist")
 
+    @cached_property
+    def series(self) -> tuple[list[Matrix], list[Matrix]]:
+        """Coefficients by degree of the source and the target series."""
+        return tuple(_series(Matrix.identity(alg.dim), terms,
+                             Matrix.zero(alg.dim, alg.dim))
+                     for alg, terms in ((self.source, self.psi_a_terms),
+                                        (self.target, self.psi_b_terms)))
+
     def term(self, side: str, degree: int) -> Matrix:
         alg = self.source if side == "a" else self.target
-        if degree == 0:
-            return Matrix.identity(alg.dim)
-        terms = self.psi_a_terms if side == "a" else self.psi_b_terms
-        for d, m in terms:
-            if d == degree:
-                return m
-        return Matrix.zero(alg.dim, alg.dim)
+        return _get(self.series[0 if side == "a" else 1], degree,
+                    Matrix.zero(alg.dim, alg.dim))
 
     def inverse_terms(self, side: str, up_to: int) -> list[Matrix]:
         """Coefficients of the truncated series inverse (unit leading term)."""
@@ -214,38 +283,30 @@ def _skew_witness(term: MultilinearMap) -> tuple | None:
     return None
 
 
-def _algebra_order_defect(d: FormalDeformation, s: int,
-                          tail: bool = False) -> MultilinearMap:
+def _algebra_order_defect(d: FormalDeformation, s: int) -> MultilinearMap:
     """Order-s coefficient of the structure identity of the deformed
-    multiplication (twisted associator for the associative kind, cyclic
-    twisted double bracket for the Lie kind).  With ``tail`` only products
-    of stored terms of positive degree count (the part not involving the
-    unknown extension)."""
+    multiplication: the twisted associator for the associative kind, the
+    cyclic twisted double bracket for the Lie kind, summed over the pairs
+    (outer, inner) of nonzero coefficients with degrees adding to s."""
     A = d.base
-    orders = range(1, s) if tail else range(s + 1)
-    if A.kind == ASSOCIATIVE:
-        acc = MultilinearMap.zero(3, A.dim, A.dim)
-        for i in orders:
-            mu_i, mu_j = d.term(i), d.term(s - i)
-            if mu_i.is_zero() or mu_j.is_zero():
-                continue
-            acc = acc + alpha_associator(A, mu_i, mu_j)
-        return acc
-    values = {}
-    for t in product(range(A.dim), repeat=3):
-        args = [A.basis_vector(i) for i in t]
-        total = zero_vector(A.dim)
-        for i in orders:
-            inner, outer = d.term(i), d.term(s - i)
-            if inner.is_zero() or outer.is_zero():
-                continue
-            for x, y, z in ((args[0], args[1], args[2]),
-                            (args[1], args[2], args[0]),
-                            (args[2], args[0], args[1])):
-                term = outer.evaluate([apply_alpha(A, x), inner.evaluate([y, z])])
-                total = tuple(a + b for a, b in zip(total, term))
-        values[t] = total
-    return MultilinearMap.from_values(3, A.dim, A.dim, values)
+    alpha = _columns(A.alpha)
+    assoc = A.kind == ASSOCIATIVE
+    acc = {}
+    for i, outer in enumerate(d.entries):
+        inner = _get(d.entries, s - i, {})
+        if not outer or not inner:
+            continue
+        for (y, z), v in inner.items():
+            for x, ax in alpha.items():
+                left = _apply(outer, ax, v)  # outer(alpha x, inner(y, z))
+                for t in ([(x, y, z)] if assoc
+                          else [(x, y, z), (z, x, y), (y, z, x)]):
+                    _add(acc, t, left)
+        if assoc:
+            for (x, y), v in inner.items():
+                for z, az in alpha.items():
+                    _add(acc, (x, y, z), _apply(outer, v, az), -1)
+    return _to_map(3, A.dim, A.dim, acc)
 
 
 def check_algebra_deformation(d: FormalDeformation,
@@ -257,7 +318,7 @@ def check_algebra_deformation(d: FormalDeformation,
     for s in range(up_to + 1):
         witness = None
         if d.base.kind == LIE_KIND and s >= 1:
-            witness = _skew_witness(d.term(s)) if not d.term(s).is_zero() else None
+            witness = _skew_witness(d.term(s))
         if witness is None:
             witness = _first_nonzero(_algebra_order_defect(d, s))
         records.append(OrderRecord(order=s,
@@ -266,29 +327,27 @@ def check_algebra_deformation(d: FormalDeformation,
 
 
 def _morphism_order_defect(md: MorphismDeformation, s: int) -> MultilinearMap:
-    """Order-s coefficient of phi_t(mul_A_t(x,y)) - mul_B_t(phi_t x, phi_t y)."""
-    A, B = md.phi.source, md.phi.target
-    values = {}
-    for t in product(range(A.dim), repeat=2):
-        x, y = A.basis_vector(t[0]), A.basis_vector(t[1])
-        total = zero_vector(B.dim)
-        for i in range(s + 1):
-            prod_term = md.def_a.term(s - i).evaluate([x, y])
-            if not vec_is_zero(prod_term):
-                total = tuple(a + b for a, b in zip(
-                    total, md.phi_term(i).matvec(prod_term)))
-        for i in range(s + 1):
-            mu = md.def_b.term(i)
-            if mu.is_zero():
+    """Order-s coefficient of phi_t(mul_A_t(x,y)) - mul_B_t(phi_t x, phi_t y),
+    summed over the degree tuples whose coefficients are all nonzero."""
+    mu_a, mu_b, phi = md.def_a.entries, md.def_b.entries, md.phi_entries
+    acc = {}
+    for i, cols in enumerate(phi):
+        if not cols:
+            continue
+        for t, v in _get(mu_a, s - i, {}).items():
+            for b, c in v.items():  # phi_i(mu_A(x, y))
+                _add(acc, t, cols.get(b, {}), c)
+    for i, mu in enumerate(mu_b):
+        if not mu:
+            continue
+        for j, left in enumerate(phi):
+            right = _get(phi, s - i - j, {})
+            if not left or not right:
                 continue
-            for j in range(s - i + 1):
-                k = s - i - j
-                left = md.phi_term(j).matvec(x)
-                right = md.phi_term(k).matvec(y)
-                term = mu.evaluate([left, right])
-                total = tuple(a - b for a, b in zip(total, term))
-        values[t] = total
-    return MultilinearMap.from_values(2, A.dim, B.dim, values)
+            for x, u in left.items():
+                for y, w in right.items():
+                    _add(acc, (x, y), _apply(mu, u, w), -1)
+    return _to_map(2, md.phi.source.dim, md.phi.target.dim, acc)
 
 
 def _twist_defect(md: MorphismDeformation, degree: int) -> tuple | None:
@@ -296,8 +355,6 @@ def _twist_defect(md: MorphismDeformation, degree: int) -> tuple | None:
     m = md.phi_term(degree)
     lhs = m @ A.alpha
     rhs = B.alpha @ m
-    if lhs == rhs:
-        return None
     for j in range(A.dim):
         if lhs.column(j) != rhs.column(j):
             return (A.basis_names[j],
@@ -336,18 +393,14 @@ def coefficient_cochain(md: MorphismDeformation, degree: int) -> MorphismCochain
         MultilinearMap.from_matrix(md.phi_term(degree)))
 
 
-def _slot_verdicts(phi: HomMorphism, image: MorphismCochain) -> dict[str, bool]:
-    return {"source": image.comp_A.is_zero(),
-            "target": image.comp_B.is_zero(),
-            "morphism": image.comp_AB.is_zero()}
-
-
 def infinitesimal_report(md: MorphismDeformation):
     """Degree-1 coefficient triple, its coupled-coboundary slot verdicts,
     and warnings for slots whose failure traces to an invalid base."""
     theta = coefficient_cochain(md, 1)
     image = delta_morphism(md.phi, theta, md.flavor)
-    verdicts = _slot_verdicts(md.phi, image)
+    verdicts = {"source": image.comp_A.is_zero(),
+                "target": image.comp_B.is_zero(),
+                "morphism": image.comp_AB.is_zero()}
     warnings = []
     for slot, alg in (("source", md.phi.source), ("target", md.phi.target)):
         if not verdicts[slot]:
@@ -385,37 +438,29 @@ def apply_equivalence(md: MorphismDeformation,
     inv_a = psi.inverse_terms("a", N)
     inv_b = psi.inverse_terms("b", N)
 
-    def transported_mul(side: str, s: int) -> MultilinearMap:
-        alg = A if side == "a" else B
-        d = md.def_a if side == "a" else md.def_b
-        inv = inv_a if side == "a" else inv_b
-        values = {}
-        for t in product(range(alg.dim), repeat=2):
-            x, y = alg.basis_vector(t[0]), alg.basis_vector(t[1])
-            total = zero_vector(alg.dim)
+    def transported(d: FormalDeformation, side: str,
+                    inv: list[Matrix]) -> FormalDeformation:
+        """psi_t o mu_t o (psi_t^-1 x psi_t^-1), through order N."""
+        zero = MultilinearMap.zero(2, d.base.dim, d.base.dim)
+        pulled = []  # coefficients of mu_t(psi_t^-1 x, psi_t^-1 y)
+        for m in range(N + 1):
+            acc = zero
+            for j in range(m + 1):
+                if d.term(j).is_zero():
+                    continue
+                for k in range(m - j + 1):
+                    acc = acc + _mul_through(d.term(j), inv[k], inv[m - j - k])
+            pulled.append(acc)
+        terms = {}
+        for s in range(1, N + 1):
+            acc = zero
             for i in range(s + 1):
-                psi_i = psi.term(side, i)
-                for j in range(s - i + 1):
-                    mu = d.term(j)
-                    if mu.is_zero():
-                        continue
-                    for k in range(s - i - j + 1):
-                        ell = s - i - j - k
-                        term = psi_i.matvec(mu.evaluate(
-                            [inv[k].matvec(x), inv[ell].matvec(y)]))
-                        total = tuple(p + q for p, q in zip(total, term))
-            values[t] = total
-        return MultilinearMap.from_values(2, alg.dim, alg.dim, values)
+                acc = acc + _compose_matrix_bilinear(psi.term(side, i),
+                                                     pulled[s - i])
+            if not acc.is_zero():
+                terms[s] = acc
+        return FormalDeformation.from_terms(d.base, N, terms)
 
-    terms_a = {}
-    terms_b = {}
-    for s in range(1, N + 1):
-        ta = transported_mul("a", s)
-        if not ta.is_zero():
-            terms_a[s] = ta
-        tb = transported_mul("b", s)
-        if not tb.is_zero():
-            terms_b[s] = tb
     phi_terms = {}
     for s in range(1, N + 1):
         acc = Matrix.zero(B.dim, A.dim)
@@ -426,10 +471,8 @@ def apply_equivalence(md: MorphismDeformation,
         if not acc.is_zero():
             phi_terms[s] = acc
     return MorphismDeformation.build(
-        md.phi,
-        FormalDeformation.from_terms(A, N, terms_a),
-        FormalDeformation.from_terms(B, N, terms_b),
-        phi_terms, N)
+        md.phi, transported(md.def_a, "a", inv_a),
+        transported(md.def_b, "b", inv_b), phi_terms, N)
 
 
 def algebra_obstruction(d: FormalDeformation) -> MultilinearMap:
@@ -439,52 +482,20 @@ def algebra_obstruction(d: FormalDeformation) -> MultilinearMap:
     N = d.order
     acc = MultilinearMap.zero(3, A.dim, A.dim)
     for p in range(1, N + 1):
-        q = N + 1 - p
-        if q < 1 or q > N:
-            continue
-        mu_p, mu_q = d.term(p), d.term(q)
+        mu_p, mu_q = d.term(p), d.term(N + 1 - p)
         if mu_p.is_zero() or mu_q.is_zero():
             continue
         if A.kind == ASSOCIATIVE:
             acc = acc + gerstenhaber_bracket(A, mu_p, mu_q).scale(Fraction(1, 2))
         else:
             acc = acc + nr_bracket(A, mu_p, mu_q).scale(Fraction(1, 2))
-    direct = _algebra_order_defect(d, N + 1, tail=True).scale(-1)
+    # no term of degree N + 1 is stored, so only products of the tail count
+    direct = _algebra_order_defect(d, N + 1).scale(-1)
     if acc != direct:
         raise ObstructionMismatch(
             "bracket-form obstruction disagrees with the order coefficient "
             f"of the structure identity for {A.name}")
     return acc
-
-
-def _connecting_obstruction(md: MorphismDeformation) -> MultilinearMap:
-    """Known part of the order-(N+1) morphism equation: what the coupled
-    coboundary of the unknown extension term must equal."""
-    A, B = md.phi.source, md.phi.target
-    N = md.order
-    s = N + 1
-    values = {}
-    for t in product(range(A.dim), repeat=2):
-        x, y = A.basis_vector(t[0]), A.basis_vector(t[1])
-        total = zero_vector(B.dim)
-        for i in range(1, N + 1):
-            prod_term = md.def_a.term(s - i).evaluate([x, y])
-            if not vec_is_zero(prod_term):
-                total = tuple(a - b for a, b in zip(
-                    total, md.phi_term(i).matvec(prod_term)))
-        for i in range(s + 1):
-            mu = md.def_b.term(i)
-            if mu.is_zero():
-                continue
-            for j in range(s - i + 1):
-                k = s - i - j
-                if (i, j, k) in ((s, 0, 0), (0, s, 0), (0, 0, s)):
-                    continue
-                term = mu.evaluate([md.phi_term(j).matvec(x),
-                                    md.phi_term(k).matvec(y)])
-                total = tuple(a + b for a, b in zip(total, term))
-        values[t] = total
-    return MultilinearMap.from_values(2, A.dim, B.dim, values)
 
 
 def obstruction(md: MorphismDeformation) -> MorphismCochain:
@@ -500,8 +511,6 @@ def obstruction(md: MorphismDeformation) -> MorphismCochain:
         ob_phi = MultilinearMap.zero(2, A.dim, B.dim)
         for p in range(1, N + 1):
             q = N + 1 - p
-            if q < 1:
-                continue
             mu_bp = md.def_b.term(p)
             phi_q = MultilinearMap.from_matrix(md.phi_term(q))
             if not mu_bp.is_zero() and not phi_q.is_zero():
@@ -535,8 +544,14 @@ def obstruction(md: MorphismDeformation) -> MorphismCochain:
                     continue
                 ob_phi = ob_phi - _mul_through(mu, md.phi_term(j),
                                                md.phi_term(k))
-    direct = _connecting_obstruction(md)
-    if md.flavor == LIE:
+    # The known part of the order-(N+1) morphism equation: its coefficient
+    # once every family is cut off at N, which drops exactly the terms that
+    # involve the unknown extension.
+    cut = MorphismDeformation.build(md.phi, md.def_a.truncated(N),
+                                    md.def_b.truncated(N),
+                                    dict(md.phi_terms), N)
+    direct = _morphism_order_defect(cut, N + 1)
+    if md.flavor == HOM:
         direct = direct.scale(-1)
     if ob_phi != direct:
         raise ObstructionMismatch(
@@ -573,14 +588,6 @@ def _mul_through(mu: MultilinearMap, left: Matrix, right: Matrix) -> Multilinear
     return MultilinearMap.from_values(2, n, mu.target_dim, values)
 
 
-def _verified_families(report: DeformationReport) -> set[str]:
-    out = set()
-    for field in ("algebra_a", "algebra_b", "morphism_eq", "twist_eq"):
-        if report.family_ok(field):
-            out.add(field)
-    return out
-
-
 def extend_deformation(md: MorphismDeformation) -> MorphismDeformation | None:
     """Solve the coupled linear problem for an order-(N+1) term killing the
     obstruction; returns the re-verified extension or None when the
@@ -596,10 +603,11 @@ def extend_deformation(md: MorphismDeformation) -> MorphismDeformation | None:
     extended = _extended_by(md, space.combine(coords))
     if not space.coords:
         return extended
-    before = _verified_families(check_morphism_deformation(md, up_to=N))
+    # orders 0..N involve no degree-(N+1) term, so they are the report of md
     after = check_morphism_deformation(extended, up_to=N + 1)
-    for family in before:
-        if not after.family_ok(family):
+    before = DeformationReport(after.orders[:N + 1])
+    for family in ("algebra_a", "algebra_b", "morphism_eq", "twist_eq"):
+        if before.family_ok(family) and not after.family_ok(family):
             raise ObstructionMismatch(
                 f"extension broke the {family} checks; sign convention bug")
     return extended
@@ -639,8 +647,8 @@ def extend_algebra_deformation(d: FormalDeformation) -> FormalDeformation | None
     theta = space.combine(coords)
     extended = d.with_term(d.order + 1, theta)
     report = check_algebra_deformation(extended, up_to=d.order + 1)
-    if not report.overall_ok and check_algebra_deformation(
-            d, up_to=d.order).overall_ok:
+    before = DeformationReport(report.orders[:d.order + 1])
+    if not report.overall_ok and before.overall_ok:
         raise ObstructionMismatch(
             "algebra extension broke the order checks; sign convention bug")
     return extended

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from homcoh.algebra import alpha_power, apply_alpha, multiply
+from homcoh.algebra import ASSOCIATIVE, alpha_power, apply_alpha, multiply
 from homcoh.cochain import MorphismCochain, MultilinearMap
 from homcoh.exact import Matrix
 from homcoh.rep import adjoint_bimodule, lie_adjoint_module
@@ -188,3 +188,124 @@ def dense_delta_morphism(phi, c, flavor: str):
         P = lie_adjoint_module(phi, strict=False)
         d_ab = dense_delta_lie(A, P.act, B.dim, c.comp_AB)
     return MorphismCochain(d_a, d_b, d_ab + defect.scale((-1) ** (n - 1)))
+
+
+# Dense deformation formulas, evaluated on basis vectors.  They read the
+# stored fields of a deformation (``terms``, ``phi_terms``, ``psi_*_terms``)
+# directly, so they share nothing with the coefficient series and sparse
+# order defects of homcoh.deformation.
+
+def _mu(d, degree: int):
+    A = d.base
+    if degree == 0:
+        return MultilinearMap.from_values(
+            2, A.dim, A.dim, {(i, j): A.mul[i][j]
+                              for i in range(A.dim) for j in range(A.dim)})
+    return dict(d.terms).get(degree, MultilinearMap.zero(2, A.dim, A.dim))
+
+
+def _phi(md, degree: int):
+    if degree == 0:
+        return md.phi.matrix
+    return dict(md.phi_terms).get(
+        degree, Matrix.zero(md.phi.target.dim, md.phi.source.dim))
+
+
+def _psi(terms, n: int, degree: int):
+    if degree == 0:
+        return Matrix.identity(n)
+    return dict(terms).get(degree, Matrix.zero(n, n))
+
+
+def dense_algebra_order_defect(d, s: int):
+    """Order-s coefficient of the twisted associator (associative kind) or
+    of the cyclic twisted double bracket (Lie kind) of the deformation."""
+    A = d.base
+    values = {}
+    for t in product(range(A.dim), repeat=3):
+        x, y, z = _basis_args(A.dim, t)
+        total = [Fraction(0)] * A.dim
+        for i in range(s + 1):
+            outer, inner = _mu(d, i), _mu(d, s - i)
+            if A.kind == ASSOCIATIVE:
+                total = _signed(total, outer.evaluate(
+                    [apply_alpha(A, x), inner.evaluate([y, z])]), False)
+                total = _signed(total, outer.evaluate(
+                    [inner.evaluate([x, y]), apply_alpha(A, z)]), True)
+                continue
+            for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+                total = _signed(total, outer.evaluate(
+                    [apply_alpha(A, a), inner.evaluate([b, c])]), False)
+        values[t] = tuple(total)
+    return MultilinearMap.from_values(3, A.dim, A.dim, values)
+
+
+def dense_morphism_order_defect(md, s: int):
+    """Order-s coefficient of phi_t(mul_A_t(x,y)) - mul_B_t(phi_t x, phi_t y)."""
+    A, B = md.phi.source, md.phi.target
+    values = {}
+    for t in product(range(A.dim), repeat=2):
+        x, y = _basis_args(A.dim, t)
+        total = [Fraction(0)] * B.dim
+        for i in range(s + 1):
+            total = _signed(total, _phi(md, i).matvec(
+                _mu(md.def_a, s - i).evaluate([x, y])), False)
+            for j in range(s - i + 1):
+                term = _mu(md.def_b, i).evaluate(
+                    [_phi(md, j).matvec(x), _phi(md, s - i - j).matvec(y)])
+                total = _signed(total, term, True)
+        values[t] = tuple(total)
+    return MultilinearMap.from_values(2, A.dim, B.dim, values)
+
+
+def dense_connecting_obstruction(md):
+    """Known part of the order-(N+1) morphism equation: what the coupled
+    coboundary of the unknown extension term must equal."""
+    A, B = md.phi.source, md.phi.target
+    N = md.order
+    s = N + 1
+    values = {}
+    for t in product(range(A.dim), repeat=2):
+        x, y = _basis_args(A.dim, t)
+        total = [Fraction(0)] * B.dim
+        for i in range(1, N + 1):
+            prod_term = _mu(md.def_a, s - i).evaluate([x, y])
+            total = _signed(total, _phi(md, i).matvec(prod_term), True)
+        for i in range(s + 1):
+            for j in range(s - i + 1):
+                k = s - i - j
+                if (i, j, k) in ((s, 0, 0), (0, s, 0), (0, 0, s)):
+                    continue
+                term = _mu(md.def_b, i).evaluate([_phi(md, j).matvec(x),
+                                                  _phi(md, k).matvec(y)])
+                total = _signed(total, term, False)
+        values[t] = tuple(total)
+    return MultilinearMap.from_values(2, A.dim, B.dim, values)
+
+
+def dense_transported_mul(md, psi, side: str, s: int):
+    """Order-s coefficient of psi_t o mu_t o (psi_t^-1 x psi_t^-1) on one
+    end of the morphism."""
+    alg = md.phi.source if side == "a" else md.phi.target
+    d = md.def_a if side == "a" else md.def_b
+    terms = psi.psi_a_terms if side == "a" else psi.psi_b_terms
+    n = alg.dim
+    inv = [Matrix.identity(n)]
+    for m in range(1, s + 1):
+        acc = Matrix.zero(n, n)
+        for i in range(1, m + 1):
+            acc = acc + _psi(terms, n, i) @ inv[m - i]
+        inv.append(acc.scale(-1))
+    values = {}
+    for t in product(range(n), repeat=2):
+        x, y = _basis_args(n, t)
+        total = [Fraction(0)] * n
+        for i in range(s + 1):
+            for j in range(s - i + 1):
+                for k in range(s - i - j + 1):
+                    ell = s - i - j - k
+                    term = _psi(terms, n, i).matvec(_mu(d, j).evaluate(
+                        [inv[k].matvec(x), inv[ell].matvec(y)]))
+                    total = _signed(total, term, False)
+        values[t] = tuple(total)
+    return MultilinearMap.from_values(2, n, n, values)

@@ -34,6 +34,11 @@ def golden_commands() -> dict[str, list[str]]:
         for action in ("check", "infinitesimal", "obstruction", "extend"):
             cmds[f"deform-{action}-{name}"] = ["deform", action, name,
                                                "--json"]
+    for action, name, order in (("check", "mdef_2", 9), ("check", "def_g1", 6),
+                                ("extend", "mdef_2", 5),
+                                ("extend", "def_g1", 6)):
+        cmds[f"deform-{action}-{name}-to-order-{order}"] = [
+            "deform", action, name, "--to-order", str(order), "--json"]
     return cmds
 
 

@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from homcoh import fixtures
+from helpers import (dense_algebra_order_defect, dense_connecting_obstruction,
+                     dense_morphism_order_defect, dense_transported_mul)
+from homcoh import deformation, fixtures
 from homcoh.algebra import LIE, HomAlgebra
 from homcoh.cochain import MorphismCochain, MultilinearMap
 from homcoh.cohomology import delta_hom_self, delta_morphism
@@ -12,7 +14,7 @@ from homcoh.deformation import (FormalAutomorphismPair, FormalDeformation,
                                 check_morphism_deformation, coefficient_cochain,
                                 extend_algebra_deformation, extend_deformation,
                                 infinitesimal, infinitesimal_report, obstruction)
-from homcoh.errors import UsageError
+from homcoh.errors import ObstructionMismatch, UsageError
 from homcoh.exact import Matrix
 
 
@@ -238,3 +240,168 @@ def test_extend_morphism_deformation_of_mdef_2():
         image = delta_morphism(extended.phi, ob2, "lie")
         assert image.comp_A.is_zero()
         assert image.comp_AB.is_zero()
+
+
+def _assoc_example():
+    """Associative-kind deformation with nonzero terms at degrees 1 and 2:
+    the trivial order-2 deformation of phi_assoc transported by
+    psi_A = 1 + t alpha_A + t^2 alpha_A^2 and psi_B = 1 + t alpha_B.
+    Returns (trivial deformation, pair, transported deformation)."""
+    phi = fixtures.phi_assoc()
+    A, B = phi.source, phi.target
+    trivial = MorphismDeformation.build(
+        phi, FormalDeformation.from_terms(A, 2, {}),
+        FormalDeformation.from_terms(B, 2, {}), {}, 2)
+    psi = FormalAutomorphismPair(
+        source=A, target=B,
+        psi_a_terms=((1, A.alpha), (2, A.alpha @ A.alpha)),
+        psi_b_terms=((1, B.alpha),), order=2)
+    return trivial, psi, apply_equivalence(trivial, psi)
+
+
+def _mdef_2_extensions(up_to=4):
+    chain = [fixtures.mdef_2()]
+    while chain[-1].order < up_to:
+        chain.append(extend_deformation(chain[-1]))
+    return chain
+
+
+def _cut(md):
+    """md with all three families cut off at its own order."""
+    N = md.order
+    return MorphismDeformation.build(md.phi, md.def_a.truncated(N),
+                                     md.def_b.truncated(N),
+                                     dict(md.phi_terms), N)
+
+
+def test_assoc_example_deformation():
+    _, _, md = _assoc_example()
+    assert [d for d, _ in md.def_a.terms] == [1]
+    assert [d for d, _ in md.def_b.terms] == [1, 2]
+    assert [d for d, _ in md.phi_terms] == [2]
+    assert check_morphism_deformation(md, up_to=2).overall_ok
+    assert not obstruction(md).is_zero()
+    extended = extend_deformation(md)
+    assert extended.order == 3
+    assert check_morphism_deformation(extended, up_to=3).overall_ok
+
+
+def test_order_defects_match_dense_oracles():
+    _, _, assoc = _assoc_example()
+    for md in _mdef_2_extensions() + [assoc, extend_deformation(assoc)]:
+        for s in range(3 * md.order + 2):
+            assert deformation._morphism_order_defect(md, s) == \
+                dense_morphism_order_defect(md, s)
+        for d in (md.def_a, md.def_b):
+            for s in range(2 * d.order + 2):
+                assert deformation._algebra_order_defect(d, s) == \
+                    dense_algebra_order_defect(d, s)
+
+
+def test_connecting_obstruction_matches_dense_oracle():
+    _, _, assoc = _assoc_example()
+    for md in _mdef_2_extensions() + [assoc, extend_deformation(assoc)]:
+        dense = dense_connecting_obstruction(md)
+        direct = deformation._morphism_order_defect(_cut(md), md.order + 1)
+        assert direct.scale(-1) == dense
+        sign = 1 if md.flavor == "hom" else -1
+        assert obstruction(md).comp_AB == dense.scale(sign)
+    # families whose own order exceeds the deformation's: the cut drops
+    # exactly the terms the dense loop skips
+    longer = MorphismDeformation.build(
+        assoc.phi, assoc.def_a.with_term(3, assoc.def_a.term(1)),
+        assoc.def_b.with_term(3, assoc.def_b.term(2)),
+        dict(assoc.phi_terms), 2)
+    direct = deformation._morphism_order_defect(_cut(longer), 3)
+    assert direct.scale(-1) == dense_connecting_obstruction(longer)
+    assert direct != deformation._morphism_order_defect(longer, 3)
+    assert obstruction(longer).comp_AB == dense_connecting_obstruction(longer)
+
+
+def test_apply_equivalence_matches_dense_oracle():
+    md = _mdef_2_extensions(3)[-1]
+    nil = Matrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 1, 0]])
+    pairs = [(md, FormalAutomorphismPair(
+        source=md.phi.source, target=md.phi.target,
+        psi_a_terms=((1, nil),), psi_b_terms=(), order=3))]
+    trivial, psi, transported = _assoc_example()
+    pairs += [(trivial, psi), (transported, psi)]
+    for before, pair in pairs:
+        out = apply_equivalence(before, pair)
+        for s in range(1, before.order + 1):
+            assert out.def_a.term(s) == dense_transported_mul(before, pair,
+                                                              "a", s)
+            assert out.def_b.term(s) == dense_transported_mul(before, pair,
+                                                              "b", s)
+
+
+def _bumped(fn):
+    """fn with one unit value added at the all-zero argument tuple."""
+    def wrapper(*args):
+        out = fn(*args)
+        bump = [0] * out.target_dim
+        bump[0] = 1
+        return out + MultilinearMap.from_values(
+            out.arity, out.source_dim, out.target_dim,
+            {(0,) * out.arity: bump})
+    return wrapper
+
+
+def _negated(fn):
+    return lambda *args: fn(*args).scale(-1)
+
+
+def _rigid_a3():
+    a3 = fixtures.assoc3(1, 2)
+    g = MultilinearMap.from_values(1, 3, 3, {(1,): vec(1, 1, 0)})
+    return FormalDeformation.from_terms(a3, 1, {1: delta_hom_self(a3, g)})
+
+
+@pytest.mark.parametrize("site", [
+    "algebra_obstruction-associative", "algebra_obstruction-lie",
+    "obstruction-hom", "obstruction-lie",
+    "extend_deformation", "extend_algebra_deformation"])
+def test_obstruction_mismatch_sites_raise_on_perturbed_displayed_side(
+        monkeypatch, site):
+    _, _, assoc = _assoc_example()
+    rigid = _rigid_a3()
+    cases = {
+        "algebra_obstruction-associative": (
+            "gerstenhaber_bracket", _bumped,
+            lambda: algebra_obstruction(assoc.def_b)),
+        "algebra_obstruction-lie": (
+            "nr_bracket", _bumped,
+            lambda: algebra_obstruction(fixtures.def_g1())),
+        "obstruction-hom": ("_compose_matrix_bilinear", _bumped,
+                            lambda: obstruction(assoc)),
+        "obstruction-lie": ("_compose_matrix_bilinear", _bumped,
+                            lambda: obstruction(fixtures.mdef_2())),
+        # a sign slip in the obstruction the extension solves for
+        "extend_deformation": ("obstruction", _negated,
+                               lambda: extend_deformation(assoc)),
+        "extend_algebra_deformation": (
+            "algebra_obstruction", _negated,
+            lambda: extend_algebra_deformation(rigid)),
+    }
+    name, perturb, run = cases[site]
+    run()
+    monkeypatch.setattr(deformation, name,
+                        perturb(getattr(deformation, name)))
+    with pytest.raises(ObstructionMismatch):
+        run()
+
+
+def test_extension_step_checks_the_extension_once(monkeypatch):
+    _, _, assoc = _assoc_example()
+    calls = []
+    real = deformation.check_morphism_deformation
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("up_to"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(deformation, "check_morphism_deformation", counted)
+    for md in (assoc, fixtures.mdef_2()):
+        calls.clear()
+        assert extend_deformation(md) is not None
+        assert calls == [md.order + 1]
