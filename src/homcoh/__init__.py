@@ -1,29 +1,3 @@
 """Exact-arithmetic cohomology and deformation engine for Hom-algebras."""
 
-from .algebra import (ASSOCIATIVE, LIE, HomAlgebra, ValidityReport,
-                      apply_alpha, multiply, validate, yau_twist)
-from .bracket import (alpha_associator, comp_product, cup_bracket_lie,
-                      cup_product_assoc, derivation_D_assoc, derivation_D_lie,
-                      diamond, gerstenhaber_bracket, nr_bracket, nr_product,
-                      overline_comp)
-from .cochain import (CochainSpace, MorphismCochain, MultilinearMap,
-                      alternator, hom_cochain_basis, lie_cochain_basis,
-                      morphism_cochain_space)
-from .cohomology import (ComplexSummary, DegreeRecord, HomBimoduleComplex,
-                         HomSelfComplex, LieModuleComplex, LieSelfComplex,
-                         MorphismComplex, bimodule_cohomology, compute_cohomology,
-                         d_component, delta_hom_bimodule, delta_hom_self,
-                         delta_lie_module, delta_lie_self, delta_morphism,
-                         differential_matrix, lie_module_cohomology,
-                         morphism_cohomology, self_cohomology)
-from .deformation import (DeformationReport, FormalAutomorphismPair,
-                          FormalDeformation, MorphismDeformation,
-                          apply_equivalence, check_algebra_deformation,
-                          check_morphism_deformation, extend_algebra_deformation,
-                          extend_deformation, infinitesimal, obstruction)
-from .exact import (Matrix, Rational, in_span, nullspace_basis,
-                    rational_from_string, rational_to_string, rref, solve)
-from .rep import (Bimodule, HomMorphism, LieModule, adjoint_bimodule,
-                  check_morphism, coadjoint_module, lie_adjoint_module)
-
 __version__ = "0.1.0"

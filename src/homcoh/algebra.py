@@ -12,12 +12,13 @@ checked invariant, not an assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 
 from .errors import MorphismViolation, UsageError
 from .exact import (Matrix, Vector, basis_vector, rational_to_string, vec_add,
-                    vec_is_zero, zero_vector)
+                    vec_is_zero, vec_sub, zero_vector)
 
 
 def format_vector(v) -> list[str]:
@@ -68,6 +69,38 @@ class HomAlgebra:
 
     def basis_vector(self, i: int) -> Vector:
         return basis_vector(self.dim, i)
+
+    @cached_property
+    def validity(self) -> ValidityReport:
+        """The defining identity on all basis triples, plus stored
+        skew-symmetry for the Lie kind; multiplicativity of the twist is
+        reported independently.  Checked once per algebra."""
+        n, names, e = self.dim, self.basis_names, self.basis_vector
+        witness = None
+        if self.kind == LIE:
+            witness = next(
+                (((names[i], names[j]), d) for i in range(n)
+                 for j in range(i, n)
+                 if not vec_is_zero(d := vec_add(self.mul[i][j],
+                                                  self.mul[j][i]))), None)
+            defect = lambda i, j, k: hom_jacobi_defect(self, e(i), e(j), e(k))
+        else:
+            defect = lambda i, j, k: _hom_associativity_defect(self, i, j, k)
+        if witness is None:
+            witness = next(
+                ((tuple(names[i] for i in t), d)
+                 for t in product(range(n), repeat=3)
+                 if not vec_is_zero(d := defect(*t))), None)
+        mult_witness = None
+        for i, j in product(range(n), repeat=2):
+            x, y = e(i), e(j)
+            lhs = apply_alpha(self, multiply(self, x, y))
+            rhs = multiply(self, apply_alpha(self, x), apply_alpha(self, y))
+            if lhs != rhs:
+                mult_witness = ((names[i], names[j]), vec_sub(lhs, rhs))
+                break
+        return ValidityReport(witness is None, witness, mult_witness is None,
+                              mult_witness, self.kind)
 
 
 def bilinear(tensor, x, y, dim: int) -> Vector:
@@ -144,49 +177,9 @@ def hom_jacobi_defect(A: HomAlgebra, x, y, z) -> Vector:
 
 
 def validate(A: HomAlgebra) -> ValidityReport:
-    """Check the defining identity on all basis triples, plus stored
-    skew-symmetry for the Lie kind; multiplicativity of the twist is
-    reported independently.  Never raises: invalid input is a finding."""
-    witness = None
-    if A.kind == LIE:
-        for i in range(A.dim):
-            for j in range(i, A.dim):
-                defect = vec_add(A.mul[i][j], A.mul[j][i])
-                if not vec_is_zero(defect):
-                    witness = ((A.basis_names[i], A.basis_names[j]), defect)
-                    break
-            if witness:
-                break
-        if witness is None:
-            for i, j, k in product(range(A.dim), repeat=3):
-                defect = hom_jacobi_defect(
-                    A, A.basis_vector(i), A.basis_vector(j), A.basis_vector(k))
-                if not vec_is_zero(defect):
-                    witness = ((A.basis_names[i], A.basis_names[j],
-                                A.basis_names[k]), defect)
-                    break
-    else:
-        for i, j, k in product(range(A.dim), repeat=3):
-            defect = _hom_associativity_defect(A, i, j, k)
-            if not vec_is_zero(defect):
-                witness = ((A.basis_names[i], A.basis_names[j],
-                            A.basis_names[k]), defect)
-                break
-
-    multiplicative = True
-    mult_witness = None
-    for i, j in product(range(A.dim), repeat=2):
-        ei, ej = A.basis_vector(i), A.basis_vector(j)
-        lhs = apply_alpha(A, multiply(A, ei, ej))
-        rhs = multiply(A, apply_alpha(A, ei), apply_alpha(A, ej))
-        if lhs != rhs:
-            multiplicative = False
-            mult_witness = ((A.basis_names[i], A.basis_names[j]),
-                            tuple(a - b for a, b in zip(lhs, rhs)))
-            break
-
-    return ValidityReport(witness is None, witness, multiplicative,
-                          mult_witness, A.kind)
+    """The validity report of A (see ``HomAlgebra.validity``).  Never
+    raises: invalid input is a finding."""
+    return A.validity
 
 
 def yau_twist(A: HomAlgebra, gamma: Matrix) -> HomAlgebra:

@@ -15,10 +15,8 @@ import sys
 from . import files, fixtures
 from .algebra import ASSOCIATIVE, HomAlgebra, validate
 from .cochain import HOM, LIE
-from .cohomology import (ComplexSummary, HomSelfComplex, LieSelfComplex,
-                         MorphismComplex, compute_cohomology,
-                         connecting_complex, delta_hom_self, delta_lie_self,
-                         self_cohomology)
+from .cohomology import (ComplexSummary, ModuleComplex, MorphismComplex,
+                         compute_cohomology, connecting_complex)
 from .deformation import (MorphismDeformation,
                           algebra_obstruction, check_algebra_deformation,
                           check_morphism_deformation, extend_algebra_deformation,
@@ -169,8 +167,7 @@ def cmd_cohomology(args) -> int:
         complex_obj = connecting_complex(phi)
         target_names = phi.target.basis_names
     else:
-        complex_obj = (HomSelfComplex(A) if A.kind == ASSOCIATIVE
-                       else LieSelfComplex(A))
+        complex_obj = ModuleComplex(A)
         target_names = A.basis_names
     summary = compute_cohomology(complex_obj, degrees,
                                  include_degree_zero=args.degree0)
@@ -199,7 +196,8 @@ def cmd_morphism_cohomology(args) -> int:
     phi = _load_morphism_arg(args.input)
     degrees = _parse_degrees(args.degree)
     flavor = HOM if phi.source.kind == ASSOCIATIVE else LIE
-    coupled = compute_cohomology(MorphismComplex(phi, flavor), degrees)
+    complex_obj = MorphismComplex(phi, flavor)
+    coupled = compute_cohomology(complex_obj, degrees)
     payload = {"command": "morphism-cohomology",
                "source": phi.source.name, "target": phi.target.name,
                "flavor": coupled.flavor,
@@ -207,10 +205,11 @@ def cmd_morphism_cohomology(args) -> int:
     lines = [f"morphism {phi.source.name} -> {phi.target.name} "
              f"[{coupled.flavor}]"]
     comparisons = []
-    summary_a = self_cohomology(phi.source, degrees)
-    summary_b = self_cohomology(phi.target, degrees)
+    summary_a = compute_cohomology(complex_obj.source, degrees)
+    summary_b = compute_cohomology(complex_obj.target, degrees)
     connecting = compute_cohomology(
-        connecting_complex(phi), set(degrees) | {n - 1 for n in degrees} - {0})
+        complex_obj.connecting,
+        set(degrees) | {n - 1 for n in degrees} - {0})
     for n in degrees:
         rec = coupled.record(n)
         conn_at_n = connecting.record(n)
@@ -304,9 +303,7 @@ def _deform_check(target, args) -> int:
 def _deform_infinitesimal(target, args) -> int:
     if not isinstance(target, MorphismDeformation):
         theta = target.term(1)
-        delta = (delta_hom_self if target.base.kind == ASSOCIATIVE
-                 else delta_lie_self)
-        image = delta(target.base, theta)
+        image = ModuleComplex(target.base).delta(theta)
         ok = image.is_zero()
         payload = {"command": "deform-infinitesimal", "kind": "algebra",
                    "is_cocycle": ok,
@@ -337,8 +334,8 @@ def _deform_obstruction(target, args) -> int:
     if not isinstance(target, MorphismDeformation):
         ob = algebra_obstruction(target)
         A = target.base
-        delta = delta_hom_self if A.kind == ASSOCIATIVE else delta_lie_self
-        image_zero = delta(A, ob).is_zero() if ob.arity == 3 else False
+        image_zero = ModuleComplex(A).delta(ob).is_zero() \
+            if ob.arity == 3 else False
         coboundary = solve_algebra_coboundary(A, ob)[1] is not None
         payload = {"command": "deform-obstruction", "kind": "algebra",
                    "is_cocycle": image_zero,

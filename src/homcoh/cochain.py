@@ -432,19 +432,6 @@ class MorphismCochain:
                 and self.comp_AB.is_zero())
 
 
-def morphism_cochain_space(phi, degree: int, flavor: str):
-    """The three component spaces at a given degree: arities
-    (degree, degree, degree - 1), all twist-compatible."""
-    if degree < 1:
-        raise UsageError("degree must be >= 1")
-    build = hom_cochain_basis if flavor == HOM else lie_cochain_basis
-    A, B = phi.source, phi.target
-    space_a = build(A, A.dim, A.alpha, degree)
-    space_b = build(B, B.dim, B.alpha, degree)
-    space_ab = build(A, B.dim, B.alpha, degree - 1)
-    return space_a, space_b, space_ab
-
-
 @dataclass(frozen=True)
 class MorphismCoords:
     """Coordinates of morphism cochains: those of comp_A, comp_B and

@@ -11,10 +11,14 @@ applied uniformly per flavor:
   cochains (whose images are automatically cocycles for valid multiplicative
   algebras).
 
-Every coboundary is a compiled ``operator.SparseOperator``; a complex
-compiles each degree once and ``compute_cohomology`` decides kernels,
-ranks and pivots on operator coordinates, building full tensors only for
-the reported cocycles.
+There are two complexes.  ``ModuleComplex`` takes an algebra and a module
+of its kind (the algebra acting on itself by default); ``MorphismComplex``
+assembles the coupled complex of a morphism from three of them: both ends
+in themselves and the source in the adjoint module of the target.  Every
+coboundary is a compiled ``operator.SparseOperator``; a complex compiles
+each degree once and ``compute_cohomology`` decides kernels, ranks and
+pivots on operator coordinates, building full tensors only for the
+reported cocycles.
 
 Invalid input algebras degrade to best-effort reports: the delta-squared
 failure is detected, reported as a warning, and the coboundary space is
@@ -25,21 +29,20 @@ meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .algebra import (ASSOCIATIVE, LIE as LIE_KIND, HomAlgebra, multiply,
-                      validate)
+from .algebra import ASSOCIATIVE, LIE as LIE_KIND, HomAlgebra, validate
 from .cochain import (HOM, LIE, CochainSpace, MorphismCochain,
                       MorphismCochainSpace, MultilinearMap, _check_arity_guard,
-                      hom_cochain_basis, lie_cochain_basis,
-                      morphism_cochain_space)
+                      hom_cochain_basis, lie_cochain_basis)
 from .errors import ImageOutsideCodomain, UsageError
 from .exact import (Matrix, independent_subset, intersection_basis, lincomb,
-                    nullspace_basis)
+                    nullspace_basis, vec_sub)
 from .operator import (apply_operator, hom_delta, hom_operator, lie_operator,
-                       morphism_delta, self_delta)
+                       morphism_delta)
 from .rep import (Bimodule, HomMorphism, LieModule, adjoint_bimodule,
-                  check_morphism, lie_adjoint_module, validate_bimodule,
-                  validate_lie_module)
+                  check_morphism, lie_adjoint_module, self_bimodule,
+                  self_lie_module, validate_bimodule, validate_lie_module)
 
 HOM_SELF = "hom_self"
 HOM_BIMODULE = "hom_bimodule"
@@ -49,19 +52,17 @@ MORPHISM_HOM = "morphism_hom"
 MORPHISM_LIE = "morphism_lie"
 
 
-def _require_arity(f: MultilinearMap):
-    if f.arity < 1:
-        raise UsageError("coboundary needs arity >= 1")
+def _check_dims(f: MultilinearMap, X: HomAlgebra, target_dim: int):
+    if f.source_dim != X.dim or f.target_dim != target_dim:
+        raise UsageError("cochain dimensions do not match algebra/module")
 
 
 def delta_hom_self(A: HomAlgebra, f: MultilinearMap) -> MultilinearMap:
     """Coboundary of a self-valued cochain of an associative-kind algebra."""
     if A.kind != ASSOCIATIVE:
         raise UsageError("delta_hom_self needs an associative-kind algebra")
-    if f.source_dim != A.dim or f.target_dim != A.dim:
-        raise UsageError("cochain dimensions do not match the algebra")
-    _require_arity(f)
-    return apply_operator(self_delta(A, f.arity), f)
+    _check_dims(f, A, A.dim)
+    return ModuleComplex(A).delta(f)
 
 
 def delta_hom_bimodule(A: HomAlgebra, M: Bimodule,
@@ -70,11 +71,8 @@ def delta_hom_bimodule(A: HomAlgebra, M: Bimodule,
     last slot from the right, inner slots get the twisted insertions."""
     if M.algebra != A:
         raise UsageError("bimodule does not belong to the given algebra")
-    if f.source_dim != A.dim or f.target_dim != M.carrier_dim:
-        raise UsageError("cochain dimensions do not match algebra/module")
-    _require_arity(f)
-    op = hom_delta(A, M.rho_l, M.rho_r, M.carrier_dim, f.arity)
-    return apply_operator(op, f)
+    _check_dims(f, A, M.carrier_dim)
+    return ModuleComplex(A, M).delta(f)
 
 
 def delta_lie_self(L: HomAlgebra, f: MultilinearMap) -> MultilinearMap:
@@ -82,20 +80,16 @@ def delta_lie_self(L: HomAlgebra, f: MultilinearMap) -> MultilinearMap:
     cochain must be alternating."""
     if L.kind != LIE_KIND:
         raise UsageError("delta_lie_self needs a Lie-kind algebra")
-    if f.source_dim != L.dim or f.target_dim != L.dim:
-        raise UsageError("cochain dimensions do not match the algebra")
-    _require_arity(f)
-    return apply_operator(self_delta(L, f.arity), f)
+    _check_dims(f, L, L.dim)
+    return ModuleComplex(L).delta(f)
 
 
 def delta_lie_module(L: HomAlgebra, P: LieModule,
                      f: MultilinearMap) -> MultilinearMap:
     if P.algebra != L:
         raise UsageError("module does not belong to the given algebra")
-    if f.source_dim != L.dim or f.target_dim != P.carrier_dim:
-        raise UsageError("cochain dimensions do not match algebra/module")
-    _require_arity(f)
-    return apply_operator(lie_operator(L, P.carrier_dim, f.arity, P.action), f)
+    _check_dims(f, L, P.carrier_dim)
+    return ModuleComplex(L, P).delta(f)
 
 
 def delta_morphism(phi: HomMorphism, c: MorphismCochain,
@@ -109,7 +103,7 @@ def delta_morphism(phi: HomMorphism, c: MorphismCochain,
     """
     if c.degree < 1:
         raise UsageError("morphism coboundary needs degree >= 1")
-    return apply_operator(morphism_delta(phi, flavor, c.degree), c)
+    return MorphismComplex(phi, flavor).delta(c)
 
 
 def d_component(A: HomAlgebra, M: Bimodule, i: int,
@@ -175,17 +169,14 @@ class ComplexSummary:
 
 class _ComplexBase:
     """Shared engine: each concrete complex supplies its twist-compatible
-    cochain spaces, its compiled operator per degree, and the space the
-    cocycle equation is solved on."""
+    cochain spaces, its compiled operator per degree, and whether the
+    cocycle equation is solved on all multilinear maps."""
 
-    flavor = "?"
-    full_cocycles = False  # cocycle equation solved on all multilinear maps
+    full_cocycles = False
 
     def __init__(self):
-        self._cycle_cache: dict[int, object] = {}
         self._bound_cache: dict[int, object] = {}
         self._op_cache: dict[int, object] = {}
-        self.warnings: list[str] = []
 
     def operator(self, n: int):
         """The compiled coboundary from degree n to degree n + 1."""
@@ -196,25 +187,16 @@ class _ComplexBase:
     def cocycle_coords(self, n: int):
         """Basis coordinates of the space the cocycle equation is solved
         on, or None when that is the whole multilinear space."""
-        if n not in self._cycle_cache:
-            if self.full_cocycles:
-                _check_arity_guard(n)
-                self._cycle_cache[n] = None
-            else:
-                self._cycle_cache[n] = self.bound_space(n).coords
-        return self._cycle_cache[n]
+        if self.full_cocycles:
+            _check_arity_guard(n)
+            return None
+        return self.bound_space(n).coords
 
     def bound_space(self, n: int):
+        """The twist-compatible cochains of degree n."""
         if n not in self._bound_cache:
             self._bound_cache[n] = self._build_bound_space(n)
         return self._bound_cache[n]
-
-    # overridden by subclasses
-    def _build_bound_space(self, n: int):
-        raise NotImplementedError
-
-    def _compile(self, n: int):
-        raise NotImplementedError
 
     def delta(self, f):
         n = f.degree if isinstance(f, MorphismCochain) else f.arity
@@ -227,147 +209,109 @@ class _ComplexBase:
         return []
 
 
-def _degree_zero(source: HomAlgebra, beta: Matrix, image) -> list:
-    """Arity-0 coboundaries: e_i -> image(e_i, m) for each m fixed by beta."""
-    d = beta.rows
-    return [MultilinearMap.from_values(
-        1, source.dim, d,
-        {(i,): image(source.basis_vector(i), m) for i in range(source.dim)})
-        for m in nullspace_basis(beta - Matrix.identity(d))]
+class ModuleComplex(_ComplexBase):
+    """Cochains of X with values in a module: a ``Bimodule`` for the
+    associative kind, a ``LieModule`` for the Lie kind; ``module=None`` is
+    X acting on itself.  ``label`` names the module in its warnings."""
 
-
-class HomSelfComplex(_ComplexBase):
-    flavor = HOM_SELF
-    full_cocycles = True
-
-    def __init__(self, A: HomAlgebra):
+    def __init__(self, X: HomAlgebra, module=None, label: str = "module"):
         super().__init__()
-        if A.kind != ASSOCIATIVE:
-            raise UsageError("hom_self complex needs an associative-kind algebra")
-        self.algebra = A
-        report = validate(A)
-        if not report.is_valid:
-            self.warnings.append(f"{A.name}: {report.describe()}")
-        elif not report.multiplicative:
-            self.warnings.append(f"{A.name}: twist is not multiplicative")
+        assoc = X.kind == ASSOCIATIVE
+        if module is None:
+            module = self_bimodule(X) if assoc else self_lie_module(X)
+            self.flavor = HOM_SELF if assoc else LIE_SELF
+        elif isinstance(module, Bimodule if assoc else LieModule):
+            self.flavor = HOM_BIMODULE if assoc else LIE_MODULE
+        else:
+            raise UsageError(f"a {X.kind}-kind algebra needs a "
+                             + ("bimodule" if assoc else "Lie module"))
+        self.algebra, self.module, self.label = X, module, label
+        self.full_cocycles = assoc  # the associative-kind convention
+
+    @cached_property
+    def warnings(self) -> list[str]:
+        X = self.algebra
+        report = validate(X)
+        out = [] if report.is_valid else [f"{X.name}: {report.describe()}"]
+        if self.flavor in (HOM_SELF, LIE_SELF):
+            if report.is_valid and not report.multiplicative:
+                out.append(f"{X.name}: twist is not multiplicative")
+            return out
+        check = validate_bimodule if self.full_cocycles else \
+            validate_lie_module
+        return out + [f"{self.label}: {p}" for p in check(self.module)]
 
     def _build_bound_space(self, n: int):
-        return hom_cochain_basis(self.algebra, self.algebra.dim,
-                                 self.algebra.alpha, n)
-
-    def _compile(self, n: int):
-        return self_delta(self.algebra, n)
-
-    def degree_zero_images(self) -> list:
-        A = self.algebra
-        return _degree_zero(A, A.alpha, lambda e, m: tuple(
-            a - b for a, b in zip(multiply(A, e, m), multiply(A, m, e))))
-
-
-class HomBimoduleComplex(_ComplexBase):
-    flavor = HOM_BIMODULE
-    full_cocycles = True
-
-    def __init__(self, A: HomAlgebra, M: Bimodule, label: str = "module"):
-        super().__init__()
-        self.algebra = A
-        self.module = M
-        report = validate(A)
-        if not report.is_valid:
-            self.warnings.append(f"{A.name}: {report.describe()}")
-        problems = validate_bimodule(M)
-        for p in problems:
-            self.warnings.append(f"{label}: {p}")
-
-    def _build_bound_space(self, n: int):
-        return hom_cochain_basis(self.algebra, self.module.carrier_dim,
-                                 self.module.beta, n)
+        build = hom_cochain_basis if self.full_cocycles else lie_cochain_basis
+        M = self.module
+        return build(self.algebra, M.carrier_dim, M.beta, n)
 
     def _compile(self, n: int):
         M = self.module
-        return hom_delta(self.algebra, M.rho_l, M.rho_r, M.carrier_dim, n)
+        if self.full_cocycles:
+            return hom_delta(self.algebra, M.rho_l, M.rho_r, M.carrier_dim, n)
+        return lie_operator(self.algebra, M.carrier_dim, n, M.action)
 
     def degree_zero_images(self) -> list:
-        M = self.module
-        return _degree_zero(self.algebra, M.beta, lambda e, m: tuple(
-            a - b for a, b in zip(M.left(e, m), M.right(m, e))))
+        """e_i -> e_i m (minus m e_i for a bimodule), for each m fixed by
+        the structure map of the module."""
+        X, M = self.algebra, self.module
+        image = (lambda e, m: vec_sub(M.left(e, m), M.right(m, e))) \
+            if self.full_cocycles else M.act
+        d = M.carrier_dim
+        return [MultilinearMap.from_values(
+            1, X.dim, d, {(i,): image(X.basis_vector(i), m)
+                          for i in range(X.dim)})
+            for m in nullspace_basis(M.beta - Matrix.identity(d))]
 
 
-class LieSelfComplex(_ComplexBase):
-    flavor = LIE_SELF
-
-    def __init__(self, L: HomAlgebra):
-        super().__init__()
-        if L.kind != LIE_KIND:
-            raise UsageError("lie_self complex needs a Lie-kind algebra")
-        self.algebra = L
-        report = validate(L)
-        if not report.is_valid:
-            self.warnings.append(f"{L.name}: {report.describe()}")
-        elif not report.multiplicative:
-            self.warnings.append(f"{L.name}: twist is not multiplicative")
-
-    def _build_bound_space(self, n: int):
-        return lie_cochain_basis(self.algebra, self.algebra.dim,
-                                 self.algebra.alpha, n)
-
-    def _compile(self, n: int):
-        return self_delta(self.algebra, n)
-
-    def degree_zero_images(self) -> list:
-        L = self.algebra
-        return _degree_zero(L, L.alpha, lambda e, m: multiply(L, e, m))
-
-
-class LieModuleComplex(_ComplexBase):
-    flavor = LIE_MODULE
-
-    def __init__(self, L: HomAlgebra, P: LieModule, label: str = "module"):
-        super().__init__()
-        self.algebra = L
-        self.module = P
-        report = validate(L)
-        if not report.is_valid:
-            self.warnings.append(f"{L.name}: {report.describe()}")
-        for p in validate_lie_module(P):
-            self.warnings.append(f"{label}: {p}")
-
-    def _build_bound_space(self, n: int):
-        return lie_cochain_basis(self.algebra, self.module.carrier_dim,
-                                 self.module.beta, n)
-
-    def _compile(self, n: int):
-        P = self.module
-        return lie_operator(self.algebra, P.carrier_dim, n, P.action)
-
-    def degree_zero_images(self) -> list:
-        P = self.module
-        return _degree_zero(self.algebra, P.beta, P.act)
+# the complexes that ModuleComplex replaces, by their former names
+HomSelfComplex = HomBimoduleComplex = ModuleComplex
+LieSelfComplex = LieModuleComplex = ModuleComplex
 
 
 class MorphismComplex(_ComplexBase):
+    """Coupled complex of phi: A -> B.  Its degree-n cochains are those of
+    ``source`` (A in itself) and ``target`` (B in itself) at degree n and
+    of ``connecting`` (A in B through phi) at degree n - 1; its spaces and
+    operators are assembled from theirs."""
+
     def __init__(self, phi: HomMorphism, flavor: str):
         super().__init__()
         if flavor not in (HOM, LIE):
             raise UsageError(f"unknown flavor {flavor!r}")
+        kind = ASSOCIATIVE if flavor == HOM else LIE_KIND
+        if phi.source.kind != kind or phi.target.kind != kind:
+            raise UsageError(f"flavor {flavor!r} does not match the algebras")
         self.phi = phi
         self.component_flavor = flavor
         self.flavor = MORPHISM_HOM if flavor == HOM else MORPHISM_LIE
         self.full_cocycles = flavor == HOM
-        for X in (phi.source, phi.target):
-            report = validate(X)
-            if not report.is_valid:
-                self.warnings.append(f"{X.name}: {report.describe()}")
+        self.source = ModuleComplex(phi.source)
+        self.target = ModuleComplex(phi.target)
+        self.connecting = connecting_complex(phi)
+
+    @cached_property
+    def warnings(self) -> list[str]:
+        phi = self.phi
+        out = [f"{X.name}: {report.describe()}"
+               for X in (phi.source, phi.target)
+               if not (report := validate(X)).is_valid]
         mreport = check_morphism(phi.source, phi.target, phi.matrix)
         if not mreport.is_valid:
-            self.warnings.append(f"morphism: {mreport.describe()}")
+            out.append(f"morphism: {mreport.describe()}")
+        return out
 
     def _build_bound_space(self, n: int):
-        return MorphismCochainSpace(
-            n, *morphism_cochain_space(self.phi, n, self.component_flavor))
+        return MorphismCochainSpace(n, self.source.bound_space(n),
+                                    self.target.bound_space(n),
+                                    self.connecting.bound_space(n - 1))
 
     def _compile(self, n: int):
-        return morphism_delta(self.phi, self.component_flavor, n)
+        return morphism_delta(
+            self.phi.matrix, self.component_flavor, self.source.operator(n),
+            self.target.operator(n),
+            self.connecting.operator(n - 1) if n > 1 else None)
 
 
 def compute_cohomology(complex_obj: _ComplexBase, degrees,
@@ -434,43 +378,17 @@ def compute_cohomology(complex_obj: _ComplexBase, degrees,
                           warnings=tuple(warnings))
 
 
-def hom_self_cohomology(A: HomAlgebra, degrees, **kw) -> ComplexSummary:
-    return compute_cohomology(HomSelfComplex(A), degrees, **kw)
-
-
-def lie_self_cohomology(L: HomAlgebra, degrees, **kw) -> ComplexSummary:
-    return compute_cohomology(LieSelfComplex(L), degrees, **kw)
-
-
 def self_cohomology(X: HomAlgebra, degrees, **kw) -> ComplexSummary:
-    if X.kind == ASSOCIATIVE:
-        return hom_self_cohomology(X, degrees, **kw)
-    return lie_self_cohomology(X, degrees, **kw)
+    return compute_cohomology(ModuleComplex(X), degrees, **kw)
 
 
-def bimodule_cohomology(A: HomAlgebra, M: Bimodule, degrees, **kw) -> ComplexSummary:
-    return compute_cohomology(HomBimoduleComplex(A, M), degrees, **kw)
+lie_self_cohomology = self_cohomology
 
 
-def lie_module_cohomology(L: HomAlgebra, P: LieModule, degrees,
-                          **kw) -> ComplexSummary:
-    return compute_cohomology(LieModuleComplex(L, P), degrees, **kw)
-
-
-def morphism_cohomology(phi: HomMorphism, degrees, flavor: str | None = None,
-                        **kw) -> ComplexSummary:
-    if flavor is None:
-        flavor = HOM if phi.source.kind == ASSOCIATIVE else LIE
-    return compute_cohomology(MorphismComplex(phi, flavor), degrees, **kw)
-
-
-def connecting_complex(phi: HomMorphism) -> _ComplexBase:
+def connecting_complex(phi: HomMorphism) -> ModuleComplex:
     """The standalone module-valued complex of the connecting component:
     cochains from the source with values in the target seen as the adjoint
     module (or bimodule) through phi."""
-    label = f"adjoint({phi.target.name})"
-    if phi.source.kind == ASSOCIATIVE:
-        return HomBimoduleComplex(phi.source,
-                                  adjoint_bimodule(phi, strict=False), label)
-    return LieModuleComplex(phi.source, lie_adjoint_module(phi, strict=False),
-                            label)
+    module = (adjoint_bimodule if phi.source.kind == ASSOCIATIVE
+              else lie_adjoint_module)(phi, strict=False)
+    return ModuleComplex(phi.source, module, f"adjoint({phi.target.name})")

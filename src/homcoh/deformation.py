@@ -19,21 +19,30 @@ from itertools import product
 from .algebra import ASSOCIATIVE, LIE as LIE_KIND, HomAlgebra, validate
 from .bracket import (cup_product_assoc, gerstenhaber_bracket, nr_bracket,
                       overline_comp)
-from .cochain import (HOM, LIE, MorphismCochain, MorphismCochainSpace,
-                      MultilinearMap, hom_cochain_basis, lie_cochain_basis,
-                      morphism_cochain_space)
-from .cohomology import delta_morphism
+from .cochain import HOM, LIE, MorphismCochain, MultilinearMap
+from .cohomology import ModuleComplex, MorphismComplex, delta_morphism
 from .errors import NotACocycle, ObstructionMismatch, UsageError
 from .exact import Matrix, sparse_vector, vec_is_zero
-from .operator import morphism_delta, self_delta, solve_coboundary
+from .operator import solve_coboundary
 from .rep import HomMorphism
+
+
+def _check_degrees(terms, order: int, what: str):
+    """Every stored degree lies in 1..order, and none repeats."""
+    seen = set()
+    for degree, _ in terms:
+        if degree < 1 or degree > order:
+            raise UsageError(f"{what} degree {degree} outside 1..{order}")
+        if degree in seen:
+            raise UsageError(f"duplicate {what} degree {degree}")
+        seen.add(degree)
 
 
 def _series(leading, terms, zero) -> list:
     """Coefficients by degree, from the leading term up to the highest
-    stored degree; the first stored term of a degree wins."""
+    stored degree."""
     out = [leading] + [zero] * max((d for d, _ in terms), default=0)
-    for degree, t in reversed(terms):
+    for degree, t in terms:
         out[degree] = t
     return out
 
@@ -88,13 +97,8 @@ class FormalDeformation:
     def __post_init__(self):
         if self.order < 0:
             raise UsageError("order must be >= 0")
-        seen = set()
-        for degree, term in self.terms:
-            if degree < 1 or degree > self.order:
-                raise UsageError(f"term degree {degree} outside 1..{self.order}")
-            if degree in seen:
-                raise UsageError(f"duplicate term degree {degree}")
-            seen.add(degree)
+        _check_degrees(self.terms, self.order, "term")
+        for _, term in self.terms:
             if (term.arity, term.source_dim, term.target_dim) != (
                     2, self.base.dim, self.base.dim):
                 raise UsageError("terms must be bilinear self-maps")
@@ -147,13 +151,8 @@ class MorphismDeformation:
     def __post_init__(self):
         if self.def_a.base != self.phi.source or self.def_b.base != self.phi.target:
             raise UsageError("deformation bases must match the morphism ends")
-        seen = set()
-        for degree, m in self.phi_terms:
-            if degree < 1 or degree > self.order:
-                raise UsageError(f"phi term degree {degree} outside 1..{self.order}")
-            if degree in seen:
-                raise UsageError(f"duplicate phi term degree {degree}")
-            seen.add(degree)
+        _check_degrees(self.phi_terms, self.order, "phi term")
+        for _, m in self.phi_terms:
             if (m.rows, m.cols) != (self.phi.target.dim, self.phi.source.dim):
                 raise UsageError("phi term has wrong shape")
         object.__setattr__(self, "phi_terms", tuple(sorted(self.phi_terms)))
@@ -198,9 +197,8 @@ class FormalAutomorphismPair:
     def __post_init__(self):
         for alg, terms, tag in ((self.source, self.psi_a_terms, "source"),
                                 (self.target, self.psi_b_terms, "target")):
+            _check_degrees(terms, self.order, f"{tag} series term")
             for degree, m in terms:
-                if degree < 1:
-                    raise UsageError("series terms start at degree 1")
                 if (m.rows, m.cols) != (alg.dim, alg.dim):
                     raise UsageError(f"{tag} series term has wrong shape")
                 if m @ alg.alpha != alg.alpha @ m:
@@ -594,10 +592,9 @@ def extend_deformation(md: MorphismDeformation) -> MorphismDeformation | None:
     obstruction is not a coboundary."""
     ob = obstruction(md)
     N = md.order
-    space = MorphismCochainSpace(2, *morphism_cochain_space(md.phi, 2,
-                                                            md.flavor))
-    coords = solve_coboundary(morphism_delta(md.phi, md.flavor, 2),
-                              space.coords, ob)
+    coupled = MorphismComplex(md.phi, md.flavor)
+    space = coupled.bound_space(2)
+    coords = solve_coboundary(coupled.operator(2), space.coords, ob)
     if coords is None:
         return None
     extended = _extended_by(md, space.combine(coords))
@@ -630,9 +627,9 @@ def _extended_by(md: MorphismDeformation, theta: MorphismCochain) -> MorphismDef
 def solve_algebra_coboundary(A: HomAlgebra, ob: MultilinearMap):
     """(twist-compatible bilinear cochain space of A, coordinates of a
     cochain in it whose coboundary is ob, or None when there is none)."""
-    build = hom_cochain_basis if A.kind == ASSOCIATIVE else lie_cochain_basis
-    space = build(A, A.dim, A.alpha, 2)
-    return space, solve_coboundary(self_delta(A, 2), space.coords, ob)
+    complex_obj = ModuleComplex(A)
+    space = complex_obj.bound_space(2)
+    return space, solve_coboundary(complex_obj.operator(2), space.coords, ob)
 
 
 def extend_algebra_deformation(d: FormalDeformation) -> FormalDeformation | None:

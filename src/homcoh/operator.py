@@ -17,11 +17,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import ASSOCIATIVE, LIE as LIE_KIND, HomAlgebra, alpha_power
-from .cochain import HOM, LIE, Coords, MorphismCoords
+from .algebra import HomAlgebra, alpha_power
+from .cochain import HOM, Coords, MorphismCoords
 from .errors import UsageError
 from .exact import Matrix, Vector, expand_product, solve, sparse_vector
-from .rep import HomMorphism, adjoint_bimodule, lie_adjoint_module
 
 _ZERO = Fraction(0)
 
@@ -181,52 +180,44 @@ def hom_delta(A: HomAlgebra, rho_l, rho_r, d: int, n: int) -> SparseOperator:
                         (1, rho_l), ((-1) ** (n + 1), rho_r))
 
 
-def morphism_delta(phi: HomMorphism, flavor: str, n: int) -> SparseOperator:
-    """Coupled coboundary on (comp_A, comp_B, comp_AB) coordinates.
+def morphism_delta(matrix: Matrix, flavor: str, op_a: SparseOperator,
+                   op_b: SparseOperator,
+                   op_ab: SparseOperator | None) -> SparseOperator:
+    """Coupled coboundary on (comp_A, comp_B, comp_AB) coordinates of a
+    morphism with the given matrix, from the degree-n coboundaries op_a and
+    op_b of both ends and the degree-(n-1) coboundary op_ab of the adjoint
+    module (None for n = 1, where that coboundary is zero).
 
     The connecting block is the defect phi∘f_A - f_B∘(phi, ..., phi) minus
-    (hom), or times (-1)^(n-1) plus (lie), the module coboundary of comp_AB
-    in the adjoint module; for n = 1 that module coboundary is zero.
+    (hom), or times (-1)^(n-1) plus (lie), the module coboundary of comp_AB.
     """
-    A, B = phi.source, phi.target
-    kind = ASSOCIATIVE if flavor == HOM else LIE_KIND
-    if flavor not in (HOM, LIE) or A.kind != kind or B.kind != kind:
-        raise UsageError(f"flavor {flavor!r} does not match the algebras")
-    op_a, op_b = self_delta(A, n), self_delta(B, n)
-    red = flavor == LIE
-    ab_src = Coords(n - 1, A.dim, B.dim, red)
-    ab_tgt = Coords(n, A.dim, B.dim, red and _is_skew(A))
-    op_ab = None
-    if flavor == HOM:
-        w_def, w_ab = 1, -1
-        if n > 1:
-            M = adjoint_bimodule(phi, strict=False)
-            op_ab = hom_delta(A, M.rho_l, M.rho_r, B.dim, n - 1)
+    n, a_dim, b_dim = op_a.source.arity, matrix.cols, matrix.rows
+    if op_ab is None:  # comp_AB is reduced as comp_A is, its image as dA's
+        ab_src = Coords(0, a_dim, b_dim, op_a.source.reduced)
+        ab_tgt = Coords(1, a_dim, b_dim, op_a.target.reduced)
     else:
-        w_def, w_ab = (-1) ** (n - 1), 1
-        if n > 1:
-            op_ab = lie_operator(A, B.dim, n - 1,
-                                 lie_adjoint_module(phi, strict=False).action)
+        ab_src, ab_tgt = op_ab.source, op_ab.target
+    w_def, w_ab = (1, -1) if flavor == HOM else ((-1) ** (n - 1), 1)
     off_b = op_a.source.dim
     off_ab = off_b + op_b.source.dim
     rows = op_a.rows + [{off_b + j: c for j, c in row.items()}
                         for row in op_b.rows]
-    pcols = [sparse_vector(phi.matrix.column(j)) for j in range(A.dim)]
+    pcols = [sparse_vector(matrix.column(j)) for j in range(a_dim)]
     for ti, t in enumerate(ab_tgt.tuples):
         loc_a = op_a.source.locate(t)
         pulled = []  # diamond: comp_B evaluated on phi of the arguments
         for s, c in expand_product([pcols[i] for i in t]):
             loc = op_b.source.locate(s)
             if loc:
-                pulled.append((off_b + loc[0] * B.dim, -w_def * loc[1] * c))
-        for r in range(B.dim):
+                pulled.append((off_b + loc[0] * b_dim, -w_def * loc[1] * c))
+        for r in range(b_dim):
             row = {} if op_ab is None else {
                 off_ab + j: w_ab * c
-                for j, c in op_ab.rows[ti * B.dim + r].items()}
-            for q in range(A.dim) if loc_a else ():
-                e = phi.matrix.at(r, q)
+                for j, c in op_ab.rows[ti * b_dim + r].items()}
+            for q in range(a_dim) if loc_a else ():
+                e = matrix.at(r, q)
                 if e:
-                    k = loc_a[0] * A.dim + q
+                    k = loc_a[0] * a_dim + q
                     row[k] = row.get(k, 0) + w_def * loc_a[1] * e
             for base, c in pulled:
                 row[base + r] = row.get(base + r, 0) + c
@@ -234,10 +225,3 @@ def morphism_delta(phi: HomMorphism, flavor: str, n: int) -> SparseOperator:
     return SparseOperator(MorphismCoords((op_a.source, op_b.source, ab_src)),
                           MorphismCoords((op_a.target, op_b.target, ab_tgt)),
                           rows)
-
-
-def self_delta(X: HomAlgebra, n: int) -> SparseOperator:
-    """The coboundary of X with values in itself."""
-    if X.kind == ASSOCIATIVE:
-        return hom_delta(X, X.mul, X.mul, X.dim, n)
-    return lie_operator(X, X.dim, n, X.mul)

@@ -18,8 +18,8 @@ from .algebra import (ASSOCIATIVE, LIE, HomAlgebra, multiply, validate,
 from .bracket import gerstenhaber_bracket, nr_bracket
 from .cochain import (MultilinearMap, alternator, hom_cochain_basis,
                       is_alternating, is_compatible, lie_cochain_basis)
-from .cohomology import (HomSelfComplex, LieSelfComplex, MorphismComplex,
-                         d_component, delta_hom_bimodule, delta_morphism)
+from .cohomology import (ModuleComplex, MorphismComplex, d_component,
+                         delta_hom_bimodule, delta_morphism)
 from .deformation import (apply_equivalence, check_morphism_deformation,
                           coefficient_cochain, FormalAutomorphismPair,
                           infinitesimal_report, obstruction)
@@ -211,10 +211,10 @@ def _fixture_complexes():
     g1 = fixtures.g1(2, 3)
     g1_id = HomMorphism(g1, g1, Matrix.identity(3))
     return [
-        ("hom_self:a3", HomSelfComplex(a3)),
-        ("hom_self:b2", HomSelfComplex(b2)),
-        ("lie_self:l4a", LieSelfComplex(l4a)),
-        ("lie_self:g1(2,3)", LieSelfComplex(g1)),
+        ("hom_self:a3", ModuleComplex(a3)),
+        ("hom_self:b2", ModuleComplex(b2)),
+        ("lie_self:l4a", ModuleComplex(l4a)),
+        ("lie_self:g1(2,3)", ModuleComplex(g1)),
         ("morphism_hom:phi_assoc", MorphismComplex(phi, "hom")),
         ("morphism_lie:id_g1", MorphismComplex(g1_id, "lie")),
     ]
@@ -233,8 +233,7 @@ def suite_delta_squared(random_per_flavor: int = 25) -> SuiteResult:
             A = random_valid_hom_algebra(rng, kind)
             out.expect(validate(A).is_valid,
                        f"random {kind} algebra {t} is not valid")
-            complex_obj = (HomSelfComplex(A) if kind == ASSOCIATIVE
-                           else LieSelfComplex(A))
+            complex_obj = ModuleComplex(A)
             for n in (1, 2):
                 for k, f in enumerate(complex_obj.bound_space(n).basis):
                     out.expect(

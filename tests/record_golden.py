@@ -22,11 +22,23 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 def golden_commands() -> dict[str, list[str]]:
     """File stem -> argv for every built-in algebra, morphism and
-    deformation."""
+    deformation, plus the module-valued and arity-0 paths."""
     cmds = {}
     for name in sorted(fixtures.BUILTIN_FIXTURES):
         cmds[f"cohomology-{name}"] = ["cohomology", name, "--degree", "1..3",
                                       "--json", "--force"]
+    for name, morphism, degree0 in (("a3", "phi_assoc", False),
+                                    ("a3", "phi_assoc", True),
+                                    ("g1_2_0", "phi12_2", True)):
+        stem = f"cohomology-{name}-values-in-{morphism}"
+        cmds[stem + "-degree0" * degree0] = [
+            "cohomology", name, "--degree", "1..3", "--values-in", morphism,
+            "--json"] + ["--degree0"] * degree0
+    for name, force in (("b2", False), ("heisenberg", False),
+                        ("invalid_assoc2", True)):
+        cmds[f"cohomology-{name}-degree0"] = [
+            "cohomology", name, "--degree", "1..3", "--json",
+            "--degree0"] + ["--force"] * force
     for name in sorted(fixtures.BUILTIN_MORPHISMS):
         cmds[f"morphism-cohomology-{name}"] = [
             "morphism-cohomology", name, "--degree", "1..2", "--json"]

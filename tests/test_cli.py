@@ -1,6 +1,8 @@
 import json
+from functools import cached_property
 
-from homcoh import files
+from homcoh import files, fixtures
+from homcoh.algebra import HomAlgebra
 from homcoh.cli import main
 
 
@@ -181,3 +183,21 @@ def test_json_outputs_are_deterministic(capsys):
     _, out1, _ = run(capsys, "cohomology", "b2", "--degree", "1..2", "--json")
     _, out2, _ = run(capsys, "cohomology", "b2", "--degree", "1..2", "--json")
     assert out1 == out2
+
+
+def test_each_algebra_is_validated_once_per_command(monkeypatch, capsys):
+    real = HomAlgebra.validity.func
+    checked = []
+
+    def counting(self):
+        checked.append(self.name)
+        return real(self)
+    validity = cached_property(counting)
+    validity.__set_name__(HomAlgebra, "validity")
+    monkeypatch.setattr(HomAlgebra, "validity", validity)
+    assert main(["cohomology", "a3", "--degree", "1..3", "--json"]) == 0
+    assert checked == [fixtures.builtin_algebra("a3").name]
+    checked.clear()
+    assert main(["morphism-cohomology", "phi12_2", "--degree", "1..2"]) == 0
+    phi = fixtures.builtin_morphism("phi12_2")
+    assert sorted(checked) == sorted([phi.source.name, phi.target.name])

@@ -8,8 +8,8 @@ from helpers import bareiss_rank
 from homcoh import fixtures
 from homcoh.algebra import HomAlgebra
 from homcoh.cochain import (MultilinearMap, alternator, hom_cochain_basis,
-                            is_alternating, is_compatible, lie_cochain_basis,
-                            morphism_cochain_space)
+                            is_alternating, is_compatible, lie_cochain_basis)
+from homcoh.cohomology import MorphismComplex
 from homcoh.errors import ArityLimitError, UsageError
 from homcoh.exact import Matrix
 
@@ -119,13 +119,14 @@ def test_alternator_projects(a3):
 
 
 def test_morphism_space_degree_one_connecting_is_whole_target(phi):
-    _, _, space_ab = morphism_cochain_space(phi, 1, "hom")
+    space_ab = MorphismComplex(phi, "hom").bound_space(1).space_ab
     assert space_ab.arity == 0
     assert space_ab.dim == 2
 
 
 def test_morphism_space_dimensions_additive(phi):
-    sa, sb, sab = morphism_cochain_space(phi, 2, "hom")
+    space = MorphismComplex(phi, "hom").bound_space(2)
+    sa, sb, sab = space.space_a, space.space_b, space.space_ab
     total = sa.dim + sb.dim + sab.dim
     assert total == sum(s.dim for s in (sa, sb, sab))
     assert sab.arity == 1
@@ -133,7 +134,8 @@ def test_morphism_space_dimensions_additive(phi):
 
 def test_morphism_space_components_match_individual_builders():
     phi2 = fixtures.phi12_2()
-    sa, sb, sab = morphism_cochain_space(phi2, 2, "lie")
+    space = MorphismComplex(phi2, "lie").bound_space(2)
+    sa, sb, sab = space.space_a, space.space_b, space.space_ab
     A, B = phi2.source, phi2.target
     assert sa.dim == lie_cochain_basis(A, A.dim, A.alpha, 2).dim
     assert sb.dim == lie_cochain_basis(B, B.dim, B.alpha, 2).dim

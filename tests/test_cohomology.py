@@ -4,12 +4,13 @@ from itertools import product
 
 import pytest
 
-from homcoh import fixtures
-from homcoh.algebra import multiply
+from homcoh import cohomology, fixtures
+from homcoh.algebra import ASSOCIATIVE, multiply
 from homcoh.cochain import (MorphismCochain, MultilinearMap, hom_cochain_basis,
                             is_alternating, is_compatible, lie_cochain_basis)
 from homcoh.cohomology import (HomBimoduleComplex, HomSelfComplex,
-                               MorphismComplex, compute_cohomology,
+                               ModuleComplex, MorphismComplex,
+                               compute_cohomology,
                                connecting_complex, d_component,
                                delta_hom_bimodule, delta_hom_self,
                                delta_lie_module, delta_lie_self,
@@ -18,7 +19,7 @@ from homcoh.cohomology import (HomBimoduleComplex, HomSelfComplex,
 from homcoh.errors import ImageOutsideCodomain, UsageError
 from homcoh.exact import Matrix, basis_vector, in_span
 from homcoh.rep import (HomMorphism, adjoint_bimodule, lie_adjoint_module,
-                        self_bimodule)
+                        self_bimodule, self_lie_module)
 
 
 def vec(*xs):
@@ -340,3 +341,54 @@ def test_bimodule_complex_summary(phi):
         HomBimoduleComplex(phi.source, adjoint_bimodule(phi)), [1, 2])
     for rec in summary.records:
         assert rec.dim_coboundaries <= rec.dim_cocycles <= rec.dim_cochains
+
+
+def test_module_complex_in_the_self_module_is_the_self_complex():
+    for A in (fixtures.assoc3(1, 2), fixtures.assoc2(),
+              fixtures.invalid_assoc2(), fixtures.lie4a(1, 1, 1, 1),
+              fixtures.g1(2, 3), fixtures.g2(), fixtures.heisenberg()):
+        module = (self_bimodule if A.kind == ASSOCIATIVE
+                  else self_lie_module)(A)
+        own, given = ModuleComplex(A), ModuleComplex(A, module)
+        for n in (1, 2, 3):
+            ops = own.operator(n), given.operator(n)
+            assert ops[0].source == ops[1].source
+            assert ops[0].target == ops[1].target
+            assert ops[0].rows == ops[1].rows
+            assert own.bound_space(n) == given.bound_space(n)
+        for degree0 in (False, True):
+            assert compute_cohomology(
+                own, [1, 2, 3], include_degree_zero=degree0).records == \
+                compute_cohomology(
+                    given, [1, 2, 3], include_degree_zero=degree0).records
+
+
+def test_module_complex_rejects_a_module_of_the_other_kind():
+    phi, G = fixtures.phi_assoc(), fixtures.g1(2, 3)
+    with pytest.raises(UsageError):
+        ModuleComplex(G, adjoint_bimodule(phi))
+    with pytest.raises(UsageError):
+        ModuleComplex(phi.source, self_lie_module(G))
+
+
+def test_morphism_operator_compiles_each_component_once(monkeypatch):
+    compiled = []
+    for name in ("hom_delta", "lie_operator"):
+        def counting(*args, _real=getattr(cohomology, name)):
+            compiled.append(args)
+            return _real(*args)
+        monkeypatch.setattr(cohomology, name, counting)
+    G = fixtures.g1(2, 3)
+    for phi, flavor in ((fixtures.phi_assoc(), "hom"),
+                        (fixtures.phi12_2(), "lie"),
+                        (HomMorphism(G, G, Matrix.identity(3)), "lie")):
+        compiled.clear()
+        coupled = MorphismComplex(phi, flavor)
+        for n in (1, 2):
+            coupled.operator(n)
+        # both ends at degrees 1 and 2, the connecting module at degree 1
+        assert len(compiled) == 5
+        for complex_obj in (coupled, coupled.source, coupled.target):
+            compute_cohomology(complex_obj, [1, 2])
+        compute_cohomology(coupled.connecting, [1])
+        assert len(compiled) == 5

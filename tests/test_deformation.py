@@ -137,6 +137,17 @@ def test_apply_equivalence_requires_twist_commuting_terms():
                                order=1)
 
 
+def test_automorphism_pair_rejects_repeated_and_out_of_range_degrees():
+    md = fixtures.mdef_2()
+    a, b, c = (Matrix.identity(3).scale(k) for k in (1, 2, 3))
+    for terms in (((1, a), (1, b)), ((1, a), (5, c)), ((0, a),)):
+        for side in ("psi_a_terms", "psi_b_terms"):
+            pair = {"psi_a_terms": (), "psi_b_terms": (), side: terms}
+            with pytest.raises(UsageError):
+                FormalAutomorphismPair(source=md.phi.source,
+                                       target=md.phi.target, order=1, **pair)
+
+
 def test_series_inverse_exact():
     md = fixtures.mdef_2()
     N = Matrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 1, 0]])
