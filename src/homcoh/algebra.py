@@ -7,6 +7,13 @@ multiplication is stored as the full structure-constant tensor
 twist is the matrix whose column j is the image of basis vector j.  For the
 Lie kind the tensor is stored in full (both orders) and skew-symmetry is a
 checked invariant, not an assumption.
+
+Every defining identity is evaluated by one sparse kernel, read from the
+nonzero constants only (``HomAlgebra.sparse``): the structure identity of
+a pair of bilinear maps, the product and twist equations of a matrix, and
+skew-symmetry.  Algebra validity, morphism checks, the twist construction,
+the order-by-order deformation checks and the compiled coboundaries all go
+through it.
 """
 
 from __future__ import annotations
@@ -14,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import product
+from typing import NamedTuple
 
 from .errors import MorphismViolation, UsageError
-from .exact import (Matrix, Vector, basis_vector, rational_to_string, vec_add,
-                    vec_is_zero, vec_sub, zero_vector)
+from .exact import (Matrix, Vector, basis_vector, rational_to_string,
+                    sparse_vector)
 
 
 def format_vector(v) -> list[str]:
@@ -71,36 +78,156 @@ class HomAlgebra:
         return basis_vector(self.dim, i)
 
     @cached_property
+    def sparse(self) -> SparseConstants:
+        """The nonzero twist columns and products of basis pairs."""
+        n = self.dim
+        return SparseConstants(
+            sparse_columns(self.alpha),
+            sparse_entries(((i, j), self.mul[i][j])
+                           for i in range(n) for j in range(n)))
+
+    @cached_property
     def validity(self) -> ValidityReport:
         """The defining identity on all basis triples, plus stored
         skew-symmetry for the Lie kind; multiplicativity of the twist is
         reported independently.  Checked once per algebra."""
-        n, names, e = self.dim, self.basis_names, self.basis_vector
-        witness = None
-        if self.kind == LIE:
-            witness = next(
-                (((names[i], names[j]), d) for i in range(n)
-                 for j in range(i, n)
-                 if not vec_is_zero(d := vec_add(self.mul[i][j],
-                                                  self.mul[j][i]))), None)
-            defect = lambda i, j, k: hom_jacobi_defect(self, e(i), e(j), e(k))
-        else:
-            defect = lambda i, j, k: _hom_associativity_defect(self, i, j, k)
-        if witness is None:
-            witness = next(
-                ((tuple(names[i] for i in t), d)
-                 for t in product(range(n), repeat=3)
-                 if not vec_is_zero(d := defect(*t))), None)
-        mult_witness = None
-        for i, j in product(range(n), repeat=2):
-            x, y = e(i), e(j)
-            lhs = apply_alpha(self, multiply(self, x, y))
-            rhs = multiply(self, apply_alpha(self, x), apply_alpha(self, y))
-            if lhs != rhs:
-                mult_witness = ((names[i], names[j]), vec_sub(lhs, rhs))
-                break
+        (alpha, mul), n, names = self.sparse, self.dim, self.basis_names
+        witness = first_failure(skew_defect(mul), n, names) \
+            if self.kind == LIE else None
+        witness = witness or first_failure(
+            identity_defect(self.kind, alpha, [(mul, mul)]), n, names)
+        mult_witness = morphism_witnesses(self, self, self.alpha)[0]
         return ValidityReport(witness is None, witness, mult_witness is None,
                               mult_witness, self.kind)
+
+
+class SparseConstants(NamedTuple):
+    alpha: dict  # {j: column j of the twist}, nonzero columns only
+    mul: dict    # {(i, j): product of basis vectors i and j}, nonzero only
+
+
+# The sparse kernel.  A sparse vector is a {coordinate: value} dict; a
+# bilinear map is {(i, j): sparse vector} over its nonzero basis products
+# and a matrix is {j: sparse column} over its nonzero columns.  Each defect
+# below is lhs - rhs of one defining identity on basis arguments, as
+# {argument tuple (or basis index): sparse vector}, with every vanishing
+# entry dropped; ``first_failure`` reads the witness off it.
+
+def sparse_entries(values) -> dict:
+    """{key: sparse vector} over the (key, vector) pairs with a nonzero
+    vector: argument tuples of a map, or columns of a matrix."""
+    return {k: c for k, v in values if (c := sparse_vector(v))}
+
+
+def sparse_columns(m: Matrix) -> dict:
+    return sparse_entries((j, m.column(j)) for j in range(m.cols))
+
+
+def _bilinear(mu: dict, u: dict, w: dict) -> dict:
+    """Sparse bilinear map on sparse arguments."""
+    out = {}
+    for a, ca in u.items():
+        for b, cb in w.items():
+            for r, x in mu.get((a, b), {}).items():
+                out[r] = out.get(r, 0) + ca * cb * x
+    return out
+
+
+def _add(acc: dict, t, v: dict, c=1):
+    """acc[t] += c * v on sparse vectors."""
+    slot = acc.setdefault(t, {})
+    for r, x in v.items():
+        slot[r] = slot.get(r, 0) + c * x
+
+
+def _after(acc: dict, m: dict, mu: dict, c=1):
+    """acc[t] += c * m(mu[t]): a sparse matrix after a sparse map."""
+    for t, v in mu.items():
+        for b, x in v.items():
+            _add(acc, t, m.get(b, {}), c * x)
+
+
+def _nonzero(acc: dict) -> dict:
+    """acc without its zero coordinates and its vanishing entries."""
+    return {t: w for t, v in acc.items()
+            if (w := {r: x for r, x in v.items() if x})}
+
+
+def identity_defect(kind: str, alpha: dict, pairs) -> dict:
+    """The structure identity summed over (outer, inner) pairs of bilinear
+    maps, on basis triples (x, y, z): the twisted associator
+    outer(alpha x, inner(y, z)) - outer(inner(x, y), alpha z) for the
+    associative kind, the cyclic sum of outer(alpha x, inner(y, z)) for
+    the Lie kind."""
+    assoc = kind == ASSOCIATIVE
+    acc = {}
+    for outer, inner in pairs:
+        for (y, z), v in inner.items():
+            for x, ax in alpha.items():
+                left = _bilinear(outer, ax, v)
+                for t in ([(x, y, z)] if assoc
+                          else [(x, y, z), (z, x, y), (y, z, x)]):
+                    _add(acc, t, left)
+        if assoc:
+            for (x, y), v in inner.items():
+                for z, az in alpha.items():
+                    _add(acc, (x, y, z), _bilinear(outer, v, az), -1)
+    return _nonzero(acc)
+
+
+def product_defect(after, through) -> dict:
+    """The product equation on basis pairs (x, y): the sum of m(mu(x, y))
+    over the (m, mu) pairs of ``after`` minus the sum of mu(l x, r y) over
+    the (mu, l, r) triples of ``through``."""
+    acc = {}
+    for m, mu in after:
+        _after(acc, m, mu)
+    for mu, left, right in through:
+        for x, u in left.items():
+            for y, w in right.items():
+                _add(acc, (x, y), _bilinear(mu, u, w), -1)
+    return _nonzero(acc)
+
+
+def twist_defect(m: dict, alpha: dict, beta: dict) -> dict:
+    """The twist equation m(alpha e_j) - beta(m e_j), by basis index j."""
+    acc = {}
+    _after(acc, m, alpha)
+    _after(acc, beta, m, -1)
+    return _nonzero(acc)
+
+
+def skew_defect(mu: dict) -> dict:
+    """mu(e_i, e_j) + mu(e_j, e_i) on basis pairs i <= j."""
+    acc = {}
+    for (i, j), v in mu.items():
+        _add(acc, (min(i, j), max(i, j)), v, 2 if i == j else 1)
+    return _nonzero(acc)
+
+
+def first_failure(defect: dict, dim: int, names=None) -> tuple | None:
+    """(first failing argument tuple or index in lexicographic order, its
+    defect as a length-dim vector), or None when the defect vanishes; the
+    arguments are given by basis name when ``names`` is."""
+    if not defect:
+        return None
+    at = min(defect)
+    vector = tuple(Fraction(defect[at].get(r, 0)) for r in range(dim))
+    if names is not None:
+        at = names[at] if isinstance(at, int) else tuple(names[i] for i in at)
+    return at, vector
+
+
+def morphism_witnesses(source: HomAlgebra, target: HomAlgebra,
+                       matrix: Matrix) -> tuple:
+    """First failures, by basis name, of the product equation and of the
+    twist equation of ``matrix`` as a map from source to target."""
+    m = sparse_columns(matrix)
+    (alpha, mul), (beta, mul_b) = source.sparse, target.sparse
+    names = source.basis_names
+    return (first_failure(product_defect([(m, mul)], [(mul_b, m, m)]),
+                          target.dim, names),
+            first_failure(twist_defect(m, alpha, beta), target.dim, names))
 
 
 def bilinear(tensor, x, y, dim: int) -> Vector:
@@ -161,21 +288,6 @@ class ValidityReport:
         return head + "; " + tail
 
 
-def _hom_associativity_defect(A: HomAlgebra, i: int, j: int, k: int) -> Vector:
-    ei, ej, ek = A.basis_vector(i), A.basis_vector(j), A.basis_vector(k)
-    left = multiply(A, apply_alpha(A, ei), multiply(A, ej, ek))
-    right = multiply(A, multiply(A, ei, ej), apply_alpha(A, ek))
-    return tuple(a - b for a, b in zip(left, right))
-
-
-def hom_jacobi_defect(A: HomAlgebra, x, y, z) -> Vector:
-    """Cyclic sum bracket(alpha(x), bracket(y, z)) over (x, y, z)."""
-    total = zero_vector(A.dim)
-    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-        total = vec_add(total, multiply(A, apply_alpha(A, a), multiply(A, b, c)))
-    return total
-
-
 def validate(A: HomAlgebra) -> ValidityReport:
     """The validity report of A (see ``HomAlgebra.validity``).  Never
     raises: invalid input is a finding."""
@@ -191,17 +303,14 @@ def yau_twist(A: HomAlgebra, gamma: Matrix) -> HomAlgebra:
     """
     if gamma.rows != A.dim or gamma.cols != A.dim:
         raise UsageError("gamma must be a dim x dim matrix")
-    for i, j in product(range(A.dim), repeat=2):
-        ei, ej = A.basis_vector(i), A.basis_vector(j)
-        lhs = gamma.matvec(multiply(A, ei, ej))
-        rhs = multiply(A, gamma.matvec(ei), gamma.matvec(ej))
-        if lhs != rhs:
-            raise MorphismViolation(
-                "gamma is not multiplicative for the given product",
-                witness=((A.basis_names[i], A.basis_names[j]),
-                         tuple(a - b for a, b in zip(lhs, rhs))))
-    if not A.alpha.is_identity() and gamma @ A.alpha != A.alpha @ gamma:
-        raise MorphismViolation("gamma does not commute with the twist")
+    product_witness, twist_witness = morphism_witnesses(A, A, gamma)
+    if product_witness is not None:
+        raise MorphismViolation(
+            "gamma is not multiplicative for the given product",
+            witness=product_witness)
+    if twist_witness is not None:
+        raise MorphismViolation("gamma does not commute with the twist",
+                                witness=twist_witness)
     new_mul = [[gamma.matvec(A.mul[i][j]) for j in range(A.dim)]
                for i in range(A.dim)]
     return HomAlgebra(name=f"{A.name}_twisted", kind=A.kind, dim=A.dim,

@@ -13,7 +13,8 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
 
-from .algebra import HomAlgebra, alpha_power, apply_alpha, multiply
+from .algebra import (ASSOCIATIVE, HomAlgebra, alpha_power, identity_defect,
+                      multiply, sparse_entries)
 from .cochain import MultilinearMap, alternator, is_alternating, permutation_sign
 from .errors import UsageError
 from .exact import Vector, vec_is_zero
@@ -23,15 +24,6 @@ from .rep import HomMorphism
 
 def _basis_args(n: int, t) -> list[Vector]:
     return [tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in t]
-
-
-def compose_after(phi: HomMorphism, f: MultilinearMap) -> MultilinearMap:
-    """phi applied after a source-valued cochain (slot count unchanged)."""
-    if f.target_dim != phi.source.dim:
-        raise UsageError("cochain values are not in the morphism's source")
-    values = {t: phi.apply(v) for t, v in f.nonzero_entries()}
-    return MultilinearMap.from_values(f.arity, f.source_dim,
-                                      phi.target.dim, values)
 
 
 def diamond(lam: MultilinearMap, phi: HomMorphism) -> MultilinearMap:
@@ -225,10 +217,6 @@ def alpha_associator(A: HomAlgebra, mu_i: MultilinearMap,
     for m in (mu_i, mu_j):
         if m.arity != 2 or m.source_dim != A.dim or m.target_dim != A.dim:
             raise UsageError("associator needs bilinear algebra-valued maps")
-    values = {}
-    for t in product(range(A.dim), repeat=3):
-        x, y, z = _basis_args(A.dim, t)
-        left = mu_i.evaluate([apply_alpha(A, x), mu_j.evaluate([y, z])])
-        right = mu_i.evaluate([mu_j.evaluate([x, y]), apply_alpha(A, z)])
-        values[t] = tuple(a - b for a, b in zip(left, right))
-    return MultilinearMap.from_values(3, A.dim, A.dim, values)
+    pair = tuple(sparse_entries(m.nonzero_entries()) for m in (mu_i, mu_j))
+    return MultilinearMap.from_sparse(
+        3, A.dim, A.dim, identity_defect(ASSOCIATIVE, A.sparse.alpha, [pair]))

@@ -164,7 +164,9 @@ def cmd_cohomology(args) -> int:
         if phi.source != A:
             raise ParseError("--values-in morphism source does not match "
                              "the given algebra")
-        complex_obj = connecting_complex(phi)
+        # built on A itself, so the check of A runs once
+        complex_obj = connecting_complex(
+            HomMorphism(A, phi.target, phi.matrix))
         target_names = phi.target.basis_names
     else:
         complex_obj = ModuleComplex(A)
@@ -406,6 +408,15 @@ def _deform_extend(target, args) -> int:
 
 def cmd_deform(args) -> int:
     target = _load_deformation_arg(args.input)
+    n = args.to_order
+    if n is not None:
+        if args.action in ("infinitesimal", "obstruction"):
+            raise ParseError(f"--to-order {n}: deform {args.action} takes "
+                             "no order")
+        least = 0 if args.action == "check" else target.order + 1
+        if n < least:
+            raise ParseError(f"--to-order {n}: must be at least {least} "
+                             f"for deform {args.action} of this deformation")
     if args.action == "check":
         return _deform_check(target, args)
     if args.action == "infinitesimal":

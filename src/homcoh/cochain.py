@@ -113,6 +113,14 @@ class MultilinearMap:
         return cls(arity, source_dim, target_dim, tuple(coeffs))
 
     @classmethod
+    def from_sparse(cls, arity: int, source_dim: int, target_dim: int,
+                    entries: dict) -> "MultilinearMap":
+        """Build from a sparse {argument tuple: {coordinate: value}} dict."""
+        return cls.from_values(arity, source_dim, target_dim, {
+            t: [v.get(r, 0) for r in range(target_dim)]
+            for t, v in entries.items()})
+
+    @classmethod
     def from_matrix(cls, m: Matrix) -> "MultilinearMap":
         """Arity-1 map from a (target_dim x source_dim) matrix."""
         vals = {(j,): m.column(j) for j in range(m.cols)}

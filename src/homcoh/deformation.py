@@ -7,6 +7,9 @@ structure identity is checked coefficient-wise in the formal parameter up
 to the order where any product of stored terms could still contribute.
 Each family reads its coefficients once into a list by degree
 (``series``), and the order defects sum only products of nonzero entries.
+They are the defects of ``homcoh.algebra`` summed over degree tuples: the
+order-0 coefficient is the validity check of the base algebras and the
+morphism check of the base morphism.
 """
 
 from __future__ import annotations
@@ -16,13 +19,15 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
-from .algebra import ASSOCIATIVE, LIE as LIE_KIND, HomAlgebra, validate
+from .algebra import (ASSOCIATIVE, LIE as LIE_KIND, HomAlgebra, first_failure,
+                      identity_defect, product_defect, skew_defect,
+                      sparse_columns, sparse_entries, twist_defect, validate)
 from .bracket import (cup_product_assoc, gerstenhaber_bracket, nr_bracket,
                       overline_comp)
 from .cochain import HOM, LIE, MorphismCochain, MultilinearMap
 from .cohomology import ModuleComplex, MorphismComplex, delta_morphism
 from .errors import NotACocycle, ObstructionMismatch, UsageError
-from .exact import Matrix, sparse_vector, vec_is_zero
+from .exact import Matrix, vec_is_zero
 from .operator import solve_coboundary
 from .rep import HomMorphism
 
@@ -52,40 +57,6 @@ def _get(series: list, degree: int, zero):
     return series[degree] if 0 <= degree < len(series) else zero
 
 
-def _entries(values) -> dict:
-    """{key: {row: value}} over the (key, vector) pairs with a nonzero
-    vector: argument tuples of a map, or columns of a matrix."""
-    return {k: c for k, v in values if (c := sparse_vector(v))}
-
-
-def _columns(m: Matrix) -> dict:
-    return _entries((j, m.column(j)) for j in range(m.cols))
-
-
-def _apply(mu: dict, u: dict, w: dict) -> dict:
-    """Sparse bilinear map on sparse arguments."""
-    out = {}
-    for a, ca in u.items():
-        for b, cb in w.items():
-            for r, x in mu.get((a, b), {}).items():
-                out[r] = out.get(r, 0) + ca * cb * x
-    return out
-
-
-def _add(acc: dict, t: tuple, v: dict, c=1):
-    """acc[t] += c * v on sparse vectors."""
-    slot = acc.setdefault(t, {})
-    for r, x in v.items():
-        slot[r] = slot.get(r, 0) + c * x
-
-
-def _to_map(arity: int, source_dim: int, target_dim: int,
-            acc: dict) -> MultilinearMap:
-    values = {t: [v.get(r, 0) for r in range(target_dim)]
-              for t, v in acc.items()}
-    return MultilinearMap.from_values(arity, source_dim, target_dim, values)
-
-
 @dataclass(frozen=True)
 class FormalDeformation:
     """Truncated polynomial family of multiplications over a fixed twist."""
@@ -112,16 +83,14 @@ class FormalDeformation:
     @cached_property
     def series(self) -> list[MultilinearMap]:
         """Coefficients by degree; degree 0 is the base multiplication."""
-        A = self.base
-        mu0 = MultilinearMap.from_values(
-            2, A.dim, A.dim, {(i, j): A.mul[i][j]
-                              for i in range(A.dim) for j in range(A.dim)})
-        return _series(mu0, self.terms, MultilinearMap.zero(2, A.dim, A.dim))
+        n = self.base.dim
+        mu0 = MultilinearMap.from_sparse(2, n, n, self.base.sparse.mul)
+        return _series(mu0, self.terms, MultilinearMap.zero(2, n, n))
 
     @cached_property
     def entries(self) -> list[dict]:
         """Nonzero entries of each coefficient of ``series``."""
-        return [_entries(m.nonzero_entries()) for m in self.series]
+        return [sparse_entries(m.nonzero_entries()) for m in self.series]
 
     def term(self, degree: int) -> MultilinearMap:
         return _get(self.series, degree,
@@ -172,7 +141,7 @@ class MorphismDeformation:
     @cached_property
     def phi_entries(self) -> list[dict]:
         """Nonzero columns of each coefficient of ``phi_series``."""
-        return [_columns(m) for m in self.phi_series]
+        return [sparse_columns(m) for m in self.phi_series]
 
     def phi_term(self, degree: int) -> Matrix:
         return _get(self.phi_series, degree,
@@ -264,47 +233,13 @@ class DeformationReport:
                    if getattr(r, field) is not None)
 
 
-def _first_nonzero(m: MultilinearMap) -> tuple | None:
-    for t, v in m.nonzero_entries():
-        return (t, v)
-    return None
-
-
-def _skew_witness(term: MultilinearMap) -> tuple | None:
-    n = term.source_dim
-    for i in range(n):
-        for j in range(i, n):
-            defect = tuple(a + b for a, b in zip(term.value_on_basis((i, j)),
-                                                 term.value_on_basis((j, i))))
-            if not vec_is_zero(defect):
-                return ((i, j), defect)
-    return None
-
-
-def _algebra_order_defect(d: FormalDeformation, s: int) -> MultilinearMap:
+def _algebra_order_defect(d: FormalDeformation, s: int) -> dict:
     """Order-s coefficient of the structure identity of the deformed
-    multiplication: the twisted associator for the associative kind, the
-    cyclic twisted double bracket for the Lie kind, summed over the pairs
-    (outer, inner) of nonzero coefficients with degrees adding to s."""
-    A = d.base
-    alpha = _columns(A.alpha)
-    assoc = A.kind == ASSOCIATIVE
-    acc = {}
-    for i, outer in enumerate(d.entries):
-        inner = _get(d.entries, s - i, {})
-        if not outer or not inner:
-            continue
-        for (y, z), v in inner.items():
-            for x, ax in alpha.items():
-                left = _apply(outer, ax, v)  # outer(alpha x, inner(y, z))
-                for t in ([(x, y, z)] if assoc
-                          else [(x, y, z), (z, x, y), (y, z, x)]):
-                    _add(acc, t, left)
-        if assoc:
-            for (x, y), v in inner.items():
-                for z, az in alpha.items():
-                    _add(acc, (x, y, z), _apply(outer, v, az), -1)
-    return _to_map(3, A.dim, A.dim, acc)
+    multiplication, summed over the pairs (outer, inner) of nonzero
+    coefficients with degrees adding to s (see ``identity_defect``)."""
+    pairs = [(outer, inner) for i, outer in enumerate(d.entries)
+             if outer and (inner := _get(d.entries, s - i, {}))]
+    return identity_defect(d.base.kind, d.base.sparse.alpha, pairs)
 
 
 def check_algebra_deformation(d: FormalDeformation,
@@ -312,52 +247,29 @@ def check_algebra_deformation(d: FormalDeformation,
     """Structure identity coefficient-by-coefficient; for the Lie kind each
     stored term is also checked for skew-symmetry at its own order."""
     up_to = 2 * d.order if up_to is None else up_to
+    n = d.base.dim
     records = []
     for s in range(up_to + 1):
         witness = None
         if d.base.kind == LIE_KIND and s >= 1:
-            witness = _skew_witness(d.term(s))
+            witness = first_failure(skew_defect(_get(d.entries, s, {})), n)
         if witness is None:
-            witness = _first_nonzero(_algebra_order_defect(d, s))
+            witness = first_failure(_algebra_order_defect(d, s), n)
         records.append(OrderRecord(order=s,
                                    algebra_a=CheckResult(witness is None, witness)))
     return DeformationReport(tuple(records))
 
 
-def _morphism_order_defect(md: MorphismDeformation, s: int) -> MultilinearMap:
+def _morphism_order_defect(md: MorphismDeformation, s: int) -> dict:
     """Order-s coefficient of phi_t(mul_A_t(x,y)) - mul_B_t(phi_t x, phi_t y),
     summed over the degree tuples whose coefficients are all nonzero."""
     mu_a, mu_b, phi = md.def_a.entries, md.def_b.entries, md.phi_entries
-    acc = {}
-    for i, cols in enumerate(phi):
-        if not cols:
-            continue
-        for t, v in _get(mu_a, s - i, {}).items():
-            for b, c in v.items():  # phi_i(mu_A(x, y))
-                _add(acc, t, cols.get(b, {}), c)
-    for i, mu in enumerate(mu_b):
-        if not mu:
-            continue
-        for j, left in enumerate(phi):
-            right = _get(phi, s - i - j, {})
-            if not left or not right:
-                continue
-            for x, u in left.items():
-                for y, w in right.items():
-                    _add(acc, (x, y), _apply(mu, u, w), -1)
-    return _to_map(2, md.phi.source.dim, md.phi.target.dim, acc)
-
-
-def _twist_defect(md: MorphismDeformation, degree: int) -> tuple | None:
-    A, B = md.phi.source, md.phi.target
-    m = md.phi_term(degree)
-    lhs = m @ A.alpha
-    rhs = B.alpha @ m
-    for j in range(A.dim):
-        if lhs.column(j) != rhs.column(j):
-            return (A.basis_names[j],
-                    tuple(a - b for a, b in zip(lhs.column(j), rhs.column(j))))
-    return None
+    after = [(m, mu) for i, m in enumerate(phi)
+             if m and (mu := _get(mu_a, s - i, {}))]
+    through = [(mu, left, right) for i, mu in enumerate(mu_b) if mu
+               for j, left in enumerate(phi)
+               if left and (right := _get(phi, s - i - j, {}))]
+    return product_defect(after, through)
 
 
 def check_morphism_deformation(md: MorphismDeformation,
@@ -369,12 +281,15 @@ def check_morphism_deformation(md: MorphismDeformation,
     run to three times the deformation order by default.
     """
     up_to = 3 * md.order if up_to is None else up_to
+    A, B = md.phi.source, md.phi.target
     rep_a = check_algebra_deformation(md.def_a, up_to)
     rep_b = check_algebra_deformation(md.def_b, up_to)
     records = []
     for s in range(up_to + 1):
-        mdefect = _first_nonzero(_morphism_order_defect(md, s))
-        twist = _twist_defect(md, s) if s <= md.order else None
+        mdefect = first_failure(_morphism_order_defect(md, s), B.dim)
+        twist = first_failure(twist_defect(
+            _get(md.phi_entries, s, {}), A.sparse.alpha, B.sparse.alpha),
+            B.dim, A.basis_names) if s <= md.order else None
         records.append(OrderRecord(
             order=s,
             algebra_a=rep_a.orders[s].algebra_a,
@@ -488,7 +403,8 @@ def algebra_obstruction(d: FormalDeformation) -> MultilinearMap:
         else:
             acc = acc + nr_bracket(A, mu_p, mu_q).scale(Fraction(1, 2))
     # no term of degree N + 1 is stored, so only products of the tail count
-    direct = _algebra_order_defect(d, N + 1).scale(-1)
+    direct = MultilinearMap.from_sparse(
+        3, A.dim, A.dim, _algebra_order_defect(d, N + 1)).scale(-1)
     if acc != direct:
         raise ObstructionMismatch(
             "bracket-form obstruction disagrees with the order coefficient "
@@ -548,7 +464,8 @@ def obstruction(md: MorphismDeformation) -> MorphismCochain:
     cut = MorphismDeformation.build(md.phi, md.def_a.truncated(N),
                                     md.def_b.truncated(N),
                                     dict(md.phi_terms), N)
-    direct = _morphism_order_defect(cut, N + 1)
+    direct = MultilinearMap.from_sparse(2, A.dim, B.dim,
+                                        _morphism_order_defect(cut, N + 1))
     if md.flavor == HOM:
         direct = direct.scale(-1)
     if ob_phi != direct:

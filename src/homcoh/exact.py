@@ -49,10 +49,6 @@ def rational_to_string(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def vec_add(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vec_sub(a: Vector, b: Vector) -> Vector:
     return tuple(x - y for x, y in zip(a, b))
 
@@ -187,9 +183,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
-
-    def is_identity(self) -> bool:
-        return self.rows == self.cols and self == Matrix.identity(self.rows)
 
 
 @dataclass(frozen=True)

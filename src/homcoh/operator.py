@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import HomAlgebra, alpha_power
+from .algebra import HomAlgebra, alpha_power, skew_defect
 from .cochain import HOM, Coords, MorphismCoords
 from .errors import UsageError
 from .exact import Matrix, Vector, expand_product, solve, sparse_vector
@@ -64,17 +64,6 @@ def solve_coboundary(op: SparseOperator, coords, target) -> Vector | None:
     return None if rhs is None else solve(op.matrix(coords), rhs)
 
 
-def _is_skew(X: HomAlgebra) -> bool:
-    return all(X.mul[i][j][k] == -X.mul[j][i][k] for i in range(X.dim)
-               for j in range(X.dim) for k in range(X.dim))
-
-
-def _constants(X: HomAlgebra):
-    """Sparse twist columns and sparse products of basis pairs."""
-    return ([sparse_vector(X.alpha.column(b)) for b in range(X.dim)],
-            [[sparse_vector(v) for v in row] for row in X.mul])
-
-
 def _act_table(P: Matrix, tensor, d: int, right: bool = False) -> list:
     """table[b][r] = {q: c}: coordinate r of the action of column b of P
     on carrier basis vector q (from the left, or from the right)."""
@@ -118,7 +107,7 @@ def hom_operator(A: HomAlgebra, d: int, n: int, merge, left=None,
     alpha^(n-1) x_n).
     """
     src, tgt = Coords(n, A.dim, d, False), Coords(n + 1, A.dim, d, False)
-    acols, mul = _constants(A)
+    alpha, mul = A.sparse
     P = alpha_power(A, n - 1) if left or right else None
     lt = left and (left[0], _act_table(P, left[1], d))
     rt = right and (right[0], _act_table(P, right[1], d, right=True))
@@ -128,8 +117,9 @@ def hom_operator(A: HomAlgebra, d: int, n: int, merge, left=None,
         for k, w in enumerate(merge):
             if not w:
                 continue
-            args = ([acols[i] for i in t[:k]] + [mul[t[k]][t[k + 1]]]
-                    + [acols[i] for i in t[k + 2:]])
+            args = ([alpha.get(i, {}) for i in t[:k]]
+                    + [mul.get(t[k:k + 2], {})]
+                    + [alpha.get(i, {}) for i in t[k + 2:]])
             for s, c in expand_product(args):
                 j = src.index[s]
                 inner[j] = inner.get(j, 0) + w * c
@@ -151,16 +141,17 @@ def lie_operator(L: HomAlgebra, d: int, n: int, action=None,
     (x_i omitted).  With ``reduced`` the input is an alternating cochain.
     """
     src = Coords(n, L.dim, d, reduced)
-    tgt = Coords(n + 1, L.dim, d, reduced and _is_skew(L))
-    acols, mul = _constants(L)
+    alpha, mul = L.sparse
+    tgt = Coords(n + 1, L.dim, d, reduced and not skew_defect(mul))
     table = action is not None and _act_table(alpha_power(L, n - 1),
                                               action, d)
     rows = []
     for t in tgt.tuples:
         inner = {}
         for i, j in combinations(range(n + 1), 2):
-            rest = [acols[b] for p, b in enumerate(t) if p != i and p != j]
-            for s, c in expand_product([mul[t[i]][t[j]]] + rest):
+            rest = [alpha.get(b, {}) for p, b in enumerate(t)
+                    if p != i and p != j]
+            for s, c in expand_product([mul.get((t[i], t[j]), {})] + rest):
                 loc = src.locate(s)
                 if loc:
                     w = (-1) ** (i + j) * loc[1]

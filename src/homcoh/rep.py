@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 
 from .algebra import (ASSOCIATIVE, LIE, HomAlgebra, apply_alpha, bilinear,
-                      multiply, validate)
+                      morphism_witnesses, multiply, validate)
 from .errors import InvalidAlgebra, InvalidMorphism, UsageError
 from .exact import Matrix, Vector, basis_vector, vec_sub
 
@@ -59,28 +59,10 @@ class MorphismReport:
 def check_morphism(source: HomAlgebra, target: HomAlgebra,
                    matrix: Matrix) -> MorphismReport:
     """Verify both morphism equations on basis vectors, with witnesses."""
-    phi = HomMorphism(source, target, matrix)
-    product_ok, product_witness = True, None
-    for i, j in product(range(source.dim), repeat=2):
-        ei, ej = source.basis_vector(i), source.basis_vector(j)
-        lhs = phi.apply(multiply(source, ei, ej))
-        rhs = multiply(target, phi.apply(ei), phi.apply(ej))
-        if lhs != rhs:
-            product_ok = False
-            product_witness = ((source.basis_names[i], source.basis_names[j]),
-                               tuple(a - b for a, b in zip(lhs, rhs)))
-            break
-    twist_ok, twist_witness = True, None
-    for j in range(source.dim):
-        ej = source.basis_vector(j)
-        lhs = phi.apply(apply_alpha(source, ej))
-        rhs = apply_alpha(target, phi.apply(ej))
-        if lhs != rhs:
-            twist_ok = False
-            twist_witness = (source.basis_names[j],
-                             tuple(a - b for a, b in zip(lhs, rhs)))
-            break
-    return MorphismReport(product_ok, product_witness, twist_ok, twist_witness)
+    HomMorphism(source, target, matrix)  # checks the shape
+    product_witness, twist_witness = morphism_witnesses(source, target, matrix)
+    return MorphismReport(product_witness is None, product_witness,
+                          twist_witness is None, twist_witness)
 
 
 def _freeze_action(rows: int, cols: int, dim: int, tensor) -> ActionTensor:

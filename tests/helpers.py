@@ -51,6 +51,68 @@ def frac(x) -> Fraction:
     return Fraction(x)
 
 
+# Dense defining identities, evaluated on basis vectors with ``multiply``
+# and ``apply_alpha``.  They are the reference the sparse kernel of
+# homcoh.algebra is checked against: the first failing basis tuple in
+# lexicographic order, with its defect lhs - rhs.
+
+def dense_associativity_defect(A, i: int, j: int, k: int):
+    ei, ej, ek = A.basis_vector(i), A.basis_vector(j), A.basis_vector(k)
+    left = multiply(A, apply_alpha(A, ei), multiply(A, ej, ek))
+    right = multiply(A, multiply(A, ei, ej), apply_alpha(A, ek))
+    return tuple(a - b for a, b in zip(left, right))
+
+
+def dense_jacobi_defect(A, x, y, z):
+    """Cyclic sum bracket(alpha(x), bracket(y, z)) over (x, y, z)."""
+    total = [Fraction(0)] * A.dim
+    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+        total = _signed(total, multiply(A, apply_alpha(A, a),
+                                        multiply(A, b, c)), False)
+    return tuple(total)
+
+
+def _first(cases):
+    """The first (where, defect) with a nonzero defect, or None."""
+    return next(((at, d) for at, d in cases if any(d)), None)
+
+
+def dense_validity(A):
+    """(identity witness, multiplicativity witness) of A by basis names:
+    stored skew-symmetry first for the Lie kind, then the identity."""
+    n, names, e = A.dim, A.basis_names, A.basis_vector
+    witness = None
+    if A.kind != ASSOCIATIVE:
+        witness = _first(
+            ((names[i], names[j]),
+             tuple(a + b for a, b in zip(A.mul[i][j], A.mul[j][i])))
+            for i in range(n) for j in range(i, n))
+    if witness is None:
+        witness = _first(
+            (tuple(names[i] for i in t),
+             dense_associativity_defect(A, *t) if A.kind == ASSOCIATIVE
+             else dense_jacobi_defect(A, *(e(i) for i in t)))
+            for t in product(range(n), repeat=3))
+    return witness, dense_morphism_witnesses(A, A, A.alpha)[0]
+
+
+def dense_morphism_witnesses(source, target, matrix):
+    """(product witness, twist witness) of matrix: source -> target."""
+    names, e = source.basis_names, source.basis_vector
+    product_witness = _first(
+        ((names[i], names[j]),
+         tuple(a - b for a, b in zip(
+             matrix.matvec(multiply(source, e(i), e(j))),
+             multiply(target, matrix.matvec(e(i)), matrix.matvec(e(j))))))
+        for i, j in product(range(source.dim), repeat=2))
+    twist_witness = _first(
+        (names[j], tuple(a - b for a, b in zip(
+            matrix.matvec(apply_alpha(source, e(j))),
+            apply_alpha(target, matrix.matvec(e(j))))))
+        for j in range(source.dim))
+    return product_witness, twist_witness
+
+
 # Dense coboundary formulas, evaluated tensor by tensor on basis vectors.
 # They are the reference the compiled sparse operators are checked against,
 # so they use only MultilinearMap.evaluate and the algebra's bilinear maps.

@@ -24,6 +24,9 @@ def golden_commands() -> dict[str, list[str]]:
     """File stem -> argv for every built-in algebra, morphism and
     deformation, plus the module-valued and arity-0 paths."""
     cmds = {}
+    for name in sorted(fixtures.BUILTIN_FIXTURES) + sorted(
+            fixtures.BUILTIN_MORPHISMS):
+        cmds[f"validate-{name}"] = ["validate", name, "--json"]
     for name in sorted(fixtures.BUILTIN_FIXTURES):
         cmds[f"cohomology-{name}"] = ["cohomology", name, "--degree", "1..3",
                                       "--json", "--force"]

@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from helpers import dense_morphism_witnesses, dense_validity
 from homcoh import fixtures
 from homcoh.algebra import (ASSOCIATIVE, LIE, HomAlgebra, apply_alpha,
                             multiply, validate, yau_twist)
 from homcoh.errors import MorphismViolation
 from homcoh.exact import Matrix
+from homcoh.rep import check_morphism
 from homcoh.selftest import _conjugate, _rand_invertible, random_valid_hom_algebra
 
 
@@ -112,3 +115,89 @@ def test_validate_survives_base_change(a3, g2):
             P = _rand_invertible(rng, A.dim)
             conj = _conjugate(A, P)
             assert validate(conj).is_valid == validate(A).is_valid
+
+
+def _random_matrix(rng, rows: int, cols: int) -> Matrix:
+    return Matrix.from_rows([[rng.choice([-1, 0, 0, 1, 2])
+                              for _ in range(cols)] for _ in range(rows)])
+
+
+def _random_algebra(rng, kind: str, skew: bool = True,
+                    zero_mul: bool = False) -> HomAlgebra:
+    """Small random structure constants and twist, mostly invalid; a Lie
+    tensor is made skew unless ``skew`` is false."""
+    n = rng.randint(1, 3)
+    mul = [[[Fraction(0 if zero_mul else rng.choice([-1, 0, 0, 0, 1, 2]))
+             for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    if kind == LIE and skew:
+        for i, j in product(range(n), repeat=2):
+            if i >= j:
+                mul[i][j] = [-x for x in mul[j][i]] if i > j else [0] * n
+    return HomAlgebra("random", kind, n, mul, _random_matrix(rng, n, n))
+
+
+def _random_algebras(seed: int, count: int) -> list[HomAlgebra]:
+    rng = random.Random(seed)
+    return [_random_algebra(rng, ASSOCIATIVE if t % 2 else LIE,
+                            skew=t % 6 != 0, zero_mul=t % 10 == 9)
+            for t in range(count)]
+
+
+def _fixture_algebras() -> list[HomAlgebra]:
+    return [build() for _, build in sorted(fixtures.BUILTIN_FIXTURES.items())]
+
+
+def test_validity_witnesses_match_dense_oracles():
+    randoms = _random_algebras(31, 240)
+    for A in _fixture_algebras() + randoms:
+        report = validate(A)
+        assert (report.witness, report.multiplicativity_witness) == \
+            dense_validity(A), A.name
+        assert report.is_valid == (report.witness is None)
+    invalid = [A for A in randoms if not validate(A).is_valid]
+    assert len(invalid) > len(randoms) // 2
+    # non-skew Lie tensors fail at a basis pair, others at a basis triple
+    assert {len(validate(A).witness[0]) for A in invalid
+            if A.kind == LIE} == {2, 3}
+    assert any(not validate(A).multiplicative for A in randoms)
+
+
+def test_morphism_witnesses_match_dense_oracles():
+    rng = random.Random(32)
+    algebras = _fixture_algebras()
+    cases = [(phi.source, phi.target, phi.matrix) for phi in
+             (build() for build in fixtures.BUILTIN_MORPHISMS.values())]
+    cases += [(A, A, Matrix.identity(A.dim)) for A in algebras]
+    for _ in range(300):
+        A, B = rng.choice(algebras), rng.choice(algebras)
+        cases.append((A, B, _random_matrix(rng, B.dim, A.dim)
+                      if rng.random() < 0.9 else Matrix.zero(B.dim, A.dim)))
+    verdicts = set()
+    for A, B, m in cases:
+        report = check_morphism(A, B, m)
+        expected = dense_morphism_witnesses(A, B, m)
+        assert (report.product_witness, report.twist_witness) == expected
+        verdicts.add((report.product_ok, report.twist_ok))
+    assert verdicts == {(True, True), (True, False), (False, True),
+                        (False, False)}
+
+
+def test_yau_twist_rejections_match_dense_oracles():
+    rng = random.Random(33)
+    outcomes = set()
+    for A in _fixture_algebras() + _random_algebras(34, 120):
+        for gamma in (_random_matrix(rng, A.dim, A.dim),
+                      Matrix.identity(A.dim).scale(rng.choice([0, 1]))):
+            product_witness, twist_witness = \
+                dense_morphism_witnesses(A, A, gamma)
+            if product_witness is None and twist_witness is None:
+                out = yau_twist(A, gamma)
+                assert out.mul == tuple(tuple(gamma.matvec(v) for v in row)
+                                        for row in A.mul)
+                outcomes.add("accepted")
+                continue
+            with pytest.raises(MorphismViolation) as err:
+                yau_twist(A, gamma)
+            assert err.value.witness == (product_witness or twist_witness)
+            outcomes.add("product" if product_witness else "twist")
+    assert outcomes == {"accepted", "product", "twist"}

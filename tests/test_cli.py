@@ -198,6 +198,39 @@ def test_each_algebra_is_validated_once_per_command(monkeypatch, capsys):
     assert main(["cohomology", "a3", "--degree", "1..3", "--json"]) == 0
     assert checked == [fixtures.builtin_algebra("a3").name]
     checked.clear()
+    assert main(["cohomology", "a3", "--degree", "1..3", "--values-in",
+                 "phi_assoc"]) == 0
+    assert checked == [fixtures.builtin_algebra("a3").name]
+    checked.clear()
     assert main(["morphism-cohomology", "phi12_2", "--degree", "1..2"]) == 0
     phi = fixtures.builtin_morphism("phi12_2")
     assert sorted(checked) == sorted([phi.source.name, phi.target.name])
+
+
+def test_deform_check_rejects_a_negative_order(capsys):
+    code, out, err = run(capsys, "deform", "check", "mdef_2", "--to-order",
+                         "-1")
+    assert code == 2
+    assert "--to-order -1" in err and out == ""
+
+
+def test_deform_extend_rejects_an_order_it_has_reached(capsys):
+    for order in ("0", "1"):
+        code, out, err = run(capsys, "deform", "extend", "mdef_2",
+                             "--to-order", order)
+        assert code == 2
+        assert f"--to-order {order}" in err and out == ""
+
+
+def test_deform_infinitesimal_rejects_an_order(capsys):
+    code, out, err = run(capsys, "deform", "infinitesimal", "mdef_2",
+                         "--to-order", "5")
+    assert code == 2
+    assert "--to-order 5" in err and out == ""
+
+
+def test_deform_obstruction_rejects_an_order(capsys):
+    code, out, err = run(capsys, "deform", "obstruction", "def_g1",
+                         "--to-order", "5")
+    assert code == 2
+    assert "--to-order 5" in err and out == ""

@@ -4,8 +4,10 @@ import pytest
 
 from helpers import (dense_algebra_order_defect, dense_connecting_obstruction,
                      dense_morphism_order_defect, dense_transported_mul)
-from homcoh import deformation, fixtures
+from homcoh import algebra, bracket, deformation, fixtures
 from homcoh.algebra import LIE, HomAlgebra
+from homcoh.bracket import (cup_product_assoc, gerstenhaber_bracket,
+                            nr_bracket, overline_comp)
 from homcoh.cochain import MorphismCochain, MultilinearMap
 from homcoh.cohomology import delta_hom_self, delta_morphism
 from homcoh.deformation import (FormalAutomorphismPair, FormalDeformation,
@@ -297,15 +299,28 @@ def test_assoc_example_deformation():
     assert check_morphism_deformation(extended, up_to=3).overall_ok
 
 
+def _morphism_defect(md, s):
+    """The sparse order-s morphism defect of md, as a map."""
+    return MultilinearMap.from_sparse(
+        2, md.phi.source.dim, md.phi.target.dim,
+        deformation._morphism_order_defect(md, s))
+
+
+def _algebra_defect(d, s):
+    """The sparse order-s structure defect of d, as a map."""
+    return MultilinearMap.from_sparse(
+        3, d.base.dim, d.base.dim, deformation._algebra_order_defect(d, s))
+
+
 def test_order_defects_match_dense_oracles():
     _, _, assoc = _assoc_example()
     for md in _mdef_2_extensions() + [assoc, extend_deformation(assoc)]:
         for s in range(3 * md.order + 2):
-            assert deformation._morphism_order_defect(md, s) == \
+            assert _morphism_defect(md, s) == \
                 dense_morphism_order_defect(md, s)
         for d in (md.def_a, md.def_b):
             for s in range(2 * d.order + 2):
-                assert deformation._algebra_order_defect(d, s) == \
+                assert _algebra_defect(d, s) == \
                     dense_algebra_order_defect(d, s)
 
 
@@ -313,7 +328,7 @@ def test_connecting_obstruction_matches_dense_oracle():
     _, _, assoc = _assoc_example()
     for md in _mdef_2_extensions() + [assoc, extend_deformation(assoc)]:
         dense = dense_connecting_obstruction(md)
-        direct = deformation._morphism_order_defect(_cut(md), md.order + 1)
+        direct = _morphism_defect(_cut(md), md.order + 1)
         assert direct.scale(-1) == dense
         sign = 1 if md.flavor == "hom" else -1
         assert obstruction(md).comp_AB == dense.scale(sign)
@@ -323,9 +338,9 @@ def test_connecting_obstruction_matches_dense_oracle():
         assoc.phi, assoc.def_a.with_term(3, assoc.def_a.term(1)),
         assoc.def_b.with_term(3, assoc.def_b.term(2)),
         dict(assoc.phi_terms), 2)
-    direct = deformation._morphism_order_defect(_cut(longer), 3)
+    direct = _morphism_defect(_cut(longer), 3)
     assert direct.scale(-1) == dense_connecting_obstruction(longer)
-    assert direct != deformation._morphism_order_defect(longer, 3)
+    assert direct != _morphism_defect(longer, 3)
     assert obstruction(longer).comp_AB == dense_connecting_obstruction(longer)
 
 
@@ -400,6 +415,36 @@ def test_obstruction_mismatch_sites_raise_on_perturbed_displayed_side(
                         perturb(getattr(deformation, name)))
     with pytest.raises(ObstructionMismatch):
         run()
+
+
+def test_displayed_obstruction_side_does_not_use_the_kernel(monkeypatch):
+    _, _, assoc = _assoc_example()
+    md = fixtures.mdef_2()
+    f = MultilinearMap.from_matrix(assoc.phi_term(2))
+
+    def displayed():
+        return [
+            gerstenhaber_bracket(assoc.phi.target, assoc.def_b.term(1),
+                                 assoc.def_b.term(2)),
+            nr_bracket(md.phi.source, md.def_a.term(1), md.def_a.term(1)),
+            overline_comp(assoc.phi, assoc.def_b.term(1), f),
+            cup_product_assoc(assoc.phi, f, f),
+            deformation._compose_matrix_bilinear(assoc.phi_term(2),
+                                                 assoc.def_a.term(1)),
+            deformation._mul_through(md.def_b.term(1), md.phi_term(1),
+                                     md.phi.matrix)]
+
+    before = displayed()
+    assert any(not m.is_zero() for m in before)
+
+    def refuse(*args):
+        raise AssertionError("the displayed side called the kernel")
+    for module in (algebra, bracket, deformation):
+        for name in ("identity_defect", "product_defect", "twist_defect",
+                     "skew_defect", "first_failure"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert displayed() == before
 
 
 def test_extension_step_checks_the_extension_once(monkeypatch):

@@ -30,7 +30,16 @@ def test_check_morphism_reports_first_failure(a3, b2):
     bad = Matrix.from_rows([[1, 0, 0], [0, 0, 0]])
     report = check_morphism(a3, b2, bad)
     assert not report.is_valid
-    assert report.product_witness is not None or report.twist_witness is not None
+    assert report.product_ok and report.product_witness is None
+    assert report.twist_witness == ("e1", vec(0, 1))
+    worse = Matrix.from_rows([[1, 1, 1], [0, 0, 0]])
+    report = check_morphism(a3, b2, worse)
+    assert report.product_witness == (("e1", "e3"), vec(1, 0))
+    assert report.twist_witness == ("e1", vec(0, 1))
+    swapped = Matrix.from_rows([[0, 1, 0], [1, 0, 1]])
+    report = check_morphism(a3, b2, swapped)
+    assert report.product_witness == (("e1", "e2"), vec(1, -1))
+    assert report.twist_witness == ("e1", vec(0, 1))
 
 
 def test_adjoint_bimodule_identity_is_multiplication(a3):
