@@ -22,8 +22,9 @@ from math import factorial
 
 from .algebra import HomAlgebra
 from .errors import ArityLimitError, UsageError
-from .exact import (Matrix, Vector, expand_product, lincomb, nullspace_basis,
-                    solve, sparse_vector, vec_is_zero, zero_vector)
+from .exact import (Matrix, SparseMatrix, Vector, expand_product, lincomb,
+                    nullspace_basis, solve, sparse_vector, vec_is_zero,
+                    zero_vector)
 
 HOM = "hom"
 LIE = "lie"
@@ -344,10 +345,11 @@ class CochainSpace(_SpaceBasis):
 
     def coordinates(self, m: MultilinearMap) -> Vector | None:
         """Coordinates of m in this basis, or None if outside the span."""
-        if not self.basis:
-            return () if m.is_zero() else None
-        cols = [b.coeffs for b in self.basis]
-        return solve(Matrix.from_columns(cols), m.coeffs)
+        x = self.system.project(m)
+        if x is None:  # not alternating, so outside a reduced space
+            return None
+        return solve(SparseMatrix.from_columns(self.coords, self.system.dim),
+                     x)
 
 
 def _compatible_space(flavor: str, source: HomAlgebra, target_dim: int,
@@ -375,16 +377,12 @@ def _compatible_space(flavor: str, source: HomAlgebra, target_dim: int,
             if loc:
                 terms[loc[0]] = terms.get(loc[0], 0) + loc[1] * c
         for r in range(d):
-            row = [Fraction(0)] * system.dim
-            for s in range(d):
-                e = beta.at(r, s)
-                if e:
-                    row[ti * d + s] += e
+            row = {ti * d + s: e for s in range(d) if (e := beta.at(r, s))}
             for j, c in terms.items():
-                row[j * d + r] -= c
+                row[j * d + r] = row.get(j * d + r, 0) - c
             rows.append(row)
-    return CochainSpace(arity, flavor, source, d, beta,
-                        tuple(nullspace_basis(Matrix.from_rows(rows))))
+    return CochainSpace(arity, flavor, source, d, beta, tuple(
+        nullspace_basis(SparseMatrix(len(rows), system.dim, tuple(rows)))))
 
 
 def hom_cochain_basis(source: HomAlgebra, target_dim: int, beta: Matrix,

@@ -333,10 +333,10 @@ def compute_cohomology(complex_obj: _ComplexBase, degrees,
         op = complex_obj.operator(n)
         if coords is None:  # the operator is its own differential matrix
             dim_c = op.source.dim
-            z_raw = nullspace_basis(op.matrix()) if dim_c else []
+            z_raw = nullspace_basis(op.sparse_matrix()) if dim_c else []
         else:
             dim_c = len(coords)
-            kernel = nullspace_basis(op.matrix(coords)) if coords else []
+            kernel = nullspace_basis(op.sparse_matrix(coords)) if coords else []
             z_raw = [lincomb(k, coords, op.source.dim) for k in kernel]
         cocycles = [op.source.to_full(z) for z in z_raw]
 

@@ -1,29 +1,37 @@
-"""Exact rational scalars, dense matrices, and deterministic linear algebra.
+"""Exact rational scalars, dense and sparse matrices, and deterministic
+linear algebra.
 
 Everything downstream (cochain bases, differentials, cohomology dimensions)
 reduces to the handful of operations here: reduced row echelon form, the
 canonical nullspace basis read off it, particular solutions, and membership
-in a span.  All arithmetic is ``fractions.Fraction``; there is no floating
-point anywhere in the package.
+in a span.  All arithmetic is exact; there is no floating point anywhere in
+the package.
 
-Canonical choices, fixed once so every result is reproducible bit for bit:
+One sparse, fraction-free kernel does every elimination: rows are
+primitive {column: int} dicts, the pivot is the row with the fewest
+nonzeros among those leading in the next column (Markowitz), and values
+become ``Fraction`` once, at the end.  Since the RREF is unique, pivoting
+decides only the cost.  Canonical choices, fixed once so every result is
+reproducible bit for bit:
 
-* ``rref`` picks the first nonzero entry (top to bottom) of the leftmost
-  eligible column as pivot.
+* ``rref`` pivots in the leftmost columns independent of those before.
 * ``nullspace_basis`` returns one vector per free column, in increasing
   free-column order, with the free coordinate set to 1.
 * ``solve`` returns the particular solution with all free coordinates 0.
+* ``independent_subset`` returns the pivot columns: the greedy choice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ParseError, UsageError
 
 Rational = Fraction
 Vector = tuple[Fraction, ...]
+_ZERO = Fraction(0)
 
 
 def rational_from_string(text: str) -> Fraction:
@@ -139,9 +147,6 @@ class Matrix:
     def column(self, j: int) -> Vector:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
-    def row_list(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows,
                       tuple(self.at(i, j)
@@ -186,107 +191,162 @@ class Matrix:
 
 
 @dataclass(frozen=True)
+class SparseMatrix:
+    """Row-major matrix of rationals held as one {column: value} dict per
+    row; absent entries are zero."""
+
+    rows: int
+    cols: int
+    data: tuple[dict, ...]
+
+    @classmethod
+    def from_columns(cls, vectors, nrows: int) -> "SparseMatrix":
+        """The matrix whose column j is the length-``nrows`` vector
+        vectors[j]."""
+        vectors = list(vectors)
+        data = [{} for _ in range(nrows)]
+        for j, v in enumerate(vectors):
+            if len(v) != nrows:
+                raise UsageError(f"column {j} does not have length {nrows}")
+            for i, x in enumerate(v):
+                if x:
+                    data[i][j] = x
+        return cls(nrows, len(vectors), tuple(data))
+
+
+@dataclass(frozen=True)
 class RrefResult:
     reduced: Matrix
     rank: int
     pivot_columns: tuple[int, ...]
 
 
-def _rref_rows(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place Gauss-Jordan; returns (rows, pivot column indices)."""
-    if not rows:
-        return rows, []
-    nr, nc = len(rows), len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        pr = -1
-        for i in range(r, nr):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr < 0:
+def _primitive(row: dict) -> dict:
+    """row without its zero entries, divided by the gcd of the others."""
+    g = gcd(*row.values())
+    return {k: v // g for k, v in row.items() if v}
+
+
+def _rows(m) -> list[dict]:
+    """The rows of a Matrix or SparseMatrix as {column: value} dicts."""
+    if isinstance(m, SparseMatrix):
+        return m.data
+    return [sparse_vector(m.row(i)) for i in range(m.rows)]
+
+
+def _combine(row: dict, piv: dict, col: int) -> dict:
+    """The primitive multiple of a * row - b * piv with no entry in ``col``."""
+    g = gcd(piv[col], row[col])
+    a, b = piv[col] // g, row[col] // g
+    out = {k: a * v for k, v in row.items()}
+    for k, v in piv.items():
+        out[k] = out.get(k, 0) - b * v
+    return _primitive(out)
+
+
+def _echelon(rows) -> list[tuple[int, dict]]:
+    """Fraction-free sparse forward elimination of {column: rational} rows:
+    (pivot column, primitive integer row) pairs in increasing column
+    order.  Rows are bucketed by leading column; of the rows leading in the
+    next column, the one with the fewest nonzeros is the pivot, and only
+    the others in its bucket need elimination."""
+    buckets: dict[int, list] = {}
+    width = 0
+    for row in rows:
+        den = lcm(*(x.denominator for x in row.values()))
+        row = _primitive({k: x.numerator * (den // x.denominator)
+                          for k, x in row.items()})
+        if row:
+            buckets.setdefault(min(row), []).append(row)
+            width = max(width, max(row) + 1)
+    echelon = []
+    for col in range(width):
+        group = buckets.pop(col, None)
+        if group is None:
             continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            inv = 1 / pv
-            rows[r] = [x * inv for x in rows[r]]
-        lead = rows[r]
-        for i in range(nr):
-            if i != r:
-                f = rows[i][c]
-                if f:
-                    rows[i] = [a - f * b for a, b in zip(rows[i], lead)]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return rows, pivots
+        piv = min(group, key=len)
+        for row in group:
+            if row is not piv:
+                row = _combine(row, piv, col)
+                if row:
+                    buckets.setdefault(min(row), []).append(row)
+        echelon.append((col, piv))
+    return echelon
 
 
-def rref(m: Matrix) -> RrefResult:
-    """Unique reduced row echelon form, rank, and pivot columns."""
-    rows, pivots = _rref_rows(m.row_list())
-    return RrefResult(Matrix.from_rows(rows) if rows else m,
-                      len(pivots), tuple(pivots))
+def _reduced(rows) -> list[tuple[int, dict]]:
+    """The nonzero rows of the RREF, as (pivot column, {column:
+    Fraction}) pairs in increasing column order.  Back substitution runs
+    from the last pivot up, so each row meets only finished rows."""
+    done: dict[int, dict] = {}
+    for col, row in reversed(_echelon(rows)):
+        for j in [j for j in row if j in done]:
+            row = _combine(row, done[j], j)
+        done[col] = row
+    return [(col, {k: Fraction(v, row[col]) for k, v in row.items()})
+            for col, row in sorted(done.items())]
 
 
-def nullspace_basis(m: Matrix) -> list[Vector]:
-    """Canonical kernel basis: one vector per free column of the RREF."""
-    res = rref(m)
-    piv = res.pivot_columns
-    free = [c for c in range(m.cols) if c not in piv]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * m.cols
+def rref(m) -> RrefResult:
+    """Unique reduced row echelon form, rank, and pivot columns of a
+    Matrix or SparseMatrix."""
+    reduced = _reduced(_rows(m))
+    entries = [_ZERO] * (m.rows * m.cols)
+    for i, (_, row) in enumerate(reduced):
+        for k, x in row.items():
+            entries[i * m.cols + k] = x
+    return RrefResult(Matrix(m.rows, m.cols, tuple(entries)), len(reduced),
+                      tuple(col for col, _ in reduced))
+
+
+def nullspace_basis(m) -> list[Vector]:
+    """Canonical kernel basis: one vector per free column of the RREF, in
+    increasing column order, with that coordinate 1 and the other free
+    ones 0."""
+    reduced = _reduced(_rows(m))
+    pivots = {col for col, _ in reduced}
+    basis = {fc: [_ZERO] * m.cols for fc in range(m.cols) if fc not in pivots}
+    for col, row in reduced:
+        for k, x in row.items():
+            if k != col:
+                basis[k][col] = -x
+    for fc, v in basis.items():
         v[fc] = Fraction(1)
-        for i, pc in enumerate(piv):
-            v[pc] = -res.reduced.at(i, fc)
-        basis.append(tuple(v))
-    return basis
+    return [tuple(v) for v in basis.values()]
 
 
-def solve(m: Matrix, b) -> Vector | None:
-    """One particular solution of m x = b (free coordinates 0), or None."""
+def solve(m, b) -> Vector | None:
+    """The particular solution of m x = b with all free coordinates 0, or
+    None when there is none."""
     if len(b) != m.rows:
         raise UsageError(f"solve: rhs length {len(b)} != {m.rows} rows")
-    rows = [list(m.row(i)) + [Fraction(b[i])] for i in range(m.rows)]
-    rows, pivots = _rref_rows(rows)
-    if m.cols in pivots:
-        return None
-    x = [Fraction(0)] * m.cols
-    for i, pc in enumerate(pivots):
-        x[pc] = rows[i][m.cols]
+    last = m.cols  # the column of b in the augmented rows
+    x = [_ZERO] * m.cols
+    for col, row in _reduced([{**row, last: c} if c else row
+                              for row, c in zip(_rows(m), b)]):
+        if col == last:
+            return None
+        x[col] = row.get(last, _ZERO)
     return tuple(x)
 
 
 def in_span(vectors, v) -> Vector | None:
     """Coordinates of v in span(vectors), or None if v lies outside."""
-    vectors = list(vectors)
-    if not vectors:
-        return () if vec_is_zero(tuple(v)) else None
-    n = len(vectors[0])
-    if any(len(w) != n for w in vectors) or len(v) != n:
-        raise UsageError("in_span: mismatched vector lengths")
-    return solve(Matrix.from_columns(vectors), v)
+    return solve(SparseMatrix.from_columns(vectors, len(v)), v)
 
 
 def column_rank(vectors) -> int:
-    vectors = [v for v in vectors if not vec_is_zero(tuple(v))]
-    if not vectors:
-        return 0
-    return rref(Matrix.from_columns(vectors)).rank
+    return len(independent_subset(vectors))
 
 
 def independent_subset(vectors) -> list[int]:
-    """Indices of a maximal independent subset, chosen greedily in order."""
+    """Indices of a maximal independent subset, chosen greedily in order:
+    the pivot columns, which forward elimination alone fixes."""
     vectors = list(vectors)
     if not vectors:
         return []
-    res = rref(Matrix.from_columns(vectors))
-    return list(res.pivot_columns)
+    m = SparseMatrix.from_columns(vectors, len(vectors[0]))
+    return [col for col, _ in _echelon(m.data)]
 
 
 def intersection_basis(u_cols, w_cols) -> list[Vector]:
@@ -296,16 +356,12 @@ def intersection_basis(u_cols, w_cols) -> list[Vector]:
     if not u_cols or not w_cols:
         return []
     n = len(u_cols[0])
-    stacked = Matrix.from_columns([list(c) for c in u_cols]
-                                  + [[-x for x in c] for c in w_cols])
+    stacked = SparseMatrix.from_columns(
+        u_cols + [[-x for x in c] for c in w_cols], n)
     vecs = []
     for coeffs in nullspace_basis(stacked):
-        acc = [Fraction(0)] * n
-        for c, col in zip(coeffs[:len(u_cols)], u_cols):
-            if c:
-                for i in range(n):
-                    acc[i] += c * col[i]
-        if not vec_is_zero(tuple(acc)):
-            vecs.append(tuple(acc))
+        acc = lincomb(coeffs[:len(u_cols)], u_cols, n)
+        if not vec_is_zero(acc):
+            vecs.append(acc)
     keep = independent_subset(vecs)
     return [vecs[i] for i in keep]

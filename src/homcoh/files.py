@@ -167,6 +167,9 @@ def parse_morphism(data, base_dir: str = ".",
     _require_keys(data, ("source", "target", "matrix"), (), context)
     source = load_algebra_reference(data["source"], base_dir)
     target = load_algebra_reference(data["target"], base_dir)
+    if source.kind != target.kind:
+        raise ParseError(f"{context}: source is {source.kind}-kind but "
+                         f"target is {target.kind}-kind")
     matrix = _parse_matrix(data["matrix"], target.dim, source.dim,
                            f"{context}: matrix")
     return HomMorphism(source, target, matrix)

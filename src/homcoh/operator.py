@@ -20,7 +20,8 @@ from itertools import combinations
 from .algebra import HomAlgebra, alpha_power, skew_defect
 from .cochain import HOM, Coords, MorphismCoords
 from .errors import UsageError
-from .exact import Matrix, Vector, expand_product, solve, sparse_vector
+from .exact import (Matrix, SparseMatrix, Vector, expand_product, solve,
+                    sparse_vector)
 
 _ZERO = Fraction(0)
 
@@ -36,16 +37,13 @@ class SparseOperator:
         return tuple(sum([c * x[j] for j, c in row.items() if x[j]], _ZERO)
                      for row in self.rows)
 
-    def matrix(self, vectors=None) -> Matrix:
-        """Dense matrix whose columns are the images of ``vectors``; the
-        operator's own matrix when ``vectors`` is None."""
+    def sparse_matrix(self, vectors=None) -> SparseMatrix:
+        """The operator's matrix; with ``vectors``, the matrix whose column
+        j is the image of vectors[j]."""
         if vectors is None:
-            ncols = self.source.dim
-            return Matrix(len(self.rows), ncols, tuple(
-                row.get(j, _ZERO) for row in self.rows for j in range(ncols)))
-        images = [self.apply(v) for v in vectors]
-        return Matrix(len(self.rows), len(images), tuple(
-            col[i] for i in range(len(self.rows)) for col in images))
+            return SparseMatrix(len(self.rows), self.source.dim, self.rows)
+        return SparseMatrix.from_columns([self.apply(v) for v in vectors],
+                                         len(self.rows))
 
 
 def apply_operator(op: SparseOperator, f):
@@ -61,7 +59,7 @@ def solve_coboundary(op: SparseOperator, coords, target) -> Vector | None:
     tensor ``target``, or None.  Reduced coordinates hold only alternating
     images, so a target they cannot hold is not a coboundary."""
     rhs = op.target.project(target)
-    return None if rhs is None else solve(op.matrix(coords), rhs)
+    return None if rhs is None else solve(op.sparse_matrix(coords), rhs)
 
 
 def _act_table(P: Matrix, tensor, d: int, right: bool = False) -> list:

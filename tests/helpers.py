@@ -47,6 +47,71 @@ def bareiss_rank(m: Matrix) -> int:
     return rank
 
 
+def dense_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Dense Gauss-Jordan over Fraction, pivoting on the first nonzero
+    entry from the top: the reduced matrix and its pivot columns."""
+    rows, nr = [list(m.row(i)) for i in range(m.rows)], m.rows
+    pivots: list[int] = []
+    r = 0
+    for c in range(m.cols):
+        pr = next((i for i in range(r, nr) if rows[i][c] != 0), -1)
+        if pr < 0:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        lead = rows[r]
+        for i in range(nr):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], lead)]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return Matrix(nr, m.cols, tuple(x for row in rows for x in row)), \
+        tuple(pivots)
+
+
+def dense(m) -> Matrix:
+    """A SparseMatrix as a dense Matrix."""
+    return Matrix(m.rows, m.cols, tuple(Fraction(row.get(j, 0))
+                                        for row in m.data
+                                        for j in range(m.cols)))
+
+
+def dense_nullspace(m: Matrix) -> list[tuple]:
+    """One kernel vector per free column of the dense RREF."""
+    red, piv = dense_rref(m)
+    basis = []
+    for fc in (c for c in range(m.cols) if c not in piv):
+        v = [Fraction(0)] * m.cols
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(piv):
+            v[pc] = -red.at(i, fc)
+        basis.append(tuple(v))
+    return basis
+
+
+def dense_solve(m: Matrix, b) -> tuple | None:
+    """The solution of m x = b with free coordinates 0, or None."""
+    aug = Matrix(m.rows, m.cols + 1, tuple(
+        x for i in range(m.rows) for x in m.row(i) + (Fraction(b[i]),)))
+    red, piv = dense_rref(aug)
+    if m.cols in piv:
+        return None
+    x = [Fraction(0)] * m.cols
+    for i, pc in enumerate(piv):
+        x[pc] = red.at(i, m.cols)
+    return tuple(x)
+
+
+def columns(vectors, n: int) -> Matrix:
+    """The n-row dense matrix whose columns are ``vectors``."""
+    return Matrix(n, len(vectors), tuple(Fraction(v[i]) for i in range(n)
+                                         for v in vectors))
+
+
 def frac(x) -> Fraction:
     return Fraction(x)
 

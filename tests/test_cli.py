@@ -54,6 +54,18 @@ def test_validate_builtin_morphism_name_matches_file(tmp_path, capsys):
     assert json.loads(by_name[1])["type"] == "morphism"
 
 
+def test_mixed_kind_morphism_file_is_an_input_error(tmp_path, capsys):
+    files.write_builtin_files(str(tmp_path))
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"source": "a3.json", "target": "g1_2_3.json",
+                                "matrix": [["0"] * 3] * 3}))
+    for argv in (["validate", str(path)],
+                 ["morphism-cohomology", str(path), "--degree", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "associative-kind" in err and "lie-kind" in err
+
+
 def test_malformed_max_arity_is_an_input_error(monkeypatch, capsys):
     monkeypatch.setenv("HOMCOH_MAX_ARITY", "four")
     code, _, err = run(capsys, "cohomology", "b2", "--degree", "2")

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import bareiss_rank
+from helpers import (bareiss_rank, columns, dense_nullspace, dense_rref,
+                     dense_solve)
 from homcoh.errors import ParseError
-from homcoh.exact import (Matrix, in_span, nullspace_basis,
+from homcoh.exact import (Matrix, SparseMatrix, in_span, independent_subset,
+                          intersection_basis, nullspace_basis,
                           rational_from_string, rational_to_string, rref,
-                          solve)
+                          solve, sparse_vector)
 
 
 def frac_matrix(rows):
@@ -114,6 +116,104 @@ def test_in_span_examples():
     assert in_span([(1, 0)], (0, 1)) is None
     coords = in_span([(1, 1), (1, -1)], (2, 0))
     assert coords == (Fraction(1), Fraction(1))
+
+
+def _oracle_cases():
+    """Seeded matrices: sparse and fully dense, with zero rows and columns,
+    0-row and 0-column shapes, large denominators, rank-deficient
+    products and full-rank squares."""
+    rng = random.Random(16)
+
+    def entry(density, big=False):
+        if rng.random() >= density:
+            return Fraction(0)
+        if big:
+            return Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**12))
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 7)))
+
+    def random_rows(nr, nc, density, big=False):
+        return [[entry(density, big) for _ in range(nc)] for _ in range(nr)]
+
+    cases = [Matrix(0, 0, ()), Matrix(0, 4, ()), Matrix(3, 0, ()),
+             Matrix.zero(3, 4), Matrix.identity(5)]
+    for _ in range(60):
+        nr, nc = rng.randint(1, 9), rng.randint(1, 9)
+        kind = rng.choice(("sparse", "dense", "big", "deficient", "holes"))
+        if kind == "deficient":
+            k = rng.randint(1, min(nr, nc))
+            left = Matrix.from_rows(random_rows(nr, k, 1.0))
+            product = left @ Matrix.from_rows(random_rows(k, nc, 0.6))
+            rows = [list(product.row(i)) for i in range(nr)]
+        else:
+            density = {"sparse": 0.15, "dense": 1.0}.get(kind, 0.5)
+            rows = random_rows(nr, nc, density, big=kind == "big")
+        if kind == "holes":  # zero rows and zero columns
+            zero_col = rng.randrange(nc)
+            rows = [[x if j != zero_col else Fraction(0)
+                     for j, x in enumerate(r)] for r in rows]
+            rows[rng.randrange(nr)] = [Fraction(0)] * nc
+        cases.append(Matrix.from_rows(rows))
+    for n in (4, 7):  # full-rank squares
+        cases.append(Matrix.identity(n) + Matrix.from_rows(
+            [[Fraction(0) if j <= i else entry(0.7) for j in range(n)]
+             for i in range(n)]))
+    return rng, cases
+
+
+def _sparse(m: Matrix) -> SparseMatrix:
+    return SparseMatrix(m.rows, m.cols,
+                        tuple(sparse_vector(m.row(i)) for i in range(m.rows)))
+
+
+def test_sparse_kernel_matches_dense_gauss_jordan():
+    rng, cases = _oracle_cases()
+    inconsistent = deficient = 0
+    for m in cases:
+        reduced, pivots = dense_rref(m)
+        deficient += len(pivots) < min(m.rows, m.cols)
+        for given in (m, _sparse(m)):
+            res = rref(given)
+            assert (res.reduced, res.pivot_columns) == (reduced, pivots)
+            assert res.rank == len(pivots) == bareiss_rank(m)
+            assert nullspace_basis(given) == dense_nullspace(m)
+            x = [Fraction(rng.randint(-3, 3)) for _ in range(m.cols)]
+            b = m.matvec(x)
+            assert solve(given, b) == dense_solve(m, b) is not None
+            b = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                 for _ in range(m.rows)]
+            assert solve(given, b) == dense_solve(m, b)
+            inconsistent += dense_solve(m, b) is None
+        cols = [m.column(j) for j in range(m.cols)]
+        if m.rows:
+            assert independent_subset(cols) == list(pivots)
+            split = rng.randint(0, m.cols)
+            assert intersection_basis(cols[:split], cols[split:]) == \
+                _dense_intersection(cols[:split], cols[split:], m.rows)
+    assert inconsistent and deficient
+
+
+def _dense_intersection(u, w, n):
+    if not u or not w:
+        return []
+    stacked = columns(u + [[-x for x in c] for c in w], n)
+    vecs = []
+    for k in dense_nullspace(stacked):
+        acc = columns(u, n).matvec(k[:len(u)])
+        if any(acc):
+            vecs.append(acc)
+    return [vecs[i] for i in dense_rref(columns(vecs, n))[1]] if vecs else []
+
+
+def test_sparse_kernel_edge_shapes():
+    empty = SparseMatrix(2, 0, ({}, {}))
+    assert nullspace_basis(empty) == []
+    assert solve(empty, (0, 0)) == ()
+    assert solve(empty, (0, Fraction(1, 3))) is None
+    assert rref(SparseMatrix(0, 3, ())).pivot_columns == ()
+    assert nullspace_basis(SparseMatrix(0, 2, ())) == [
+        (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
+    assert solve(SparseMatrix(0, 2, ()), ()) == (Fraction(0), Fraction(0))
+    assert independent_subset([(0, 0), (1, 2), (2, 4), (0, 1)]) == [1, 3]
 
 
 def test_exact_arithmetic_round_trip():
