@@ -11,9 +11,10 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from . import files, fixtures
-from .algebra import ASSOCIATIVE, HomAlgebra, validate
+from .algebra import ASSOCIATIVE, validate
 from .cochain import HOM, LIE
 from .cohomology import (ComplexSummary, ModuleComplex, MorphismComplex,
                          compute_cohomology, connecting_complex)
@@ -43,31 +44,15 @@ def _emit(payload: dict, as_json: bool, lines) -> None:
             print(line)
 
 
-def _load_algebra_arg(ref: str) -> HomAlgebra:
+def _load_arg(ref: str, what: str):
+    """The ``what`` (algebra, morphism or deformation) in the file ``ref``,
+    else the built-in one of that name."""
     if os.path.isfile(ref):
-        return files.load_algebra_file(ref)
-    built = fixtures.builtin_algebra(ref)
-    if built is not None:
-        return built
-    raise ParseError(f"{ref!r}: no such file or built-in algebra")
-
-
-def _load_morphism_arg(ref: str) -> HomMorphism:
-    if os.path.isfile(ref):
-        return files.load_morphism_file(ref)
-    built = fixtures.builtin_morphism(ref)
-    if built is not None:
-        return built
-    raise ParseError(f"{ref!r}: no such file or built-in morphism")
-
-
-def _load_deformation_arg(ref: str):
-    if os.path.isfile(ref):
-        return files.load_deformation_file(ref)
-    built = fixtures.builtin_deformation(ref)
-    if built is not None:
-        return built
-    raise ParseError(f"{ref!r}: no such file or built-in deformation")
+        return getattr(files, f"load_{what}_file")(ref)
+    built = getattr(fixtures, f"builtin_{what}")(ref)
+    if built is None:
+        raise ParseError(f"{ref!r}: no such file or built-in {what}")
+    return built
 
 
 def _witness_json(witness) -> object:
@@ -129,7 +114,7 @@ def cmd_validate(args) -> int:
                + report.describe()])
         return EXIT_OK if report.is_valid else EXIT_MATH
     A = files.parse_algebra(data, context=args.input) if data is not None \
-        else _load_algebra_arg(args.input)
+        else _load_arg(args.input, "algebra")
     report = validate(A)
     payload = {"command": "validate", "type": "algebra", "name": A.name,
                "kind": A.kind, "is_valid": report.is_valid,
@@ -150,7 +135,7 @@ def _summary_payload(summary: ComplexSummary, target_names) -> dict:
 
 
 def cmd_cohomology(args) -> int:
-    A = _load_algebra_arg(args.input)
+    A = _load_arg(args.input, "algebra")
     if args.lie and A.kind != "lie":
         raise ParseError(f"{A.name} is not a Lie-kind algebra")
     degrees = _parse_degrees(args.degree)
@@ -160,7 +145,7 @@ def cmd_cohomology(args) -> int:
               "rerun with --force for a best-effort report", file=sys.stderr)
         return EXIT_MATH
     if args.values_in:
-        phi = _load_morphism_arg(args.values_in)
+        phi = _load_arg(args.values_in, "morphism")
         if phi.source != A:
             raise ParseError("--values-in morphism source does not match "
                              "the given algebra")
@@ -195,7 +180,7 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_morphism_cohomology(args) -> int:
-    phi = _load_morphism_arg(args.input)
+    phi = _load_arg(args.input, "morphism")
     degrees = _parse_degrees(args.degree)
     flavor = HOM if phi.source.kind == ASSOCIATIVE else LIE
     complex_obj = MorphismComplex(phi, flavor)
@@ -407,7 +392,7 @@ def _deform_extend(target, args) -> int:
 
 
 def cmd_deform(args) -> int:
-    target = _load_deformation_arg(args.input)
+    target = _load_arg(args.input, "deformation")
     n = args.to_order
     if n is not None:
         if args.action in ("infinitesimal", "obstruction"):
@@ -439,7 +424,9 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if result["ok"] else EXIT_MATH
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; parsing leaves it unchanged, so one serves."""
     parser = argparse.ArgumentParser(
         prog="homcoh",
         description="Exact cohomology and deformation calculator for "

@@ -8,7 +8,8 @@ array is indexed row-major lexicographically over the argument tuple
 Cochains have two coordinate systems (``Coords``): full coordinates, the
 layout above, and for alternating maps reduced coordinates, one per
 strictly increasing argument tuple.  Cochain spaces store their basis in
-the coordinates of their flavor and build full tensors only on demand.
+the coordinates of their flavor and build full tensors only on demand,
+from reduced ones by a gather of signed coordinates computed once.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from math import factorial
 from .algebra import HomAlgebra
 from .errors import ArityLimitError, UsageError
 from .exact import (Matrix, SparseMatrix, Vector, expand_product, lincomb,
-                    nullspace_basis, solve, sparse_vector, vec_is_zero,
-                    zero_vector)
+                    nullspace_basis, sparse_vector, vec_is_zero, zero_vector)
 
 HOM = "hom"
 LIE = "lie"
@@ -284,15 +284,23 @@ class Coords:
         return (self.index[srt], sign) if sign else None
 
     @cached_property
-    def _layout(self) -> list:
-        return [self.locate(t) for t in
-                product(range(self.source_dim), repeat=self.arity)]
+    def _gather(self) -> list[int]:
+        """Per full coordinate, its index in x + (-x) + (0,): where a
+        repeated argument makes it vanish, the zero at 2 dim."""
+        d, n, out = self.target_dim, self.dim, []
+        for t in product(range(self.source_dim), repeat=self.arity):
+            loc = self.locate(t)
+            if loc is None:
+                out += [2 * n] * d
+            else:
+                base = loc[0] * d + (n if loc[1] < 0 else 0)
+                out += range(base, base + d)
+        return out
 
     def to_full(self, x) -> MultilinearMap:
         if self.reduced:
-            d = self.target_dim
-            x = [loc[1] * x[loc[0] * d + r] if loc else Fraction(0)
-                 for loc in self._layout for r in range(d)]
+            values = [*x, *(-v if v else v for v in x), Fraction(0)]
+            x = map(values.__getitem__, self._gather)
         return MultilinearMap(self.arity, self.source_dim, self.target_dim,
                               tuple(x))
 
@@ -342,14 +350,6 @@ class CochainSpace(_SpaceBasis):
     def system(self) -> Coords:
         return Coords(self.arity, self.source.dim, self.target_dim,
                       self.flavor == LIE)
-
-    def coordinates(self, m: MultilinearMap) -> Vector | None:
-        """Coordinates of m in this basis, or None if outside the span."""
-        x = self.system.project(m)
-        if x is None:  # not alternating, so outside a reduced space
-            return None
-        return solve(SparseMatrix.from_columns(self.coords, self.system.dim),
-                     x)
 
 
 def _compatible_space(flavor: str, source: HomAlgebra, target_dim: int,

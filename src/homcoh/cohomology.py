@@ -17,8 +17,9 @@ assembles the coupled complex of a morphism from three of them: both ends
 in themselves and the source in the adjoint module of the target.  Every
 coboundary is a compiled ``operator.SparseOperator``; a complex compiles
 each degree once and ``compute_cohomology`` decides kernels, ranks and
-pivots on operator coordinates, building full tensors only for the
-reported cocycles.
+pivots on operator coordinates.  Cocycles stay in those coordinates:
+full tensors are built only for the representatives, and for the cocycle
+basis of a record when a caller reads it.
 
 Invalid input algebras degrade to best-effort reports: the delta-squared
 failure is detected, reported as a warning, and the coboundary space is
@@ -32,10 +33,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import ASSOCIATIVE, LIE as LIE_KIND, HomAlgebra, validate
-from .cochain import (HOM, LIE, CochainSpace, MorphismCochain,
-                      MorphismCochainSpace, MultilinearMap, _check_arity_guard,
-                      hom_cochain_basis, lie_cochain_basis)
-from .errors import ImageOutsideCodomain, UsageError
+from .cochain import (HOM, LIE, MorphismCochain, MorphismCochainSpace,
+                      MultilinearMap, _check_arity_guard, hom_cochain_basis,
+                      lie_cochain_basis)
+from .errors import UsageError
 from .exact import (Matrix, independent_subset, intersection_basis, lincomb,
                     nullspace_basis, vec_sub)
 from .operator import (apply_operator, hom_delta, hom_operator, lie_operator,
@@ -127,31 +128,23 @@ def d_component(A: HomAlgebra, M: Bimodule, i: int,
     return apply_operator(op, f)
 
 
-def differential_matrix(space_n: CochainSpace, space_n1: CochainSpace,
-                        delta) -> Matrix:
-    """Matrix of delta with columns over space_n's basis, expressed in
-    space_n1's basis; raises ImageOutsideCodomain when an image escapes
-    (which signals an invalid algebra or module)."""
-    cols = []
-    for j, f in enumerate(space_n.basis):
-        image = delta(f)
-        coords = space_n1.coordinates(image)
-        if coords is None:
-            raise ImageOutsideCodomain(
-                f"image of basis cochain {j} lies outside the codomain basis")
-        cols.append(coords)
-    return Matrix.from_columns(cols, nrows=space_n1.dim)
-
-
 @dataclass(frozen=True)
 class DegreeRecord:
+    """One degree of a report; its cocycles are kept in the coordinates
+    of ``system`` and become full tensors when first read."""
+
     degree: int
     dim_cochains: int
     dim_cocycles: int
     dim_coboundaries: int
     dim_cohomology: int
-    cocycle_basis: tuple
     representatives: tuple
+    system: object
+    cocycle_coords: tuple
+
+    @cached_property
+    def cocycle_basis(self) -> tuple:
+        return tuple(self.system.to_full(z) for z in self.cocycle_coords)
 
 
 @dataclass(frozen=True)
@@ -338,7 +331,7 @@ def compute_cohomology(complex_obj: _ComplexBase, degrees,
             dim_c = len(coords)
             kernel = nullspace_basis(op.sparse_matrix(coords)) if coords else []
             z_raw = [lincomb(k, coords, op.source.dim) for k in kernel]
-        cocycles = [op.source.to_full(z) for z in z_raw]
+        z_img = z_raw  # the cocycles in the coordinates of the coboundaries
 
         if n == 1:
             bound_images = (complex_obj.degree_zero_images()
@@ -349,31 +342,34 @@ def compute_cohomology(complex_obj: _ComplexBase, degrees,
             b_raw_all = [prev.apply(v)
                          for v in complex_obj.bound_space(n - 1).coords]
             if prev.target != op.source:  # images of a non-skew bracket
-                z_raw = [prev.target.project(z) for z in cocycles]
+                z_img = [prev.target.project(op.source.to_full(z))
+                         for z in z_raw]
         # one elimination of [B | Z]: its B pivots span the coboundaries,
         # its rank is dim(B + Z) and its Z pivots pick the representatives
-        pivots = independent_subset(b_raw_all + z_raw)
+        pivots = independent_subset(b_raw_all + z_img)
         offset = len(b_raw_all)
         b_raw = [b_raw_all[p] for p in pivots if p < offset]
-        if b_raw and len(pivots) != len(z_raw):
+        if b_raw and len(pivots) != len(z_img):
             warnings.append(
                 f"degree {n}: coboundaries escape the cocycles "
                 "(delta-squared is nonzero; invalid input structure)")
-            b_raw = intersection_basis(b_raw, z_raw)
+            b_raw = intersection_basis(b_raw, z_img)
             offset = len(b_raw)
-            pivots = independent_subset(b_raw + z_raw)
+            pivots = independent_subset(b_raw + z_img)
 
         dim_z = len(z_raw)
         dim_b = len(b_raw)
-        reps = tuple(cocycles[p - offset] for p in pivots if p >= offset)
+        reps = tuple(op.source.to_full(z_raw[p - offset])
+                     for p in pivots if p >= offset)
         records.append(DegreeRecord(
             degree=n,
             dim_cochains=dim_c,
             dim_cocycles=dim_z,
             dim_coboundaries=dim_b,
             dim_cohomology=dim_z - dim_b,
-            cocycle_basis=tuple(cocycles),
-            representatives=reps))
+            representatives=reps,
+            system=op.source,
+            cocycle_coords=tuple(z_raw)))
     return ComplexSummary(flavor=complex_obj.flavor, records=tuple(records),
                           warnings=tuple(warnings))
 

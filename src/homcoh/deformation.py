@@ -103,11 +103,6 @@ class FormalDeformation:
         return FormalDeformation.from_terms(self.base, max(self.order, degree),
                                             terms)
 
-    def truncated(self, order: int) -> "FormalDeformation":
-        """The family cut off at ``order``."""
-        return FormalDeformation.from_terms(
-            self.base, order, {d: t for d, t in self.terms if d <= order})
-
 
 @dataclass(frozen=True)
 class MorphismDeformation:
@@ -120,6 +115,11 @@ class MorphismDeformation:
     def __post_init__(self):
         if self.def_a.base != self.phi.source or self.def_b.base != self.phi.target:
             raise UsageError("deformation bases must match the morphism ends")
+        if self.def_a.order != self.order or self.def_b.order != self.order:
+            raise UsageError(
+                f"family orders {self.def_a.order} (source) and "
+                f"{self.def_b.order} (target) differ from the morphism "
+                f"deformation order {self.order}")
         _check_degrees(self.phi_terms, self.order, "phi term")
         for _, m in self.phi_terms:
             if (m.rows, m.cols) != (self.phi.target.dim, self.phi.source.dim):
@@ -459,13 +459,10 @@ def obstruction(md: MorphismDeformation) -> MorphismCochain:
                 ob_phi = ob_phi - _mul_through(mu, md.phi_term(j),
                                                md.phi_term(k))
     # The known part of the order-(N+1) morphism equation: its coefficient
-    # once every family is cut off at N, which drops exactly the terms that
-    # involve the unknown extension.
-    cut = MorphismDeformation.build(md.phi, md.def_a.truncated(N),
-                                    md.def_b.truncated(N),
-                                    dict(md.phi_terms), N)
+    # in md itself, whose families all stop at order N, so it holds exactly
+    # the terms without the unknown extension.
     direct = MultilinearMap.from_sparse(2, A.dim, B.dim,
-                                        _morphism_order_defect(cut, N + 1))
+                                        _morphism_order_defect(md, N + 1))
     if md.flavor == HOM:
         direct = direct.scale(-1)
     if ob_phi != direct:

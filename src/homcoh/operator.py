@@ -15,6 +15,7 @@ the bracket is skew, so only then are the images reduced as well.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .algebra import HomAlgebra, alpha_power, skew_defect
@@ -33,9 +34,26 @@ class SparseOperator:
     def __init__(self, source, target, rows: list[dict]):
         self.source, self.target, self.rows = source, target, rows
 
+    @cached_property
+    def _columns(self) -> list[list]:
+        """The (row, coefficient) pairs of each source coordinate."""
+        cols = [[] for _ in range(self.source.dim)]
+        for i, row in enumerate(self.rows):
+            for j, c in row.items():
+                cols[j].append((i, c))
+        return cols
+
     def apply(self, x) -> Vector:
-        return tuple(sum([c * x[j] for j, c in row.items() if x[j]], _ZERO)
-                     for row in self.rows)
+        """The image of x: the columns of its nonzero coordinates only."""
+        if len(x) != self.source.dim:
+            raise UsageError(f"operator needs {self.source.dim} "
+                             f"coordinates, got {len(x)}")
+        out = [_ZERO] * len(self.rows)
+        for col, xj in zip(self._columns, x):
+            if xj:
+                for i, c in col:
+                    out[i] += c * xj
+        return tuple(out)
 
     def sparse_matrix(self, vectors=None) -> SparseMatrix:
         """The operator's matrix; with ``vectors``, the matrix whose column

@@ -9,7 +9,8 @@ from math import gcd
 
 from homcoh.algebra import ASSOCIATIVE, alpha_power, apply_alpha, multiply
 from homcoh.cochain import MorphismCochain, MultilinearMap
-from homcoh.exact import Matrix
+from homcoh.errors import ImageOutsideCodomain
+from homcoh.exact import Matrix, SparseMatrix, solve
 from homcoh.rep import adjoint_bimodule, lie_adjoint_module
 
 
@@ -114,6 +115,44 @@ def columns(vectors, n: int) -> Matrix:
 
 def frac(x) -> Fraction:
     return Fraction(x)
+
+
+# The dense forms that the gather in ``Coords.to_full``, the column index
+# in ``SparseOperator.apply`` and the operator matrices of
+# ``compute_cohomology`` replace.
+
+def dense_to_full(system, x) -> MultilinearMap:
+    """Full tensor of the coordinates x: each slot is the sign of its
+    argument tuple times the coordinate it locates, or zero."""
+    if system.reduced:
+        d = system.target_dim
+        x = [loc[1] * x[loc[0] * d + r] if loc else Fraction(0)
+             for t in product(range(system.source_dim), repeat=system.arity)
+             for loc in [system.locate(t)] for r in range(d)]
+    return MultilinearMap(system.arity, system.source_dim,
+                          system.target_dim, tuple(x))
+
+
+def row_apply(op, x) -> tuple:
+    """op applied to x by one pass over every row of the operator."""
+    return tuple(sum([c * x[j] for j, c in row.items() if x[j]], Fraction(0))
+                 for row in op.rows)
+
+
+def differential_matrix(space_n, space_n1, delta) -> Matrix:
+    """Matrix of delta with columns over space_n's basis, expressed in
+    space_n1's basis; raises ImageOutsideCodomain when an image escapes
+    (which signals an invalid algebra or module)."""
+    codomain = SparseMatrix.from_columns(space_n1.coords, space_n1.system.dim)
+    cols = []
+    for j, f in enumerate(space_n.basis):
+        x = space_n1.system.project(delta(f))  # None: not alternating
+        coords = None if x is None else solve(codomain, x)
+        if coords is None:
+            raise ImageOutsideCodomain(
+                f"image of basis cochain {j} lies outside the codomain basis")
+        cols.append(coords)
+    return Matrix.from_columns(cols, nrows=space_n1.dim)
 
 
 # Dense defining identities, evaluated on basis vectors with ``multiply``

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from functools import cached_property
+from pathlib import Path
+
+import pytest
 
 from homcoh import files, fixtures
 from homcoh.algebra import HomAlgebra
-from homcoh.cli import main
+from homcoh.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -246,3 +252,20 @@ def test_deform_obstruction_rejects_an_order(capsys):
                          "--to-order", "5")
     assert code == 2
     assert "--to-order 5" in err and out == ""
+
+
+def test_a_shared_parser_answers_as_a_fresh_process(capsys):
+    argv = ["cohomology", "b2", "--degree", "1..2", "--json"]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent
+                                           / "src")}
+    fresh = subprocess.run([sys.executable, "-m", "homcoh", *argv],
+                           capture_output=True, text=True, env=env,
+                           timeout=120)
+    assert fresh.returncode == 0
+    run(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:  # argparse: no --degree
+        main(["cohomology", "b2"])
+    assert exc.value.code == 2
+    assert "--degree" in capsys.readouterr().err
+    assert run(capsys, *argv)[:2] == (fresh.returncode, fresh.stdout)
+    assert build_parser() is build_parser()

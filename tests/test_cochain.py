@@ -4,11 +4,12 @@ from itertools import product
 
 import pytest
 
-from helpers import bareiss_rank
+from helpers import bareiss_rank, dense_to_full
 from homcoh import fixtures
 from homcoh.algebra import HomAlgebra
-from homcoh.cochain import (MultilinearMap, alternator, hom_cochain_basis,
-                            is_alternating, is_compatible, lie_cochain_basis)
+from homcoh.cochain import (Coords, MorphismCoords, MultilinearMap,
+                            alternator, hom_cochain_basis, is_alternating,
+                            is_compatible, lie_cochain_basis)
 from homcoh.cohomology import MorphismComplex
 from homcoh.errors import ArityLimitError, UsageError
 from homcoh.exact import Matrix
@@ -190,3 +191,30 @@ def test_evaluate_is_multilinear():
     lhs = f.evaluate([tuple(a + b for a, b in zip(x, y)), z])
     rhs = tuple(a + b for a, b in zip(f.evaluate([x, z]), f.evaluate([y, z])))
     assert lhs == rhs
+
+
+def rand_coordinates(rng, n):
+    """n random rationals: zeros, negatives and non-integers among them."""
+    return tuple(Fraction(rng.choice((0, 0, rng.randint(-5, 5))),
+                          rng.choice((1, 1, 2, 3, 7))) for _ in range(n))
+
+
+def test_to_full_gathers_the_dense_tensor():
+    rng = random.Random(41)
+    for arity in range(5):
+        for source_dim, target_dim in ((1, 1), (2, 3), (3, 1), (4, 2)):
+            for reduced in (False, True):
+                system = Coords(arity, source_dim, target_dim, reduced)
+                for _ in range(3):
+                    x = rand_coordinates(rng, system.dim)
+                    full = system.to_full(x)
+                    assert full == dense_to_full(system, x)
+                    assert system.project(full) == x
+    parts = (Coords(2, 3, 3, True), Coords(2, 2, 2, True),
+             Coords(1, 3, 2, True))
+    morphism = MorphismCoords(parts)
+    x = rand_coordinates(rng, morphism.dim)
+    c = morphism.to_full(x)
+    cuts = (0, parts[0].dim, parts[0].dim + parts[1].dim, morphism.dim)
+    assert (c.comp_A, c.comp_B, c.comp_AB) == tuple(
+        dense_to_full(p, x[a:b]) for p, a, b in zip(parts, cuts, cuts[1:]))

@@ -1,12 +1,15 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from helpers import differential_matrix
 from homcoh import cohomology, fixtures
-from homcoh.algebra import ASSOCIATIVE, multiply
-from homcoh.cochain import (MorphismCochain, MultilinearMap, hom_cochain_basis,
+from homcoh.algebra import ASSOCIATIVE, LIE, HomAlgebra, multiply
+from homcoh.cochain import (Coords, MorphismCochain, MultilinearMap, hom_cochain_basis,
                             is_alternating, is_compatible, lie_cochain_basis)
 from homcoh.cohomology import (HomBimoduleComplex, HomSelfComplex,
                                ModuleComplex, MorphismComplex,
@@ -14,9 +17,10 @@ from homcoh.cohomology import (HomBimoduleComplex, HomSelfComplex,
                                connecting_complex, d_component,
                                delta_hom_bimodule, delta_hom_self,
                                delta_lie_module, delta_lie_self,
-                               delta_morphism, differential_matrix,
-                               lie_self_cohomology, self_cohomology)
+                               delta_morphism, lie_self_cohomology,
+                               self_cohomology)
 from homcoh.errors import ImageOutsideCodomain, UsageError
+from homcoh.files import cochain_to_json
 from homcoh.exact import Matrix, basis_vector, in_span
 from homcoh.rep import (HomMorphism, adjoint_bimodule, lie_adjoint_module,
                         self_bimodule, self_lie_module)
@@ -392,3 +396,46 @@ def test_morphism_operator_compiles_each_component_once(monkeypatch):
             compute_cohomology(complex_obj, [1, 2])
         compute_cohomology(coupled.connecting, [1])
         assert len(compiled) == 5
+
+
+def heisenberg5() -> HomAlgebra:
+    """[x1, y1] = [x2, y2] = z, identity twist."""
+    mul = [[[0] * 5 for _ in range(5)] for _ in range(5)]
+    for x, y in ((0, 2), (1, 3)):
+        mul[x][y][4], mul[y][x][4] = 1, -1
+    return HomAlgebra(name="heisenberg5", kind=LIE, dim=5, mul=mul,
+                      alpha=Matrix.identity(5),
+                      basis_names=("x1", "x2", "y1", "y2", "z"))
+
+
+def test_heisenberg5_dimensions_and_representatives():
+    H = heisenberg5()
+    expected = {
+        2: ((50, 30, 10, 20), "95a447cfa1e9c3c2201663b91314b312"
+                              "5ccc4294d0499e5996ecb2730e6393ef"),
+        3: ((50, 41, 20, 21), "d84a65ee6406185215eb41c44d50b18a"
+                              "da5b8d8c4a798e88d162ec9f7b1b3f81")}
+    for n, (dims, digest) in expected.items():
+        rec = compute_cohomology(ModuleComplex(H), [n]).record(n)
+        assert (rec.dim_cochains, rec.dim_cocycles, rec.dim_coboundaries,
+                rec.dim_cohomology) == dims
+        reps = [cochain_to_json(r, H.basis_names)
+                for r in rec.representatives]
+        text = json.dumps(reps, sort_keys=True)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def test_full_tensors_are_built_only_for_representatives(monkeypatch):
+    calls = []
+    to_full = Coords.to_full
+
+    def counted(self, x):
+        calls.append(self)
+        return to_full(self, x)
+
+    monkeypatch.setattr(Coords, "to_full", counted)
+    rec = compute_cohomology(ModuleComplex(heisenberg5()), [3]).record(3)
+    assert (rec.dim_cocycles, rec.dim_cohomology) == (41, 21)
+    assert len(calls) == 21
+    assert len(rec.cocycle_basis) == 41
+    assert len(calls) == 21 + 41

@@ -65,6 +65,24 @@ def test_corrupt_phi_term_fails_twist_equation():
     assert rec.twist_eq.witness[0] == "e1"
 
 
+def test_family_orders_must_equal_the_deformation_order(phi):
+    # order-3 families under an order-2 morphism deformation: obstruction
+    # would read their order-3 terms as known and mix them with the
+    # order-3 morphism equation
+    A, B = phi.source, phi.target
+    mu3 = MultilinearMap.from_values(2, A.dim, A.dim, {(0, 0): vec(1, 0, 0)})
+    def_a = FormalDeformation.from_terms(A, 3, {3: mu3})
+    def_b = FormalDeformation.from_terms(B, 3, {})
+    with pytest.raises(UsageError, match=r"3 \(source\) and 3 \(target\)"
+                                         r".* order 2"):
+        MorphismDeformation.build(phi, def_a, def_b, {}, 2)
+    flat_a, flat_b = (FormalDeformation.from_terms(X, 2, {}) for X in (A, B))
+    with pytest.raises(UsageError, match=r"2 \(source\) and 3 \(target\)"):
+        MorphismDeformation.build(phi, flat_a, def_b, {}, 2)
+    same = MorphismDeformation.build(phi, flat_a, flat_b, {}, 2)
+    assert same.def_a.order == same.def_b.order == same.order == 2
+
+
 def test_infinitesimal_trivial_deformation(phi):
     trivial = MorphismDeformation.build(
         phi, FormalDeformation.from_terms(phi.source, 1, {}),
@@ -279,14 +297,6 @@ def _mdef_2_extensions(up_to=4):
     return chain
 
 
-def _cut(md):
-    """md with all three families cut off at its own order."""
-    N = md.order
-    return MorphismDeformation.build(md.phi, md.def_a.truncated(N),
-                                     md.def_b.truncated(N),
-                                     dict(md.phi_terms), N)
-
-
 def test_assoc_example_deformation():
     _, _, md = _assoc_example()
     assert [d for d, _ in md.def_a.terms] == [1]
@@ -328,20 +338,17 @@ def test_connecting_obstruction_matches_dense_oracle():
     _, _, assoc = _assoc_example()
     for md in _mdef_2_extensions() + [assoc, extend_deformation(assoc)]:
         dense = dense_connecting_obstruction(md)
-        direct = _morphism_defect(_cut(md), md.order + 1)
+        direct = _morphism_defect(md, md.order + 1)
         assert direct.scale(-1) == dense
         sign = 1 if md.flavor == "hom" else -1
         assert obstruction(md).comp_AB == dense.scale(sign)
-    # families whose own order exceeds the deformation's: the cut drops
-    # exactly the terms the dense loop skips
-    longer = MorphismDeformation.build(
-        assoc.phi, assoc.def_a.with_term(3, assoc.def_a.term(1)),
-        assoc.def_b.with_term(3, assoc.def_b.term(2)),
-        dict(assoc.phi_terms), 2)
-    direct = _morphism_defect(_cut(longer), 3)
-    assert direct.scale(-1) == dense_connecting_obstruction(longer)
-    assert direct != _morphism_defect(longer, 3)
-    assert obstruction(longer).comp_AB == dense_connecting_obstruction(longer)
+    # families whose own order exceeds the deformation's are rejected, so
+    # no family term can reach the order-(N+1) slots as a known term
+    with pytest.raises(UsageError, match="family orders 3"):
+        MorphismDeformation.build(
+            assoc.phi, assoc.def_a.with_term(3, assoc.def_a.term(1)),
+            assoc.def_b.with_term(3, assoc.def_b.term(2)),
+            dict(assoc.phi_terms), 2)
 
 
 def test_apply_equivalence_matches_dense_oracle():

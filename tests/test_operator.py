@@ -10,7 +10,8 @@ import pytest
 
 from helpers import (bareiss_rank, dense, dense_d_component, dense_delta_hom,
                      dense_delta_lie, dense_delta_morphism,
-                     dense_derivation_D_assoc, dense_derivation_D_lie)
+                     dense_derivation_D_assoc, dense_derivation_D_lie,
+                     row_apply)
 from homcoh import fixtures
 from homcoh.algebra import ASSOCIATIVE, LIE, HomAlgebra, multiply
 from homcoh.bracket import derivation_D_assoc, derivation_D_lie
@@ -23,8 +24,9 @@ from homcoh.cohomology import (HomBimoduleComplex, HomSelfComplex,
                                delta_hom_self, delta_lie_module,
                                delta_lie_self, delta_morphism)
 from homcoh.errors import UsageError
-from homcoh.exact import (Matrix, column_rank, independent_subset,
-                          intersection_basis, nullspace_basis, rref)
+from homcoh.exact import (Matrix, SparseMatrix, column_rank,
+                          independent_subset, intersection_basis, lincomb,
+                          nullspace_basis, rref)
 from homcoh.operator import lie_operator, solve_coboundary
 from homcoh.rep import (HomMorphism, adjoint_bimodule, lie_adjoint_module,
                         self_bimodule, self_lie_module)
@@ -182,6 +184,60 @@ def test_delta_squared_vanishes_on_compiled_operators():
             for v in complex_obj.bound_space(n).coords:
                 assert not any(second.apply(first.apply(v))), \
                     (complex_obj.flavor, n)
+
+
+def operator_kinds():
+    """One complex per operator kind: (name, complex)."""
+    phi, psi = fixtures.phi_assoc(), fixtures.builtin_morphism("phi12_1")
+    return [("hom self", HomSelfComplex(fixtures.assoc3(1, 2))),
+            ("bimodule", HomBimoduleComplex(phi.source, adjoint_bimodule(phi))),
+            ("lie self", LieSelfComplex(fixtures.lie4a(1, 1, 1, 1))),
+            ("lie module", LieModuleComplex(
+                psi.source, lie_adjoint_module(psi, strict=False))),
+            ("non-skew", LieSelfComplex(non_skew_lie())),
+            ("morphism hom", MorphismComplex(phi, "hom")),
+            ("morphism lie", MorphismComplex(psi, "lie"))]
+
+
+def test_apply_matches_the_row_scan():
+    rng = random.Random(43)
+    for name, complex_obj in operator_kinds():
+        for n in (1, 2, 3):
+            op = complex_obj.operator(n)
+            dim = op.source.dim
+            units = [tuple(Fraction(int(i == j)) for i in range(dim))
+                     for j in range(dim)]
+            dense_vectors = [tuple(
+                Fraction(rng.randint(-4, 4), rng.choice((1, 2, 5)))
+                for _ in range(dim)) for _ in range(3)]
+            for x in units + dense_vectors + [(Fraction(0),) * dim]:
+                assert op.apply(x) == row_apply(op, x), (name, n)
+            m = op.sparse_matrix(dense_vectors)
+            assert m == SparseMatrix.from_columns(
+                [row_apply(op, x) for x in dense_vectors], len(op.rows))
+        if name == "non-skew":
+            assert not op.target.reduced and op.source.reduced
+    with pytest.raises(UsageError, match="coordinates"):
+        op.apply((Fraction(1),) * (op.source.dim + 1))
+
+
+def test_cocycle_basis_is_built_on_first_read():
+    for name, complex_obj in operator_kinds():
+        summary = compute_cohomology(complex_obj, [1, 2])
+        for n in (1, 2):
+            op, coords = complex_obj.operator(n), complex_obj.cocycle_coords(n)
+            if coords is None:
+                z = nullspace_basis(op.sparse_matrix())
+            else:
+                z = [lincomb(k, coords, op.source.dim)
+                     for k in nullspace_basis(op.sparse_matrix(coords))]
+            eager = tuple(op.source.to_full(v) for v in z)
+            rec = summary.record(n)
+            assert "cocycle_basis" not in vars(rec)
+            assert rec.cocycle_basis == eager, (name, n)
+            assert rec.cocycle_basis is rec.cocycle_basis
+            assert list(rec.representatives) == [
+                f for f in eager if f in rec.representatives]
 
 
 def test_operator_ranks_agree_with_fraction_free_elimination():
