@@ -18,11 +18,10 @@ from .algebra import ASSOCIATIVE, validate
 from .cochain import HOM, LIE
 from .cohomology import (ComplexSummary, ModuleComplex, MorphismComplex,
                          compute_cohomology, connecting_complex)
-from .deformation import (MorphismDeformation,
-                          algebra_obstruction, check_algebra_deformation,
-                          check_morphism_deformation, extend_algebra_deformation,
+from .deformation import (MorphismDeformation, algebra_obstruction,
+                          check_algebra_deformation, check_morphism_deformation,
                           extend_deformation, infinitesimal_report, obstruction,
-                          solve_algebra_coboundary)
+                          solve_obstruction)
 from .errors import (HomcohError, NotACocycle, ObstructionMismatch, ParseError,
                      UsageError)
 from .exact import rational_to_string
@@ -290,8 +289,7 @@ def _deform_check(target, args) -> int:
 def _deform_infinitesimal(target, args) -> int:
     if not isinstance(target, MorphismDeformation):
         theta = target.term(1)
-        image = ModuleComplex(target.base).delta(theta)
-        ok = image.is_zero()
+        ok = target.complex.delta(theta).is_zero()
         payload = {"command": "deform-infinitesimal", "kind": "algebra",
                    "is_cocycle": ok,
                    "term": files.cochain_to_json(theta,
@@ -318,29 +316,27 @@ def _deform_infinitesimal(target, args) -> int:
 
 
 def _deform_obstruction(target, args) -> int:
-    if not isinstance(target, MorphismDeformation):
-        ob = algebra_obstruction(target)
-        A = target.base
-        image_zero = ModuleComplex(A).delta(ob).is_zero() \
-            if ob.arity == 3 else False
-        coboundary = solve_algebra_coboundary(A, ob)[1] is not None
+    morphism = isinstance(target, MorphismDeformation)
+    ob = obstruction(target) if morphism else algebra_obstruction(target)
+    coboundary = solve_obstruction(target, ob) is not None
+    if not morphism:
+        image_zero = target.complex.delta(ob).is_zero()
         payload = {"command": "deform-obstruction", "kind": "algebra",
                    "is_cocycle": image_zero,
                    "is_coboundary": coboundary,
-                   "cochain": files.cochain_to_json(ob, A.basis_names)}
+                   "cochain": files.cochain_to_json(ob,
+                                                    target.base.basis_names)}
         _emit(payload, args.json,
               [f"obstruction: 3-cocycle={'yes' if image_zero else 'NO'}, "
                f"coboundary={'yes' if coboundary else 'no'}"])
         return EXIT_OK if image_zero else EXIT_MATH
-    ob = obstruction(target)
-    extended = extend_deformation(target)
     payload = {"command": "deform-obstruction", "kind": "morphism",
                "is_cocycle": True,
-               "is_coboundary": extended is not None,
+               "is_coboundary": coboundary,
                "cochain": files.morphism_cochain_to_json(ob, target.phi)}
     _emit(payload, args.json,
           ["obstruction verified as a 3-cocycle; coboundary="
-           + ("yes (extension exists)" if extended is not None else "no")])
+           + ("yes (extension exists)" if coboundary else "no")])
     return EXIT_OK
 
 
@@ -367,9 +363,7 @@ def _deform_extend(target, args) -> int:
     current = target
     ref = _deformation_base_ref(args.input, target)
     while current.order < goal:
-        nxt = (extend_deformation(current)
-               if isinstance(current, MorphismDeformation)
-               else extend_algebra_deformation(current))
+        nxt = extend_deformation(current)
         if nxt is None:
             payload = {"command": "deform-extend", "extended": False,
                        "reached_order": current.order,

@@ -258,9 +258,8 @@ class ModuleComplex(_ComplexBase):
             for m in nullspace_basis(M.beta - Matrix.identity(d))]
 
 
-# the complexes that ModuleComplex replaces, by their former names
-HomSelfComplex = HomBimoduleComplex = ModuleComplex
-LieSelfComplex = LieModuleComplex = ModuleComplex
+# former names, kept while perfbench/workloads.py and record.py import them
+HomSelfComplex = LieSelfComplex = ModuleComplex
 
 
 class MorphismComplex(_ComplexBase):
@@ -376,9 +375,6 @@ def compute_cohomology(complex_obj: _ComplexBase, degrees,
 
 def self_cohomology(X: HomAlgebra, degrees, **kw) -> ComplexSummary:
     return compute_cohomology(ModuleComplex(X), degrees, **kw)
-
-
-lie_self_cohomology = self_cohomology
 
 
 def connecting_complex(phi: HomMorphism) -> ModuleComplex:

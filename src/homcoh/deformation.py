@@ -2,6 +2,11 @@
 order-by-order verification, infinitesimal extraction, equivalence
 transport, obstruction cochains, and one-step extension by linear solve.
 
+Each deformation owns the complex of its cochains, built on first use:
+the Hom-complex of the base, or the coupled complex of the morphism.
+Every coboundary and solve here goes through it, and one
+``extend_deformation`` extends either kind.
+
 A deformation is stored as its finitely many coefficient terms; the
 structure identity is checked coefficient-wise in the formal parameter up
 to the order where any product of stored terms could still contribute.
@@ -25,7 +30,7 @@ from .algebra import (ASSOCIATIVE, LIE as LIE_KIND, HomAlgebra, first_failure,
 from .bracket import (cup_product_assoc, gerstenhaber_bracket, nr_bracket,
                       overline_comp)
 from .cochain import HOM, LIE, MorphismCochain, MultilinearMap
-from .cohomology import ModuleComplex, MorphismComplex, delta_morphism
+from .cohomology import ModuleComplex, MorphismComplex
 from .errors import NotACocycle, ObstructionMismatch, UsageError
 from .exact import Matrix, vec_is_zero
 from .operator import solve_coboundary
@@ -103,6 +108,15 @@ class FormalDeformation:
         return FormalDeformation.from_terms(self.base, max(self.order, degree),
                                             terms)
 
+    @cached_property
+    def complex(self) -> ModuleComplex:
+        """The Hom-complex of the base, which holds the cochains."""
+        return ModuleComplex(self.base)
+
+    def extended_by(self, theta: MultilinearMap) -> "FormalDeformation":
+        """This deformation with theta as its order-(N+1) term."""
+        return self.with_term(self.order + 1, theta)
+
 
 @dataclass(frozen=True)
 class MorphismDeformation:
@@ -150,6 +164,24 @@ class MorphismDeformation:
     @property
     def flavor(self) -> str:
         return HOM if self.phi.source.kind == ASSOCIATIVE else LIE
+
+    @cached_property
+    def complex(self) -> MorphismComplex:
+        """The coupled complex of the morphism, which holds the cochains."""
+        return MorphismComplex(self.phi, self.flavor)
+
+    def extended_by(self, theta: MorphismCochain) -> "MorphismDeformation":
+        """This deformation with theta as its order-(N+1) triple."""
+        phi_terms = dict(self.phi_terms)
+        ab = theta.comp_AB
+        mat = Matrix.from_columns([ab.value_on_basis((j,))
+                                   for j in range(ab.source_dim)],
+                                  nrows=ab.target_dim)
+        if not mat.is_zero():
+            phi_terms[self.order + 1] = mat
+        return MorphismDeformation.build(
+            self.phi, self.def_a.extended_by(theta.comp_A),
+            self.def_b.extended_by(theta.comp_B), phi_terms, self.order + 1)
 
 
 @dataclass(frozen=True)
@@ -310,7 +342,7 @@ def infinitesimal_report(md: MorphismDeformation):
     """Degree-1 coefficient triple, its coupled-coboundary slot verdicts,
     and warnings for slots whose failure traces to an invalid base."""
     theta = coefficient_cochain(md, 1)
-    image = delta_morphism(md.phi, theta, md.flavor)
+    image = md.complex.delta(theta)
     verdicts = {"source": image.comp_A.is_zero(),
                 "target": image.comp_B.is_zero(),
                 "morphism": image.comp_AB.is_zero()}
@@ -470,7 +502,7 @@ def obstruction(md: MorphismDeformation) -> MorphismCochain:
             "displayed connecting obstruction disagrees with the direct "
             "order coefficient of the morphism equation")
     ob = MorphismCochain(ob_a, ob_b, ob_phi)
-    image = delta_morphism(md.phi, ob, md.flavor)
+    image = md.complex.delta(ob)
     for slot, alg, component in (("source", A, image.comp_A),
                                  ("target", B, image.comp_B)):
         if not component.is_zero() and validate(alg).is_valid:
@@ -500,66 +532,31 @@ def _mul_through(mu: MultilinearMap, left: Matrix, right: Matrix) -> Multilinear
     return MultilinearMap.from_values(2, n, mu.target_dim, values)
 
 
-def extend_deformation(md: MorphismDeformation) -> MorphismDeformation | None:
-    """Solve the coupled linear problem for an order-(N+1) term killing the
-    obstruction; returns the re-verified extension or None when the
-    obstruction is not a coboundary."""
-    ob = obstruction(md)
-    N = md.order
-    coupled = MorphismComplex(md.phi, md.flavor)
-    space = coupled.bound_space(2)
-    coords = solve_coboundary(coupled.operator(2), space.coords, ob)
-    if coords is None:
+def solve_obstruction(d: FormalDeformation | MorphismDeformation, ob):
+    """A 2-cochain of the complex of d whose coboundary is ob, or None
+    when there is none."""
+    space = d.complex.bound_space(2)
+    coords = solve_coboundary(d.complex.operator(2), space.coords, ob)
+    return None if coords is None else space.combine(coords)
+
+
+def extend_deformation(d: FormalDeformation | MorphismDeformation):
+    """Solve for an order-(N+1) term killing the obstruction of d, an
+    algebra or a morphism deformation; returns the re-verified extension,
+    or None when the obstruction is not a coboundary."""
+    morphism = isinstance(d, MorphismDeformation)
+    theta = solve_obstruction(
+        d, obstruction(d) if morphism else algebra_obstruction(d))
+    if theta is None:
         return None
-    extended = _extended_by(md, space.combine(coords))
-    if not space.coords:
-        return extended
-    # orders 0..N involve no degree-(N+1) term, so they are the report of md
-    after = check_morphism_deformation(extended, up_to=N + 1)
-    before = DeformationReport(after.orders[:N + 1])
+    extended = d.extended_by(theta)
+    check = check_morphism_deformation if morphism \
+        else check_algebra_deformation
+    # orders 0..N involve no degree-(N+1) term, so they are the report of d
+    after = check(extended, up_to=d.order + 1)
+    before = DeformationReport(after.orders[:d.order + 1])
     for family in ("algebra_a", "algebra_b", "morphism_eq", "twist_eq"):
         if before.family_ok(family) and not after.family_ok(family):
             raise ObstructionMismatch(
                 f"extension broke the {family} checks; sign convention bug")
-    return extended
-
-
-def _extended_by(md: MorphismDeformation, theta: MorphismCochain) -> MorphismDeformation:
-    N1 = md.order + 1
-    def_a = md.def_a.with_term(N1, theta.comp_A)
-    def_b = md.def_b.with_term(N1, theta.comp_B)
-    phi_terms = {d: m for d, m in md.phi_terms}
-    ab = theta.comp_AB
-    mat = Matrix.from_columns([ab.value_on_basis((j,))
-                               for j in range(ab.source_dim)],
-                              nrows=ab.target_dim)
-    if not mat.is_zero():
-        phi_terms[N1] = mat
-    return MorphismDeformation.build(md.phi, def_a, def_b, phi_terms, N1)
-
-
-def solve_algebra_coboundary(A: HomAlgebra, ob: MultilinearMap):
-    """(twist-compatible bilinear cochain space of A, coordinates of a
-    cochain in it whose coboundary is ob, or None when there is none)."""
-    complex_obj = ModuleComplex(A)
-    space = complex_obj.bound_space(2)
-    return space, solve_coboundary(complex_obj.operator(2), space.coords, ob)
-
-
-def extend_algebra_deformation(d: FormalDeformation) -> FormalDeformation | None:
-    """Algebra-only analogue of extend_deformation, solved in the
-    twist-compatible bilinear cochain space of the base."""
-    ob = algebra_obstruction(d)
-    space, coords = solve_algebra_coboundary(d.base, ob)
-    if not space.coords:
-        return d if ob.is_zero() else None
-    if coords is None:
-        return None
-    theta = space.combine(coords)
-    extended = d.with_term(d.order + 1, theta)
-    report = check_algebra_deformation(extended, up_to=d.order + 1)
-    before = DeformationReport(report.orders[:d.order + 1])
-    if not report.overall_ok and before.overall_ok:
-        raise ObstructionMismatch(
-            "algebra extension broke the order checks; sign convention bug")
     return extended

@@ -35,13 +35,6 @@ class InvalidAlgebra(HomcohError):
     """An operation required a valid algebra and got an invalid one."""
 
 
-class ImageOutsideCodomain(HomcohError):
-    """A differential image left the span of the codomain cochain basis.
-
-    Diagnostic: the underlying algebra or module violates its axioms.
-    """
-
-
 class NotACocycle(HomcohError):
     """A cochain expected to be a cocycle is not (inconsistent input)."""
 

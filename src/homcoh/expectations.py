@@ -37,7 +37,6 @@ def g1_h2_expected(p1, p2) -> tuple[int, str]:
     """Piecewise published table for the second cohomology dimension of the
     three-dimensional one-bracket family with twist (p1, p2, p1*p2)."""
     p1, p2 = Fraction(p1), Fraction(p2)
-    special = {Fraction(-1), Fraction(0), Fraction(1)}
     if p1 == 0:
         return 4, "published row: first twist entry 0"
     if p1 == 1:
@@ -65,8 +64,6 @@ def g1_h2_expected(p1, p2) -> tuple[int, str]:
         return 1, "published row: twist entries (generic, -1)"
     if p2 == 1 / p1:
         return 1, "published row: twist entries (generic, reciprocal)"
-    if p2 not in special:
-        return 0, "published row: both twist entries generic"
     return 0, "published row: both twist entries generic"
 
 

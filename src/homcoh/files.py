@@ -109,20 +109,10 @@ def parse_algebra(data, context: str = "algebra") -> HomAlgebra:
 
 
 def algebra_to_json(A: HomAlgebra) -> dict:
-    entries = []
-    for i in range(A.dim):
-        for j in range(A.dim):
-            value = {A.basis_names[k]: rational_to_string(c)
-                     for k, c in enumerate(A.mul[i][j]) if c}
-            if not value:
-                continue
-            if A.kind == LIE and j < i:
-                continue  # lower triangle recovered by antisymmetry
-            entries.append({"left": A.basis_names[i],
-                            "right": A.basis_names[j], "value": value})
+    mul = MultilinearMap.from_sparse(2, A.dim, A.dim, A.sparse.mul)
     return {"name": A.name, "kind": A.kind, "dim": A.dim,
             "basis": list(A.basis_names), "alpha": _matrix_json(A.alpha),
-            "mul": entries}
+            "mul": _bilinear_term_json(mul, A)}
 
 
 def _load_json(path: str):

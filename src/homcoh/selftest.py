@@ -18,8 +18,7 @@ from .algebra import (ASSOCIATIVE, LIE, HomAlgebra, multiply, validate,
 from .bracket import gerstenhaber_bracket, nr_bracket
 from .cochain import (MultilinearMap, alternator, hom_cochain_basis,
                       is_alternating, is_compatible, lie_cochain_basis)
-from .cohomology import (ModuleComplex, MorphismComplex, d_component,
-                         delta_hom_bimodule, delta_morphism)
+from .cohomology import ModuleComplex, MorphismComplex, d_component
 from .deformation import (apply_equivalence, check_morphism_deformation,
                           coefficient_cochain, FormalAutomorphismPair,
                           infinitesimal_report, obstruction)
@@ -298,23 +297,20 @@ def suite_face_operators(trials: int = 100) -> SuiteResult:
     rng = random.Random(505)
     a3 = fixtures.assoc3(1, 2)
     phi = fixtures.phi_assoc()
-    setups = [
-        ("self", a3, self_bimodule(a3),
-         {k: hom_cochain_basis(a3, 3, a3.alpha, k) for k in (1, 2)}),
-        ("adjoint", a3, adjoint_bimodule(phi),
-         {k: hom_cochain_basis(a3, 2, phi.target.alpha, k) for k in (1, 2)}),
-    ]
+    setups = [("self", ModuleComplex(a3, self_bimodule(a3))),
+              ("adjoint", ModuleComplex(a3, adjoint_bimodule(phi)))]
     for t in range(trials):
-        label, A, M, spaces = setups[t % len(setups)]
+        label, complex_obj = setups[t % len(setups)]
+        A, M = complex_obj.algebra, complex_obj.module
         n = rng.choice((1, 2))
-        space = spaces[n]
+        space = complex_obj.bound_space(n)
         f = space.combine([Fraction(rng.randint(-2, 2))
                            for _ in range(space.dim)])
         total = MultilinearMap.zero(n + 1, A.dim, M.carrier_dim)
         for i in range(n + 1):
             face = d_component(A, M, i, f)
             total = total + (face if (i + 1) % 2 == 0 else face.scale(-1))
-        out.expect(total == delta_hom_bimodule(A, M, f),
+        out.expect(total == complex_obj.delta(f),
                    f"trial {t} ({label}): signed face sum != coboundary")
         out.expect(d_component(A, M, n, f).is_zero(),
                    f"trial {t} ({label}): face {n} nonzero on arity {n}")
@@ -370,7 +366,7 @@ def suite_deformations() -> SuiteResult:
     out.expect(not verdicts["target"], "mdef_2: target slot unexpectedly "
                "vanished (the invalid companion should obstruct it)")
     ob = obstruction(md)
-    image = delta_morphism(md.phi, ob, md.flavor)
+    image = md.complex.delta(ob)
     out.expect(image.comp_A.is_zero() and image.comp_AB.is_zero(),
                "mdef_2: obstruction is not a cocycle in the valid slots")
 
@@ -385,7 +381,7 @@ def suite_deformations() -> SuiteResult:
     rep = check_morphism_deformation(trivial)
     out.expect(rep.overall_ok, "trivial morphism deformation fails checks")
     theta = coefficient_cochain(trivial, 1)
-    out.expect(delta_morphism(phi, theta, "hom").is_zero(),
+    out.expect(trivial.complex.delta(theta).is_zero(),
                "trivial infinitesimal is not a cocycle")
     ob = obstruction(trivial)
     out.expect(ob.is_zero(), "trivial obstruction is nonzero")
@@ -407,7 +403,7 @@ def suite_deformations() -> SuiteResult:
     one = MorphismCochain(MultilinearMap.from_matrix(N),
                           MultilinearMap.zero(1, 3, 3),
                           MultilinearMap.constant(3, (0, 0, 0)))
-    shift = delta_morphism(md.phi, one, md.flavor)
+    shift = md.complex.delta(one)
     out.expect(t_old.comp_A - t_new.comp_A == shift.comp_A
                and t_old.comp_B - t_new.comp_B == shift.comp_B
                and t_old.comp_AB - t_new.comp_AB == shift.comp_AB,

@@ -9,9 +9,16 @@ from math import gcd
 
 from homcoh.algebra import ASSOCIATIVE, alpha_power, apply_alpha, multiply
 from homcoh.cochain import MorphismCochain, MultilinearMap
-from homcoh.errors import ImageOutsideCodomain
+from homcoh.errors import HomcohError
 from homcoh.exact import Matrix, SparseMatrix, solve
 from homcoh.rep import adjoint_bimodule, lie_adjoint_module
+
+
+class ImageOutsideCodomain(HomcohError):
+    """A differential image left the span of the codomain cochain basis.
+
+    Diagnostic: the underlying algebra or module violates its axioms.
+    """
 
 
 def bareiss_rank(m: Matrix) -> int:

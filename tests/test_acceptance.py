@@ -9,7 +9,7 @@ from homcoh import files, fixtures
 from homcoh.algebra import validate
 from homcoh.cli import main as cli_main
 from homcoh.cohomology import (compute_cohomology, connecting_complex,
-                               lie_self_cohomology, self_cohomology)
+                               self_cohomology)
 from homcoh.deformation import check_morphism_deformation
 from homcoh.expectations import (compare_connecting_h1, compare_h2_self,
                                  g1_h2_expected)
@@ -47,12 +47,12 @@ def test_criterion_2_four_dimensional_lie_example():
     assert c + a * d != 0
     L = fixtures.lie4a(a, b, c, d)
     assert validate(L).is_valid
-    assert lie_self_cohomology(L, [2]).record(2).dim_cohomology == 0
+    assert self_cohomology(L, [2]).record(2).dim_cohomology == 0
 
     for e, expected in ((1, 7), (-1, 6)):
         G = fixtures.lie4b(2, 1, 1, 1, e)
         assert validate(G).is_valid
-        summary = lie_self_cohomology(G, [2])
+        summary = self_cohomology(G, [2])
         comparisons = compare_h2_self(G.name, summary)
         assert comparisons, f"no comparison row for {G.name}"
         for comp in comparisons:
@@ -75,7 +75,7 @@ def test_criterion_3_one_bracket_family_table():
     statuses = []
     for p1, p2 in table:
         G = fixtures.g1(p1, p2)
-        summary = lie_self_cohomology(G, [2])
+        summary = self_cohomology(G, [2])
         expected, note = g1_h2_expected(p1, p2)
         computed = summary.record(2).dim_cohomology
         status = "PASS" if expected == computed else "FINDING"
@@ -88,7 +88,7 @@ def test_criterion_3_one_bracket_family_table():
     idx = table.index((2, 3))
     assert statuses[idx] == "PASS"
     G23 = fixtures.g1(2, 3)
-    assert lie_self_cohomology(G23, [2]).record(2).dim_cohomology == 0
+    assert self_cohomology(G23, [2]).record(2).dim_cohomology == 0
 
     report = validate(fixtures.g2())
     assert not report.is_valid

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from homcoh import files, fixtures
+from homcoh import cli, deformation, files, fixtures
 from homcoh.algebra import HomAlgebra
 from homcoh.cli import build_parser, main
 
@@ -188,6 +188,41 @@ def test_deform_extend_to_order(capsys):
                        "--to-order", "3", "--json")
     assert code == 0
     assert json.loads(out)["reached_order"] == 3
+
+
+def test_deform_extend_over_an_empty_compatible_space(tmp_path, capsys):
+    # abelian, twist diag(2, 3): its twist-compatible 2-cochains are all zero
+    (tmp_path / "ab2.json").write_text(json.dumps({
+        "name": "ab2", "kind": "lie", "dim": 2, "basis": ["e1", "e2"],
+        "alpha": [["2", "0"], ["0", "3"]], "mul": []}))
+    path = tmp_path / "ab2_def.json"
+    path.write_text(json.dumps({"algebra": "ab2.json", "order": 1,
+                                "terms": []}))
+    for extra, reached in (((), 2), (("--to-order", "3"), 3)):
+        code, out, _ = run(capsys, "deform", "extend", str(path), *extra,
+                           "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["reached_order"] == reached
+        assert payload["deformation"] == {"algebra": "ab2.json",
+                                          "order": reached, "terms": []}
+
+
+def test_deform_obstruction_computes_the_obstruction_once(capsys,
+                                                          monkeypatch):
+    calls = []
+    real = deformation.obstruction
+
+    def counted(md):
+        calls.append(md.order)
+        return real(md)
+
+    for module in (cli, deformation):
+        monkeypatch.setattr(module, "obstruction", counted)
+    code, out, _ = run(capsys, "deform", "obstruction", "mdef_2", "--json")
+    assert code == 0
+    assert json.loads(out)["is_coboundary"]
+    assert calls == [1]
 
 
 def test_selftest_fast_deterministic(capsys):

@@ -6,20 +6,18 @@ from itertools import product
 
 import pytest
 
-from helpers import differential_matrix
+from helpers import ImageOutsideCodomain, differential_matrix
 from homcoh import cohomology, fixtures
 from homcoh.algebra import ASSOCIATIVE, LIE, HomAlgebra, multiply
 from homcoh.cochain import (Coords, MorphismCochain, MultilinearMap, hom_cochain_basis,
                             is_alternating, is_compatible, lie_cochain_basis)
-from homcoh.cohomology import (HomBimoduleComplex, HomSelfComplex,
-                               ModuleComplex, MorphismComplex,
-                               compute_cohomology,
+from homcoh.cohomology import (HomSelfComplex, ModuleComplex,
+                               MorphismComplex, compute_cohomology,
                                connecting_complex, d_component,
                                delta_hom_bimodule, delta_hom_self,
                                delta_lie_module, delta_lie_self,
-                               delta_morphism, lie_self_cohomology,
-                               self_cohomology)
-from homcoh.errors import ImageOutsideCodomain, UsageError
+                               delta_morphism, self_cohomology)
+from homcoh.errors import UsageError
 from homcoh.files import cochain_to_json
 from homcoh.exact import Matrix, basis_vector, in_span
 from homcoh.rep import (HomMorphism, adjoint_bimodule, lie_adjoint_module,
@@ -267,12 +265,12 @@ def test_compute_cohomology_fixture_dimensions(a3, b2, l4a):
     rec = self_cohomology(b2, [2]).record(2)
     assert (rec.dim_cocycles, rec.dim_coboundaries, rec.dim_cohomology) \
         == (3, 2, 1)
-    rec = lie_self_cohomology(l4a, [2]).record(2)
+    rec = self_cohomology(l4a, [2]).record(2)
     assert rec.dim_cohomology == 0
 
 
 def test_compute_cohomology_degraded_path_warns(g2):
-    summary = lie_self_cohomology(g2, [2])
+    summary = self_cohomology(g2, [2])
     assert any("delta-squared" in w or "invalid" in w for w in summary.warnings)
     rec = summary.record(2)
     assert rec.dim_cohomology == rec.dim_cocycles - rec.dim_coboundaries
@@ -342,7 +340,7 @@ def test_coupled_morphism_square_zero_on_compatible_triples():
 
 def test_bimodule_complex_summary(phi):
     summary = compute_cohomology(
-        HomBimoduleComplex(phi.source, adjoint_bimodule(phi)), [1, 2])
+        ModuleComplex(phi.source, adjoint_bimodule(phi)), [1, 2])
     for rec in summary.records:
         assert rec.dim_coboundaries <= rec.dim_cocycles <= rec.dim_cochains
 

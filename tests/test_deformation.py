@@ -5,7 +5,7 @@ import pytest
 from helpers import (dense_algebra_order_defect, dense_connecting_obstruction,
                      dense_morphism_order_defect, dense_transported_mul)
 from homcoh import algebra, bracket, deformation, fixtures
-from homcoh.algebra import LIE, HomAlgebra
+from homcoh.algebra import ASSOCIATIVE, LIE, HomAlgebra
 from homcoh.bracket import (cup_product_assoc, gerstenhaber_bracket,
                             nr_bracket, overline_comp)
 from homcoh.cochain import MorphismCochain, MultilinearMap
@@ -14,8 +14,8 @@ from homcoh.deformation import (FormalAutomorphismPair, FormalDeformation,
                                 MorphismDeformation, algebra_obstruction,
                                 apply_equivalence, check_algebra_deformation,
                                 check_morphism_deformation, coefficient_cochain,
-                                extend_algebra_deformation, extend_deformation,
-                                infinitesimal, infinitesimal_report, obstruction)
+                                extend_deformation, infinitesimal,
+                                infinitesimal_report, obstruction)
 from homcoh.errors import ObstructionMismatch, UsageError
 from homcoh.exact import Matrix
 
@@ -220,7 +220,7 @@ def test_rigid_extension_from_coboundary_term(a3):
     mu1 = delta_hom_self(a3, g)
     d = FormalDeformation.from_terms(a3, 1, {1: mu1})
     assert check_algebra_deformation(d, up_to=1).overall_ok
-    extended = extend_algebra_deformation(d)
+    extended = extend_deformation(d)
     assert extended is not None
     assert extended.order == 2
     assert check_algebra_deformation(extended, up_to=2).overall_ok
@@ -230,7 +230,7 @@ def test_rigid_extension_second_coboundary_term(a3):
     g = MultilinearMap.from_values(1, 3, 3, {(1,): vec(1, 1, 0)})
     mu1 = delta_hom_self(a3, g)
     d = FormalDeformation.from_terms(a3, 1, {1: mu1})
-    assert extend_algebra_deformation(d) is not None
+    assert extend_deformation(d) is not None
 
 
 def test_non_coboundary_obstruction_blocks_extension():
@@ -248,7 +248,7 @@ def test_non_coboundary_obstruction_blocks_extension():
     assert check_algebra_deformation(d, up_to=1).overall_ok
     ob = algebra_obstruction(d)
     assert not ob.is_zero()
-    assert extend_algebra_deformation(d) is None
+    assert extend_deformation(d) is None
 
     from homcoh.rep import HomMorphism
     ident = HomMorphism(L, L, Matrix.identity(3))
@@ -393,7 +393,7 @@ def _rigid_a3():
 @pytest.mark.parametrize("site", [
     "algebra_obstruction-associative", "algebra_obstruction-lie",
     "obstruction-hom", "obstruction-lie",
-    "extend_deformation", "extend_algebra_deformation"])
+    "extend_deformation", "extend_algebra"])
 def test_obstruction_mismatch_sites_raise_on_perturbed_displayed_side(
         monkeypatch, site):
     _, _, assoc = _assoc_example()
@@ -409,12 +409,12 @@ def test_obstruction_mismatch_sites_raise_on_perturbed_displayed_side(
                             lambda: obstruction(assoc)),
         "obstruction-lie": ("_compose_matrix_bilinear", _bumped,
                             lambda: obstruction(fixtures.mdef_2())),
-        # a sign slip in the obstruction the extension solves for
+        # a sign slip in the obstruction the extension solves for, for a
+        # morphism and for an algebra deformation
         "extend_deformation": ("obstruction", _negated,
                                lambda: extend_deformation(assoc)),
-        "extend_algebra_deformation": (
-            "algebra_obstruction", _negated,
-            lambda: extend_algebra_deformation(rigid)),
+        "extend_algebra": ("algebra_obstruction", _negated,
+                           lambda: extend_deformation(rigid)),
     }
     name, perturb, run = cases[site]
     run()
@@ -468,3 +468,33 @@ def test_extension_step_checks_the_extension_once(monkeypatch):
         calls.clear()
         assert extend_deformation(md) is not None
         assert calls == [md.order + 1]
+
+
+def _zero_product(name, kind, twist):
+    """The zero product on a space with a diagonal twist."""
+    n = len(twist)
+    mul = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    return HomAlgebra(name, kind, n, mul, Matrix.from_rows(
+        [[twist[i] if i == j else 0 for j in range(n)] for i in range(n)]))
+
+
+def test_extension_over_an_empty_compatible_space():
+    # no product of two twist eigenvalues is an eigenvalue, so the
+    # twist-compatible bilinear cochains are all zero, and an obstruction
+    # is a coboundary exactly when it vanishes
+    for A in (_zero_product("ab2", LIE, (2, 3)),
+              _zero_product("one", ASSOCIATIVE, (2,))):
+        d = FormalDeformation.from_terms(A, 1, {})
+        assert not d.complex.bound_space(2).coords
+        for order in (2, 3):
+            d = extend_deformation(d)
+            assert (d.order, d.terms) == (order, ())
+    L = _zero_product("ab3", LIE, (2, 3, 5))
+    term = MultilinearMap.from_values(2, 3, 3, {
+        (0, 1): vec(0, 0, 1), (1, 0): vec(0, 0, -1),
+        (1, 2): vec(1, 0, 0), (2, 1): vec(-1, 0, 0),
+        (0, 2): vec(1, 0, 0), (2, 0): vec(-1, 0, 0)})
+    d = FormalDeformation.from_terms(L, 1, {1: term})
+    assert not d.complex.bound_space(2).coords
+    assert not algebra_obstruction(d).is_zero()
+    assert extend_deformation(d) is None

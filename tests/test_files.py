@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -133,3 +135,77 @@ def test_builtin_files_are_valid_json(tmp_path):
     for path in written:
         with open(path) as fh:
             json.load(fh)
+
+
+# sha256 of every file ``write_builtin_files`` writes, recorded before
+# ``algebra_to_json`` shared the term serializer with the deformations
+BUILTIN_FILE_SHA256 = {
+    "a3.json":
+        "0aa0b39502d386d5ea9acd6522fc0a3b79a35eba4afa1067c62e02006bfac5ef",
+    "a3_b1.json":
+        "58d08358ba8b6d2e3159db5e23ad48a255b6841424c4779fa96ef56fb9a496b1",
+    "b2.json":
+        "fc2b805d9d03fe41b50126e3da6fa5310f65657e2e578b41f4f0c456541bef48",
+    "dual_numbers.json":
+        "13506ea60aefc6cf9cc7fa7505810404510787f40bb64afc376265d96adb9080",
+    "g1_0_1.json":
+        "cf928b49417bab3c2145250fc8d3156aaaeb3fa677c7cc69af1297b0db874a94",
+    "g1_1_0.json":
+        "8c428097684dddb675f73abdbbbcd345e073968b64a70765447389e8525cffa0",
+    "g1_1_1.json":
+        "cfad51ca9b7603281602bc7a8a8cdfd2b210ebf3f1457aebb85d8806e3ff2e9b",
+    "g1_1_2.json":
+        "3bfba38d2b243448d09068d80ee225018e5b6e5cd7753b671ff9129be67375c5",
+    "g1_2_0.json":
+        "d0f5f4bd25ff4e893ff8528c02d91aaf05702d046dca60f21b24b04700f8707a",
+    "g1_2_1.json":
+        "1ba3fa3f05178ed02fb21ae4e8daf40cc2301e8821259e5baf492a57e1bce6a4",
+    "g1_2_1over2.json":
+        "24bcd9bc19dde133fbd86bebe99fd84ed0b7c6694529643f67fdb7da8ef37e7d",
+    "g1_2_3.json":
+        "7c4d6de08538a3de275907bee5dbe3e325c7a148d04e7c8b1b06bffde7b85c25",
+    "g1_2_m1.json":
+        "e447c5007d17d070b2e2e9e3b5c5d5163886f57821f2be0dd3fd961b038deb58",
+    "g1_m1_0.json":
+        "4f4729f660915acc9cf4aa2e6bb68f478872f3bf04cb589565759d090b6fa5ff",
+    "g1_m1_1.json":
+        "dcfcf7b7dabdf4ed6de1ef28f6a25559cc68c002aca2908afd33896da3bea217",
+    "g1_m1_2.json":
+        "50e1fd01489db90f1326f229f9d6a3300ccb7271e4708b019327ff1ee6c68a4b",
+    "g1_m1_m1.json":
+        "6ca403f385cf8e742a639c3922322e195f5c5ac3db48e10c41e822a888f31987",
+    "g2.json":
+        "8c022df88cb9532c1aed48368244e9b55b7ac49ba8aab75847ed4efd5834c077",
+    "heisenberg.json":
+        "f9d7bd4240bc66f6ad44217389492f6a52e267eb7ca22ef61c11e45bd331e3c2",
+    "invalid_assoc2.json":
+        "406dd2a29a6bb5e2d160a3843ae151dd5ad2b9a03f52560f3a6d2314962e2464",
+    "l4a.json":
+        "de5c3bf300b2b33c54f79d880c90e8f337c84ba5cc71d301c9cf3e46a252fe67",
+    "l4b_e1.json":
+        "4a7c9e2e202c923df86a2a59833f0722062be5444b29b884a7835a2319362b27",
+    "l4b_em1.json":
+        "f36daf513d073266208b2e880bc55067d18881af65c1407adc39455d3d879b7f",
+    "g1_2_2.json":
+        "cce334bc79a7d6ec5ccaefdb686f8d52780d1c4b367b1cc3b7d091347873a84c",
+    "phi_assoc.json":
+        "092d6dffb055905e44350fe7abb4c69343ac7a853ded7ee3fa259bf73b087826",
+    "phi12_1.json":
+        "0e6a5411a72c5ace317317428a4f477f1258af73cace85a01e3a2cc70a416f97",
+    "phi12_2.json":
+        "152225089b4d9573d4e82db9f55b490342e844284cf09ce9e4528547920722a2",
+    "def_g1.json":
+        "31598cd420cff75ea15e1f6a7b85c368e72d16427ffe27bf0af32435b0160a2a",
+    "mdef_2.json":
+        "8a51f473d32a9c795ca826da2b6a8455777e1e4eca3486965c71312e75563331",
+}
+
+
+def test_builtin_files_are_pinned(tmp_path):
+    written = files.write_builtin_files(str(tmp_path))
+    digests = {}
+    for path in written:
+        with open(path, "rb") as fh:
+            digests[os.path.basename(path)] = hashlib.sha256(
+                fh.read()).hexdigest()
+    assert digests == BUILTIN_FILE_SHA256

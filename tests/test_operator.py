@@ -17,9 +17,9 @@ from homcoh.algebra import ASSOCIATIVE, LIE, HomAlgebra, multiply
 from homcoh.bracket import derivation_D_assoc, derivation_D_lie
 from homcoh.cochain import (MorphismCochain, MultilinearMap, alternator,
                             lie_cochain_basis)
-from homcoh.cohomology import (HomBimoduleComplex, HomSelfComplex,
-                               LieModuleComplex, LieSelfComplex,
-                               MorphismComplex, compute_cohomology,
+from homcoh.cohomology import (HomSelfComplex, LieSelfComplex,
+                               ModuleComplex, MorphismComplex,
+                               compute_cohomology,
                                d_component, delta_hom_bimodule,
                                delta_hom_self, delta_lie_module,
                                delta_lie_self, delta_morphism)
@@ -163,10 +163,10 @@ def valid_complexes():
     G = fixtures.g1(2, 3)
     out = [HomSelfComplex(fixtures.assoc3(1, 2)),
            HomSelfComplex(fixtures.assoc2()),
-           HomBimoduleComplex(phi.source, adjoint_bimodule(phi)),
+           ModuleComplex(phi.source, adjoint_bimodule(phi)),
            LieSelfComplex(fixtures.lie4a(1, 1, 1, 1)),
            LieSelfComplex(G),
-           LieModuleComplex(G, self_lie_module(G)),
+           ModuleComplex(G, self_lie_module(G)),
            MorphismComplex(phi, "hom"),
            MorphismComplex(HomMorphism(G, G, Matrix.identity(3)), "lie")]
     for kind in (ASSOCIATIVE, LIE, ASSOCIATIVE, LIE):
@@ -190,9 +190,9 @@ def operator_kinds():
     """One complex per operator kind: (name, complex)."""
     phi, psi = fixtures.phi_assoc(), fixtures.builtin_morphism("phi12_1")
     return [("hom self", HomSelfComplex(fixtures.assoc3(1, 2))),
-            ("bimodule", HomBimoduleComplex(phi.source, adjoint_bimodule(phi))),
+            ("bimodule", ModuleComplex(phi.source, adjoint_bimodule(phi))),
             ("lie self", LieSelfComplex(fixtures.lie4a(1, 1, 1, 1))),
-            ("lie module", LieModuleComplex(
+            ("lie module", ModuleComplex(
                 psi.source, lie_adjoint_module(psi, strict=False))),
             ("non-skew", LieSelfComplex(non_skew_lie())),
             ("morphism hom", MorphismComplex(phi, "hom")),
