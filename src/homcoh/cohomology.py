@@ -1,4 +1,4 @@
-"""Coboundary operators, their matrices on canonical bases, and exact
+"""The cochain complexes of algebras, modules and morphisms, and exact
 cocycle/coboundary/cohomology computation for all complex flavors.
 
 Cocycle convention, fixed by the worked examples this tool reproduces and
@@ -14,10 +14,13 @@ applied uniformly per flavor:
 There are two complexes.  ``ModuleComplex`` takes an algebra and a module
 of its kind (the algebra acting on itself by default); ``MorphismComplex``
 assembles the coupled complex of a morphism from three of them: both ends
-in themselves and the source in the adjoint module of the target.  Every
-coboundary is a compiled ``operator.SparseOperator``; a complex compiles
-each degree once and ``compute_cohomology`` decides kernels, ranks and
-pivots on operator coordinates.  Cocycles stay in those coordinates:
+in themselves and the source in the adjoint module of the target.  A
+complex is the only way to apply a coboundary: ``delta(f)`` takes a cochain
+of that complex, and ``ModuleComplex.face(i, f)`` applies the face
+operators of the associative kind.  Every coboundary and face is a compiled
+``operator.SparseOperator``; a complex compiles each degree (and each face
+index and arity) once, and ``compute_cohomology`` decides kernels, ranks
+and pivots on operator coordinates.  Cocycles stay in those coordinates:
 full tensors are built only for the representatives, and for the cocycle
 basis of a record when a caller reads it.
 
@@ -51,81 +54,6 @@ LIE_SELF = "lie_self"
 LIE_MODULE = "lie_module"
 MORPHISM_HOM = "morphism_hom"
 MORPHISM_LIE = "morphism_lie"
-
-
-def _check_dims(f: MultilinearMap, X: HomAlgebra, target_dim: int):
-    if f.source_dim != X.dim or f.target_dim != target_dim:
-        raise UsageError("cochain dimensions do not match algebra/module")
-
-
-def delta_hom_self(A: HomAlgebra, f: MultilinearMap) -> MultilinearMap:
-    """Coboundary of a self-valued cochain of an associative-kind algebra."""
-    if A.kind != ASSOCIATIVE:
-        raise UsageError("delta_hom_self needs an associative-kind algebra")
-    _check_dims(f, A, A.dim)
-    return ModuleComplex(A).delta(f)
-
-
-def delta_hom_bimodule(A: HomAlgebra, M: Bimodule,
-                       f: MultilinearMap) -> MultilinearMap:
-    """Coboundary with values in a bimodule: first slot acts from the left,
-    last slot from the right, inner slots get the twisted insertions."""
-    if M.algebra != A:
-        raise UsageError("bimodule does not belong to the given algebra")
-    _check_dims(f, A, M.carrier_dim)
-    return ModuleComplex(A, M).delta(f)
-
-
-def delta_lie_self(L: HomAlgebra, f: MultilinearMap) -> MultilinearMap:
-    """Chevalley-Eilenberg style coboundary of a self-valued cochain; the
-    cochain must be alternating."""
-    if L.kind != LIE_KIND:
-        raise UsageError("delta_lie_self needs a Lie-kind algebra")
-    _check_dims(f, L, L.dim)
-    return ModuleComplex(L).delta(f)
-
-
-def delta_lie_module(L: HomAlgebra, P: LieModule,
-                     f: MultilinearMap) -> MultilinearMap:
-    if P.algebra != L:
-        raise UsageError("module does not belong to the given algebra")
-    _check_dims(f, L, P.carrier_dim)
-    return ModuleComplex(L, P).delta(f)
-
-
-def delta_morphism(phi: HomMorphism, c: MorphismCochain,
-                   flavor: str) -> MorphismCochain:
-    """Coupled coboundary on morphism cochains.
-
-    The connecting slot receives the commutator defect of the two
-    self-components against phi plus (hom) or minus-sign-adjusted (lie) the
-    module coboundary of the connecting component; the degree-1 case uses
-    the zero map for the arity-0 coboundary.
-    """
-    if c.degree < 1:
-        raise UsageError("morphism coboundary needs degree >= 1")
-    return MorphismComplex(phi, flavor).delta(c)
-
-
-def d_component(A: HomAlgebra, M: Bimodule, i: int,
-                f: MultilinearMap) -> MultilinearMap:
-    """The i-th face operator of the associative-kind coboundary.
-
-    The boundary cases fold the module actions into the end operators (for
-    arity 1 both fold into the single operator), so that the alternating
-    signed sum over i recovers the coboundary at every arity.
-    """
-    n = f.arity
-    if n < 1:
-        raise UsageError("face operators need arity >= 1")
-    if i < 0 or i > n:
-        raise UsageError(f"face index {i} out of range 0..{n}")
-    if i >= n:
-        return MultilinearMap.zero(n + 1, A.dim, M.carrier_dim)
-    op = hom_operator(A, M.carrier_dim, n, [int(k == i) for k in range(n)],
-                      (-1, M.rho_l) if i == 0 else None,
-                      (-1, M.rho_r) if i == n - 1 else None)
-    return apply_operator(op, f)
 
 
 @dataclass(frozen=True)
@@ -162,8 +90,9 @@ class ComplexSummary:
 
 class _ComplexBase:
     """Shared engine: each concrete complex supplies its twist-compatible
-    cochain spaces, its compiled operator per degree, and whether the
-    cocycle equation is solved on all multilinear maps."""
+    cochain spaces, its compiled operator per degree, the degree of each
+    of its cochains (``_degree`` rejects any other cochain), and whether
+    the cocycle equation is solved on all multilinear maps."""
 
     full_cocycles = False
 
@@ -192,7 +121,8 @@ class _ComplexBase:
         return self._bound_cache[n]
 
     def delta(self, f):
-        n = f.degree if isinstance(f, MorphismCochain) else f.arity
+        """The coboundary of f, a cochain of this complex."""
+        n = self._degree(f)
         if n < 1:
             raise UsageError("coboundary needs arity >= 1")
         return apply_operator(self.operator(n), f)
@@ -213,13 +143,16 @@ class ModuleComplex(_ComplexBase):
         if module is None:
             module = self_bimodule(X) if assoc else self_lie_module(X)
             self.flavor = HOM_SELF if assoc else LIE_SELF
-        elif isinstance(module, Bimodule if assoc else LieModule):
-            self.flavor = HOM_BIMODULE if assoc else LIE_MODULE
-        else:
+        elif not isinstance(module, Bimodule if assoc else LieModule):
             raise UsageError(f"a {X.kind}-kind algebra needs a "
                              + ("bimodule" if assoc else "Lie module"))
+        elif module.algebra is not X and module.algebra != X:
+            raise UsageError("module does not belong to the given algebra")
+        else:
+            self.flavor = HOM_BIMODULE if assoc else LIE_MODULE
         self.algebra, self.module, self.label = X, module, label
         self.full_cocycles = assoc  # the associative-kind convention
+        self._faces: dict[tuple[int, int], object] = {}
 
     @cached_property
     def warnings(self) -> list[str]:
@@ -244,6 +177,42 @@ class ModuleComplex(_ComplexBase):
         if self.full_cocycles:
             return hom_delta(self.algebra, M.rho_l, M.rho_r, M.carrier_dim, n)
         return lie_operator(self.algebra, M.carrier_dim, n, M.action)
+
+    def _degree(self, f) -> int:
+        if not isinstance(f, MultilinearMap):
+            raise UsageError(f"{self.flavor} cochains are multilinear maps, "
+                             f"not {type(f).__name__}")
+        if (f.source_dim, f.target_dim) != (self.algebra.dim,
+                                            self.module.carrier_dim):
+            raise UsageError("cochain dimensions do not match algebra/module")
+        return f.arity
+
+    def face(self, i: int, f: MultilinearMap) -> MultilinearMap:
+        """The i-th face operator of the associative-kind coboundary,
+        compiled once per (index, arity).
+
+        The boundary cases fold the module actions into the end operators
+        (for arity 1 both fold into the single operator), so that the
+        alternating signed sum over i recovers the coboundary at every
+        arity.
+        """
+        n = self._degree(f)
+        if not self.full_cocycles:
+            raise UsageError("face operators need an associative-kind algebra")
+        if n < 1:
+            raise UsageError("face operators need arity >= 1")
+        if i < 0 or i > n:
+            raise UsageError(f"face index {i} out of range 0..{n}")
+        M = self.module
+        if i == n:
+            return MultilinearMap.zero(n + 1, self.algebra.dim, M.carrier_dim)
+        if (i, n) not in self._faces:
+            self._faces[i, n] = hom_operator(
+                self.algebra, M.carrier_dim, n,
+                [int(k == i) for k in range(n)],
+                (-1, M.rho_l) if i == 0 else None,
+                (-1, M.rho_r) if i == n - 1 else None)
+        return apply_operator(self._faces[i, n], f)
 
     def degree_zero_images(self) -> list:
         """e_i -> e_i m (minus m e_i for a bimodule), for each m fixed by
@@ -304,6 +273,12 @@ class MorphismComplex(_ComplexBase):
             self.phi.matrix, self.component_flavor, self.source.operator(n),
             self.target.operator(n),
             self.connecting.operator(n - 1) if n > 1 else None)
+
+    def _degree(self, c) -> int:
+        if not isinstance(c, MorphismCochain):
+            raise UsageError(f"{self.flavor} cochains are morphism cochains, "
+                             f"not {type(c).__name__}")
+        return c.degree
 
 
 def compute_cohomology(complex_obj: _ComplexBase, degrees,

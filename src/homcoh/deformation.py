@@ -115,7 +115,7 @@ class FormalDeformation:
 
     def extended_by(self, theta: MultilinearMap) -> "FormalDeformation":
         """This deformation with theta as its order-(N+1) term."""
-        return self.with_term(self.order + 1, theta)
+        return _sharing_complex(self.with_term(self.order + 1, theta), self)
 
 
 @dataclass(frozen=True)
@@ -179,9 +179,18 @@ class MorphismDeformation:
                                   nrows=ab.target_dim)
         if not mat.is_zero():
             phi_terms[self.order + 1] = mat
-        return MorphismDeformation.build(
-            self.phi, self.def_a.extended_by(theta.comp_A),
-            self.def_b.extended_by(theta.comp_B), phi_terms, self.order + 1)
+        return _sharing_complex(MorphismDeformation.build(
+            self.phi, self.def_a.with_term(self.order + 1, theta.comp_A),
+            self.def_b.with_term(self.order + 1, theta.comp_B), phi_terms,
+            self.order + 1), self)
+
+
+def _sharing_complex(extension, d):
+    """extension, which has the base (or morphism) of d, given the complex
+    of d, so that its operators are compiled once for the whole series of
+    extensions.  ``cached_property`` reads the instance dict first."""
+    extension.__dict__["complex"] = d.complex
+    return extension
 
 
 @dataclass(frozen=True)

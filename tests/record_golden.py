@@ -54,6 +54,7 @@ def golden_commands() -> dict[str, list[str]]:
                                 ("extend", "def_g1", 6)):
         cmds[f"deform-{action}-{name}-to-order-{order}"] = [
             "deform", action, name, "--to-order", str(order), "--json"]
+    cmds["selftest-fast"] = ["selftest", "--fast", "--json"]
     return cmds
 
 

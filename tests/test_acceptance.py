@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line on
 success together with the row-level comparison outcomes it produced."""
 
+import hashlib
 import json
 import time
 from fractions import Fraction
@@ -157,6 +158,12 @@ def test_criterion_6_property_suite():
     _announce("criterion-6 (property suite)", started, 60.0)
 
 
+# sha256 of the full ``selftest --json`` report; re-record only when a
+# suite's checks are meant to change
+SELFTEST_JSON_SHA256 = (
+    "7e64baf7cb40aa95a54a63740e729ea04ccfc58ff5bda5e05b5fcbb0359eb7d6")
+
+
 def test_criterion_7_selftest_determinism(capsys):
     code1 = cli_main(["selftest", "--json"])
     out1 = capsys.readouterr().out
@@ -164,4 +171,5 @@ def test_criterion_7_selftest_determinism(capsys):
     out2 = capsys.readouterr().out
     assert code1 == code2 == 0
     assert out1 == out2
+    assert hashlib.sha256(out1.encode()).hexdigest() == SELFTEST_JSON_SHA256
     print("ACCEPTANCE criterion-7 (selftest determinism): PASS")

@@ -9,7 +9,7 @@ from homcoh.bracket import (alpha_associator, comp_product, cup_bracket_lie,
                             derivation_D_lie, diamond, gerstenhaber_bracket,
                             nr_bracket, overline_comp)
 from homcoh.cochain import MultilinearMap, is_alternating, permutation_sign
-from homcoh.cohomology import delta_hom_self
+from homcoh.cohomology import ModuleComplex
 from homcoh.exact import Matrix, basis_vector
 
 
@@ -231,7 +231,7 @@ def test_derivation_matches_inner_summands_of_coboundary(a3):
     for _ in range(10):
         n = rng.choice([1, 2])
         f = rand_map(rng, n, 3, 3)
-        df = delta_hom_self(a3, f)
+        df = ModuleComplex(a3).delta(f)
         ap = alpha_power(a3, n - 1)
         inner = derivation_D_assoc(a3, f)
         for t in product(range(3), repeat=n + 1):

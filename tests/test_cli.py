@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from homcoh import cli, deformation, files, fixtures
+from homcoh import cli, deformation, files, fixtures, operator
 from homcoh.algebra import HomAlgebra
 from homcoh.cli import build_parser, main
 
@@ -223,6 +223,35 @@ def test_deform_obstruction_computes_the_obstruction_once(capsys,
     assert code == 0
     assert json.loads(out)["is_coboundary"]
     assert calls == [1]
+
+
+def test_each_extension_reuses_the_complex_it_extends(capsys,
+                                                      monkeypatch):
+    # the base (or morphism and flavor) of a deformation does not change
+    # as it is extended, so each operator is compiled once per command
+    counts = {}
+
+    def counted(name, real):
+        def wrapper(*args, **kw):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args, **kw)
+        return wrapper
+
+    for name in ("hom_operator", "hom_delta", "lie_operator",
+                 "morphism_delta"):
+        real = getattr(operator, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("homcoh.") and \
+                    getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted(name, real))
+    code, _, _ = run(capsys, "deform", "extend", "mdef_2", "--to-order", "5",
+                     "--json")
+    assert code == 0
+    assert counts == {"lie_operator": 6, "morphism_delta": 2}
+    counts.clear()
+    code, _, _ = run(capsys, "deform", "extend", "def_g1", "--to-order", "6")
+    assert code == 0
+    assert counts == {"lie_operator": 1}
 
 
 def test_selftest_fast_deterministic(capsys):

@@ -13,10 +13,7 @@ from homcoh.cochain import (Coords, MorphismCochain, MultilinearMap, hom_cochain
                             is_alternating, is_compatible, lie_cochain_basis)
 from homcoh.cohomology import (HomSelfComplex, ModuleComplex,
                                MorphismComplex, compute_cohomology,
-                               connecting_complex, d_component,
-                               delta_hom_bimodule, delta_hom_self,
-                               delta_lie_module, delta_lie_self,
-                               delta_morphism, self_cohomology)
+                               connecting_complex, self_cohomology)
 from homcoh.errors import UsageError
 from homcoh.files import cochain_to_json
 from homcoh.exact import Matrix, basis_vector, in_span
@@ -38,7 +35,7 @@ def rand_map(rng, arity, sd, td, span=2):
 def test_delta_hom_self_spot_values():
     A = fixtures.assoc3(1, 1)
     f = MultilinearMap.from_values(1, 3, 3, {(0,): vec(1, 0, 0)})
-    df = delta_hom_self(A, f)
+    df = ModuleComplex(A).delta(f)
     assert df.value_on_basis((0, 0)) == vec(1, 0, 0)
     assert df.value_on_basis((0, 1)) == vec(0, 1, 0)
     assert df.value_on_basis((2, 0)) == vec(0, 0, 1)
@@ -50,11 +47,12 @@ def test_delta_hom_self_matches_displayed_coboundary_family(a3):
     # associative fixture, with twist-compatible f and b = 2
     rng = random.Random(60)
     b = Fraction(2)
+    complex_obj = ModuleComplex(a3)
     for _ in range(5):
         x1, y1, x2, y2, z3 = (Fraction(rng.randint(-3, 3)) for _ in range(5))
         f = MultilinearMap.from_values(1, 3, 3, {
             (0,): (x1, y1, 0), (1,): (x2, y2, 0), (2,): (0, 0, z3)})
-        df = delta_hom_self(a3, f)
+        df = complex_obj.delta(f)
         assert df.value_on_basis((0, 0)) == (x1, y1, 0)
         assert df.value_on_basis((0, 1)) == (0, x1 + y1, 0)
         assert df.value_on_basis((0, 2)) == (0, 0, b * (x1 + y1))
@@ -76,6 +74,7 @@ def test_displayed_cocycle_family_spans_computed_cocycles(a3):
     rec = summary.record(2)
     assert rec.dim_cocycles == 4
     z_cols = [z.coeffs for z in rec.cocycle_basis]
+    complex_obj = ModuleComplex(a3)
     for _ in range(5):
         x1, x2, x3, x4 = (Fraction(rng.randint(-3, 3)) for _ in range(4))
         psi = MultilinearMap.from_values(2, 3, 3, {
@@ -88,57 +87,57 @@ def test_displayed_cocycle_family_spans_computed_cocycles(a3):
             (0, 2): (0, 0, x2),
             (1, 2): (0, 0, b * (x3 + x4)),
         })
-        assert delta_hom_self(a3, psi).is_zero()
+        assert complex_obj.delta(psi).is_zero()
         assert in_span(z_cols, psi.coeffs) is not None
 
 
 def test_delta_hom_self_zero_and_rejects_arity_zero(a3):
-    assert delta_hom_self(a3, MultilinearMap.zero(2, 3, 3)).is_zero()
+    assert ModuleComplex(a3).delta(MultilinearMap.zero(2, 3, 3)).is_zero()
     with pytest.raises(UsageError):
-        delta_hom_self(a3, MultilinearMap.constant(3, vec(1, 0, 0)))
+        ModuleComplex(a3).delta(MultilinearMap.constant(3, vec(1, 0, 0)))
 
 
 def test_delta_hom_self_degree_one_formula(b2):
     f = MultilinearMap.from_values(1, 2, 2, {(0,): vec(0, 1)})
-    df = delta_hom_self(b2, f)
+    df = ModuleComplex(b2).delta(f)
     assert df.value_on_basis((0, 0)) == vec(0, 1)
 
 
 def test_delta_bimodule_self_coincides(a3):
     rng = random.Random(61)
-    M = self_bimodule(a3)
+    bimodule = ModuleComplex(a3, self_bimodule(a3))
+    self_complex = ModuleComplex(a3)
     for _ in range(10):
         f = rand_map(rng, rng.choice([1, 2]), 3, 3)
-        assert delta_hom_bimodule(a3, M, f) == delta_hom_self(a3, f)
+        assert bimodule.delta(f) == self_complex.delta(f)
 
 
 def test_delta_bimodule_adjoint_spot_value(phi):
-    M = adjoint_bimodule(phi)
+    complex_obj = ModuleComplex(phi.source, adjoint_bimodule(phi))
     f = MultilinearMap.from_values(1, 3, 2, {(0,): vec(1, 0)})
-    df = delta_hom_bimodule(phi.source, M, f)
+    df = complex_obj.delta(f)
     assert df.value_on_basis((0, 0)) == vec(1, -2)
-    assert delta_hom_bimodule(phi.source, M,
-                              MultilinearMap.zero(1, 3, 2)).is_zero()
+    assert complex_obj.delta(MultilinearMap.zero(1, 3, 2)).is_zero()
 
 
 def test_delta_lie_self_classical_value(heis):
     f = MultilinearMap.from_values(1, 3, 3, {(2,): vec(0, 0, 1)})
-    df = delta_lie_self(heis, f)
+    df = ModuleComplex(heis).delta(f)
     assert df.value_on_basis((0, 1)) == vec(0, 0, -1)
-    assert delta_lie_self(heis, MultilinearMap.zero(2, 3, 3)).is_zero()
+    assert ModuleComplex(heis).delta(MultilinearMap.zero(2, 3, 3)).is_zero()
 
 
 def test_delta_lie_self_kills_compatible_cocycle_family():
     G = fixtures.g1(2, 3)
     psi = MultilinearMap.from_values(
         2, 3, 3, {(0, 1): vec(0, 0, 1), (1, 0): vec(0, 0, -1)})
-    assert delta_lie_self(G, psi).is_zero()
+    assert ModuleComplex(G).delta(psi).is_zero()
 
 
 def test_delta_lie_rejects_non_alternating(heis):
     bad = MultilinearMap.from_values(2, 3, 3, {(0, 1): vec(0, 0, 1)})
     with pytest.raises(UsageError):
-        delta_lie_self(heis, bad)
+        ModuleComplex(heis).delta(bad)
 
 
 def test_delta_lie_module_specializes_to_self():
@@ -146,17 +145,18 @@ def test_delta_lie_module_specializes_to_self():
     P = lie_adjoint_module(HomMorphism(G, G, Matrix.identity(3)))
     rng = random.Random(62)
     from homcoh.cochain import alternator
+    module, self_complex = ModuleComplex(G, P), ModuleComplex(G)
     for _ in range(8):
         f = alternator(rand_map(rng, 2, 3, 3))
-        assert delta_lie_module(G, P, f) == delta_lie_self(G, f)
-    assert delta_lie_module(G, P, MultilinearMap.zero(2, 3, 3)).is_zero()
+        assert module.delta(f) == self_complex.delta(f)
+    assert module.delta(MultilinearMap.zero(2, 3, 3)).is_zero()
 
 
 def test_delta_lie_module_fixture_spot_value():
     phi2 = fixtures.phi12_2()
     P = lie_adjoint_module(phi2, strict=False)
     f = MultilinearMap.from_values(1, 3, 3, {(0,): vec(0, 1, 0)})
-    df = delta_lie_module(phi2.source, P, f)
+    df = ModuleComplex(phi2.source, P).delta(f)
     assert df.value_on_basis((0, 1)) == vec(0, 0, 0)
 
 
@@ -164,19 +164,19 @@ def test_delta_morphism_zero_and_commuting_cocycles(phi):
     zero = MorphismCochain(MultilinearMap.zero(1, 3, 3),
                            MultilinearMap.zero(1, 2, 2),
                            MultilinearMap.constant(3, vec(0, 0)))
-    assert delta_morphism(phi, zero, "hom").is_zero()
+    assert MorphismComplex(phi, "hom").delta(zero).is_zero()
 
 
 def test_delta_morphism_kills_commuting_cocycle_pair(phi):
     # a source 1-cocycle whose push-forward along phi is matched by the
     # zero target cocycle: every slot of the coupled coboundary vanishes
     f = MultilinearMap.from_values(1, 3, 3, {(2,): vec(0, 0, 1)})
-    assert delta_hom_self(phi.source, f).is_zero()
+    assert ModuleComplex(phi.source).delta(f).is_zero()
     for j in range(3):
         assert phi.apply(f.value_on_basis((j,))) == vec(0, 0)
     c = MorphismCochain(f, MultilinearMap.zero(1, 2, 2),
                         MultilinearMap.constant(3, vec(0, 0)))
-    assert delta_morphism(phi, c, "hom").is_zero()
+    assert MorphismComplex(phi, "hom").delta(c).is_zero()
 
 
 def test_delta_hom_self_degree_one_hand_formula():
@@ -184,7 +184,7 @@ def test_delta_hom_self_degree_one_hand_formula():
     for A in (fixtures.assoc3(1, 2), fixtures.assoc3(1, 1),
               fixtures.assoc2(), fixtures.dual_numbers()):
         f = rand_map(rng, 1, A.dim, A.dim)
-        df = delta_hom_self(A, f)
+        df = ModuleComplex(A).delta(f)
         for t in product(range(A.dim), repeat=2):
             x, y = (basis_vector(A.dim, i) for i in t)
             expect = tuple(
@@ -200,7 +200,7 @@ def test_delta_morphism_identity_pair(phi):
         MultilinearMap.from_matrix(Matrix.identity(3)),
         MultilinearMap.from_matrix(Matrix.identity(2)),
         MultilinearMap.constant(3, vec(0, 0)))
-    image = delta_morphism(phi, ident, "hom")
+    image = MorphismComplex(phi, "hom").delta(ident)
     assert image.comp_AB.is_zero()
     A = phi.source
     for t in product(range(3), repeat=2):
@@ -209,18 +209,66 @@ def test_delta_morphism_identity_pair(phi):
 
 
 def test_face_operator_examples(a3):
-    M = self_bimodule(a3)
+    complex_obj = ModuleComplex(a3, self_bimodule(a3))
     rng = random.Random(63)
     space = hom_cochain_basis(a3, 3, a3.alpha, 2)
     f = space.combine([Fraction(rng.randint(-2, 2)) for _ in range(space.dim)])
-    assert d_component(a3, M, 2, f).is_zero()
+    assert complex_obj.face(2, f).is_zero()
     total = MultilinearMap.zero(3, 3, 3)
     for i in range(3):
-        face = d_component(a3, M, i, f)
+        face = complex_obj.face(i, f)
         total = total + (face if (i + 1) % 2 == 0 else face.scale(-1))
-    assert total == delta_hom_bimodule(a3, M, f)
+    assert total == complex_obj.delta(f)
     with pytest.raises(UsageError):
-        d_component(a3, M, 5, f)
+        complex_obj.face(5, f)
+
+
+def test_each_face_is_compiled_once_per_index_and_arity(a3, monkeypatch):
+    arities = []
+    real = cohomology.hom_operator
+
+    def counted(*args):
+        arities.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(cohomology, "hom_operator", counted)
+    complex_obj = ModuleComplex(a3)
+    rng = random.Random(66)
+    for _ in range(3):
+        for n in (1, 2):
+            f = rand_map(rng, n, 3, 3)
+            for i in range(n + 1):
+                complex_obj.face(i, f)
+    assert sorted(arities) == [1, 2, 2]  # face n of arity n is zero
+
+
+def test_module_complex_rejects_a_module_over_another_algebra(a3, b2, heis):
+    with pytest.raises(UsageError, match="does not belong"):
+        ModuleComplex(a3, self_bimodule(b2))
+    with pytest.raises(UsageError, match="does not belong"):
+        ModuleComplex(heis, self_lie_module(fixtures.g1(2, 3)))
+    twin = fixtures.assoc3(1, 2)  # equal to a3, built again
+    assert twin is not a3
+    assert ModuleComplex(a3, self_bimodule(twin)).operator(1).rows
+
+
+def test_complexes_reject_cochains_of_another_kind(a3, phi, heis):
+    c = MorphismCochain(MultilinearMap.zero(1, 3, 3),
+                        MultilinearMap.zero(1, 2, 2),
+                        MultilinearMap.constant(3, vec(0, 0)))
+    with pytest.raises(UsageError, match="not MorphismCochain"):
+        ModuleComplex(a3).delta(c)
+    with pytest.raises(UsageError, match="not MorphismCochain"):
+        ModuleComplex(a3).face(0, c)
+    with pytest.raises(UsageError, match="not MultilinearMap"):
+        MorphismComplex(phi, "hom").delta(MultilinearMap.zero(1, 3, 3))
+    with pytest.raises(UsageError, match="do not match"):
+        ModuleComplex(a3).delta(MultilinearMap.zero(1, 2, 2))
+    with pytest.raises(UsageError, match="do not match"):
+        ModuleComplex(phi.source, adjoint_bimodule(phi)).face(
+            0, MultilinearMap.zero(1, 3, 3))
+    with pytest.raises(UsageError, match="associative-kind"):
+        ModuleComplex(heis).face(0, MultilinearMap.zero(1, 3, 3))
 
 
 def test_differential_matrix_zero_operator(a3):
@@ -234,14 +282,16 @@ def test_differential_matrix_square_vanishes(a3, l4a):
     s1 = hom_cochain_basis(a3, 3, a3.alpha, 1)
     s2 = hom_cochain_basis(a3, 3, a3.alpha, 2)
     s3 = hom_cochain_basis(a3, 3, a3.alpha, 3)
-    d1 = differential_matrix(s1, s2, lambda f: delta_hom_self(a3, f))
-    d2 = differential_matrix(s2, s3, lambda f: delta_hom_self(a3, f))
+    delta = ModuleComplex(a3).delta
+    d1 = differential_matrix(s1, s2, delta)
+    d2 = differential_matrix(s2, s3, delta)
     assert (d2 @ d1).is_zero()
     t1 = lie_cochain_basis(l4a, 4, l4a.alpha, 1)
     t2 = lie_cochain_basis(l4a, 4, l4a.alpha, 2)
     t3 = lie_cochain_basis(l4a, 4, l4a.alpha, 3)
-    e1 = differential_matrix(t1, t2, lambda f: delta_lie_self(l4a, f))
-    e2 = differential_matrix(t2, t3, lambda f: delta_lie_self(l4a, f))
+    delta = ModuleComplex(l4a).delta
+    e1 = differential_matrix(t1, t2, delta)
+    e2 = differential_matrix(t2, t3, delta)
     assert (e2 @ e1).is_zero()
 
 
@@ -251,9 +301,10 @@ def test_differential_matrix_flags_invalid_algebra(g2):
     s1 = lie_cochain_basis(g2, 3, g2.alpha, 1)
     s2 = lie_cochain_basis(g2, 3, g2.alpha, 2)
     s3 = lie_cochain_basis(g2, 3, g2.alpha, 3)
+    delta = ModuleComplex(g2).delta
     try:
-        d1 = differential_matrix(s1, s2, lambda f: delta_lie_self(g2, f))
-        d2 = differential_matrix(s2, s3, lambda f: delta_lie_self(g2, f))
+        d1 = differential_matrix(s1, s2, delta)
+        d2 = differential_matrix(s2, s3, delta)
     except ImageOutsideCodomain:
         return
     assert not (d2 @ d1).is_zero()
@@ -289,12 +340,13 @@ def test_representatives_are_cocycles_outside_coboundaries(b2):
 
 
 def test_compatibility_closure_of_the_operator(a3, l4a):
+    hom, lie = ModuleComplex(a3), ModuleComplex(l4a)
     for k in (1, 2):
         for f in hom_cochain_basis(a3, 3, a3.alpha, k).basis:
-            df = delta_hom_self(a3, f)
+            df = hom.delta(f)
             assert is_compatible(df, a3.alpha, a3.alpha)
         for f in lie_cochain_basis(l4a, 4, l4a.alpha, k).basis:
-            df = delta_lie_self(l4a, f)
+            df = lie.delta(f)
             assert is_compatible(df, l4a.alpha, l4a.alpha)
             assert is_alternating(df)
 

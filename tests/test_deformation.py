@@ -9,7 +9,7 @@ from homcoh.algebra import ASSOCIATIVE, LIE, HomAlgebra
 from homcoh.bracket import (cup_product_assoc, gerstenhaber_bracket,
                             nr_bracket, overline_comp)
 from homcoh.cochain import MorphismCochain, MultilinearMap
-from homcoh.cohomology import delta_hom_self, delta_morphism
+from homcoh.cohomology import ModuleComplex, MorphismComplex
 from homcoh.deformation import (FormalAutomorphismPair, FormalDeformation,
                                 MorphismDeformation, algebra_obstruction,
                                 apply_equivalence, check_algebra_deformation,
@@ -111,7 +111,7 @@ def test_padded_leading_coefficient_is_again_a_cocycle():
                                      {2: md.def_b.term(1)}),
         {2: md.phi_term(1)}, 2)
     theta2 = coefficient_cochain(padded, 2)
-    image = delta_morphism(md.phi, theta2, "lie")
+    image = MorphismComplex(md.phi, "lie").delta(theta2)
     assert image.comp_A.is_zero()
     assert image.comp_AB.is_zero()
 
@@ -142,7 +142,7 @@ def test_apply_equivalence_shifts_infinitesimal_by_coboundary():
     one = MorphismCochain(MultilinearMap.from_matrix(N),
                           MultilinearMap.zero(1, 3, 3),
                           MultilinearMap.constant(3, vec(0, 0, 0)))
-    shift = delta_morphism(md.phi, one, "lie")
+    shift = MorphismComplex(md.phi, "lie").delta(one)
     assert t_old.comp_A - t_new.comp_A == shift.comp_A
     assert t_old.comp_B - t_new.comp_B == shift.comp_B
     assert t_old.comp_AB - t_new.comp_AB == shift.comp_AB
@@ -210,14 +210,14 @@ def test_obstruction_def_g1():
 def test_obstruction_mdef_2_is_cocycle_in_valid_slots():
     md = fixtures.mdef_2()
     ob = obstruction(md)
-    image = delta_morphism(md.phi, ob, "lie")
+    image = MorphismComplex(md.phi, "lie").delta(ob)
     assert image.comp_A.is_zero()
     assert image.comp_AB.is_zero()
 
 
 def test_rigid_extension_from_coboundary_term(a3):
     g = MultilinearMap.from_values(1, 3, 3, {(0,): vec(1, 0, 0)})
-    mu1 = delta_hom_self(a3, g)
+    mu1 = ModuleComplex(a3).delta(g)
     d = FormalDeformation.from_terms(a3, 1, {1: mu1})
     assert check_algebra_deformation(d, up_to=1).overall_ok
     extended = extend_deformation(d)
@@ -228,7 +228,7 @@ def test_rigid_extension_from_coboundary_term(a3):
 
 def test_rigid_extension_second_coboundary_term(a3):
     g = MultilinearMap.from_values(1, 3, 3, {(1,): vec(1, 1, 0)})
-    mu1 = delta_hom_self(a3, g)
+    mu1 = ModuleComplex(a3).delta(g)
     d = FormalDeformation.from_terms(a3, 1, {1: mu1})
     assert extend_deformation(d) is not None
 
@@ -268,7 +268,7 @@ def test_extend_morphism_deformation_of_mdef_2():
         # second-order obstruction of the extension is again a cocycle in
         # the slots whose underlying algebras are valid
         ob2 = obstruction(extended)
-        image = delta_morphism(extended.phi, ob2, "lie")
+        image = MorphismComplex(extended.phi, "lie").delta(ob2)
         assert image.comp_A.is_zero()
         assert image.comp_AB.is_zero()
 
@@ -387,7 +387,8 @@ def _negated(fn):
 def _rigid_a3():
     a3 = fixtures.assoc3(1, 2)
     g = MultilinearMap.from_values(1, 3, 3, {(1,): vec(1, 1, 0)})
-    return FormalDeformation.from_terms(a3, 1, {1: delta_hom_self(a3, g)})
+    return FormalDeformation.from_terms(a3, 1,
+                                        {1: ModuleComplex(a3).delta(g)})
 
 
 @pytest.mark.parametrize("site", [

@@ -19,10 +19,7 @@ from homcoh.cochain import (MorphismCochain, MultilinearMap, alternator,
                             lie_cochain_basis)
 from homcoh.cohomology import (HomSelfComplex, LieSelfComplex,
                                ModuleComplex, MorphismComplex,
-                               compute_cohomology,
-                               d_component, delta_hom_bimodule,
-                               delta_hom_self, delta_lie_module,
-                               delta_lie_self, delta_morphism)
+                               compute_cohomology)
 from homcoh.errors import UsageError
 from homcoh.exact import (Matrix, SparseMatrix, column_rank,
                           independent_subset, intersection_basis, lincomb,
@@ -79,7 +76,7 @@ def test_delta_hom_self_matches_dense_formula():
     for A in assoc_algebras():
         for k in (1, 2, 3):
             f = rand_map(rng, k, A.dim, A.dim)
-            assert delta_hom_self(A, f) == dense_delta_hom(
+            assert ModuleComplex(A).delta(f) == dense_delta_hom(
                 A, mult(A), mult(A), A.dim, f), (A.name, k)
 
 
@@ -91,7 +88,7 @@ def test_delta_hom_bimodule_matches_dense_formula():
         A = M.algebra
         for k in (1, 2, 3):
             f = rand_map(rng, k, A.dim, M.carrier_dim)
-            assert delta_hom_bimodule(A, M, f) == dense_delta_hom(
+            assert ModuleComplex(A, M).delta(f) == dense_delta_hom(
                 A, M.left, M.right, M.carrier_dim, f)
 
 
@@ -100,7 +97,7 @@ def test_delta_lie_self_matches_dense_formula():
     for L in lie_algebras():
         for k in (1, 2, 3):
             f = rand_alternating(rng, k, L.dim, L.dim)
-            assert delta_lie_self(L, f) == dense_delta_lie(
+            assert ModuleComplex(L).delta(f) == dense_delta_lie(
                 L, mult(L), L.dim, f), (L.name, k)
 
 
@@ -114,7 +111,7 @@ def test_delta_lie_module_matches_dense_formula():
         L = P.algebra
         for k in (1, 2, 3):
             f = rand_alternating(rng, k, L.dim, P.carrier_dim)
-            assert delta_lie_module(L, P, f) == dense_delta_lie(
+            assert ModuleComplex(L, P).delta(f) == dense_delta_lie(
                 L, P.act, P.carrier_dim, f)
 
 
@@ -134,7 +131,7 @@ def test_delta_morphism_matches_dense_formula(name, flavor):
         c = MorphismCochain(make(rng, n, A.dim, A.dim),
                             make(rng, n, B.dim, B.dim),
                             make(rng, n - 1, A.dim, B.dim))
-        assert delta_morphism(phi, c, flavor) == dense_delta_morphism(
+        assert MorphismComplex(phi, flavor).delta(c) == dense_delta_morphism(
             phi, c, flavor)
 
 
@@ -143,10 +140,11 @@ def test_faces_and_derivations_match_dense_formulas():
     phi = fixtures.phi_assoc()
     for M in (self_bimodule(phi.source), adjoint_bimodule(phi)):
         A = M.algebra
+        complex_obj = ModuleComplex(A, M)
         for k in (1, 2, 3):
             f = rand_map(rng, k, A.dim, M.carrier_dim)
             for i in range(k + 1):
-                assert d_component(A, M, i, f) == dense_d_component(A, M, i, f)
+                assert complex_obj.face(i, f) == dense_d_component(A, M, i, f)
     for A in assoc_algebras()[:3]:
         for k in (0, 1, 2, 3):
             f = rand_map(rng, k, A.dim, 2)
@@ -272,7 +270,7 @@ def dense_dims(space_n, space_prev, delta):
 def test_non_skew_bracket_keeps_full_images():
     L = non_skew_lie()
     f = rand_alternating(random.Random(8), 2, 3, 3)
-    image = delta_lie_self(L, f)
+    image = ModuleComplex(L).delta(f)
     assert image == dense_delta_lie(L, mult(L), 3, f)
     summary = compute_cohomology(LieSelfComplex(L), [2, 3])
     delta = lambda g: dense_delta_lie(L, mult(L), 3, g)
@@ -289,23 +287,23 @@ def test_non_alternating_input_is_rejected():
     heis = fixtures.heisenberg()
     bad = MultilinearMap.from_values(2, 3, 3, {(0, 1): (0, 0, 1)})
     with pytest.raises(UsageError):
-        delta_lie_self(heis, bad)
+        ModuleComplex(heis).delta(bad)
     with pytest.raises(UsageError):
-        delta_lie_module(heis, self_lie_module(heis), bad)
+        ModuleComplex(heis, self_lie_module(heis)).delta(bad)
     with pytest.raises(UsageError):
         LieSelfComplex(heis).delta(bad)
     G = fixtures.g1(2, 3)
     c = MorphismCochain(bad, MultilinearMap.zero(2, 3, 3),
                         MultilinearMap.zero(1, 3, 3))
     with pytest.raises(UsageError):
-        delta_morphism(HomMorphism(G, G, Matrix.identity(3)), c, "lie")
+        MorphismComplex(HomMorphism(G, G, Matrix.identity(3)), "lie").delta(c)
 
 
 def test_non_alternating_target_is_not_a_coboundary():
     L = fixtures.heisenberg()
     space = lie_cochain_basis(L, 3, L.alpha, 2)
     op = lie_operator(L, 3, 2, L.mul)
-    target = delta_lie_self(L, space.basis[0])
+    target = ModuleComplex(L).delta(space.basis[0])
     assert solve_coboundary(op, space.coords, target) is not None
     skewed = MultilinearMap(3, 3, 3, target.coeffs[:-1] + (Fraction(1),))
     assert solve_coboundary(op, space.coords, skewed) is None
