@@ -1,10 +1,14 @@
 """Cochain-level products: the twist-weighted insertion product and the
 graded brackets built from it, cup products, composition along a morphism,
-homogeneous derivations, and the twisted associator.
+and the twisted associator.
 
 Degree convention in this module: a cochain of arity p has degree p - 1,
 so a bilinear map has degree 1 and the insertion of a degree-a cochain into
 a degree-b cochain has degree a + b.
+
+The insertion product, and so both graded brackets and the obstruction
+of a deformation, sums over the nonzero entries of its two cochains and
+of the twist power, never over all basis tuples of its output.
 """
 
 from __future__ import annotations
@@ -14,11 +18,10 @@ from itertools import permutations, product
 from math import factorial
 
 from .algebra import (ASSOCIATIVE, HomAlgebra, alpha_power, identity_defect,
-                      multiply, sparse_entries)
+                      multiply, sparse_columns, sparse_entries)
 from .cochain import MultilinearMap, alternator, is_alternating, permutation_sign
 from .errors import UsageError
-from .exact import Vector, vec_is_zero
-from .operator import apply_operator, hom_operator, lie_operator
+from .exact import Vector, expand_product, sparse_vector, vec_is_zero
 from .rep import HomMorphism
 
 
@@ -53,23 +56,31 @@ def comp_product(A: HomAlgebra, phi: MultilinearMap,
         raise UsageError("inserted cochain must be algebra-valued")
     a = phi.arity - 1
     b = psi.arity - 1
-    ap = alpha_power(A, a)
-    out_arity = a + b + 1
-    values = {}
-    for t in product(range(A.dim), repeat=out_arity):
-        args = _basis_args(A.dim, t)
-        twisted = [ap.matvec(x) for x in args]
-        total = [Fraction(0)] * psi.target_dim
+    # row i of alpha^a: {j: coefficient of e_i in alpha^a e_j}, the
+    # bystander arguments that feed argument e_i of psi
+    rows = sparse_columns(alpha_power(A, a).transpose())
+    inserted = {}  # i: the (argument tuple, coefficient of e_i) of phi
+    for s, v in phi.nonzero_entries():
+        for i, c in enumerate(v):
+            if c:
+                inserted.setdefault(i, []).append((s, c))
+    out = {}
+    for u, w in psi.nonzero_entries():
+        w = sparse_vector(w)
         for k in range(b + 1):
-            inner = phi.evaluate(args[k:k + a + 1])
-            slots = twisted[:k] + [inner] + twisted[k + a + 1:]
-            term = psi.evaluate(slots)
-            if (a * k) % 2:
-                total = [x - y for x, y in zip(total, term)]
-            else:
-                total = [x + y for x, y in zip(total, term)]
-        values[t] = tuple(total)
-    return MultilinearMap.from_values(out_arity, A.dim, psi.target_dim, values)
+            if u[k] not in inserted:
+                continue
+            sign = -1 if (a * k) % 2 else 1
+            before = expand_product([rows.get(i, {}) for i in u[:k]])
+            after = expand_product([rows.get(i, {}) for i in u[k + 1:]])
+            for s, c in inserted[u[k]]:
+                for t1, c1 in before:
+                    for t2, c2 in after:
+                        slot = out.setdefault(t1 + s + t2, {})
+                        scale = sign * c * c1 * c2
+                        for r, x in w.items():
+                            slot[r] = slot.get(r, 0) + scale * x
+    return MultilinearMap.from_sparse(a + b + 1, A.dim, psi.target_dim, out)
 
 
 def gerstenhaber_bracket(A: HomAlgebra, phi: MultilinearMap,
@@ -189,25 +200,6 @@ def overline_comp(phi: HomMorphism, f: MultilinearMap,
                 total = [x + y for x, y in zip(total, term)]
         values[t] = tuple(total)
     return MultilinearMap.from_values(out_arity, A.dim, B.dim, values)
-
-
-def derivation_D_assoc(A: HomAlgebra, f: MultilinearMap) -> MultilinearMap:
-    """Degree-one derivation: the signed sum of two-slot merges with all
-    bystanders twisted (the inner summand group of the coboundary)."""
-    if f.source_dim != A.dim:
-        raise UsageError("cochain source does not match the algebra")
-    n = f.arity
-    op = hom_operator(A, f.target_dim, n, [(-1) ** (k + 1) for k in range(n)])
-    return apply_operator(op, f)
-
-
-def derivation_D_lie(L: HomAlgebra, f: MultilinearMap) -> MultilinearMap:
-    """Lie-kind analogue: signed bracket insertions into the first slot
-    with twisted bystanders."""
-    if f.source_dim != L.dim:
-        raise UsageError("cochain source does not match the algebra")
-    op = lie_operator(L, f.target_dim, f.arity, reduced=False)
-    return apply_operator(op, f)
 
 
 def alpha_associator(A: HomAlgebra, mu_i: MultilinearMap,

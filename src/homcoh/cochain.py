@@ -8,8 +8,10 @@ array is indexed row-major lexicographically over the argument tuple
 Cochains have two coordinate systems (``Coords``): full coordinates, the
 layout above, and for alternating maps reduced coordinates, one per
 strictly increasing argument tuple.  Cochain spaces store their basis in
-the coordinates of their flavor and build full tensors only on demand,
-from reduced ones by a gather of signed coordinates computed once.
+the coordinates of their flavor, as sparse {coordinate: value} dicts that
+hold only the nonzero entries, and build full tensors only on demand: each
+nonzero reduced coordinate is scattered over the signed permutations of
+its tuple.
 """
 
 from __future__ import annotations
@@ -18,16 +20,17 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
 from math import factorial
 
 from .algebra import HomAlgebra
 from .errors import ArityLimitError, UsageError
 from .exact import (Matrix, SparseMatrix, Vector, expand_product, lincomb,
-                    nullspace_basis, sparse_vector, vec_is_zero, zero_vector)
+                    nullspace_basis, sparse_vector, zero_vector)
 
 HOM = "hom"
 LIE = "lie"
+_ZERO = Fraction(0)
 
 _DEFAULT_MAX_ARITY = 4
 
@@ -197,9 +200,11 @@ class MultilinearMap:
 
     def nonzero_entries(self):
         """Yield (argument tuple, output vector) with nonzero output."""
-        for t in product(range(self.source_dim), repeat=self.arity):
-            v = self.value_on_basis(t)
-            if not vec_is_zero(v):
+        d = self.target_dim
+        tuples = product(range(self.source_dim), repeat=self.arity)
+        for off, t in zip(range(0, len(self.coeffs), d or 1), tuples):
+            v = self.coeffs[off:off + d]
+            if any(v):
                 yield t, v
 
 
@@ -230,24 +235,24 @@ def is_compatible(m: MultilinearMap, alpha: Matrix, beta: Matrix) -> bool:
 
 def alternator(m: MultilinearMap) -> MultilinearMap:
     """Average of signed argument permutations; projects onto alternating
-    maps and fixes alternating input."""
-    k = m.arity
+    maps and fixes alternating input.  Each nonzero value m(s) is scattered,
+    with the sign of q, to every permuted tuple s∘q."""
+    k, n, d = m.arity, m.source_dim, m.target_dim
     if k < 2:
         return m
-    norm = Fraction(1, factorial(k))
-    coeffs = [Fraction(0)] * len(m.coeffs)
-    for t in product(range(m.source_dim), repeat=k):
-        acc = [Fraction(0)] * m.target_dim
-        for perm in permutations(range(k)):
-            sign = permutation_sign(perm)
-            val = m.value_on_basis(tuple(t[p] for p in perm))
-            for r, x in enumerate(val):
+    perms = [(q, permutation_sign(q)) for q in permutations(range(k))]
+    acc = {}
+    for s, v in m.nonzero_entries():
+        for q, sign in perms:
+            off = m._offset_static(tuple(s[i] for i in q), n, d)
+            for r, x in enumerate(v):
                 if x:
-                    acc[r] += sign * x
-        off = m._offset(t)
-        for r in range(m.target_dim):
-            coeffs[off + r] = norm * acc[r]
-    return MultilinearMap(k, m.source_dim, m.target_dim, tuple(coeffs))
+                    acc[off + r] = acc.get(off + r, 0) + sign * x
+    norm = Fraction(1, factorial(k))
+    coeffs = [_ZERO] * len(m.coeffs)
+    for i, x in acc.items():
+        coeffs[i] = norm * x
+    return MultilinearMap(k, n, d, tuple(coeffs))
 
 
 @dataclass(frozen=True)
@@ -284,41 +289,45 @@ class Coords:
         return (self.index[srt], sign) if sign else None
 
     @cached_property
-    def _gather(self) -> list[int]:
-        """Per full coordinate, its index in x + (-x) + (0,): where a
-        repeated argument makes it vanish, the zero at 2 dim."""
-        d, n, out = self.target_dim, self.dim, []
-        for t in product(range(self.source_dim), repeat=self.arity):
+    def _scatter(self) -> list[list[tuple[int, int]]]:
+        """Per tuple, the (offset in the full coefficients, sign) of each
+        argument tuple that holds its value."""
+        d, out = self.target_dim, [[] for _ in self.tuples]
+        for i, t in enumerate(product(range(self.source_dim),
+                                      repeat=self.arity)):
             loc = self.locate(t)
-            if loc is None:
-                out += [2 * n] * d
-            else:
-                base = loc[0] * d + (n if loc[1] < 0 else 0)
-                out += range(base, base + d)
+            if loc:
+                out[loc[0]].append((i * d, loc[1]))
         return out
 
-    def to_full(self, x) -> MultilinearMap:
-        if self.reduced:
-            values = [*x, *(-v if v else v for v in x), Fraction(0)]
-            x = map(values.__getitem__, self._gather)
+    def to_full(self, x: dict) -> MultilinearMap:
+        """The full tensor of the sparse coordinates x."""
+        d, scatter = self.target_dim, self._scatter
+        coeffs = [_ZERO] * (self.source_dim ** self.arity * d)
+        for k, v in x.items():
+            j, r = divmod(k, d)
+            for base, sign in scatter[j]:
+                coeffs[base + r] = v if sign > 0 else -v
         return MultilinearMap(self.arity, self.source_dim, self.target_dim,
-                              tuple(x))
+                              tuple(coeffs))
 
-    def project(self, m: MultilinearMap) -> Vector | None:
-        """Coordinates of m; None when reduced coordinates cannot hold it
-        because it is not alternating."""
+    def project(self, m: MultilinearMap) -> dict | None:
+        """Sparse coordinates of m; None when reduced coordinates cannot
+        hold it because it is not alternating."""
         if (m.arity, m.source_dim, m.target_dim) != (
                 self.arity, self.source_dim, self.target_dim):
             raise UsageError("cochain shape does not match its coordinates")
         if not self.reduced:
-            return m.coeffs
+            return sparse_vector(m.coeffs)
         if not is_alternating(m):
             return None
-        return tuple(x for t in self.tuples for x in m.value_on_basis(t))
+        d = self.target_dim
+        return {j * d + r: x for j, t in enumerate(self.tuples)
+                for r, x in enumerate(m.value_on_basis(t)) if x}
 
 
 class _SpaceBasis:
-    """A basis stored as coordinate vectors in ``self.system``; full
+    """A basis stored as sparse coordinate vectors in ``self.system``; full
     cochains are built only when asked for."""
 
     @property
@@ -329,9 +338,10 @@ class _SpaceBasis:
     def basis(self) -> tuple:
         return tuple(self.system.to_full(v) for v in self.coords)
 
-    def combine(self, coords):
-        return self.system.to_full(lincomb(coords, self.coords,
-                                           self.system.dim))
+    def combine(self, coeffs: dict):
+        """The cochain sum of c times basis element j over the sparse
+        {j: c}."""
+        return self.system.to_full(lincomb(coeffs, self.coords))
 
 
 @dataclass(frozen=True)
@@ -344,7 +354,7 @@ class CochainSpace(_SpaceBasis):
     source: HomAlgebra
     target_dim: int
     beta: Matrix
-    coords: tuple[Vector, ...]
+    coords: tuple[dict, ...]
 
     @cached_property
     def system(self) -> Coords:
@@ -362,12 +372,12 @@ def _compatible_space(flavor: str, source: HomAlgebra, target_dim: int,
     _check_arity_guard(arity)
     d = target_dim
     if arity == 0:
-        basis = tuple(tuple(Fraction(int(r == s)) for r in range(d))
-                      for s in range(d))
+        basis = tuple({s: Fraction(1)} for s in range(d))
         return CochainSpace(0, flavor, source, d, beta, basis)
     system = Coords(arity, source.dim, d, flavor == LIE)
     alpha_cols = [sparse_vector(source.alpha.column(j))
                   for j in range(source.dim)]
+    beta_rows = [sparse_vector(beta.row(r)) for r in range(d)]
     rows = []
     for ti, t in enumerate(system.tuples):
         # f(alpha e_{t_1}, ..., alpha e_{t_k}) in the unknowns of the system
@@ -377,7 +387,7 @@ def _compatible_space(flavor: str, source: HomAlgebra, target_dim: int,
             if loc:
                 terms[loc[0]] = terms.get(loc[0], 0) + loc[1] * c
         for r in range(d):
-            row = {ti * d + s: e for s in range(d) if (e := beta.at(r, s))}
+            row = {ti * d + s: e for s, e in beta_rows[r].items()}
             for j, c in terms.items():
                 row[j * d + r] = row.get(j * d + r, 0) - c
             rows.append(row)
@@ -441,7 +451,7 @@ class MorphismCochain:
 @dataclass(frozen=True)
 class MorphismCoords:
     """Coordinates of morphism cochains: those of comp_A, comp_B and
-    comp_AB side by side."""
+    comp_AB side by side, each part's indices shifted by its start."""
 
     parts: tuple[Coords, Coords, Coords]
 
@@ -449,17 +459,23 @@ class MorphismCoords:
     def dim(self) -> int:
         return sum(p.dim for p in self.parts)
 
-    def to_full(self, x) -> MorphismCochain:
-        comps, start = [], 0
-        for p in self.parts:
-            comps.append(p.to_full(x[start:start + p.dim]))
-            start += p.dim
-        return MorphismCochain(*comps)
+    @cached_property
+    def starts(self) -> tuple[int, ...]:
+        return tuple(accumulate((p.dim for p in self.parts[:-1]), initial=0))
 
-    def project(self, c: MorphismCochain) -> Vector | None:
+    def to_full(self, x: dict) -> MorphismCochain:
+        ends = (*self.starts[1:], self.dim)
+        return MorphismCochain(*(
+            p.to_full({k - a: v for k, v in x.items() if a <= k < b})
+            for p, a, b in zip(self.parts, self.starts, ends)))
+
+    def project(self, c: MorphismCochain) -> dict | None:
         vecs = [p.project(m) for p, m in
                 zip(self.parts, (c.comp_A, c.comp_B, c.comp_AB))]
-        return None if None in vecs else sum(vecs, ())
+        if None in vecs:
+            return None
+        return {start + k: x for start, v in zip(self.starts, vecs)
+                for k, x in v.items()}
 
 
 @dataclass(frozen=True)
@@ -478,8 +494,8 @@ class MorphismCochainSpace(_SpaceBasis):
                                self.space_ab.system))
 
     @cached_property
-    def coords(self) -> tuple[Vector, ...]:
+    def coords(self) -> tuple[dict, ...]:
         spaces = (self.space_a, self.space_b, self.space_ab)
-        pads = [(Fraction(0),) * s.system.dim for s in spaces]
-        return tuple(sum(pads[:i], ()) + v + sum(pads[i + 1:], ())
-                     for i, s in enumerate(spaces) for v in s.coords)
+        return tuple({start + k: x for k, x in v.items()}
+                     for start, s in zip(self.system.starts, spaces)
+                     for v in s.coords)

@@ -40,8 +40,8 @@ from .cochain import (HOM, LIE, MorphismCochain, MorphismCochainSpace,
                       MultilinearMap, _check_arity_guard, hom_cochain_basis,
                       lie_cochain_basis)
 from .errors import UsageError
-from .exact import (Matrix, independent_subset, intersection_basis, lincomb,
-                    nullspace_basis, vec_sub)
+from .exact import (Matrix, dense_vector, independent_subset,
+                    intersection_basis, lincomb, nullspace_basis, vec_sub)
 from .operator import (apply_operator, hom_delta, hom_operator, lie_operator,
                        morphism_delta)
 from .rep import (Bimodule, HomMorphism, LieModule, adjoint_bimodule,
@@ -58,7 +58,7 @@ MORPHISM_LIE = "morphism_lie"
 
 @dataclass(frozen=True)
 class DegreeRecord:
-    """One degree of a report; its cocycles are kept in the coordinates
+    """One degree of a report; its cocycles are kept as sparse coordinates
     of ``system`` and become full tensors when first read."""
 
     degree: int
@@ -222,7 +222,7 @@ class ModuleComplex(_ComplexBase):
             if self.full_cocycles else M.act
         d = M.carrier_dim
         return [MultilinearMap.from_values(
-            1, X.dim, d, {(i,): image(X.basis_vector(i), m)
+            1, X.dim, d, {(i,): image(X.basis_vector(i), dense_vector(m, d))
                           for i in range(X.dim)})
             for m in nullspace_basis(M.beta - Matrix.identity(d))]
 
@@ -278,6 +278,13 @@ class MorphismComplex(_ComplexBase):
         if not isinstance(c, MorphismCochain):
             raise UsageError(f"{self.flavor} cochains are morphism cochains, "
                              f"not {type(c).__name__}")
+        a, b = self.phi.source.dim, self.phi.target.dim
+        for name, f, dims in (("comp_A", c.comp_A, (a, a)),
+                              ("comp_B", c.comp_B, (b, b)),
+                              ("comp_AB", c.comp_AB, (a, b))):
+            if (f.source_dim, f.target_dim) != dims:
+                raise UsageError(f"{name} dimensions do not match the "
+                                 "morphism")
         return c.degree
 
 
@@ -287,9 +294,9 @@ def compute_cohomology(complex_obj: _ComplexBase, degrees,
     representatives chosen by pivot positions of the cocycle basis modulo
     the coboundaries.
 
-    Kernels, ranks and pivots are decided on operator coordinates; they do
-    not change under the injective map to full tensors, so the reported
-    cochains are those of the dense computation.
+    Kernels, ranks and pivots are decided on sparse operator coordinates;
+    they do not change under the injective map to full tensors, so the
+    reported cochains are those of the dense computation.
     """
     warnings = list(complex_obj.warnings)
     records = []
@@ -304,7 +311,7 @@ def compute_cohomology(complex_obj: _ComplexBase, degrees,
         else:
             dim_c = len(coords)
             kernel = nullspace_basis(op.sparse_matrix(coords)) if coords else []
-            z_raw = [lincomb(k, coords, op.source.dim) for k in kernel]
+            z_raw = [lincomb(k, coords) for k in kernel]
         z_img = z_raw  # the cocycles in the coordinates of the coboundaries
 
         if n == 1:

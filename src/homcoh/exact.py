@@ -7,6 +7,12 @@ canonical nullspace basis read off it, particular solutions, and membership
 in a span.  All arithmetic is exact; there is no floating point anywhere in
 the package.
 
+Vectors are sparse {coordinate: value} dicts holding only their nonzero
+entries: kernel bases, right-hand sides and solutions, the columns of
+``SparseMatrix.from_columns`` and the inputs of ``lincomb``,
+``independent_subset`` and ``intersection_basis``.  Dense tuples remain
+only for ``Matrix`` and the small vectors of the algebras themselves.
+
 One sparse, fraction-free kernel does every elimination: rows are
 primitive {column: int} dicts, the pivot is the row with the fewest
 nonzeros among those leading in the next column (Markowitz), and values
@@ -65,19 +71,28 @@ def vec_is_zero(a: Vector) -> bool:
     return all(x == 0 for x in a)
 
 
-def lincomb(coeffs, vectors, length: int) -> Vector:
-    """sum of c * v over paired coefficients and length-``length`` vectors."""
-    out = [Fraction(0)] * length
-    for c, v in zip(coeffs, vectors):
-        if c:
-            for i, x in enumerate(v):
-                if x:
-                    out[i] += c * x
-    return tuple(out)
+def lincomb(coeffs: dict, vectors) -> dict:
+    """sum of c * vectors[j] over the entries j: c of the sparse ``coeffs``,
+    on sparse vectors."""
+    out = {}
+    for j, c in coeffs.items():
+        for i, x in vectors[j].items():
+            out[i] = out.get(i, 0) + c * x
+    return {i: x for i, x in out.items() if x}
 
 
 def sparse_vector(v) -> dict[int, Fraction]:
     return {i: x for i, x in enumerate(v) if x}
+
+
+def dense_vector(v: dict, n: int) -> Vector:
+    return tuple(v.get(i, _ZERO) for i in range(n))
+
+
+def _height(vectors) -> int:
+    """The number of coordinates that sparse vectors occupy: one past
+    their largest index."""
+    return 1 + max((max(v) for v in vectors if v), default=-1)
 
 
 def expand_product(args) -> list:
@@ -201,16 +216,15 @@ class SparseMatrix:
 
     @classmethod
     def from_columns(cls, vectors, nrows: int) -> "SparseMatrix":
-        """The matrix whose column j is the length-``nrows`` vector
-        vectors[j]."""
+        """The matrix whose column j is the sparse vector vectors[j], with
+        indices below ``nrows``."""
         vectors = list(vectors)
         data = [{} for _ in range(nrows)]
         for j, v in enumerate(vectors):
-            if len(v) != nrows:
-                raise UsageError(f"column {j} does not have length {nrows}")
-            for i, x in enumerate(v):
-                if x:
-                    data[i][j] = x
+            if v and not 0 <= min(v) <= max(v) < nrows:
+                raise UsageError(f"column {j} does not fit in {nrows} rows")
+            for i, x in v.items():
+                data[i][j] = x
         return cls(nrows, len(vectors), tuple(data))
 
 
@@ -299,40 +313,44 @@ def rref(m) -> RrefResult:
                       tuple(col for col, _ in reduced))
 
 
-def nullspace_basis(m) -> list[Vector]:
-    """Canonical kernel basis: one vector per free column of the RREF, in
-    increasing column order, with that coordinate 1 and the other free
-    ones 0."""
+def nullspace_basis(m) -> list[dict]:
+    """Canonical kernel basis: one sparse vector per free column of the
+    RREF, in increasing column order, with that coordinate 1 and the other
+    free ones 0."""
     reduced = _reduced(_rows(m))
     pivots = {col for col, _ in reduced}
-    basis = {fc: [_ZERO] * m.cols for fc in range(m.cols) if fc not in pivots}
+    basis = {fc: {fc: Fraction(1)} for fc in range(m.cols)
+             if fc not in pivots}
     for col, row in reduced:
         for k, x in row.items():
             if k != col:
                 basis[k][col] = -x
-    for fc, v in basis.items():
-        v[fc] = Fraction(1)
-    return [tuple(v) for v in basis.values()]
+    return list(basis.values())
 
 
-def solve(m, b) -> Vector | None:
-    """The particular solution of m x = b with all free coordinates 0, or
-    None when there is none."""
-    if len(b) != m.rows:
-        raise UsageError(f"solve: rhs length {len(b)} != {m.rows} rows")
+def solve(m, b: dict) -> dict | None:
+    """The particular solution of m x = b, for a sparse right-hand side,
+    with all free coordinates 0; None when there is none."""
+    if b and not 0 <= min(b) <= max(b) < m.rows:
+        raise UsageError(f"solve: rhs does not fit in {m.rows} rows")
     last = m.cols  # the column of b in the augmented rows
-    x = [_ZERO] * m.cols
-    for col, row in _reduced([{**row, last: c} if c else row
-                              for row, c in zip(_rows(m), b)]):
+    rows = list(_rows(m))
+    for i, c in b.items():
+        rows[i] = {**rows[i], last: c}
+    x = {}
+    for col, row in _reduced(rows):
         if col == last:
             return None
-        x[col] = row.get(last, _ZERO)
-    return tuple(x)
+        if last in row:
+            x[col] = row[last]
+    return x
 
 
-def in_span(vectors, v) -> Vector | None:
+def in_span(vectors, v: dict) -> dict | None:
     """Coordinates of v in span(vectors), or None if v lies outside."""
-    return solve(SparseMatrix.from_columns(vectors, len(v)), v)
+    vectors = list(vectors)
+    return solve(SparseMatrix.from_columns(vectors, _height([*vectors, v])),
+                 v)
 
 
 def column_rank(vectors) -> int:
@@ -343,25 +361,24 @@ def independent_subset(vectors) -> list[int]:
     """Indices of a maximal independent subset, chosen greedily in order:
     the pivot columns, which forward elimination alone fixes."""
     vectors = list(vectors)
-    if not vectors:
-        return []
-    m = SparseMatrix.from_columns(vectors, len(vectors[0]))
+    m = SparseMatrix.from_columns(vectors, _height(vectors))
     return [col for col, _ in _echelon(m.data)]
 
 
-def intersection_basis(u_cols, w_cols) -> list[Vector]:
+def intersection_basis(u_cols, w_cols) -> list[dict]:
     """Basis of span(u_cols) ∩ span(w_cols), expressed as ambient vectors."""
     u_cols = list(u_cols)
     w_cols = list(w_cols)
     if not u_cols or not w_cols:
         return []
-    n = len(u_cols[0])
     stacked = SparseMatrix.from_columns(
-        u_cols + [[-x for x in c] for c in w_cols], n)
+        u_cols + [{i: -x for i, x in c.items()} for c in w_cols],
+        _height(u_cols + w_cols))
     vecs = []
     for coeffs in nullspace_basis(stacked):
-        acc = lincomb(coeffs[:len(u_cols)], u_cols, n)
-        if not vec_is_zero(acc):
+        acc = lincomb({j: c for j, c in coeffs.items() if j < len(u_cols)},
+                      u_cols)
+        if acc:
             vecs.append(acc)
     keep = independent_subset(vecs)
     return [vecs[i] for i in keep]

@@ -6,25 +6,23 @@ power alpha^(n-1) and the module actions.  The compilers here build that
 matrix once, from the nonzero constants only, so a coboundary becomes a
 sparse product instead of a dense evaluation on every basis tuple.
 
-Operators map between ``cochain.Coords`` systems.  Associative-kind
-operators use full coordinates.  Lie-kind operators take alternating
-cochains in reduced coordinates; their images are alternating exactly when
-the bracket is skew, so only then are the images reduced as well.
+Operators map sparse {coordinate: value} dicts between ``cochain.Coords``
+systems; ``apply_operator`` converts a full tensor once on the way in and
+once on the way out.  Associative-kind operators use full coordinates.
+Lie-kind operators take alternating cochains in reduced coordinates; their
+images are alternating exactly when the bracket is skew, so only then are
+the images reduced as well.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
 from .algebra import HomAlgebra, alpha_power, skew_defect
 from .cochain import HOM, Coords, MorphismCoords
 from .errors import UsageError
-from .exact import (Matrix, SparseMatrix, Vector, expand_product, solve,
-                    sparse_vector)
-
-_ZERO = Fraction(0)
+from .exact import Matrix, SparseMatrix, expand_product, solve, sparse_vector
 
 
 class SparseOperator:
@@ -43,21 +41,21 @@ class SparseOperator:
                 cols[j].append((i, c))
         return cols
 
-    def apply(self, x) -> Vector:
-        """The image of x: the columns of its nonzero coordinates only."""
-        if len(x) != self.source.dim:
-            raise UsageError(f"operator needs {self.source.dim} "
-                             f"coordinates, got {len(x)}")
-        out = [_ZERO] * len(self.rows)
-        for col, xj in zip(self._columns, x):
-            if xj:
-                for i, c in col:
-                    out[i] += c * xj
-        return tuple(out)
+    def apply(self, x: dict) -> dict:
+        """The sparse image of the sparse coordinates x: the columns of its
+        entries only."""
+        dim = self.source.dim
+        if x and not 0 <= min(x) <= max(x) < dim:
+            raise UsageError(f"operator needs coordinates below {dim}")
+        cols, out = self._columns, {}
+        for j, xj in x.items():
+            for i, c in cols[j]:
+                out[i] = out.get(i, 0) + c * xj
+        return {i: v for i, v in out.items() if v}
 
     def sparse_matrix(self, vectors=None) -> SparseMatrix:
-        """The operator's matrix; with ``vectors``, the matrix whose column
-        j is the image of vectors[j]."""
+        """The operator's matrix; with sparse ``vectors``, the matrix whose
+        column j is the image of vectors[j]."""
         if vectors is None:
             return SparseMatrix(len(self.rows), self.source.dim, self.rows)
         return SparseMatrix.from_columns([self.apply(v) for v in vectors],
@@ -65,17 +63,18 @@ class SparseOperator:
 
 
 def apply_operator(op: SparseOperator, f):
-    """op applied to a full tensor (or morphism cochain), as one."""
+    """op applied to a full tensor (or morphism cochain), as one; the
+    tensor is converted to sparse coordinates once."""
     x = op.source.project(f)
     if x is None:
         raise UsageError("Lie-kind coboundary needs an alternating cochain")
     return op.target.to_full(op.apply(x))
 
 
-def solve_coboundary(op: SparseOperator, coords, target) -> Vector | None:
-    """Coefficients over ``coords`` of a cochain whose image is the full
-    tensor ``target``, or None.  Reduced coordinates hold only alternating
-    images, so a target they cannot hold is not a coboundary."""
+def solve_coboundary(op: SparseOperator, coords, target) -> dict | None:
+    """Sparse coefficients over ``coords`` of a cochain whose image is the
+    full tensor ``target``, or None.  Reduced coordinates hold only
+    alternating images, so a target they cannot hold is not a coboundary."""
     rhs = op.target.project(target)
     return None if rhs is None else solve(op.sparse_matrix(coords), rhs)
 

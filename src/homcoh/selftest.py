@@ -22,7 +22,8 @@ from .cohomology import ModuleComplex, MorphismComplex
 from .deformation import (apply_equivalence, check_morphism_deformation,
                           coefficient_cochain, FormalAutomorphismPair,
                           infinitesimal_report, obstruction)
-from .exact import Matrix, nullspace_basis, rref, solve
+from .exact import (Matrix, dense_vector, nullspace_basis, rref, solve,
+                    sparse_vector)
 from .rep import HomMorphism, adjoint_bimodule, self_bimodule
 from . import fixtures
 
@@ -188,12 +189,13 @@ def suite_exact(trials: int = 40) -> SuiteResult:
         out.expect(len(basis) == cols - res.rank,
                    f"trial {t}: kernel size mismatch")
         for v in basis:
-            out.expect(all(x == 0 for x in m.matvec(v)),
+            out.expect(all(x == 0 for x in m.matvec(dense_vector(v, cols))),
                        f"trial {t}: kernel vector not annihilated")
         x = tuple(_rand_fraction(rng) for _ in range(cols))
         b = m.matvec(x)
-        got = solve(m, b)
-        out.expect(got is not None and m.matvec(got) == b,
+        got = solve(m, sparse_vector(b))
+        out.expect(got is not None
+                   and m.matvec(dense_vector(got, cols)) == b,
                    f"trial {t}: solve failed on a consistent system")
         a = _rand_fraction(rng, 50)
         c = _rand_fraction(rng, 50)
@@ -305,8 +307,8 @@ def suite_face_operators(trials: int = 100) -> SuiteResult:
         face = complex_obj.face
         n = rng.choice((1, 2))
         space = complex_obj.bound_space(n)
-        f = space.combine([Fraction(rng.randint(-2, 2))
-                           for _ in range(space.dim)])
+        f = space.combine(sparse_vector([Fraction(rng.randint(-2, 2))
+                                         for _ in range(space.dim)]))
         total = MultilinearMap.zero(n + 1, A.dim, M.carrier_dim)
         for i in range(n + 1):
             fi = face(i, f)

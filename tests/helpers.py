@@ -4,13 +4,13 @@ the package implementations they check."""
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from math import gcd
+from itertools import permutations, product
+from math import factorial, gcd
 
 from homcoh.algebra import ASSOCIATIVE, alpha_power, apply_alpha, multiply
-from homcoh.cochain import MorphismCochain, MultilinearMap
+from homcoh.cochain import MorphismCochain, MultilinearMap, permutation_sign
 from homcoh.errors import HomcohError
-from homcoh.exact import Matrix, SparseMatrix, solve
+from homcoh.exact import Matrix, SparseMatrix, dense_vector, solve
 from homcoh.rep import adjoint_bimodule, lie_adjoint_module
 
 
@@ -114,6 +114,11 @@ def dense_solve(m: Matrix, b) -> tuple | None:
     return tuple(x)
 
 
+def densify(x, n: int) -> tuple | None:
+    """The sparse vector x as a length-n tuple; None stays None."""
+    return None if x is None else dense_vector(x, n)
+
+
 def columns(vectors, n: int) -> Matrix:
     """The n-row dense matrix whose columns are ``vectors``."""
     return Matrix(n, len(vectors), tuple(Fraction(v[i]) for i in range(n)
@@ -158,7 +163,7 @@ def differential_matrix(space_n, space_n1, delta) -> Matrix:
         if coords is None:
             raise ImageOutsideCodomain(
                 f"image of basis cochain {j} lies outside the codomain basis")
-        cols.append(coords)
+        cols.append(dense_vector(coords, space_n1.dim))
     return Matrix.from_columns(cols, nrows=space_n1.dim)
 
 
@@ -328,6 +333,41 @@ def dense_derivation_D_lie(L, f):
         alphas = [apply_alpha(L, x) for x in args]
         values[t] = tuple(dense_bracket_terms(L, f, args, alphas))
     return MultilinearMap.from_values(n + 1, L.dim, f.target_dim, values)
+
+
+def dense_comp_product(A, phi, psi):
+    """Insertion of phi into every slot of psi with bystanders twisted by
+    alpha^(arity of phi - 1), evaluated on every basis tuple."""
+    a, b = phi.arity - 1, psi.arity - 1
+    ap = alpha_power(A, a)
+    values = {}
+    for t in product(range(A.dim), repeat=a + b + 1):
+        args = _basis_args(A.dim, t)
+        twisted = [ap.matvec(x) for x in args]
+        total = [Fraction(0)] * psi.target_dim
+        for k in range(b + 1):
+            inner = phi.evaluate(args[k:k + a + 1])
+            slots = twisted[:k] + [inner] + twisted[k + a + 1:]
+            total = _signed(total, psi.evaluate(slots), (a * k) % 2)
+        values[t] = tuple(total)
+    return MultilinearMap.from_values(a + b + 1, A.dim, psi.target_dim,
+                                      values)
+
+
+def dense_alternator(m):
+    """Average over signed argument permutations, gathered per basis
+    tuple."""
+    k = m.arity
+    if k < 2:
+        return m
+    values = {}
+    for t in product(range(m.source_dim), repeat=k):
+        total = [Fraction(0)] * m.target_dim
+        for perm in permutations(range(k)):
+            term = m.value_on_basis(tuple(t[p] for p in perm))
+            total = _signed(total, term, permutation_sign(perm) < 0)
+        values[t] = tuple(x / factorial(k) for x in total)
+    return MultilinearMap.from_values(k, m.source_dim, m.target_dim, values)
 
 
 def dense_delta_morphism(phi, c, flavor: str):

@@ -1,16 +1,19 @@
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from math import factorial
 
+from helpers import dense_alternator, dense_comp_product
 from homcoh import fixtures
 from homcoh.algebra import HomAlgebra, multiply, validate
 from homcoh.bracket import (alpha_associator, comp_product, cup_bracket_lie,
-                            cup_product_assoc, derivation_D_assoc,
-                            derivation_D_lie, diamond, gerstenhaber_bracket,
+                            cup_product_assoc, diamond, gerstenhaber_bracket,
                             nr_bracket, overline_comp)
-from homcoh.cochain import MultilinearMap, is_alternating, permutation_sign
+from homcoh.cochain import (MultilinearMap, alternator, is_alternating,
+                            permutation_sign)
 from homcoh.cohomology import ModuleComplex
-from homcoh.exact import Matrix, basis_vector
+from homcoh.exact import Matrix, basis_vector, sparse_vector
+from homcoh.operator import apply_operator, hom_operator, lie_operator
 
 
 def vec(*xs):
@@ -43,6 +46,37 @@ def test_comp_product_linear_insertion(a3):
             term = psi.evaluate(slots)
             expect = tuple(a + b for a, b in zip(expect, term))
         assert got.value_on_basis(t) == expect
+
+
+def test_sparse_products_match_dense_oracles(a3, l4a):
+    """The insertion product, both graded brackets and the alternator
+    against their dense forms, on twists whose powers are not the
+    identity and not diagonal."""
+    rng = random.Random(56)
+    arities = ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1))
+    for A in (a3, fixtures.assoc2(), l4a, fixtures.g1(2, 3)):
+        lie = A.kind == "lie"
+        for pa, pb in arities:
+            f = rand_map(rng, pa, A.dim, A.dim)
+            g = rand_map(rng, pb, A.dim, A.dim)
+            if lie:
+                f, g = dense_alternator(f), dense_alternator(g)
+            left = dense_comp_product(A, g, f)
+            right = dense_comp_product(A, f, g)
+            assert comp_product(A, f, g) == right, (A.name, pa, pb)
+            assert comp_product(A, g, f) == left, (A.name, pb, pa)
+            sign = (-1) ** ((pa - 1) * (pb - 1))
+            assert gerstenhaber_bracket(A, f, g) == left - right.scale(sign)
+            if lie:
+                scale = Fraction(factorial(pa + pb - 1),
+                                 factorial(pa) * factorial(pb))
+                nr = dense_alternator(right) \
+                    - dense_alternator(left).scale(sign)
+                assert nr_bracket(A, f, g) == nr.scale(scale), \
+                    (A.name, pa, pb)
+        for k in (2, 3, 4):
+            m = rand_map(rng, k, A.dim, 2)
+            assert alternator(m) == dense_alternator(m), (A.name, k)
 
 
 def test_comp_product_zero_inputs(a3):
@@ -216,11 +250,18 @@ def test_diamond_fixture_value():
     assert got.value_on_basis((0, 1)) == vec(0, 0, 0)
 
 
+def derivation_assoc(A, f):
+    """The degree-one derivation: the merge summands of the coboundary."""
+    n = f.arity
+    op = hom_operator(A, f.target_dim, n, [(-1) ** (k + 1) for k in range(n)])
+    return apply_operator(op, f)
+
+
 def test_derivation_assoc_examples(a3):
     zero = MultilinearMap.zero(1, 3, 3)
-    assert derivation_D_assoc(a3, zero).is_zero()
+    assert derivation_assoc(a3, zero).is_zero()
     f = MultilinearMap.from_values(1, 3, 3, {(1,): vec(0, 1, 0)})
-    got = derivation_D_assoc(a3, f)
+    got = derivation_assoc(a3, f)
     # single term: minus the cochain applied to the product
     assert got.value_on_basis((0, 1)) == vec(0, -1, 0)
 
@@ -233,7 +274,7 @@ def test_derivation_matches_inner_summands_of_coboundary(a3):
         f = rand_map(rng, n, 3, 3)
         df = ModuleComplex(a3).delta(f)
         ap = alpha_power(a3, n - 1)
-        inner = derivation_D_assoc(a3, f)
+        inner = derivation_assoc(a3, f)
         for t in product(range(3), repeat=n + 1):
             args = [basis_vector(3, i) for i in t]
             first = multiply(a3, ap.matvec(args[0]), f.evaluate(args[1:]))
@@ -246,7 +287,8 @@ def test_derivation_matches_inner_summands_of_coboundary(a3):
 
 def test_derivation_lie_zero(heis):
     zero = MultilinearMap.zero(2, 3, 3)
-    assert derivation_D_lie(heis, zero).is_zero()
+    op = lie_operator(heis, 3, 2, reduced=False)
+    assert apply_operator(op, zero).is_zero()
 
 
 def test_alpha_associator_examples(a3):
@@ -267,8 +309,10 @@ def test_comp_product_preserves_compatibility(a3):
     s1 = hom_cochain_basis(a3, 3, a3.alpha, 1)
     s2 = hom_cochain_basis(a3, 3, a3.alpha, 2)
     for _ in range(5):
-        phi = s1.combine([Fraction(rng.randint(-2, 2)) for _ in range(s1.dim)])
-        psi = s2.combine([Fraction(rng.randint(-2, 2)) for _ in range(s2.dim)])
+        phi = s1.combine(sparse_vector([Fraction(rng.randint(-2, 2))
+                                        for _ in range(s1.dim)]))
+        psi = s2.combine(sparse_vector([Fraction(rng.randint(-2, 2))
+                                        for _ in range(s2.dim)]))
         out = comp_product(a3, phi, psi)
         assert is_compatible(out, a3.alpha, a3.alpha)
 

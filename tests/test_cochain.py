@@ -7,12 +7,12 @@ import pytest
 from helpers import bareiss_rank, dense_to_full
 from homcoh import fixtures
 from homcoh.algebra import HomAlgebra
-from homcoh.cochain import (Coords, MorphismCoords, MultilinearMap,
-                            alternator, hom_cochain_basis, is_alternating,
-                            is_compatible, lie_cochain_basis)
+from homcoh.cochain import (Coords, MorphismCochain, MorphismCoords,
+                            MultilinearMap, alternator, hom_cochain_basis,
+                            is_alternating, is_compatible, lie_cochain_basis)
 from homcoh.cohomology import MorphismComplex
 from homcoh.errors import ArityLimitError, UsageError
-from homcoh.exact import Matrix
+from homcoh.exact import Matrix, sparse_vector
 
 
 def vec(*xs):
@@ -35,6 +35,27 @@ def test_hom_basis_zero_structure_map_kills_everything():
     dual = fixtures.dual_numbers()
     space = hom_cochain_basis(dual, 2, Matrix.zero(2, 2), 1)
     assert space.dim == 0
+
+
+def test_basis_coordinates_store_only_their_nonzero_entries():
+    zero = HomAlgebra("zero4", "associative", 4,
+                      [[[0] * 4 for _ in range(4)] for _ in range(4)],
+                      Matrix.identity(4))
+    space = hom_cochain_basis(zero, 4, zero.alpha, 4)
+    assert space.dim == 4 ** 4 * 4
+    assert sum(len(v) for v in space.coords) == 1024  # one unit per element
+    # morphism coordinates shift each component's indices, with no padding
+    space = MorphismComplex(fixtures.phi_assoc(), "hom").bound_space(2)
+    parts = (space.space_a, space.space_b, space.space_ab)
+    assert sum(len(v) for v in space.coords) == sum(
+        len(v) for part in parts for v in part.coords)
+    zeros = [MultilinearMap.zero(p.arity, p.source_dim, p.target_dim)
+             for p in space.system.parts]
+    expected = []
+    for i, part in enumerate(parts):
+        for f in part.basis:
+            expected.append(MorphismCochain(*zeros[:i], f, *zeros[i + 1:]))
+    assert space.basis == tuple(expected)
 
 
 def test_hom_basis_arity_zero_is_full_target():
@@ -207,14 +228,14 @@ def test_to_full_gathers_the_dense_tensor():
                 system = Coords(arity, source_dim, target_dim, reduced)
                 for _ in range(3):
                     x = rand_coordinates(rng, system.dim)
-                    full = system.to_full(x)
+                    full = system.to_full(sparse_vector(x))
                     assert full == dense_to_full(system, x)
-                    assert system.project(full) == x
+                    assert system.project(full) == sparse_vector(x)
     parts = (Coords(2, 3, 3, True), Coords(2, 2, 2, True),
              Coords(1, 3, 2, True))
     morphism = MorphismCoords(parts)
     x = rand_coordinates(rng, morphism.dim)
-    c = morphism.to_full(x)
+    c = morphism.to_full(sparse_vector(x))
     cuts = (0, parts[0].dim, parts[0].dim + parts[1].dim, morphism.dim)
     assert (c.comp_A, c.comp_B, c.comp_AB) == tuple(
         dense_to_full(p, x[a:b]) for p, a, b in zip(parts, cuts, cuts[1:]))

@@ -16,7 +16,7 @@ from homcoh.cohomology import (HomSelfComplex, ModuleComplex,
                                connecting_complex, self_cohomology)
 from homcoh.errors import UsageError
 from homcoh.files import cochain_to_json
-from homcoh.exact import Matrix, basis_vector, in_span
+from homcoh.exact import Matrix, basis_vector, in_span, sparse_vector
 from homcoh.rep import (HomMorphism, adjoint_bimodule, lie_adjoint_module,
                         self_bimodule, self_lie_module)
 
@@ -73,7 +73,7 @@ def test_displayed_cocycle_family_spans_computed_cocycles(a3):
     summary = self_cohomology(a3, [2])
     rec = summary.record(2)
     assert rec.dim_cocycles == 4
-    z_cols = [z.coeffs for z in rec.cocycle_basis]
+    z_cols = [sparse_vector(z.coeffs) for z in rec.cocycle_basis]
     complex_obj = ModuleComplex(a3)
     for _ in range(5):
         x1, x2, x3, x4 = (Fraction(rng.randint(-3, 3)) for _ in range(4))
@@ -88,7 +88,7 @@ def test_displayed_cocycle_family_spans_computed_cocycles(a3):
             (1, 2): (0, 0, b * (x3 + x4)),
         })
         assert complex_obj.delta(psi).is_zero()
-        assert in_span(z_cols, psi.coeffs) is not None
+        assert in_span(z_cols, sparse_vector(psi.coeffs)) is not None
 
 
 def test_delta_hom_self_zero_and_rejects_arity_zero(a3):
@@ -212,7 +212,8 @@ def test_face_operator_examples(a3):
     complex_obj = ModuleComplex(a3, self_bimodule(a3))
     rng = random.Random(63)
     space = hom_cochain_basis(a3, 3, a3.alpha, 2)
-    f = space.combine([Fraction(rng.randint(-2, 2)) for _ in range(space.dim)])
+    f = space.combine(sparse_vector([Fraction(rng.randint(-2, 2))
+                                     for _ in range(space.dim)]))
     assert complex_obj.face(2, f).is_zero()
     total = MultilinearMap.zero(3, 3, 3)
     for i in range(3):
@@ -240,6 +241,36 @@ def test_each_face_is_compiled_once_per_index_and_arity(a3, monkeypatch):
             for i in range(n + 1):
                 complex_obj.face(i, f)
     assert sorted(arities) == [1, 2, 2]  # face n of arity n is zero
+
+
+def test_morphism_complex_checks_dimensions_before_compiling(phi,
+                                                            monkeypatch):
+    compiled = []
+
+    def counting(name):
+        real = getattr(cohomology, name)
+
+        def counted(*args):
+            compiled.append(name)
+            return real(*args)
+        return counted
+
+    for name in ("hom_delta", "morphism_delta"):
+        monkeypatch.setattr(cohomology, name, counting(name))
+    complex_obj = MorphismComplex(phi, "hom")
+    a, b = phi.source.dim, phi.target.dim
+    good = (MultilinearMap.zero(1, a, a), MultilinearMap.zero(1, b, b),
+            MultilinearMap.constant(a, (0,) * b))
+    wrong = (MultilinearMap.zero(1, b, b), MultilinearMap.zero(1, a, a),
+             MultilinearMap.constant(b, (0,) * a))
+    for i, name in enumerate(("comp_A", "comp_B", "comp_AB")):
+        parts = list(good)
+        parts[i] = wrong[i]
+        with pytest.raises(UsageError, match=f"{name} dimensions"):
+            complex_obj.delta(MorphismCochain(*parts))
+    assert compiled == []
+    assert complex_obj.delta(MorphismCochain(*good)).is_zero()
+    assert sorted(compiled) == ["hom_delta", "hom_delta", "morphism_delta"]
 
 
 def test_module_complex_rejects_a_module_over_another_algebra(a3, b2, heis):
@@ -331,11 +362,11 @@ def test_representatives_are_cocycles_outside_coboundaries(b2):
     complex_obj = HomSelfComplex(b2)
     summary = compute_cohomology(complex_obj, [2])
     rec = summary.record(2)
-    bound = [complex_obj.delta(g).coeffs
+    bound = [sparse_vector(complex_obj.delta(g).coeffs)
              for g in complex_obj.bound_space(1).basis]
     for rep in rec.representatives:
         assert complex_obj.delta(rep).is_zero()
-        assert in_span(bound, rep.coeffs) is None
+        assert in_span(bound, sparse_vector(rep.coeffs)) is None
     assert rec.dim_cohomology == len(rec.representatives)
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (bareiss_rank, columns, dense_nullspace, dense_rref,
-                     dense_solve)
+                     dense_solve, densify)
 from homcoh.errors import ParseError
 from homcoh.exact import (Matrix, SparseMatrix, in_span, independent_subset,
                           intersection_basis, nullspace_basis,
@@ -69,7 +69,7 @@ def test_nullspace_identity_empty():
 
 def test_nullspace_single_relation():
     basis = nullspace_basis(frac_matrix([[1, 1]]))
-    assert basis == [(Fraction(-1), Fraction(1))]
+    assert basis == [{0: Fraction(-1), 1: Fraction(1)}]
 
 
 def test_nullspace_random_annihilates():
@@ -78,7 +78,7 @@ def test_nullspace_random_annihilates():
         m = frac_matrix([[rng.randint(-3, 3) for _ in range(6)]
                          for _ in range(4)])
         res = rref(m)
-        basis = nullspace_basis(m)
+        basis = [densify(v, 6) for v in nullspace_basis(m)]
         assert len(basis) == 6 - res.rank
         for v in basis:
             assert all(x == 0 for x in m.matvec(v))
@@ -88,15 +88,17 @@ def test_nullspace_random_annihilates():
 
 
 def test_solve_identity():
-    assert solve(Matrix.identity(2), (3, 5)) == (Fraction(3), Fraction(5))
+    assert solve(Matrix.identity(2), {0: 3, 1: 5}) == {0: Fraction(3),
+                                                       1: Fraction(5)}
 
 
 def test_solve_underdetermined_picks_zero_free_coordinates():
-    assert solve(frac_matrix([[1, 1]]), (2,)) == (Fraction(2), Fraction(0))
+    assert densify(solve(frac_matrix([[1, 1]]), {0: 2}), 2) == (
+        Fraction(2), Fraction(0))
 
 
 def test_solve_inconsistent_absent():
-    assert solve(frac_matrix([[1], [1]]), (1, 2)) is None
+    assert solve(frac_matrix([[1], [1]]), {0: 1, 1: 2}) is None
 
 
 def test_solve_residual_exact():
@@ -106,16 +108,16 @@ def test_solve_residual_exact():
                          for _ in range(3)])
         x = tuple(Fraction(rng.randint(-3, 3)) for _ in range(4))
         b = m.matvec(x)
-        got = solve(m, b)
+        got = solve(m, sparse_vector(b))
         assert got is not None
-        assert m.matvec(got) == b
+        assert m.matvec(densify(got, 4)) == b
 
 
 def test_in_span_examples():
-    assert in_span([(1, 0)], (0, 0)) == (Fraction(0),)
-    assert in_span([(1, 0)], (0, 1)) is None
-    coords = in_span([(1, 1), (1, -1)], (2, 0))
-    assert coords == (Fraction(1), Fraction(1))
+    assert densify(in_span([{0: 1}], {}), 1) == (Fraction(0),)
+    assert in_span([{0: 1}], {1: 1}) is None
+    coords = in_span([{0: 1, 1: 1}, {0: 1, 1: -1}], {0: 2})
+    assert densify(coords, 2) == (Fraction(1), Fraction(1))
 
 
 def _oracle_cases():
@@ -175,19 +177,24 @@ def test_sparse_kernel_matches_dense_gauss_jordan():
             res = rref(given)
             assert (res.reduced, res.pivot_columns) == (reduced, pivots)
             assert res.rank == len(pivots) == bareiss_rank(m)
-            assert nullspace_basis(given) == dense_nullspace(m)
+            assert [densify(v, m.cols) for v in nullspace_basis(given)] == \
+                dense_nullspace(m)
             x = [Fraction(rng.randint(-3, 3)) for _ in range(m.cols)]
             b = m.matvec(x)
-            assert solve(given, b) == dense_solve(m, b) is not None
+            assert densify(solve(given, sparse_vector(b)), m.cols) == \
+                dense_solve(m, b) is not None
             b = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                  for _ in range(m.rows)]
-            assert solve(given, b) == dense_solve(m, b)
+            assert densify(solve(given, sparse_vector(b)), m.cols) == \
+                dense_solve(m, b)
             inconsistent += dense_solve(m, b) is None
         cols = [m.column(j) for j in range(m.cols)]
         if m.rows:
-            assert independent_subset(cols) == list(pivots)
+            sparse_cols = [sparse_vector(c) for c in cols]
+            assert independent_subset(sparse_cols) == list(pivots)
             split = rng.randint(0, m.cols)
-            assert intersection_basis(cols[:split], cols[split:]) == \
+            assert [densify(v, m.rows) for v in intersection_basis(
+                sparse_cols[:split], sparse_cols[split:])] == \
                 _dense_intersection(cols[:split], cols[split:], m.rows)
     assert inconsistent and deficient
 
@@ -207,13 +214,15 @@ def _dense_intersection(u, w, n):
 def test_sparse_kernel_edge_shapes():
     empty = SparseMatrix(2, 0, ({}, {}))
     assert nullspace_basis(empty) == []
-    assert solve(empty, (0, 0)) == ()
-    assert solve(empty, (0, Fraction(1, 3))) is None
+    assert solve(empty, {}) == {}
+    assert solve(empty, {1: Fraction(1, 3)}) is None
     assert rref(SparseMatrix(0, 3, ())).pivot_columns == ()
     assert nullspace_basis(SparseMatrix(0, 2, ())) == [
-        (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
-    assert solve(SparseMatrix(0, 2, ()), ()) == (Fraction(0), Fraction(0))
-    assert independent_subset([(0, 0), (1, 2), (2, 4), (0, 1)]) == [1, 3]
+        {0: Fraction(1)}, {1: Fraction(1)}]
+    assert densify(solve(SparseMatrix(0, 2, ()), {}), 2) == (
+        Fraction(0), Fraction(0))
+    assert independent_subset([{}, {0: 1, 1: 2}, {0: 2, 1: 4}, {1: 1}]) \
+        == [1, 3]
 
 
 def test_exact_arithmetic_round_trip():
