@@ -13,7 +13,8 @@ nonzero constants only (``HomAlgebra.sparse``): the structure identity of
 a pair of bilinear maps, the product and twist equations of a matrix, and
 skew-symmetry.  Algebra validity, morphism checks, the twist construction,
 the order-by-order deformation checks and the compiled coboundaries all go
-through it.
+through it; validity, morphism checks and the compilers read the constants
+as integers over one denominator each (``HomAlgebra.integral``).
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .errors import MorphismViolation, UsageError
-from .exact import (Matrix, Vector, basis_vector, rational_to_string,
-                    sparse_vector)
+from .exact import (Matrix, Vector, basis_vector, integral,
+                    rational_to_string, sparse_vector)
 
 
 def format_vector(v) -> list[str]:
@@ -37,17 +39,14 @@ LIE = "lie"
 MulTensor = tuple[tuple[Vector, ...], ...]
 
 
-def _freeze_mul(dim: int, mul) -> MulTensor:
-    rows = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            v = tuple(Fraction(x) for x in mul[i][j])
-            if len(v) != dim:
-                raise UsageError("structure constant vector has wrong length")
-            row.append(v)
-        rows.append(tuple(row))
-    return tuple(rows)
+def freeze_tensor(rows: int, cols: int, dim: int, tensor,
+                  message: str) -> MulTensor:
+    """tensor[i][j] as tuples of length-dim ``Fraction`` vectors."""
+    out = tuple(tuple(tuple(Fraction(x) for x in tensor[i][j])
+                      for j in range(cols)) for i in range(rows))
+    if any(len(v) != dim for row in out for v in row):
+        raise UsageError(message)
+    return out
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,9 @@ class HomAlgebra:
             raise UsageError("dim must be >= 1")
         if self.alpha.rows != self.dim or self.alpha.cols != self.dim:
             raise UsageError("alpha must be a dim x dim matrix")
-        object.__setattr__(self, "mul", _freeze_mul(self.dim, self.mul))
+        object.__setattr__(self, "mul", freeze_tensor(
+            self.dim, self.dim, self.dim, self.mul,
+            "structure constant vector has wrong length"))
         if self.basis_names is None:
             object.__setattr__(
                 self, "basis_names",
@@ -87,15 +88,32 @@ class HomAlgebra:
                            for i in range(n) for j in range(n)))
 
     @cached_property
+    def integral(self) -> tuple[tuple[dict, int], tuple[dict, int]]:
+        """The twist columns and products of ``sparse`` as integer
+        numerators over one denominator each: ((alpha, a), (mul, m))."""
+        return integral(self.sparse.alpha), integral(self.sparse.mul)
+
+    def twist_power(self, exponent: int) -> tuple[dict, int]:
+        """alpha^exponent as (nonzero integer columns, a^exponent)."""
+        (alpha, a), _ = self.integral
+        cols = {j: {j: 1} for j in range(self.dim)}
+        for _ in range(exponent):
+            acc = {}
+            _after(acc, alpha, cols)
+            cols = _nonzero(acc)
+        return cols, a ** exponent
+
+    @cached_property
     def validity(self) -> ValidityReport:
         """The defining identity on all basis triples, plus stored
         skew-symmetry for the Lie kind; multiplicativity of the twist is
-        reported independently.  Checked once per algebra."""
-        (alpha, mul), n, names = self.sparse, self.dim, self.basis_names
-        witness = first_failure(skew_defect(mul), n, names) \
+        reported independently.  Checked once per algebra, on the integer
+        constants: a term of the identity has one twist and two products."""
+        ((alpha, a), (mul, m)), n = self.integral, self.dim
+        witness = first_failure(skew_defect(mul), n, self.basis_names, m) \
             if self.kind == LIE else None
-        witness = witness or first_failure(
-            identity_defect(self.kind, alpha, [(mul, mul)]), n, names)
+        witness = witness or first_failure(identity_defect(
+            self.kind, alpha, [(mul, mul)]), n, self.basis_names, a * m * m)
         mult_witness = morphism_witnesses(self, self, self.alpha)[0]
         return ValidityReport(witness is None, witness, mult_witness is None,
                               mult_witness, self.kind)
@@ -205,14 +223,15 @@ def skew_defect(mu: dict) -> dict:
     return _nonzero(acc)
 
 
-def first_failure(defect: dict, dim: int, names=None) -> tuple | None:
+def first_failure(defect: dict, dim: int, names=None,
+                  den: int = 1) -> tuple | None:
     """(first failing argument tuple or index in lexicographic order, its
-    defect as a length-dim vector), or None when the defect vanishes; the
-    arguments are given by basis name when ``names`` is."""
+    defect over ``den`` as a length-dim vector), or None when the defect
+    vanishes; the arguments are given by basis name when ``names`` is."""
     if not defect:
         return None
     at = min(defect)
-    vector = tuple(Fraction(defect[at].get(r, 0)) for r in range(dim))
+    vector = tuple(Fraction(defect[at].get(r, 0), den) for r in range(dim))
     if names is not None:
         at = names[at] if isinstance(at, int) else tuple(names[i] for i in at)
     return at, vector
@@ -221,13 +240,23 @@ def first_failure(defect: dict, dim: int, names=None) -> tuple | None:
 def morphism_witnesses(source: HomAlgebra, target: HomAlgebra,
                        matrix: Matrix) -> tuple:
     """First failures, by basis name, of the product equation and of the
-    twist equation of ``matrix`` as a map from source to target."""
-    m = sparse_columns(matrix)
-    (alpha, mul), (beta, mul_b) = source.sparse, target.sparse
-    names = source.basis_names
-    return (first_failure(product_defect([(m, mul)], [(mul_b, m, m)]),
-                          target.dim, names),
-            first_failure(twist_defect(m, alpha, beta), target.dim, names))
+    twist equation of ``matrix`` as a map from source to target, evaluated
+    on the integer constants with both sides of each over one denominator."""
+    m, q = integral(sparse_columns(matrix))
+    ((alpha, a), (mul, u)), ((beta, b), (mul_b, v)) = (source.integral,
+                                                       target.integral)
+    pden, tden = lcm(q * u, v * q * q), lcm(q * a, b * q)
+    product = product_defect([(_scaled(m, pden // (q * u)), mul)],
+                             [(_scaled(mul_b, pden // (v * q * q)), m, m)])
+    twist = twist_defect(m, _scaled(alpha, tden // (q * a)),
+                         _scaled(beta, tden // (b * q)))
+    return (first_failure(product, target.dim, source.basis_names, pden),
+            first_failure(twist, target.dim, source.basis_names, tden))
+
+
+def _scaled(entries: dict, c: int) -> dict:
+    """c times each sparse vector of ``entries``."""
+    return {k: {r: c * x for r, x in v.items()} for k, v in entries.items()}
 
 
 def bilinear(tensor, x, y, dim: int) -> Vector:
@@ -255,16 +284,6 @@ def multiply(algebra: HomAlgebra, x, y) -> Vector:
 
 def apply_alpha(algebra: HomAlgebra, x) -> Vector:
     return algebra.alpha.matvec(x)
-
-
-def alpha_power(algebra: HomAlgebra, exponent: int) -> Matrix:
-    """alpha^exponent."""
-    if exponent < 0:
-        raise UsageError("negative twist power")
-    out = Matrix.identity(algebra.dim)
-    for _ in range(exponent):
-        out = algebra.alpha @ out
-    return out
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Cochain-level products: the twist-weighted insertion product and the
-graded brackets built from it, cup products, composition along a morphism,
-and the twisted associator.
+graded brackets built from it, cup products and composition along a
+morphism.
 
 Degree convention in this module: a cochain of arity p has degree p - 1,
 so a bilinear map has degree 1 and the insertion of a degree-a cochain into
@@ -14,12 +14,11 @@ of the twist power, never over all basis tuples of its output.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 from math import factorial
 
-from .algebra import (ASSOCIATIVE, HomAlgebra, alpha_power, identity_defect,
-                      multiply, sparse_columns, sparse_entries)
-from .cochain import MultilinearMap, alternator, is_alternating, permutation_sign
+from .algebra import HomAlgebra, multiply
+from .cochain import MultilinearMap, alternator, is_alternating
 from .errors import UsageError
 from .exact import Vector, expand_product, sparse_vector, vec_is_zero
 from .rep import HomMorphism
@@ -58,7 +57,11 @@ def comp_product(A: HomAlgebra, phi: MultilinearMap,
     b = psi.arity - 1
     # row i of alpha^a: {j: coefficient of e_i in alpha^a e_j}, the
     # bystander arguments that feed argument e_i of psi
-    rows = sparse_columns(alpha_power(A, a).transpose())
+    cols, den = A.twist_power(a)
+    rows = {}
+    for j, col in cols.items():
+        for i, x in col.items():
+            rows.setdefault(i, {})[j] = Fraction(x, den)
     inserted = {}  # i: the (argument tuple, coefficient of e_i) of phi
     for s, v in phi.nonzero_entries():
         for i, c in enumerate(v):
@@ -141,36 +144,6 @@ def cup_product_assoc(phi: HomMorphism, f: MultilinearMap,
     return MultilinearMap.from_values(out_arity, n, B.dim, values)
 
 
-def cup_bracket_lie(G: HomAlgebra, f: MultilinearMap,
-                    g: MultilinearMap) -> MultilinearMap:
-    """Full signed-permutation cup bracket with values bracketed in G,
-    implemented with the unnormalized all-permutations convention."""
-    if f.target_dim != G.dim or g.target_dim != G.dim:
-        raise UsageError("cup bracket needs target-valued cochains")
-    if f.source_dim != g.source_dim:
-        raise UsageError("cochain sources differ")
-    n = f.source_dim
-    p, q = f.arity, g.arity
-    out_arity = p + q
-    values = {}
-    for t in product(range(n), repeat=out_arity):
-        total = [Fraction(0)] * G.dim
-        for perm in permutations(range(out_arity)):
-            sign = permutation_sign(perm)
-            left = f.value_on_basis(tuple(t[perm[i]] for i in range(p)))
-            if vec_is_zero(left):
-                continue
-            right = g.value_on_basis(tuple(t[perm[p + i]] for i in range(q)))
-            if vec_is_zero(right):
-                continue
-            term = multiply(G, left, right)
-            for r, x in enumerate(term):
-                if x:
-                    total[r] += sign * x
-        values[t] = tuple(total)
-    return MultilinearMap.from_values(out_arity, n, G.dim, values)
-
-
 def overline_comp(phi: HomMorphism, f: MultilinearMap,
                   g: MultilinearMap) -> MultilinearMap:
     """Insert a connecting cochain into a target-valued cochain, pulling
@@ -200,15 +173,3 @@ def overline_comp(phi: HomMorphism, f: MultilinearMap,
                 total = [x + y for x, y in zip(total, term)]
         values[t] = tuple(total)
     return MultilinearMap.from_values(out_arity, A.dim, B.dim, values)
-
-
-def alpha_associator(A: HomAlgebra, mu_i: MultilinearMap,
-                     mu_j: MultilinearMap) -> MultilinearMap:
-    """Trilinear twisted associator of two bilinear maps; vanishes on the
-    multiplication paired with itself exactly on Hom-associative input."""
-    for m in (mu_i, mu_j):
-        if m.arity != 2 or m.source_dim != A.dim or m.target_dim != A.dim:
-            raise UsageError("associator needs bilinear algebra-valued maps")
-    pair = tuple(sparse_entries(m.nonzero_entries()) for m in (mu_i, mu_j))
-    return MultilinearMap.from_sparse(
-        3, A.dim, A.dim, identity_defect(ASSOCIATIVE, A.sparse.alpha, [pair]))

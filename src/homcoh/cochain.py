@@ -21,12 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations, permutations, product
-from math import factorial
+from math import factorial, lcm
 
-from .algebra import HomAlgebra
+from .algebra import HomAlgebra, sparse_columns
 from .errors import ArityLimitError, UsageError
-from .exact import (Matrix, SparseMatrix, Vector, expand_product, lincomb,
-                    nullspace_basis, sparse_vector, zero_vector)
+from .exact import (Matrix, SparseMatrix, Vector, expand_product, integral,
+                    lincomb, nullspace_basis, sparse_vector)
 
 HOM = "hom"
 LIE = "lie"
@@ -215,7 +215,7 @@ def is_alternating(m: MultilinearMap) -> bool:
         srt, sign = _sort_sign(t)
         ref = m.value_on_basis(srt)
         val = m.value_on_basis(t)
-        expect = zero_vector(m.target_dim) if sign == 0 else \
+        expect = (_ZERO,) * m.target_dim if sign == 0 else \
             tuple(sign * x for x in ref)
         if val != expect:
             return False
@@ -375,22 +375,23 @@ def _compatible_space(flavor: str, source: HomAlgebra, target_dim: int,
         basis = tuple({s: Fraction(1)} for s in range(d))
         return CochainSpace(0, flavor, source, d, beta, basis)
     system = Coords(arity, source.dim, d, flavor == LIE)
-    alpha_cols = [sparse_vector(source.alpha.column(j))
-                  for j in range(source.dim)]
-    beta_rows = [sparse_vector(beta.row(r)) for r in range(d)]
+    (alpha, a), _ = source.integral
+    beta_rows, b = integral(sparse_columns(beta.transpose()))
+    den = lcm(a ** arity, b)  # each row: beta(f(e_t)) - f(alpha e_t)
+    fa, fb = den // a ** arity, den // b
     rows = []
     for ti, t in enumerate(system.tuples):
         # f(alpha e_{t_1}, ..., alpha e_{t_k}) in the unknowns of the system
         terms = {}
-        for s, c in expand_product([alpha_cols[i] for i in t]):
+        for s, c in expand_product([alpha.get(i, {}) for i in t]):
             loc = system.locate(s)
             if loc:
                 terms[loc[0]] = terms.get(loc[0], 0) + loc[1] * c
         for r in range(d):
-            row = {ti * d + s: e for s, e in beta_rows[r].items()}
+            row = {ti * d + s: fb * e for s, e in beta_rows.get(r, {}).items()}
             for j, c in terms.items():
-                row[j * d + r] = row.get(j * d + r, 0) - c
-            rows.append(row)
+                row[j * d + r] = row.get(j * d + r, 0) - fa * c
+            rows.append({k: c for k, c in row.items() if c})
     return CochainSpace(arity, flavor, source, d, beta, tuple(
         nullspace_basis(SparseMatrix(len(rows), system.dim, tuple(rows)))))
 

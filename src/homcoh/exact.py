@@ -10,14 +10,18 @@ the package.
 Vectors are sparse {coordinate: value} dicts holding only their nonzero
 entries: kernel bases, right-hand sides and solutions, the columns of
 ``SparseMatrix.from_columns`` and the inputs of ``lincomb``,
-``independent_subset`` and ``intersection_basis``.  Dense tuples remain
-only for ``Matrix`` and the small vectors of the algebras themselves.
+``independent_subset`` and ``intersection_basis``, all ``Fraction``s.
+Dense tuples remain only for ``Matrix`` and the vectors of the algebras.
 
-One sparse, fraction-free kernel does every elimination: rows are
-primitive {column: int} dicts, the pivot is the row with the fewest
-nonzeros among those leading in the next column (Markowitz), and values
-become ``Fraction`` once, at the end.  Since the RREF is unique, pivoting
-decides only the cost.  Canonical choices, fixed once so every result is
+Integers live below that: ``integral`` writes constants as integer
+numerators over one denominator, as the coboundary compilers read them,
+and a ``SparseMatrix`` may hold integer rows over one ``den`` (a compiled
+operator's matrix).  One sparse, fraction-free kernel does every
+elimination: integer rows enter as they are, rational ones as primitive
+numerators, the pivot is the row with the fewest nonzeros among those
+leading in the next column (Markowitz), and values become ``Fraction``
+once, at the end.  Since the RREF is unique, pivoting and row scaling
+decide only the cost.  Canonical choices, fixed once so every result is
 reproducible bit for bit:
 
 * ``rref`` pivots in the leftmost columns independent of those before.
@@ -29,30 +33,26 @@ reproducible bit for bit:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import ParseError, UsageError
 
-Rational = Fraction
 Vector = tuple[Fraction, ...]
 _ZERO = Fraction(0)
 
 
 def rational_from_string(text: str) -> Fraction:
-    """Parse ``"p"`` or ``"p/q"`` with q > 0; no whitespace allowed."""
-    if not isinstance(text, str) or text != text.strip() or " " in text:
+    """Parse ``"p"`` or ``"p/q"``: ASCII digits, q > 0, p may have a minus."""
+    if not isinstance(text, str) or not re.fullmatch(
+            r"-?[0-9]+(/[0-9]+)?", text):
         raise ParseError(f"malformed rational literal {text!r}")
-    num, sep, den = text.partition("/")
-    try:
-        n = int(num)
-        d = int(den) if sep else 1
-    except ValueError:
-        raise ParseError(f"malformed rational literal {text!r}") from None
-    if d <= 0:
+    num, _, den = text.partition("/")
+    if den and int(den) == 0:
         raise ParseError(f"denominator must be positive in {text!r}")
-    return Fraction(n, d)
+    return Fraction(int(num), int(den or 1))
 
 
 def rational_to_string(value: Fraction) -> str:
@@ -95,6 +95,14 @@ def _height(vectors) -> int:
     return 1 + max((max(v) for v in vectors if v), default=-1)
 
 
+def integral(entries: dict) -> tuple[dict, int]:
+    """Sparse vectors {key: {coordinate: rational}} as (their integer
+    numerators, den) over den, the lcm of their denominators."""
+    den = lcm(*(x.denominator for v in entries.values() for x in v.values()))
+    return {k: {i: x.numerator * (den // x.denominator) for i, x in v.items()}
+            for k, v in entries.items()}, den
+
+
 def expand_product(args) -> list:
     """Multilinear expansion of sparse vectors {index: coefficient}: the
     (index tuple, product of coefficients) terms of their tensor product."""
@@ -102,10 +110,6 @@ def expand_product(args) -> list:
     for arg in args:
         terms = [(t + (i,), c * e) for t, c in terms for i, e in arg.items()]
     return terms
-
-
-def zero_vector(n: int) -> Vector:
-    return (Fraction(0),) * n
 
 
 def basis_vector(n: int, i: int) -> Vector:
@@ -207,12 +211,13 @@ class Matrix:
 
 @dataclass(frozen=True)
 class SparseMatrix:
-    """Row-major matrix of rationals held as one {column: value} dict per
-    row; absent entries are zero."""
+    """The matrix data / den: one {column: value} dict of nonzero entries
+    per row, over one positive denominator; absent entries are zero."""
 
     rows: int
     cols: int
     data: tuple[dict, ...]
+    den: int = 1
 
     @classmethod
     def from_columns(cls, vectors, nrows: int) -> "SparseMatrix":
@@ -259,17 +264,19 @@ def _combine(row: dict, piv: dict, col: int) -> dict:
 
 
 def _echelon(rows) -> list[tuple[int, dict]]:
-    """Fraction-free sparse forward elimination of {column: rational} rows:
-    (pivot column, primitive integer row) pairs in increasing column
+    """Fraction-free sparse forward elimination of {column: value} rows
+    without zero entries, integer ones as they are and others as primitive
+    numerators: (pivot column, integer row) pairs in increasing column
     order.  Rows are bucketed by leading column; of the rows leading in the
     next column, the one with the fewest nonzeros is the pivot, and only
     the others in its bucket need elimination."""
     buckets: dict[int, list] = {}
     width = 0
     for row in rows:
-        den = lcm(*(x.denominator for x in row.values()))
-        row = _primitive({k: x.numerator * (den // x.denominator)
-                          for k, x in row.items()})
+        if any(type(x) is not int for x in row.values()):
+            den = lcm(*(x.denominator for x in row.values()))
+            row = _primitive({k: x.numerator * (den // x.denominator)
+                              for k, x in row.items()})
         if row:
             buckets.setdefault(min(row), []).append(row)
             width = max(width, max(row) + 1)
@@ -335,8 +342,9 @@ def solve(m, b: dict) -> dict | None:
         raise UsageError(f"solve: rhs does not fit in {m.rows} rows")
     last = m.cols  # the column of b in the augmented rows
     rows = list(_rows(m))
+    den = m.den if isinstance(m, SparseMatrix) else 1
     for i, c in b.items():
-        rows[i] = {**rows[i], last: c}
+        rows[i] = {**rows[i], last: c * den}
     x = {}
     for col, row in _reduced(rows):
         if col == last:

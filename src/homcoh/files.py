@@ -96,7 +96,7 @@ def parse_algebra(data, context: str = "algebra") -> HomAlgebra:
     if data["kind"] not in (ASSOCIATIVE, LIE):
         raise ParseError(f"{context}: kind must be 'associative' or 'lie'")
     dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise ParseError(f"{context}: dim must be a positive integer")
     basis = data["basis"]
     if (not isinstance(basis, list) or len(basis) != dim
@@ -192,7 +192,7 @@ def _parse_term_list(entries, algebra: HomAlgebra, order: int,
         where = f"{context}[{pos}]"
         _require_keys(entry, ("degree", "mul"), (), where)
         degree = entry["degree"]
-        if not isinstance(degree, int) or degree < 1 or degree > order:
+        if type(degree) is not int or degree < 1 or degree > order:
             raise ParseError(f"{where}: degree must be in 1..{order}")
         if degree in terms:
             raise ParseError(f"{where}: duplicate degree {degree}")
@@ -212,7 +212,7 @@ def parse_deformation(data, base_dir: str = ".", context: str = "deformation"):
                   ("morphism", "algebra", "phi_terms", "target_terms"),
                   context)
     order = data["order"]
-    if not isinstance(order, int) or order < 0:
+    if type(order) is not int or order < 0:
         raise ParseError(f"{context}: order must be a non-negative integer")
     if "morphism" in data:
         phi = load_morphism_reference(data["morphism"], base_dir)
@@ -230,7 +230,7 @@ def parse_deformation(data, base_dir: str = ".", context: str = "deformation"):
             where = f"{context}: phi_terms[{pos}]"
             _require_keys(entry, ("degree", "matrix"), (), where)
             degree = entry["degree"]
-            if not isinstance(degree, int) or degree < 1 or degree > order:
+            if type(degree) is not int or degree < 1 or degree > order:
                 raise ParseError(f"{where}: degree must be in 1..{order}")
             if degree in phi_terms:
                 raise ParseError(f"{where}: duplicate degree {degree}")
@@ -311,8 +311,8 @@ def cochain_from_json(data, target_names=None, context="cochain") -> Multilinear
         where = f"{context}: entries[{pos}]"
         _require_keys(entry, ("args", "value"), (), where)
         t = tuple(entry["args"])
-        if len(t) != arity or any(not isinstance(i, int) or not 0 <= i < source_dim
-                                  for i in t):
+        if len(t) != arity or any(type(i) is not int
+                                  or not 0 <= i < source_dim for i in t):
             raise ParseError(f"{where}: bad argument tuple")
         vec = [Fraction(0)] * target_dim
         for name, lit in entry["value"].items():

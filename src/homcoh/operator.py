@@ -1,10 +1,14 @@
 """Coboundary operators compiled into sparse exact matrices.
 
 Every differential of the package is linear in the cochain, and its
-coefficients are polynomials in the structure constants, the twist, the
-power alpha^(n-1) and the module actions.  The compilers here build that
-matrix once, from the nonzero constants only, so a coboundary becomes a
-sparse product instead of a dense evaluation on every basis tuple.
+coefficients are integer polynomials in the structure constants, the
+twist, its power alpha^(n-1), the module actions and the morphism matrix.
+The compilers here read each of these as integer numerators over one
+denominator (``exact.integral``) and build the matrix once, from the
+nonzero constants only: integer {column: int} rows over one denominator
+``den`` per operator, 1 for integer constants.  A coboundary is then a
+sparse integer product, and ``SparseOperator.apply`` makes a ``Fraction``
+only for each nonzero output entry.
 
 Operators map sparse {coordinate: value} dicts between ``cochain.Coords``
 systems; ``apply_operator`` converts a full tensor once on the way in and
@@ -16,21 +20,24 @@ the images reduced as well.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import lcm
 
-from .algebra import HomAlgebra, alpha_power, skew_defect
+from .algebra import HomAlgebra, skew_defect, sparse_columns, sparse_entries
 from .cochain import HOM, Coords, MorphismCoords
 from .errors import UsageError
-from .exact import Matrix, SparseMatrix, expand_product, solve, sparse_vector
+from .exact import Matrix, SparseMatrix, expand_product, integral, solve
 
 
 class SparseOperator:
-    """Exact linear map from ``source`` to ``target`` coordinates, stored
-    as one {column: coefficient} dict per target coordinate."""
+    """Exact linear map from ``source`` to ``target`` coordinates: one
+    {column: int} row per target coordinate, over the denominator ``den``."""
 
-    def __init__(self, source, target, rows: list[dict]):
-        self.source, self.target, self.rows = source, target, rows
+    def __init__(self, source, target, rows: list[dict], den: int = 1):
+        self.source, self.target = source, target
+        self.rows, self.den = rows, den
 
     @cached_property
     def _columns(self) -> list[list]:
@@ -42,22 +49,27 @@ class SparseOperator:
         return cols
 
     def apply(self, x: dict) -> dict:
-        """The sparse image of the sparse coordinates x: the columns of its
-        entries only."""
+        """The sparse image of the sparse coordinates x, by the columns of
+        its entries: integer numerators over the common denominator of x,
+        and one ``Fraction`` per nonzero output entry."""
         dim = self.source.dim
         if x and not 0 <= min(x) <= max(x) < dim:
             raise UsageError(f"operator needs coordinates below {dim}")
+        den = lcm(*(v.denominator for v in x.values()))
         cols, out = self._columns, {}
         for j, xj in x.items():
+            v = xj.numerator * (den // xj.denominator)
             for i, c in cols[j]:
-                out[i] = out.get(i, 0) + c * xj
-        return {i: v for i, v in out.items() if v}
+                out[i] = out.get(i, 0) + c * v
+        den *= self.den
+        return {i: Fraction(v, den) for i, v in out.items() if v}
 
     def sparse_matrix(self, vectors=None) -> SparseMatrix:
-        """The operator's matrix; with sparse ``vectors``, the matrix whose
-        column j is the image of vectors[j]."""
+        """The operator's matrix (integer rows over ``den``); with sparse
+        ``vectors``, the matrix whose column j is the image of vectors[j]."""
         if vectors is None:
-            return SparseMatrix(len(self.rows), self.source.dim, self.rows)
+            return SparseMatrix(len(self.rows), self.source.dim, self.rows,
+                                self.den)
         return SparseMatrix.from_columns([self.apply(v) for v in vectors],
                                          len(self.rows))
 
@@ -79,22 +91,24 @@ def solve_coboundary(op: SparseOperator, coords, target) -> dict | None:
     return None if rhs is None else solve(op.sparse_matrix(coords), rhs)
 
 
-def _act_table(P: Matrix, tensor, d: int, right: bool = False) -> list:
-    """table[b][r] = {q: c}: coordinate r of the action of column b of P
-    on carrier basis vector q (from the left, or from the right)."""
+def _act_table(A: HomAlgebra, n: int, tensor, d: int,
+               right: bool = False) -> tuple[list, int]:
+    """(table, den): table[b][r] = {q: c}, den times coordinate r of the
+    action of column b of alpha^(n-1) on carrier basis vector q (from the
+    left, or from the right)."""
+    P, p = A.twist_power(n - 1)
+    acts, t = integral(sparse_entries(
+        ((a, q), tensor[q][a] if right else tensor[a][q])
+        for a in range(A.dim) for q in range(d)))
     table = []
-    for b in range(P.cols):
+    for b in range(A.dim):
         rows = [{} for _ in range(d)]
-        for a in range(P.rows):
-            p = P.at(a, b)
-            if not p:
-                continue
+        for a, pa in P.get(b, {}).items():
             for q in range(d):
-                for r, e in enumerate(tensor[q][a] if right else tensor[a][q]):
-                    if e:
-                        rows[r][q] = rows[r].get(q, 0) + p * e
+                for r, e in acts.get((a, q), {}).items():
+                    rows[r][q] = rows[r].get(q, 0) + pa * e
         table.append(rows)
-    return table
+    return table, p * t
 
 
 def _tuple_rows(d: int, inner: dict, acts: list) -> list[dict]:
@@ -122,10 +136,12 @@ def hom_operator(A: HomAlgebra, d: int, n: int, merge, left=None,
     alpha^(n-1) x_n).
     """
     src, tgt = Coords(n, A.dim, d, False), Coords(n + 1, A.dim, d, False)
-    alpha, mul = A.sparse
-    P = alpha_power(A, n - 1) if left or right else None
-    lt = left and (left[0], _act_table(P, left[1], d))
-    rt = right and (right[0], _act_table(P, right[1], d, right=True))
+    (alpha, a), (mul, m) = A.integral
+    lt = left and _act_table(A, n, left[1], d)
+    rt = right and _act_table(A, n, right[1], d, right=True)
+    mden = a ** max(n - 1, 0) * m  # a merge term: a product, n - 1 twists
+    den = lcm(mden, *(act[1] for act in (lt, rt) if act))
+    merge = [w * (den // mden) for w in merge]
     rows = []
     for t in tgt.tuples:
         inner = {}
@@ -140,11 +156,13 @@ def hom_operator(A: HomAlgebra, d: int, n: int, merge, left=None,
                 inner[j] = inner.get(j, 0) + w * c
         acts = []
         if lt:
-            acts.append((lt[0], src.index[t[1:]], lt[1][t[0]]))
+            acts.append((left[0] * (den // lt[1]), src.index[t[1:]],
+                         lt[0][t[0]]))
         if rt:
-            acts.append((rt[0], src.index[t[:-1]], rt[1][t[-1]]))
+            acts.append((right[0] * (den // rt[1]), src.index[t[:-1]],
+                         rt[0][t[-1]]))
         rows += _tuple_rows(d, inner, acts)
-    return SparseOperator(src, tgt, rows)
+    return SparseOperator(src, tgt, rows, den)
 
 
 def lie_operator(L: HomAlgebra, d: int, n: int, action=None,
@@ -156,10 +174,11 @@ def lie_operator(L: HomAlgebra, d: int, n: int, action=None,
     (x_i omitted).  With ``reduced`` the input is an alternating cochain.
     """
     src = Coords(n, L.dim, d, reduced)
-    alpha, mul = L.sparse
+    (alpha, a), (mul, m) = L.integral
     tgt = Coords(n + 1, L.dim, d, reduced and not skew_defect(mul))
-    table = action is not None and _act_table(alpha_power(L, n - 1),
-                                              action, d)
+    act = action is not None and _act_table(L, n, action, d)
+    mden = a ** max(n - 1, 0) * m  # a bracket term: a product, n - 1 twists
+    den = lcm(mden, act[1]) if act else mden
     rows = []
     for t in tgt.tuples:
         inner = {}
@@ -169,15 +188,16 @@ def lie_operator(L: HomAlgebra, d: int, n: int, action=None,
             for s, c in expand_product([mul.get((t[i], t[j]), {})] + rest):
                 loc = src.locate(s)
                 if loc:
-                    w = (-1) ** (i + j) * loc[1]
+                    w = (-1) ** (i + j) * loc[1] * (den // mden)
                     inner[loc[0]] = inner.get(loc[0], 0) + w * c
         acts = []
-        for i in range(n + 1) if table else ():
+        for i in range(n + 1) if act else ():
             loc = src.locate(t[:i] + t[i + 1:])
             if loc:
-                acts.append(((-1) ** i * loc[1], loc[0], table[t[i]]))
+                acts.append(((-1) ** i * loc[1] * (den // act[1]), loc[0],
+                             act[0][t[i]]))
         rows += _tuple_rows(d, inner, acts)
-    return SparseOperator(src, tgt, rows)
+    return SparseOperator(src, tgt, rows, den)
 
 
 def hom_delta(A: HomAlgebra, rho_l, rho_r, d: int, n: int) -> SparseOperator:
@@ -196,6 +216,7 @@ def morphism_delta(matrix: Matrix, flavor: str, op_a: SparseOperator,
 
     The connecting block is the defect phi∘f_A - f_B∘(phi, ..., phi) minus
     (hom), or times (-1)^(n-1) plus (lie), the module coboundary of comp_AB.
+    All blocks are brought over one common denominator.
     """
     n, a_dim, b_dim = op_a.source.arity, matrix.cols, matrix.rows
     if op_ab is None:  # comp_AB is reduced as comp_A is, its image as dA's
@@ -203,31 +224,32 @@ def morphism_delta(matrix: Matrix, flavor: str, op_a: SparseOperator,
         ab_tgt = Coords(1, a_dim, b_dim, op_a.target.reduced)
     else:
         ab_src, ab_tgt = op_ab.source, op_ab.target
+    pcols, q = integral(sparse_columns(matrix))
+    den = lcm(op_a.den, op_b.den, q ** n, op_ab.den if op_ab else 1)
     w_def, w_ab = (1, -1) if flavor == HOM else ((-1) ** (n - 1), 1)
-    off_b = op_a.source.dim
-    off_ab = off_b + op_b.source.dim
-    rows = op_a.rows + [{off_b + j: c for j, c in row.items()}
-                        for row in op_b.rows]
-    pcols = [sparse_vector(matrix.column(j)) for j in range(a_dim)]
+    off_b, off_ab = op_a.source.dim, op_a.source.dim + op_b.source.dim
+    rows = [{off + j: c * (den // op.den) for j, c in row.items()}
+            for off, op in ((0, op_a), (off_b, op_b)) for row in op.rows]
     for ti, t in enumerate(ab_tgt.tuples):
         loc_a = op_a.source.locate(t)
         pulled = []  # diamond: comp_B evaluated on phi of the arguments
-        for s, c in expand_product([pcols[i] for i in t]):
+        for s, c in expand_product([pcols.get(i, {}) for i in t]):
             loc = op_b.source.locate(s)
             if loc:
-                pulled.append((off_b + loc[0] * b_dim, -w_def * loc[1] * c))
+                pulled.append((off_b + loc[0] * b_dim,
+                               -w_def * loc[1] * c * (den // q ** n)))
+        w_push = loc_a and w_def * loc_a[1] * (den // q)  # phi of comp_A
         for r in range(b_dim):
             row = {} if op_ab is None else {
-                off_ab + j: w_ab * c
+                off_ab + j: w_ab * (den // op_ab.den) * c
                 for j, c in op_ab.rows[ti * b_dim + r].items()}
-            for q in range(a_dim) if loc_a else ():
-                e = matrix.at(r, q)
-                if e:
-                    k = loc_a[0] * a_dim + q
-                    row[k] = row.get(k, 0) + w_def * loc_a[1] * e
+            for i, col in pcols.items() if loc_a else ():
+                if r in col:
+                    k = loc_a[0] * a_dim + i
+                    row[k] = row.get(k, 0) + w_push * col[r]
             for base, c in pulled:
                 row[base + r] = row.get(base + r, 0) + c
             rows.append({k: c for k, c in row.items() if c})
     return SparseOperator(MorphismCoords((op_a.source, op_b.source, ab_src)),
                           MorphismCoords((op_a.target, op_b.target, ab_tgt)),
-                          rows)
+                          rows, den)

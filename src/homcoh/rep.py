@@ -10,15 +10,15 @@ dual-space module candidate and its defining condition are also provided.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .algebra import (ASSOCIATIVE, LIE, HomAlgebra, apply_alpha, bilinear,
-                      morphism_witnesses, multiply, validate)
+                      freeze_tensor, morphism_witnesses, multiply, validate)
 from .errors import InvalidAlgebra, InvalidMorphism, UsageError
 from .exact import Matrix, Vector, basis_vector, vec_sub
 
 ActionTensor = tuple[tuple[Vector, ...], ...]
+_WRONG_LENGTH = "action tensor has wrong output length"
 
 
 @dataclass(frozen=True)
@@ -65,19 +65,6 @@ def check_morphism(source: HomAlgebra, target: HomAlgebra,
                           twist_witness is None, twist_witness)
 
 
-def _freeze_action(rows: int, cols: int, dim: int, tensor) -> ActionTensor:
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            v = tuple(Fraction(x) for x in tensor[i][j])
-            if len(v) != dim:
-                raise UsageError("action tensor has wrong output length")
-            row.append(v)
-        out.append(tuple(row))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class Bimodule:
     """Carrier acted on from the left and right by an associative-kind
@@ -92,10 +79,11 @@ class Bimodule:
     def __post_init__(self):
         if self.beta.rows != self.carrier_dim or self.beta.cols != self.carrier_dim:
             raise UsageError("beta must be carrier_dim x carrier_dim")
-        object.__setattr__(self, "rho_l", _freeze_action(
-            self.algebra.dim, self.carrier_dim, self.carrier_dim, self.rho_l))
-        object.__setattr__(self, "rho_r", _freeze_action(
-            self.carrier_dim, self.algebra.dim, self.carrier_dim, self.rho_r))
+        n, d = self.algebra.dim, self.carrier_dim
+        object.__setattr__(self, "rho_l", freeze_tensor(
+            n, d, d, self.rho_l, _WRONG_LENGTH))
+        object.__setattr__(self, "rho_r", freeze_tensor(
+            d, n, d, self.rho_r, _WRONG_LENGTH))
 
     def left(self, x, m) -> Vector:
         return bilinear(self.rho_l, x, m, self.carrier_dim)
@@ -158,8 +146,9 @@ class LieModule:
     def __post_init__(self):
         if self.beta.rows != self.carrier_dim or self.beta.cols != self.carrier_dim:
             raise UsageError("beta must be carrier_dim x carrier_dim")
-        object.__setattr__(self, "action", _freeze_action(
-            self.algebra.dim, self.carrier_dim, self.carrier_dim, self.action))
+        object.__setattr__(self, "action", freeze_tensor(
+            self.algebra.dim, self.carrier_dim, self.carrier_dim, self.action,
+            _WRONG_LENGTH))
 
     def act(self, x, m) -> Vector:
         return bilinear(self.action, x, m, self.carrier_dim)

@@ -7,10 +7,12 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, gcd
 
-from homcoh.algebra import ASSOCIATIVE, alpha_power, apply_alpha, multiply
+from homcoh.algebra import (ASSOCIATIVE, HomAlgebra, apply_alpha,
+                            identity_defect, multiply, sparse_entries)
 from homcoh.cochain import MorphismCochain, MultilinearMap, permutation_sign
-from homcoh.errors import HomcohError
-from homcoh.exact import Matrix, SparseMatrix, dense_vector, solve
+from homcoh.errors import HomcohError, UsageError
+from homcoh.exact import (Matrix, SparseMatrix, dense_vector, solve,
+                          vec_is_zero)
 from homcoh.rep import adjoint_bimodule, lie_adjoint_module
 
 
@@ -146,9 +148,10 @@ def dense_to_full(system, x) -> MultilinearMap:
 
 
 def row_apply(op, x) -> tuple:
-    """op applied to x by one pass over every row of the operator."""
+    """op applied to x by one pass over every row of the operator, whose
+    integer rows are over ``op.den``."""
     return tuple(sum([c * x[j] for j, c in row.items() if x[j]], Fraction(0))
-                 for row in op.rows)
+                 / op.den for row in op.rows)
 
 
 def differential_matrix(space_n, space_n1, delta) -> Matrix:
@@ -522,3 +525,55 @@ def dense_transported_mul(md, psi, side: str, s: int):
                     total = _signed(total, term, False)
         values[t] = tuple(total)
     return MultilinearMap.from_values(2, n, n, values)
+
+
+# Formulas the package no longer needs, kept as oracles for their tests.
+
+def alpha_power(algebra: HomAlgebra, exponent: int) -> Matrix:
+    """alpha^exponent as a dense matrix."""
+    out = Matrix.identity(algebra.dim)
+    for _ in range(exponent):
+        out = algebra.alpha @ out
+    return out
+
+
+def cup_bracket_lie(G: HomAlgebra, f: MultilinearMap,
+                    g: MultilinearMap) -> MultilinearMap:
+    """Full signed-permutation cup bracket with values bracketed in G,
+    implemented with the unnormalized all-permutations convention."""
+    if f.target_dim != G.dim or g.target_dim != G.dim:
+        raise UsageError("cup bracket needs target-valued cochains")
+    if f.source_dim != g.source_dim:
+        raise UsageError("cochain sources differ")
+    n = f.source_dim
+    p, q = f.arity, g.arity
+    out_arity = p + q
+    values = {}
+    for t in product(range(n), repeat=out_arity):
+        total = [Fraction(0)] * G.dim
+        for perm in permutations(range(out_arity)):
+            sign = permutation_sign(perm)
+            left = f.value_on_basis(tuple(t[perm[i]] for i in range(p)))
+            if vec_is_zero(left):
+                continue
+            right = g.value_on_basis(tuple(t[perm[p + i]] for i in range(q)))
+            if vec_is_zero(right):
+                continue
+            term = multiply(G, left, right)
+            for r, x in enumerate(term):
+                if x:
+                    total[r] += sign * x
+        values[t] = tuple(total)
+    return MultilinearMap.from_values(out_arity, n, G.dim, values)
+
+
+def alpha_associator(A: HomAlgebra, mu_i: MultilinearMap,
+                     mu_j: MultilinearMap) -> MultilinearMap:
+    """Trilinear twisted associator of two bilinear maps; vanishes on the
+    multiplication paired with itself exactly on Hom-associative input."""
+    for m in (mu_i, mu_j):
+        if m.arity != 2 or m.source_dim != A.dim or m.target_dim != A.dim:
+            raise UsageError("associator needs bilinear algebra-valued maps")
+    pair = tuple(sparse_entries(m.nonzero_entries()) for m in (mu_i, mu_j))
+    return MultilinearMap.from_sparse(
+        3, A.dim, A.dim, identity_defect(ASSOCIATIVE, A.sparse.alpha, [pair]))

@@ -182,6 +182,31 @@ def test_morphism_witnesses_match_dense_oracles():
                         (False, False)}
 
 
+def test_witnesses_over_denominators_match_dense_oracles():
+    """The kernel runs on integer constants over one denominator per side;
+    its witnesses must be the rational defects, so inputs and matrices
+    here have several denominators."""
+    rng = random.Random(36)
+    algebras = [_conjugate(A, _rand_invertible(rng, A.dim))
+                for A in _random_algebras(37, 60)]
+    witnesses = []
+    for A in algebras:
+        report = validate(A)
+        assert (report.witness, report.multiplicativity_witness) == \
+            dense_validity(A), A.name
+        witnesses += [report.witness, report.multiplicativity_witness]
+    for _ in range(200):
+        A, B = rng.choice(algebras), rng.choice(algebras)
+        m = _random_matrix(rng, B.dim, A.dim).scale(
+            Fraction(rng.choice([1, 2]), rng.choice([1, 3])))
+        report = check_morphism(A, B, m)
+        expected = dense_morphism_witnesses(A, B, m)
+        assert (report.product_witness, report.twist_witness) == expected
+        witnesses += expected
+    dens = {x.denominator for w in witnesses if w for x in w[1]}
+    assert len(dens) > 2, dens
+
+
 def test_yau_twist_rejections_match_dense_oracles():
     rng = random.Random(33)
     outcomes = set()

@@ -3,12 +3,12 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
 
-from helpers import dense_alternator, dense_comp_product
+from helpers import (alpha_associator, cup_bracket_lie, dense_alternator,
+                     dense_comp_product)
 from homcoh import fixtures
 from homcoh.algebra import HomAlgebra, multiply, validate
-from homcoh.bracket import (alpha_associator, comp_product, cup_bracket_lie,
-                            cup_product_assoc, diamond, gerstenhaber_bracket,
-                            nr_bracket, overline_comp)
+from homcoh.bracket import (comp_product, cup_product_assoc, diamond,
+                            gerstenhaber_bracket, nr_bracket, overline_comp)
 from homcoh.cochain import (MultilinearMap, alternator, is_alternating,
                             permutation_sign)
 from homcoh.cohomology import ModuleComplex
@@ -267,7 +267,7 @@ def test_derivation_assoc_examples(a3):
 
 
 def test_derivation_matches_inner_summands_of_coboundary(a3):
-    from homcoh.algebra import alpha_power
+    from helpers import alpha_power
     rng = random.Random(53)
     for _ in range(10):
         n = rng.choice([1, 2])

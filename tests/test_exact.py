@@ -24,7 +24,8 @@ def test_rational_parsing_round_trip():
     assert rational_to_string(Fraction(0)) == "0"
 
 
-@pytest.mark.parametrize("bad", ["1/0", "1 /2", " 1", "1/-2", "a", "1.5", ""])
+@pytest.mark.parametrize("bad", ["1/0", "1 /2", " 1", "1/-2", "a", "1.5", "",
+                                 "1_0", "+3", "\uff11"])
 def test_rational_rejects_malformed(bad):
     with pytest.raises(ParseError):
         rational_from_string(bad)

@@ -120,6 +120,37 @@ def test_deformation_morphism_field_restrictions(tmp_path):
         files.load_deformation_file(str(path))
 
 
+def test_json_boolean_dim_is_rejected():
+    payload = {"name": "one", "kind": "associative", "dim": True,
+               "basis": ["e1"], "alpha": [["1"]], "mul": []}
+    with pytest.raises(ParseError, match="dim"):
+        files.parse_algebra(payload)
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("def_g1", lambda p: p.update(order=True)),
+    ("def_g1", lambda p: p["terms"][0].update(degree=True)),
+    ("mdef_2", lambda p: p["target_terms"][0].update(degree=True)),
+    ("mdef_2", lambda p: p["phi_terms"][0].update(degree=True)),
+], ids=["order", "terms degree", "target_terms degree", "phi_terms degree"])
+def test_json_booleans_are_not_deformation_integers(tmp_path, name, edit):
+    files.write_builtin_files(str(tmp_path))
+    path = tmp_path / f"{name}.json"
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ParseError, match="order|degree"):
+        files.load_deformation_file(str(path))
+
+
+def test_json_booleans_are_not_argument_indices():
+    payload = files.cochain_to_json(
+        MultilinearMap.from_values(2, 3, 2, {(1, 0): (1, 0)}), ("f1", "f2"))
+    payload["entries"][0]["args"] = [True, 0]
+    with pytest.raises(ParseError, match="argument tuple"):
+        files.cochain_from_json(payload, ("f1", "f2"))
+
+
 def test_cochain_json_round_trip():
     m = MultilinearMap.from_values(
         2, 3, 2, {(0, 1): (1, 0), (2, 2): (0, -2)})

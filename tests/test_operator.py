@@ -3,6 +3,8 @@
 compiled operator must pass: delta squared vanishes and ranks agree with
 fraction-free elimination."""
 
+import cProfile
+import pstats
 import random
 from fractions import Fraction
 
@@ -11,7 +13,7 @@ import pytest
 from helpers import (bareiss_rank, dense, dense_d_component, dense_delta_hom,
                      dense_delta_lie, dense_delta_morphism,
                      dense_derivation_D_assoc, dense_derivation_D_lie,
-                     row_apply)
+                     differential_matrix, row_apply)
 from homcoh import fixtures
 from homcoh.algebra import ASSOCIATIVE, LIE, HomAlgebra, multiply
 from homcoh.cochain import (MorphismCochain, MultilinearMap, alternator,
@@ -20,9 +22,9 @@ from homcoh.cohomology import (HomSelfComplex, LieSelfComplex,
                                ModuleComplex, MorphismComplex,
                                compute_cohomology)
 from homcoh.errors import UsageError
-from homcoh.exact import (Matrix, SparseMatrix, column_rank,
+from homcoh.exact import (Matrix, SparseMatrix, column_rank, dense_vector,
                           independent_subset, intersection_basis, lincomb,
-                          nullspace_basis, rref, sparse_vector)
+                          nullspace_basis, rref, solve, sparse_vector)
 from homcoh.operator import (apply_operator, hom_operator, lie_operator,
                              solve_coboundary)
 from homcoh.rep import (HomMorphism, adjoint_bimodule, lie_adjoint_module,
@@ -323,3 +325,109 @@ def test_dimensions_do_not_depend_on_the_basis():
                  for r in compute_cohomology(make(X), [1, 2, 3]).records]
                 for X in (A, B)]
         assert dims[0] == dims[1]
+
+
+# Constants with denominators: the integer rows of a compiled operator sit
+# over one denominator ``den``, which apply, solve and the morphism
+# assembly must all respect.
+
+def denominator_complexes():
+    """Complexes whose constants have several denominators and whose twists
+    are not the identity: g1(2, 1/2), and g1(2, 1/2) and assoc3 rewritten
+    in a basis whose inverse is over 3, with the morphism into that basis."""
+    P = Matrix.from_rows([[1, 1, 0], [0, 2, 1], [1, 0, 1]])
+    P_inv = Matrix.from_rows([[Fraction(x, 3) for x in row] for row in
+                              ([2, -1, 1], [1, 1, -1], [-2, 1, 2])])
+    assert P @ P_inv == Matrix.identity(3)
+    out = [ModuleComplex(fixtures.g1(2, Fraction(1, 2)))]
+    for X, flavor in ((fixtures.g1(2, Fraction(1, 2)), "lie"),
+                      (fixtures.assoc3(1, 2), "hom")):
+        Y = _conjugate(X, P)
+        out += [ModuleComplex(Y), MorphismComplex(HomMorphism(X, Y, P_inv),
+                                                  flavor)]
+    return out
+
+
+def dense_coboundary(complex_obj):
+    """The dense formula of a complex's coboundary, on full cochains."""
+    if isinstance(complex_obj, MorphismComplex):
+        return lambda c: dense_delta_morphism(
+            complex_obj.phi, c, complex_obj.component_flavor)
+    X = complex_obj.algebra
+    if X.kind == ASSOCIATIVE:
+        return lambda f: dense_delta_hom(X, mult(X), mult(X), X.dim, f)
+    return lambda f: dense_delta_lie(X, mult(X), X.dim, f)
+
+
+def test_operators_with_denominators_match_the_differential_matrix():
+    rng = random.Random(91)
+    for complex_obj in denominator_complexes():
+        for n in (1, 2):
+            op, second = complex_obj.operator(n), complex_obj.operator(n + 1)
+            space, image_space = (complex_obj.bound_space(n),
+                                  complex_obj.bound_space(n + 1))
+            matrix = differential_matrix(space, image_space,
+                                         dense_coboundary(complex_obj))
+            coeffs = {j: Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 7)))
+                      for j in range(space.dim)}
+            x = lincomb(coeffs, space.coords)
+            assert len({v.denominator for v in x.values()}) > 1
+            image = image_space.combine(sparse_vector(
+                matrix.matvec(dense_vector(coeffs, space.dim))))
+            assert apply_operator(op, space.combine(coeffs)) == image
+            for j, f in enumerate(space.basis):
+                assert apply_operator(op, f) == image_space.combine(
+                    sparse_vector(matrix.column(j))), (complex_obj.flavor, n)
+            assert not second.apply(op.apply(x)), (complex_obj.flavor, n)
+            b = op.apply(x)
+            assert op.apply(solve(op.sparse_matrix(), b)) == b
+            assert solve_coboundary(op, space.coords,
+                                    op.target.to_full(b)) is not None
+
+
+def fraction_calls(compile_all) -> set:
+    """The names of the functions of ``fractions`` that compile_all calls."""
+    profile = cProfile.Profile()
+    profile.runcall(compile_all)
+    return {name for (path, _, name) in pstats.Stats(profile).stats
+            if path.endswith("fractions.py")}
+
+
+def test_operators_hold_integer_rows_over_one_denominator():
+    heis, a3 = fixtures.heisenberg(), fixtures.assoc3(1, 2)
+    integral = [ModuleComplex(heis), ModuleComplex(a3),
+                ModuleComplex(heis, self_lie_module(heis)),
+                MorphismComplex(fixtures.phi_assoc(), "hom")]
+    for complex_obj in integral + denominator_complexes():
+        for n in (1, 2, 3):
+            op = complex_obj.operator(n)
+            assert all(type(c) is int and c for row in op.rows
+                       for c in row.values())
+            if complex_obj in integral:
+                assert op.den == 1, (complex_obj.flavor, n)
+            elif n > 1:  # a bracket term has n - 1 factors of the twist
+                assert op.den > 1, (complex_obj.flavor, n)
+    # compiling from integer constants makes no Fraction at all
+    fresh = [ModuleComplex(fixtures.heisenberg()),
+             ModuleComplex(fixtures.assoc3(1, 2))]
+    compile_all = lambda: [c.operator(n) for c in fresh for n in (1, 2, 3)]
+    assert fraction_calls(compile_all) <= {"numerator", "denominator",
+                                           "__bool__"}
+
+
+def test_values_leave_the_integer_layer_as_fractions():
+    complexes = [ModuleComplex(fixtures.heisenberg()),
+                 ModuleComplex(fixtures.assoc3(1, 2)),
+                 MorphismComplex(fixtures.phi_assoc(), "hom")]
+    for complex_obj in complexes + denominator_complexes():
+        summary = compute_cohomology(complex_obj, [1, 2])
+        for n in (1, 2):
+            op = complex_obj.operator(n)
+            for x in complex_obj.bound_space(n).coords + ({0: 1},):
+                assert all(type(v) is Fraction for v in op.apply(x).values())
+            rec = summary.record(n)
+            for f in rec.representatives + rec.cocycle_basis:
+                parts = ((f.comp_A, f.comp_B, f.comp_AB)
+                         if isinstance(f, MorphismCochain) else (f,))
+                assert all(type(v) is Fraction
+                           for m in parts for v in m.coeffs)
