@@ -12,9 +12,10 @@ Every defining identity is evaluated by one sparse kernel, read from the
 nonzero constants only (``HomAlgebra.sparse``): the structure identity of
 a pair of bilinear maps, the product and twist equations of a matrix, and
 skew-symmetry.  Algebra validity, morphism checks, the twist construction,
-the order-by-order deformation checks and the compiled coboundaries all go
-through it; validity, morphism checks and the compilers read the constants
-as integers over one denominator each (``HomAlgebra.integral``).
+the module axioms (``homcoh.rep``), the order-by-order deformation checks
+and the compiled coboundaries all go through it; validity, morphism and
+module checks and the compilers read the constants as integers over one
+denominator each (``HomAlgebra.integral``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .errors import MorphismViolation, UsageError
-from .exact import (Matrix, Vector, basis_vector, integral,
+from .exact import (Matrix, Vector, as_fraction, integral,
                     rational_to_string, sparse_vector)
 
 
@@ -42,7 +43,7 @@ MulTensor = tuple[tuple[Vector, ...], ...]
 def freeze_tensor(rows: int, cols: int, dim: int, tensor,
                   message: str) -> MulTensor:
     """tensor[i][j] as tuples of length-dim ``Fraction`` vectors."""
-    out = tuple(tuple(tuple(Fraction(x) for x in tensor[i][j])
+    out = tuple(tuple(tuple(as_fraction(x) for x in tensor[i][j])
                       for j in range(cols)) for i in range(rows))
     if any(len(v) != dim for row in out for v in row):
         raise UsageError(message)
@@ -75,17 +76,11 @@ class HomAlgebra:
         elif len(self.basis_names) != self.dim:
             raise UsageError("basis_names length != dim")
 
-    def basis_vector(self, i: int) -> Vector:
-        return basis_vector(self.dim, i)
-
     @cached_property
     def sparse(self) -> SparseConstants:
         """The nonzero twist columns and products of basis pairs."""
-        n = self.dim
-        return SparseConstants(
-            sparse_columns(self.alpha),
-            sparse_entries(((i, j), self.mul[i][j])
-                           for i in range(n) for j in range(n)))
+        return SparseConstants(sparse_columns(self.alpha),
+                               sparse_tensor(self.mul, self.dim, self.dim))
 
     @cached_property
     def integral(self) -> tuple[tuple[dict, int], tuple[dict, int]]:
@@ -141,6 +136,13 @@ def sparse_columns(m: Matrix) -> dict:
     return sparse_entries((j, m.column(j)) for j in range(m.cols))
 
 
+def sparse_tensor(tensor, rows: int, cols: int) -> dict:
+    """The bilinear map {(i, j): sparse vector} of the nonzero vectors
+    tensor[i][j]."""
+    return sparse_entries(((i, j), tensor[i][j])
+                          for i in range(rows) for j in range(cols))
+
+
 def _bilinear(mu: dict, u: dict, w: dict) -> dict:
     """Sparse bilinear map on sparse arguments."""
     out = {}
@@ -165,6 +167,14 @@ def _after(acc: dict, m: dict, mu: dict, c=1):
             _add(acc, t, m.get(b, {}), c * x)
 
 
+def _products(acc: dict, outer: dict, us: dict, ws: dict, key, c=1):
+    """acc[key(i, j)] += c * outer(us[i], ws[j]) over every entry i of us
+    and j of ws: a bilinear map on sparse arguments, keyed by theirs."""
+    for i, u in us.items():
+        for j, w in ws.items():
+            _add(acc, key(i, j), _bilinear(outer, u, w), c)
+
+
 def _nonzero(acc: dict) -> dict:
     """acc without its zero coordinates and its vanishing entries."""
     return {t: w for t, v in acc.items()
@@ -187,9 +197,7 @@ def identity_defect(kind: str, alpha: dict, pairs) -> dict:
                           else [(x, y, z), (z, x, y), (y, z, x)]):
                     _add(acc, t, left)
         if assoc:
-            for (x, y), v in inner.items():
-                for z, az in alpha.items():
-                    _add(acc, (x, y, z), _bilinear(outer, v, az), -1)
+            _products(acc, outer, inner, alpha, lambda xy, z: xy + (z,), -1)
     return _nonzero(acc)
 
 
@@ -201,9 +209,7 @@ def product_defect(after, through) -> dict:
     for m, mu in after:
         _after(acc, m, mu)
     for mu, left, right in through:
-        for x, u in left.items():
-            for y, w in right.items():
-                _add(acc, (x, y), _bilinear(mu, u, w), -1)
+        _products(acc, mu, left, right, lambda x, y: (x, y), -1)
     return _nonzero(acc)
 
 

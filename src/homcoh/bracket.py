@@ -6,40 +6,51 @@ Degree convention in this module: a cochain of arity p has degree p - 1,
 so a bilinear map has degree 1 and the insertion of a degree-a cochain into
 a degree-b cochain has degree a + b.
 
-The insertion product, and so both graded brackets and the obstruction
-of a deformation, sums over the nonzero entries of its two cochains and
-of the twist power, never over all basis tuples of its output.
+Every product here sums over the nonzero entries of its cochains and of
+the twist power or morphism matrix, never over all basis tuples of its
+output.  The insertion product and the insertion along a morphism share
+one kernel (``_insertion``); both graded brackets, and the obstruction of
+a deformation, are built from these products.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from math import factorial
 
-from .algebra import HomAlgebra, multiply
+from .algebra import HomAlgebra, _add, _bilinear, _nonzero, sparse_columns
 from .cochain import MultilinearMap, alternator, is_alternating
 from .errors import UsageError
-from .exact import Vector, expand_product, sparse_vector, vec_is_zero
+from .exact import expand_product
 from .rep import HomMorphism
 
 
-def _basis_args(n: int, t) -> list[Vector]:
-    return [tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in t]
-
-
-def diamond(lam: MultilinearMap, phi: HomMorphism) -> MultilinearMap:
-    """Pullback along phi in every argument slot."""
-    if lam.source_dim != phi.target.dim:
-        raise UsageError("cochain arguments are not in the morphism's target")
-    cols = [phi.matrix.column(j) for j in range(phi.source.dim)]
-    values = {}
-    for t in product(range(phi.source.dim), repeat=lam.arity):
-        v = lam.evaluate([cols[i] for i in t])
-        if not vec_is_zero(v):
-            values[t] = v
-    return MultilinearMap.from_values(lam.arity, phi.source.dim,
-                                      lam.target_dim, values)
+def _insertion(inner: MultilinearMap, outer: MultilinearMap, rows: dict,
+               source_dim: int) -> MultilinearMap:
+    """The sum over slots k of (-1)^(a k) outer(M x_1, ..., inner(x_k, ...,
+    x_(k+a)), ..., M x_m), a = inner.arity - 1, for the matrix M given by
+    its nonzero rows {i: {j: M_ij}}: each nonzero value of outer meets the
+    values of inner holding its slot-k argument, and its other arguments
+    are pulled back through M."""
+    a = inner.arity - 1
+    inserted = {}  # i: the (argument tuple, coefficient of e_i) of inner
+    for s, v in inner.entries.items():
+        for i, c in v.items():
+            inserted.setdefault(i, []).append((s, c))
+    out = {}
+    for u, w in outer.entries.items():
+        for k, i in enumerate(u):
+            if i not in inserted:
+                continue
+            sign = -1 if (a * k) % 2 else 1
+            before = expand_product([rows.get(j, {}) for j in u[:k]])
+            after = expand_product([rows.get(j, {}) for j in u[k + 1:]])
+            for s, c in inserted[i]:
+                for t1, c1 in before:
+                    for t2, c2 in after:
+                        _add(out, t1 + s + t2, w, sign * c * c1 * c2)
+    return MultilinearMap(a + outer.arity, source_dim, outer.target_dim,
+                          _nonzero(out))
 
 
 def comp_product(A: HomAlgebra, phi: MultilinearMap,
@@ -53,37 +64,14 @@ def comp_product(A: HomAlgebra, phi: MultilinearMap,
         raise UsageError("cochain sources do not match the algebra")
     if phi.target_dim != A.dim:
         raise UsageError("inserted cochain must be algebra-valued")
-    a = phi.arity - 1
-    b = psi.arity - 1
     # row i of alpha^a: {j: coefficient of e_i in alpha^a e_j}, the
     # bystander arguments that feed argument e_i of psi
-    cols, den = A.twist_power(a)
+    cols, den = A.twist_power(phi.arity - 1)
     rows = {}
     for j, col in cols.items():
         for i, x in col.items():
             rows.setdefault(i, {})[j] = Fraction(x, den)
-    inserted = {}  # i: the (argument tuple, coefficient of e_i) of phi
-    for s, v in phi.nonzero_entries():
-        for i, c in enumerate(v):
-            if c:
-                inserted.setdefault(i, []).append((s, c))
-    out = {}
-    for u, w in psi.nonzero_entries():
-        w = sparse_vector(w)
-        for k in range(b + 1):
-            if u[k] not in inserted:
-                continue
-            sign = -1 if (a * k) % 2 else 1
-            before = expand_product([rows.get(i, {}) for i in u[:k]])
-            after = expand_product([rows.get(i, {}) for i in u[k + 1:]])
-            for s, c in inserted[u[k]]:
-                for t1, c1 in before:
-                    for t2, c2 in after:
-                        slot = out.setdefault(t1 + s + t2, {})
-                        scale = sign * c * c1 * c2
-                        for r, x in w.items():
-                            slot[r] = slot.get(r, 0) + scale * x
-    return MultilinearMap.from_sparse(a + b + 1, A.dim, psi.target_dim, out)
+    return _insertion(phi, psi, rows, A.dim)
 
 
 def gerstenhaber_bracket(A: HomAlgebra, phi: MultilinearMap,
@@ -132,16 +120,12 @@ def cup_product_assoc(phi: HomMorphism, f: MultilinearMap,
         raise UsageError("cup product needs target-valued cochains")
     if f.source_dim != g.source_dim:
         raise UsageError("cochain sources differ")
-    n = f.source_dim
-    out_arity = f.arity + g.arity
-    values = {}
-    for t in product(range(n), repeat=out_arity):
-        left = f.value_on_basis(t[:f.arity])
-        right = g.value_on_basis(t[f.arity:])
-        v = multiply(B, left, right)
-        if not vec_is_zero(v):
-            values[t] = v
-    return MultilinearMap.from_values(out_arity, n, B.dim, values)
+    out = {}
+    for s, u in f.entries.items():
+        for t, w in g.entries.items():
+            _add(out, s + t, _bilinear(B.sparse.mul, u, w))
+    return MultilinearMap(f.arity + g.arity, f.source_dim, B.dim,
+                          _nonzero(out))
 
 
 def overline_comp(phi: HomMorphism, f: MultilinearMap,
@@ -155,21 +139,4 @@ def overline_comp(phi: HomMorphism, f: MultilinearMap,
         raise UsageError("inserted cochain must map source into target")
     if f.arity < 1 or g.arity < 1:
         raise UsageError("insertion needs arity >= 1 on both sides")
-    af, bg = f.arity, g.arity
-    out_arity = af + bg - 1
-    cols = [phi.matrix.column(j) for j in range(A.dim)]
-    values = {}
-    for t in product(range(A.dim), repeat=out_arity):
-        args = _basis_args(A.dim, t)
-        through = [cols[i] for i in t]
-        total = [Fraction(0)] * B.dim
-        for i in range(af):
-            inner = g.evaluate(args[i:i + bg])
-            slots = through[:i] + [inner] + through[i + bg:]
-            term = f.evaluate(slots)
-            if (i * (bg - 1)) % 2:
-                total = [x - y for x, y in zip(total, term)]
-            else:
-                total = [x + y for x, y in zip(total, term)]
-        values[t] = tuple(total)
-    return MultilinearMap.from_values(out_arity, A.dim, B.dim, values)
+    return _insertion(g, f, sparse_columns(phi.matrix.transpose()), A.dim)

@@ -1,17 +1,19 @@
-"""Multilinear maps as dense coefficient tensors and canonical bases of
+"""Multilinear maps stored by their nonzero values, and canonical bases of
 the twist-compatible (and alternating) cochain spaces.
 
-Coefficient layout, fixed because canonical bases depend on it: the flat
-array is indexed row-major lexicographically over the argument tuple
-(i_1, ..., i_k), with the target coordinate innermost.
+A ``MultilinearMap`` keeps {argument tuple: {target coordinate: value}}
+over the argument tuples where it does not vanish, with every zero value
+dropped.  That form is canonical, so ``==`` compares maps by value, and
+every operation reads and writes only the nonzero entries.
 
-Cochains have two coordinate systems (``Coords``): full coordinates, the
-layout above, and for alternating maps reduced coordinates, one per
-strictly increasing argument tuple.  Cochain spaces store their basis in
-the coordinates of their flavor, as sparse {coordinate: value} dicts that
-hold only the nonzero entries, and build full tensors only on demand: each
-nonzero reduced coordinate is scattered over the signed permutations of
-its tuple.
+Cochains have two coordinate systems (``Coords``): full coordinates, one
+per argument tuple and target index, numbered row-major lexicographically
+over the tuple (i_1, ..., i_k) with the target coordinate innermost (the
+canonical bases depend on this order), and for alternating maps reduced
+coordinates, one per strictly increasing argument tuple.  Cochain spaces
+store their basis in the coordinates of their flavor, as sparse
+{coordinate: value} dicts, and build maps only on demand: each nonzero
+reduced coordinate is scattered over the signed permutations of its tuple.
 """
 
 from __future__ import annotations
@@ -23,14 +25,14 @@ from functools import cached_property
 from itertools import accumulate, combinations, permutations, product
 from math import factorial, lcm
 
-from .algebra import HomAlgebra, sparse_columns
+from .algebra import HomAlgebra, _add, _after, _nonzero, sparse_columns
 from .errors import ArityLimitError, UsageError
-from .exact import (Matrix, SparseMatrix, Vector, expand_product, integral,
-                    lincomb, nullspace_basis, sparse_vector)
+from .exact import (Matrix, SparseMatrix, Vector, as_fraction, dense_vector,
+                    expand_product, integral, lincomb, nullspace_basis,
+                    sparse_vector)
 
 HOM = "hom"
 LIE = "lie"
-_ZERO = Fraction(0)
 
 _DEFAULT_MAX_ARITY = 4
 
@@ -82,184 +84,178 @@ def _sort_sign(t) -> tuple[tuple[int, ...], int]:
     return tuple(t[p] for p in order), permutation_sign(order)
 
 
+def _signed_permutations(k: int) -> list[tuple[tuple[int, ...], int]]:
+    return [(q, permutation_sign(q)) for q in permutations(range(k))]
+
+
 @dataclass(frozen=True)
 class MultilinearMap:
-    """Arity-k map between coordinate spaces, stored on basis tuples."""
+    """Arity-k map between coordinate spaces, stored on basis tuples:
+    ``entries`` is {argument tuple: {target coordinate: value}} over the
+    nonzero values only."""
 
     arity: int
     source_dim: int
     target_dim: int
-    coeffs: tuple[Fraction, ...]
+    entries: dict
 
     def __post_init__(self):
-        expected = self.source_dim ** self.arity * self.target_dim
-        if len(self.coeffs) != expected:
-            raise UsageError(
-                f"coefficient array must have length {expected}, "
-                f"got {len(self.coeffs)}")
+        k, n, d = self.arity, self.source_dim, self.target_dim
+        for t, v in self.entries.items():
+            if len(t) != k or not all(0 <= i < n for i in t):
+                raise UsageError(f"bad argument tuple {t}")
+            if not v or not all(0 <= r < d and x for r, x in v.items()):
+                raise UsageError(f"value at {t} needs nonzero coordinates "
+                                 f"below {d}")
 
     @classmethod
     def zero(cls, arity: int, source_dim: int, target_dim: int) -> "MultilinearMap":
-        size = source_dim ** arity * target_dim
-        return cls(arity, source_dim, target_dim, (Fraction(0),) * size)
+        return cls(arity, source_dim, target_dim, {})
 
     @classmethod
     def from_values(cls, arity: int, source_dim: int, target_dim: int,
                     values: dict) -> "MultilinearMap":
-        """Build from a sparse {argument tuple: output vector} dict."""
-        coeffs = [Fraction(0)] * (source_dim ** arity * target_dim)
-        for t, vec in values.items():
-            if len(t) != arity or any(not 0 <= i < source_dim for i in t):
-                raise UsageError(f"bad argument tuple {t}")
-            off = cls._offset_static(t, source_dim, target_dim)
-            for r, x in enumerate(vec):
-                coeffs[off + r] = Fraction(x)
-        return cls(arity, source_dim, target_dim, tuple(coeffs))
+        """Build from a {argument tuple: output vector} dict."""
+        return cls.from_sparse(arity, source_dim, target_dim, {
+            t: dict(enumerate(vec)) for t, vec in values.items()})
 
     @classmethod
     def from_sparse(cls, arity: int, source_dim: int, target_dim: int,
                     entries: dict) -> "MultilinearMap":
-        """Build from a sparse {argument tuple: {coordinate: value}} dict."""
-        return cls.from_values(arity, source_dim, target_dim, {
-            t: [v.get(r, 0) for r in range(target_dim)]
-            for t, v in entries.items()})
+        """Build from a {argument tuple: {coordinate: value}} dict; zero
+        values are dropped."""
+        return cls(arity, source_dim, target_dim, {
+            t: w for t, v in entries.items()
+            if (w := {r: as_fraction(x) for r, x in v.items() if x})})
 
     @classmethod
     def from_matrix(cls, m: Matrix) -> "MultilinearMap":
         """Arity-1 map from a (target_dim x source_dim) matrix."""
-        vals = {(j,): m.column(j) for j in range(m.cols)}
-        return cls.from_values(1, m.cols, m.rows, vals)
+        return cls(1, m.cols, m.rows,
+                   {(j,): v for j, v in sparse_columns(m).items()})
 
     @classmethod
     def constant(cls, source_dim: int, vector) -> "MultilinearMap":
         """Arity-0 map, i.e. an element of the target space."""
-        return cls(0, source_dim, len(vector),
-                   tuple(Fraction(x) for x in vector))
-
-    @staticmethod
-    def _offset_static(t, source_dim: int, target_dim: int) -> int:
-        off = 0
-        for i in t:
-            off = off * source_dim + i
-        return off * target_dim
-
-    def _offset(self, t) -> int:
-        return self._offset_static(t, self.source_dim, self.target_dim)
+        return cls.from_values(0, source_dim, len(vector), {(): vector})
 
     def value_on_basis(self, t) -> Vector:
-        off = self._offset(t)
-        return self.coeffs[off:off + self.target_dim]
+        return dense_vector(self.entries.get(tuple(t), {}), self.target_dim)
 
     def evaluate(self, args) -> Vector:
         """Multilinear extension to arbitrary coordinate vectors."""
         if len(args) != self.arity:
             raise UsageError(f"expected {self.arity} arguments, got {len(args)}")
-        cur = list(self.coeffs)
-        size = len(cur)
-        for arg in args:
-            if len(arg) != self.source_dim:
-                raise UsageError("argument length != source_dim")
-            block = size // self.source_dim
-            nxt = [Fraction(0)] * block
-            for i, a in enumerate(arg):
-                if a:
-                    base = i * block
-                    for off in range(block):
-                        c = cur[base + off]
-                        if c:
-                            nxt[off] += a * c
-            cur = nxt
-            size = block
-        return tuple(cur)
+        if any(len(arg) != self.source_dim for arg in args):
+            raise UsageError("argument length != source_dim")
+        out = {}
+        for s, c in expand_product([sparse_vector(arg) for arg in args]):
+            for r, x in self.entries.get(s, {}).items():
+                out[r] = out.get(r, 0) + c * x
+        return dense_vector(out, self.target_dim)
 
     def __add__(self, other: "MultilinearMap") -> "MultilinearMap":
-        self._require_same_shape(other)
-        return MultilinearMap(self.arity, self.source_dim, self.target_dim,
-                              tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._plus(other, 1)
 
     def __sub__(self, other: "MultilinearMap") -> "MultilinearMap":
-        self._require_same_shape(other)
+        return self._plus(other, -1)
+
+    def _plus(self, other: "MultilinearMap", c: int) -> "MultilinearMap":
+        if (self.arity, self.source_dim, self.target_dim) != (
+                other.arity, other.source_dim, other.target_dim):
+            raise UsageError("multilinear map shapes differ")
+        acc = {t: dict(v) for t, v in self.entries.items()}
+        for t, v in other.entries.items():
+            _add(acc, t, v, c)
         return MultilinearMap(self.arity, self.source_dim, self.target_dim,
-                              tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+                              _nonzero(acc))
 
     def __neg__(self) -> "MultilinearMap":
         return self.scale(-1)
 
     def scale(self, c) -> "MultilinearMap":
         c = Fraction(c)
-        return MultilinearMap(self.arity, self.source_dim, self.target_dim,
-                              tuple(c * x for x in self.coeffs))
+        return MultilinearMap(self.arity, self.source_dim, self.target_dim, {
+            t: {r: c * x for r, x in v.items()}
+            for t, v in self.entries.items()} if c else {})
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coeffs)
+        return not self.entries
 
-    def _require_same_shape(self, other: "MultilinearMap"):
-        if (self.arity, self.source_dim, self.target_dim) != (
-                other.arity, other.source_dim, other.target_dim):
-            raise UsageError("multilinear map shapes differ")
+    def nonzero_entries(self) -> list:
+        """(argument tuple, sparse value) pairs in lexicographic order of
+        the argument tuples."""
+        return sorted(self.entries.items())
 
-    def nonzero_entries(self):
-        """Yield (argument tuple, output vector) with nonzero output."""
-        d = self.target_dim
-        tuples = product(range(self.source_dim), repeat=self.arity)
-        for off, t in zip(range(0, len(self.coeffs), d or 1), tuples):
-            v = self.coeffs[off:off + d]
-            if any(v):
-                yield t, v
+    def pushforward(self, m: Matrix) -> "MultilinearMap":
+        """x_1, ..., x_k -> m(self(x_1, ..., x_k))."""
+        if m.cols != self.target_dim:
+            raise UsageError("matrix columns != target_dim")
+        acc = {}
+        _after(acc, sparse_columns(m), self.entries)
+        return MultilinearMap(self.arity, self.source_dim, m.rows,
+                              _nonzero(acc))
+
+    def pullback(self, matrices) -> "MultilinearMap":
+        """x_1, ..., x_k -> self(m_1 x_1, ..., m_k x_k), for k matrices with
+        source_dim rows and a common number of columns."""
+        if len(matrices) != self.arity or any(
+                m.rows != self.source_dim or m.cols != matrices[0].cols
+                for m in matrices):
+            raise UsageError("pullback needs one source_dim-row matrix per "
+                             "argument, all of one width")
+        rows = [sparse_columns(m.transpose()) for m in matrices]
+        acc = {}
+        for s, v in self.entries.items():
+            for t, c in expand_product([r.get(i, {}) for r, i in zip(rows, s)]):
+                _add(acc, t, v, c)
+        width = matrices[0].cols if matrices else self.source_dim
+        return MultilinearMap(self.arity, width, self.target_dim,
+                              _nonzero(acc))
 
 
 def is_alternating(m: MultilinearMap) -> bool:
+    """Every value is the sign of its sorting permutation times the value
+    on the sorted tuple, and no repeated argument has a value.  Read on the
+    nonzero entries: each must match its sorted tuple, and each sorted
+    tuple must have all k! permutations among the entries."""
     if m.arity < 2:
         return True
-    for t in product(range(m.source_dim), repeat=m.arity):
+    heads = 0
+    for t, v in m.entries.items():
         srt, sign = _sort_sign(t)
-        ref = m.value_on_basis(srt)
-        val = m.value_on_basis(t)
-        expect = (_ZERO,) * m.target_dim if sign == 0 else \
-            tuple(sign * x for x in ref)
-        if val != expect:
+        ref = m.entries.get(srt) if sign else None
+        if ref is None or v != (ref if sign > 0 else
+                                {r: -x for r, x in ref.items()}):
             return False
-    return True
+        heads += t == srt
+    return len(m.entries) == heads * factorial(m.arity)
 
 
 def is_compatible(m: MultilinearMap, alpha: Matrix, beta: Matrix) -> bool:
     """Does beta∘m equal m∘(alpha tensor ... tensor alpha)?"""
-    cols = [alpha.column(j) for j in range(alpha.cols)]
-    for t in product(range(m.source_dim), repeat=m.arity):
-        lhs = beta.matvec(m.value_on_basis(t))
-        rhs = m.evaluate([cols[i] for i in t])
-        if lhs != rhs:
-            return False
-    return True
+    return m.pushforward(beta) == m.pullback([alpha] * m.arity)
 
 
 def alternator(m: MultilinearMap) -> MultilinearMap:
     """Average of signed argument permutations; projects onto alternating
     maps and fixes alternating input.  Each nonzero value m(s) is scattered,
     with the sign of q, to every permuted tuple s∘q."""
-    k, n, d = m.arity, m.source_dim, m.target_dim
+    k = m.arity
     if k < 2:
         return m
-    perms = [(q, permutation_sign(q)) for q in permutations(range(k))]
-    acc = {}
-    for s, v in m.nonzero_entries():
-        for q, sign in perms:
-            off = m._offset_static(tuple(s[i] for i in q), n, d)
-            for r, x in enumerate(v):
-                if x:
-                    acc[off + r] = acc.get(off + r, 0) + sign * x
-    norm = Fraction(1, factorial(k))
-    coeffs = [_ZERO] * len(m.coeffs)
-    for i, x in acc.items():
-        coeffs[i] = norm * x
-    return MultilinearMap(k, n, d, tuple(coeffs))
+    acc, norm = {}, Fraction(1, factorial(k))
+    for q, sign in _signed_permutations(k):
+        for s, v in m.entries.items():
+            _add(acc, tuple(s[i] for i in q), v, sign * norm)
+    return MultilinearMap(k, m.source_dim, m.target_dim, _nonzero(acc))
 
 
 @dataclass(frozen=True)
 class Coords:
     """Coordinates of arity-k cochains: one per argument tuple and target
-    index (full, the ``MultilinearMap.coeffs`` layout) or, for alternating
-    maps, one per strictly increasing tuple (reduced)."""
+    index (full) or, for alternating maps, one per strictly increasing
+    tuple (reduced)."""
 
     arity: int
     source_dim: int
@@ -289,27 +285,23 @@ class Coords:
         return (self.index[srt], sign) if sign else None
 
     @cached_property
-    def _scatter(self) -> list[list[tuple[int, int]]]:
-        """Per tuple, the (offset in the full coefficients, sign) of each
-        argument tuple that holds its value."""
-        d, out = self.target_dim, [[] for _ in self.tuples]
-        for i, t in enumerate(product(range(self.source_dim),
-                                      repeat=self.arity)):
-            loc = self.locate(t)
-            if loc:
-                out[loc[0]].append((i * d, loc[1]))
-        return out
+    def _permutations(self) -> list[tuple[tuple[int, ...], int]]:
+        """The signed permutations that scatter one coordinate's tuple."""
+        k = self.arity
+        return _signed_permutations(k) if self.reduced else [(range(k), 1)]
 
     def to_full(self, x: dict) -> MultilinearMap:
-        """The full tensor of the sparse coordinates x."""
-        d, scatter = self.target_dim, self._scatter
-        coeffs = [_ZERO] * (self.source_dim ** self.arity * d)
-        for k, v in x.items():
-            j, r = divmod(k, d)
-            for base, sign in scatter[j]:
-                coeffs[base + r] = v if sign > 0 else -v
+        """The multilinear map of the sparse coordinates x: each nonzero
+        coordinate lands on the signed permutations of its tuple."""
+        d, tuples, entries = self.target_dim, self.tuples, {}
+        for key, v in x.items():
+            j, r = divmod(key, d)
+            t = tuples[j]
+            for q, sign in self._permutations:
+                entries.setdefault(tuple(t[i] for i in q), {})[r] = \
+                    v if sign > 0 else -v
         return MultilinearMap(self.arity, self.source_dim, self.target_dim,
-                              tuple(coeffs))
+                              entries)
 
     def project(self, m: MultilinearMap) -> dict | None:
         """Sparse coordinates of m; None when reduced coordinates cannot
@@ -317,13 +309,11 @@ class Coords:
         if (m.arity, m.source_dim, m.target_dim) != (
                 self.arity, self.source_dim, self.target_dim):
             raise UsageError("cochain shape does not match its coordinates")
-        if not self.reduced:
-            return sparse_vector(m.coeffs)
-        if not is_alternating(m):
+        if self.reduced and not is_alternating(m):
             return None
-        d = self.target_dim
-        return {j * d + r: x for j, t in enumerate(self.tuples)
-                for r, x in enumerate(m.value_on_basis(t)) if x}
+        d, index = self.target_dim, self.index
+        return {index[t] * d + r: x for t, v in m.entries.items()
+                if t in index for r, x in v.items()}
 
 
 class _SpaceBasis:

@@ -21,8 +21,8 @@ operators of the associative kind.  Every coboundary and face is a compiled
 ``operator.SparseOperator``; a complex compiles each degree (and each face
 index and arity) once, and ``compute_cohomology`` decides kernels, ranks
 and pivots on operator coordinates.  Cocycles stay in those coordinates:
-full tensors are built only for the representatives, and for the cocycle
-basis of a record when a caller reads it.
+multilinear maps are built only for the representatives, and for the
+cocycle basis of a record when a caller reads it.
 
 Invalid input algebras degrade to best-effort reports: the delta-squared
 failure is detected, reported as a warning, and the coboundary space is
@@ -41,7 +41,7 @@ from .cochain import (HOM, LIE, MorphismCochain, MorphismCochainSpace,
                       lie_cochain_basis)
 from .errors import UsageError
 from .exact import (Matrix, dense_vector, independent_subset,
-                    intersection_basis, lincomb, nullspace_basis, vec_sub)
+                    intersection_basis, lincomb, nullspace_basis)
 from .operator import (apply_operator, hom_delta, hom_operator, lie_operator,
                        morphism_delta)
 from .rep import (Bimodule, HomMorphism, LieModule, adjoint_bimodule,
@@ -59,7 +59,7 @@ MORPHISM_LIE = "morphism_lie"
 @dataclass(frozen=True)
 class DegreeRecord:
     """One degree of a report; its cocycles are kept as sparse coordinates
-    of ``system`` and become full tensors when first read."""
+    of ``system`` and become multilinear maps when first read."""
 
     degree: int
     dim_cochains: int
@@ -218,11 +218,13 @@ class ModuleComplex(_ComplexBase):
         """e_i -> e_i m (minus m e_i for a bimodule), for each m fixed by
         the structure map of the module."""
         X, M = self.algebra, self.module
-        image = (lambda e, m: vec_sub(M.left(e, m), M.right(m, e))) \
+        image = (lambda e, m: tuple(
+            a - b for a, b in zip(M.left(e, m), M.right(m, e)))) \
             if self.full_cocycles else M.act
         d = M.carrier_dim
         return [MultilinearMap.from_values(
-            1, X.dim, d, {(i,): image(X.basis_vector(i), dense_vector(m, d))
+            1, X.dim, d, {(i,): image(dense_vector({i: 1}, X.dim),
+                                      dense_vector(m, d))
                           for i in range(X.dim)})
             for m in nullspace_basis(M.beta - Matrix.identity(d))]
 
@@ -295,7 +297,7 @@ def compute_cohomology(complex_obj: _ComplexBase, degrees,
     the coboundaries.
 
     Kernels, ranks and pivots are decided on sparse operator coordinates;
-    they do not change under the injective map to full tensors, so the
+    they do not change under the injective map to multilinear maps, so the
     reported cochains are those of the dense computation.
     """
     warnings = list(complex_obj.warnings)

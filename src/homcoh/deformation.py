@@ -22,17 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
-
 from .algebra import (ASSOCIATIVE, LIE as LIE_KIND, HomAlgebra, first_failure,
                       identity_defect, product_defect, skew_defect,
-                      sparse_columns, sparse_entries, twist_defect, validate)
+                      sparse_columns, twist_defect, validate)
 from .bracket import (cup_product_assoc, gerstenhaber_bracket, nr_bracket,
                       overline_comp)
 from .cochain import HOM, LIE, MorphismCochain, MultilinearMap
 from .cohomology import ModuleComplex, MorphismComplex
 from .errors import NotACocycle, ObstructionMismatch, UsageError
-from .exact import Matrix, vec_is_zero
+from .exact import Matrix
 from .operator import solve_coboundary
 from .rep import HomMorphism
 
@@ -95,7 +93,7 @@ class FormalDeformation:
     @cached_property
     def entries(self) -> list[dict]:
         """Nonzero entries of each coefficient of ``series``."""
-        return [sparse_entries(m.nonzero_entries()) for m in self.series]
+        return [m.entries for m in self.series]
 
     def term(self, degree: int) -> MultilinearMap:
         return _get(self.series, degree,
@@ -403,14 +401,13 @@ def apply_equivalence(md: MorphismDeformation,
                 if d.term(j).is_zero():
                     continue
                 for k in range(m - j + 1):
-                    acc = acc + _mul_through(d.term(j), inv[k], inv[m - j - k])
+                    acc = acc + d.term(j).pullback([inv[k], inv[m - j - k]])
             pulled.append(acc)
         terms = {}
         for s in range(1, N + 1):
             acc = zero
             for i in range(s + 1):
-                acc = acc + _compose_matrix_bilinear(psi.term(side, i),
-                                                     pulled[s - i])
+                acc = acc + pulled[s - i].pushforward(psi.term(side, i))
             if not acc.is_zero():
                 terms[s] = acc
         return FormalDeformation.from_terms(d.base, N, terms)
@@ -470,8 +467,7 @@ def obstruction(md: MorphismDeformation) -> MorphismCochain:
             phi_q = MultilinearMap.from_matrix(md.phi_term(q))
             if not mu_bp.is_zero() and not phi_q.is_zero():
                 ob_phi = ob_phi + overline_comp(md.phi, mu_bp, phi_q)
-            comp = _compose_matrix_bilinear(md.phi_term(p), md.def_a.term(q))
-            ob_phi = ob_phi - comp
+            ob_phi = ob_phi - md.def_a.term(q).pushforward(md.phi_term(p))
             f_p = MultilinearMap.from_matrix(md.phi_term(p))
             f_q = MultilinearMap.from_matrix(md.phi_term(q))
             ob_phi = ob_phi + cup_product_assoc(md.phi, f_p, f_q)
@@ -480,14 +476,13 @@ def obstruction(md: MorphismDeformation) -> MorphismCochain:
                 k = N + 1 - p - q
                 if k < 1:
                     continue
-                ob_phi = ob_phi + _mul_through(md.def_b.term(p),
-                                               md.phi_term(q), md.phi_term(k))
+                ob_phi = ob_phi + md.def_b.term(p).pullback(
+                    [md.phi_term(q), md.phi_term(k)])
     else:
         ob_phi = MultilinearMap.zero(2, A.dim, B.dim)
         for i in range(1, N + 1):
-            comp = _compose_matrix_bilinear(md.phi_term(i),
-                                            md.def_a.term(N + 1 - i))
-            ob_phi = ob_phi + comp
+            ob_phi = ob_phi + md.def_a.term(N + 1 - i).pushforward(
+                md.phi_term(i))
         s = N + 1
         for i in range(s + 1):
             mu = md.def_b.term(i)
@@ -497,8 +492,8 @@ def obstruction(md: MorphismDeformation) -> MorphismCochain:
                 k = s - i - j
                 if (i, j, k) in ((s, 0, 0), (0, s, 0), (0, 0, s)):
                     continue
-                ob_phi = ob_phi - _mul_through(mu, md.phi_term(j),
-                                               md.phi_term(k))
+                ob_phi = ob_phi - mu.pullback([md.phi_term(j),
+                                               md.phi_term(k)])
     # The known part of the order-(N+1) morphism equation: its coefficient
     # in md itself, whose families all stop at order N, so it holds exactly
     # the terms without the unknown extension.
@@ -522,23 +517,6 @@ def obstruction(md: MorphismDeformation) -> MorphismCochain:
             raise NotACocycle(
                 "obstruction fails the cocycle check in the connecting slot")
     return ob
-
-
-def _compose_matrix_bilinear(m: Matrix, mu: MultilinearMap) -> MultilinearMap:
-    """x, y -> m(mu(x, y))."""
-    values = {t: m.matvec(v) for t, v in mu.nonzero_entries()}
-    return MultilinearMap.from_values(2, mu.source_dim, m.rows, values)
-
-
-def _mul_through(mu: MultilinearMap, left: Matrix, right: Matrix) -> MultilinearMap:
-    """x, y -> mu(left(x), right(y)); arguments from left/right columns."""
-    n = left.cols
-    values = {}
-    for i, j in product(range(n), repeat=2):
-        v = mu.evaluate([left.column(i), right.column(j)])
-        if not vec_is_zero(v):
-            values[(i, j)] = v
-    return MultilinearMap.from_values(2, n, mu.target_dim, values)
 
 
 def solve_obstruction(d: FormalDeformation | MorphismDeformation, ob):

@@ -55,20 +55,17 @@ def rational_from_string(text: str) -> Fraction:
     return Fraction(int(num), int(den or 1))
 
 
+def as_fraction(x) -> Fraction:
+    """x as a ``Fraction``; one that already is one is kept as it is."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def rational_to_string(value: Fraction) -> str:
     """Canonical reduced form: ``"p"`` or ``"p/q"`` with q > 1."""
-    value = Fraction(value)
+    value = as_fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def vec_sub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_is_zero(a: Vector) -> bool:
-    return all(x == 0 for x in a)
 
 
 def lincomb(coeffs: dict, vectors) -> dict:
@@ -112,10 +109,6 @@ def expand_product(args) -> list:
     return terms
 
 
-def basis_vector(n: int, i: int) -> Vector:
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
-
-
 @dataclass(frozen=True)
 class Matrix:
     """Dense row-major matrix of rationals."""
@@ -138,7 +131,7 @@ class Matrix:
         nc = len(rows[0]) if rows else 0
         if any(len(r) != nc for r in rows):
             raise UsageError("ragged rows")
-        return cls(nr, nc, tuple(Fraction(x) for r in rows for x in r))
+        return cls(nr, nc, tuple(as_fraction(x) for r in rows for x in r))
 
     @classmethod
     def from_columns(cls, cols, nrows: int | None = None) -> "Matrix":

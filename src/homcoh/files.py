@@ -13,7 +13,7 @@ import json
 import os
 from fractions import Fraction
 
-from .algebra import ASSOCIATIVE, LIE, HomAlgebra
+from .algebra import ASSOCIATIVE, LIE, HomAlgebra, sparse_tensor
 from .cochain import MorphismCochain, MultilinearMap
 from .deformation import FormalDeformation, MorphismDeformation
 from .errors import ParseError
@@ -109,10 +109,9 @@ def parse_algebra(data, context: str = "algebra") -> HomAlgebra:
 
 
 def algebra_to_json(A: HomAlgebra) -> dict:
-    mul = MultilinearMap.from_sparse(2, A.dim, A.dim, A.sparse.mul)
     return {"name": A.name, "kind": A.kind, "dim": A.dim,
             "basis": list(A.basis_names), "alpha": _matrix_json(A.alpha),
-            "mul": _bilinear_term_json(mul, A)}
+            "mul": _bilinear_term_json(A.sparse.mul, A)}
 
 
 def _load_json(path: str):
@@ -198,10 +197,9 @@ def _parse_term_list(entries, algebra: HomAlgebra, order: int,
             raise ParseError(f"{where}: duplicate degree {degree}")
         mul = _parse_mul_entries(entry["mul"], list(algebra.basis_names),
                                  algebra.kind, where)
-        values = {(i, j): tuple(mul[i][j]) for i in range(algebra.dim)
-                  for j in range(algebra.dim)}
-        terms[degree] = MultilinearMap.from_values(
-            2, algebra.dim, algebra.dim, values)
+        terms[degree] = MultilinearMap.from_sparse(
+            2, algebra.dim, algebra.dim,
+            sparse_tensor(mul, algebra.dim, algebra.dim))
     return terms
 
 
@@ -265,22 +263,21 @@ def load_morphism_file(path: str) -> HomMorphism:
                           context=path)
 
 
-def _bilinear_term_json(term: MultilinearMap, algebra: HomAlgebra) -> list:
-    entries = []
-    for (i, j), v in term.nonzero_entries():
-        if algebra.kind == LIE and j < i:
-            continue
-        entries.append({
-            "left": algebra.basis_names[i],
-            "right": algebra.basis_names[j],
-            "value": {algebra.basis_names[k]: rational_to_string(c)
-                      for k, c in enumerate(v) if c}})
-    return entries
+def _bilinear_term_json(entries: dict, algebra: HomAlgebra) -> list:
+    """The nonzero products {(i, j): {k: c}} in lexicographic order of
+    (i, j), for the Lie kind only those with i <= j."""
+    names = algebra.basis_names
+    return [{"left": names[i], "right": names[j],
+             "value": {names[k]: rational_to_string(c)
+                       for k, c in v.items()}}
+            for (i, j), v in sorted(entries.items())
+            if algebra.kind != LIE or i <= j]
 
 
 def algebra_deformation_to_json(d: FormalDeformation, algebra_ref: str) -> dict:
     return {"algebra": algebra_ref, "order": d.order,
-            "terms": [{"degree": deg, "mul": _bilinear_term_json(t, d.base)}
+            "terms": [{"degree": deg,
+                       "mul": _bilinear_term_json(t.entries, d.base)}
                       for deg, t in d.terms]}
 
 
@@ -288,11 +285,12 @@ def morphism_deformation_to_json(md: MorphismDeformation,
                                  morphism_ref: str) -> dict:
     out = {"morphism": morphism_ref, "order": md.order,
            "terms": [{"degree": deg,
-                      "mul": _bilinear_term_json(t, md.phi.source)}
+                      "mul": _bilinear_term_json(t.entries, md.phi.source)}
                      for deg, t in md.def_a.terms]}
     if md.def_b.terms:
         out["target_terms"] = [
-            {"degree": deg, "mul": _bilinear_term_json(t, md.phi.target)}
+            {"degree": deg,
+             "mul": _bilinear_term_json(t.entries, md.phi.target)}
             for deg, t in md.def_b.terms]
     if md.phi_terms:
         out["phi_terms"] = [{"degree": deg, "matrix": _matrix_json(m)}
@@ -302,6 +300,10 @@ def morphism_deformation_to_json(md: MorphismDeformation,
 
 def cochain_from_json(data, target_names=None, context="cochain") -> MultilinearMap:
     _require_keys(data, ("arity", "source", "target", "entries"), (), context)
+    for key in ("arity", "source", "target"):
+        if type(data[key]) is not int or data[key] < 0:
+            raise ParseError(f"{context}: {key} must be a non-negative "
+                             "integer")
     arity, source_dim, target_dim = data["arity"], data["source"], data["target"]
     names = (list(target_names) if target_names
              else [f"m{i + 1}" for i in range(target_dim)])
@@ -314,13 +316,12 @@ def cochain_from_json(data, target_names=None, context="cochain") -> Multilinear
         if len(t) != arity or any(type(i) is not int
                                   or not 0 <= i < source_dim for i in t):
             raise ParseError(f"{where}: bad argument tuple")
-        vec = [Fraction(0)] * target_dim
+        values[t] = {}
         for name, lit in entry["value"].items():
             if name not in index:
                 raise ParseError(f"{where}: unknown target name {name!r}")
-            vec[index[name]] = rational_from_string(lit)
-        values[t] = tuple(vec)
-    return MultilinearMap.from_values(arity, source_dim, target_dim, values)
+            values[t][index[name]] = rational_from_string(lit)
+    return MultilinearMap.from_sparse(arity, source_dim, target_dim, values)
 
 
 def cochain_to_json(m: MultilinearMap, target_names=None) -> dict:
@@ -330,7 +331,7 @@ def cochain_to_json(m: MultilinearMap, target_names=None) -> dict:
     for t, v in m.nonzero_entries():
         entries.append({"args": list(t),
                         "value": {names[k]: rational_to_string(c)
-                                  for k, c in enumerate(v) if c}})
+                                  for k, c in v.items()}})
     return {"arity": m.arity, "source": m.source_dim, "target": m.target_dim,
             "entries": entries}
 

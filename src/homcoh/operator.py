@@ -11,8 +11,8 @@ sparse integer product, and ``SparseOperator.apply`` makes a ``Fraction``
 only for each nonzero output entry.
 
 Operators map sparse {coordinate: value} dicts between ``cochain.Coords``
-systems; ``apply_operator`` converts a full tensor once on the way in and
-once on the way out.  Associative-kind operators use full coordinates.
+systems; ``apply_operator`` converts a multilinear map once on the way in
+and once on the way out.  Associative-kind operators use full coordinates.
 Lie-kind operators take alternating cochains in reduced coordinates; their
 images are alternating exactly when the bracket is skew, so only then are
 the images reduced as well.
@@ -75,8 +75,8 @@ class SparseOperator:
 
 
 def apply_operator(op: SparseOperator, f):
-    """op applied to a full tensor (or morphism cochain), as one; the
-    tensor is converted to sparse coordinates once."""
+    """op applied to a multilinear map (or morphism cochain), as one; the
+    map is converted to sparse coordinates once."""
     x = op.source.project(f)
     if x is None:
         raise UsageError("Lie-kind coboundary needs an alternating cochain")
@@ -85,7 +85,7 @@ def apply_operator(op: SparseOperator, f):
 
 def solve_coboundary(op: SparseOperator, coords, target) -> dict | None:
     """Sparse coefficients over ``coords`` of a cochain whose image is the
-    full tensor ``target``, or None.  Reduced coordinates hold only
+    multilinear map ``target``, or None.  Reduced coordinates hold only
     alternating images, so a target they cannot hold is not a coboundary."""
     rhs = op.target.project(target)
     return None if rhs is None else solve(op.sparse_matrix(coords), rhs)

@@ -5,17 +5,25 @@ complex in this package consumes: a morphism phi: A -> B makes the target
 into an A-bimodule (associative kind) via left/right multiplication through
 phi, or into a left module (Lie kind) via the bracket through phi.  The
 dual-space module candidate and its defining condition are also provided.
+
+The module axioms are checked by the sparse kernel of ``homcoh.algebra``:
+each axiom is a defect over the nonzero actions, twist and structure-map
+columns, read as integer numerators over one denominator each, keyed by its
+basis arguments (algebra indices, then the carrier index).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
+from math import lcm
 
-from .algebra import (ASSOCIATIVE, LIE, HomAlgebra, apply_alpha, bilinear,
-                      freeze_tensor, morphism_witnesses, multiply, validate)
+from .algebra import (ASSOCIATIVE, LIE, HomAlgebra, _after, _nonzero,
+                      _products, bilinear, first_failure, freeze_tensor,
+                      morphism_witnesses, multiply, sparse_columns,
+                      sparse_tensor, validate)
 from .errors import InvalidAlgebra, InvalidMorphism, UsageError
-from .exact import Matrix, Vector, basis_vector, vec_sub
+from .exact import Matrix, Vector, dense_vector, integral
 
 ActionTensor = tuple[tuple[Vector, ...], ...]
 _WRONG_LENGTH = "action tensor has wrong output length"
@@ -85,6 +93,16 @@ class Bimodule:
         object.__setattr__(self, "rho_r", freeze_tensor(
             d, n, d, self.rho_r, _WRONG_LENGTH))
 
+    @cached_property
+    def integral(self) -> tuple:
+        """The nonzero left actions {(i, m): vector}, right actions
+        {(m, i): vector} and columns of beta, each as (integer numerators,
+        denominator)."""
+        n, d = self.algebra.dim, self.carrier_dim
+        return (integral(sparse_tensor(self.rho_l, n, d)),
+                integral(sparse_tensor(self.rho_r, d, n)),
+                integral(sparse_columns(self.beta)))
+
     def left(self, x, m) -> Vector:
         return bilinear(self.rho_l, x, m, self.carrier_dim)
 
@@ -95,24 +113,27 @@ class Bimodule:
         return self.beta.matvec(m)
 
 
-def _violations(X: HomAlgebra, carrier_dim: int, axioms) -> list[str]:
-    """One message per failing axiom, at its first failing basis arguments.
+def _defect(*terms) -> dict:
+    """The sum of sign * outer(us[i], ws[j]) at key(i, j) over the terms
+    (sign, den, outer, us, ws, key), each of integer values over its den,
+    brought to one denominator (see ``algebra._products``)."""
+    top = lcm(*(term[1] for term in terms))
+    acc = {}
+    for sign, den, outer, us, ws, key in terms:
+        _products(acc, outer, us, ws, key, sign * (top // den))
+    return _nonzero(acc)
 
-    Each axiom is (message template, number of algebra arguments, holds):
-    holds(algebra basis vectors..., carrier basis vector) tells whether the
-    equation holds there; the template is formatted with the algebra
-    indices followed by the carrier index.
-    """
-    problems = []
-    for template, slots, holds in axioms:
-        failing = (t + (m,) for t in product(range(X.dim), repeat=slots)
-                   for m in range(carrier_dim)
-                   if not holds(*[X.basis_vector(i) for i in t],
-                                basis_vector(carrier_dim, m)))
-        first = next(failing, None)
-        if first is not None:
-            problems.append(template.format(*first))
-    return problems
+
+def _units(n: int) -> dict:
+    """The basis vectors of an n-dimensional space, as sparse vectors."""
+    return {i: {i: 1} for i in range(n)}
+
+
+def _messages(dim: int, checks) -> list[str]:
+    """One message per failing check (template, defect), formatted with
+    its first failing basis arguments."""
+    return [template.format(*first_failure(defect, dim)[0])
+            for template, defect in checks if defect]
 
 
 def validate_bimodule(M: Bimodule) -> list[str]:
@@ -121,17 +142,21 @@ def validate_bimodule(M: Bimodule) -> list[str]:
     Checked on basis triples: the left axiom, its mirror image on the
     right, and the left/right compatibility equation.
     """
-    A = M.algebra
-    return _violations(A, M.carrier_dim, (
-        ("left axiom fails at ({0},{1};{2})", 2, lambda x, y, v:
-         M.left(multiply(A, x, y), M.apply_beta(v))
-         == M.left(apply_alpha(A, x), M.left(y, v))),
-        ("right axiom fails at ({2};{0},{1})", 2, lambda x, y, v:
-         M.right(M.apply_beta(v), multiply(A, x, y))
-         == M.right(M.right(v, x), apply_alpha(A, y))),
-        ("compatibility fails at ({0};{2};{1})", 2, lambda x, z, v:
-         M.right(M.left(x, v), apply_alpha(A, z))
-         == M.left(apply_alpha(A, x), M.right(v, z)))))
+    (alpha, a), (mul, m) = M.algebra.integral
+    (left, l), (right, r), (beta, b) = M.integral
+    return _messages(M.carrier_dim, (
+        ("left axiom fails at ({0},{1};{2})", _defect(
+            (1, l * m * b, left, mul, beta, lambda xy, v: xy + (v,)),
+            (-1, l * a * l, left, alpha, left, lambda x, yv: (x,) + yv))),
+        ("right axiom fails at ({2};{0},{1})", _defect(
+            (1, r * b * m, right, beta, mul, lambda v, xy: xy + (v,)),
+            (-1, r * r * a, right, right, alpha,
+             lambda vx, y: (vx[1], y, vx[0])))),
+        ("compatibility fails at ({0};{2};{1})", _defect(
+            (1, r * l * a, right, left, alpha,
+             lambda xv, z: (xv[0], z, xv[1])),
+            (-1, l * a * r, left, alpha, right,
+             lambda x, vz: (x, vz[1], vz[0]))))))
 
 
 @dataclass(frozen=True)
@@ -150,6 +175,14 @@ class LieModule:
             self.algebra.dim, self.carrier_dim, self.carrier_dim, self.action,
             _WRONG_LENGTH))
 
+    @cached_property
+    def integral(self) -> tuple:
+        """The nonzero actions {(i, m): vector} and columns of beta, each
+        as (integer numerators, denominator)."""
+        return (integral(sparse_tensor(self.action, self.algebra.dim,
+                                       self.carrier_dim)),
+                integral(sparse_columns(self.beta)))
+
     def act(self, x, m) -> Vector:
         return bilinear(self.action, x, m, self.carrier_dim)
 
@@ -159,15 +192,21 @@ class LieModule:
 
 def validate_lie_module(P: LieModule) -> list[str]:
     """Violations of the two module axioms, checked on bases."""
-    L = P.algebra
-    return _violations(L, P.carrier_dim, (
-        ("structure-map axiom fails at ({0};{1})", 1, lambda u, v:
-         P.act(apply_alpha(L, u), P.apply_beta(v))
-         == P.apply_beta(P.act(u, v))),
-        ("module condition fails at ({0},{1};{2})", 2, lambda u, v, z:
-         P.act(multiply(L, u, v), P.apply_beta(z))
-         == vec_sub(P.act(apply_alpha(L, u), P.act(v, z)),
-                    P.act(apply_alpha(L, v), P.act(u, z))))))
+    L, d = P.algebra, P.carrier_dim
+    (alpha, a), (mul, m) = L.integral
+    (act, p), (beta, b) = P.integral
+    after = {}  # beta(act(u, v)) as a bilinear map
+    _after(after, beta, act)
+    return _messages(d, (
+        ("structure-map axiom fails at ({0};{1})", _defect(
+            (1, p * a * b, act, alpha, beta, lambda u, v: (u, v)),
+            (-1, b * p, after, _units(L.dim), _units(d),
+             lambda u, v: (u, v)))),
+        ("module condition fails at ({0},{1};{2})", _defect(
+            (1, p * m * b, act, mul, beta, lambda uv, z: uv + (z,)),
+            (-1, p * a * p, act, alpha, act, lambda u, vz: (u,) + vz),
+            (1, p * a * p, act, alpha, act,
+             lambda v, uz: (uz[0], v, uz[1]))))))
 
 
 def adjoint_bimodule(phi: HomMorphism, strict: bool = True) -> Bimodule:
@@ -179,12 +218,10 @@ def adjoint_bimodule(phi: HomMorphism, strict: bool = True) -> Bimodule:
         report = check_morphism(A, B, phi.matrix)
         if not report.is_valid:
             raise InvalidMorphism(report.describe())
-    rho_l = [[multiply(B, phi.apply(A.basis_vector(i)),
-                       basis_vector(B.dim, m))
-              for m in range(B.dim)] for i in range(A.dim)]
-    rho_r = [[multiply(B, basis_vector(B.dim, m),
-                       phi.apply(A.basis_vector(i)))
-              for i in range(A.dim)] for m in range(B.dim)]
+    cols = [phi.matrix.column(i) for i in range(A.dim)]
+    units = [dense_vector({m: 1}, B.dim) for m in range(B.dim)]
+    rho_l = [[multiply(B, cols[i], e) for e in units] for i in range(A.dim)]
+    rho_r = [[multiply(B, e, cols[i]) for i in range(A.dim)] for e in units]
     return Bimodule(algebra=A, carrier_dim=B.dim, beta=B.alpha,
                     rho_l=rho_l, rho_r=rho_r)
 
@@ -211,9 +248,9 @@ def lie_adjoint_module(phi: HomMorphism, strict: bool = True) -> LieModule:
             rep = validate(X)
             if not rep.is_valid:
                 raise InvalidAlgebra(f"{X.name}: {rep.describe()}")
-    action = [[multiply(G, phi.apply(L.basis_vector(i)),
-                        basis_vector(G.dim, m))
-               for m in range(G.dim)] for i in range(L.dim)]
+    cols = [phi.matrix.column(i) for i in range(L.dim)]
+    units = [dense_vector({m: 1}, G.dim) for m in range(G.dim)]
+    action = [[multiply(G, cols[i], e) for e in units] for i in range(L.dim)]
     return LieModule(algebra=L, carrier_dim=G.dim, beta=G.alpha, action=action)
 
 
@@ -237,8 +274,13 @@ def coadjoint_module(rep: LieModule, L: HomAlgebra) -> tuple[LieModule, bool]:
                     for j in range(n)] for i in range(L.dim)]
     dual = LieModule(algebra=L, carrier_dim=n, beta=rep.beta.transpose(),
                      action=dual_action)
-    condition_holds = not _violations(L, n, (("", 2, lambda x, y, v:
-        rep.act(multiply(L, x, y), rep.apply_beta(v))
-        == vec_sub(rep.act(x, rep.act(apply_alpha(L, y), v)),
-                   rep.act(y, rep.act(apply_alpha(L, x), v)))),))
+    (alpha, a), (mul, m) = L.integral
+    (act, p), (beta, b) = rep.integral
+    inner = {}  # act(alpha(y), v) on basis pairs (y, v)
+    _products(inner, act, alpha, _units(n), lambda y, v: (y, v))
+    inner, units = _nonzero(inner), _units(L.dim)
+    condition_holds = not _defect(
+        (1, p * m * b, act, mul, beta, lambda xy, v: xy + (v,)),
+        (-1, p * p * a, act, units, inner, lambda x, yv: (x,) + yv),
+        (1, p * p * a, act, units, inner, lambda y, xv: (xv[0], y, xv[1])))
     return dual, condition_holds

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .algebra import (ASSOCIATIVE, LIE, HomAlgebra, multiply, validate,
                       yau_twist)
 from .bracket import gerstenhaber_bracket, nr_bracket
-from .cochain import (MultilinearMap, alternator, hom_cochain_basis,
+from .cochain import (Coords, MultilinearMap, alternator, hom_cochain_basis,
                       is_alternating, is_compatible, lie_cochain_basis)
 from .cohomology import ModuleComplex, MorphismComplex
 from .deformation import (apply_equivalence, check_morphism_deformation,
@@ -155,8 +155,7 @@ def random_valid_hom_algebra(rng, kind: str) -> HomAlgebra:
 
 
 def _mul_as_map(A: HomAlgebra) -> MultilinearMap:
-    values = {(i, j): A.mul[i][j] for i in range(A.dim) for j in range(A.dim)}
-    return MultilinearMap.from_values(2, A.dim, A.dim, values)
+    return MultilinearMap.from_sparse(2, A.dim, A.dim, A.sparse.mul)
 
 
 class SuiteResult:
@@ -347,10 +346,8 @@ def suite_cochain_spaces(trials: int = 10) -> SuiteResult:
             out.expect(is_compatible(f, l4a.alpha, l4a.alpha),
                        f"lie basis at arity {k} incompatible")
     for t in range(trials):
-        size = 3 ** 2 * 3
-        f = MultilinearMap(2, 3, 3,
-                           tuple(Fraction(rng.randint(-2, 2))
-                                 for _ in range(size)))
+        f = Coords(2, 3, 3, False).to_full(sparse_vector(
+            [Fraction(rng.randint(-2, 2)) for _ in range(3 ** 2 * 3)]))
         g = alternator(f)
         out.expect(alternator(g) == g, f"trial {t}: alternator not idempotent")
         out.expect(is_alternating(g), f"trial {t}: alternator output not "

@@ -8,11 +8,10 @@ from itertools import permutations, product
 from math import factorial, gcd
 
 from homcoh.algebra import (ASSOCIATIVE, HomAlgebra, apply_alpha,
-                            identity_defect, multiply, sparse_entries)
+                            identity_defect, multiply)
 from homcoh.cochain import MorphismCochain, MultilinearMap, permutation_sign
 from homcoh.errors import HomcohError, UsageError
-from homcoh.exact import (Matrix, SparseMatrix, dense_vector, solve,
-                          vec_is_zero)
+from homcoh.exact import Matrix, SparseMatrix, dense_vector, solve
 from homcoh.rep import adjoint_bimodule, lie_adjoint_module
 
 
@@ -131,6 +130,35 @@ def frac(x) -> Fraction:
     return Fraction(x)
 
 
+def basis_vector(n: int, i: int) -> tuple:
+    return tuple(Fraction(1 if j == i else 0) for j in range(n))
+
+
+def vec_is_zero(a) -> bool:
+    return all(x == 0 for x in a)
+
+
+# Dense coefficient tensors: the flat layout of a multilinear map, indexed
+# row-major lexicographically over the argument tuple with the target
+# coordinate innermost.  Tests that build a map from such a tuple, or read
+# one back, go through these two.
+
+def dense_map(arity: int, source_dim: int, target_dim: int,
+              coeffs) -> MultilinearMap:
+    """The map whose flat coefficient tuple is ``coeffs``."""
+    d = target_dim
+    tuples = list(product(range(source_dim), repeat=arity))
+    assert len(coeffs) == len(tuples) * d, "coefficient array length"
+    return MultilinearMap.from_values(arity, source_dim, target_dim, {
+        t: tuple(coeffs[i * d:(i + 1) * d]) for i, t in enumerate(tuples)})
+
+
+def dense_coeffs(m: MultilinearMap) -> tuple:
+    """The flat coefficient tuple of m, zeros included."""
+    return tuple(x for t in product(range(m.source_dim), repeat=m.arity)
+                 for x in m.value_on_basis(t))
+
+
 # The dense forms that the gather in ``Coords.to_full``, the column index
 # in ``SparseOperator.apply`` and the operator matrices of
 # ``compute_cohomology`` replace.
@@ -143,8 +171,8 @@ def dense_to_full(system, x) -> MultilinearMap:
         x = [loc[1] * x[loc[0] * d + r] if loc else Fraction(0)
              for t in product(range(system.source_dim), repeat=system.arity)
              for loc in [system.locate(t)] for r in range(d)]
-    return MultilinearMap(system.arity, system.source_dim,
-                          system.target_dim, tuple(x))
+    return dense_map(system.arity, system.source_dim, system.target_dim,
+                     tuple(x))
 
 
 def row_apply(op, x) -> tuple:
@@ -176,7 +204,7 @@ def differential_matrix(space_n, space_n1, delta) -> Matrix:
 # lexicographic order, with its defect lhs - rhs.
 
 def dense_associativity_defect(A, i: int, j: int, k: int):
-    ei, ej, ek = A.basis_vector(i), A.basis_vector(j), A.basis_vector(k)
+    ei, ej, ek = (basis_vector(A.dim, x) for x in (i, j, k))
     left = multiply(A, apply_alpha(A, ei), multiply(A, ej, ek))
     right = multiply(A, multiply(A, ei, ej), apply_alpha(A, ek))
     return tuple(a - b for a, b in zip(left, right))
@@ -199,7 +227,7 @@ def _first(cases):
 def dense_validity(A):
     """(identity witness, multiplicativity witness) of A by basis names:
     stored skew-symmetry first for the Lie kind, then the identity."""
-    n, names, e = A.dim, A.basis_names, A.basis_vector
+    n, names, e = A.dim, A.basis_names, lambda i: basis_vector(A.dim, i)
     witness = None
     if A.kind != ASSOCIATIVE:
         witness = _first(
@@ -217,7 +245,7 @@ def dense_validity(A):
 
 def dense_morphism_witnesses(source, target, matrix):
     """(product witness, twist witness) of matrix: source -> target."""
-    names, e = source.basis_names, source.basis_vector
+    names, e = source.basis_names, lambda i: basis_vector(source.dim, i)
     product_witness = _first(
         ((names[i], names[j]),
          tuple(a - b for a, b in zip(
@@ -574,6 +602,168 @@ def alpha_associator(A: HomAlgebra, mu_i: MultilinearMap,
     for m in (mu_i, mu_j):
         if m.arity != 2 or m.source_dim != A.dim or m.target_dim != A.dim:
             raise UsageError("associator needs bilinear algebra-valued maps")
-    pair = tuple(sparse_entries(m.nonzero_entries()) for m in (mu_i, mu_j))
+    pair = (mu_i.entries, mu_j.entries)
     return MultilinearMap.from_sparse(
         3, A.dim, A.dim, identity_defect(ASSOCIATIVE, A.sparse.alpha, [pair]))
+
+
+def diamond(lam: MultilinearMap, phi) -> MultilinearMap:
+    """Pullback along phi in every argument slot."""
+    if lam.source_dim != phi.target.dim:
+        raise UsageError("cochain arguments are not in the morphism's target")
+    cols = [phi.matrix.column(j) for j in range(phi.source.dim)]
+    values = {}
+    for t in product(range(phi.source.dim), repeat=lam.arity):
+        v = dense_evaluate(lam, [cols[i] for i in t])
+        if not vec_is_zero(v):
+            values[t] = v
+    return MultilinearMap.from_values(lam.arity, phi.source.dim,
+                                      lam.target_dim, values)
+
+
+# The dense forms that the sparse MultilinearMap replaces: each reads the
+# flat coefficient tuple (``dense_coeffs``) or visits every basis tuple.
+
+def _dense_value(m: MultilinearMap, t) -> tuple:
+    off = 0
+    for i in t:
+        off = off * m.source_dim + i
+    d = m.target_dim
+    return dense_coeffs(m)[off * d:(off + 1) * d]
+
+
+def dense_nonzero_entries(m: MultilinearMap) -> list:
+    """(argument tuple, dense value) of every nonzero value, in the order
+    of the flat layout."""
+    d, coeffs = m.target_dim, dense_coeffs(m)
+    tuples = product(range(m.source_dim), repeat=m.arity)
+    return [(t, coeffs[i * d:(i + 1) * d]) for i, t in enumerate(tuples)
+            if any(coeffs[i * d:(i + 1) * d])]
+
+
+def dense_evaluate(m: MultilinearMap, args) -> tuple:
+    """Contract the flat tensor with one argument vector at a time."""
+    cur = list(dense_coeffs(m))
+    for arg in args:
+        block = len(cur) // m.source_dim
+        nxt = [Fraction(0)] * block
+        for i, a in enumerate(arg):
+            if a:
+                for off in range(block):
+                    nxt[off] += a * cur[i * block + off]
+        cur = nxt
+    return tuple(cur)
+
+
+def dense_is_alternating(m: MultilinearMap) -> bool:
+    for t in product(range(m.source_dim), repeat=m.arity):
+        val = _dense_value(m, t)
+        for perm in permutations(range(m.arity)):
+            s = tuple(t[p] for p in perm)
+            want = tuple(permutation_sign(perm) * x for x in val)
+            if _dense_value(m, s) != want:
+                return False
+    return True
+
+
+def dense_is_compatible(m: MultilinearMap, alpha: Matrix,
+                        beta: Matrix) -> bool:
+    cols = [alpha.column(j) for j in range(alpha.cols)]
+    return all(beta.matvec(_dense_value(m, t))
+               == dense_evaluate(m, [cols[i] for i in t])
+               for t in product(range(m.source_dim), repeat=m.arity))
+
+
+def dense_pullback(m: MultilinearMap, matrices) -> MultilinearMap:
+    """x_1, ..., x_k -> m(M_1 x_1, ..., M_k x_k), on every basis tuple."""
+    width = matrices[0].cols if matrices else m.source_dim
+    return MultilinearMap.from_values(m.arity, width, m.target_dim, {
+        t: dense_evaluate(m, [M.column(i) for M, i in zip(matrices, t)])
+        for t in product(range(width), repeat=m.arity)})
+
+
+def dense_pushforward(m: MultilinearMap, matrix: Matrix) -> MultilinearMap:
+    return MultilinearMap.from_values(m.arity, m.source_dim, matrix.rows, {
+        t: matrix.matvec(_dense_value(m, t))
+        for t in product(range(m.source_dim), repeat=m.arity)})
+
+
+def dense_cup_product_assoc(phi, f, g) -> MultilinearMap:
+    n, B = f.source_dim, phi.target
+    return MultilinearMap.from_values(f.arity + g.arity, n, B.dim, {
+        t: multiply(B, _dense_value(f, t[:f.arity]),
+                    _dense_value(g, t[f.arity:]))
+        for t in product(range(n), repeat=f.arity + g.arity)})
+
+
+def dense_overline_comp(phi, f, g) -> MultilinearMap:
+    A, B = phi.source, phi.target
+    af, bg = f.arity, g.arity
+    cols = [phi.matrix.column(j) for j in range(A.dim)]
+    values = {}
+    for t in product(range(A.dim), repeat=af + bg - 1):
+        args = _basis_args(A.dim, t)
+        through = [cols[i] for i in t]
+        total = [Fraction(0)] * B.dim
+        for i in range(af):
+            inner = dense_evaluate(g, args[i:i + bg])
+            slots = through[:i] + [inner] + through[i + bg:]
+            total = _signed(total, dense_evaluate(f, slots),
+                            (i * (bg - 1)) % 2)
+        values[t] = tuple(total)
+    return MultilinearMap.from_values(af + bg - 1, A.dim, B.dim, values)
+
+
+# The dense module axiom checks: each axiom evaluated with ``multiply`` on
+# every basis tuple, reporting its first failing arguments.
+
+def dense_violations(X, carrier_dim: int, axioms) -> list[str]:
+    """One message per failing axiom (template, number of algebra
+    arguments, holds), at its first failing basis arguments."""
+    problems = []
+    for template, slots, holds in axioms:
+        failing = (t + (m,) for t in product(range(X.dim), repeat=slots)
+                   for m in range(carrier_dim)
+                   if not holds(*[basis_vector(X.dim, i) for i in t],
+                                basis_vector(carrier_dim, m)))
+        first = next(failing, None)
+        if first is not None:
+            problems.append(template.format(*first))
+    return problems
+
+
+def _minus(a, b) -> tuple:
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def dense_validate_bimodule(M) -> list[str]:
+    A = M.algebra
+    return dense_violations(A, M.carrier_dim, (
+        ("left axiom fails at ({0},{1};{2})", 2, lambda x, y, v:
+         M.left(multiply(A, x, y), M.apply_beta(v))
+         == M.left(apply_alpha(A, x), M.left(y, v))),
+        ("right axiom fails at ({2};{0},{1})", 2, lambda x, y, v:
+         M.right(M.apply_beta(v), multiply(A, x, y))
+         == M.right(M.right(v, x), apply_alpha(A, y))),
+        ("compatibility fails at ({0};{2};{1})", 2, lambda x, z, v:
+         M.right(M.left(x, v), apply_alpha(A, z))
+         == M.left(apply_alpha(A, x), M.right(v, z)))))
+
+
+def dense_validate_lie_module(P) -> list[str]:
+    L = P.algebra
+    return dense_violations(L, P.carrier_dim, (
+        ("structure-map axiom fails at ({0};{1})", 1, lambda u, v:
+         P.act(apply_alpha(L, u), P.apply_beta(v))
+         == P.apply_beta(P.act(u, v))),
+        ("module condition fails at ({0},{1};{2})", 2, lambda u, v, z:
+         P.act(multiply(L, u, v), P.apply_beta(z))
+         == _minus(P.act(apply_alpha(L, u), P.act(v, z)),
+                   P.act(apply_alpha(L, v), P.act(u, z))))))
+
+
+def dense_coadjoint_condition(rep, L) -> bool:
+    return not dense_violations(L, rep.carrier_dim, (("", 2, lambda x, y, v:
+        rep.act(multiply(L, x, y), rep.apply_beta(v))
+        == _minus(rep.act(x, rep.act(apply_alpha(L, y), v)),
+                  rep.act(y, rep.act(apply_alpha(L, x), v)))),))

@@ -3,17 +3,20 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
 
-from helpers import (alpha_associator, cup_bracket_lie, dense_alternator,
-                     dense_comp_product)
+from helpers import (alpha_associator, basis_vector, cup_bracket_lie,
+                     dense_alternator, dense_comp_product,
+                     dense_cup_product_assoc, dense_map, dense_overline_comp,
+                     diamond)
 from homcoh import fixtures
 from homcoh.algebra import HomAlgebra, multiply, validate
-from homcoh.bracket import (comp_product, cup_product_assoc, diamond,
+from homcoh.bracket import (comp_product, cup_product_assoc,
                             gerstenhaber_bracket, nr_bracket, overline_comp)
 from homcoh.cochain import (MultilinearMap, alternator, is_alternating,
                             permutation_sign)
 from homcoh.cohomology import ModuleComplex
-from homcoh.exact import Matrix, basis_vector, sparse_vector
+from homcoh.exact import Matrix, sparse_vector
 from homcoh.operator import apply_operator, hom_operator, lie_operator
+from homcoh.rep import HomMorphism
 
 
 def vec(*xs):
@@ -27,9 +30,8 @@ def mul_map(A):
 
 def rand_map(rng, arity, sd, td, span=2):
     size = sd ** arity * td
-    return MultilinearMap(arity, sd, td,
-                          tuple(Fraction(rng.randint(-span, span))
-                                for _ in range(size)))
+    return dense_map(arity, sd, td, tuple(Fraction(rng.randint(-span, span))
+                                          for _ in range(size)))
 
 
 def test_comp_product_linear_insertion(a3):
@@ -77,6 +79,34 @@ def test_sparse_products_match_dense_oracles(a3, l4a):
         for k in (2, 3, 4):
             m = rand_map(rng, k, A.dim, 2)
             assert alternator(m) == dense_alternator(m), (A.name, k)
+
+
+def test_morphism_products_match_dense_oracles():
+    """The cup product, the insertion along a morphism and the pullback
+    along it against their dense forms, on morphisms between algebras
+    whose twists are not the identity, and on rational matrices."""
+    rng = random.Random(57)
+    phis = [fixtures.phi_assoc(), fixtures.phi12_1()]
+    for phi in list(phis):
+        rows = [[Fraction(rng.choice((0, rng.randint(-2, 2))),
+                          rng.choice((1, 2, 3)))
+                 for _ in range(phi.source.dim)]
+                for _ in range(phi.target.dim)]
+        phis.append(HomMorphism(phi.source, phi.target,
+                                Matrix.from_rows(rows)))
+    for phi in phis:
+        n, m = phi.source.dim, phi.target.dim
+        for p, q in ((0, 1), (1, 1), (1, 2), (2, 1), (2, 2)):
+            f, g = rand_map(rng, p, n, m), rand_map(rng, q, n, m)
+            assert cup_product_assoc(phi, f, g) == dense_cup_product_assoc(
+                phi, f, g), (phi.source.name, p, q)
+        for p, q in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (1, 3)):
+            f, g = rand_map(rng, p, m, m), rand_map(rng, q, n, m)
+            assert overline_comp(phi, f, g) == dense_overline_comp(
+                phi, f, g), (phi.source.name, p, q)
+        for k in (1, 2, 3):
+            lam = rand_map(rng, k, m, 2)
+            assert lam.pullback([phi.matrix] * k) == diamond(lam, phi)
 
 
 def test_comp_product_zero_inputs(a3):
@@ -235,7 +265,6 @@ def test_overline_comp_two_slot_expansion(phi):
 
 
 def test_diamond_identity_and_zero():
-    from homcoh.rep import HomMorphism
     G = fixtures.g1(2, 3)
     rng = random.Random(52)
     lam = rand_map(rng, 2, 3, 3)

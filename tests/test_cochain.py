@@ -1,10 +1,14 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from helpers import bareiss_rank, dense_to_full
+from helpers import (bareiss_rank, dense_coeffs, dense_evaluate,
+                     dense_is_alternating, dense_is_compatible, dense_map,
+                     dense_nonzero_entries, dense_pullback, dense_pushforward,
+                     dense_to_full)
 from homcoh import fixtures
 from homcoh.algebra import HomAlgebra
 from homcoh.cochain import (Coords, MorphismCochain, MorphismCoords,
@@ -12,7 +16,8 @@ from homcoh.cochain import (Coords, MorphismCochain, MorphismCoords,
                             is_alternating, is_compatible, lie_cochain_basis)
 from homcoh.cohomology import MorphismComplex
 from homcoh.errors import ArityLimitError, UsageError
-from homcoh.exact import Matrix, sparse_vector
+from homcoh.exact import Matrix, dense_vector, sparse_vector
+from homcoh.selftest import _rand_invertible
 
 
 def vec(*xs):
@@ -135,7 +140,7 @@ def test_alternator_projects(a3):
     rng = random.Random(31)
     for _ in range(10):
         coeffs = tuple(Fraction(rng.randint(-2, 2)) for _ in range(27))
-        g = alternator(MultilinearMap(2, 3, 3, coeffs))
+        g = alternator(dense_map(2, 3, 3, coeffs))
         assert is_alternating(g)
         assert alternator(g) == g
 
@@ -204,8 +209,8 @@ def test_malformed_arity_setting_is_reported(monkeypatch, a3, value):
 
 def test_evaluate_is_multilinear():
     rng = random.Random(32)
-    f = MultilinearMap(2, 3, 2, tuple(Fraction(rng.randint(-2, 2))
-                                      for _ in range(18)))
+    f = dense_map(2, 3, 2, tuple(Fraction(rng.randint(-2, 2))
+                                 for _ in range(18)))
     x = vec(1, 2, 0)
     y = vec(0, 1, 1)
     z = vec(2, 0, 1)
@@ -239,3 +244,110 @@ def test_to_full_gathers_the_dense_tensor():
     cuts = (0, parts[0].dim, parts[0].dim + parts[1].dim, morphism.dim)
     assert (c.comp_A, c.comp_B, c.comp_AB) == tuple(
         dense_to_full(p, x[a:b]) for p, a, b in zip(parts, cuts, cuts[1:]))
+
+
+def rand_sparse_coefficients(rng, n):
+    """n rationals, two thirds of them zero."""
+    return tuple(Fraction(rng.choice((0, 0, rng.randint(-3, 3))),
+                          rng.choice((1, 2, 3))) for _ in range(n))
+
+
+def test_sparse_maps_match_the_flat_tensor():
+    rng = random.Random(61)
+    for arity in range(4):
+        for sd, td in ((1, 1), (2, 3), (3, 2), (4, 1)):
+            size = sd ** arity * td
+            x, y = (rand_sparse_coefficients(rng, size) for _ in range(2))
+            f, g = dense_map(arity, sd, td, x), dense_map(arity, sd, td, y)
+            assert dense_coeffs(f) == x
+            assert all(v and all(v.values()) for v in f.entries.values())
+            assert len(f.entries) == sum(
+                any(x[i:i + td]) for i in range(0, size, td))
+            c = Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+            assert dense_coeffs(f + g) == tuple(a + b for a, b in zip(x, y))
+            assert dense_coeffs(f - g) == tuple(a - b for a, b in zip(x, y))
+            assert dense_coeffs(f.scale(c)) == tuple(c * a for a in x)
+            assert dense_coeffs(-f) == tuple(-a for a in x)
+            assert (f - f).is_zero() and f.scale(0).is_zero()
+            assert f.is_zero() == (not any(x))
+            assert (f == g) == (x == y)
+            assert f + g - g == f
+            # lexicographic order of the argument tuples, whatever order
+            # the entries were made in
+            for h in (f, g + f, alternator(f)):
+                assert [(t, dense_vector(v, td)) for t, v in
+                        h.nonzero_entries()] == dense_nonzero_entries(h)
+            for _ in range(3):
+                args = [rand_sparse_coefficients(rng, sd)
+                        for _ in range(arity)]
+                assert f.evaluate(args) == dense_evaluate(f, args)
+
+
+def test_structure_checks_match_dense_oracles(a3, l4a):
+    """is_alternating, is_compatible, pullback and pushforward against
+    their dense forms, on twists that are not the identity."""
+    rng = random.Random(62)
+    g = fixtures.g1(2, 3)
+    seen = set()
+    for A, d in ((a3, 3), (l4a, 4), (g, 3), (a3, 2)):
+        n = A.dim
+        twists = (A.alpha, _rand_invertible(rng, n))
+        for k in (1, 2, 3):
+            maps = [alternator(dense_map(k, n, d, rand_sparse_coefficients(
+                rng, n ** k * d))) for _ in range(2)]
+            maps += [dense_map(k, n, d, rand_sparse_coefficients(
+                rng, n ** k * d)) for _ in range(2)]
+            beta = Matrix.identity(d) if d != n else A.alpha
+            if d == n:
+                maps += list(hom_cochain_basis(A, d, beta, k).basis[:3])
+                maps += list(lie_cochain_basis(A, d, beta, k).basis[:3])
+            maps += [f + MultilinearMap.from_values(
+                k, n, d, {(0,) * k: dense_vector({0: 1}, d)})
+                for f in maps[-2:]]
+            for f in maps:
+                alternating = is_alternating(f)
+                assert alternating == dense_is_alternating(f)
+                for alpha in twists:
+                    compatible = is_compatible(f, alpha, beta)
+                    assert compatible == dense_is_compatible(f, alpha, beta)
+                    seen.add((alternating, compatible))
+                width = rng.choice((1, 2, 3))
+                matrices = [Matrix.from_rows(
+                    [rand_sparse_coefficients(rng, width) for _ in range(n)])
+                    for _ in range(k)]
+                assert f.pullback(matrices) == dense_pullback(f, matrices)
+                m = Matrix.from_rows([rand_sparse_coefficients(rng, d)
+                                      for _ in range(2)])
+                assert f.pushforward(m) == dense_pushforward(f, m)
+    assert seen == {(False, False), (False, True), (True, False),
+                    (True, True)}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MultilinearMap(2, 3, 2, {(0, 3): {0: Fraction(1)}}),
+    lambda: MultilinearMap(2, 3, 2, {(0, -1): {0: Fraction(1)}}),
+    lambda: MultilinearMap(2, 3, 2, {(0,): {0: Fraction(1)}}),
+    lambda: MultilinearMap(2, 3, 2, {(0, 1): {2: Fraction(1)}}),
+    lambda: MultilinearMap(2, 3, 2, {(0, 1): {0: Fraction(0)}}),
+    lambda: MultilinearMap(2, 3, 2, {(0, 1): {}}),
+    lambda: MultilinearMap.from_sparse(2, 3, 2, {(0, 1): {2: 1}}),
+    lambda: MultilinearMap.from_sparse(2, 3, 2, {(1, 3): {0: 1}}),
+    lambda: MultilinearMap.from_values(2, 3, 2, {(0, 1): (0, 1, 1)}),
+], ids=["argument", "negative argument", "arity", "coordinate",
+        "zero value", "empty value", "sparse coordinate", "sparse argument",
+        "long vector"])
+def test_maps_reject_entries_out_of_range(build):
+    with pytest.raises(UsageError):
+        build()
+
+
+def test_zero_map_holds_no_entries():
+    tracemalloc.start()
+    try:
+        zero = MultilinearMap.zero(4, 10, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert zero.entries == {} and zero.is_zero()
+    assert peak < 16 * 1024
+    assert MultilinearMap.from_values(4, 10, 10, {}) == zero

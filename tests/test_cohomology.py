@@ -1,12 +1,14 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from helpers import ImageOutsideCodomain, differential_matrix
+from helpers import (ImageOutsideCodomain, basis_vector, dense_coeffs,
+                     dense_map, differential_matrix)
 from homcoh import cohomology, fixtures
 from homcoh.algebra import ASSOCIATIVE, LIE, HomAlgebra, multiply
 from homcoh.cochain import (Coords, MorphismCochain, MultilinearMap, hom_cochain_basis,
@@ -16,7 +18,7 @@ from homcoh.cohomology import (HomSelfComplex, ModuleComplex,
                                connecting_complex, self_cohomology)
 from homcoh.errors import UsageError
 from homcoh.files import cochain_to_json
-from homcoh.exact import Matrix, basis_vector, in_span, sparse_vector
+from homcoh.exact import Matrix, in_span, sparse_vector
 from homcoh.rep import (HomMorphism, adjoint_bimodule, lie_adjoint_module,
                         self_bimodule, self_lie_module)
 
@@ -27,9 +29,8 @@ def vec(*xs):
 
 def rand_map(rng, arity, sd, td, span=2):
     size = sd ** arity * td
-    return MultilinearMap(arity, sd, td,
-                          tuple(Fraction(rng.randint(-span, span))
-                                for _ in range(size)))
+    return dense_map(arity, sd, td, tuple(Fraction(rng.randint(-span, span))
+                                          for _ in range(size)))
 
 
 def test_delta_hom_self_spot_values():
@@ -73,7 +74,7 @@ def test_displayed_cocycle_family_spans_computed_cocycles(a3):
     summary = self_cohomology(a3, [2])
     rec = summary.record(2)
     assert rec.dim_cocycles == 4
-    z_cols = [sparse_vector(z.coeffs) for z in rec.cocycle_basis]
+    z_cols = [sparse_vector(dense_coeffs(z)) for z in rec.cocycle_basis]
     complex_obj = ModuleComplex(a3)
     for _ in range(5):
         x1, x2, x3, x4 = (Fraction(rng.randint(-3, 3)) for _ in range(4))
@@ -88,7 +89,7 @@ def test_displayed_cocycle_family_spans_computed_cocycles(a3):
             (1, 2): (0, 0, b * (x3 + x4)),
         })
         assert complex_obj.delta(psi).is_zero()
-        assert in_span(z_cols, sparse_vector(psi.coeffs)) is not None
+        assert in_span(z_cols, sparse_vector(dense_coeffs(psi))) is not None
 
 
 def test_delta_hom_self_zero_and_rejects_arity_zero(a3):
@@ -362,11 +363,11 @@ def test_representatives_are_cocycles_outside_coboundaries(b2):
     complex_obj = HomSelfComplex(b2)
     summary = compute_cohomology(complex_obj, [2])
     rec = summary.record(2)
-    bound = [sparse_vector(complex_obj.delta(g).coeffs)
+    bound = [sparse_vector(dense_coeffs(complex_obj.delta(g)))
              for g in complex_obj.bound_space(1).basis]
     for rep in rec.representatives:
         assert complex_obj.delta(rep).is_zero()
-        assert in_span(bound, sparse_vector(rep.coeffs)) is None
+        assert in_span(bound, sparse_vector(dense_coeffs(rep))) is None
     assert rec.dim_cohomology == len(rec.representatives)
 
 
@@ -520,3 +521,28 @@ def test_full_tensors_are_built_only_for_representatives(monkeypatch):
     assert len(calls) == 21
     assert len(rec.cocycle_basis) == 41
     assert len(calls) == 21 + 41
+
+
+def heis(dim: int) -> HomAlgebra:
+    """The Heisenberg Lie algebra [x_i, y_i] = z, identity twist."""
+    k = (dim - 1) // 2
+    mul = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for i in range(k):
+        mul[i][k + i][dim - 1], mul[k + i][i][dim - 1] = 1, -1
+    return HomAlgebra(name=f"heis{dim}", kind=LIE, dim=dim, mul=mul,
+                      alpha=Matrix.identity(dim))
+
+
+def test_representatives_hold_only_their_nonzero_entries():
+    """heis7 H^4 keeps its 84 representatives as sparse maps: the dense
+    tensors (7^4 * 7 coefficients each) alone would take over 10 MiB."""
+    H = heis(7)
+    tracemalloc.start()
+    try:
+        rec = compute_cohomology(ModuleComplex(H), [4]).record(4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rec.dim_cochains, rec.dim_cocycles, rec.dim_coboundaries,
+            rec.dim_cohomology) == (245, 189, 105, 84)
+    assert peak < 4 * 2 ** 20

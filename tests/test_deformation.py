@@ -401,26 +401,26 @@ def test_obstruction_mismatch_sites_raise_on_perturbed_displayed_side(
     rigid = _rigid_a3()
     cases = {
         "algebra_obstruction-associative": (
-            "gerstenhaber_bracket", _bumped,
+            deformation, "gerstenhaber_bracket", _bumped,
             lambda: algebra_obstruction(assoc.def_b)),
         "algebra_obstruction-lie": (
-            "nr_bracket", _bumped,
+            deformation, "nr_bracket", _bumped,
             lambda: algebra_obstruction(fixtures.def_g1())),
-        "obstruction-hom": ("_compose_matrix_bilinear", _bumped,
+        # the morphism term after a deformation term: phi_p(mu_q(x, y))
+        "obstruction-hom": (MultilinearMap, "pushforward", _bumped,
                             lambda: obstruction(assoc)),
-        "obstruction-lie": ("_compose_matrix_bilinear", _bumped,
+        "obstruction-lie": (MultilinearMap, "pushforward", _bumped,
                             lambda: obstruction(fixtures.mdef_2())),
         # a sign slip in the obstruction the extension solves for, for a
         # morphism and for an algebra deformation
-        "extend_deformation": ("obstruction", _negated,
+        "extend_deformation": (deformation, "obstruction", _negated,
                                lambda: extend_deformation(assoc)),
-        "extend_algebra": ("algebra_obstruction", _negated,
+        "extend_algebra": (deformation, "algebra_obstruction", _negated,
                            lambda: extend_deformation(rigid)),
     }
-    name, perturb, run = cases[site]
+    owner, name, perturb, run = cases[site]
     run()
-    monkeypatch.setattr(deformation, name,
-                        perturb(getattr(deformation, name)))
+    monkeypatch.setattr(owner, name, perturb(getattr(owner, name)))
     with pytest.raises(ObstructionMismatch):
         run()
 
@@ -437,10 +437,8 @@ def test_displayed_obstruction_side_does_not_use_the_kernel(monkeypatch):
             nr_bracket(md.phi.source, md.def_a.term(1), md.def_a.term(1)),
             overline_comp(assoc.phi, assoc.def_b.term(1), f),
             cup_product_assoc(assoc.phi, f, f),
-            deformation._compose_matrix_bilinear(assoc.phi_term(2),
-                                                 assoc.def_a.term(1)),
-            deformation._mul_through(md.def_b.term(1), md.phi_term(1),
-                                     md.phi.matrix)]
+            assoc.def_a.term(1).pushforward(assoc.phi_term(2)),
+            md.def_b.term(1).pullback([md.phi_term(1), md.phi.matrix])]
 
     before = displayed()
     assert any(not m.is_zero() for m in before)

@@ -151,6 +151,17 @@ def test_json_booleans_are_not_argument_indices():
         files.cochain_from_json(payload, ("f1", "f2"))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("arity", True), ("arity", -1), ("source", "3"), ("source", 3.0),
+    ("target", None), ("target", -2)])
+def test_cochain_shape_fields_are_non_negative_integers(field, value):
+    payload = files.cochain_to_json(
+        MultilinearMap.from_values(2, 3, 2, {(1, 0): (1, 0)}), ("f1", "f2"))
+    payload[field] = value
+    with pytest.raises(ParseError, match=f"{field} must be"):
+        files.cochain_from_json(payload, ("f1", "f2"))
+
+
 def test_cochain_json_round_trip():
     m = MultilinearMap.from_values(
         2, 3, 2, {(0, 1): (1, 0), (2, 2): (0, -2)})

@@ -10,10 +10,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (bareiss_rank, dense, dense_d_component, dense_delta_hom,
-                     dense_delta_lie, dense_delta_morphism,
+from helpers import (bareiss_rank, dense, dense_coeffs, dense_d_component,
+                     dense_delta_hom, dense_delta_lie, dense_delta_morphism,
                      dense_derivation_D_assoc, dense_derivation_D_lie,
-                     differential_matrix, row_apply)
+                     dense_map, differential_matrix, row_apply)
 from homcoh import fixtures
 from homcoh.algebra import ASSOCIATIVE, LIE, HomAlgebra, multiply
 from homcoh.cochain import (MorphismCochain, MultilinearMap, alternator,
@@ -33,7 +33,7 @@ from homcoh.selftest import _conjugate, _rand_invertible, random_valid_hom_algeb
 
 
 def rand_map(rng, arity, sd, td):
-    return MultilinearMap(arity, sd, td, tuple(
+    return dense_map(arity, sd, td, tuple(
         Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
         for _ in range(sd ** arity * td)))
 
@@ -263,10 +263,10 @@ def test_operator_ranks_agree_with_fraction_free_elimination():
 def dense_dims(space_n, space_prev, delta):
     """(dim C, dim Z, dim B) of one degree, computed on full tensors with
     the dense coboundary."""
-    images = [delta(f).coeffs for f in space_n.basis]
+    images = [dense_coeffs(delta(f)) for f in space_n.basis]
     kernel = nullspace_basis(Matrix.from_columns(images)) if images else []
-    z = [sparse_vector(space_n.combine(k).coeffs) for k in kernel]
-    b_all = [sparse_vector(delta(g).coeffs) for g in space_prev.basis]
+    z = [sparse_vector(dense_coeffs(space_n.combine(k))) for k in kernel]
+    b_all = [sparse_vector(dense_coeffs(delta(g))) for g in space_prev.basis]
     b = [b_all[i] for i in independent_subset(b_all)]
     if b and column_rank(b + z) != len(z):
         b = intersection_basis(b, z)
@@ -311,7 +311,7 @@ def test_non_alternating_target_is_not_a_coboundary():
     op = lie_operator(L, 3, 2, L.mul)
     target = ModuleComplex(L).delta(space.basis[0])
     assert solve_coboundary(op, space.coords, target) is not None
-    skewed = MultilinearMap(3, 3, 3, target.coeffs[:-1] + (Fraction(1),))
+    skewed = dense_map(3, 3, 3, dense_coeffs(target)[:-1] + (Fraction(1),))
     assert solve_coboundary(op, space.coords, skewed) is None
 
 
@@ -430,4 +430,4 @@ def test_values_leave_the_integer_layer_as_fractions():
                 parts = ((f.comp_A, f.comp_B, f.comp_AB)
                          if isinstance(f, MorphismCochain) else (f,))
                 assert all(type(v) is Fraction
-                           for m in parts for v in m.coeffs)
+                           for m in parts for v in dense_coeffs(m))

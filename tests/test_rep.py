@@ -6,10 +6,16 @@ import pytest
 from homcoh import fixtures
 from homcoh.algebra import apply_alpha, multiply
 from homcoh.errors import InvalidAlgebra, InvalidMorphism
-from homcoh.exact import Matrix, basis_vector
+import random
+
+from helpers import (basis_vector, dense_coadjoint_condition,
+                     dense_validate_bimodule, dense_validate_lie_module)
+from homcoh.exact import Matrix
 from homcoh.rep import (HomMorphism, adjoint_bimodule, check_morphism,
                         coadjoint_module, lie_adjoint_module, self_bimodule,
-                        validate_bimodule, validate_lie_module)
+                        self_lie_module, validate_bimodule,
+                        validate_lie_module)
+from homcoh.selftest import random_valid_hom_algebra
 
 
 def vec(*xs):
@@ -112,25 +118,11 @@ def test_coadjoint_trivial_action():
                for i in range(3) for j in range(3))
 
 
-def _coadjoint_condition_oracle(P, L):
-    for i, j in product(range(L.dim), repeat=2):
-        x, y = basis_vector(L.dim, i), basis_vector(L.dim, j)
-        for m in range(P.carrier_dim):
-            v = basis_vector(P.carrier_dim, m)
-            lhs = P.act(multiply(L, x, y), P.apply_beta(v))
-            rhs = tuple(a - b for a, b in zip(
-                P.act(x, P.act(apply_alpha(L, y), v)),
-                P.act(y, P.act(apply_alpha(L, x), v))))
-            if lhs != rhs:
-                return False
-    return True
-
-
 def test_coadjoint_condition_matches_triple_loop_oracle():
     heis = fixtures.g1(1, 1)  # classical one-bracket algebra, identity twist
     P = lie_adjoint_module(HomMorphism(heis, heis, Matrix.identity(3)))
     dual, cond = coadjoint_module(P, heis)
-    assert cond == _coadjoint_condition_oracle(P, heis)
+    assert cond == dense_coadjoint_condition(P, heis)
     if cond:
         assert validate_lie_module(dual) == []
 
@@ -154,3 +146,70 @@ def test_adjoint_right_axiom_mirror_holds(phi):
             lhs = M.right(M.apply_beta(v), multiply(A, x, y))
             rhs = M.right(M.right(v, x), apply_alpha(A, y))
             assert lhs == rhs
+
+
+def _bumped_tensor(rng, tensor):
+    """tensor with one random coordinate moved by a random rational."""
+    out = [[list(v) for v in row] for row in tensor]
+    i, j = rng.randrange(len(out)), rng.randrange(len(out[0]))
+    out[i][j][rng.randrange(len(out[i][j]))] += Fraction(
+        rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
+    return out
+
+
+def _bumped_matrix(rng, m):
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    rows[rng.randrange(m.rows)][rng.randrange(m.cols)] += Fraction(
+        rng.choice((-1, 1, 2)), rng.choice((1, 3)))
+    return Matrix.from_rows(rows)
+
+
+def _broken(rng, M):
+    """M with one of its actions or its structure map bumped."""
+    fields = {"beta": M.beta}
+    fields.update({name: getattr(M, name) for name in ("rho_l", "rho_r",
+                                                          "action")
+                   if hasattr(M, name)})
+    name = rng.choice(sorted(fields))
+    fields[name] = (_bumped_matrix(rng, fields[name]) if name == "beta"
+                    else _bumped_tensor(rng, fields[name]))
+    return type(M)(algebra=M.algebra, carrier_dim=M.carrier_dim, **fields)
+
+
+def test_sparse_bimodule_checks_match_the_dense_oracle(phi):
+    rng = random.Random(71)
+    bases = [self_bimodule(fixtures.assoc3(1, 2)), adjoint_bimodule(phi),
+             self_bimodule(fixtures.assoc2())]
+    bases += [self_bimodule(random_valid_hom_algebra(rng, "associative"))
+              for _ in range(2)]
+    seen = set()
+    for M in bases:
+        assert validate_bimodule(M) == dense_validate_bimodule(M) == []
+        for _ in range(12):
+            bad = _broken(rng, M)
+            got = validate_bimodule(bad)
+            assert got == dense_validate_bimodule(bad)
+            seen.update(message.split(" fails")[0] for message in got)
+    assert seen == {"left axiom", "right axiom", "compatibility"}
+
+
+def test_sparse_lie_module_checks_match_the_dense_oracle():
+    rng = random.Random(72)
+    g = fixtures.g1(2, 3)
+    bases = [self_lie_module(g), self_lie_module(fixtures.lie4a(1, 1, 1, 1)),
+             lie_adjoint_module(fixtures.phi12_1(), strict=False),
+             lie_adjoint_module(HomMorphism(g, g, Matrix.identity(3)))]
+    bases += [self_lie_module(random_valid_hom_algebra(rng, "lie"))
+              for _ in range(2)]
+    seen, conditions = set(), set()
+    for P in bases:
+        assert validate_lie_module(P) == dense_validate_lie_module(P)
+        for bad in [P] + [_broken(rng, P) for _ in range(12)]:
+            got = validate_lie_module(bad)
+            assert got == dense_validate_lie_module(bad)
+            seen.update(message.split(" fails")[0] for message in got)
+            _, cond = coadjoint_module(bad, bad.algebra)
+            assert cond == dense_coadjoint_condition(bad, bad.algebra)
+            conditions.add(cond)
+    assert seen == {"structure-map axiom", "module condition"}
+    assert conditions == {True, False}

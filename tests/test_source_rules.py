@@ -1,0 +1,64 @@
+"""Rules on the package source, checked on its syntax tree."""
+
+import ast
+from pathlib import Path
+
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "homcoh"
+
+# Only the full coordinate system enumerates every argument tuple; every
+# other function reads nonzero entries.
+ALLOWED_DENSE_LOOPS = {"Coords.tuples"}
+
+
+def _is_dense_tuple_loop(node: ast.AST) -> bool:
+    """A call product(range(...), repeat=...)."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else \
+        getattr(func, "id", None)
+    return (name == "product" and len(node.args) == 1
+            and isinstance(node.args[0], ast.Call)
+            and getattr(node.args[0].func, "id", None) == "range"
+            and any(k.arg == "repeat" for k in node.keywords))
+
+
+def dense_tuple_loops(tree: ast.AST) -> list[str]:
+    """Qualified names of the functions that call product(range(...),
+    repeat=...)."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + [child.name])
+            else:
+                if _is_dense_tuple_loop(child):
+                    found.append(".".join(scope) or "<module>")
+                visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_rule_sees_dense_tuple_loops():
+    tree = ast.parse(
+        "class C:\n"
+        "    def f(self, n, k):\n"
+        "        return list(itertools.product(range(n), repeat=k))\n"
+        "def g(n):\n"
+        "    return [t for t in product(range(n), repeat=2)]\n"
+        "def h(n):\n"
+        "    return product(range(n), range(n))\n")
+    assert dense_tuple_loops(tree) == ["C.f", "g"]
+
+
+def test_only_full_coordinates_enumerate_every_argument_tuple():
+    offenders = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        names = dense_tuple_loops(ast.parse(path.read_text(), str(path)))
+        bad = [n for n in names if n not in ALLOWED_DENSE_LOOPS]
+        if bad:
+            offenders[path.name] = bad
+    assert offenders == {}
