@@ -78,10 +78,12 @@ def permutation_sign(perm) -> int:
 
 def _sort_sign(t) -> tuple[tuple[int, ...], int]:
     """Sorted tuple and the sign of the sorting permutation (0 on repeats)."""
-    if len(set(t)) != len(t):
-        return tuple(sorted(t)), 0
-    order = sorted(range(len(t)), key=lambda p: t[p])
-    return tuple(t[p] for p in order), permutation_sign(order)
+    srt = tuple(sorted(t))
+    if len(set(srt)) != len(srt):
+        return srt, 0
+    if srt == t:
+        return srt, 1
+    return srt, permutation_sign(sorted(range(len(t)), key=t.__getitem__))
 
 
 def _signed_permutations(k: int) -> list[tuple[tuple[int, ...], int]]:
@@ -296,10 +298,10 @@ class Coords:
         d, tuples, entries = self.target_dim, self.tuples, {}
         for key, v in x.items():
             j, r = divmod(key, d)
-            t = tuples[j]
+            t, neg = tuples[j], -v
             for q, sign in self._permutations:
                 entries.setdefault(tuple(t[i] for i in q), {})[r] = \
-                    v if sign > 0 else -v
+                    v if sign > 0 else neg
         return MultilinearMap(self.arity, self.source_dim, self.target_dim,
                               entries)
 
@@ -352,18 +354,18 @@ class CochainSpace(_SpaceBasis):
                       self.flavor == LIE)
 
 
-def _compatible_space(flavor: str, source: HomAlgebra, target_dim: int,
-                      beta: Matrix, arity: int) -> CochainSpace:
-    """Canonical basis of {f : beta∘f = f∘alpha^(tensor arity)}, solved in
-    the coordinates of the flavor; arity 0 is the whole target space (no
+def compatibility_rows(flavor: str, source: HomAlgebra, target_dim: int,
+                       beta: Matrix, arity: int) -> list[dict]:
+    """The nonzero integer rows {unknown: int} of the system beta∘f =
+    f∘alpha^(tensor arity) in the coordinates of the flavor, at most one
+    per argument tuple and target coordinate; arity 0 has none (no
     structure-map constraint there)."""
     if arity < 0:
         raise UsageError("arity must be >= 0")
     _check_arity_guard(arity)
-    d = target_dim
     if arity == 0:
-        basis = tuple({s: Fraction(1)} for s in range(d))
-        return CochainSpace(0, flavor, source, d, beta, basis)
+        return []
+    d = target_dim
     system = Coords(arity, source.dim, d, flavor == LIE)
     (alpha, a), _ = source.integral
     beta_rows, b = integral(sparse_columns(beta.transpose()))
@@ -381,29 +383,43 @@ def _compatible_space(flavor: str, source: HomAlgebra, target_dim: int,
             row = {ti * d + s: fb * e for s, e in beta_rows.get(r, {}).items()}
             for j, c in terms.items():
                 row[j * d + r] = row.get(j * d + r, 0) - fa * c
-            rows.append({k: c for k, c in row.items() if c})
-    return CochainSpace(arity, flavor, source, d, beta, tuple(
+            if row := {k: c for k, c in row.items() if c}:
+                rows.append(row)
+    return rows
+
+
+def _compatible_space(flavor: str, source: HomAlgebra, target_dim: int,
+                      beta: Matrix, arity: int, rows) -> CochainSpace:
+    """Canonical basis of {f : beta∘f = f∘alpha^(tensor arity)}: the
+    kernel of its ``compatibility_rows``, built here when ``rows`` is
+    None."""
+    if rows is None:
+        rows = compatibility_rows(flavor, source, target_dim, beta, arity)
+    system = Coords(arity, source.dim, target_dim, flavor == LIE)
+    return CochainSpace(arity, flavor, source, target_dim, beta, tuple(
         nullspace_basis(SparseMatrix(len(rows), system.dim, tuple(rows)))))
 
 
 def hom_cochain_basis(source: HomAlgebra, target_dim: int, beta: Matrix,
-                      arity: int) -> CochainSpace:
-    """Canonical basis of {f : beta∘f = f∘alpha^(tensor arity)}.
+                      arity: int, rows=None) -> CochainSpace:
+    """Canonical basis of {f : beta∘f = f∘alpha^(tensor arity)}; ``rows``
+    are its compatibility rows when the caller holds them.
 
     Arity 0 is the full target space (no structure-map constraint there).
     """
-    return _compatible_space(HOM, source, target_dim, beta, arity)
+    return _compatible_space(HOM, source, target_dim, beta, arity, rows)
 
 
 def lie_cochain_basis(source: HomAlgebra, target_dim: int, beta: Matrix,
-                      arity: int) -> CochainSpace:
-    """Canonical basis of the alternating twist-compatible maps.
+                      arity: int, rows=None) -> CochainSpace:
+    """Canonical basis of the alternating twist-compatible maps; ``rows``
+    are its compatibility rows when the caller holds them.
 
     Solved on strictly increasing argument tuples; full alternation over
     the rationals follows from the adjacent-transposition relations, so the
     reduced system loses nothing.
     """
-    return _compatible_space(LIE, source, target_dim, beta, arity)
+    return _compatible_space(LIE, source, target_dim, beta, arity, rows)
 
 
 @dataclass(frozen=True)

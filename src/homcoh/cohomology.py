@@ -19,10 +19,13 @@ complex is the only way to apply a coboundary: ``delta(f)`` takes a cochain
 of that complex, and ``ModuleComplex.face(i, f)`` applies the face
 operators of the associative kind.  Every coboundary and face is a compiled
 ``operator.SparseOperator``; a complex compiles each degree (and each face
-index and arity) once, and ``compute_cohomology`` decides kernels, ranks
-and pivots on operator coordinates.  Cocycles stay in those coordinates:
-multilinear maps are built only for the representatives, and for the
-cocycle basis of a record when a caller reads it.
+index and arity) once, and caches per degree the integer compatibility
+rows whose kernel is its twist-compatible cochains, and that kernel's
+basis (``bound_space``) where a coboundary needs it.  ``compute_cohomology``
+solves one stacked integer system per degree for the cocycles and keeps
+them in operator coordinates: multilinear maps are built only for the
+representatives, and for the cocycle basis of a record when a caller reads
+it.
 
 Invalid input algebras degrade to best-effort reports: the delta-squared
 failure is detected, reported as a warning, and the coboundary space is
@@ -36,12 +39,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import ASSOCIATIVE, LIE as LIE_KIND, HomAlgebra, validate
-from .cochain import (HOM, LIE, MorphismCochain, MorphismCochainSpace,
-                      MultilinearMap, _check_arity_guard, hom_cochain_basis,
+from .cochain import (HOM, LIE, Coords, MorphismCochain, MorphismCochainSpace,
+                      MorphismCoords, MultilinearMap, _check_arity_guard,
+                      compatibility_rows, hom_cochain_basis,
                       lie_cochain_basis)
 from .errors import UsageError
-from .exact import (Matrix, dense_vector, independent_subset,
-                    intersection_basis, lincomb, nullspace_basis)
+from .exact import (Matrix, SparseMatrix, dense_vector, independent_subset,
+                    intersection_basis, nullspace_basis, row_rank)
 from .operator import (apply_operator, hom_delta, hom_operator, lie_operator,
                        morphism_delta)
 from .rep import (Bimodule, HomMorphism, LieModule, adjoint_bimodule,
@@ -89,36 +93,36 @@ class ComplexSummary:
 
 
 class _ComplexBase:
-    """Shared engine: each concrete complex supplies its twist-compatible
-    cochain spaces, its compiled operator per degree, the degree of each
-    of its cochains (``_degree`` rejects any other cochain), and whether
-    the cocycle equation is solved on all multilinear maps."""
+    """Shared engine: each concrete complex supplies, per degree, its
+    coordinates, compatibility rows, twist-compatible cochain space and
+    compiled operator, the degree of each of its cochains (``_degree``
+    rejects any other cochain), and whether the cocycle equation is solved
+    on all multilinear maps."""
 
     full_cocycles = False
 
     def __init__(self):
-        self._bound_cache: dict[int, object] = {}
-        self._op_cache: dict[int, object] = {}
+        self._cache: dict[tuple, object] = {}
+
+    def _memo(self, key: tuple, build):
+        """The value cached under key, built by build() on first use."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     def operator(self, n: int):
         """The compiled coboundary from degree n to degree n + 1."""
-        if n not in self._op_cache:
-            self._op_cache[n] = self._compile(n)
-        return self._op_cache[n]
+        return self._memo(("operator", n), lambda: self._compile(n))
 
-    def cocycle_coords(self, n: int):
-        """Basis coordinates of the space the cocycle equation is solved
-        on, or None when that is the whole multilinear space."""
-        if self.full_cocycles:
-            _check_arity_guard(n)
-            return None
-        return self.bound_space(n).coords
+    def compatibility_rows(self, n: int) -> list[dict]:
+        """Integer rows over the degree-n coordinates (``system(n)``, the
+        operator's source) whose kernel is the twist-compatible (and, for
+        the Lie kind, alternating) cochains."""
+        return self._memo(("rows", n), lambda: self._build_rows(n))
 
     def bound_space(self, n: int):
         """The twist-compatible cochains of degree n."""
-        if n not in self._bound_cache:
-            self._bound_cache[n] = self._build_bound_space(n)
-        return self._bound_cache[n]
+        return self._memo(("bound", n), lambda: self._build_bound_space(n))
 
     def delta(self, f):
         """The coboundary of f, a cochain of this complex."""
@@ -152,7 +156,6 @@ class ModuleComplex(_ComplexBase):
             self.flavor = HOM_BIMODULE if assoc else LIE_MODULE
         self.algebra, self.module, self.label = X, module, label
         self.full_cocycles = assoc  # the associative-kind convention
-        self._faces: dict[tuple[int, int], object] = {}
 
     @cached_property
     def warnings(self) -> list[str]:
@@ -167,16 +170,26 @@ class ModuleComplex(_ComplexBase):
             validate_lie_module
         return out + [f"{self.label}: {p}" for p in check(self.module)]
 
+    def system(self, n: int) -> Coords:
+        return Coords(n, self.algebra.dim, self.module.carrier_dim,
+                      not self.full_cocycles)
+
+    def _build_rows(self, n: int) -> list[dict]:
+        M = self.module
+        return compatibility_rows(HOM if self.full_cocycles else LIE,
+                                  self.algebra, M.carrier_dim, M.beta, n)
+
     def _build_bound_space(self, n: int):
         build = hom_cochain_basis if self.full_cocycles else lie_cochain_basis
         M = self.module
-        return build(self.algebra, M.carrier_dim, M.beta, n)
+        return build(self.algebra, M.carrier_dim, M.beta, n,
+                     self.compatibility_rows(n))
 
     def _compile(self, n: int):
         M = self.module
         if self.full_cocycles:
-            return hom_delta(self.algebra, M.rho_l, M.rho_r, M.carrier_dim, n)
-        return lie_operator(self.algebra, M.carrier_dim, n, M.action)
+            return hom_delta(self.algebra, *M.integral[:2], M.carrier_dim, n)
+        return lie_operator(self.algebra, M.carrier_dim, n, M.integral[0])
 
     def _degree(self, f) -> int:
         if not isinstance(f, MultilinearMap):
@@ -206,13 +219,11 @@ class ModuleComplex(_ComplexBase):
         M = self.module
         if i == n:
             return MultilinearMap.zero(n + 1, self.algebra.dim, M.carrier_dim)
-        if (i, n) not in self._faces:
-            self._faces[i, n] = hom_operator(
-                self.algebra, M.carrier_dim, n,
-                [int(k == i) for k in range(n)],
-                (-1, M.rho_l) if i == 0 else None,
-                (-1, M.rho_r) if i == n - 1 else None)
-        return apply_operator(self._faces[i, n], f)
+        face = self._memo(("face", i, n), lambda: hom_operator(
+            self.algebra, M.carrier_dim, n, [int(k == i) for k in range(n)],
+            (-1, M.integral[0]) if i == 0 else None,
+            (-1, M.integral[1]) if i == n - 1 else None))
+        return apply_operator(face, f)
 
     def degree_zero_images(self) -> list:
         """e_i -> e_i m (minus m e_i for a bimodule), for each m fixed by
@@ -265,6 +276,18 @@ class MorphismComplex(_ComplexBase):
             out.append(f"morphism: {mreport.describe()}")
         return out
 
+    def system(self, n: int) -> MorphismCoords:
+        return MorphismCoords((self.source.system(n), self.target.system(n),
+                               self.connecting.system(n - 1)))
+
+    def _build_rows(self, n: int) -> list[dict]:
+        parts = (self.source.compatibility_rows(n),
+                 self.target.compatibility_rows(n),
+                 self.connecting.compatibility_rows(n - 1))  # none at arity 0
+        return [{start + k: c for k, c in row.items()}
+                for start, rows in zip(self.system(n).starts, parts)
+                for row in rows]
+
     def _build_bound_space(self, n: int):
         return MorphismCochainSpace(n, self.source.bound_space(n),
                                     self.target.bound_space(n),
@@ -296,24 +319,36 @@ def compute_cohomology(complex_obj: _ComplexBase, degrees,
     representatives chosen by pivot positions of the cocycle basis modulo
     the coboundaries.
 
-    Kernels, ranks and pivots are decided on sparse operator coordinates;
-    they do not change under the injective map to multilinear maps, so the
-    reported cochains are those of the dense computation.
+    The cocycles are the canonical kernel of one integer system over the
+    operator's source coordinates: the operator's rows alone for the
+    associative kind, stacked on the compatibility rows for the Lie kind.
+    That kernel is the kernel of the operator on the compatible basis,
+    mapped back, vector by vector: a compatible basis vector is 1 at its
+    free column and otherwise lives on earlier columns, so both bases are
+    the one reduced at the same trailing columns.  Only the span of each
+    coboundary image matters, so the images enter the [B | Z] elimination
+    as integer numerators.  Kernels, ranks and pivots do not change under
+    the injective map to multilinear maps, so the reported cochains are
+    those of the dense computation.
     """
     warnings = list(complex_obj.warnings)
     records = []
-    for n in sorted(set(int(d) for d in degrees)):
+    wanted = sorted(set(int(d) for d in degrees))
+    for n in wanted:
         if n < 1:
             raise UsageError("degrees start at 1")
-        coords = complex_obj.cocycle_coords(n)
+        _check_arity_guard(n)
         op = complex_obj.operator(n)
-        if coords is None:  # the operator is its own differential matrix
-            dim_c = op.source.dim
-            z_raw = nullspace_basis(op.sparse_matrix()) if dim_c else []
-        else:
-            dim_c = len(coords)
-            kernel = nullspace_basis(op.sparse_matrix(coords)) if coords else []
-            z_raw = [lincomb(k, coords) for k in kernel]
+        if complex_obj.full_cocycles:  # the operator is its own system
+            dim_c, rows = op.source.dim, op.rows
+        else:  # a basis of degree n is built only when degree n + 1 needs it
+            compat = complex_obj.compatibility_rows(n)
+            dim_c = (complex_obj.bound_space(n).dim if n + 1 in wanted
+                     or ("bound", n) in complex_obj._cache
+                     else op.source.dim - row_rank(compat))
+            rows = op.rows + compat
+        z_raw = nullspace_basis(SparseMatrix(
+            len(rows), op.source.dim, rows)) if dim_c else []
         z_img = z_raw  # the cocycles in the coordinates of the coboundaries
 
         if n == 1:
@@ -322,13 +357,14 @@ def compute_cohomology(complex_obj: _ComplexBase, degrees,
             b_raw_all = [op.source.project(b) for b in bound_images]
         else:
             prev = complex_obj.operator(n - 1)
-            b_raw_all = [prev.apply(v)
+            b_raw_all = [prev.numerators(v)[0]
                          for v in complex_obj.bound_space(n - 1).coords]
             if prev.target != op.source:  # images of a non-skew bracket
                 z_img = [prev.target.project(op.source.to_full(z))
                          for z in z_raw]
         # one elimination of [B | Z]: its B pivots span the coboundaries,
-        # its rank is dim(B + Z) and its Z pivots pick the representatives
+        # its rank is dim(B + Z) and its Z pivots pick the representatives;
+        # scaling a column changes none of these
         pivots = independent_subset(b_raw_all + z_img)
         offset = len(b_raw_all)
         b_raw = [b_raw_all[p] for p in pivots if p < offset]

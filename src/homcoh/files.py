@@ -308,10 +308,16 @@ def cochain_from_json(data, target_names=None, context="cochain") -> Multilinear
     names = (list(target_names) if target_names
              else [f"m{i + 1}" for i in range(target_dim)])
     index = {name: i for i, name in enumerate(names)}
+    if not isinstance(data["entries"], list):
+        raise ParseError(f"{context}: entries must be a list")
     values = {}
     for pos, entry in enumerate(data["entries"]):
         where = f"{context}: entries[{pos}]"
         _require_keys(entry, ("args", "value"), (), where)
+        if not isinstance(entry["args"], list):
+            raise ParseError(f"{where}: args must be a list")
+        if not isinstance(entry["value"], dict):
+            raise ParseError(f"{where}: value must be an object")
         t = tuple(entry["args"])
         if len(t) != arity or any(type(i) is not int
                                   or not 0 <= i < source_dim for i in t):

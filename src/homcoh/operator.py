@@ -8,7 +8,10 @@ denominator (``exact.integral``) and build the matrix once, from the
 nonzero constants only: integer {column: int} rows over one denominator
 ``den`` per operator, 1 for integer constants.  A coboundary is then a
 sparse integer product, and ``SparseOperator.apply`` makes a ``Fraction``
-only for each nonzero output entry.
+only for each nonzero output entry (``numerators`` stops before that, for
+callers that need only the span of an image).  Module actions are read in
+the integer form each module caches (``Bimodule.integral``,
+``LieModule.integral``).
 
 Operators map sparse {coordinate: value} dicts between ``cochain.Coords``
 systems; ``apply_operator`` converts a multilinear map once on the way in
@@ -25,7 +28,7 @@ from functools import cached_property
 from itertools import combinations
 from math import lcm
 
-from .algebra import HomAlgebra, skew_defect, sparse_columns, sparse_entries
+from .algebra import HomAlgebra, skew_defect, sparse_columns
 from .cochain import HOM, Coords, MorphismCoords
 from .errors import UsageError
 from .exact import Matrix, SparseMatrix, expand_product, integral, solve
@@ -48,10 +51,10 @@ class SparseOperator:
                 cols[j].append((i, c))
         return cols
 
-    def apply(self, x: dict) -> dict:
-        """The sparse image of the sparse coordinates x, by the columns of
-        its entries: integer numerators over the common denominator of x,
-        and one ``Fraction`` per nonzero output entry."""
+    def numerators(self, x: dict) -> tuple[dict, int]:
+        """(integer numerators, den) of the image of the sparse coordinates
+        x, by the columns of its entries, over the common denominator of x
+        times the operator's."""
         dim = self.source.dim
         if x and not 0 <= min(x) <= max(x) < dim:
             raise UsageError(f"operator needs coordinates below {dim}")
@@ -61,8 +64,13 @@ class SparseOperator:
             v = xj.numerator * (den // xj.denominator)
             for i, c in cols[j]:
                 out[i] = out.get(i, 0) + c * v
-        den *= self.den
-        return {i: Fraction(v, den) for i, v in out.items() if v}
+        return {i: v for i, v in out.items() if v}, den * self.den
+
+    def apply(self, x: dict) -> dict:
+        """The sparse image of the sparse coordinates x: one ``Fraction``
+        per nonzero output entry."""
+        out, den = self.numerators(x)
+        return {i: Fraction(v, den) for i, v in out.items()}
 
     def sparse_matrix(self, vectors=None) -> SparseMatrix:
         """The operator's matrix (integer rows over ``den``); with sparse
@@ -91,21 +99,20 @@ def solve_coboundary(op: SparseOperator, coords, target) -> dict | None:
     return None if rhs is None else solve(op.sparse_matrix(coords), rhs)
 
 
-def _act_table(A: HomAlgebra, n: int, tensor, d: int,
+def _act_table(A: HomAlgebra, n: int, action: tuple[dict, int], d: int,
                right: bool = False) -> tuple[list, int]:
     """(table, den): table[b][r] = {q: c}, den times coordinate r of the
     action of column b of alpha^(n-1) on carrier basis vector q (from the
-    left, or from the right)."""
+    left, or from the right), from a module's integer action: nonzero
+    vectors keyed (algebra, carrier) index, (carrier, algebra) if right."""
     P, p = A.twist_power(n - 1)
-    acts, t = integral(sparse_entries(
-        ((a, q), tensor[q][a] if right else tensor[a][q])
-        for a in range(A.dim) for q in range(d)))
+    acts, t = action
     table = []
     for b in range(A.dim):
         rows = [{} for _ in range(d)]
         for a, pa in P.get(b, {}).items():
             for q in range(d):
-                for r, e in acts.get((a, q), {}).items():
+                for r, e in acts.get((q, a) if right else (a, q), {}).items():
                     rows[r][q] = rows[r].get(q, 0) + pa * e
         table.append(rows)
     return table, p * t
@@ -133,7 +140,7 @@ def hom_operator(A: HomAlgebra, d: int, n: int, merge, left=None,
     merge[k] weights f(alpha x_0, ..., x_k x_{k+1}, ..., alpha x_n);
     left = (weight, rho_l) weights rho_l(alpha^(n-1) x_0, f(x_1, ..., x_n));
     right = (weight, rho_r) weights rho_r(f(x_0, ..., x_{n-1}),
-    alpha^(n-1) x_n).
+    alpha^(n-1) x_n), the actions as in ``Bimodule.integral``.
     """
     src, tgt = Coords(n, A.dim, d, False), Coords(n + 1, A.dim, d, False)
     (alpha, a), (mul, m) = A.integral
@@ -169,9 +176,10 @@ def lie_operator(L: HomAlgebra, d: int, n: int, action=None,
                  reduced: bool = True) -> SparseOperator:
     """Lie-kind coboundary terms on arity-n cochains with values in a
     d-dimensional carrier: the sum over i < j of (-1)^(i+j) f([x_i, x_j],
-    alpha x_0, ..., alpha x_n) (x_i, x_j omitted), plus, given an action
-    tensor, the sum over i of (-1)^i action(alpha^(n-1) x_i, f(..., x_n))
-    (x_i omitted).  With ``reduced`` the input is an alternating cochain.
+    alpha x_0, ..., alpha x_n) (x_i, x_j omitted), plus, given a module's
+    integer action (``LieModule.integral``), the sum over i of (-1)^i
+    action(alpha^(n-1) x_i, f(..., x_n)) (x_i omitted).  With ``reduced``
+    the input is an alternating cochain.
     """
     src = Coords(n, L.dim, d, reduced)
     (alpha, a), (mul, m) = L.integral
@@ -201,7 +209,8 @@ def lie_operator(L: HomAlgebra, d: int, n: int, action=None,
 
 
 def hom_delta(A: HomAlgebra, rho_l, rho_r, d: int, n: int) -> SparseOperator:
-    """The associative-kind coboundary with values in a bimodule."""
+    """The associative-kind coboundary with values in a bimodule, from its
+    integer actions (``Bimodule.integral``)."""
     return hom_operator(A, d, n, [(-1) ** (k + 1) for k in range(n)],
                         (1, rho_l), ((-1) ** (n + 1), rho_r))
 

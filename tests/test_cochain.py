@@ -24,6 +24,17 @@ def vec(*xs):
     return tuple(Fraction(x) for x in xs)
 
 
+def test_reduced_coordinates_locate_every_tuple_by_its_inversions():
+    for k in range(5):
+        system = Coords(k, 4, 1, True)
+        for t in product(range(4), repeat=k):
+            inversions = sum(t[i] > t[j] for i in range(k)
+                             for j in range(i + 1, k))
+            expected = None if len(set(t)) < k else (
+                system.index[tuple(sorted(t))], (-1) ** inversions)
+            assert system.locate(t) == expected, t
+
+
 def test_hom_basis_unconstrained_when_twists_are_identity():
     A = fixtures.assoc3(1, 1)  # identity twist
     space = hom_cochain_basis(A, 3, A.alpha, 1)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -9,16 +10,17 @@ import pytest
 
 from helpers import (ImageOutsideCodomain, basis_vector, dense_coeffs,
                      dense_map, differential_matrix)
-from homcoh import cohomology, fixtures
+from homcoh import cochain, cohomology, fixtures, operator
 from homcoh.algebra import ASSOCIATIVE, LIE, HomAlgebra, multiply
 from homcoh.cochain import (Coords, MorphismCochain, MultilinearMap, hom_cochain_basis,
                             is_alternating, is_compatible, lie_cochain_basis)
 from homcoh.cohomology import (HomSelfComplex, ModuleComplex,
                                MorphismComplex, compute_cohomology,
                                connecting_complex, self_cohomology)
-from homcoh.errors import UsageError
+from homcoh.errors import ArityLimitError, UsageError
 from homcoh.files import cochain_to_json
 from homcoh.exact import Matrix, in_span, sparse_vector
+from homcoh.operator import SparseOperator
 from homcoh.rep import (HomMorphism, adjoint_bimodule, lie_adjoint_module,
                         self_bimodule, self_lie_module)
 
@@ -521,6 +523,60 @@ def test_full_tensors_are_built_only_for_representatives(monkeypatch):
     assert len(calls) == 21
     assert len(rec.cocycle_basis) == 41
     assert len(calls) == 21 + 41
+
+
+def test_top_degree_builds_no_basis_and_applies_no_operator(monkeypatch):
+    """H^3 solves one stacked integer system for its cocycles: it builds
+    the compatible basis only of degree 2 (for the coboundaries) and
+    applies no operator to make Fraction images."""
+    built, applied = [], []
+    real_space, real_apply = cochain.CochainSpace, SparseOperator.apply
+
+    def space(*args):
+        built.append(args[0])
+        return real_space(*args)
+
+    def apply(self, x):
+        applied.append(x)
+        return real_apply(self, x)
+
+    monkeypatch.setattr(cochain, "CochainSpace", space)
+    monkeypatch.setattr(SparseOperator, "apply", apply)
+    rec = compute_cohomology(ModuleComplex(heisenberg5()), [3]).record(3)
+    assert (rec.dim_cochains, rec.dim_cocycles, rec.dim_coboundaries,
+            rec.dim_cohomology) == (50, 41, 20, 21)
+    assert built == [2]
+    assert applied == []
+
+
+@pytest.mark.parametrize("limit, degree", [(1, 2), (2, 3)])
+def test_arity_guard_fires_before_any_compile(monkeypatch, limit, degree):
+    compiled = []
+
+    def counted(name, real):
+        def wrapper(*args, **kw):
+            compiled.append(name)
+            return real(*args, **kw)
+        return wrapper
+
+    for name in ("hom_operator", "hom_delta", "lie_operator",
+                 "morphism_delta"):
+        real = getattr(operator, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("homcoh.") and \
+                    getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted(name, real))
+    phi, psi = fixtures.phi_assoc(), fixtures.builtin_morphism("phi12_1")
+    monkeypatch.setenv("HOMCOH_MAX_ARITY", str(limit))
+    for complex_obj in (connecting_complex(psi),
+                        ModuleComplex(phi.source, adjoint_bimodule(phi)),
+                        MorphismComplex(phi, "hom"),
+                        MorphismComplex(psi, "lie")):
+        with pytest.raises(ArityLimitError):
+            compute_cohomology(complex_obj, [degree])
+    assert compiled == []
+    compute_cohomology(MorphismComplex(psi, "lie"), [limit])
+    assert "morphism_delta" in compiled
 
 
 def heis(dim: int) -> HomAlgebra:

@@ -200,6 +200,37 @@ def test_sparse_kernel_matches_dense_gauss_jordan():
     assert inconsistent and deficient
 
 
+def test_rows_with_one_nonzero_are_cleared_from_longer_rows():
+    """Rows with one nonzero, some on a shared column and some with rational
+    values, mixed with longer rows that meet those columns, rows that
+    clear to zero, and right-hand sides on the cleared rows."""
+    rng = random.Random(17)
+    for _ in range(40):
+        nc = rng.randint(2, 8)
+        rows = [[Fraction(rng.randint(-3, 3)) if rng.random() < 0.6 else
+                 Fraction(0) for _ in range(nc)]
+                for _ in range(rng.randint(1, 6))]
+        for j in rng.sample(range(nc), rng.randint(1, nc - 1)):
+            for _ in range(rng.randint(1, 2)):
+                rows.append([Fraction(rng.choice((1, -2, 3)),
+                                      rng.choice((1, 5))) if k == j
+                             else Fraction(0) for k in range(nc)])
+        rows.append([rows[-1][k] * 2 for k in range(nc)])
+        rng.shuffle(rows)
+        m = Matrix.from_rows(rows)
+        reduced, pivots = dense_rref(m)
+        for given in (m, _sparse(m)):
+            assert (rref(given).reduced, rref(given).pivot_columns) == (
+                reduced, pivots)
+            assert [densify(v, m.cols) for v in nullspace_basis(given)] == \
+                dense_nullspace(m)
+            b = [Fraction(rng.randint(-2, 2)) for _ in range(m.rows)]
+            assert densify(solve(given, sparse_vector(b)), m.cols) == \
+                dense_solve(m, b)
+        assert independent_subset([sparse_vector(m.column(j))
+                                   for j in range(nc)]) == list(pivots)
+
+
 def _dense_intersection(u, w, n):
     if not u or not w:
         return []

@@ -162,6 +162,27 @@ def test_cochain_shape_fields_are_non_negative_integers(field, value):
         files.cochain_from_json(payload, ("f1", "f2"))
 
 
+@pytest.mark.parametrize("edit, match", [
+    (lambda p: p.update(entries=5), r"cochain: entries must be a list"),
+    (lambda p: p.update(entries=None), r"cochain: entries must be a list"),
+    (lambda p: p["entries"][1].update(args=5),
+     r"entries\[1\]: args must be a list"),
+    (lambda p: p["entries"][0].update(args="01"),
+     r"entries\[0\]: args must be a list"),
+    (lambda p: p["entries"][1].update(value=["1"]),
+     r"entries\[1\]: value must be an object"),
+    (lambda p: p["entries"][0].update(value="1"),
+     r"entries\[0\]: value must be an object"),
+], ids=["entries number", "entries null", "args number", "args string",
+        "value list", "value string"])
+def test_cochain_entries_must_have_the_right_shape(edit, match):
+    payload = files.cochain_to_json(MultilinearMap.from_values(
+        2, 3, 2, {(0, 1): (1, 0), (1, 0): (0, 2)}), ("f1", "f2"))
+    edit(payload)
+    with pytest.raises(ParseError, match=match):
+        files.cochain_from_json(payload, ("f1", "f2"))
+
+
 def test_cochain_json_round_trip():
     m = MultilinearMap.from_values(
         2, 3, 2, {(0, 1): (1, 0), (2, 2): (0, -2)})

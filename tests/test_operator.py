@@ -20,7 +20,7 @@ from homcoh.cochain import (MorphismCochain, MultilinearMap, alternator,
                             lie_cochain_basis)
 from homcoh.cohomology import (HomSelfComplex, LieSelfComplex,
                                ModuleComplex, MorphismComplex,
-                               compute_cohomology)
+                               compute_cohomology, connecting_complex)
 from homcoh.errors import UsageError
 from homcoh.exact import (Matrix, SparseMatrix, column_rank, dense_vector,
                           independent_subset, intersection_basis, lincomb,
@@ -225,11 +225,18 @@ def test_apply_matches_the_row_scan():
         op.apply({op.source.dim: Fraction(1)})
 
 
+def bound_coords(complex_obj, n):
+    """Basis coordinates of the space the cocycle equation is solved on,
+    or None when that is the whole multilinear space."""
+    return None if complex_obj.full_cocycles else \
+        complex_obj.bound_space(n).coords
+
+
 def test_cocycle_basis_is_built_on_first_read():
     for name, complex_obj in operator_kinds():
         summary = compute_cohomology(complex_obj, [1, 2])
         for n in (1, 2):
-            op, coords = complex_obj.operator(n), complex_obj.cocycle_coords(n)
+            op, coords = complex_obj.operator(n), bound_coords(complex_obj, n)
             if coords is None:
                 z = nullspace_basis(op.sparse_matrix())
             else:
@@ -252,12 +259,51 @@ def test_operator_ranks_agree_with_fraction_free_elimination():
         summary = compute_cohomology(complex_obj, [1, 2])
         for n in (1, 2):
             op = complex_obj.operator(n)
-            coords = complex_obj.cocycle_coords(n)
+            coords = bound_coords(complex_obj, n)
             m = op.sparse_matrix(coords)
             rank = bareiss_rank(dense(m))
             assert rank == rref(m).rank
             rec = summary.record(n)
             assert rank == rec.dim_cochains - rec.dim_cocycles
+
+
+def lie_kind_complexes():
+    """Lie-kind complexes whose compatibility rows do not vanish: algebras
+    with non-diagonal twists (a seeded change of basis), a Lie module
+    complex and morphism complexes.  Each entry makes a fresh complex."""
+    rng = random.Random(74)
+    algebras = [_conjugate(L, _rand_invertible(rng, L.dim))
+                for L in (fixtures.g1(2, 3), fixtures.g2(),
+                          fixtures.lie4a(1, 2, 1, 1),
+                          fixtures.lie4b(2, 1, 1, 1, -1))]
+    algebras.append(random_valid_hom_algebra(rng, LIE))
+    psi = fixtures.builtin_morphism("phi12_1")
+    return ([lambda L=L: LieSelfComplex(L) for L in algebras]
+            + [lambda: connecting_complex(psi),
+               lambda: MorphismComplex(psi, "lie"),
+               lambda: MorphismComplex(fixtures.phi12_2(), "lie")])
+
+
+def test_stacked_cocycles_match_the_restricted_kernel():
+    """The cocycles of one stacked elimination are the kernel of the
+    operator on the compatible basis, mapped back, vector by vector."""
+    restricted = 0
+    for make in lie_kind_complexes():
+        summary = compute_cohomology(make(), [1, 2, 3])
+        for n in (1, 2, 3):
+            complex_obj = make()
+            rec = compute_cohomology(complex_obj, [n]).record(n)
+            op, coords = complex_obj.operator(n), bound_coords(complex_obj, n)
+            z = [lincomb(k, coords)
+                 for k in nullspace_basis(op.sparse_matrix(coords))]
+            for r in (rec, summary.record(n)):
+                assert r.dim_cochains == len(coords)
+                assert r.cocycle_coords == tuple(z)
+            restricted += len(coords) < op.source.dim and bool(z)
+    assert restricted >= 10
+    twists = [make().algebra.alpha for make in lie_kind_complexes()[:5]]
+    assert all(any(A.at(i, j) for i in range(A.rows) for j in range(A.cols)
+                   if i != j) for A in twists)
 
 
 def dense_dims(space_n, space_prev, delta):
@@ -308,7 +354,7 @@ def test_non_alternating_input_is_rejected():
 def test_non_alternating_target_is_not_a_coboundary():
     L = fixtures.heisenberg()
     space = lie_cochain_basis(L, 3, L.alpha, 2)
-    op = lie_operator(L, 3, 2, L.mul)
+    op = lie_operator(L, 3, 2, self_lie_module(L).integral[0])
     target = ModuleComplex(L).delta(space.basis[0])
     assert solve_coboundary(op, space.coords, target) is not None
     skewed = dense_map(3, 3, 3, dense_coeffs(target)[:-1] + (Fraction(1),))
