@@ -389,37 +389,33 @@ def compatibility_rows(flavor: str, source: HomAlgebra, target_dim: int,
 
 
 def _compatible_space(flavor: str, source: HomAlgebra, target_dim: int,
-                      beta: Matrix, arity: int, rows) -> CochainSpace:
+                      beta: Matrix, arity: int) -> CochainSpace:
     """Canonical basis of {f : beta∘f = f∘alpha^(tensor arity)}: the
-    kernel of its ``compatibility_rows``, built here when ``rows`` is
-    None."""
-    if rows is None:
-        rows = compatibility_rows(flavor, source, target_dim, beta, arity)
+    kernel of its ``compatibility_rows``."""
+    rows = compatibility_rows(flavor, source, target_dim, beta, arity)
     system = Coords(arity, source.dim, target_dim, flavor == LIE)
     return CochainSpace(arity, flavor, source, target_dim, beta, tuple(
         nullspace_basis(SparseMatrix(len(rows), system.dim, tuple(rows)))))
 
 
 def hom_cochain_basis(source: HomAlgebra, target_dim: int, beta: Matrix,
-                      arity: int, rows=None) -> CochainSpace:
-    """Canonical basis of {f : beta∘f = f∘alpha^(tensor arity)}; ``rows``
-    are its compatibility rows when the caller holds them.
+                      arity: int) -> CochainSpace:
+    """Canonical basis of {f : beta∘f = f∘alpha^(tensor arity)}.
 
     Arity 0 is the full target space (no structure-map constraint there).
     """
-    return _compatible_space(HOM, source, target_dim, beta, arity, rows)
+    return _compatible_space(HOM, source, target_dim, beta, arity)
 
 
 def lie_cochain_basis(source: HomAlgebra, target_dim: int, beta: Matrix,
-                      arity: int, rows=None) -> CochainSpace:
-    """Canonical basis of the alternating twist-compatible maps; ``rows``
-    are its compatibility rows when the caller holds them.
+                      arity: int) -> CochainSpace:
+    """Canonical basis of the alternating twist-compatible maps.
 
     Solved on strictly increasing argument tuples; full alternation over
     the rationals follows from the adjacent-transposition relations, so the
     reduced system loses nothing.
     """
-    return _compatible_space(LIE, source, target_dim, beta, arity, rows)
+    return _compatible_space(LIE, source, target_dim, beta, arity)
 
 
 @dataclass(frozen=True)

@@ -39,10 +39,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import ASSOCIATIVE, LIE as LIE_KIND, HomAlgebra, validate
-from .cochain import (HOM, LIE, Coords, MorphismCochain, MorphismCochainSpace,
-                      MorphismCoords, MultilinearMap, _check_arity_guard,
-                      compatibility_rows, hom_cochain_basis,
-                      lie_cochain_basis)
+from .cochain import (HOM, LIE, MorphismCochain, MorphismCochainSpace,
+                      MultilinearMap, _check_arity_guard, compatibility_rows,
+                      hom_cochain_basis, lie_cochain_basis)
 from .errors import UsageError
 from .exact import (Matrix, SparseMatrix, dense_vector, independent_subset,
                     intersection_basis, nullspace_basis, row_rank)
@@ -94,8 +93,8 @@ class ComplexSummary:
 
 class _ComplexBase:
     """Shared engine: each concrete complex supplies, per degree, its
-    coordinates, compatibility rows, twist-compatible cochain space and
-    compiled operator, the degree of each of its cochains (``_degree``
+    compatibility rows, twist-compatible cochain space and compiled
+    operator, the degree of each of its cochains (``_degree``
     rejects any other cochain), and whether the cocycle equation is solved
     on all multilinear maps."""
 
@@ -115,8 +114,8 @@ class _ComplexBase:
         return self._memo(("operator", n), lambda: self._compile(n))
 
     def compatibility_rows(self, n: int) -> list[dict]:
-        """Integer rows over the degree-n coordinates (``system(n)``, the
-        operator's source) whose kernel is the twist-compatible (and, for
+        """Integer rows over the degree-n coordinates (the source of
+        ``operator(n)``) whose kernel is the twist-compatible (and, for
         the Lie kind, alternating) cochains."""
         return self._memo(("rows", n), lambda: self._build_rows(n))
 
@@ -170,10 +169,6 @@ class ModuleComplex(_ComplexBase):
             validate_lie_module
         return out + [f"{self.label}: {p}" for p in check(self.module)]
 
-    def system(self, n: int) -> Coords:
-        return Coords(n, self.algebra.dim, self.module.carrier_dim,
-                      not self.full_cocycles)
-
     def _build_rows(self, n: int) -> list[dict]:
         M = self.module
         return compatibility_rows(HOM if self.full_cocycles else LIE,
@@ -182,8 +177,7 @@ class ModuleComplex(_ComplexBase):
     def _build_bound_space(self, n: int):
         build = hom_cochain_basis if self.full_cocycles else lie_cochain_basis
         M = self.module
-        return build(self.algebra, M.carrier_dim, M.beta, n,
-                     self.compatibility_rows(n))
+        return build(self.algebra, M.carrier_dim, M.beta, n)
 
     def _compile(self, n: int):
         M = self.module
@@ -276,16 +270,12 @@ class MorphismComplex(_ComplexBase):
             out.append(f"morphism: {mreport.describe()}")
         return out
 
-    def system(self, n: int) -> MorphismCoords:
-        return MorphismCoords((self.source.system(n), self.target.system(n),
-                               self.connecting.system(n - 1)))
-
     def _build_rows(self, n: int) -> list[dict]:
         parts = (self.source.compatibility_rows(n),
                  self.target.compatibility_rows(n),
                  self.connecting.compatibility_rows(n - 1))  # none at arity 0
         return [{start + k: c for k, c in row.items()}
-                for start, rows in zip(self.system(n).starts, parts)
+                for start, rows in zip(self.operator(n).source.starts, parts)
                 for row in rows]
 
     def _build_bound_space(self, n: int):
@@ -333,20 +323,16 @@ def compute_cohomology(complex_obj: _ComplexBase, degrees,
     """
     warnings = list(complex_obj.warnings)
     records = []
-    wanted = sorted(set(int(d) for d in degrees))
-    for n in wanted:
+    for n in sorted(set(int(d) for d in degrees)):
         if n < 1:
             raise UsageError("degrees start at 1")
         _check_arity_guard(n)
         op = complex_obj.operator(n)
         if complex_obj.full_cocycles:  # the operator is its own system
             dim_c, rows = op.source.dim, op.rows
-        else:  # a basis of degree n is built only when degree n + 1 needs it
+        else:  # no basis of degree n: dim C_n is the rank defect
             compat = complex_obj.compatibility_rows(n)
-            dim_c = (complex_obj.bound_space(n).dim if n + 1 in wanted
-                     or ("bound", n) in complex_obj._cache
-                     else op.source.dim - row_rank(compat))
-            rows = op.rows + compat
+            dim_c, rows = op.source.dim - row_rank(compat), op.rows + compat
         z_raw = nullspace_basis(SparseMatrix(
             len(rows), op.source.dim, rows)) if dim_c else []
         z_img = z_raw  # the cocycles in the coordinates of the coboundaries

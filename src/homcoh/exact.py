@@ -18,8 +18,7 @@ numerators over one denominator, as the coboundary compilers read them,
 and a ``SparseMatrix`` may hold integer rows over one ``den`` (a compiled
 operator's matrix).  One sparse, fraction-free kernel does every
 elimination: integer rows enter as they are, rational ones as primitive
-numerators, the columns of rows with one nonzero are cleared from the
-others first, the pivot is the row with the fewest nonzeros among those
+numerators, the pivot is the row with the fewest nonzeros among those
 leading in the next column (Markowitz), and values become ``Fraction``
 once, at the end.  Since the RREF is unique, pivoting and row scaling
 decide only the cost.  Canonical choices, fixed once so every result is
@@ -263,22 +262,14 @@ def _echelon(rows) -> list[tuple[int, dict]]:
     numerators: (pivot column, integer row) pairs in increasing column
     order.  Rows are bucketed by leading column; of the rows leading in the
     next column, the one with the fewest nonzeros is the pivot, and only
-    the others in its bucket need elimination.  A row with one nonzero is
-    a multiple of a unit row, so its column is first cleared from every
-    longer row (as twist-compatibility rows pin many coordinates)."""
-    ints = []
+    the others in its bucket need elimination."""
+    buckets: dict[int, list] = {}
+    width = 0
     for row in rows:
         if any(type(x) is not int for x in row.values()):
             den = lcm(*(x.denominator for x in row.values()))
             row = _primitive({k: x.numerator * (den // x.denominator)
                               for k, x in row.items()})
-        ints.append(row)
-    pinned = {k for row in ints if len(row) == 1 for k in row}
-    buckets: dict[int, list] = {}
-    width = 0
-    for row in ints:
-        if pinned and len(row) > 1:
-            row = {k: x for k, x in row.items() if k not in pinned}
         if row:
             buckets.setdefault(min(row), []).append(row)
             width = max(width, max(row) + 1)

@@ -200,7 +200,7 @@ def test_sparse_kernel_matches_dense_gauss_jordan():
     assert inconsistent and deficient
 
 
-def test_rows_with_one_nonzero_are_cleared_from_longer_rows():
+def test_rows_with_one_nonzero_match_the_dense_oracles():
     """Rows with one nonzero, some on a shared column and some with rational
     values, mixed with longer rows that meet those columns, rows that
     clear to zero, and right-hand sides on the cleared rows."""
