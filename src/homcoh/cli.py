@@ -48,7 +48,7 @@ def _load_arg(ref: str, what: str):
     else the built-in one of that name."""
     if os.path.isfile(ref):
         return getattr(files, f"load_{what}_file")(ref)
-    built = getattr(fixtures, f"builtin_{what}")(ref)
+    built = fixtures.builtin(what, ref)
     if built is None:
         raise ParseError(f"{ref!r}: no such file or built-in {what}")
     return built
@@ -98,7 +98,7 @@ def cmd_validate(args) -> int:
             phi = files.parse_morphism(
                 data, os.path.dirname(args.input) or ".", context=args.input)
     else:
-        phi = fixtures.builtin_morphism(args.input)
+        phi = fixtures.builtin("morphism", args.input)
     if phi is not None:
         report = check_morphism(phi.source, phi.target, phi.matrix)
         payload = {"command": "validate", "type": "morphism",

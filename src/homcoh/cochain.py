@@ -10,10 +10,11 @@ Cochains have two coordinate systems (``Coords``): full coordinates, one
 per argument tuple and target index, numbered row-major lexicographically
 over the tuple (i_1, ..., i_k) with the target coordinate innermost (the
 canonical bases depend on this order), and for alternating maps reduced
-coordinates, one per strictly increasing argument tuple.  Cochain spaces
-store their basis in the coordinates of their flavor, as sparse
-{coordinate: value} dicts, and build maps only on demand: each nonzero
-reduced coordinate is scattered over the signed permutations of its tuple.
+coordinates, one per strictly increasing argument tuple.  A
+``CochainSpace`` is the kernel of integer rows over one coordinate system
+(``kernel_space``); it stores its basis as sparse {coordinate: value}
+dicts and builds maps only on demand: each nonzero reduced coordinate is
+scattered over the signed permutations of its tuple.
 """
 
 from __future__ import annotations
@@ -318,9 +319,14 @@ class Coords:
                 if t in index for r, x in v.items()}
 
 
-class _SpaceBasis:
-    """A basis stored as sparse coordinate vectors in ``self.system``; full
-    cochains are built only when asked for."""
+@dataclass(frozen=True)
+class CochainSpace:
+    """A cochain space with its basis stored as sparse coordinate vectors
+    of ``system`` (a ``Coords`` or ``MorphismCoords``); full cochains are
+    built only when asked for."""
+
+    system: object
+    coords: tuple[dict, ...]
 
     @property
     def dim(self) -> int:
@@ -336,22 +342,11 @@ class _SpaceBasis:
         return self.system.to_full(lincomb(coeffs, self.coords))
 
 
-@dataclass(frozen=True)
-class CochainSpace(_SpaceBasis):
-    """A cochain space with basis coordinates in the full (hom flavor) or
-    reduced (lie flavor) coordinates of its arity."""
-
-    arity: int
-    flavor: str  # "hom" | "lie"
-    source: HomAlgebra
-    target_dim: int
-    beta: Matrix
-    coords: tuple[dict, ...]
-
-    @cached_property
-    def system(self) -> Coords:
-        return Coords(self.arity, self.source.dim, self.target_dim,
-                      self.flavor == LIE)
+def kernel_space(system, rows: list[dict]) -> CochainSpace:
+    """The cochains of ``system`` that the {column: int} rows annihilate,
+    with the canonical kernel basis."""
+    return CochainSpace(system, tuple(nullspace_basis(
+        SparseMatrix(len(rows), system.dim, tuple(rows)))))
 
 
 def compatibility_rows(flavor: str, source: HomAlgebra, target_dim: int,
@@ -388,23 +383,15 @@ def compatibility_rows(flavor: str, source: HomAlgebra, target_dim: int,
     return rows
 
 
-def _compatible_space(flavor: str, source: HomAlgebra, target_dim: int,
-                      beta: Matrix, arity: int) -> CochainSpace:
-    """Canonical basis of {f : beta∘f = f∘alpha^(tensor arity)}: the
-    kernel of its ``compatibility_rows``."""
-    rows = compatibility_rows(flavor, source, target_dim, beta, arity)
-    system = Coords(arity, source.dim, target_dim, flavor == LIE)
-    return CochainSpace(arity, flavor, source, target_dim, beta, tuple(
-        nullspace_basis(SparseMatrix(len(rows), system.dim, tuple(rows)))))
-
-
 def hom_cochain_basis(source: HomAlgebra, target_dim: int, beta: Matrix,
                       arity: int) -> CochainSpace:
     """Canonical basis of {f : beta∘f = f∘alpha^(tensor arity)}.
 
     Arity 0 is the full target space (no structure-map constraint there).
     """
-    return _compatible_space(HOM, source, target_dim, beta, arity)
+    return kernel_space(Coords(arity, source.dim, target_dim, False),
+                        compatibility_rows(HOM, source, target_dim, beta,
+                                           arity))
 
 
 def lie_cochain_basis(source: HomAlgebra, target_dim: int, beta: Matrix,
@@ -415,7 +402,9 @@ def lie_cochain_basis(source: HomAlgebra, target_dim: int, beta: Matrix,
     the rationals follows from the adjacent-transposition relations, so the
     reduced system loses nothing.
     """
-    return _compatible_space(LIE, source, target_dim, beta, arity)
+    return kernel_space(Coords(arity, source.dim, target_dim, True),
+                        compatibility_rows(LIE, source, target_dim, beta,
+                                           arity))
 
 
 @dataclass(frozen=True)
@@ -479,26 +468,3 @@ class MorphismCoords:
             return None
         return {start + k: x for start, v in zip(self.starts, vecs)
                 for k, x in v.items()}
-
-
-@dataclass(frozen=True)
-class MorphismCochainSpace(_SpaceBasis):
-    """The three component spaces of one degree, as one space whose basis
-    runs over comp_A, then comp_B, then comp_AB."""
-
-    degree: int
-    space_a: CochainSpace
-    space_b: CochainSpace
-    space_ab: CochainSpace
-
-    @cached_property
-    def system(self) -> MorphismCoords:
-        return MorphismCoords((self.space_a.system, self.space_b.system,
-                               self.space_ab.system))
-
-    @cached_property
-    def coords(self) -> tuple[dict, ...]:
-        spaces = (self.space_a, self.space_b, self.space_ab)
-        return tuple({start + k: x for k, x in v.items()}
-                     for start, s in zip(self.system.starts, spaces)
-                     for v in s.coords)

@@ -39,9 +39,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import ASSOCIATIVE, LIE as LIE_KIND, HomAlgebra, validate
-from .cochain import (HOM, LIE, MorphismCochain, MorphismCochainSpace,
+from .cochain import (HOM, LIE, CochainSpace, MorphismCochain,
                       MultilinearMap, _check_arity_guard, compatibility_rows,
-                      hom_cochain_basis, lie_cochain_basis)
+                      kernel_space)
 from .errors import UsageError
 from .exact import (Matrix, SparseMatrix, dense_vector, independent_subset,
                     intersection_basis, nullspace_basis, row_rank)
@@ -61,8 +61,8 @@ MORPHISM_LIE = "morphism_lie"
 
 @dataclass(frozen=True)
 class DegreeRecord:
-    """One degree of a report; its cocycles are kept as sparse coordinates
-    of ``system`` and become multilinear maps when first read."""
+    """One degree of a report; its cocycles are kept as a space in the
+    operator's coordinates and become multilinear maps when first read."""
 
     degree: int
     dim_cochains: int
@@ -70,12 +70,11 @@ class DegreeRecord:
     dim_coboundaries: int
     dim_cohomology: int
     representatives: tuple
-    system: object
-    cocycle_coords: tuple
+    cocycles: CochainSpace
 
-    @cached_property
+    @property
     def cocycle_basis(self) -> tuple:
-        return tuple(self.system.to_full(z) for z in self.cocycle_coords)
+        return self.cocycles.basis
 
 
 @dataclass(frozen=True)
@@ -93,10 +92,10 @@ class ComplexSummary:
 
 class _ComplexBase:
     """Shared engine: each concrete complex supplies, per degree, its
-    compatibility rows, twist-compatible cochain space and compiled
-    operator, the degree of each of its cochains (``_degree``
-    rejects any other cochain), and whether the cocycle equation is solved
-    on all multilinear maps."""
+    compatibility rows and compiled operator, the degree of each of its
+    cochains (``_degree`` rejects any other cochain), and whether the
+    cocycle equation is solved on all multilinear maps; the
+    twist-compatible spaces and systems follow from those."""
 
     full_cocycles = False
 
@@ -119,9 +118,19 @@ class _ComplexBase:
         the Lie kind, alternating) cochains."""
         return self._memo(("rows", n), lambda: self._build_rows(n))
 
-    def bound_space(self, n: int):
-        """The twist-compatible cochains of degree n."""
-        return self._memo(("bound", n), lambda: self._build_bound_space(n))
+    def bound_space(self, n: int) -> CochainSpace:
+        """The twist-compatible cochains of degree n: the kernel of their
+        compatibility rows."""
+        return self._memo(("bound", n), lambda: kernel_space(
+            self.operator(n).source, self.compatibility_rows(n)))
+
+    def compatible_system(self, n: int) -> SparseMatrix:
+        """The operator's rows stacked on the compatibility rows, over the
+        operator's denominator: a twist-compatible degree-n cochain maps
+        to its coboundary followed by zeros."""
+        op = self.operator(n)
+        rows = op.rows + self.compatibility_rows(n)
+        return SparseMatrix(len(rows), op.source.dim, rows, op.den)
 
     def delta(self, f):
         """The coboundary of f, a cochain of this complex."""
@@ -173,11 +182,6 @@ class ModuleComplex(_ComplexBase):
         M = self.module
         return compatibility_rows(HOM if self.full_cocycles else LIE,
                                   self.algebra, M.carrier_dim, M.beta, n)
-
-    def _build_bound_space(self, n: int):
-        build = hom_cochain_basis if self.full_cocycles else lie_cochain_basis
-        M = self.module
-        return build(self.algebra, M.carrier_dim, M.beta, n)
 
     def _compile(self, n: int):
         M = self.module
@@ -241,8 +245,8 @@ HomSelfComplex = LieSelfComplex = ModuleComplex
 class MorphismComplex(_ComplexBase):
     """Coupled complex of phi: A -> B.  Its degree-n cochains are those of
     ``source`` (A in itself) and ``target`` (B in itself) at degree n and
-    of ``connecting`` (A in B through phi) at degree n - 1; its spaces and
-    operators are assembled from theirs."""
+    of ``connecting`` (A in B through phi) at degree n - 1; its
+    compatibility rows and operators are assembled from theirs."""
 
     def __init__(self, phi: HomMorphism, flavor: str):
         super().__init__()
@@ -277,11 +281,6 @@ class MorphismComplex(_ComplexBase):
         return [{start + k: c for k, c in row.items()}
                 for start, rows in zip(self.operator(n).source.starts, parts)
                 for row in rows]
-
-    def _build_bound_space(self, n: int):
-        return MorphismCochainSpace(n, self.source.bound_space(n),
-                                    self.target.bound_space(n),
-                                    self.connecting.bound_space(n - 1))
 
     def _compile(self, n: int):
         return morphism_delta(
@@ -329,12 +328,13 @@ def compute_cohomology(complex_obj: _ComplexBase, degrees,
         _check_arity_guard(n)
         op = complex_obj.operator(n)
         if complex_obj.full_cocycles:  # the operator is its own system
-            dim_c, rows = op.source.dim, op.rows
+            dim_c = op.source.dim
+            system = SparseMatrix(len(op.rows), dim_c, op.rows, op.den)
         else:  # no basis of degree n: dim C_n is the rank defect
-            compat = complex_obj.compatibility_rows(n)
-            dim_c, rows = op.source.dim - row_rank(compat), op.rows + compat
-        z_raw = nullspace_basis(SparseMatrix(
-            len(rows), op.source.dim, rows)) if dim_c else []
+            dim_c = op.source.dim - row_rank(
+                complex_obj.compatibility_rows(n))
+            system = complex_obj.compatible_system(n)
+        z_raw = nullspace_basis(system) if dim_c else []
         z_img = z_raw  # the cocycles in the coordinates of the coboundaries
 
         if n == 1:
@@ -373,8 +373,7 @@ def compute_cohomology(complex_obj: _ComplexBase, degrees,
             dim_coboundaries=dim_b,
             dim_cohomology=dim_z - dim_b,
             representatives=reps,
-            system=op.source,
-            cocycle_coords=tuple(z_raw)))
+            cocycles=CochainSpace(op.source, tuple(z_raw))))
     return ComplexSummary(flavor=complex_obj.flavor, records=tuple(records),
                           warnings=tuple(warnings))
 

@@ -1,5 +1,5 @@
 """One-parameter formal deformations of algebras and of morphisms:
-order-by-order verification, infinitesimal extraction, equivalence
+order-by-order verification, the infinitesimal report, equivalence
 transport, obstruction cochains, and one-step extension by linear solve.
 
 Each deformation owns the complex of its cochains, built on first use:
@@ -30,8 +30,7 @@ from .bracket import (cup_product_assoc, gerstenhaber_bracket, nr_bracket,
 from .cochain import HOM, LIE, MorphismCochain, MultilinearMap
 from .cohomology import ModuleComplex, MorphismComplex
 from .errors import NotACocycle, ObstructionMismatch, UsageError
-from .exact import Matrix
-from .operator import solve_coboundary
+from .exact import Matrix, solve
 from .rep import HomMorphism
 
 
@@ -364,21 +363,6 @@ def infinitesimal_report(md: MorphismDeformation):
     return theta, verdicts, warnings
 
 
-def infinitesimal(md: MorphismDeformation) -> MorphismCochain:
-    """Degree-1 coefficient triple, verified to be a coupled cocycle
-    wherever the underlying algebras are valid."""
-    theta, verdicts, warnings = infinitesimal_report(md)
-    for slot, ok in verdicts.items():
-        if ok:
-            continue
-        alg = md.phi.source if slot == "source" else md.phi.target
-        if slot == "morphism" or validate(alg).is_valid:
-            raise NotACocycle(
-                f"{slot} slot of the coupled coboundary of the degree-1 "
-                "terms is nonzero; the input deformation is inconsistent")
-    return theta
-
-
 def apply_equivalence(md: MorphismDeformation,
                       psi: FormalAutomorphismPair) -> MorphismDeformation:
     """Transport the deformation by the automorphism pair, truncating at
@@ -520,11 +504,18 @@ def obstruction(md: MorphismDeformation) -> MorphismCochain:
 
 
 def solve_obstruction(d: FormalDeformation | MorphismDeformation, ob):
-    """A 2-cochain of the complex of d whose coboundary is ob, or None
-    when there is none."""
-    space = d.complex.bound_space(2)
-    coords = solve_coboundary(d.complex.operator(2), space.coords, ob)
-    return None if coords is None else space.combine(coords)
+    """A twist-compatible 2-cochain of the complex of d whose coboundary
+    is ob, or None when there is none: the solution of the compatible
+    system with every free column 0.  That is the basis solution: a
+    compatible basis vector is 1 at its free column and 0 at the others,
+    and a column is free exactly when the image of its basis vector lies
+    in the span of the earlier ones.  Reduced coordinates hold only
+    alternating images, so a target they cannot hold is not a
+    coboundary."""
+    op = d.complex.operator(2)
+    rhs = op.target.project(ob)
+    x = None if rhs is None else solve(d.complex.compatible_system(2), rhs)
+    return None if x is None else op.source.to_full(x)
 
 
 def extend_deformation(d: FormalDeformation | MorphismDeformation):

@@ -347,20 +347,9 @@ def solve(m, b: dict) -> dict | None:
     return x
 
 
-def in_span(vectors, v: dict) -> dict | None:
-    """Coordinates of v in span(vectors), or None if v lies outside."""
-    vectors = list(vectors)
-    return solve(SparseMatrix.from_columns(vectors, _height([*vectors, v])),
-                 v)
-
-
 def row_rank(rows) -> int:
     """The rank of {column: value} rows, by forward elimination only."""
     return len(_echelon(rows))
-
-
-def column_rank(vectors) -> int:
-    return len(independent_subset(vectors))
 
 
 def independent_subset(vectors) -> list[int]:

@@ -139,12 +139,12 @@ def _resolve_reference(ref: str, base_dir: str) -> str | None:
 
 
 def load_algebra_reference(ref: str, base_dir: str = ".") -> HomAlgebra:
-    from .fixtures import builtin_algebra
+    from .fixtures import builtin
 
     path = _resolve_reference(ref, base_dir)
     if path is not None:
         return parse_algebra(_load_json(path), context=path)
-    built = builtin_algebra(ref)
+    built = builtin("algebra", ref)
     if built is not None:
         return built
     raise ParseError(f"algebra reference {ref!r} is neither a file "
@@ -171,13 +171,13 @@ def morphism_to_json(phi: HomMorphism, source_ref: str,
 
 
 def load_morphism_reference(ref: str, base_dir: str = ".") -> HomMorphism:
-    from .fixtures import builtin_morphism
+    from .fixtures import builtin
 
     path = _resolve_reference(ref, base_dir)
     if path is not None:
         return parse_morphism(_load_json(path), os.path.dirname(path) or ".",
                               context=path)
-    built = builtin_morphism(ref)
+    built = builtin("morphism", ref)
     if built is not None:
         return built
     raise ParseError(f"morphism reference {ref!r} is neither a file "

@@ -250,16 +250,12 @@ def _register_g1():
 _register_g1()
 
 
-def builtin_algebra(name: str) -> HomAlgebra | None:
-    builder = BUILTIN_FIXTURES.get(name)
-    return builder() if builder else None
+BUILTINS = {"algebra": BUILTIN_FIXTURES, "morphism": BUILTIN_MORPHISMS,
+            "deformation": BUILTIN_DEFORMATIONS}
 
 
-def builtin_morphism(name: str) -> HomMorphism | None:
-    builder = BUILTIN_MORPHISMS.get(name)
-    return builder() if builder else None
-
-
-def builtin_deformation(name: str):
-    builder = BUILTIN_DEFORMATIONS.get(name)
+def builtin(what: str, name: str):
+    """The built-in ``what`` (algebra, morphism or deformation) of that
+    name, or None."""
+    builder = BUILTINS[what].get(name)
     return builder() if builder else None

@@ -31,7 +31,7 @@ from math import lcm
 from .algebra import HomAlgebra, skew_defect, sparse_columns
 from .cochain import HOM, Coords, MorphismCoords
 from .errors import UsageError
-from .exact import Matrix, SparseMatrix, expand_product, integral, solve
+from .exact import Matrix, expand_product, integral
 
 
 class SparseOperator:
@@ -72,15 +72,6 @@ class SparseOperator:
         out, den = self.numerators(x)
         return {i: Fraction(v, den) for i, v in out.items()}
 
-    def sparse_matrix(self, vectors=None) -> SparseMatrix:
-        """The operator's matrix (integer rows over ``den``); with sparse
-        ``vectors``, the matrix whose column j is the image of vectors[j]."""
-        if vectors is None:
-            return SparseMatrix(len(self.rows), self.source.dim, self.rows,
-                                self.den)
-        return SparseMatrix.from_columns([self.apply(v) for v in vectors],
-                                         len(self.rows))
-
 
 def apply_operator(op: SparseOperator, f):
     """op applied to a multilinear map (or morphism cochain), as one; the
@@ -89,14 +80,6 @@ def apply_operator(op: SparseOperator, f):
     if x is None:
         raise UsageError("Lie-kind coboundary needs an alternating cochain")
     return op.target.to_full(op.apply(x))
-
-
-def solve_coboundary(op: SparseOperator, coords, target) -> dict | None:
-    """Sparse coefficients over ``coords`` of a cochain whose image is the
-    multilinear map ``target``, or None.  Reduced coordinates hold only
-    alternating images, so a target they cannot hold is not a coboundary."""
-    rhs = op.target.project(target)
-    return None if rhs is None else solve(op.sparse_matrix(coords), rhs)
 
 
 def _act_table(A: HomAlgebra, n: int, action: tuple[dict, int], d: int,

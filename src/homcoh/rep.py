@@ -3,8 +3,7 @@
 The adjoint constructions are the coefficient systems every cohomology
 complex in this package consumes: a morphism phi: A -> B makes the target
 into an A-bimodule (associative kind) via left/right multiplication through
-phi, or into a left module (Lie kind) via the bracket through phi.  The
-dual-space module candidate and its defining condition are also provided.
+phi, or into a left module (Lie kind) via the bracket through phi.
 
 The module axioms are checked by the sparse kernel of ``homcoh.algebra``:
 each axiom is a defect over the nonzero actions, twist and structure-map
@@ -260,27 +259,3 @@ def self_lie_module(L: HomAlgebra) -> LieModule:
         raise UsageError("self module needs a Lie-kind algebra")
     action = [[L.mul[i][j] for j in range(L.dim)] for i in range(L.dim)]
     return LieModule(algebra=L, carrier_dim=L.dim, beta=L.alpha, action=action)
-
-
-def coadjoint_module(rep: LieModule, L: HomAlgebra) -> tuple[LieModule, bool]:
-    """Dual-space module candidate and the condition deciding whether it
-    really is a module: act(bracket(x, y), beta(v)) must equal
-    act(x, act(alpha(y), v)) - act(y, act(alpha(x), v)) on all bases."""
-    if rep.algebra is not L and rep.algebra != L:
-        raise UsageError("module does not belong to the given algebra")
-    n = rep.carrier_dim
-    # dual action of basis i = minus transpose of the action matrix of i
-    dual_action = [[tuple(-rep.action[i][k][j] for k in range(n))
-                    for j in range(n)] for i in range(L.dim)]
-    dual = LieModule(algebra=L, carrier_dim=n, beta=rep.beta.transpose(),
-                     action=dual_action)
-    (alpha, a), (mul, m) = L.integral
-    (act, p), (beta, b) = rep.integral
-    inner = {}  # act(alpha(y), v) on basis pairs (y, v)
-    _products(inner, act, alpha, _units(n), lambda y, v: (y, v))
-    inner, units = _nonzero(inner), _units(L.dim)
-    condition_holds = not _defect(
-        (1, p * m * b, act, mul, beta, lambda xy, v: xy + (v,)),
-        (-1, p * p * a, act, units, inner, lambda x, yv: (x,) + yv),
-        (1, p * p * a, act, units, inner, lambda y, xv: (xv[0], y, xv[1])))
-    return dual, condition_holds

@@ -11,7 +11,8 @@ from homcoh.algebra import (ASSOCIATIVE, HomAlgebra, apply_alpha,
                             identity_defect, multiply)
 from homcoh.cochain import MorphismCochain, MultilinearMap, permutation_sign
 from homcoh.errors import HomcohError, UsageError
-from homcoh.exact import Matrix, SparseMatrix, dense_vector, solve
+from homcoh.exact import (Matrix, SparseMatrix, dense_vector,
+                          independent_subset, solve)
 from homcoh.rep import adjoint_bimodule, lie_adjoint_module
 
 
@@ -196,6 +197,41 @@ def differential_matrix(space_n, space_n1, delta) -> Matrix:
                 f"image of basis cochain {j} lies outside the codomain basis")
         cols.append(dense_vector(coords, space_n1.dim))
     return Matrix.from_columns(cols, nrows=space_n1.dim)
+
+
+def in_span(vectors, v: dict) -> dict | None:
+    """Coordinates of the sparse v in the span of the sparse vectors, or
+    None if v lies outside."""
+    vectors = list(vectors)
+    height = 1 + max((max(u) for u in [*vectors, v] if u), default=-1)
+    return solve(SparseMatrix.from_columns(vectors, height), v)
+
+
+def column_rank(vectors) -> int:
+    return len(independent_subset(vectors))
+
+
+def operator_matrix(op, vectors=None) -> SparseMatrix:
+    """A compiled operator's matrix (integer rows over ``den``); with
+    sparse ``vectors``, the matrix whose column j is the image of
+    vectors[j]."""
+    if vectors is None:
+        return SparseMatrix(len(op.rows), op.source.dim, op.rows, op.den)
+    return SparseMatrix.from_columns([op.apply(v) for v in vectors],
+                                     len(op.rows))
+
+
+def basis_solve(complex_obj, n: int, target):
+    """A twist-compatible degree-n cochain whose coboundary is target,
+    solved on the compatible basis: the basis images as columns, the
+    particular solution with its free coefficients 0, combined.  None
+    when target is not a coboundary (or, in reduced coordinates, not
+    alternating)."""
+    op, space = complex_obj.operator(n), complex_obj.bound_space(n)
+    rhs = op.target.project(target)
+    coeffs = None if rhs is None else solve(
+        operator_matrix(op, space.coords), rhs)
+    return None if coeffs is None else space.combine(coeffs)
 
 
 # Dense defining identities, evaluated on basis vectors with ``multiply``
@@ -761,9 +797,3 @@ def dense_validate_lie_module(P) -> list[str]:
          == _minus(P.act(apply_alpha(L, u), P.act(v, z)),
                    P.act(apply_alpha(L, v), P.act(u, z))))))
 
-
-def dense_coadjoint_condition(rep, L) -> bool:
-    return not dense_violations(L, rep.carrier_dim, (("", 2, lambda x, y, v:
-        rep.act(multiply(L, x, y), rep.apply_beta(v))
-        == _minus(rep.act(x, rep.act(apply_alpha(L, y), v)),
-                  rep.act(y, rep.act(apply_alpha(L, x), v)))),))

@@ -278,14 +278,14 @@ def test_each_algebra_is_validated_once_per_command(monkeypatch, capsys):
     validity.__set_name__(HomAlgebra, "validity")
     monkeypatch.setattr(HomAlgebra, "validity", validity)
     assert main(["cohomology", "a3", "--degree", "1..3", "--json"]) == 0
-    assert checked == [fixtures.builtin_algebra("a3").name]
+    assert checked == [fixtures.builtin("algebra", "a3").name]
     checked.clear()
     assert main(["cohomology", "a3", "--degree", "1..3", "--values-in",
                  "phi_assoc"]) == 0
-    assert checked == [fixtures.builtin_algebra("a3").name]
+    assert checked == [fixtures.builtin("algebra", "a3").name]
     checked.clear()
     assert main(["morphism-cohomology", "phi12_2", "--degree", "1..2"]) == 0
-    phi = fixtures.builtin_morphism("phi12_2")
+    phi = fixtures.builtin("morphism", "phi12_2")
     assert sorted(checked) == sorted([phi.source.name, phi.target.name])
 
 

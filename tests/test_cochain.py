@@ -11,9 +11,10 @@ from helpers import (bareiss_rank, dense_coeffs, dense_evaluate,
                      dense_to_full)
 from homcoh import fixtures
 from homcoh.algebra import HomAlgebra
-from homcoh.cochain import (Coords, MorphismCochain, MorphismCoords,
-                            MultilinearMap, alternator, hom_cochain_basis,
-                            is_alternating, is_compatible, lie_cochain_basis)
+from homcoh.cochain import (CochainSpace, Coords, MorphismCochain,
+                            MorphismCoords, MultilinearMap, alternator,
+                            hom_cochain_basis, is_alternating, is_compatible,
+                            lie_cochain_basis)
 from homcoh.cohomology import MorphismComplex
 from homcoh.errors import ArityLimitError, UsageError
 from homcoh.exact import Matrix, dense_vector, sparse_vector
@@ -61,8 +62,12 @@ def test_basis_coordinates_store_only_their_nonzero_entries():
     assert space.dim == 4 ** 4 * 4
     assert sum(len(v) for v in space.coords) == 1024  # one unit per element
     # morphism coordinates shift each component's indices, with no padding
-    space = MorphismComplex(fixtures.phi_assoc(), "hom").bound_space(2)
-    parts = (space.space_a, space.space_b, space.space_ab)
+    phi = fixtures.phi_assoc()
+    A, B = phi.source, phi.target
+    space = MorphismComplex(phi, "hom").bound_space(2)
+    parts = (hom_cochain_basis(A, A.dim, A.alpha, 2),
+             hom_cochain_basis(B, B.dim, B.alpha, 2),
+             hom_cochain_basis(A, B.dim, B.alpha, 1))
     assert sum(len(v) for v in space.coords) == sum(
         len(v) for part in parts for v in part.coords)
     zeros = [MultilinearMap.zero(p.arity, p.source_dim, p.target_dim)
@@ -156,24 +161,36 @@ def test_alternator_projects(a3):
         assert alternator(g) == g
 
 
+def component_spaces(space: CochainSpace) -> list[CochainSpace]:
+    """The comp_A, comp_B and comp_AB spaces of a morphism cochain space:
+    the basis vectors that start in each part, in that part's own
+    coordinates."""
+    system, out = space.system, []
+    for part, start in zip(system.parts, system.starts):
+        out.append(CochainSpace(part, tuple(
+            {k - start: x for k, x in v.items()} for v in space.coords
+            if start <= min(v) < start + part.dim)))
+    return out
+
+
 def test_morphism_space_degree_one_connecting_is_whole_target(phi):
-    space_ab = MorphismComplex(phi, "hom").bound_space(1).space_ab
-    assert space_ab.arity == 0
+    space_ab = component_spaces(MorphismComplex(phi, "hom").bound_space(1))[2]
+    assert space_ab.system.arity == 0
     assert space_ab.dim == 2
 
 
 def test_morphism_space_dimensions_additive(phi):
     space = MorphismComplex(phi, "hom").bound_space(2)
-    sa, sb, sab = space.space_a, space.space_b, space.space_ab
-    total = sa.dim + sb.dim + sab.dim
+    sa, sb, sab = component_spaces(space)
+    total = space.dim
     assert total == sum(s.dim for s in (sa, sb, sab))
-    assert sab.arity == 1
+    assert sab.system.arity == 1
 
 
 def test_morphism_space_components_match_individual_builders():
     phi2 = fixtures.phi12_2()
     space = MorphismComplex(phi2, "lie").bound_space(2)
-    sa, sb, sab = space.space_a, space.space_b, space.space_ab
+    sa, sb, sab = component_spaces(space)
     A, B = phi2.source, phi2.target
     assert sa.dim == lie_cochain_basis(A, A.dim, A.alpha, 2).dim
     assert sb.dim == lie_cochain_basis(B, B.dim, B.alpha, 2).dim

@@ -9,7 +9,7 @@ from itertools import product
 import pytest
 
 from helpers import (ImageOutsideCodomain, basis_vector, dense_coeffs,
-                     dense_map, differential_matrix)
+                     dense_map, differential_matrix, in_span)
 from homcoh import cochain, cohomology, fixtures, operator
 from homcoh.algebra import ASSOCIATIVE, LIE, HomAlgebra, multiply
 from homcoh.cochain import (Coords, MorphismCochain, MultilinearMap, hom_cochain_basis,
@@ -19,7 +19,7 @@ from homcoh.cohomology import (HomSelfComplex, ModuleComplex,
                                connecting_complex, self_cohomology)
 from homcoh.errors import ArityLimitError, UsageError
 from homcoh.files import cochain_to_json
-from homcoh.exact import Matrix, in_span, sparse_vector
+from homcoh.exact import Matrix, sparse_vector
 from homcoh.operator import SparseOperator
 from homcoh.rep import (HomMorphism, adjoint_bimodule, lie_adjoint_module,
                         self_bimodule, self_lie_module)
@@ -533,7 +533,7 @@ def test_top_degree_builds_no_basis_and_applies_no_operator(monkeypatch):
     real_space, real_apply = cochain.CochainSpace, SparseOperator.apply
 
     def space(*args):
-        built.append(args[0])
+        built.append(args[0].arity)
         return real_space(*args)
 
     def apply(self, x):
@@ -547,6 +547,24 @@ def test_top_degree_builds_no_basis_and_applies_no_operator(monkeypatch):
             rec.dim_cohomology) == (50, 41, 20, 21)
     assert built == [2]
     assert applied == []
+
+
+def test_lie_report_builds_the_rows_of_each_degree_once(monkeypatch):
+    """Degrees 1..3 of one report read each degree's compatibility rows
+    from the complex's cache: the bound spaces are their kernels."""
+    degrees = []
+    real = cochain.compatibility_rows
+
+    def counted(*args):
+        degrees.append(args[4])
+        return real(*args)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("homcoh.") and \
+                getattr(module, "compatibility_rows", None) is real:
+            monkeypatch.setattr(module, "compatibility_rows", counted)
+    compute_cohomology(ModuleComplex(fixtures.lie4a(1, 1, 1, 1)), [1, 2, 3])
+    assert degrees == [1, 2, 3]
 
 
 @pytest.mark.parametrize("limit, degree", [(1, 2), (2, 3)])
@@ -566,7 +584,8 @@ def test_arity_guard_fires_before_any_compile(monkeypatch, limit, degree):
             if module_name.startswith("homcoh.") and \
                     getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counted(name, real))
-    phi, psi = fixtures.phi_assoc(), fixtures.builtin_morphism("phi12_1")
+    phi = fixtures.phi_assoc()
+    psi = fixtures.builtin("morphism", "phi12_1")
     monkeypatch.setenv("HOMCOH_MAX_ARITY", str(limit))
     for complex_obj in (connecting_complex(psi),
                         ModuleComplex(phi.source, adjoint_bimodule(phi)),

@@ -1,23 +1,27 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import (dense_algebra_order_defect, dense_connecting_obstruction,
-                     dense_morphism_order_defect, dense_transported_mul)
+from helpers import (basis_solve, dense_algebra_order_defect,
+                     dense_connecting_obstruction, dense_morphism_order_defect,
+                     dense_transported_mul)
 from homcoh import algebra, bracket, deformation, fixtures
 from homcoh.algebra import ASSOCIATIVE, LIE, HomAlgebra
 from homcoh.bracket import (cup_product_assoc, gerstenhaber_bracket,
                             nr_bracket, overline_comp)
-from homcoh.cochain import MorphismCochain, MultilinearMap
+from homcoh.cochain import CochainSpace, MorphismCochain, MultilinearMap
 from homcoh.cohomology import ModuleComplex, MorphismComplex
 from homcoh.deformation import (FormalAutomorphismPair, FormalDeformation,
                                 MorphismDeformation, algebra_obstruction,
                                 apply_equivalence, check_algebra_deformation,
                                 check_morphism_deformation, coefficient_cochain,
-                                extend_deformation, infinitesimal,
-                                infinitesimal_report, obstruction)
+                                extend_deformation, infinitesimal_report,
+                                obstruction, solve_obstruction)
 from homcoh.errors import ObstructionMismatch, UsageError
-from homcoh.exact import Matrix
+from homcoh.exact import Matrix, solve
+from homcoh.operator import SparseOperator
+from homcoh.selftest import random_valid_hom_algebra
 
 
 def vec(*xs):
@@ -87,8 +91,9 @@ def test_infinitesimal_trivial_deformation(phi):
     trivial = MorphismDeformation.build(
         phi, FormalDeformation.from_terms(phi.source, 1, {}),
         FormalDeformation.from_terms(phi.target, 1, {}), {}, 1)
-    theta = infinitesimal(trivial)
+    theta, verdicts, _ = infinitesimal_report(trivial)
     assert theta.is_zero()
+    assert all(verdicts.values())
 
 
 def test_infinitesimal_mdef_2_slotwise():
@@ -497,3 +502,87 @@ def test_extension_over_an_empty_compatible_space():
     assert not d.complex.bound_space(2).coords
     assert not algebra_obstruction(d).is_zero()
     assert extend_deformation(d) is None
+
+
+def test_obstruction_solve_builds_no_basis_and_applies_no_operator(
+        monkeypatch):
+    """The obstruction is solved on the compatible system: no compatible
+    basis is built and no Fraction image of one is made."""
+    cases = [(fixtures.def_g1(), algebra_obstruction(fixtures.def_g1()))]
+    md = fixtures.mdef_2()
+    cases.append((md, obstruction(md)))
+    built, applied = [], []
+    real_init, real_apply = CochainSpace.__init__, SparseOperator.apply
+
+    def init(self, *args, **kw):
+        built.append(args)
+        real_init(self, *args, **kw)
+
+    def apply(self, x):
+        applied.append(x)
+        return real_apply(self, x)
+
+    monkeypatch.setattr(CochainSpace, "__init__", init)
+    monkeypatch.setattr(SparseOperator, "apply", apply)
+    solved = [solve_obstruction(d, ob) for d, ob in cases]
+    assert built == [] and applied == []
+    monkeypatch.undo()
+    for (d, ob), theta in zip(cases, solved):
+        assert theta == basis_solve(d.complex, 2, ob)
+
+
+def off_diagonal(m: Matrix) -> bool:
+    return any(m.at(i, j) for i in range(m.rows) for j in range(m.cols)
+               if i != j)
+
+
+def trivial_deformations():
+    """Order-1 deformations with no terms, whose complexes hold the
+    targets: the first two seeded random valid algebras of each kind whose
+    twist is not diagonal, and the fixture morphisms of both flavors."""
+    rng = random.Random(140)
+    out = []
+    for kind in (ASSOCIATIVE, LIE):
+        algebras = (random_valid_hom_algebra(rng, kind) for _ in range(20))
+        twisted = [A for A in algebras if off_diagonal(A.alpha)][:2]
+        out += [FormalDeformation.from_terms(A, 1, {}) for A in twisted]
+    for phi in (fixtures.phi_assoc(), fixtures.phi12_1(), fixtures.phi12_2()):
+        out.append(MorphismDeformation.build(
+            phi, FormalDeformation.from_terms(phi.source, 1, {}),
+            FormalDeformation.from_terms(phi.target, 1, {}), {}, 1))
+    return out
+
+
+def test_stacked_obstruction_solve_matches_the_basis_solve():
+    """The solution of the compatible system with every free column 0 is
+    the basis solution, cochain for cochain, on coboundaries, on cochains
+    outside the image and on their sums, at degrees 1 and 2."""
+    rng = random.Random(141)
+    deformations = trivial_deformations()
+    assert [d.base.kind for d in deformations[:4]] == [
+        ASSOCIATIVE, ASSOCIATIVE, LIE, LIE]
+    outcomes = []
+    for d in deformations:
+        complex_obj = d.complex
+        for n in (1, 2):
+            op, space = complex_obj.operator(n), complex_obj.bound_space(n)
+            for k in range(15):
+                image = complex_obj.delta(space.combine(
+                    {j: Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+                     for j in range(space.dim)}))
+                noise = op.target.to_full({
+                    rng.randrange(op.target.dim): Fraction(rng.randint(1, 3))
+                    for _ in range(2 if op.target.dim else 0)})
+                target = (image, noise, image + noise)[k % 3]
+                if n == 2:
+                    got = solve_obstruction(d, target)
+                else:
+                    x = solve(complex_obj.compatible_system(1),
+                              op.target.project(target))
+                    got = None if x is None else op.source.to_full(x)
+                assert got == basis_solve(complex_obj, n, target)
+                if got is not None:
+                    assert complex_obj.delta(got) == target
+                outcomes.append(got is not None)
+    assert len(outcomes) >= 200
+    assert outcomes.count(False) >= 40 and outcomes.count(True) >= 70

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from helpers import (bareiss_rank, columns, dense_nullspace, dense_rref,
-                     dense_solve, densify)
+                     dense_solve, densify, in_span)
 from homcoh.errors import ParseError
-from homcoh.exact import (Matrix, SparseMatrix, in_span, independent_subset,
+from homcoh.exact import (Matrix, SparseMatrix, independent_subset,
                           intersection_basis, nullspace_basis,
                           rational_from_string, rational_to_string, rref,
                           solve, sparse_vector)

@@ -8,13 +8,12 @@ from homcoh.algebra import apply_alpha, multiply
 from homcoh.errors import InvalidAlgebra, InvalidMorphism
 import random
 
-from helpers import (basis_vector, dense_coadjoint_condition,
-                     dense_validate_bimodule, dense_validate_lie_module)
+from helpers import (basis_vector, dense_validate_bimodule,
+                     dense_validate_lie_module)
 from homcoh.exact import Matrix
 from homcoh.rep import (HomMorphism, adjoint_bimodule, check_morphism,
-                        coadjoint_module, lie_adjoint_module, self_bimodule,
-                        self_lie_module, validate_bimodule,
-                        validate_lie_module)
+                        lie_adjoint_module, self_bimodule, self_lie_module,
+                        validate_bimodule, validate_lie_module)
 from homcoh.selftest import random_valid_hom_algebra
 
 
@@ -106,34 +105,6 @@ def test_lie_adjoint_module_axioms_hold_for_valid_morphisms():
         assert validate_lie_module(P) == []
 
 
-def test_coadjoint_trivial_action():
-    heis = fixtures.heisenberg()
-    zero_action = [[vec(0, 0, 0) for _ in range(3)] for _ in range(3)]
-    from homcoh.rep import LieModule
-    P = LieModule(algebra=heis, carrier_dim=3, beta=Matrix.identity(3),
-                  action=zero_action)
-    dual, cond = coadjoint_module(P, heis)
-    assert cond
-    assert all(dual.action[i][j] == vec(0, 0, 0)
-               for i in range(3) for j in range(3))
-
-
-def test_coadjoint_condition_matches_triple_loop_oracle():
-    heis = fixtures.g1(1, 1)  # classical one-bracket algebra, identity twist
-    P = lie_adjoint_module(HomMorphism(heis, heis, Matrix.identity(3)))
-    dual, cond = coadjoint_module(P, heis)
-    assert cond == dense_coadjoint_condition(P, heis)
-    if cond:
-        assert validate_lie_module(dual) == []
-
-
-def test_coadjoint_beta_is_transpose():
-    G = fixtures.g1(2, 3)
-    P = lie_adjoint_module(HomMorphism(G, G, Matrix.identity(3)))
-    dual, _ = coadjoint_module(P, G)
-    assert dual.beta == P.beta.transpose()
-
-
 def test_adjoint_right_axiom_mirror_holds(phi):
     # flagged companion check: the mirrored right-module axiom holds for
     # the adjoint construction by twisted associativity
@@ -201,15 +172,11 @@ def test_sparse_lie_module_checks_match_the_dense_oracle():
              lie_adjoint_module(HomMorphism(g, g, Matrix.identity(3)))]
     bases += [self_lie_module(random_valid_hom_algebra(rng, "lie"))
               for _ in range(2)]
-    seen, conditions = set(), set()
+    seen = set()
     for P in bases:
         assert validate_lie_module(P) == dense_validate_lie_module(P)
         for bad in [P] + [_broken(rng, P) for _ in range(12)]:
             got = validate_lie_module(bad)
             assert got == dense_validate_lie_module(bad)
             seen.update(message.split(" fails")[0] for message in got)
-            _, cond = coadjoint_module(bad, bad.algebra)
-            assert cond == dense_coadjoint_condition(bad, bad.algebra)
-            conditions.add(cond)
     assert seen == {"structure-map axiom", "module condition"}
-    assert conditions == {True, False}
