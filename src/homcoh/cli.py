@@ -47,7 +47,9 @@ def _load_arg(ref: str, what: str):
     """The ``what`` (algebra, morphism or deformation) in the file ``ref``,
     else the built-in one of that name."""
     if os.path.isfile(ref):
-        return getattr(files, f"load_{what}_file")(ref)
+        return {"algebra": files.load_algebra_file,
+                "morphism": files.load_morphism_file,
+                "deformation": files.load_deformation_file}[what](ref)
     built = fixtures.builtin(what, ref)
     if built is None:
         raise ParseError(f"{ref!r}: no such file or built-in {what}")

@@ -38,18 +38,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import ASSOCIATIVE, LIE as LIE_KIND, HomAlgebra, validate
+from .algebra import (ASSOCIATIVE, LIE as LIE_KIND, HomAlgebra, _add,
+                      validate)
 from .cochain import (HOM, LIE, CochainSpace, MorphismCochain,
                       MultilinearMap, _check_arity_guard, compatibility_rows,
                       kernel_space)
 from .errors import UsageError
-from .exact import (Matrix, SparseMatrix, dense_vector, independent_subset,
+from .exact import (Matrix, SparseMatrix, independent_subset,
                     intersection_basis, nullspace_basis, row_rank)
 from .operator import (apply_operator, hom_delta, hom_operator, lie_operator,
                        morphism_delta)
-from .rep import (Bimodule, HomMorphism, LieModule, adjoint_bimodule,
-                  check_morphism, lie_adjoint_module, self_bimodule,
-                  self_lie_module, validate_bimodule, validate_lie_module)
+from .rep import (HomMorphism, adjoint_module, check_morphism, self_module,
+                  validate_bimodule, validate_lie_module)
 
 HOM_SELF = "hom_self"
 HOM_BIMODULE = "hom_bimodule"
@@ -145,19 +145,17 @@ class _ComplexBase:
 
 
 class ModuleComplex(_ComplexBase):
-    """Cochains of X with values in a module: a ``Bimodule`` for the
-    associative kind, a ``LieModule`` for the Lie kind; ``module=None`` is
-    X acting on itself.  ``label`` names the module in its warnings."""
+    """Cochains of X with values in a ``rep.Module`` over X (a bimodule
+    for the associative kind, a left module for the Lie kind);
+    ``module=None`` is X acting on itself.  ``label`` names the module in
+    its warnings."""
 
     def __init__(self, X: HomAlgebra, module=None, label: str = "module"):
         super().__init__()
         assoc = X.kind == ASSOCIATIVE
         if module is None:
-            module = self_bimodule(X) if assoc else self_lie_module(X)
+            module = self_module(X)
             self.flavor = HOM_SELF if assoc else LIE_SELF
-        elif not isinstance(module, Bimodule if assoc else LieModule):
-            raise UsageError(f"a {X.kind}-kind algebra needs a "
-                             + ("bimodule" if assoc else "Lie module"))
         elif module.algebra is not X and module.algebra != X:
             raise UsageError("module does not belong to the given algebra")
         else:
@@ -186,8 +184,8 @@ class ModuleComplex(_ComplexBase):
     def _compile(self, n: int):
         M = self.module
         if self.full_cocycles:
-            return hom_delta(self.algebra, *M.integral[:2], M.carrier_dim, n)
-        return lie_operator(self.algebra, M.carrier_dim, n, M.integral[0])
+            return hom_delta(self.algebra, M.left, M.right, M.carrier_dim, n)
+        return lie_operator(self.algebra, M.carrier_dim, n, M.left)
 
     def _degree(self, f) -> int:
         if not isinstance(f, MultilinearMap):
@@ -219,23 +217,26 @@ class ModuleComplex(_ComplexBase):
             return MultilinearMap.zero(n + 1, self.algebra.dim, M.carrier_dim)
         face = self._memo(("face", i, n), lambda: hom_operator(
             self.algebra, M.carrier_dim, n, [int(k == i) for k in range(n)],
-            (-1, M.integral[0]) if i == 0 else None,
-            (-1, M.integral[1]) if i == n - 1 else None))
+            (-1, M.left) if i == 0 else None,
+            (-1, M.right) if i == n - 1 else None))
         return apply_operator(face, f)
 
     def degree_zero_images(self) -> list:
         """e_i -> e_i m (minus m e_i for a bimodule), for each m fixed by
         the structure map of the module."""
-        X, M = self.algebra, self.module
-        image = (lambda e, m: tuple(
-            a - b for a, b in zip(M.left(e, m), M.right(m, e)))) \
-            if self.full_cocycles else M.act
-        d = M.carrier_dim
-        return [MultilinearMap.from_values(
-            1, X.dim, d, {(i,): image(dense_vector({i: 1}, X.dim),
-                                      dense_vector(m, d))
-                          for i in range(X.dim)})
-            for m in nullspace_basis(M.beta - Matrix.identity(d))]
+        M, images = self.module, []
+        (left, l), (right, r) = M.left, M.right or ({}, 1)
+        for m in nullspace_basis(M.beta - Matrix.identity(M.carrier_dim)):
+            acc = {}
+            for (i, q), v in left.items():
+                if q in m:
+                    _add(acc, (i,), v, m[q] / l)
+            for (q, i), v in right.items():
+                if q in m:
+                    _add(acc, (i,), v, -m[q] / r)
+            images.append(MultilinearMap.from_sparse(
+                1, self.algebra.dim, M.carrier_dim, acc))
+        return images
 
 
 # former names, kept while perfbench/workloads.py and record.py import them
@@ -386,6 +387,5 @@ def connecting_complex(phi: HomMorphism) -> ModuleComplex:
     """The standalone module-valued complex of the connecting component:
     cochains from the source with values in the target seen as the adjoint
     module (or bimodule) through phi."""
-    module = (adjoint_bimodule if phi.source.kind == ASSOCIATIVE
-              else lie_adjoint_module)(phi, strict=False)
-    return ModuleComplex(phi.source, module, f"adjoint({phi.target.name})")
+    return ModuleComplex(phi.source, adjoint_module(phi),
+                         f"adjoint({phi.target.name})")

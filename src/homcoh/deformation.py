@@ -371,6 +371,9 @@ def apply_equivalence(md: MorphismDeformation,
         raise UsageError("automorphism order must cover the deformation order")
     N = md.order
     A, B = md.phi.source, md.phi.target
+    if psi.source != A or psi.target != B:
+        raise UsageError("automorphism pair is not over the algebras of the "
+                         "morphism")
     inv_a = psi.inverse_terms("a", N)
     inv_b = psi.inverse_terms("b", N)
 

@@ -27,14 +27,6 @@ class MorphismViolation(HomcohError):
         self.witness = witness
 
 
-class InvalidMorphism(HomcohError):
-    """An operation required a valid morphism and got an invalid one."""
-
-
-class InvalidAlgebra(HomcohError):
-    """An operation required a valid algebra and got an invalid one."""
-
-
 class NotACocycle(HomcohError):
     """A cochain expected to be a cocycle is not (inconsistent input)."""
 

@@ -33,6 +33,14 @@ def _require_keys(obj: dict, required, optional, context: str):
             raise ParseError(f"{context}: unknown field {key!r}")
 
 
+def _expect(value, kind: type, context: str, key: str):
+    """value, which the field ``key`` must give as a list or a string."""
+    if not isinstance(value, kind):
+        raise ParseError(f"{context}: {key} must be a "
+                         + ("list" if kind is list else "string"))
+    return value
+
+
 def _parse_matrix(rows, nrows: int, ncols: int, context: str) -> Matrix:
     if not isinstance(rows, list) or len(rows) != nrows:
         raise ParseError(f"{context}: expected {nrows} rows")
@@ -55,14 +63,14 @@ def _parse_mul_entries(entries, basis: list[str], kind: str,
     index = {name: i for i, name in enumerate(basis)}
     mul = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
     seen = set()
-    for pos, entry in enumerate(entries):
+    for pos, entry in enumerate(_expect(entries, list, context, "mul")):
         where = f"{context}: mul[{pos}]"
         _require_keys(entry, ("left", "right", "value"), (), where)
-        try:
-            i = index[entry["left"]]
-            j = index[entry["right"]]
-        except KeyError as exc:
-            raise ParseError(f"{where}: unknown basis name {exc}") from None
+        for key in ("left", "right"):
+            if not isinstance(entry[key], str) or entry[key] not in index:
+                raise ParseError(f"{where}: unknown basis name "
+                                 f"{entry[key]!r} in {key}")
+        i, j = index[entry["left"]], index[entry["right"]]
         if (i, j) in seen:
             raise ParseError(f"{where}: duplicate product "
                              f"({entry['left']}, {entry['right']})")
@@ -154,8 +162,9 @@ def load_algebra_reference(ref: str, base_dir: str = ".") -> HomAlgebra:
 def parse_morphism(data, base_dir: str = ".",
                    context: str = "morphism") -> HomMorphism:
     _require_keys(data, ("source", "target", "matrix"), (), context)
-    source = load_algebra_reference(data["source"], base_dir)
-    target = load_algebra_reference(data["target"], base_dir)
+    source, target = (load_algebra_reference(
+        _expect(data[key], str, context, key), base_dir)
+        for key in ("source", "target"))
     if source.kind != target.kind:
         raise ParseError(f"{context}: source is {source.kind}-kind but "
                          f"target is {target.kind}-kind")
@@ -212,19 +221,23 @@ def parse_deformation(data, base_dir: str = ".", context: str = "deformation"):
     order = data["order"]
     if type(order) is not int or order < 0:
         raise ParseError(f"{context}: order must be a non-negative integer")
-    if "morphism" in data:
-        phi = load_morphism_reference(data["morphism"], base_dir)
-        if "algebra" in data:
-            declared = load_algebra_reference(data["algebra"], base_dir)
+    lists = {key: _expect(data.get(key, []), list, context, key)
+             for key in ("terms", "target_terms", "phi_terms")}
+    refs = {key: _expect(data[key], str, context, key)
+            for key in ("morphism", "algebra") if key in data}
+    if "morphism" in refs:
+        phi = load_morphism_reference(refs["morphism"], base_dir)
+        if "algebra" in refs:
+            declared = load_algebra_reference(refs["algebra"], base_dir)
             if declared != phi.source:
                 raise ParseError(f"{context}: algebra does not match the "
                                  "morphism's source")
-        terms_a = _parse_term_list(data["terms"], phi.source, order,
+        terms_a = _parse_term_list(lists["terms"], phi.source, order,
                                    f"{context}: terms")
-        terms_b = _parse_term_list(data.get("target_terms", ()), phi.target,
-                                   order, f"{context}: target_terms")
+        terms_b = _parse_term_list(lists["target_terms"], phi.target, order,
+                                   f"{context}: target_terms")
         phi_terms = {}
-        for pos, entry in enumerate(data.get("phi_terms", ())):
+        for pos, entry in enumerate(lists["phi_terms"]):
             where = f"{context}: phi_terms[{pos}]"
             _require_keys(entry, ("degree", "matrix"), (), where)
             degree = entry["degree"]
@@ -239,13 +252,13 @@ def parse_deformation(data, base_dir: str = ".", context: str = "deformation"):
             FormalDeformation.from_terms(phi.source, order, terms_a),
             FormalDeformation.from_terms(phi.target, order, terms_b),
             phi_terms, order)
-    if "algebra" not in data:
+    if "algebra" not in refs:
         raise ParseError(f"{context}: needs either 'morphism' or 'algebra'")
     for key in ("phi_terms", "target_terms"):
         if key in data:
             raise ParseError(f"{context}: {key} requires a morphism")
-    base = load_algebra_reference(data["algebra"], base_dir)
-    terms = _parse_term_list(data["terms"], base, order, f"{context}: terms")
+    base = load_algebra_reference(refs["algebra"], base_dir)
+    terms = _parse_term_list(lists["terms"], base, order, f"{context}: terms")
     return FormalDeformation.from_terms(base, order, terms)
 
 

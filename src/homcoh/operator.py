@@ -10,8 +10,8 @@ nonzero constants only: integer {column: int} rows over one denominator
 sparse integer product, and ``SparseOperator.apply`` makes a ``Fraction``
 only for each nonzero output entry (``numerators`` stops before that, for
 callers that need only the span of an image).  Module actions are read in
-the integer form each module caches (``Bimodule.integral``,
-``LieModule.integral``).
+the integer form a ``rep.Module`` holds them in (``Module.left``,
+``Module.right``).
 
 Operators map sparse {coordinate: value} dicts between ``cochain.Coords``
 systems; ``apply_operator`` converts a multilinear map once on the way in
@@ -123,7 +123,8 @@ def hom_operator(A: HomAlgebra, d: int, n: int, merge, left=None,
     merge[k] weights f(alpha x_0, ..., x_k x_{k+1}, ..., alpha x_n);
     left = (weight, rho_l) weights rho_l(alpha^(n-1) x_0, f(x_1, ..., x_n));
     right = (weight, rho_r) weights rho_r(f(x_0, ..., x_{n-1}),
-    alpha^(n-1) x_n), the actions as in ``Bimodule.integral``.
+    alpha^(n-1) x_n), the actions as in ``Module.left`` and
+    ``Module.right``.
     """
     src, tgt = Coords(n, A.dim, d, False), Coords(n + 1, A.dim, d, False)
     (alpha, a), (mul, m) = A.integral
@@ -160,7 +161,7 @@ def lie_operator(L: HomAlgebra, d: int, n: int, action=None,
     """Lie-kind coboundary terms on arity-n cochains with values in a
     d-dimensional carrier: the sum over i < j of (-1)^(i+j) f([x_i, x_j],
     alpha x_0, ..., alpha x_n) (x_i, x_j omitted), plus, given a module's
-    integer action (``LieModule.integral``), the sum over i of (-1)^i
+    integer action (``Module.left``), the sum over i of (-1)^i
     action(alpha^(n-1) x_i, f(..., x_n)) (x_i omitted).  With ``reduced``
     the input is an alternating cochain.
     """
@@ -193,7 +194,7 @@ def lie_operator(L: HomAlgebra, d: int, n: int, action=None,
 
 def hom_delta(A: HomAlgebra, rho_l, rho_r, d: int, n: int) -> SparseOperator:
     """The associative-kind coboundary with values in a bimodule, from its
-    integer actions (``Bimodule.integral``)."""
+    integer actions (``Module.left``, ``Module.right``)."""
     return hom_operator(A, d, n, [(-1) ** (k + 1) for k in range(n)],
                         (1, rho_l), ((-1) ** (n + 1), rho_r))
 

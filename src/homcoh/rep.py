@@ -3,7 +3,9 @@
 The adjoint constructions are the coefficient systems every cohomology
 complex in this package consumes: a morphism phi: A -> B makes the target
 into an A-bimodule (associative kind) via left/right multiplication through
-phi, or into a left module (Lie kind) via the bracket through phi.
+phi, or into a left module (Lie kind) via the bracket through phi.  Both
+are a ``Module``, which holds its nonzero actions as integer numerators
+over one denominator each, the form the compiled coboundaries read.
 
 The module axioms are checked by the sparse kernel of ``homcoh.algebra``:
 each axiom is a defect over the nonzero actions, twist and structure-map
@@ -14,18 +16,13 @@ basis arguments (algebra indices, then the carrier index).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import lcm
 
 from .algebra import (ASSOCIATIVE, LIE, HomAlgebra, _after, _nonzero,
-                      _products, bilinear, first_failure, freeze_tensor,
-                      morphism_witnesses, multiply, sparse_columns,
-                      sparse_tensor, validate)
-from .errors import InvalidAlgebra, InvalidMorphism, UsageError
-from .exact import Matrix, Vector, dense_vector, integral
-
-ActionTensor = tuple[tuple[Vector, ...], ...]
-_WRONG_LENGTH = "action tensor has wrong output length"
+                      _products, first_failure, morphism_witnesses,
+                      sparse_columns)
+from .errors import UsageError
+from .exact import Matrix, Vector, integral
 
 
 @dataclass(frozen=True)
@@ -73,43 +70,27 @@ def check_morphism(source: HomAlgebra, target: HomAlgebra,
 
 
 @dataclass(frozen=True)
-class Bimodule:
-    """Carrier acted on from the left and right by an associative-kind
-    Hom-algebra; ``beta`` is the structure map of the carrier."""
+class Module:
+    """Carrier acted on by a Hom-algebra, with structure map ``beta``.
+
+    ``left`` holds the nonzero left actions {(algebra index, carrier
+    index): vector} and ``right`` the nonzero right actions {(carrier
+    index, algebra index): vector}, each as (integer numerators,
+    denominator); a module over a Lie-kind algebra has no ``right``.
+    """
 
     algebra: HomAlgebra
     carrier_dim: int
     beta: Matrix
-    rho_l: ActionTensor  # rho_l[i][m] = left action of basis i on carrier m
-    rho_r: ActionTensor  # rho_r[m][i] = right action of carrier m by basis i
+    left: tuple[dict, int]
+    right: tuple[dict, int] | None
 
     def __post_init__(self):
         if self.beta.rows != self.carrier_dim or self.beta.cols != self.carrier_dim:
             raise UsageError("beta must be carrier_dim x carrier_dim")
-        n, d = self.algebra.dim, self.carrier_dim
-        object.__setattr__(self, "rho_l", freeze_tensor(
-            n, d, d, self.rho_l, _WRONG_LENGTH))
-        object.__setattr__(self, "rho_r", freeze_tensor(
-            d, n, d, self.rho_r, _WRONG_LENGTH))
-
-    @cached_property
-    def integral(self) -> tuple:
-        """The nonzero left actions {(i, m): vector}, right actions
-        {(m, i): vector} and columns of beta, each as (integer numerators,
-        denominator)."""
-        n, d = self.algebra.dim, self.carrier_dim
-        return (integral(sparse_tensor(self.rho_l, n, d)),
-                integral(sparse_tensor(self.rho_r, d, n)),
-                integral(sparse_columns(self.beta)))
-
-    def left(self, x, m) -> Vector:
-        return bilinear(self.rho_l, x, m, self.carrier_dim)
-
-    def right(self, m, x) -> Vector:
-        return bilinear(self.rho_r, m, x, self.carrier_dim)
-
-    def apply_beta(self, m) -> Vector:
-        return self.beta.matvec(m)
+        if (self.right is None) != (self.algebra.kind == LIE):
+            raise UsageError("a module has a right action exactly when its "
+                             "algebra is of the associative kind")
 
 
 def _defect(*terms) -> dict:
@@ -135,14 +116,15 @@ def _messages(dim: int, checks) -> list[str]:
             for template, defect in checks if defect]
 
 
-def validate_bimodule(M: Bimodule) -> list[str]:
+def validate_bimodule(M: Module) -> list[str]:
     """Return human-readable violations (empty list when all axioms hold).
 
     Checked on basis triples: the left axiom, its mirror image on the
     right, and the left/right compatibility equation.
     """
     (alpha, a), (mul, m) = M.algebra.integral
-    (left, l), (right, r), (beta, b) = M.integral
+    (left, l), (right, r) = M.left, M.right
+    beta, b = integral(sparse_columns(M.beta))
     return _messages(M.carrier_dim, (
         ("left axiom fails at ({0},{1};{2})", _defect(
             (1, l * m * b, left, mul, beta, lambda xy, v: xy + (v,)),
@@ -158,42 +140,12 @@ def validate_bimodule(M: Bimodule) -> list[str]:
              lambda x, vz: (x, vz[1], vz[0]))))))
 
 
-@dataclass(frozen=True)
-class LieModule:
-    """Left module over a Lie-kind Hom-algebra."""
-
-    algebra: HomAlgebra
-    carrier_dim: int
-    beta: Matrix
-    action: ActionTensor  # action[i][m] = bracket of basis i with carrier m
-
-    def __post_init__(self):
-        if self.beta.rows != self.carrier_dim or self.beta.cols != self.carrier_dim:
-            raise UsageError("beta must be carrier_dim x carrier_dim")
-        object.__setattr__(self, "action", freeze_tensor(
-            self.algebra.dim, self.carrier_dim, self.carrier_dim, self.action,
-            _WRONG_LENGTH))
-
-    @cached_property
-    def integral(self) -> tuple:
-        """The nonzero actions {(i, m): vector} and columns of beta, each
-        as (integer numerators, denominator)."""
-        return (integral(sparse_tensor(self.action, self.algebra.dim,
-                                       self.carrier_dim)),
-                integral(sparse_columns(self.beta)))
-
-    def act(self, x, m) -> Vector:
-        return bilinear(self.action, x, m, self.carrier_dim)
-
-    def apply_beta(self, m) -> Vector:
-        return self.beta.matvec(m)
-
-
-def validate_lie_module(P: LieModule) -> list[str]:
+def validate_lie_module(P: Module) -> list[str]:
     """Violations of the two module axioms, checked on bases."""
     L, d = P.algebra, P.carrier_dim
     (alpha, a), (mul, m) = L.integral
-    (act, p), (beta, b) = P.integral
+    act, p = P.left
+    beta, b = integral(sparse_columns(P.beta))
     after = {}  # beta(act(u, v)) as a bilinear map
     _after(after, beta, act)
     return _messages(d, (
@@ -208,54 +160,25 @@ def validate_lie_module(P: LieModule) -> list[str]:
              lambda v, uz: (uz[0], v, uz[1]))))))
 
 
-def adjoint_bimodule(phi: HomMorphism, strict: bool = True) -> Bimodule:
-    """Target algebra as a bimodule over the source through phi."""
+def adjoint_module(phi: HomMorphism) -> Module:
+    """The target of phi as a module over the source through phi: acted on
+    by multiplication with phi from both sides (associative kind), or by
+    the bracket with phi from the left (Lie kind)."""
     A, B = phi.source, phi.target
-    if A.kind != ASSOCIATIVE or B.kind != ASSOCIATIVE:
-        raise UsageError("adjoint bimodule needs associative-kind algebras")
-    if strict:
-        report = check_morphism(A, B, phi.matrix)
-        if not report.is_valid:
-            raise InvalidMorphism(report.describe())
-    cols = [phi.matrix.column(i) for i in range(A.dim)]
-    units = [dense_vector({m: 1}, B.dim) for m in range(B.dim)]
-    rho_l = [[multiply(B, cols[i], e) for e in units] for i in range(A.dim)]
-    rho_r = [[multiply(B, e, cols[i]) for i in range(A.dim)] for e in units]
-    return Bimodule(algebra=A, carrier_dim=B.dim, beta=B.alpha,
-                    rho_l=rho_l, rho_r=rho_r)
+    if A.kind != B.kind:
+        raise UsageError("adjoint module needs algebras of one kind")
+    cols, units = sparse_columns(phi.matrix), _units(B.dim)
+    left, right = {}, {}
+    _products(left, B.sparse.mul, cols, units, lambda i, m: (i, m))
+    if A.kind == ASSOCIATIVE:
+        _products(right, B.sparse.mul, units, cols, lambda m, i: (m, i))
+    return Module(A, B.dim, B.alpha, integral(_nonzero(left)),
+                  integral(_nonzero(right)) if A.kind == ASSOCIATIVE else None)
 
 
-def self_bimodule(A: HomAlgebra) -> Bimodule:
-    """A as a bimodule over itself (left/right action = multiplication)."""
-    if A.kind != ASSOCIATIVE:
-        raise UsageError("self bimodule needs an associative-kind algebra")
-    rho = [[A.mul[i][j] for j in range(A.dim)] for i in range(A.dim)]
-    return Bimodule(algebra=A, carrier_dim=A.dim, beta=A.alpha,
-                    rho_l=rho, rho_r=rho)
-
-
-def lie_adjoint_module(phi: HomMorphism, strict: bool = True) -> LieModule:
-    """Target as a left module over the source via the bracket through phi."""
-    L, G = phi.source, phi.target
-    if L.kind != LIE or G.kind != LIE:
-        raise UsageError("adjoint module needs Lie-kind algebras")
-    if strict:
-        report = check_morphism(L, G, phi.matrix)
-        if not report.is_valid:
-            raise InvalidMorphism(report.describe())
-        for X in (L, G):
-            rep = validate(X)
-            if not rep.is_valid:
-                raise InvalidAlgebra(f"{X.name}: {rep.describe()}")
-    cols = [phi.matrix.column(i) for i in range(L.dim)]
-    units = [dense_vector({m: 1}, G.dim) for m in range(G.dim)]
-    action = [[multiply(G, cols[i], e) for e in units] for i in range(L.dim)]
-    return LieModule(algebra=L, carrier_dim=G.dim, beta=G.alpha, action=action)
-
-
-def self_lie_module(L: HomAlgebra) -> LieModule:
-    """L acting on itself by its own bracket."""
-    if L.kind != LIE:
-        raise UsageError("self module needs a Lie-kind algebra")
-    action = [[L.mul[i][j] for j in range(L.dim)] for i in range(L.dim)]
-    return LieModule(algebra=L, carrier_dim=L.dim, beta=L.alpha, action=action)
+def self_module(A: HomAlgebra) -> Module:
+    """A acting on itself by its own product from both sides (associative
+    kind), or by its own bracket from the left (Lie kind)."""
+    mul = A.integral[1]
+    return Module(A, A.dim, A.alpha, mul,
+                  mul if A.kind == ASSOCIATIVE else None)

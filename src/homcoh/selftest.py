@@ -24,7 +24,7 @@ from .deformation import (apply_equivalence, check_morphism_deformation,
                           infinitesimal_report, obstruction)
 from .exact import (Matrix, dense_vector, nullspace_basis, rref, solve,
                     sparse_vector)
-from .rep import HomMorphism, adjoint_bimodule, self_bimodule
+from .rep import HomMorphism, adjoint_module, self_module
 from . import fixtures
 
 
@@ -298,8 +298,8 @@ def suite_face_operators(trials: int = 100) -> SuiteResult:
     rng = random.Random(505)
     a3 = fixtures.assoc3(1, 2)
     phi = fixtures.phi_assoc()
-    setups = [("self", ModuleComplex(a3, self_bimodule(a3))),
-              ("adjoint", ModuleComplex(a3, adjoint_bimodule(phi)))]
+    setups = [("self", ModuleComplex(a3, self_module(a3))),
+              ("adjoint", ModuleComplex(a3, adjoint_module(phi)))]
     for t in range(trials):
         label, complex_obj = setups[t % len(setups)]
         A, M = complex_obj.algebra, complex_obj.module

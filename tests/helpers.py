@@ -13,7 +13,6 @@ from homcoh.cochain import MorphismCochain, MultilinearMap, permutation_sign
 from homcoh.errors import HomcohError, UsageError
 from homcoh.exact import (Matrix, SparseMatrix, dense_vector,
                           independent_subset, solve)
-from homcoh.rep import adjoint_bimodule, lie_adjoint_module
 
 
 class ImageOutsideCodomain(HomcohError):
@@ -133,6 +132,21 @@ def frac(x) -> Fraction:
 
 def basis_vector(n: int, i: int) -> tuple:
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
+
+
+def dense_action(action, dim: int):
+    """The bilinear map (x, y) -> sum of x_i y_j action[(i, j)] on dense
+    vectors, from a sparse integer action (numerators, den) with values
+    of length dim."""
+    entries, den = action
+
+    def act(x, y) -> tuple:
+        out = [Fraction(0)] * dim
+        for (i, j), v in entries.items():
+            for r, c in v.items():
+                out[r] += x[i] * y[j] * Fraction(c, den)
+        return tuple(out)
+    return act
 
 
 def vec_is_zero(a) -> bool:
@@ -361,6 +375,8 @@ def dense_d_component(A, M, i: int, f):
     if i >= n:
         return MultilinearMap.zero(n + 1, A.dim, M.carrier_dim)
     ap = alpha_power(A, n - 1)
+    d = M.carrier_dim
+    left, right = dense_action(M.left, d), dense_action(M.right, d)
     values = {}
     for t in product(range(A.dim), repeat=n + 1):
         args = _basis_args(A.dim, t)
@@ -368,11 +384,11 @@ def dense_d_component(A, M, i: int, f):
         margs = alphas[:i] + [multiply(A, args[i], args[i + 1])] + alphas[i + 2:]
         total = list(f.evaluate(margs))
         if i == 0:
-            total = _signed(total, M.left(ap.matvec(args[0]),
-                                          f.evaluate(args[1:])), True)
+            total = _signed(total, left(ap.matvec(args[0]),
+                                        f.evaluate(args[1:])), True)
         if i == n - 1:
-            total = _signed(total, M.right(f.evaluate(args[:n]),
-                                           ap.matvec(args[n])), True)
+            total = _signed(total, right(f.evaluate(args[:n]),
+                                         ap.matvec(args[n])), True)
         values[t] = tuple(total)
     return MultilinearMap.from_values(n + 1, A.dim, M.carrier_dim, values)
 
@@ -451,22 +467,24 @@ def dense_delta_morphism(phi, c, flavor: str):
         values[t] = tuple(a - b for a, b in zip(after, pulled))
     defect = MultilinearMap.from_values(n, A.dim, B.dim, values)
     mult = lambda X: (lambda x, y: multiply(X, x, y))
+    # the adjoint actions: B acted on through phi
+    through = lambda x, v: multiply(B, phi.apply(x), v)
     if flavor == "hom":
         d_a = dense_delta_hom(A, mult(A), mult(A), A.dim, c.comp_A)
         d_b = dense_delta_hom(B, mult(B), mult(B), B.dim, c.comp_B)
         if n == 1:
             d_ab = MultilinearMap.zero(1, A.dim, B.dim)
         else:
-            M = adjoint_bimodule(phi, strict=False)
-            d_ab = dense_delta_hom(A, M.left, M.right, B.dim, c.comp_AB)
+            d_ab = dense_delta_hom(
+                A, through, lambda v, x: multiply(B, v, phi.apply(x)), B.dim,
+                c.comp_AB)
         return MorphismCochain(d_a, d_b, defect - d_ab)
     d_a = dense_delta_lie(A, mult(A), A.dim, c.comp_A)
     d_b = dense_delta_lie(B, mult(B), B.dim, c.comp_B)
     if n == 1:
         d_ab = MultilinearMap.zero(1, A.dim, B.dim)
     else:
-        P = lie_adjoint_module(phi, strict=False)
-        d_ab = dense_delta_lie(A, P.act, B.dim, c.comp_AB)
+        d_ab = dense_delta_lie(A, through, B.dim, c.comp_AB)
     return MorphismCochain(d_a, d_b, d_ab + defect.scale((-1) ** (n - 1)))
 
 
@@ -773,27 +791,28 @@ def _minus(a, b) -> tuple:
 
 
 def dense_validate_bimodule(M) -> list[str]:
-    A = M.algebra
-    return dense_violations(A, M.carrier_dim, (
+    A, d, beta = M.algebra, M.carrier_dim, M.beta.matvec
+    left, right = dense_action(M.left, d), dense_action(M.right, d)
+    return dense_violations(A, d, (
         ("left axiom fails at ({0},{1};{2})", 2, lambda x, y, v:
-         M.left(multiply(A, x, y), M.apply_beta(v))
-         == M.left(apply_alpha(A, x), M.left(y, v))),
+         left(multiply(A, x, y), beta(v))
+         == left(apply_alpha(A, x), left(y, v))),
         ("right axiom fails at ({2};{0},{1})", 2, lambda x, y, v:
-         M.right(M.apply_beta(v), multiply(A, x, y))
-         == M.right(M.right(v, x), apply_alpha(A, y))),
+         right(beta(v), multiply(A, x, y))
+         == right(right(v, x), apply_alpha(A, y))),
         ("compatibility fails at ({0};{2};{1})", 2, lambda x, z, v:
-         M.right(M.left(x, v), apply_alpha(A, z))
-         == M.left(apply_alpha(A, x), M.right(v, z)))))
+         right(left(x, v), apply_alpha(A, z))
+         == left(apply_alpha(A, x), right(v, z)))))
 
 
 def dense_validate_lie_module(P) -> list[str]:
-    L = P.algebra
-    return dense_violations(L, P.carrier_dim, (
+    L, d, beta = P.algebra, P.carrier_dim, P.beta.matvec
+    act = dense_action(P.left, d)
+    return dense_violations(L, d, (
         ("structure-map axiom fails at ({0};{1})", 1, lambda u, v:
-         P.act(apply_alpha(L, u), P.apply_beta(v))
-         == P.apply_beta(P.act(u, v))),
+         act(apply_alpha(L, u), beta(v)) == beta(act(u, v))),
         ("module condition fails at ({0},{1};{2})", 2, lambda u, v, z:
-         P.act(multiply(L, u, v), P.apply_beta(z))
-         == _minus(P.act(apply_alpha(L, u), P.act(v, z)),
-                   P.act(apply_alpha(L, v), P.act(u, z))))))
+         act(multiply(L, u, v), beta(z))
+         == _minus(act(apply_alpha(L, u), act(v, z)),
+                   act(apply_alpha(L, v), act(u, z))))))
 

@@ -72,6 +72,40 @@ def test_mixed_kind_morphism_file_is_an_input_error(tmp_path, capsys):
         assert "associative-kind" in err and "lie-kind" in err
 
 
+MALFORMED_FIELDS = [
+    ("a3", ("mul",), 5, ["validate", "{}"]),
+    ("a3", ("mul",), 5, ["cohomology", "{}", "--degree", "1"]),
+    ("a3", ("mul", 0, "left"), ["e1"], ["validate", "{}"]),
+    ("def_g1", ("terms", 0, "mul"), 5, ["deform", "check", "{}"]),
+    ("def_g1", ("terms",), 5, ["deform", "check", "{}"]),
+    ("mdef_2", ("target_terms",), 5, ["deform", "check", "{}"]),
+    ("mdef_2", ("phi_terms",), 5, ["deform", "check", "{}"]),
+    ("phi_assoc", ("source",), ["x"], ["validate", "{}"]),
+    ("phi_assoc", ("target",), ["x"],
+     ["cohomology", "a3", "--degree", "1", "--values-in", "{}"]),
+    ("def_g1", ("algebra",), ["x"], ["deform", "check", "{}"]),
+    ("mdef_2", ("morphism",), ["x"], ["deform", "check", "{}"])]
+
+
+@pytest.mark.parametrize(
+    "name, path, value, argv", MALFORMED_FIELDS,
+    ids=[f"{name}.{'.'.join(map(str, path))}-{argv[0]}"
+         for name, path, _, argv in MALFORMED_FIELDS])
+def test_malformed_fields_are_input_errors(tmp_path, capsys, name, path,
+                                           value, argv):
+    files.write_builtin_files(str(tmp_path))
+    data = json.loads((tmp_path / f"{name}.json").read_text())
+    slot = data
+    for key in path[:-1]:
+        slot = slot[key]
+    slot[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run(capsys, *(a.format(bad) for a in argv))
+    assert (code, out) == (2, "")
+    assert path[-1] in err
+
+
 def test_malformed_max_arity_is_an_input_error(monkeypatch, capsys):
     monkeypatch.setenv("HOMCOH_MAX_ARITY", "four")
     code, _, err = run(capsys, "cohomology", "b2", "--degree", "2")

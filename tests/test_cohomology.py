@@ -11,7 +11,7 @@ import pytest
 from helpers import (ImageOutsideCodomain, basis_vector, dense_coeffs,
                      dense_map, differential_matrix, in_span)
 from homcoh import cochain, cohomology, fixtures, operator
-from homcoh.algebra import ASSOCIATIVE, LIE, HomAlgebra, multiply
+from homcoh.algebra import LIE, HomAlgebra, multiply
 from homcoh.cochain import (Coords, MorphismCochain, MultilinearMap, hom_cochain_basis,
                             is_alternating, is_compatible, lie_cochain_basis)
 from homcoh.cohomology import (HomSelfComplex, ModuleComplex,
@@ -21,8 +21,7 @@ from homcoh.errors import ArityLimitError, UsageError
 from homcoh.files import cochain_to_json
 from homcoh.exact import Matrix, sparse_vector
 from homcoh.operator import SparseOperator
-from homcoh.rep import (HomMorphism, adjoint_bimodule, lie_adjoint_module,
-                        self_bimodule, self_lie_module)
+from homcoh.rep import HomMorphism, adjoint_module, self_module
 
 
 def vec(*xs):
@@ -108,7 +107,7 @@ def test_delta_hom_self_degree_one_formula(b2):
 
 def test_delta_bimodule_self_coincides(a3):
     rng = random.Random(61)
-    bimodule = ModuleComplex(a3, self_bimodule(a3))
+    bimodule = ModuleComplex(a3, self_module(a3))
     self_complex = ModuleComplex(a3)
     for _ in range(10):
         f = rand_map(rng, rng.choice([1, 2]), 3, 3)
@@ -116,7 +115,7 @@ def test_delta_bimodule_self_coincides(a3):
 
 
 def test_delta_bimodule_adjoint_spot_value(phi):
-    complex_obj = ModuleComplex(phi.source, adjoint_bimodule(phi))
+    complex_obj = ModuleComplex(phi.source, adjoint_module(phi))
     f = MultilinearMap.from_values(1, 3, 2, {(0,): vec(1, 0)})
     df = complex_obj.delta(f)
     assert df.value_on_basis((0, 0)) == vec(1, -2)
@@ -145,7 +144,7 @@ def test_delta_lie_rejects_non_alternating(heis):
 
 def test_delta_lie_module_specializes_to_self():
     G = fixtures.g1(2, 3)
-    P = lie_adjoint_module(HomMorphism(G, G, Matrix.identity(3)))
+    P = adjoint_module(HomMorphism(G, G, Matrix.identity(3)))
     rng = random.Random(62)
     from homcoh.cochain import alternator
     module, self_complex = ModuleComplex(G, P), ModuleComplex(G)
@@ -157,7 +156,7 @@ def test_delta_lie_module_specializes_to_self():
 
 def test_delta_lie_module_fixture_spot_value():
     phi2 = fixtures.phi12_2()
-    P = lie_adjoint_module(phi2, strict=False)
+    P = adjoint_module(phi2)
     f = MultilinearMap.from_values(1, 3, 3, {(0,): vec(0, 1, 0)})
     df = ModuleComplex(phi2.source, P).delta(f)
     assert df.value_on_basis((0, 1)) == vec(0, 0, 0)
@@ -212,7 +211,7 @@ def test_delta_morphism_identity_pair(phi):
 
 
 def test_face_operator_examples(a3):
-    complex_obj = ModuleComplex(a3, self_bimodule(a3))
+    complex_obj = ModuleComplex(a3, self_module(a3))
     rng = random.Random(63)
     space = hom_cochain_basis(a3, 3, a3.alpha, 2)
     f = space.combine(sparse_vector([Fraction(rng.randint(-2, 2))
@@ -278,12 +277,12 @@ def test_morphism_complex_checks_dimensions_before_compiling(phi,
 
 def test_module_complex_rejects_a_module_over_another_algebra(a3, b2, heis):
     with pytest.raises(UsageError, match="does not belong"):
-        ModuleComplex(a3, self_bimodule(b2))
+        ModuleComplex(a3, self_module(b2))
     with pytest.raises(UsageError, match="does not belong"):
-        ModuleComplex(heis, self_lie_module(fixtures.g1(2, 3)))
+        ModuleComplex(heis, self_module(fixtures.g1(2, 3)))
     twin = fixtures.assoc3(1, 2)  # equal to a3, built again
     assert twin is not a3
-    assert ModuleComplex(a3, self_bimodule(twin)).operator(1).rows
+    assert ModuleComplex(a3, self_module(twin)).operator(1).rows
 
 
 def test_complexes_reject_cochains_of_another_kind(a3, phi, heis):
@@ -299,7 +298,7 @@ def test_complexes_reject_cochains_of_another_kind(a3, phi, heis):
     with pytest.raises(UsageError, match="do not match"):
         ModuleComplex(a3).delta(MultilinearMap.zero(1, 2, 2))
     with pytest.raises(UsageError, match="do not match"):
-        ModuleComplex(phi.source, adjoint_bimodule(phi)).face(
+        ModuleComplex(phi.source, adjoint_module(phi)).face(
             0, MultilinearMap.zero(1, 3, 3))
     with pytest.raises(UsageError, match="associative-kind"):
         ModuleComplex(heis).face(0, MultilinearMap.zero(1, 3, 3))
@@ -426,7 +425,7 @@ def test_coupled_morphism_square_zero_on_compatible_triples():
 
 def test_bimodule_complex_summary(phi):
     summary = compute_cohomology(
-        ModuleComplex(phi.source, adjoint_bimodule(phi)), [1, 2])
+        ModuleComplex(phi.source, adjoint_module(phi)), [1, 2])
     for rec in summary.records:
         assert rec.dim_coboundaries <= rec.dim_cocycles <= rec.dim_cochains
 
@@ -435,9 +434,7 @@ def test_module_complex_in_the_self_module_is_the_self_complex():
     for A in (fixtures.assoc3(1, 2), fixtures.assoc2(),
               fixtures.invalid_assoc2(), fixtures.lie4a(1, 1, 1, 1),
               fixtures.g1(2, 3), fixtures.g2(), fixtures.heisenberg()):
-        module = (self_bimodule if A.kind == ASSOCIATIVE
-                  else self_lie_module)(A)
-        own, given = ModuleComplex(A), ModuleComplex(A, module)
+        own, given = ModuleComplex(A), ModuleComplex(A, self_module(A))
         for n in (1, 2, 3):
             ops = own.operator(n), given.operator(n)
             assert ops[0].source == ops[1].source
@@ -454,9 +451,9 @@ def test_module_complex_in_the_self_module_is_the_self_complex():
 def test_module_complex_rejects_a_module_of_the_other_kind():
     phi, G = fixtures.phi_assoc(), fixtures.g1(2, 3)
     with pytest.raises(UsageError):
-        ModuleComplex(G, adjoint_bimodule(phi))
+        ModuleComplex(G, adjoint_module(phi))
     with pytest.raises(UsageError):
-        ModuleComplex(phi.source, self_lie_module(G))
+        ModuleComplex(phi.source, self_module(G))
 
 
 def test_morphism_operator_compiles_each_component_once(monkeypatch):
@@ -588,7 +585,7 @@ def test_arity_guard_fires_before_any_compile(monkeypatch, limit, degree):
     psi = fixtures.builtin("morphism", "phi12_1")
     monkeypatch.setenv("HOMCOH_MAX_ARITY", str(limit))
     for complex_obj in (connecting_complex(psi),
-                        ModuleComplex(phi.source, adjoint_bimodule(phi)),
+                        ModuleComplex(phi.source, adjoint_module(phi)),
                         MorphismComplex(phi, "hom"),
                         MorphismComplex(psi, "lie")):
         with pytest.raises(ArityLimitError):

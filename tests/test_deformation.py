@@ -162,6 +162,21 @@ def test_apply_equivalence_requires_twist_commuting_terms():
                                order=1)
 
 
+def test_apply_equivalence_rejects_a_pair_over_other_algebras():
+    md = fixtures.mdef_2()
+    heis = fixtures.heisenberg()
+    # commutes with the identity twist of heis, not with that of the source
+    term = Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    for source, target in ((heis, md.phi.target), (md.phi.source, heis)):
+        terms = ((1, term),)
+        psi = FormalAutomorphismPair(
+            source=source, target=target, order=1,
+            psi_a_terms=terms if source is heis else (),
+            psi_b_terms=terms if target is heis else ())
+        with pytest.raises(UsageError, match="algebras of the morphism"):
+            apply_equivalence(md, psi)
+
+
 def test_automorphism_pair_rejects_repeated_and_out_of_range_degrees():
     md = fixtures.mdef_2()
     a, b, c = (Matrix.identity(3).scale(k) for k in (1, 2, 3))

@@ -62,3 +62,30 @@ def test_only_full_coordinates_enumerate_every_argument_tuple():
         if bad:
             offenders[path.name] = bad
     assert offenders == {}
+
+
+def fstring_getattrs(tree: ast.AST) -> list[int]:
+    """Lines of the getattr calls whose attribute name is an f-string."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "getattr"
+            and len(node.args) > 1 and isinstance(node.args[1], ast.JoinedStr)]
+
+
+def test_rule_sees_fstring_getattrs():
+    tree = ast.parse(
+        "getattr(files, f'load_{what}_file')(ref)\n"
+        "getattr(rec, field)\n"
+        "getattr(rec, 'name', None)\n"
+        "x = [getattr(m, f'{k}_terms') for k in ks]\n")
+    assert fstring_getattrs(tree) == [1, 4]
+
+
+def test_no_attribute_is_looked_up_by_a_built_name():
+    # a name built at run time hides its uses from a search of the source
+    offenders = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        lines = fstring_getattrs(ast.parse(path.read_text(), str(path)))
+        if lines:
+            offenders[path.name] = lines
+    assert offenders == {}
