@@ -96,7 +96,7 @@ def cmd_validate(args) -> int:
     data = phi = None
     if os.path.isfile(args.input):
         data = files._load_json(args.input)
-        if "matrix" in data:
+        if isinstance(data, dict) and "matrix" in data:
             phi = files.parse_morphism(
                 data, os.path.dirname(args.input) or ".", context=args.input)
     else:

@@ -48,8 +48,8 @@ from .exact import (Matrix, SparseMatrix, independent_subset,
                     intersection_basis, nullspace_basis, row_rank)
 from .operator import (apply_operator, hom_delta, hom_operator, lie_operator,
                        morphism_delta)
-from .rep import (HomMorphism, adjoint_module, check_morphism, self_module,
-                  validate_bimodule, validate_lie_module)
+from .rep import (HomMorphism, Module, adjoint_module, check_morphism,
+                  self_module, validate_bimodule, validate_lie_module)
 
 HOM_SELF = "hom_self"
 HOM_BIMODULE = "hom_bimodule"
@@ -156,7 +156,8 @@ class ModuleComplex(_ComplexBase):
         if module is None:
             module = self_module(X)
             self.flavor = HOM_SELF if assoc else LIE_SELF
-        elif module.algebra is not X and module.algebra != X:
+        elif not isinstance(module, Module) or (module.algebra is not X
+                                                and module.algebra != X):
             raise UsageError("module does not belong to the given algebra")
         else:
             self.flavor = HOM_BIMODULE if assoc else LIE_MODULE

@@ -33,10 +33,13 @@ def test_validate_invalid_algebra_exit_one(capsys):
 
 def test_validate_parse_error_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"name": "x"}')
-    code, _, err = run(capsys, "validate", str(bad))
-    assert code == 2
-    assert "missing field" in err
+    for text, message in (('{"name": "x"}', "missing field"),
+                          ("5", "expected an object"),
+                          ("null", "expected an object")):
+        bad.write_text(text)
+        code, _, err = run(capsys, "validate", str(bad))
+        assert code == 2
+        assert message in err
 
 
 def test_validate_missing_input_exit_two(capsys):

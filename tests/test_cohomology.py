@@ -280,6 +280,8 @@ def test_module_complex_rejects_a_module_over_another_algebra(a3, b2, heis):
         ModuleComplex(a3, self_module(b2))
     with pytest.raises(UsageError, match="does not belong"):
         ModuleComplex(heis, self_module(fixtures.g1(2, 3)))
+    with pytest.raises(UsageError, match="does not belong"):
+        ModuleComplex(a3, a3)
     twin = fixtures.assoc3(1, 2)  # equal to a3, built again
     assert twin is not a3
     assert ModuleComplex(a3, self_module(twin)).operator(1).rows
