@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from functools import cache
 
-from . import files, fixtures
+from . import files
 from .algebra import ASSOCIATIVE, validate
 from .cochain import HOM, LIE
 from .cohomology import (ComplexSummary, ModuleComplex, MorphismComplex,
@@ -41,19 +40,6 @@ def _emit(payload: dict, as_json: bool, lines) -> None:
     else:
         for line in lines:
             print(line)
-
-
-def _load_arg(ref: str, what: str):
-    """The ``what`` (algebra, morphism or deformation) in the file ``ref``,
-    else the built-in one of that name."""
-    if os.path.isfile(ref):
-        return {"algebra": files.load_algebra_file,
-                "morphism": files.load_morphism_file,
-                "deformation": files.load_deformation_file}[what](ref)
-    built = fixtures.builtin(what, ref)
-    if built is None:
-        raise ParseError(f"{ref!r}: no such file or built-in {what}")
-    return built
 
 
 def _witness_json(witness) -> object:
@@ -93,15 +79,9 @@ def _record_json(record, serialize) -> dict:
 def cmd_validate(args) -> int:
     """Validate an algebra or a morphism, given as a file or a built-in
     name."""
-    data = phi = None
-    if os.path.isfile(args.input):
-        data = files._load_json(args.input)
-        if isinstance(data, dict) and "matrix" in data:
-            phi = files.parse_morphism(
-                data, os.path.dirname(args.input) or ".", context=args.input)
-    else:
-        phi = fixtures.builtin("morphism", args.input)
-    if phi is not None:
+    loaded = files.load(files.EITHER, args.input)
+    if isinstance(loaded, HomMorphism):
+        phi = loaded
         report = check_morphism(phi.source, phi.target, phi.matrix)
         payload = {"command": "validate", "type": "morphism",
                    "source": phi.source.name, "target": phi.target.name,
@@ -114,8 +94,7 @@ def cmd_validate(args) -> int:
               [f"morphism {phi.source.name} -> {phi.target.name}: "
                + report.describe()])
         return EXIT_OK if report.is_valid else EXIT_MATH
-    A = files.parse_algebra(data, context=args.input) if data is not None \
-        else _load_arg(args.input, "algebra")
+    A = loaded
     report = validate(A)
     payload = {"command": "validate", "type": "algebra", "name": A.name,
                "kind": A.kind, "is_valid": report.is_valid,
@@ -136,7 +115,7 @@ def _summary_payload(summary: ComplexSummary, target_names) -> dict:
 
 
 def cmd_cohomology(args) -> int:
-    A = _load_arg(args.input, "algebra")
+    A = files.load("algebra", args.input)
     if args.lie and A.kind != "lie":
         raise ParseError(f"{A.name} is not a Lie-kind algebra")
     degrees = _parse_degrees(args.degree)
@@ -146,7 +125,7 @@ def cmd_cohomology(args) -> int:
               "rerun with --force for a best-effort report", file=sys.stderr)
         return EXIT_MATH
     if args.values_in:
-        phi = _load_arg(args.values_in, "morphism")
+        phi = files.load("morphism", args.values_in)
         if phi.source != A:
             raise ParseError("--values-in morphism source does not match "
                              "the given algebra")
@@ -181,7 +160,7 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_morphism_cohomology(args) -> int:
-    phi = _load_arg(args.input, "morphism")
+    phi = files.load("morphism", args.input)
     degrees = _parse_degrees(args.degree)
     flavor = HOM if phi.source.kind == ASSOCIATIVE else LIE
     complex_obj = MorphismComplex(phi, flavor)
@@ -342,28 +321,10 @@ def _deform_obstruction(target, args) -> int:
     return EXIT_OK
 
 
-def _deformation_base_ref(input_ref: str, target) -> str:
-    """Reference string to embed in emitted deformation JSON."""
-    if os.path.isfile(input_ref):
-        data = files._load_json(input_ref)
-        ref = data.get("morphism") or data.get("algebra")
-        if ref:
-            return ref
-    if isinstance(target, MorphismDeformation):
-        for name, builder in fixtures.BUILTIN_MORPHISMS.items():
-            if builder() == target.phi:
-                return name
-    else:
-        for name, builder in fixtures.BUILTIN_FIXTURES.items():
-            if builder() == target.base:
-                return name
-    return input_ref
-
-
 def _deform_extend(target, args) -> int:
     goal = args.to_order if args.to_order is not None else target.order + 1
     current = target
-    ref = _deformation_base_ref(args.input, target)
+    ref = files.base_reference(args.input, target)
     while current.order < goal:
         nxt = extend_deformation(current)
         if nxt is None:
@@ -388,7 +349,7 @@ def _deform_extend(target, args) -> int:
 
 
 def cmd_deform(args) -> int:
-    target = _load_arg(args.input, "deformation")
+    target = files.load("deformation", args.input)
     n = args.to_order
     if n is not None:
         if args.action in ("infinitesimal", "obstruction"):

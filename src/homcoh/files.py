@@ -2,9 +2,11 @@
 serializers used to emit reports and fixture files.
 
 All rationals travel as strings ("p" or "p/q"); unknown fields are
-rejected so that fixture files stay diffable and typo-proof.  References
-to other files ("source", "target", "algebra", "morphism") resolve first
-as paths relative to the referencing file, then as built-in fixture names.
+rejected so that fixture files stay diffable and typo-proof.  ``load``
+resolves every reference, both a command-line argument and the fields
+that name other inputs ("source", "target", "algebra", "morphism"): first
+as a path relative to the referencing file's directory, then as a path
+relative to the working directory, then as a built-in fixture name.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 import os
 from fractions import Fraction
 
+from . import fixtures
 from .algebra import ASSOCIATIVE, LIE, HomAlgebra, sparse_tensor
 from .cochain import MorphismCochain, MultilinearMap
 from .deformation import FormalDeformation, MorphismDeformation
@@ -112,7 +115,8 @@ def parse_algebra(data, context: str = "algebra") -> HomAlgebra:
         raise ParseError(f"{context}: basis must list {dim} distinct names")
     alpha = _parse_matrix(data["alpha"], dim, dim, f"{context}: alpha")
     mul = _parse_mul_entries(data["mul"], basis, data["kind"], context)
-    return HomAlgebra(name=str(data["name"]), kind=data["kind"], dim=dim,
+    return HomAlgebra(name=_expect(data["name"], str, context, "name"),
+                      kind=data["kind"], dim=dim,
                       mul=mul, alpha=alpha, basis_names=tuple(basis))
 
 
@@ -134,37 +138,41 @@ def _load_json(path: str):
             f"{exc.msg}") from None
 
 
-def _resolve_reference(ref: str, base_dir: str) -> str | None:
-    """Return a path if the reference points at a readable file."""
-    if os.path.isabs(ref) and os.path.isfile(ref):
-        return ref
-    candidate = os.path.join(base_dir, ref)
-    if os.path.isfile(candidate):
-        return candidate
-    if os.path.isfile(ref):
-        return ref
-    return None
+EITHER = "algebra or morphism"
 
 
-def load_algebra_reference(ref: str, base_dir: str = ".") -> HomAlgebra:
-    from .fixtures import builtin
-
-    path = _resolve_reference(ref, base_dir)
-    if path is not None:
-        return parse_algebra(_load_json(path), context=path)
-    built = builtin("algebra", ref)
-    if built is not None:
-        return built
-    raise ParseError(f"algebra reference {ref!r} is neither a file "
-                     "nor a built-in fixture name")
+def load(what: str, ref: str, base_dir: str = ""):
+    """The ``what`` (algebra, morphism or deformation) that ``ref`` names:
+    the JSON file at ``ref`` relative to ``base_dir`` (by default, and for
+    a command-line argument, the working directory), else relative to the
+    working directory, else the built-in fixture of that name.  For
+    ``EITHER``, a file whose object has a ``matrix`` field or a built-in
+    morphism name is a morphism, anything else an algebra."""
+    for path in (os.path.join(base_dir, ref), ref):
+        if os.path.isfile(path):
+            data = _load_json(path)
+            if what == EITHER:
+                what = ("morphism" if isinstance(data, dict)
+                        and "matrix" in data else "algebra")
+            if what == "algebra":
+                return parse_algebra(data, context=path)
+            parse = parse_morphism if what == "morphism" else \
+                parse_deformation
+            return parse(data, os.path.dirname(path), context=path)
+    for kind in (("morphism", "algebra") if what == EITHER else (what,)):
+        built = fixtures.builtin(kind, ref)
+        if built is not None:
+            return built
+    raise ParseError(f"{what} reference {ref!r} is neither a file nor a "
+                     "built-in fixture name")
 
 
 def parse_morphism(data, base_dir: str = ".",
                    context: str = "morphism") -> HomMorphism:
     _require_keys(data, ("source", "target", "matrix"), (), context)
-    source, target = (load_algebra_reference(
-        _expect(data[key], str, context, key), base_dir)
-        for key in ("source", "target"))
+    source, target = (load("algebra", _expect(data[key], str, context, key),
+                           base_dir)
+                      for key in ("source", "target"))
     if source.kind != target.kind:
         raise ParseError(f"{context}: source is {source.kind}-kind but "
                          f"target is {target.kind}-kind")
@@ -177,20 +185,6 @@ def morphism_to_json(phi: HomMorphism, source_ref: str,
                      target_ref: str) -> dict:
     return {"source": source_ref, "target": target_ref,
             "matrix": _matrix_json(phi.matrix)}
-
-
-def load_morphism_reference(ref: str, base_dir: str = ".") -> HomMorphism:
-    from .fixtures import builtin
-
-    path = _resolve_reference(ref, base_dir)
-    if path is not None:
-        return parse_morphism(_load_json(path), os.path.dirname(path) or ".",
-                              context=path)
-    built = builtin("morphism", ref)
-    if built is not None:
-        return built
-    raise ParseError(f"morphism reference {ref!r} is neither a file "
-                     "nor a built-in fixture name")
 
 
 def _parse_term_list(entries, algebra: HomAlgebra, order: int,
@@ -226,9 +220,9 @@ def parse_deformation(data, base_dir: str = ".", context: str = "deformation"):
     refs = {key: _expect(data[key], str, context, key)
             for key in ("morphism", "algebra") if key in data}
     if "morphism" in refs:
-        phi = load_morphism_reference(refs["morphism"], base_dir)
+        phi = load("morphism", refs["morphism"], base_dir)
         if "algebra" in refs:
-            declared = load_algebra_reference(refs["algebra"], base_dir)
+            declared = load("algebra", refs["algebra"], base_dir)
             if declared != phi.source:
                 raise ParseError(f"{context}: algebra does not match the "
                                  "morphism's source")
@@ -257,23 +251,25 @@ def parse_deformation(data, base_dir: str = ".", context: str = "deformation"):
     for key in ("phi_terms", "target_terms"):
         if key in data:
             raise ParseError(f"{context}: {key} requires a morphism")
-    base = load_algebra_reference(refs["algebra"], base_dir)
+    base = load("algebra", refs["algebra"], base_dir)
     terms = _parse_term_list(lists["terms"], base, order, f"{context}: terms")
     return FormalDeformation.from_terms(base, order, terms)
 
 
-def load_deformation_file(path: str):
-    return parse_deformation(_load_json(path),
-                             os.path.dirname(path) or ".", context=path)
-
-
-def load_algebra_file(path: str) -> HomAlgebra:
-    return parse_algebra(_load_json(path), context=path)
-
-
-def load_morphism_file(path: str) -> HomMorphism:
-    return parse_morphism(_load_json(path), os.path.dirname(path) or ".",
-                          context=path)
+def base_reference(ref: str, d) -> str:
+    """The reference to write into a file extending the deformation ``d``
+    that the command-line argument ``ref`` names: the algebra or morphism
+    that its file names, else the name of the built-in equal to ``d``'s
+    base, else ``ref`` itself."""
+    if os.path.isfile(ref):
+        data = _load_json(ref)
+        found = data.get("morphism") or data.get("algebra")
+        if found:
+            return found
+    what, base = (("morphism", d.phi) if isinstance(d, MorphismDeformation)
+                  else ("algebra", d.base))
+    return next((name for name, build in fixtures.BUILTINS[what].items()
+                 if build() == base), ref)
 
 
 def _bilinear_term_json(entries: dict, algebra: HomAlgebra) -> list:
@@ -311,38 +307,6 @@ def morphism_deformation_to_json(md: MorphismDeformation,
     return out
 
 
-def cochain_from_json(data, target_names=None, context="cochain") -> MultilinearMap:
-    _require_keys(data, ("arity", "source", "target", "entries"), (), context)
-    for key in ("arity", "source", "target"):
-        if type(data[key]) is not int or data[key] < 0:
-            raise ParseError(f"{context}: {key} must be a non-negative "
-                             "integer")
-    arity, source_dim, target_dim = data["arity"], data["source"], data["target"]
-    names = (list(target_names) if target_names
-             else [f"m{i + 1}" for i in range(target_dim)])
-    index = {name: i for i, name in enumerate(names)}
-    if not isinstance(data["entries"], list):
-        raise ParseError(f"{context}: entries must be a list")
-    values = {}
-    for pos, entry in enumerate(data["entries"]):
-        where = f"{context}: entries[{pos}]"
-        _require_keys(entry, ("args", "value"), (), where)
-        if not isinstance(entry["args"], list):
-            raise ParseError(f"{where}: args must be a list")
-        if not isinstance(entry["value"], dict):
-            raise ParseError(f"{where}: value must be an object")
-        t = tuple(entry["args"])
-        if len(t) != arity or any(type(i) is not int
-                                  or not 0 <= i < source_dim for i in t):
-            raise ParseError(f"{where}: bad argument tuple")
-        values[t] = {}
-        for name, lit in entry["value"].items():
-            if name not in index:
-                raise ParseError(f"{where}: unknown target name {name!r}")
-            values[t][index[name]] = rational_from_string(lit)
-    return MultilinearMap.from_sparse(arity, source_dim, target_dim, values)
-
-
 def cochain_to_json(m: MultilinearMap, target_names=None) -> dict:
     names = (list(target_names) if target_names
              else [f"m{i + 1}" for i in range(m.target_dim)])
@@ -367,8 +331,6 @@ def morphism_cochain_to_json(c: MorphismCochain, phi: HomMorphism) -> dict:
 
 def write_builtin_files(directory: str) -> list[str]:
     """Materialize every built-in fixture as a JSON file; returns paths."""
-    from . import fixtures
-
     os.makedirs(directory, exist_ok=True)
     written = []
 

@@ -75,7 +75,38 @@ def test_mixed_kind_morphism_file_is_an_input_error(tmp_path, capsys):
         assert "associative-kind" in err and "lie-kind" in err
 
 
+def test_a_reference_resolves_next_to_its_file_then_in_cwd_then_builtin(
+        tmp_path, monkeypatch, capsys):
+    # one rule for a reference inside a file and for a command-line argument
+    a3 = files.algebra_to_json(fixtures.builtin("algebra", "a3"))
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    for where, name in ((sub, "next_to_file"), (tmp_path, "in_cwd")):
+        (where / "a3.json").write_text(json.dumps({**a3, "name": name}))
+    monkeypatch.chdir(tmp_path)
+
+    def validated(ref, field):
+        code, out, err = run(capsys, "validate", ref, "--json")
+        return json.loads(out)[field] if code == 0 else (code, err)
+
+    def source_of(ref):
+        (sub / "m.json").write_text(json.dumps({
+            "source": ref, "target": "b2",
+            "matrix": [["1", "1", "0"], ["-1", "-1", "0"]]}))
+        return validated("sub/m.json", "source")
+
+    assert source_of("a3.json") == "next_to_file"
+    assert validated("a3.json", "name") == "in_cwd"
+    (sub / "a3.json").unlink()
+    assert source_of("a3.json") == "in_cwd"
+    builtin = fixtures.builtin("algebra", "a3").name
+    assert source_of("a3") == validated("a3", "name") == builtin
+    for code, err in (source_of("missing"), validated("missing", "name")):
+        assert code == 2 and "'missing'" in err
+
+
 MALFORMED_FIELDS = [
+    ("a3", ("name",), {"x": 1}, ["validate", "{}"]),
     ("a3", ("mul",), 5, ["validate", "{}"]),
     ("a3", ("mul",), 5, ["cohomology", "{}", "--degree", "1"]),
     ("a3", ("mul", 0, "left"), ["e1"], ["validate", "{}"]),

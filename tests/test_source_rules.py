@@ -89,3 +89,48 @@ def test_no_attribute_is_looked_up_by_a_built_name():
         if lines:
             offenders[path.name] = lines
     assert offenders == {}
+
+
+# files.load alone turns a reference into a file, so no other module looks
+# for a file or reads one
+FILE_READS = {"open", "os.path.isfile", "json.load", "files._load_json",
+              "_load_json"}
+
+
+def _dotted(node: ast.AST) -> str | None:
+    """"a.b.c" for the expression a.b.c, else None."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id] + names[::-1])
+
+
+def file_reads(tree: ast.AST) -> list[int]:
+    """Lines of the calls that look for a file or read one."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and _dotted(node.func) in FILE_READS)
+
+
+def test_rule_sees_file_reads():
+    tree = ast.parse(
+        "if os.path.isfile(ref):\n"
+        "    data = files._load_json(ref)\n"
+        "with open(ref) as fh:\n"
+        "    data = json.load(fh)\n"
+        "data = json.loads(text)\n"
+        "base = os.path.dirname(ref)\n"
+        "fh.read()\n")
+    assert file_reads(tree) == [1, 2, 3, 4]
+
+
+def test_only_the_files_module_reads_files():
+    offenders = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        lines = file_reads(ast.parse(path.read_text(), str(path)))
+        if lines and path.name != "files.py":
+            offenders[path.name] = lines
+    assert offenders == {}
