@@ -8,7 +8,6 @@ cocycle, no extension, failed selftest), 2 input error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
 
@@ -34,9 +33,9 @@ EXIT_MATH = 1
 EXIT_INPUT = 2
 
 
-def _emit(payload: dict, as_json: bool, lines) -> None:
+def _emit(payload: dict | None, as_json: bool, lines) -> None:
     if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(files.json_text(payload))
     else:
         for line in lines:
             print(line)
@@ -138,9 +137,9 @@ def cmd_cohomology(args) -> int:
         target_names = A.basis_names
     summary = compute_cohomology(complex_obj, degrees,
                                  include_degree_zero=args.degree0)
-    payload = _summary_payload(summary, target_names)
-    payload["command"] = "cohomology"
-    payload["algebra"] = A.name
+    payload = ({**_summary_payload(summary, target_names),
+                "command": "cohomology", "algebra": A.name}
+               if args.json else None)  # text prints no representative
     lines = [f"{A.name} [{summary.flavor}]"]
     for rec in summary.records:
         lines.append(f"  degree {rec.degree}: dim C = {rec.dim_cochains}, "
@@ -151,7 +150,8 @@ def cmd_cohomology(args) -> int:
     if args.compare_paper:
         p1, p2 = g1_parameters_from_name(A.name)
         comparisons = compare_h2_self(A.name, summary, p1, p2)
-        payload["comparisons"] = [c.to_json() for c in comparisons]
+        if payload:
+            payload["comparisons"] = [c.to_json() for c in comparisons]
         for c in comparisons:
             lines.append(f"  {c.status}: {c.subject} {c.quantity}: "
                          f"expected {c.expected}, computed {c.computed}")
@@ -186,22 +186,22 @@ def cmd_morphism_cohomology(args) -> int:
             conn_prev_h = phi.target.dim  # arity-0 convention: whole module
         component_sum = (summary_a.record(n).dim_cohomology
                          + summary_b.record(n).dim_cohomology + conn_prev_h)
-        entry = {
-            "n": n,
-            "coupled": _record_json(
-                rec, lambda c: files.morphism_cochain_to_json(c, phi)),
-            "component_dim_H": {
-                "source": summary_a.record(n).dim_cohomology,
-                "target": summary_b.record(n).dim_cohomology,
-                "connecting_previous_degree": conn_prev_h},
-            "product_formula": {
-                "coupled_dim_H": rec.dim_cohomology,
-                "component_sum": component_sum,
-                "agree": rec.dim_cohomology == component_sum},
-            "connecting_component": _record_json(
-                conn_at_n,
-                lambda m: files.cochain_to_json(m, phi.target.basis_names))}
-        payload["degrees"].append(entry)
+        if args.json:
+            payload["degrees"].append({
+                "n": n,
+                "coupled": _record_json(
+                    rec, lambda c: files.morphism_cochain_to_json(c, phi)),
+                "component_dim_H": {
+                    "source": summary_a.record(n).dim_cohomology,
+                    "target": summary_b.record(n).dim_cohomology,
+                    "connecting_previous_degree": conn_prev_h},
+                "product_formula": {
+                    "coupled_dim_H": rec.dim_cohomology,
+                    "component_sum": component_sum,
+                    "agree": rec.dim_cohomology == component_sum},
+                "connecting_component": _record_json(
+                    conn_at_n, lambda m: files.cochain_to_json(
+                        m, phi.target.basis_names))})
         lines.append(f"  degree {n}: coupled dim H = {rec.dim_cohomology} "
                      f"(dim C = {rec.dim_cochains}, dim Z = "
                      f"{rec.dim_cocycles}, dim B = {rec.dim_coboundaries})")
@@ -344,7 +344,7 @@ def _deform_extend(target, args) -> int:
                "reached_order": current.order, "deformation": body}
     _emit(payload, args.json,
           [f"extended to order {current.order}; re-verified",
-           json.dumps(body, indent=2, sort_keys=True)])
+           files.json_text(body)])
     return EXIT_OK
 
 

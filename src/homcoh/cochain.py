@@ -15,6 +15,13 @@ coordinates, one per strictly increasing argument tuple.  A
 (``kernel_space``); it stores its basis as sparse {coordinate: value}
 dicts and builds maps only on demand: each nonzero reduced coordinate is
 scattered over the signed permutations of its tuple.
+
+The public ``MultilinearMap`` constructor (and ``from_sparse``,
+``from_values`` and the file parsers, which go through it) checks every
+entry.  A map that ``Coords.to_full`` builds is not re-checked: its tuples
+come from the coordinate system's own table and its values are the nonzero
+coordinates, so every entry is valid by construction, and re-checking
+the entries took longer than building them.
 """
 
 from __future__ import annotations
@@ -110,6 +117,16 @@ class MultilinearMap:
             if not v or not all(0 <= r < d and x for r, x in v.items()):
                 raise UsageError(f"value at {t} needs nonzero coordinates "
                                  f"below {d}")
+
+    @classmethod
+    def _unchecked(cls, arity: int, source_dim: int, target_dim: int,
+                   entries: dict) -> "MultilinearMap":
+        """A map whose entries are valid by construction, without the
+        per-entry check of ``__post_init__``."""
+        m = object.__new__(cls)
+        m.__dict__.update(arity=arity, source_dim=source_dim,
+                          target_dim=target_dim, entries=entries)
+        return m
 
     @classmethod
     def zero(cls, arity: int, source_dim: int, target_dim: int) -> "MultilinearMap":
@@ -288,23 +305,27 @@ class Coords:
         return (self.index[srt], sign) if sign else None
 
     @cached_property
-    def _permutations(self) -> list[tuple[tuple[int, ...], int]]:
-        """The signed permutations that scatter one coordinate's tuple."""
-        k = self.arity
-        return _signed_permutations(k) if self.reduced else [(range(k), 1)]
+    def _scatter(self) -> list[tuple[tuple[tuple[int, ...], bool], ...]]:
+        """Per tuple index, the argument tuples its coordinates land on, each
+        with whether the value changes sign there: the signed permutations
+        of the tuple when reduced, the tuple itself when full."""
+        if not self.reduced:
+            return [((t, False),) for t in self.tuples]
+        perms = _signed_permutations(self.arity)
+        return [tuple((tuple(t[i] for i in q), sign < 0) for q, sign in perms)
+                for t in self.tuples]
 
     def to_full(self, x: dict) -> MultilinearMap:
         """The multilinear map of the sparse coordinates x: each nonzero
         coordinate lands on the signed permutations of its tuple."""
-        d, tuples, entries = self.target_dim, self.tuples, {}
+        d, scatter, entries = self.target_dim, self._scatter, {}
         for key, v in x.items():
             j, r = divmod(key, d)
-            t, neg = tuples[j], -v
-            for q, sign in self._permutations:
-                entries.setdefault(tuple(t[i] for i in q), {})[r] = \
-                    v if sign > 0 else neg
-        return MultilinearMap(self.arity, self.source_dim, self.target_dim,
-                              entries)
+            neg = -v
+            for s, flip in scatter[j]:
+                entries.setdefault(s, {})[r] = neg if flip else v
+        return MultilinearMap._unchecked(self.arity, self.source_dim,
+                                         self.target_dim, entries)
 
     def project(self, m: MultilinearMap) -> dict | None:
         """Sparse coordinates of m; None when reduced coordinates cannot

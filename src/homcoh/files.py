@@ -7,6 +7,10 @@ resolves every reference, both a command-line argument and the fields
 that name other inputs ("source", "target", "algebra", "morphism"): first
 as a path relative to the referencing file's directory, then as a path
 relative to the working directory, then as a built-in fixture name.
+
+``json_text`` is the one writer of indented JSON (CLI reports and fixture
+files): it writes what ``json.dumps(value, indent=2, sort_keys=True)``
+writes, without that call's fallback to the pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import fixtures
 from .algebra import ASSOCIATIVE, LIE, HomAlgebra, sparse_tensor
@@ -22,6 +27,45 @@ from .deformation import FormalDeformation, MorphismDeformation
 from .errors import ParseError
 from .exact import Matrix, rational_from_string, rational_to_string
 from .rep import HomMorphism
+
+
+def json_text(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for the values a
+    report holds: objects with string keys, lists, tuples, strings, ints,
+    booleans and None; anything else is a ``TypeError``."""
+    out = []
+    _write_json(value, "\n", out)
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list) -> None:
+    """Append the text of value to out; newline is a line break and the
+    indent of the line value starts on."""
+    if value is None or isinstance(value, bool):
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (dict, list, tuple)):
+        is_dict = isinstance(value, dict)
+        if not value:
+            out.append("{}" if is_dict else "[]")
+            return
+        inner = newline + "  "
+        sep = ("{" if is_dict else "[") + inner
+        for item in sorted(value.items()) if is_dict else value:
+            out.append(sep)
+            sep = "," + inner
+            if is_dict:
+                key, item = item
+                if not isinstance(key, str):
+                    raise TypeError(f"object key {key!r} is not a string")
+                out.append(encode_basestring_ascii(key) + ": ")
+            _write_json(item, inner, out)
+        out.append(newline + ("}" if is_dict else "]"))
+    else:
+        raise TypeError(f"{type(value).__name__} is not a report value")
 
 
 def _require_keys(obj: dict, required, optional, context: str):
@@ -337,8 +381,7 @@ def write_builtin_files(directory: str) -> list[str]:
     def emit(name, payload):
         path = os.path.join(directory, f"{name}.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json_text(payload) + "\n")
         written.append(path)
         return path
 

@@ -214,6 +214,50 @@ def test_morphism_cohomology_compare(capsys):
     assert statuses == {"PASS"}
 
 
+TEXT_REPORTS = {
+    ("cohomology", "a3", "--degree", "1..3"): [
+        "assoc3(a=1,b=2) [hom_self]",
+        "  degree 1: dim C = 9, dim Z = 1, dim B = 0, dim H = 1",
+        "  degree 2: dim C = 27, dim Z = 4, dim B = 4, dim H = 0",
+        "  degree 3: dim C = 81, dim Z = 8, dim B = 8, dim H = 0"],
+    ("cohomology", "g1_0_1", "--degree", "2", "--compare-paper"): [
+        "g1(p1=0,p2=1) [lie_self]",
+        "  degree 2: dim C = 6, dim Z = 5, dim B = 2, dim H = 3",
+        "  FINDING: g1(p1=0,p2=1) dim H^2: expected 4, computed 3"],
+    ("morphism-cohomology", "phi_assoc", "--degree", "1..2"): [
+        "morphism assoc3(a=1,b=2) -> assoc2 [morphism_hom]",
+        "  degree 1: coupled dim H = 3 (dim C = 15, dim Z = 3, dim B = 0)",
+        "    component sum = 3 (matches the coupled dimension)",
+        "    connecting component at degree 1: dim H = 0",
+        "  degree 2: coupled dim H = 1 (dim C = 41, dim Z = 7, dim B = 6)",
+        "    component sum = 1 (matches the coupled dimension)",
+        "    connecting component at degree 2: dim H = 3"],
+    ("morphism-cohomology", "phi12_2", "--degree", "1", "--compare-paper"): [
+        "morphism g1(p1=2,p2=0) -> g2 [morphism_lie]",
+        "  degree 1: coupled dim H = 5 (dim C = 13, dim Z = 5, dim B = 0)",
+        "    component sum = 6 (differs from the coupled dimension)",
+        "    connecting component at degree 1: dim H = 2",
+        "  warning: g2: invalid lie structure: defect at (f1, f2, f3) = "
+        "(1, -4, -1); twist is NOT multiplicative",
+        "  PASS: g1(p1=2,p2=0) -> g2 dim H^1 of the connecting component: "
+        "expected 2, computed 2"],
+}
+
+
+@pytest.mark.parametrize("argv", TEXT_REPORTS, ids=" ".join)
+def test_text_reports_serialize_no_representative(argv, monkeypatch,
+                                                  capsys):
+    # text mode prints dimensions only, so it builds no JSON payload
+    def refuse(*args):
+        raise AssertionError("text mode serialized a representative")
+
+    for name in ("cochain_to_json", "morphism_cochain_to_json"):
+        monkeypatch.setattr(files, name, refuse)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == TEXT_REPORTS[argv]
+
+
 def test_deform_check_exit_codes(capsys):
     code, out, _ = run(capsys, "deform", "check", "def_g1", "--json")
     assert code == 0

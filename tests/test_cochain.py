@@ -254,6 +254,8 @@ def rand_coordinates(rng, n):
 
 
 def test_to_full_gathers_the_dense_tensor():
+    # to_full skips the constructor's per-entry check, so equality with
+    # the checked map of the same tensor is what pins its entries
     rng = random.Random(41)
     for arity in range(5):
         for source_dim, target_dim in ((1, 1), (2, 3), (3, 1), (4, 2)):
@@ -264,14 +266,19 @@ def test_to_full_gathers_the_dense_tensor():
                     full = system.to_full(sparse_vector(x))
                     assert full == dense_to_full(system, x)
                     assert system.project(full) == sparse_vector(x)
-    parts = (Coords(2, 3, 3, True), Coords(2, 2, 2, True),
-             Coords(1, 3, 2, True))
-    morphism = MorphismCoords(parts)
-    x = rand_coordinates(rng, morphism.dim)
-    c = morphism.to_full(sparse_vector(x))
-    cuts = (0, parts[0].dim, parts[0].dim + parts[1].dim, morphism.dim)
-    assert (c.comp_A, c.comp_B, c.comp_AB) == tuple(
-        dense_to_full(p, x[a:b]) for p, a, b in zip(parts, cuts, cuts[1:]))
+    for arity in range(1, 5):
+        for reduced in (False, True):
+            parts = (Coords(arity, 3, 3, reduced),
+                     Coords(arity, 2, 2, reduced),
+                     Coords(arity - 1, 3, 2, reduced))
+            morphism = MorphismCoords(parts)
+            x = rand_coordinates(rng, morphism.dim)
+            c = morphism.to_full(sparse_vector(x))
+            cuts = (0, parts[0].dim, parts[0].dim + parts[1].dim,
+                    morphism.dim)
+            assert (c.comp_A, c.comp_B, c.comp_AB) == tuple(
+                dense_to_full(p, x[a:b])
+                for p, a, b in zip(parts, cuts, cuts[1:]))
 
 
 def rand_sparse_coefficients(rng, n):
@@ -355,13 +362,14 @@ def test_structure_checks_match_dense_oracles(a3, l4a):
     lambda: MultilinearMap(2, 3, 2, {(0, 3): {0: Fraction(1)}}),
     lambda: MultilinearMap(2, 3, 2, {(0, -1): {0: Fraction(1)}}),
     lambda: MultilinearMap(2, 3, 2, {(0,): {0: Fraction(1)}}),
+    lambda: MultilinearMap(2, 3, 2, {(0, 1, 2): {0: Fraction(1)}}),
     lambda: MultilinearMap(2, 3, 2, {(0, 1): {2: Fraction(1)}}),
     lambda: MultilinearMap(2, 3, 2, {(0, 1): {0: Fraction(0)}}),
     lambda: MultilinearMap(2, 3, 2, {(0, 1): {}}),
     lambda: MultilinearMap.from_sparse(2, 3, 2, {(0, 1): {2: 1}}),
     lambda: MultilinearMap.from_sparse(2, 3, 2, {(1, 3): {0: 1}}),
     lambda: MultilinearMap.from_values(2, 3, 2, {(0, 1): (0, 1, 1)}),
-], ids=["argument", "negative argument", "arity", "coordinate",
+], ids=["argument", "negative argument", "arity", "long tuple", "coordinate",
         "zero value", "empty value", "sparse coordinate", "sparse argument",
         "long vector"])
 def test_maps_reject_entries_out_of_range(build):

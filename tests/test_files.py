@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -233,3 +235,55 @@ def test_builtin_files_are_pinned(tmp_path):
             digests[os.path.basename(path)] = hashlib.sha256(
                 fh.read()).hexdigest()
     assert digests == BUILTIN_FILE_SHA256
+
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_text_matches_json_dumps_on_every_golden_payload():
+    names = sorted(os.listdir(GOLDEN_DIR))
+    assert len(names) == 71
+    for name in names:
+        with open(os.path.join(GOLDEN_DIR, name), encoding="utf-8") as fh:
+            payload = json.loads(json.load(fh)["stdout"])
+        assert files.json_text(payload) == _dumps(payload), name
+
+
+def _random_payload(rng: random.Random, depth: int):
+    leaves = (None, True, False, 0, -1, rng.randint(-10 ** 6, 10 ** 6),
+              -(2 ** 64) - rng.randint(0, 99), 3 ** 50, "", "plain",
+              "café α∂ \U0001d53d", "tab\t\"quote\"\\ \x00\x1f\n",
+              "".join(chr(rng.randint(0, 0x2fff)) for _ in range(6)))
+    kind = rng.randrange(4) if depth else 0
+    if kind == 0:
+        return rng.choice(leaves)
+    size = rng.choice((0, 1, 1, 2, 3))
+    items = [_random_payload(rng, depth - 1) for _ in range(size)]
+    if kind == 1:
+        return items
+    if kind == 2:
+        return tuple(items)
+    return {rng.choice(("a", "b", "B", "n", "é", "", "dim_H",
+                        "x\ny")) + str(i): v for i, v in enumerate(items)}
+
+
+def test_json_text_matches_json_dumps_on_random_payloads():
+    rng = random.Random(71)
+    for _ in range(400):
+        payload = _random_payload(rng, 4)
+        assert files.json_text(payload) == _dumps(payload)
+    for payload in ({}, [], (), {"a": {}}, [[], {}], {"a": [[]]}, 2 ** 200):
+        assert files.json_text(payload) == _dumps(payload)
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(1, 2), 0.5, {1, 2}, {"a": [Fraction(3)]}, [0.0], {1: "a"}],
+    ids=["fraction", "float", "set", "nested fraction", "nested float",
+         "integer key"])
+def test_json_text_rejects_what_a_report_never_holds(value):
+    with pytest.raises(TypeError):
+        files.json_text(value)

@@ -134,3 +134,36 @@ def test_only_the_files_module_reads_files():
         if lines and path.name != "files.py":
             offenders[path.name] = lines
     assert offenders == {}
+
+
+# files.json_text alone writes indented JSON, so every report and fixture
+# file is written the same way
+INDENTED_JSON_WRITERS = {"json.dump", "json.dumps"}
+
+
+def indented_json_writes(tree: ast.AST) -> list[int]:
+    """Lines of the json.dump and json.dumps calls given an indent."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and _dotted(node.func) in INDENTED_JSON_WRITERS
+                  and any(k.arg == "indent" for k in node.keywords))
+
+
+def test_rule_sees_indented_json_writes():
+    tree = ast.parse(
+        "print(json.dumps(payload, indent=2, sort_keys=True))\n"
+        "json.dump(payload, fh, sort_keys=True, indent=2)\n"
+        "key = json.dumps(reps, sort_keys=True)\n"
+        "text = files.json_text(payload)\n"
+        "data = json.loads(json.dumps(x,\n"
+        "                             indent=None))\n")
+    assert indented_json_writes(tree) == [1, 2, 5]
+
+
+def test_only_json_text_writes_indented_json():
+    offenders = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        lines = indented_json_writes(ast.parse(path.read_text(), str(path)))
+        if lines:
+            offenders[path.name] = lines
+    assert offenders == {}
