@@ -90,6 +90,8 @@ class HomAlgebra:
 
     def twist_power(self, exponent: int) -> tuple[dict, int]:
         """alpha^exponent as (nonzero integer columns, a^exponent)."""
+        if exponent < 0:
+            raise UsageError(f"negative twist power {exponent}")
         (alpha, a), _ = self.integral
         cols = {j: {j: 1} for j in range(self.dim)}
         for _ in range(exponent):

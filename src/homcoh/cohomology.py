@@ -21,14 +21,15 @@ operators of the associative kind.  Every coboundary and face is a compiled
 ``operator.SparseOperator``; a complex compiles each degree (and each face
 index and arity) once, and caches per degree the integer compatibility
 rows whose kernel is its twist-compatible cochains, and that kernel's
-basis (``bound_space``) where a coboundary needs it.  ``compute_cohomology``
-solves one stacked integer system per degree for the cocycles and keeps
-them in operator coordinates: multilinear maps are built only for the
-representatives, and for the cocycle basis of a record when a caller reads
-it.
+basis (``bound_space``) where a coboundary needs it; ``operator(0)`` of a
+module complex is its optional arity-0 coboundary.  ``compute_cohomology``
+solves one stacked integer system per degree for the cocycles, keeps them
+in operator coordinates, and reads the coboundaries in the coordinates of
+the canonical cocycle basis: multilinear maps are built only for the
+representatives, and for the cocycle basis of a record when read.
 
-Invalid input algebras degrade to best-effort reports: the delta-squared
-failure is detected, reported as a warning, and the coboundary space is
+Invalid input algebras degrade to best-effort reports: a coboundary that
+is not a cocycle is reported as a warning, and the coboundary space is
 replaced by its intersection with the cocycles so the quotient stays
 meaningful.
 """
@@ -38,16 +39,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import (ASSOCIATIVE, LIE as LIE_KIND, HomAlgebra, _add,
-                      validate)
+from .algebra import ASSOCIATIVE, LIE as LIE_KIND, HomAlgebra, validate
 from .cochain import (HOM, LIE, CochainSpace, MorphismCochain,
                       MultilinearMap, _check_arity_guard, compatibility_rows,
                       kernel_space)
 from .errors import UsageError
-from .exact import (Matrix, SparseMatrix, independent_subset,
-                    intersection_basis, nullspace_basis, row_rank)
-from .operator import (apply_operator, hom_delta, hom_operator, lie_operator,
-                       morphism_delta)
+from .exact import (Matrix, SparseMatrix, intersection_basis, nullspace_basis,
+                    pivot_columns)
+from .operator import (SparseOperator, apply_operator, hom_delta, hom_operator,
+                       lie_operator, morphism_delta)
 from .rep import (HomMorphism, Module, adjoint_module, check_morphism,
                   self_module, validate_bimodule, validate_lie_module)
 
@@ -139,10 +139,6 @@ class _ComplexBase:
             raise UsageError("coboundary needs arity >= 1")
         return apply_operator(self.operator(n), f)
 
-    def degree_zero_images(self) -> list:
-        """Images of the optional arity-0 coboundary (off by default)."""
-        return []
-
 
 class ModuleComplex(_ComplexBase):
     """Cochains of X with values in a ``rep.Module`` over X (a bimodule
@@ -222,22 +218,13 @@ class ModuleComplex(_ComplexBase):
             (-1, M.right) if i == n - 1 else None))
         return apply_operator(face, f)
 
-    def degree_zero_images(self) -> list:
-        """e_i -> e_i m (minus m e_i for a bimodule), for each m fixed by
-        the structure map of the module."""
-        M, images = self.module, []
-        (left, l), (right, r) = M.left, M.right or ({}, 1)
-        for m in nullspace_basis(M.beta - Matrix.identity(M.carrier_dim)):
-            acc = {}
-            for (i, q), v in left.items():
-                if q in m:
-                    _add(acc, (i,), v, m[q] / l)
-            for (q, i), v in right.items():
-                if q in m:
-                    _add(acc, (i,), v, -m[q] / r)
-            images.append(MultilinearMap.from_sparse(
-                1, self.algebra.dim, M.carrier_dim, acc))
-        return images
+    def degree_zero_images(self) -> list[dict]:
+        """The integer images under ``operator(0)`` of the 0-cochains that
+        the structure map of the module fixes (its canonical kernel basis
+        of beta - 1): e_i -> e_i m, minus m e_i for a bimodule."""
+        M, op = self.module, self.operator(0)
+        return [op.numerators(m)[0] for m in nullspace_basis(
+            M.beta - Matrix.identity(M.carrier_dim))]
 
 
 # former names, kept while perfbench/workloads.py and record.py import them
@@ -306,76 +293,83 @@ class MorphismComplex(_ComplexBase):
 
 def compute_cohomology(complex_obj: _ComplexBase, degrees,
                        include_degree_zero: bool = False) -> ComplexSummary:
-    """Per-degree cocycles, coboundaries, cohomology, and canonical
-    representatives chosen by pivot positions of the cocycle basis modulo
-    the coboundaries.
+    """Per-degree cocycles Z, coboundaries B, cohomology Z/B, and
+    canonical representatives of a basis of Z/B.
 
-    The cocycles are the canonical kernel of one integer system over the
-    operator's source coordinates: the operator's rows alone for the
-    associative kind, stacked on the compatibility rows for the Lie kind.
-    That kernel is the kernel of the operator on the compatible basis,
-    mapped back, vector by vector: a compatible basis vector is 1 at its
-    free column and otherwise lives on earlier columns, so both bases are
-    the one reduced at the same trailing columns.  Only the span of each
-    coboundary image matters, so the images enter the [B | Z] elimination
-    as integer numerators.  Kernels, ranks and pivots do not change under
-    the injective map to multilinear maps, so the reported cochains are
-    those of the dense computation.
+    Z is the canonical kernel of one integer system over the operator's
+    source coordinates: the operator's rows alone for the associative
+    kind, stacked on the compatibility rows for the Lie kind (the kernel
+    of the operator on the compatible basis, mapped back vector by
+    vector: both are reduced at the same trailing columns).
+
+    B is spanned by the integer images of the compatible cochains one
+    degree down (at degree 1, with ``include_degree_zero``, of the
+    0-cochains the structure map fixes), read in Z's coordinates, which
+    a non-alternating image of a non-skew bracket lacks.  An image off
+    the kernel of the system (delta squared is nonzero on an invalid
+    input) is reported, and B becomes B ∩ Z.  Each canonical z_k is 1 at
+    its free column and 0 at the others, so a cocycle's values there are
+    its coordinates in Z.  Eliminating those of B, free columns reversed,
+    gives dim B as the rank and, as pivots, the k for which some
+    coboundary ends in z_k; the other z_k are the representatives: the
+    greedy choice of an elimination of [B | Z].  Kernels, ranks and
+    pivots do not change under the injective map to multilinear maps.
     """
+    degrees = list(degrees)
+    for d in degrees:
+        if type(d) is not int:
+            raise UsageError(f"a degree must be an integer, got {d!r}")
+    if include_degree_zero and not isinstance(complex_obj, ModuleComplex):
+        raise UsageError("the arity-0 coboundary needs a module complex")
+    # the cochain with coordinates x in a, in coordinates of b (or None)
+    recoord = lambda x, a, b: b.project(a.to_full(x))
     warnings = list(complex_obj.warnings)
     records = []
-    for n in sorted(set(int(d) for d in degrees)):
+    for n in sorted(set(degrees)):
         if n < 1:
             raise UsageError("degrees start at 1")
         _check_arity_guard(n)
         op = complex_obj.operator(n)
-        if complex_obj.full_cocycles:  # the operator is its own system
-            dim_c = op.source.dim
-            system = SparseMatrix(len(op.rows), dim_c, op.rows, op.den)
-        else:  # no basis of degree n: dim C_n is the rank defect
-            dim_c = op.source.dim - row_rank(
-                complex_obj.compatibility_rows(n))
-            system = complex_obj.compatible_system(n)
-        z_raw = nullspace_basis(system) if dim_c else []
-        z_img = z_raw  # the cocycles in the coordinates of the coboundaries
+        # the associative kind solves on all cochains; for the Lie kind no
+        # basis of degree n is built: dim C_n is the rank defect
+        rows = ([] if complex_obj.full_cocycles
+                else complex_obj.compatibility_rows(n))
+        dim_c = op.source.dim - len(pivot_columns(rows))
+        system = (SparseOperator(op.source, None, op.rows + rows) if rows
+                  else op)  # its columns check membership in Z, in integers
+        z = nullspace_basis(SparseMatrix(
+            len(system.rows), op.source.dim, system.rows)) if dim_c else []
 
-        if n == 1:
-            bound_images = (complex_obj.degree_zero_images()
-                            if include_degree_zero else [])
-            b_raw_all = [op.source.project(b) for b in bound_images]
-        else:
+        images_at, images = op.source, []
+        if n > 1:
             prev = complex_obj.operator(n - 1)
-            b_raw_all = [prev.numerators(v)[0]
-                         for v in complex_obj.bound_space(n - 1).coords]
-            if prev.target != op.source:  # images of a non-skew bracket
-                z_img = [prev.target.project(op.source.to_full(z))
-                         for z in z_raw]
-        # one elimination of [B | Z]: its B pivots span the coboundaries,
-        # its rank is dim(B + Z) and its Z pivots pick the representatives;
-        # scaling a column changes none of these
-        pivots = independent_subset(b_raw_all + z_img)
-        offset = len(b_raw_all)
-        b_raw = [b_raw_all[p] for p in pivots if p < offset]
-        if b_raw and len(pivots) != len(z_img):
+            images_at, images = prev.target, [
+                prev.numerators(v)[0]
+                for v in complex_obj.bound_space(n - 1).coords]
+        elif include_degree_zero:
+            images_at = complex_obj.operator(0).target
+            images = complex_obj.degree_zero_images()
+        b = images if images_at == op.source else [
+            recoord(v, images_at, op.source) for v in images]
+        if any(v is None or system.numerators(v)[0] for v in b):
             warnings.append(
                 f"degree {n}: coboundaries escape the cocycles "
                 "(delta-squared is nonzero; invalid input structure)")
-            b_raw = intersection_basis(b_raw, z_img)
-            offset = len(b_raw)
-            pivots = independent_subset(b_raw + z_img)
+            lifted = [recoord(v, op.source, images_at) for v in z]
+            b = [recoord(v, images_at, op.source)
+                 for v in intersection_basis(images, lifted)]
 
-        dim_z = len(z_raw)
-        dim_b = len(b_raw)
-        reps = tuple(op.source.to_full(z_raw[p - offset])
-                     for p in pivots if p >= offset)
+        # the Z-coordinates of B, free columns reversed: z_k at len(z) - 1 - k
+        at = {max(v): len(z) - 1 - k for k, v in enumerate(z)}
+        pivots = set(pivot_columns(
+            [{at[j]: x for j, x in v.items() if j in at} for v in b]))
+        reps = tuple(op.source.to_full(v) for k, v in enumerate(z)
+                     if len(z) - 1 - k not in pivots)
         records.append(DegreeRecord(
-            degree=n,
-            dim_cochains=dim_c,
-            dim_cocycles=dim_z,
-            dim_coboundaries=dim_b,
-            dim_cohomology=dim_z - dim_b,
-            representatives=reps,
-            cocycles=CochainSpace(op.source, tuple(z_raw))))
+            degree=n, dim_cochains=dim_c, dim_cocycles=len(z),
+            dim_coboundaries=len(pivots),
+            dim_cohomology=len(z) - len(pivots), representatives=reps,
+            cocycles=CochainSpace(op.source, tuple(z))))
     return ComplexSummary(flavor=complex_obj.flavor, records=tuple(records),
                           warnings=tuple(warnings))
 

@@ -28,7 +28,8 @@ reproducible bit for bit:
 * ``nullspace_basis`` returns one vector per free column, in increasing
   free-column order, with the free coordinate set to 1.
 * ``solve`` returns the particular solution with all free coordinates 0.
-* ``independent_subset`` returns the pivot columns: the greedy choice.
+* ``pivot_columns`` returns the leading columns of an echelon form, and
+  ``independent_subset`` those of its vectors' matrix: the greedy choice.
 """
 
 from __future__ import annotations
@@ -347,17 +348,18 @@ def solve(m, b: dict) -> dict | None:
     return x
 
 
-def row_rank(rows) -> int:
-    """The rank of {column: value} rows, by forward elimination only."""
-    return len(_echelon(rows))
+def pivot_columns(rows) -> list[int]:
+    """The pivot columns of {column: value} rows without zero entries, in
+    increasing order: as many as the rank, fixed by forward elimination."""
+    return [col for col, _ in _echelon(rows)]
 
 
 def independent_subset(vectors) -> list[int]:
     """Indices of a maximal independent subset, chosen greedily in order:
-    the pivot columns, which forward elimination alone fixes."""
+    the pivot columns of the matrix with these columns."""
     vectors = list(vectors)
     m = SparseMatrix.from_columns(vectors, _height(vectors))
-    return [col for col, _ in _echelon(m.data)]
+    return pivot_columns(m.data)
 
 
 def intersection_basis(u_cols, w_cols) -> list[dict]:

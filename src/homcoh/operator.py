@@ -85,10 +85,10 @@ def apply_operator(op: SparseOperator, f):
 def _act_table(A: HomAlgebra, n: int, action: tuple[dict, int], d: int,
                right: bool = False) -> tuple[list, int]:
     """(table, den): table[b][r] = {q: c}, den times coordinate r of the
-    action of column b of alpha^(n-1) on carrier basis vector q (from the
-    left, or from the right), from a module's integer action: nonzero
+    action of column b of alpha^max(n-1, 0) on carrier basis vector q (from
+    the left, or from the right), from a module's integer action: nonzero
     vectors keyed (algebra, carrier) index, (carrier, algebra) if right."""
-    P, p = A.twist_power(n - 1)
+    P, p = A.twist_power(max(n - 1, 0))
     acts, t = action
     table = []
     for b in range(A.dim):

@@ -816,3 +816,50 @@ def dense_validate_lie_module(P) -> list[str]:
          == _minus(act(apply_alpha(L, u), act(v, z)),
                    act(apply_alpha(L, v), act(u, z))))))
 
+
+
+# The arity-0 coboundary and the quotient Z / B, written out densely: the
+# references for ``ModuleComplex.degree_zero_images`` and the representatives
+# of ``compute_cohomology``.
+
+def dense_degree_zero_images(M) -> list[MultilinearMap]:
+    """e_i -> e_i m (minus m e_i for a bimodule), for each m of the dense
+    canonical kernel basis of beta - 1, from the module's actions."""
+    n, d = M.algebra.dim, M.carrier_dim
+    left = dense_action(M.left, d)
+    right = M.right and dense_action(M.right, d)
+    images = []
+    for m in dense_nullspace(M.beta - Matrix.identity(d)):
+        values = {}
+        for i in range(n):
+            value = left(basis_vector(n, i), m)
+            if right:
+                value = _minus(value, right(m, basis_vector(n, i)))
+            values[(i,)] = value
+        images.append(MultilinearMap.from_values(1, n, d, values))
+    return images
+
+
+def dense_quotient(b_maps, z_maps) -> tuple[int, list]:
+    """(dim B, representatives) of span(z_maps) / span(b_maps), both lists
+    of maps of one shape, by the greedy choice over the columns [B | Z] of
+    their flat coefficient tuples.  When B does not lie in span Z, B is
+    first replaced by the intersection of both spans."""
+    b = [dense_coeffs(m) for m in b_maps]
+    z = [dense_coeffs(m) for m in z_maps]
+    height = len((b + z)[0]) if b + z else 0
+
+    def rank(vectors):
+        return bareiss_rank(columns(vectors, height)) if vectors else 0
+
+    if rank(b + z) > len(z):
+        kernel = dense_nullspace(columns(
+            b + [tuple(-x for x in v) for v in z], height))
+        b = [tuple(sum(c[j] * v[i] for j, v in enumerate(b))
+                   for i in range(height)) for c in kernel]
+    chosen, reps = list(b), []
+    for m, v in zip(z_maps, z):
+        if rank(chosen + [v]) > rank(chosen):
+            chosen.append(v)
+            reps.append(m)
+    return rank(b), reps

@@ -8,7 +8,7 @@ from helpers import dense_morphism_witnesses, dense_validity
 from homcoh import fixtures
 from homcoh.algebra import (ASSOCIATIVE, LIE, HomAlgebra, apply_alpha,
                             multiply, validate, yau_twist)
-from homcoh.errors import MorphismViolation
+from homcoh.errors import MorphismViolation, UsageError
 from homcoh.exact import Matrix
 from homcoh.rep import check_morphism
 from homcoh.selftest import _conjugate, _rand_invertible, random_valid_hom_algebra
@@ -22,6 +22,14 @@ def test_multiply_examples(a3, b2):
     assert multiply(a3, vec(1, 0, 0), vec(0, 1, 0)) == vec(0, 1, 0)
     assert multiply(a3, vec(0, 0, 0), vec(1, 2, 3)) == vec(0, 0, 0)
     assert multiply(b2, vec(1, 1), vec(1, 0)) == vec(1, 1)
+
+
+def test_twist_power_rejects_a_negative_exponent(a3):
+    # alpha^-1 once came back as the identity over a float denominator
+    for X in (a3, fixtures.lie4b(2, 1, 1, 1, 1)):
+        assert X.twist_power(0) == ({j: {j: 1} for j in range(X.dim)}, 1)
+        with pytest.raises(UsageError, match="-1"):
+            X.twist_power(-1)
 
 
 def test_apply_alpha_examples(a3, b2):

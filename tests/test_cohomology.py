@@ -408,6 +408,21 @@ def test_triviality_implication_on_fixture(phi):
         assert coupled.dim_cohomology == 0
 
 
+@pytest.mark.parametrize("degree", [2.7, "3", True, None])
+def test_a_degree_that_is_not_an_integer_is_rejected(a3, degree):
+    # int(2.7), int("3") and int(True) once read as degrees 2, 3 and 1
+    with pytest.raises(UsageError, match=repr(degree).replace(".", r"\.")):
+        self_cohomology(a3, [1, degree])
+
+
+def test_the_arity_zero_coboundary_needs_a_module_complex(phi):
+    # a morphism complex once ignored include_degree_zero
+    for n in (1, 2):
+        with pytest.raises(UsageError, match="arity-0"):
+            compute_cohomology(MorphismComplex(phi, "hom"), [n],
+                               include_degree_zero=True)
+
+
 def test_degree_zero_mode_off_by_default_and_available(a3):
     base = self_cohomology(a3, [1]).record(1)
     assert base.dim_coboundaries == 0

@@ -7,15 +7,16 @@ import cProfile
 import pstats
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from helpers import (bareiss_rank, column_rank, dense, dense_action,
-                     dense_coeffs, dense_d_component, dense_delta_hom,
-                     dense_delta_lie, dense_delta_morphism,
+                     dense_coeffs, dense_d_component, dense_degree_zero_images,
+                     dense_delta_hom, dense_delta_lie, dense_delta_morphism,
                      dense_derivation_D_assoc, dense_derivation_D_lie,
-                     dense_map, differential_matrix, operator_matrix,
-                     row_apply)
+                     dense_map, dense_nullspace, dense_quotient,
+                     differential_matrix, operator_matrix, row_apply)
 from homcoh import fixtures
 from homcoh.algebra import ASSOCIATIVE, LIE, HomAlgebra, multiply
 from homcoh.cochain import (MorphismCochain, MultilinearMap, alternator,
@@ -28,7 +29,8 @@ from homcoh.exact import (Matrix, SparseMatrix, dense_vector,
                           independent_subset, intersection_basis, lincomb,
                           nullspace_basis, rref, solve, sparse_vector)
 from homcoh.deformation import FormalDeformation, solve_obstruction
-from homcoh.operator import apply_operator, hom_operator, lie_operator
+from homcoh.operator import (apply_operator, hom_delta, hom_operator,
+                             lie_operator)
 from homcoh.rep import HomMorphism, adjoint_module, self_module
 from homcoh.selftest import _conjugate, _rand_invertible, random_valid_hom_algebra
 
@@ -478,3 +480,102 @@ def test_values_leave_the_integer_layer_as_fractions():
                          if isinstance(f, MorphismCochain) else (f,))
                 assert all(type(v) is Fraction
                            for m in parts for v in dense_coeffs(m))
+
+
+def test_coboundaries_compile_at_arity_zero():
+    """n = 0 compiles with alpha^0 (alpha^-1 once gave a float
+    denominator) and matches the dense formulas on 0-cochains."""
+    rng = random.Random(9)
+    for X in assoc_algebras() + lie_algebras():
+        M = self_module(X)
+        op = (hom_delta(X, M.left, M.right, X.dim, 0)
+              if X.kind == ASSOCIATIVE else lie_operator(X, X.dim, 0, M.left))
+        f = MultilinearMap.constant(X.dim, [Fraction(rng.randint(-3, 3), 2)
+                                            for _ in range(X.dim)])
+        dense_delta = (dense_delta_hom(X, mult(X), mult(X), X.dim, f)
+                       if X.kind == ASSOCIATIVE else
+                       dense_delta_lie(X, mult(X), X.dim, f))
+        assert apply_operator(op, f) == dense_delta, X.name
+
+
+def halved(X: HomAlgebra) -> HomAlgebra:
+    """X with its product halved: integer constants over denominator 2."""
+    mul = [[[Fraction(c) / 2 for c in v] for v in row] for row in X.mul]
+    return HomAlgebra(f"{X.name}/2", X.kind, X.dim, mul, X.alpha)
+
+
+def test_degree_zero_images_match_the_dense_formula():
+    """The compiled arity-0 coboundary of the 0-cochains that beta fixes,
+    against the written-out loop, on self and adjoint modules of both
+    kinds, actions with denominators among them."""
+    modules = [self_module(fixtures.assoc3(1, 1)),
+               self_module(fixtures.assoc2()),
+               self_module(halved(fixtures.assoc3(1, 1))),
+               adjoint_module(fixtures.phi_assoc()),
+               self_module(fixtures.heisenberg()),
+               self_module(halved(fixtures.heisenberg())),
+               self_module(fixtures.lie4a(1, 1, 1, 1)),
+               adjoint_module(fixtures.phi12_1()), self_module(non_skew_lie())]
+    counts, dens = [], []
+    for M in modules:
+        complex_obj = ModuleComplex(M.algebra, M)
+        op, images = complex_obj.operator(0), complex_obj.degree_zero_images()
+        fixed = nullspace_basis(M.beta - Matrix.identity(M.carrier_dim))
+        expected = dense_degree_zero_images(M)
+        assert len(images) == len(fixed) == len(expected)
+        for m, image, want in zip(fixed, images, expected):
+            den = op.den * lcm(*(x.denominator for x in m.values()))
+            assert op.target.to_full({k: Fraction(v, den)
+                                      for k, v in image.items()}) == want
+        counts.append(len(images))
+        dens.append(op.den)
+    assert counts[1] == 1  # assoc2: beta fixes one line
+    assert dens[2] == dens[5] == 2 and all(counts)
+
+
+def sparse_algebra(name: str, kind: str, dim: int, entries: dict):
+    """The algebra with identity twist whose nonzero products are
+    {(i, j): {k: c}}."""
+    mul = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j), v in entries.items():
+        for k, c in v.items():
+            mul[i][j][k] = c
+    return HomAlgebra(name, kind, dim, mul, Matrix.identity(dim))
+
+
+def test_representatives_match_the_dense_greedy_quotient():
+    """dim B, the cocycle basis and the representatives against a greedy
+    choice over [B | Z] on dense coefficient tuples: on the escape path
+    (g2, invalid_assoc2 and two invalid inputs where B ∩ Z is neither 0
+    nor B) and on the non-skew path, at degree 1 with the arity-0
+    coboundary."""
+    broken_assoc = sparse_algebra("broken_assoc", ASSOCIATIVE, 3, {
+        (1, 0): {0: -1}, (2, 2): {1: 1}})
+    broken_lie = sparse_algebra("broken_lie", LIE, 4, {  # not skew either
+        (0, 2): {0: -1}, (1, 3): {0: -2}, (3, 1): {0: 2}})
+    cases = [(fixtures.g2(), (1, 2)), (fixtures.invalid_assoc2(), (1, 2, 3)),
+             (non_skew_lie(), (1, 2, 3)), (broken_assoc, (1, 2)),
+             (broken_lie, (2, 3))]
+    partial = 0
+    for X, degrees in cases:
+        assoc = X.kind == ASSOCIATIVE
+        for n in degrees:
+            complex_obj = ModuleComplex(X)
+            summary = compute_cohomology(complex_obj, [n],
+                                         include_degree_zero=True)
+            rec, op = summary.record(n), complex_obj.operator(n)
+            system = (operator_matrix(op) if assoc
+                      else complex_obj.compatible_system(n))
+            z = tuple(op.source.to_full(sparse_vector(v))
+                      for v in dense_nullspace(dense(system)))
+            b = [dense_delta_hom(X, mult(X), mult(X), X.dim, g) if assoc
+                 else dense_delta_lie(X, mult(X), X.dim, g)
+                 for g in complex_obj.bound_space(n - 1).basis] if n > 1 \
+                else dense_degree_zero_images(self_module(X))
+            dim_b, reps = dense_quotient(b, z)
+            assert rec.cocycle_basis == z, (X.name, n)
+            assert (rec.dim_coboundaries, rec.representatives) == \
+                (dim_b, tuple(reps)), (X.name, n)
+            partial += 0 < dim_b and any("escape" in w
+                                         for w in summary.warnings)
+    assert partial >= 3

@@ -167,3 +167,34 @@ def test_only_json_text_writes_indented_json():
         if lines:
             offenders[path.name] = lines
     assert offenders == {}
+
+
+# exact.py alone reaches into its elimination kernel; every other module
+# takes pivots, ranks and kernels through its public functions
+def private_exact_imports(tree: ast.AST) -> list[int]:
+    """Lines of the imports of an underscore name from homcoh.exact."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.module == "homcoh.exact"
+                       or (node.level == 1 and node.module == "exact"))
+                  and any(a.name.startswith("_") for a in node.names))
+
+
+def test_rule_sees_private_exact_imports():
+    tree = ast.parse(
+        "from .exact import _echelon\n"
+        "from .exact import pivot_columns, nullspace_basis\n"
+        "from homcoh.exact import (solve,\n"
+        "                          _reduced)\n"
+        "from .algebra import _add\n"
+        "from exact import _echelon\n")
+    assert private_exact_imports(tree) == [1, 3]
+
+
+def test_only_exact_uses_its_private_names():
+    offenders = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        lines = private_exact_imports(ast.parse(path.read_text(), str(path)))
+        if lines and path.name != "exact.py":
+            offenders[path.name] = lines
+    assert offenders == {}
