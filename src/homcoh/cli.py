@@ -23,10 +23,7 @@ from .deformation import (MorphismDeformation, algebra_obstruction,
 from .errors import (HomcohError, NotACocycle, ObstructionMismatch, ParseError,
                      UsageError)
 from .exact import rational_to_string
-from .expectations import (compare_connecting_h1, compare_h2_self,
-                           g1_parameters_from_name)
 from .rep import HomMorphism, check_morphism
-from .selftest import run_selftest
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -148,6 +145,7 @@ def cmd_cohomology(args) -> int:
     for w in summary.warnings:
         lines.append(f"  warning: {w}")
     if args.compare_paper:
+        from .expectations import compare_h2_self, g1_parameters_from_name
         p1, p2 = g1_parameters_from_name(A.name)
         comparisons = compare_h2_self(A.name, summary, p1, p2)
         if payload:
@@ -211,6 +209,7 @@ def cmd_morphism_cohomology(args) -> int:
         lines.append(f"    connecting component at degree {n}: dim H = "
                      f"{conn_at_n.dim_cohomology}")
         if args.compare_paper:
+            from .expectations import compare_connecting_h1
             comparisons.extend(compare_connecting_h1(
                 phi.source.name, phi.target.name,
                 conn_at_n.dim_cohomology) if n == 1 else [])
@@ -369,6 +368,7 @@ def cmd_deform(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .selftest import run_selftest
     result = run_selftest(fast=args.fast)
     payload = {"command": "selftest", **result}
     lines = []

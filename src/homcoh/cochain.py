@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations, permutations, product
-from math import factorial, lcm
+from math import factorial, lcm, prod
 
 from .algebra import HomAlgebra, _add, _after, _nonzero, sparse_columns
 from .errors import ArityLimitError, UsageError
@@ -375,7 +375,9 @@ def compatibility_rows(flavor: str, source: HomAlgebra, target_dim: int,
     """The nonzero integer rows {unknown: int} of the system beta∘f =
     f∘alpha^(tensor arity) in the coordinates of the flavor, at most one
     per argument tuple and target coordinate; arity 0 has none (no
-    structure-map constraint there)."""
+    structure-map constraint there).  Where alpha maps each e_i of a tuple
+    t to c_i e_i and row r of beta reads only coordinate r, the row of
+    (t, r) is one product, dropped when it cancels."""
     if arity < 0:
         raise UsageError("arity must be >= 0")
     _check_arity_guard(arity)
@@ -387,15 +389,26 @@ def compatibility_rows(flavor: str, source: HomAlgebra, target_dim: int,
     beta_rows, b = integral(sparse_columns(beta.transpose()))
     den = lcm(a ** arity, b)  # each row: beta(f(e_t)) - f(alpha e_t)
     fa, fb = den // a ** arity, den // b
+    scalar = {i: col.get(i, 0) for i in range(source.dim)
+              if (col := alpha.get(i, {})).keys() <= {i}}
+    own = {r: row.get(r, 0) for r in range(d)
+           if (row := beta_rows.get(r, {})).keys() <= {r}}
     rows = []
     for ti, t in enumerate(system.tuples):
         # f(alpha e_{t_1}, ..., alpha e_{t_k}) in the unknowns of the system
-        terms = {}
-        for s, c in expand_product([alpha.get(i, {}) for i in t]):
-            loc = system.locate(s)
-            if loc:
-                terms[loc[0]] = terms.get(loc[0], 0) + loc[1] * c
+        if one := all(i in scalar for i in t):
+            ct = prod(scalar[i] for i in t)
+            terms = {ti: ct} if ct else {}
+        else:
+            terms = {}
+            for s, c in expand_product([alpha.get(i, {}) for i in t]):
+                if loc := system.locate(s):
+                    terms[loc[0]] = terms.get(loc[0], 0) + loc[1] * c
         for r in range(d):
+            if one and r in own:
+                if v := fb * own[r] - fa * ct:
+                    rows.append({ti * d + r: v})
+                continue
             row = {ti * d + s: fb * e for s, e in beta_rows.get(r, {}).items()}
             for j, c in terms.items():
                 row[j * d + r] = row.get(j * d + r, 0) - fa * c

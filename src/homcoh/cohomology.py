@@ -21,11 +21,12 @@ operators of the associative kind.  Every coboundary and face is a compiled
 ``operator.SparseOperator``; a complex compiles each degree (and each face
 index and arity) once, and caches per degree the integer compatibility
 rows whose kernel is its twist-compatible cochains, and that kernel's
-basis (``bound_space``) where a coboundary needs it; ``operator(0)`` of a
-module complex is its optional arity-0 coboundary.  ``compute_cohomology``
+basis (``bound_space``) when asked for; ``operator(0)`` of a module
+complex is its optional arity-0 coboundary.  ``compute_cohomology``
 solves one stacked integer system per degree for the cocycles, keeps them
-in operator coordinates, and reads the coboundaries in the coordinates of
-the canonical cocycle basis: multilinear maps are built only for the
+in operator coordinates, takes the coboundaries from the integer kernel
+of the rows one degree down, and reads them in the coordinates of the
+canonical cocycle basis: multilinear maps are built only for the
 representatives, and for the cocycle basis of a record when read.
 
 Invalid input algebras degrade to best-effort reports: a coboundary that
@@ -39,13 +40,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import ASSOCIATIVE, LIE as LIE_KIND, HomAlgebra, validate
+from .algebra import (ASSOCIATIVE, LIE as LIE_KIND, HomAlgebra,
+                      sparse_columns, validate)
 from .cochain import (HOM, LIE, CochainSpace, MorphismCochain,
                       MultilinearMap, _check_arity_guard, compatibility_rows,
                       kernel_space)
 from .errors import UsageError
-from .exact import (Matrix, SparseMatrix, intersection_basis, nullspace_basis,
-                    pivot_columns)
+from .exact import (Matrix, SparseMatrix, integer_kernel, intersection_basis,
+                    nullspace_basis, pivot_columns)
 from .operator import (SparseOperator, apply_operator, hom_delta, hom_operator,
                        lie_operator, morphism_delta)
 from .rep import (HomMorphism, Module, adjoint_module, check_morphism,
@@ -223,8 +225,9 @@ class ModuleComplex(_ComplexBase):
         the structure map of the module fixes (its canonical kernel basis
         of beta - 1): e_i -> e_i m, minus m e_i for a bimodule."""
         M, op = self.module, self.operator(0)
-        return [op.numerators(m)[0] for m in nullspace_basis(
-            M.beta - Matrix.identity(M.carrier_dim))]
+        fixed = M.beta - Matrix.identity(M.carrier_dim)
+        return [op.numerators(m) for m in integer_kernel(
+            sparse_columns(fixed.transpose()).values(), M.carrier_dim)]
 
 
 # former names, kept while perfbench/workloads.py and record.py import them
@@ -302,18 +305,19 @@ def compute_cohomology(complex_obj: _ComplexBase, degrees,
     of the operator on the compatible basis, mapped back vector by
     vector: both are reduced at the same trailing columns).
 
-    B is spanned by the integer images of the compatible cochains one
-    degree down (at degree 1, with ``include_degree_zero``, of the
-    0-cochains the structure map fixes), read in Z's coordinates, which
-    a non-alternating image of a non-skew bracket lacks.  An image off
-    the kernel of the system (delta squared is nonzero on an invalid
-    input) is reported, and B becomes B ∩ Z.  Each canonical z_k is 1 at
-    its free column and 0 at the others, so a cocycle's values there are
-    its coordinates in Z.  Eliminating those of B, free columns reversed,
-    gives dim B as the rank and, as pivots, the k for which some
-    coboundary ends in z_k; the other z_k are the representatives: the
-    greedy choice of an elimination of [B | Z].  Kernels, ranks and
-    pivots do not change under the injective map to multilinear maps.
+    B is spanned by the integer images of the integer kernel of the
+    compatibility rows one degree down (at degree 1, with
+    ``include_degree_zero``, of the 0-cochains the structure map fixes),
+    read in Z's coordinates, which a non-alternating image of a non-skew
+    bracket lacks.  An image off the kernel of the system (delta squared
+    is nonzero on an invalid input) is reported, and B becomes B ∩ Z.
+    Each canonical z_k is 1 at its free column and 0 at the others, so a
+    cocycle's values there are its coordinates in Z.  Eliminating those
+    of B, free columns reversed, gives dim B as the rank and, as pivots,
+    the k for which some coboundary ends in z_k; the other z_k are the
+    representatives: the greedy choice of an elimination of [B | Z].
+    Kernels, ranks and pivots do not change under the injective map to
+    multilinear maps.
     """
     degrees = list(degrees)
     for d in degrees:
@@ -344,14 +348,14 @@ def compute_cohomology(complex_obj: _ComplexBase, degrees,
         if n > 1:
             prev = complex_obj.operator(n - 1)
             images_at, images = prev.target, [
-                prev.numerators(v)[0]
-                for v in complex_obj.bound_space(n - 1).coords]
+                prev.numerators(v) for v in integer_kernel(
+                    complex_obj.compatibility_rows(n - 1), prev.source.dim)]
         elif include_degree_zero:
             images_at = complex_obj.operator(0).target
             images = complex_obj.degree_zero_images()
         b = images if images_at == op.source else [
             recoord(v, images_at, op.source) for v in images]
-        if any(v is None or system.numerators(v)[0] for v in b):
+        if any(v is None or system.numerators(v) for v in b):
             warnings.append(
                 f"degree {n}: coboundaries escape the cocycles "
                 "(delta-squared is nonzero; invalid input structure)")

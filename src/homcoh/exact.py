@@ -10,8 +10,8 @@ the package.
 Vectors are sparse {coordinate: value} dicts holding only their nonzero
 entries: kernel bases, right-hand sides and solutions, the columns of
 ``SparseMatrix.from_columns`` and the inputs of ``lincomb``,
-``independent_subset`` and ``intersection_basis``, all ``Fraction``s.
-Dense tuples remain only for ``Matrix`` and the vectors of the algebras.
+``independent_subset`` and ``intersection_basis``, all ``Fraction``s
+but the integer vectors of ``integer_kernel``.  Dense tuples remain only for ``Matrix`` and the vectors of the algebras.
 
 Integers live below that: ``integral`` writes constants as integer
 numerators over one denominator, as the coboundary compilers read them,
@@ -26,7 +26,8 @@ reproducible bit for bit:
 
 * ``rref`` pivots in the leftmost columns independent of those before.
 * ``nullspace_basis`` returns one vector per free column, in increasing
-  free-column order, with the free coordinate set to 1.
+  free-column order, with the free coordinate set to 1;
+  ``integer_kernel`` returns the same vectors as primitive integer ones.
 * ``solve`` returns the particular solution with all free coordinates 0.
 * ``pivot_columns`` returns the leading columns of an echelon form, and
   ``independent_subset`` those of its vectors' matrix: the greedy choice.
@@ -158,12 +159,11 @@ class Matrix:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     def column(self, j: int) -> Vector:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j::self.cols]
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      tuple(self.at(i, j)
-                            for j in range(self.cols) for i in range(self.rows)))
+        return Matrix(self.cols, self.rows, tuple(
+            x for j in range(self.cols) for x in self.entries[j::self.cols]))
 
     def matvec(self, v) -> Vector:
         if len(v) != self.cols:
@@ -290,16 +290,15 @@ def _echelon(rows) -> list[tuple[int, dict]]:
 
 
 def _reduced(rows) -> list[tuple[int, dict]]:
-    """The nonzero rows of the RREF, as (pivot column, {column:
-    Fraction}) pairs in increasing column order.  Back substitution runs
-    from the last pivot up, so each row meets only finished rows."""
+    """The nonzero rows of the RREF, as primitive integer (pivot column,
+    {column: int}) pairs in increasing column order.  Back substitution
+    runs from the last pivot up, so each row meets only finished rows."""
     done: dict[int, dict] = {}
     for col, row in reversed(_echelon(rows)):
         for j in [j for j in row if j in done]:
             row = _combine(row, done[j], j)
         done[col] = row
-    return [(col, {k: Fraction(v, row[col]) for k, v in row.items()})
-            for col, row in sorted(done.items())]
+    return sorted(done.items())
 
 
 def rref(m) -> RrefResult:
@@ -307,26 +306,39 @@ def rref(m) -> RrefResult:
     Matrix or SparseMatrix."""
     reduced = _reduced(_rows(m))
     entries = [_ZERO] * (m.rows * m.cols)
-    for i, (_, row) in enumerate(reduced):
+    for i, (col, row) in enumerate(reduced):
         for k, x in row.items():
-            entries[i * m.cols + k] = x
+            entries[i * m.cols + k] = Fraction(x, row[col])
     return RrefResult(Matrix(m.rows, m.cols, tuple(entries)), len(reduced),
                       tuple(col for col, _ in reduced))
+
+
+def integer_kernel(rows, cols: int) -> list[dict]:
+    """The canonical kernel basis of {column: value} rows without zero
+    entries over ``cols`` columns, each vector as its primitive integer
+    multiple: the canonical vector times the lcm of its denominators, so
+    its free coordinate is that lcm, and positive."""
+    reduced = _reduced(rows)
+    pivots = {col for col, _ in reduced}
+    terms = {fc: [] for fc in range(cols) if fc not in pivots}
+    for col, row in reduced:
+        for k, x in row.items():
+            if k != col:
+                terms[k].append((col, x, row[col]))
+    basis = []
+    for fc, ts in terms.items():
+        scale = lcm(*(p for _, _, p in ts))
+        v = {fc: scale, **{col: -x * (scale // p) for col, x, p in ts}}
+        basis.append(v if scale == 1 else _primitive(v))
+    return basis
 
 
 def nullspace_basis(m) -> list[dict]:
     """Canonical kernel basis: one sparse vector per free column of the
     RREF, in increasing column order, with that coordinate 1 and the other
-    free ones 0."""
-    reduced = _reduced(_rows(m))
-    pivots = {col for col, _ in reduced}
-    basis = {fc: {fc: Fraction(1)} for fc in range(m.cols)
-             if fc not in pivots}
-    for col, row in reduced:
-        for k, x in row.items():
-            if k != col:
-                basis[k][col] = -x
-    return list(basis.values())
+    free ones 0 (``integer_kernel`` divided by its free coordinate)."""
+    return [{k: Fraction(x, v[fc]) for k, x in v.items()}
+            for v in integer_kernel(_rows(m), m.cols) for fc in (max(v),)]
 
 
 def solve(m, b: dict) -> dict | None:
@@ -344,7 +356,7 @@ def solve(m, b: dict) -> dict | None:
         if col == last:
             return None
         if last in row:
-            x[col] = row[last]
+            x[col] = Fraction(row[last], row[col])
     return x
 
 

@@ -5,10 +5,12 @@ coefficients are integer polynomials in the structure constants, the
 twist, its power alpha^(n-1), the module actions and the morphism matrix.
 The compilers here read each of these as integer numerators over one
 denominator (``exact.integral``) and build the matrix once, from the
-nonzero constants only: integer {column: int} rows over one denominator
-``den`` per operator, 1 for integer constants.  A coboundary is then a
-sparse integer product, and ``SparseOperator.apply`` makes a ``Fraction``
-only for each nonzero output entry (``numerators`` stops before that, for
+nonzero constants only (a zero bracket or product builds nothing, and
+alpha is expanded once per distinct remaining tuple): integer {column:
+int} rows over one denominator ``den`` per operator, 1 for integer
+constants.  A coboundary is then a sparse integer product, and
+``SparseOperator.apply`` makes a ``Fraction`` only for each nonzero output
+entry (``numerators`` stops before that, on integer coordinates, for
 callers that need only the span of an image).  Module actions are read in
 the integer form a ``rep.Module`` holds them in (``Module.left``,
 ``Module.right``).
@@ -28,7 +30,7 @@ from functools import cached_property
 from itertools import combinations
 from math import lcm
 
-from .algebra import HomAlgebra, skew_defect, sparse_columns
+from .algebra import HomAlgebra, _add, skew_defect, sparse_columns
 from .cochain import HOM, Coords, MorphismCoords
 from .errors import UsageError
 from .exact import Matrix, expand_product, integral
@@ -51,26 +53,23 @@ class SparseOperator:
                 cols[j].append((i, c))
         return cols
 
-    def numerators(self, x: dict) -> tuple[dict, int]:
-        """(integer numerators, den) of the image of the sparse coordinates
-        x, by the columns of its entries, over the common denominator of x
-        times the operator's."""
-        dim = self.source.dim
-        if x and not 0 <= min(x) <= max(x) < dim:
-            raise UsageError(f"operator needs coordinates below {dim}")
-        den = lcm(*(v.denominator for v in x.values()))
-        cols, out = self._columns, {}
-        for j, xj in x.items():
-            v = xj.numerator * (den // xj.denominator)
+    def numerators(self, x: dict) -> dict:
+        """The image of the sparse integer coordinates x, by the columns of
+        its entries, as integer numerators over the operator's ``den``."""
+        cols, out = self._columns, {}  # one per source coordinate
+        if x and not 0 <= min(x) <= max(x) < len(cols):
+            raise UsageError(f"operator needs coordinates below {len(cols)}")
+        for j, v in x.items():
             for i, c in cols[j]:
                 out[i] = out.get(i, 0) + c * v
-        return {i: v for i, v in out.items() if v}, den * self.den
+        return {i: v for i, v in out.items() if v}
 
     def apply(self, x: dict) -> dict:
-        """The sparse image of the sparse coordinates x: one ``Fraction``
-        per nonzero output entry."""
-        out, den = self.numerators(x)
-        return {i: Fraction(v, den) for i, v in out.items()}
+        """The sparse image of the sparse rational coordinates x: one
+        ``Fraction`` per nonzero output entry."""
+        xs, den = integral({0: x})
+        return {i: Fraction(v, den * self.den)
+                for i, v in self.numerators(xs[0]).items()}
 
 
 def apply_operator(op: SparseOperator, f):
@@ -84,19 +83,19 @@ def apply_operator(op: SparseOperator, f):
 
 def _act_table(A: HomAlgebra, n: int, action: tuple[dict, int], d: int,
                right: bool = False) -> tuple[list, int]:
-    """(table, den): table[b][r] = {q: c}, den times coordinate r of the
-    action of column b of alpha^max(n-1, 0) on carrier basis vector q (from
-    the left, or from the right), from a module's integer action: nonzero
-    vectors keyed (algebra, carrier) index, (carrier, algebra) if right."""
+    """(table, den): table[b] = {r: {q: c}} over the r reached, den times
+    coordinate r of the action of column b of alpha^max(n-1, 0) on carrier
+    basis vector q (from the left, or from the right), from a module's
+    integer action: keyed (algebra, carrier), (carrier, algebra) if right."""
     P, p = A.twist_power(max(n - 1, 0))
     acts, t = action
     table = []
     for b in range(A.dim):
-        rows = [{} for _ in range(d)]
+        rows = {}
         for a, pa in P.get(b, {}).items():
             for q in range(d):
                 for r, e in acts.get((q, a) if right else (a, q), {}).items():
-                    rows[r][q] = rows[r].get(q, 0) + pa * e
+                    _add(rows, r, {q: e}, pa)
         table.append(rows)
     return table, p * t
 
@@ -105,14 +104,13 @@ def _tuple_rows(d: int, inner: dict, acts: list) -> list[dict]:
     """The d rows of one output tuple.  ``inner`` maps an input tuple index
     to the coefficient linking equal target coordinates; each act (weight,
     input tuple index, table) mixes them through table[r]."""
-    rows = []
-    for r in range(d):
-        row = {j * d + r: c for j, c in inner.items()}
-        for w, j, table in acts:
-            for q, c in table[r].items():
+    rows = [{j * d + r: c for j, c in inner.items()} for r in range(d)]
+    for w, j, table in acts:
+        for r, col in table.items():
+            row = rows[r]
+            for q, c in col.items():
                 row[j * d + q] = row.get(j * d + q, 0) + w * c
-        rows.append({k: c for k, c in row.items() if c})
-    return rows
+    return [{k: c for k, c in row.items() if c} for row in rows]
 
 
 def hom_operator(A: HomAlgebra, d: int, n: int, merge, left=None,
@@ -137,10 +135,10 @@ def hom_operator(A: HomAlgebra, d: int, n: int, merge, left=None,
     for t in tgt.tuples:
         inner = {}
         for k, w in enumerate(merge):
-            if not w:
+            if not w or t[k:k + 2] not in mul:  # no term, or a zero product
                 continue
             args = ([alpha.get(i, {}) for i in t[:k]]
-                    + [mul.get(t[k:k + 2], {})]
+                    + [mul[t[k:k + 2]]]
                     + [alpha.get(i, {}) for i in t[k + 2:]])
             for s, c in expand_product(args):
                 j = src.index[s]
@@ -171,21 +169,24 @@ def lie_operator(L: HomAlgebra, d: int, n: int, action=None,
     act = action is not None and _act_table(L, n, action, d)
     mden = a ** max(n - 1, 0) * m  # a bracket term: a product, n - 1 twists
     den = lcm(mden, act[1]) if act else mden
-    rows = []
+    rows, rests = [], {}  # rests: alpha^(tensor n-1) of a remaining tuple
     for t in tgt.tuples:
         inner = {}
         for i, j in combinations(range(n + 1), 2):
-            rest = [alpha.get(b, {}) for p, b in enumerate(t)
-                    if p != i and p != j]
-            for s, c in expand_product([mul.get((t[i], t[j]), {})] + rest):
-                loc = src.locate(s)
-                if loc:
-                    w = (-1) ** (i + j) * loc[1] * (den // mden)
-                    inner[loc[0]] = inner.get(loc[0], 0) + w * c
+            if not (bracket := mul.get((t[i], t[j]))):
+                continue
+            rest = t[:i] + t[i + 1:j] + t[j + 1:]
+            if rest not in rests:
+                rests[rest] = expand_product([alpha.get(b, {}) for b in rest])
+            w = (-1) ** (i + j) * (den // mden)
+            for k, e in bracket.items():
+                for s, c in rests[rest]:
+                    if loc := src.locate((k,) + s):
+                        inner[loc[0]] = inner.get(loc[0], 0) + \
+                            w * loc[1] * e * c
         acts = []
         for i in range(n + 1) if act else ():
-            loc = src.locate(t[:i] + t[i + 1:])
-            if loc:
+            if loc := src.locate(t[:i] + t[i + 1:]):
                 acts.append(((-1) ** i * loc[1] * (den // act[1]), loc[0],
                              act[0][t[i]]))
         rows += _tuple_rows(d, inner, acts)

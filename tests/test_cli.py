@@ -445,3 +445,22 @@ def test_a_shared_parser_answers_as_a_fresh_process(capsys):
     assert "--degree" in capsys.readouterr().err
     assert run(capsys, *argv)[:2] == (fresh.returncode, fresh.stdout)
     assert build_parser() is build_parser()
+
+
+def test_importing_the_cli_loads_only_the_engine():
+    """A fresh ``import homcoh.cli`` loads no ``selftest`` and no
+    ``expectations``: the commands that use them import them.  It does load
+    ``deformation`` and ``bracket``, which perfbench's tracer looks up in
+    ``sys.modules``."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent
+                                           / "src")}
+    probe = ("import sys, homcoh.cli; print(*sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'homcoh'))")
+    fresh = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                           text=True, env=env, timeout=120)
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stdout.split() == [
+        "homcoh", *(f"homcoh.{m}" for m in (
+            "algebra", "bracket", "cli", "cochain", "cohomology",
+            "deformation", "errors", "exact", "files", "fixtures",
+            "operator", "rep"))]

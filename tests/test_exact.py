@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from helpers import (bareiss_rank, columns, dense_nullspace, dense_rref,
-                     dense_solve, densify, in_span)
+from helpers import (bareiss_rank, columns, dense, dense_nullspace,
+                     dense_rref, dense_solve, densify, in_span)
 from homcoh.errors import ParseError
 from homcoh.exact import (Matrix, SparseMatrix, independent_subset,
-                          intersection_basis, nullspace_basis,
+                          integer_kernel, intersection_basis, nullspace_basis,
                           rational_from_string, rational_to_string, rref,
                           solve, sparse_vector)
 
@@ -255,6 +256,54 @@ def test_sparse_kernel_edge_shapes():
         Fraction(0), Fraction(0))
     assert independent_subset([{}, {0: 1, 1: 2}, {0: 2, 1: 4}, {1: 1}]) \
         == [1, 3]
+
+
+def _integer_systems():
+    """Seeded random sparse integer systems, (rows, columns): some with no
+    rows, some of full rank, all with negative pivots among their rows."""
+    rng = random.Random(23)
+    entry = lambda: rng.choice((-6, -3, -2, -1, 1, 2, 4, 5))
+    cases = [([], 0), ([], 3), ([{0: -2, 1: 3}, {1: -1, 2: 4}, {2: -5}], 3),
+             ([{0: -2, 2: 3}, {1: 4, 2: -6}], 3)]
+    for _ in range(60):
+        cols = rng.randint(1, 9)
+        rows = [{j: entry() for j in range(cols) if rng.random() < 0.35}
+                for _ in range(rng.choice((0, 1, cols // 2, cols, cols + 2)))]
+        if rng.random() < 0.3:  # full rank: a triangle with negative pivots
+            rows = [{i: -abs(entry()), **{j: entry() for j in range(i + 1, cols)
+                                          if rng.random() < 0.4}}
+                    for i in range(cols)]
+            rng.shuffle(rows)
+        cases.append(([row for row in rows if row], cols))
+    return cases
+
+
+def test_integer_kernel_is_the_canonical_kernel_in_integers():
+    """Each integer kernel vector is the nullspace_basis vector at its
+    position times the lcm of that vector's denominators: a primitive
+    integer vector with a positive free coordinate.  Together they span
+    the dense kernel, as many as the columns less the fraction-free rank."""
+    full = empty = 0
+    for rows, cols in _integer_systems():
+        m = SparseMatrix(len(rows), cols, tuple(rows))
+        kernel, canonical = integer_kernel(rows, cols), nullspace_basis(m)
+        rank = bareiss_rank(dense(m))
+        assert len(kernel) == len(canonical) == cols - rank
+        for v, f in zip(kernel, canonical):
+            fc = max(f)  # the free column, where f is 1
+            assert f[fc] == 1 and all(type(x) is int for x in v.values())
+            assert v[fc] > 0 and gcd(*v.values()) == 1
+            assert v == {k: x * v[fc] for k, x in f.items()}
+            assert all(sum(c * v.get(j, 0) for j, c in row.items()) == 0
+                       for row in rows)
+        if kernel:
+            assert bareiss_rank(columns([densify(v, cols) for v in kernel],
+                                        cols)) == len(kernel)
+        assert [densify(f, cols) for f in canonical] == \
+            dense_nullspace(dense(m))
+        full += bool(rows) and rank == cols
+        empty += not rows
+    assert full and empty
 
 
 def test_exact_arithmetic_round_trip():

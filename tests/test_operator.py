@@ -16,11 +16,13 @@ from helpers import (bareiss_rank, column_rank, dense, dense_action,
                      dense_delta_hom, dense_delta_lie, dense_delta_morphism,
                      dense_derivation_D_assoc, dense_derivation_D_lie,
                      dense_map, dense_nullspace, dense_quotient,
-                     differential_matrix, operator_matrix, row_apply)
-from homcoh import fixtures
-from homcoh.algebra import ASSOCIATIVE, LIE, HomAlgebra, multiply
-from homcoh.cochain import (MorphismCochain, MultilinearMap, alternator,
-                            lie_cochain_basis)
+                     dense_to_full, differential_matrix, operator_matrix,
+                     row_apply)
+from homcoh import cochain, fixtures, operator
+from homcoh.algebra import ASSOCIATIVE, LIE, HomAlgebra, multiply, yau_twist
+from homcoh.cochain import (HOM, LIE as LIE_FLAVOR, Coords, MorphismCochain,
+                            MultilinearMap, alternator, compatibility_rows,
+                            is_compatible, lie_cochain_basis)
 from homcoh.cohomology import (HomSelfComplex, LieSelfComplex,
                                ModuleComplex, MorphismComplex,
                                compute_cohomology, connecting_complex)
@@ -579,3 +581,122 @@ def test_representatives_match_the_dense_greedy_quotient():
             partial += 0 < dim_b and any("escape" in w
                                          for w in summary.warnings)
     assert partial >= 3
+
+
+def heisenberg_lie(k: int) -> HomAlgebra:
+    """The (2k+1)-dimensional Heisenberg Lie algebra [x_i, y_i] = z, with
+    identity twist (basis x_1..x_k, y_1..y_k, z)."""
+    n = 2 * k + 1
+    mul = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i in range(k):
+        mul[i][k + i][n - 1], mul[k + i][i][n - 1] = 1, -1
+    return HomAlgebra(f"heis{n}", LIE, n, mul, Matrix.identity(n))
+
+
+def shortcut_modules():
+    """Modules on which each compiler shortcut fires: identity twists;
+    heis7 Yau-twisted by diag(1, 2, 4, 4, 2, 1, 4), where some
+    compatibility rows cancel and some stay; a diagonal twist with zeros
+    (g1_0_1); a non-diagonal twist (l4a); and scalar twists with a
+    non-diagonal beta (adjoint modules of both kinds)."""
+    diag = [[int(i == j) * c for j, c in enumerate((1, 2, 4, 4, 2, 1, 4))]
+            for i in range(7)]
+    heis7 = yau_twist(heisenberg_lie(3), Matrix.from_rows(diag))
+    into_l4a = HomMorphism(fixtures.g1(2, 2), fixtures.lie4a(1, 1, 1, 1),
+                           Matrix.from_rows([[1, 0, 0], [0, 0, 1], [0, 1, 0],
+                                             [0, 0, 0]]))
+    return [self_module(heisenberg_lie(2)), self_module(heis7),
+            self_module(fixtures.g1(0, 1)),
+            self_module(fixtures.lie4a(1, 1, 1, 1)),
+            self_module(fixtures.dual_numbers()),
+            self_module(fixtures.assoc3(1, 2)),
+            adjoint_module(fixtures.phi_assoc()), adjoint_module(into_l4a)]
+
+
+def compatible_dim(system, alpha: Matrix, beta: Matrix) -> int:
+    """dim {f : beta∘f = f∘alpha^(tensor k)} over the cochains of system:
+    its dimension less the rank of that defect, evaluated densely on each
+    argument tuple of the system for each unit coordinate vector."""
+    cols = [alpha.column(j) for j in range(alpha.cols)]
+    defects = []
+    for i in range(system.dim):
+        f = dense_to_full(system, [Fraction(int(j == i))
+                                   for j in range(system.dim)])
+        defects.append([x - y for t in system.tuples for x, y in zip(
+            beta.matvec(f.value_on_basis(t)),
+            f.evaluate([cols[j] for j in t]))])
+    return system.dim - bareiss_rank(Matrix.from_rows(defects))
+
+
+def test_compatibility_rows_have_the_compatible_maps_as_kernel():
+    """The kernel of ``compatibility_rows`` is the set of maps
+    ``is_compatible`` accepts, on every shortcut module up to arity 3 (2
+    for heis7): each kernel vector is accepted, and there are as many as
+    the dense defect leaves."""
+    kept = {}
+    for M in shortcut_modules():
+        A, d = M.algebra, M.carrier_dim
+        flavor = LIE_FLAVOR if A.kind == LIE else HOM
+        for k in (1, 2, 3) if A.dim < 7 else (1, 2):
+            system = Coords(k, A.dim, d, flavor == LIE_FLAVOR)
+            rows = compatibility_rows(flavor, A, d, M.beta, k)
+            kernel = nullspace_basis(SparseMatrix(len(rows), system.dim,
+                                                  tuple(rows)))
+            assert all(is_compatible(system.to_full(v), A.alpha, M.beta)
+                       for v in kernel), (A.name, k)
+            assert len(kernel) == compatible_dim(system, A.alpha, M.beta)
+            kept[A.name, d, k] = (len(rows), system.dim)
+    assert kept["heis5", 5, 1] == (0, 25) and kept["heis5", 5, 3] == (0, 50)
+    assert 0 < kept["heis7_twisted", 7, 2][0] < 147  # some rows cancel
+
+
+def test_compiled_operators_match_the_dense_formulas_where_shortcuts_fire():
+    """``lie_operator`` and ``hom_operator`` (through each module
+    complex's coboundary) against the dense formulas on the shortcut
+    modules, up to arity 2: zero brackets and products, shared remaining
+    tuples, and actions that reach only some output coordinates."""
+    rng = random.Random(19)
+    for M in shortcut_modules():
+        A, d = M.algebra, M.carrier_dim
+        for k in (1, 2):
+            if A.kind == LIE:
+                f = rand_alternating(rng, k, A.dim, d)
+                want = dense_delta_lie(A, dense_action(M.left, d), d, f)
+            else:
+                f = rand_map(rng, k, A.dim, d)
+                want = dense_delta_hom(A, dense_action(M.left, d),
+                                       dense_action(M.right, d), d, f)
+            assert ModuleComplex(A, M).delta(f) == want, (A.name, d, k)
+
+
+def count_expansions(monkeypatch) -> list:
+    """The argument lists of every ``expand_product`` call that the
+    compilers and ``compatibility_rows`` make from now on."""
+    calls, real = [], cochain.expand_product
+
+    def counted(args):
+        calls.append(args)
+        return real(args)
+
+    for module in (cochain, operator):
+        monkeypatch.setattr(module, "expand_product", counted)
+    return calls
+
+
+def test_heisenberg5_compiles_from_its_nonzero_constants(monkeypatch):
+    """Under the identity twist every compatibility row cancels, so none is
+    built and nothing is expanded; ``lie_operator`` at n = 2 expands alpha
+    at most once per distinct remaining tuple of a nonzero bracket (5 of
+    them, against 30 pairs of a target tuple and two of its places)."""
+    H = heisenberg_lie(2)
+    calls = count_expansions(monkeypatch)
+    for k in (1, 2, 3):
+        assert compatibility_rows(LIE_FLAVOR, H, 5, H.alpha, k) == []
+    assert calls == []
+    (mul, _), places = H.integral[1], [(0, 1), (0, 2), (1, 2)]
+    rests = {tuple(b for p, b in enumerate(t) if p not in (i, j))
+             for t in Coords(3, 5, 5, True).tuples for i, j in places
+             if mul.get((t[i], t[j]))}
+    op = lie_operator(H, 5, 2, self_module(H).left)
+    assert len(rests) == 5 and 0 < len(calls) <= len(rests)
+    assert sum(map(len, op.rows)) == 44
