@@ -20,15 +20,14 @@ denominator each (``HomAlgebra.integral``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple
 
 from .errors import MorphismViolation, UsageError
 from .exact import (Matrix, Vector, as_fraction, integral,
-                    rational_to_string, sparse_vector)
+                    rational_to_string, sparse_vector, value_class)
 
 
 def format_vector(v) -> list[str]:
@@ -50,14 +49,14 @@ def freeze_tensor(rows: int, cols: int, dim: int, tensor,
     return out
 
 
-@dataclass(frozen=True)
+@value_class
 class HomAlgebra:
     name: str
     kind: str
     dim: int
     mul: MulTensor
     alpha: Matrix
-    basis_names: tuple[str, ...] = field(default=None)
+    basis_names: tuple[str, ...] = None
 
     def __post_init__(self):
         if self.kind not in (ASSOCIATIVE, LIE):
@@ -69,12 +68,14 @@ class HomAlgebra:
         object.__setattr__(self, "mul", freeze_tensor(
             self.dim, self.dim, self.dim, self.mul,
             "structure constant vector has wrong length"))
-        if self.basis_names is None:
-            object.__setattr__(
-                self, "basis_names",
-                tuple(f"e{i + 1}" for i in range(self.dim)))
-        elif len(self.basis_names) != self.dim:
+        names = tuple(f"e{i + 1}" for i in range(self.dim)) \
+            if self.basis_names is None else tuple(self.basis_names)
+        for name in names:
+            if not isinstance(name, str):
+                raise UsageError(f"basis name {name!r} is not a string")
+        if len(names) != self.dim:
             raise UsageError("basis_names length != dim")
+        object.__setattr__(self, "basis_names", names)
 
     @cached_property
     def sparse(self) -> SparseConstants:
@@ -116,9 +117,9 @@ class HomAlgebra:
                               mult_witness, self.kind)
 
 
-class SparseConstants(NamedTuple):
-    alpha: dict  # {j: column j of the twist}, nonzero columns only
-    mul: dict    # {(i, j): product of basis vectors i and j}, nonzero only
+# alpha: {j: column j of the twist}, nonzero columns only;
+# mul: {(i, j): product of basis vectors i and j}, nonzero only
+SparseConstants = namedtuple("SparseConstants", "alpha mul")
 
 
 # The sparse kernel.  A sparse vector is a {coordinate: value} dict; a
@@ -294,7 +295,7 @@ def apply_alpha(algebra: HomAlgebra, x) -> Vector:
     return algebra.alpha.matvec(x)
 
 
-@dataclass(frozen=True)
+@value_class
 class ValidityReport:
     is_valid: bool
     witness: tuple | None

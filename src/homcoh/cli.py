@@ -7,7 +7,6 @@ cocycle, no extension, failed selftest), 2 input error.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from functools import cache
 
@@ -384,6 +383,8 @@ def cmd_selftest(args) -> int:
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser; parsing leaves it unchanged, so one serves."""
+    import argparse  # only a command line needs it, not the library
+
     parser = argparse.ArgumentParser(
         prog="homcoh",
         description="Exact cohomology and deformation calculator for "

@@ -27,7 +27,6 @@ the entries took longer than building them.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations, permutations, product
@@ -37,7 +36,7 @@ from .algebra import HomAlgebra, _add, _after, _nonzero, sparse_columns
 from .errors import ArityLimitError, UsageError
 from .exact import (Matrix, SparseMatrix, Vector, as_fraction, dense_vector,
                     expand_product, integral, lincomb, nullspace_basis,
-                    sparse_vector)
+                    sparse_vector, value_class)
 
 HOM = "hom"
 LIE = "lie"
@@ -98,7 +97,7 @@ def _signed_permutations(k: int) -> list[tuple[tuple[int, ...], int]]:
     return [(q, permutation_sign(q)) for q in permutations(range(k))]
 
 
-@dataclass(frozen=True)
+@value_class
 class MultilinearMap:
     """Arity-k map between coordinate spaces, stored on basis tuples:
     ``entries`` is {argument tuple: {target coordinate: value}} over the
@@ -271,7 +270,7 @@ def alternator(m: MultilinearMap) -> MultilinearMap:
     return MultilinearMap(k, m.source_dim, m.target_dim, _nonzero(acc))
 
 
-@dataclass(frozen=True)
+@value_class
 class Coords:
     """Coordinates of arity-k cochains: one per argument tuple and target
     index (full) or, for alternating maps, one per strictly increasing
@@ -340,7 +339,7 @@ class Coords:
                 if t in index for r, x in v.items()}
 
 
-@dataclass(frozen=True)
+@value_class
 class CochainSpace:
     """A cochain space with its basis stored as sparse coordinate vectors
     of ``system`` (a ``Coords`` or ``MorphismCoords``); full cochains are
@@ -441,7 +440,7 @@ def lie_cochain_basis(source: HomAlgebra, target_dim: int, beta: Matrix,
                                            arity))
 
 
-@dataclass(frozen=True)
+@value_class
 class MorphismCochain:
     """Degree-n cochain of a morphism: a pair of self-valued cochains plus
     an arity-(n-1) connecting cochain from source to target."""
@@ -474,7 +473,7 @@ class MorphismCochain:
                 and self.comp_AB.is_zero())
 
 
-@dataclass(frozen=True)
+@value_class
 class MorphismCoords:
     """Coordinates of morphism cochains: those of comp_A, comp_B and
     comp_AB side by side, each part's indices shifted by its start."""

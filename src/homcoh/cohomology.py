@@ -37,7 +37,6 @@ meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import (ASSOCIATIVE, LIE as LIE_KIND, HomAlgebra,
@@ -47,7 +46,7 @@ from .cochain import (HOM, LIE, CochainSpace, MorphismCochain,
                       kernel_space)
 from .errors import UsageError
 from .exact import (Matrix, SparseMatrix, integer_kernel, intersection_basis,
-                    nullspace_basis, pivot_columns)
+                    nullspace_basis, pivot_columns, value_class)
 from .operator import (SparseOperator, apply_operator, hom_delta, hom_operator,
                        lie_operator, morphism_delta)
 from .rep import (HomMorphism, Module, adjoint_module, check_morphism,
@@ -61,7 +60,7 @@ MORPHISM_HOM = "morphism_hom"
 MORPHISM_LIE = "morphism_lie"
 
 
-@dataclass(frozen=True)
+@value_class
 class DegreeRecord:
     """One degree of a report; its cocycles are kept as a space in the
     operator's coordinates and become multilinear maps when first read."""
@@ -79,7 +78,7 @@ class DegreeRecord:
         return self.cocycles.basis
 
 
-@dataclass(frozen=True)
+@value_class
 class ComplexSummary:
     flavor: str
     records: tuple[DegreeRecord, ...]

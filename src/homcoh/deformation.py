@@ -19,7 +19,6 @@ morphism check of the base morphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from .algebra import (ASSOCIATIVE, LIE as LIE_KIND, HomAlgebra, first_failure,
@@ -30,7 +29,7 @@ from .bracket import (cup_product_assoc, gerstenhaber_bracket, nr_bracket,
 from .cochain import HOM, LIE, MorphismCochain, MultilinearMap
 from .cohomology import ModuleComplex, MorphismComplex
 from .errors import NotACocycle, ObstructionMismatch, UsageError
-from .exact import Matrix, solve
+from .exact import Matrix, solve, value_class
 from .rep import HomMorphism
 
 
@@ -59,7 +58,7 @@ def _get(series: list, degree: int, zero):
     return series[degree] if 0 <= degree < len(series) else zero
 
 
-@dataclass(frozen=True)
+@value_class
 class FormalDeformation:
     """Truncated polynomial family of multiplications over a fixed twist."""
 
@@ -115,7 +114,7 @@ class FormalDeformation:
         return _sharing_complex(self.with_term(self.order + 1, theta), self)
 
 
-@dataclass(frozen=True)
+@value_class
 class MorphismDeformation:
     phi: HomMorphism
     def_a: FormalDeformation
@@ -190,7 +189,7 @@ def _sharing_complex(extension, d):
     return extension
 
 
-@dataclass(frozen=True)
+@value_class
 class FormalAutomorphismPair:
     """Pair of unit-leading-term endomorphism series, one per algebra;
     every coefficient must commute with the corresponding twist."""
@@ -238,13 +237,13 @@ class FormalAutomorphismPair:
         return inv
 
 
-@dataclass(frozen=True)
+@value_class
 class CheckResult:
     ok: bool
     witness: tuple | None = None
 
 
-@dataclass(frozen=True)
+@value_class
 class OrderRecord:
     order: int
     algebra_a: CheckResult | None = None
@@ -258,7 +257,7 @@ class OrderRecord:
                    if c is not None)
 
 
-@dataclass(frozen=True)
+@value_class
 class DeformationReport:
     orders: tuple[OrderRecord, ...]
 

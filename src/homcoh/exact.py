@@ -35,10 +35,9 @@ reproducible bit for bit:
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 
 from .errors import ParseError, UsageError
 
@@ -46,12 +45,16 @@ Vector = tuple[Fraction, ...]
 _ZERO = Fraction(0)
 
 
+def _is_digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
 def rational_from_string(text: str) -> Fraction:
     """Parse ``"p"`` or ``"p/q"``: ASCII digits, q > 0, p may have a minus."""
-    if not isinstance(text, str) or not re.fullmatch(
-            r"-?[0-9]+(/[0-9]+)?", text):
+    num, slash, den = text.partition("/") if isinstance(text, str) else \
+        ("", "", "")
+    if not _is_digits(num.removeprefix("-")) or (slash and not _is_digits(den)):
         raise ParseError(f"malformed rational literal {text!r}")
-    num, _, den = text.partition("/")
     if den and int(den) == 0:
         raise ParseError(f"denominator must be positive in {text!r}")
     return Fraction(int(num), int(den or 1))
@@ -111,7 +114,83 @@ def expand_product(args) -> list:
     return terms
 
 
-@dataclass(frozen=True)
+def value_class(cls):
+    """Make cls an immutable value, as ``dataclass(frozen=True)`` would,
+    without generating code: its fields are its annotated names, in order,
+    with the class attribute of that name as default.  The class gets
+
+    * ``__init__`` taking the fields positionally or by keyword, then
+      running ``__post_init__`` if cls has one;
+    * ``__eq__`` true only for an instance of the same class whose field
+      tuple is equal (``NotImplemented`` for other classes), and
+      ``__hash__``, the hash of the field tuple;
+    * ``__setattr__`` and ``__delattr__`` that raise ``AttributeError``
+      (``object.__setattr__`` and ``cached_property`` still write the
+      instance dict);
+    * ``__repr__`` in the form ``Name(field=value, ...)``."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    width = len(names)
+    post_init = cls.__dict__.get("__post_init__")
+    # the field tuple, read from an instance dict
+    fields = itemgetter(*names) if width > 1 else \
+        lambda values: (values[names[0]],)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != width:
+            args = _bind(cls.__name__, names, defaults, args, kwargs)
+        values, i = self.__dict__, 0
+        for name in names:  # an index is cheaper here than zip
+            values[name] = args[i]
+            i += 1
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine, theirs = self.__dict__, other.__dict__
+        if len(mine) == len(theirs) == width:  # the fields, nothing cached
+            return mine == theirs
+        return fields(mine) == fields(theirs)
+
+    def __hash__(self):
+        return hash(fields(self.__dict__))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={v!r}"
+                          for n, v in zip(names, fields(self.__dict__)))
+        return f"{self.__class__.__qualname__}({shown})"
+
+    for method in (__init__, __eq__, __hash__, __setattr__, __delattr__,
+                   __repr__):
+        setattr(cls, method.__name__, method)
+    return cls
+
+
+def _bind(owner: str, names: tuple, defaults: dict, args: tuple,
+          kwargs: dict) -> list:
+    """The field values, in field order, of a call with positional args
+    and keyword kwargs; a ``TypeError`` for an extra, unknown, repeated or
+    missing argument, as a Python call raises."""
+    if len(args) > len(names) or not set(kwargs) <= set(names[len(args):]):
+        raise TypeError(f"{owner}() takes {', '.join(names)}, each once; "
+                        f"got {len(args)} positional arguments and keywords "
+                        f"{sorted(kwargs)}")
+    values = {**defaults, **dict(zip(names, args)), **kwargs}
+    missing = [n for n in names if n not in values]
+    if missing:
+        raise TypeError(f"{owner}() missing {', '.join(missing)}")
+    return [values[n] for n in names]
+
+
+@value_class
 class Matrix:
     """Dense row-major matrix of rationals."""
 
@@ -203,7 +282,7 @@ class Matrix:
         return all(x == 0 for x in self.entries)
 
 
-@dataclass(frozen=True)
+@value_class
 class SparseMatrix:
     """The matrix data / den: one {column: value} dict of nonzero entries
     per row, over one positive denominator; absent entries are zero."""
@@ -227,7 +306,7 @@ class SparseMatrix:
         return cls(nrows, len(vectors), tuple(data))
 
 
-@dataclass(frozen=True)
+@value_class
 class RrefResult:
     reduced: Matrix
     rank: int

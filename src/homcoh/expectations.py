@@ -9,13 +9,13 @@ recomputation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cohomology import ComplexSummary
+from .exact import value_class
 
 
-@dataclass(frozen=True)
+@value_class
 class Comparison:
     subject: str
     quantity: str

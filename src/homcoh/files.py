@@ -20,7 +20,6 @@ import os
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from . import fixtures
 from .algebra import ASSOCIATIVE, LIE, HomAlgebra, sparse_tensor
 from .cochain import MorphismCochain, MultilinearMap
 from .deformation import FormalDeformation, MorphismDeformation
@@ -203,6 +202,9 @@ def load(what: str, ref: str, base_dir: str = ""):
             parse = parse_morphism if what == "morphism" else \
                 parse_deformation
             return parse(data, os.path.dirname(path), context=path)
+    # imported here, not at start-up: most commands name files
+    from . import fixtures
+
     for kind in (("morphism", "algebra") if what == EITHER else (what,)):
         built = fixtures.builtin(kind, ref)
         if built is not None:
@@ -310,6 +312,8 @@ def base_reference(ref: str, d) -> str:
         found = data.get("morphism") or data.get("algebra")
         if found:
             return found
+    from . import fixtures
+
     what, base = (("morphism", d.phi) if isinstance(d, MorphismDeformation)
                   else ("algebra", d.base))
     return next((name for name, build in fixtures.BUILTINS[what].items()
@@ -375,6 +379,8 @@ def morphism_cochain_to_json(c: MorphismCochain, phi: HomMorphism) -> dict:
 
 def write_builtin_files(directory: str) -> list[str]:
     """Materialize every built-in fixture as a JSON file; returns paths."""
+    from . import fixtures
+
     os.makedirs(directory, exist_ok=True)
     written = []
 

@@ -15,17 +15,16 @@ basis arguments (algebra indices, then the carrier index).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 from .algebra import (ASSOCIATIVE, LIE, HomAlgebra, _after, _nonzero,
                       _products, first_failure, morphism_witnesses,
                       sparse_columns)
 from .errors import UsageError
-from .exact import Matrix, Vector, integral
+from .exact import Matrix, Vector, integral, value_class
 
 
-@dataclass(frozen=True)
+@value_class
 class HomMorphism:
     source: HomAlgebra
     target: HomAlgebra
@@ -40,7 +39,7 @@ class HomMorphism:
         return self.matrix.matvec(x)
 
 
-@dataclass(frozen=True)
+@value_class
 class MorphismReport:
     product_ok: bool
     product_witness: tuple | None
@@ -69,7 +68,7 @@ def check_morphism(source: HomAlgebra, target: HomAlgebra,
                           twist_witness is None, twist_witness)
 
 
-@dataclass(frozen=True)
+@value_class
 class Module:
     """Carrier acted on by a Hom-algebra, with structure map ``beta``.
 

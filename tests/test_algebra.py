@@ -8,9 +8,10 @@ from helpers import dense_morphism_witnesses, dense_validity
 from homcoh import fixtures
 from homcoh.algebra import (ASSOCIATIVE, LIE, HomAlgebra, apply_alpha,
                             multiply, validate, yau_twist)
+from homcoh.cohomology import ModuleComplex
 from homcoh.errors import MorphismViolation, UsageError
 from homcoh.exact import Matrix
-from homcoh.rep import check_morphism
+from homcoh.rep import check_morphism, self_module
 from homcoh.selftest import _conjugate, _rand_invertible, random_valid_hom_algebra
 
 
@@ -234,3 +235,28 @@ def test_yau_twist_rejections_match_dense_oracles():
             assert err.value.witness == (product_witness or twist_witness)
             outcomes.add("product" if product_witness else "twist")
     assert outcomes == {"accepted", "product", "twist"}
+
+
+def _renamed(A: HomAlgebra, names) -> HomAlgebra:
+    return HomAlgebra(A.name, A.kind, A.dim, A.mul, A.alpha, names)
+
+
+def test_basis_names_given_as_a_list_are_stored_as_a_tuple(a3):
+    listed = _renamed(a3, ["x", "y", "z"])
+    tupled = _renamed(a3, ("x", "y", "z"))
+    assert listed.basis_names == ("x", "y", "z")
+    assert listed == tupled and hash(listed) == hash(tupled)
+    # a module over one copy belongs to the other
+    complex_ = ModuleComplex(_renamed(a3, ["x", "y", "z"]),
+                             self_module(listed))
+    assert complex_.algebra == tupled
+
+
+@pytest.mark.parametrize("names, message", [
+    (("x", "y", (1,)), r"basis name \(1,\) is not a string"),
+    ([1, 2, 3], "basis name 1 is not a string"),
+    (["x", None, "z"], "basis name None is not a string"),
+    (("x", "y"), "basis_names length != dim")])
+def test_basis_names_must_be_strings_one_per_basis_vector(a3, names, message):
+    with pytest.raises(UsageError, match=message):
+        _renamed(a3, names)

@@ -447,20 +447,35 @@ def test_a_shared_parser_answers_as_a_fresh_process(capsys):
     assert build_parser() is build_parser()
 
 
-def test_importing_the_cli_loads_only_the_engine():
-    """A fresh ``import homcoh.cli`` loads no ``selftest`` and no
-    ``expectations``: the commands that use them import them.  It does load
-    ``deformation`` and ``bracket``, which perfbench's tracer looks up in
-    ``sys.modules``."""
+def _modules_after_importing_the_cli() -> list[str]:
+    """The modules a fresh interpreter holds after ``import homcoh.cli``,
+    without the ``site`` step, so only the package's own imports count."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent
                                            / "src")}
-    probe = ("import sys, homcoh.cli; print(*sorted(m for m in sys.modules "
-             "if m.split('.')[0] == 'homcoh'))")
-    fresh = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                           text=True, env=env, timeout=120)
+    probe = "import sys, homcoh.cli; print(*sorted(sys.modules))"
+    fresh = subprocess.run([sys.executable, "-S", "-c", probe],
+                           capture_output=True, text=True, env=env,
+                           timeout=120)
     assert fresh.returncode == 0, fresh.stderr
-    assert fresh.stdout.split() == [
+    return fresh.stdout.split()
+
+
+def test_importing_the_cli_loads_only_the_engine():
+    """A fresh ``import homcoh.cli`` loads no ``selftest``, no
+    ``expectations`` and no ``fixtures``: what uses them imports them.  It
+    does load ``deformation`` and ``bracket``, which perfbench's tracer
+    looks up in ``sys.modules``."""
+    loaded = _modules_after_importing_the_cli()
+    assert [m for m in loaded if m.split(".")[0] == "homcoh"] == [
         "homcoh", *(f"homcoh.{m}" for m in (
             "algebra", "bracket", "cli", "cochain", "cohomology",
-            "deformation", "errors", "exact", "files", "fixtures",
-            "operator", "rep"))]
+            "deformation", "errors", "exact", "files", "operator", "rep"))]
+
+
+def test_importing_the_cli_generates_no_code():
+    """The value classes are built without ``dataclasses`` (and so without
+    ``inspect``), the parser's ``argparse`` is imported by ``build_parser``,
+    and nothing loads ``typing``: each costs start-up time when no bytecode
+    is cached."""
+    unwanted = {"dataclasses", "inspect", "argparse", "typing"}
+    assert unwanted & set(_modules_after_importing_the_cli()) == set()

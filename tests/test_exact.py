@@ -6,7 +6,9 @@ import pytest
 
 from helpers import (bareiss_rank, columns, dense, dense_nullspace,
                      dense_rref, dense_solve, densify, in_span)
-from homcoh.errors import ParseError
+from homcoh.cochain import Coords, MorphismCoords, MultilinearMap
+from homcoh.deformation import CheckResult, OrderRecord
+from homcoh.errors import ParseError, UsageError
 from homcoh.exact import (Matrix, SparseMatrix, independent_subset,
                           integer_kernel, intersection_basis, nullspace_basis,
                           rational_from_string, rational_to_string, rref,
@@ -23,10 +25,14 @@ def test_rational_parsing_round_trip():
     assert rational_to_string(Fraction(-2, 3)) == "-2/3"
     assert rational_to_string(Fraction(8, 4)) == "2"
     assert rational_to_string(Fraction(0)) == "0"
+    assert [rational_from_string(t) for t in ("-0", "007", "0/5", "-12/8")] \
+        == [0, 7, 0, Fraction(-3, 2)]
 
 
 @pytest.mark.parametrize("bad", ["1/0", "1 /2", " 1", "1/-2", "a", "1.5", "",
-                                 "1_0", "+3", "\uff11"])
+                                 "1_0", "+3", "\uff11", "-", "1/", "/2",
+                                 "--1", "1/2/3", "\u00b2", "\u0663", "1e3",
+                                 "1\n", 3, None])
 def test_rational_rejects_malformed(bad):
     with pytest.raises(ParseError):
         rational_from_string(bad)
@@ -312,3 +318,71 @@ def test_exact_arithmetic_round_trip():
         a = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
         b = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
         assert (a + b) - b == a
+
+
+# ---------------------------------------------------------------- value classes
+
+def test_value_classes_compare_their_field_tuples_within_one_class():
+    a, b = Coords(1, 2, 2, False), Coords(1, 2, 2, False)
+    assert a == b and not a != b and a is not b
+    assert a != Coords(1, 2, 2, True)
+    assert hash(a) == hash(b) == hash((1, 2, 2, False))
+    parts = MorphismCoords((a, a, Coords(0, 2, 2, False)))
+    assert a.__eq__(parts) is NotImplemented
+    assert parts.__eq__(a) is NotImplemented
+    assert a != parts and parts != a and a != (1, 2, 2, False)
+    assert hash(parts) == hash((parts.parts,))
+    assert SparseMatrix(1, 2, ({0: 1},)) == SparseMatrix(1, 2, ({0: 1},), 1)
+    assert SparseMatrix(1, 2, ({0: 1},)) != SparseMatrix(1, 2, ({0: 1},), 2)
+
+
+def test_value_class_equality_ignores_cached_properties():
+    a, b = Coords(2, 3, 3, True), Coords(2, 3, 3, True)
+    assert a.tuples is a.tuples  # computed once, then read from the instance
+    assert a == b and b == a and hash(a) == hash(b)
+    assert a != Coords(2, 3, 2, True)
+    m = MultilinearMap(1, 1, 1, {(0,): {0: Fraction(1)}})
+    assert m == MultilinearMap.from_values(1, 1, 1, {(0,): (1,)})
+    with pytest.raises(TypeError):  # a dict field is not hashable
+        hash(m)
+
+
+def test_value_classes_are_immutable():
+    m = Matrix.identity(1)
+    for change in (lambda: setattr(m, "rows", 2), lambda: delattr(m, "rows"),
+                   lambda: setattr(m, "extra", 1)):
+        with pytest.raises(AttributeError):
+            change()
+    object.__setattr__(m, "rows", 2)  # what __post_init__ may do
+    assert m.rows == 2
+
+
+def test_value_class_arguments_bind_as_in_a_call():
+    s = SparseMatrix(rows=1, cols=2, data=({1: 3},))
+    assert (s.rows, s.cols, s.data, s.den) == (1, 2, ({1: 3},), 1)
+    assert SparseMatrix(1, 2, ({1: 3},), den=4).den == 4
+    for args, kwargs in [((1, 2), {}), ((1, 2, (), 1, 0), {}),
+                         ((1, 2, ()), {"rows": 1}), ((1, 2, ()), {"size": 1})]:
+        with pytest.raises(TypeError):
+            SparseMatrix(*args, **kwargs)
+
+
+def test_value_class_post_init_runs_on_every_construction():
+    with pytest.raises(UsageError, match="needs 4 entries"):
+        Matrix(2, 2, ())
+    with pytest.raises(UsageError, match="needs 1 entries"):
+        Matrix(rows=1, entries=(), cols=1)
+
+
+def test_value_class_reprs_keep_the_dataclass_form():
+    assert repr(Matrix.from_rows([[1, Fraction(1, 2)], [0, -3]])) == (
+        "Matrix(rows=2, cols=2, entries=(Fraction(1, 1), Fraction(1, 2), "
+        "Fraction(0, 1), Fraction(-3, 1)))")
+    assert repr(SparseMatrix(2, 3, ({0: 1}, {2: -4}), 3)) == (
+        "SparseMatrix(rows=2, cols=3, data=({0: 1}, {2: -4}), den=3)")
+    assert repr(MorphismCoords((Coords(1, 2, 2, False),))) == (
+        "MorphismCoords(parts=(Coords(arity=1, source_dim=2, target_dim=2, "
+        "reduced=False),))")
+    assert repr(OrderRecord(2, algebra_a=CheckResult(True))) == (
+        "OrderRecord(order=2, algebra_a=CheckResult(ok=True, witness=None), "
+        "algebra_b=None, morphism_eq=None, twist_eq=None)")

@@ -198,3 +198,36 @@ def test_only_exact_uses_its_private_names():
         if lines and path.name != "exact.py":
             offenders[path.name] = lines
     assert offenders == {}
+
+
+# exact.value_class builds the value classes: ``dataclasses`` generates and
+# compiles their methods on import, which every command pays at start-up
+def dataclass_imports(tree: ast.AST) -> list[int]:
+    """Lines of the imports of the ``dataclasses`` module or its names."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if (isinstance(node, ast.Import)
+            and any(a.name.split(".")[0] == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] == "dataclasses"))
+
+
+def test_rule_sees_dataclass_imports():
+    tree = ast.parse(
+        "from dataclasses import dataclass, field\n"
+        "import dataclasses\n"
+        "import os, dataclasses as dc\n"
+        "from .exact import value_class\n"
+        "def f():\n"
+        "    from dataclasses import replace\n"
+        "from . import dataclasses\n")
+    assert dataclass_imports(tree) == [1, 2, 3, 6]
+
+
+def test_no_module_imports_dataclasses():
+    offenders = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        lines = dataclass_imports(ast.parse(path.read_text(), str(path)))
+        if lines:
+            offenders[path.name] = lines
+    assert offenders == {}
