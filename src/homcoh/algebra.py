@@ -139,6 +139,16 @@ def sparse_columns(m: Matrix) -> dict:
     return sparse_entries((j, m.column(j)) for j in range(m.cols))
 
 
+def transposed(columns: dict) -> dict:
+    """The nonzero rows {i: {j: x}} of the matrix with the nonzero sparse
+    columns {j: {i: x}}."""
+    rows = {}
+    for j, col in columns.items():
+        for i, x in col.items():
+            rows.setdefault(i, {})[j] = x
+    return rows
+
+
 def sparse_tensor(tensor, rows: int, cols: int) -> dict:
     """The bilinear map {(i, j): sparse vector} of the nonzero vectors
     tensor[i][j]."""
@@ -289,10 +299,6 @@ def multiply(algebra: HomAlgebra, x, y) -> Vector:
     if len(x) != n or len(y) != n:
         raise UsageError("multiply: vector length != dim")
     return bilinear(algebra.mul, x, y, n)
-
-
-def apply_alpha(algebra: HomAlgebra, x) -> Vector:
-    return algebra.alpha.matvec(x)
 
 
 @value_class

@@ -18,7 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .algebra import HomAlgebra, _add, _bilinear, _nonzero, sparse_columns
+from .algebra import (HomAlgebra, _add, _bilinear, _nonzero, _scaled,
+                      sparse_columns, transposed)
 from .cochain import MultilinearMap, alternator, is_alternating
 from .errors import UsageError
 from .exact import expand_product
@@ -67,11 +68,8 @@ def comp_product(A: HomAlgebra, phi: MultilinearMap,
     # row i of alpha^a: {j: coefficient of e_i in alpha^a e_j}, the
     # bystander arguments that feed argument e_i of psi
     cols, den = A.twist_power(phi.arity - 1)
-    rows = {}
-    for j, col in cols.items():
-        for i, x in col.items():
-            rows.setdefault(i, {})[j] = Fraction(x, den)
-    return _insertion(phi, psi, rows, A.dim)
+    return _insertion(phi, psi, transposed(_scaled(cols, Fraction(1, den))),
+                      A.dim)
 
 
 def gerstenhaber_bracket(A: HomAlgebra, phi: MultilinearMap,
@@ -139,4 +137,4 @@ def overline_comp(phi: HomMorphism, f: MultilinearMap,
         raise UsageError("inserted cochain must map source into target")
     if f.arity < 1 or g.arity < 1:
         raise UsageError("insertion needs arity >= 1 on both sides")
-    return _insertion(g, f, sparse_columns(phi.matrix.transpose()), A.dim)
+    return _insertion(g, f, transposed(sparse_columns(phi.matrix)), A.dim)

@@ -4,7 +4,10 @@ the twist-compatible (and alternating) cochain spaces.
 A ``MultilinearMap`` keeps {argument tuple: {target coordinate: value}}
 over the argument tuples where it does not vanish, with every zero value
 dropped.  That form is canonical, so ``==`` compares maps by value, and
-every operation reads and writes only the nonzero entries.
+every operation reads and writes only the nonzero entries.  A linear map
+is a map of arity 1, {(j,): column j}: the morphism and automorphism
+series of a deformation, and the maps that ``pushforward`` and
+``pullback`` compose with.
 
 Cochains have two coordinate systems (``Coords``): full coordinates, one
 per argument tuple and target index, numbered row-major lexicographically
@@ -32,11 +35,11 @@ from functools import cached_property
 from itertools import accumulate, combinations, permutations, product
 from math import factorial, lcm, prod
 
-from .algebra import HomAlgebra, _add, _after, _nonzero, sparse_columns
+from .algebra import (HomAlgebra, _add, _after, _nonzero, sparse_columns,
+                      transposed)
 from .errors import ArityLimitError, UsageError
 from .exact import (Matrix, SparseMatrix, Vector, as_fraction, dense_vector,
-                    expand_product, integral, lincomb, nullspace_basis,
-                    sparse_vector, value_class)
+                    expand_product, integral, nullspace_basis, value_class)
 
 HOM = "hom"
 LIE = "lie"
@@ -161,18 +164,6 @@ class MultilinearMap:
     def value_on_basis(self, t) -> Vector:
         return dense_vector(self.entries.get(tuple(t), {}), self.target_dim)
 
-    def evaluate(self, args) -> Vector:
-        """Multilinear extension to arbitrary coordinate vectors."""
-        if len(args) != self.arity:
-            raise UsageError(f"expected {self.arity} arguments, got {len(args)}")
-        if any(len(arg) != self.source_dim for arg in args):
-            raise UsageError("argument length != source_dim")
-        out = {}
-        for s, c in expand_product([sparse_vector(arg) for arg in args]):
-            for r, x in self.entries.get(s, {}).items():
-                out[r] = out.get(r, 0) + c * x
-        return dense_vector(out, self.target_dim)
-
     def __add__(self, other: "MultilinearMap") -> "MultilinearMap":
         return self._plus(other, 1)
 
@@ -206,29 +197,34 @@ class MultilinearMap:
         the argument tuples."""
         return sorted(self.entries.items())
 
-    def pushforward(self, m: Matrix) -> "MultilinearMap":
-        """x_1, ..., x_k -> m(self(x_1, ..., x_k))."""
-        if m.cols != self.target_dim:
-            raise UsageError("matrix columns != target_dim")
+    def columns(self) -> dict:
+        """The nonzero columns {j: {i: x}} of a linear (arity-1) map."""
+        return {j: v for (j,), v in self.entries.items()}
+
+    def pushforward(self, m: "MultilinearMap") -> "MultilinearMap":
+        """x_1, ..., x_k -> m(self(x_1, ..., x_k)), for a linear map m."""
+        if m.arity != 1 or m.source_dim != self.target_dim:
+            raise UsageError("pushforward needs a linear map on the "
+                             "target_dim values")
         acc = {}
-        _after(acc, sparse_columns(m), self.entries)
-        return MultilinearMap(self.arity, self.source_dim, m.rows,
+        _after(acc, m.columns(), self.entries)
+        return MultilinearMap(self.arity, self.source_dim, m.target_dim,
                               _nonzero(acc))
 
-    def pullback(self, matrices) -> "MultilinearMap":
-        """x_1, ..., x_k -> self(m_1 x_1, ..., m_k x_k), for k matrices with
-        source_dim rows and a common number of columns."""
-        if len(matrices) != self.arity or any(
-                m.rows != self.source_dim or m.cols != matrices[0].cols
-                for m in matrices):
-            raise UsageError("pullback needs one source_dim-row matrix per "
-                             "argument, all of one width")
-        rows = [sparse_columns(m.transpose()) for m in matrices]
+    def pullback(self, maps) -> "MultilinearMap":
+        """x_1, ..., x_k -> self(m_1 x_1, ..., m_k x_k), for k linear maps
+        into the source_dim arguments, all from one space."""
+        if len(maps) != self.arity or any(
+                m.arity != 1 or m.target_dim != self.source_dim
+                or m.source_dim != maps[0].source_dim for m in maps):
+            raise UsageError("pullback needs one linear map into source_dim "
+                             "per argument, all from one space")
+        rows = [transposed(m.columns()) for m in maps]
         acc = {}
         for s, v in self.entries.items():
             for t, c in expand_product([r.get(i, {}) for r, i in zip(rows, s)]):
                 _add(acc, t, v, c)
-        width = matrices[0].cols if matrices else self.source_dim
+        width = maps[0].source_dim if maps else self.source_dim
         return MultilinearMap(self.arity, width, self.target_dim,
                               _nonzero(acc))
 
@@ -253,7 +249,9 @@ def is_alternating(m: MultilinearMap) -> bool:
 
 def is_compatible(m: MultilinearMap, alpha: Matrix, beta: Matrix) -> bool:
     """Does beta∘m equal m∘(alpha tensor ... tensor alpha)?"""
-    return m.pushforward(beta) == m.pullback([alpha] * m.arity)
+    a = MultilinearMap.from_matrix(alpha)
+    return m.pushforward(MultilinearMap.from_matrix(beta)) == \
+        m.pullback([a] * m.arity)
 
 
 def alternator(m: MultilinearMap) -> MultilinearMap:
@@ -356,11 +354,6 @@ class CochainSpace:
     def basis(self) -> tuple:
         return tuple(self.system.to_full(v) for v in self.coords)
 
-    def combine(self, coeffs: dict):
-        """The cochain sum of c times basis element j over the sparse
-        {j: c}."""
-        return self.system.to_full(lincomb(coeffs, self.coords))
-
 
 def kernel_space(system, rows: list[dict]) -> CochainSpace:
     """The cochains of ``system`` that the {column: int} rows annihilate,
@@ -385,7 +378,7 @@ def compatibility_rows(flavor: str, source: HomAlgebra, target_dim: int,
     d = target_dim
     system = Coords(arity, source.dim, d, flavor == LIE)
     (alpha, a), _ = source.integral
-    beta_rows, b = integral(sparse_columns(beta.transpose()))
+    beta_rows, b = integral(transposed(sparse_columns(beta)))
     den = lcm(a ** arity, b)  # each row: beta(f(e_t)) - f(alpha e_t)
     fa, fb = den // a ** arity, den // b
     scalar = {i: col.get(i, 0) for i in range(source.dim)
@@ -414,30 +407,6 @@ def compatibility_rows(flavor: str, source: HomAlgebra, target_dim: int,
             if row := {k: c for k, c in row.items() if c}:
                 rows.append(row)
     return rows
-
-
-def hom_cochain_basis(source: HomAlgebra, target_dim: int, beta: Matrix,
-                      arity: int) -> CochainSpace:
-    """Canonical basis of {f : beta∘f = f∘alpha^(tensor arity)}.
-
-    Arity 0 is the full target space (no structure-map constraint there).
-    """
-    return kernel_space(Coords(arity, source.dim, target_dim, False),
-                        compatibility_rows(HOM, source, target_dim, beta,
-                                           arity))
-
-
-def lie_cochain_basis(source: HomAlgebra, target_dim: int, beta: Matrix,
-                      arity: int) -> CochainSpace:
-    """Canonical basis of the alternating twist-compatible maps.
-
-    Solved on strictly increasing argument tuples; full alternation over
-    the rationals follows from the adjacent-transposition relations, so the
-    reduced system loses nothing.
-    """
-    return kernel_space(Coords(arity, source.dim, target_dim, True),
-                        compatibility_rows(LIE, source, target_dim, beta,
-                                           arity))
 
 
 @value_class

@@ -27,7 +27,7 @@ solves one stacked integer system per degree for the cocycles, keeps them
 in operator coordinates, takes the coboundaries from the integer kernel
 of the rows one degree down, and reads them in the coordinates of the
 canonical cocycle basis: multilinear maps are built only for the
-representatives, and for the cocycle basis of a record when read.
+representatives and the cocycle basis of a record, when read.
 
 Invalid input algebras degrade to best-effort reports: a coboundary that
 is not a cocycle is reported as a warning, and the coboundary space is
@@ -39,13 +39,13 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .algebra import (ASSOCIATIVE, LIE as LIE_KIND, HomAlgebra,
-                      sparse_columns, validate)
+from .algebra import (ASSOCIATIVE, LIE as LIE_KIND, HomAlgebra, _add,
+                      _nonzero, sparse_columns, transposed, validate)
 from .cochain import (HOM, LIE, CochainSpace, MorphismCochain,
                       MultilinearMap, _check_arity_guard, compatibility_rows,
                       kernel_space)
 from .errors import UsageError
-from .exact import (Matrix, SparseMatrix, integer_kernel, intersection_basis,
+from .exact import (SparseMatrix, integer_kernel, intersection_basis,
                     nullspace_basis, pivot_columns, value_class)
 from .operator import (SparseOperator, apply_operator, hom_delta, hom_operator,
                        lie_operator, morphism_delta)
@@ -62,16 +62,21 @@ MORPHISM_LIE = "morphism_lie"
 
 @value_class
 class DegreeRecord:
-    """One degree of a report; its cocycles are kept as a space in the
-    operator's coordinates and become multilinear maps when first read."""
+    """One degree of a report; its cocycles and the representatives of its
+    cohomology are kept as spaces in the operator's coordinates and become
+    multilinear maps when first read."""
 
     degree: int
     dim_cochains: int
     dim_cocycles: int
     dim_coboundaries: int
     dim_cohomology: int
-    representatives: tuple
+    representative_space: CochainSpace
     cocycles: CochainSpace
+
+    @property
+    def representatives(self) -> tuple:
+        return self.representative_space.basis
 
     @property
     def cocycle_basis(self) -> tuple:
@@ -224,9 +229,11 @@ class ModuleComplex(_ComplexBase):
         the structure map of the module fixes (its canonical kernel basis
         of beta - 1): e_i -> e_i m, minus m e_i for a bimodule."""
         M, op = self.module, self.operator(0)
-        fixed = M.beta - Matrix.identity(M.carrier_dim)
+        fixed = sparse_columns(M.beta)
+        for j in range(M.carrier_dim):
+            _add(fixed, j, {j: 1}, -1)
         return [op.numerators(m) for m in integer_kernel(
-            sparse_columns(fixed.transpose()).values(), M.carrier_dim)]
+            transposed(_nonzero(fixed)).values(), M.carrier_dim)]
 
 
 # former names, kept while perfbench/workloads.py and record.py import them
@@ -322,16 +329,18 @@ def compute_cohomology(complex_obj: _ComplexBase, degrees,
     for d in degrees:
         if type(d) is not int:
             raise UsageError(f"a degree must be an integer, got {d!r}")
+    degrees = sorted(set(degrees))
+    for n in degrees:  # every degree is checked before any work
+        if n < 1:
+            raise UsageError("degrees start at 1")
+        _check_arity_guard(n)
     if include_degree_zero and not isinstance(complex_obj, ModuleComplex):
         raise UsageError("the arity-0 coboundary needs a module complex")
     # the cochain with coordinates x in a, in coordinates of b (or None)
     recoord = lambda x, a, b: b.project(a.to_full(x))
     warnings = list(complex_obj.warnings)
     records = []
-    for n in sorted(set(degrees)):
-        if n < 1:
-            raise UsageError("degrees start at 1")
-        _check_arity_guard(n)
+    for n in degrees:
         op = complex_obj.operator(n)
         # the associative kind solves on all cochains; for the Lie kind no
         # basis of degree n is built: dim C_n is the rank defect
@@ -366,12 +375,13 @@ def compute_cohomology(complex_obj: _ComplexBase, degrees,
         at = {max(v): len(z) - 1 - k for k, v in enumerate(z)}
         pivots = set(pivot_columns(
             [{at[j]: x for j, x in v.items() if j in at} for v in b]))
-        reps = tuple(op.source.to_full(v) for k, v in enumerate(z)
+        reps = tuple(v for k, v in enumerate(z)
                      if len(z) - 1 - k not in pivots)
         records.append(DegreeRecord(
             degree=n, dim_cochains=dim_c, dim_cocycles=len(z),
             dim_coboundaries=len(pivots),
-            dim_cohomology=len(z) - len(pivots), representatives=reps,
+            dim_cohomology=len(z) - len(pivots),
+            representative_space=CochainSpace(op.source, reps),
             cocycles=CochainSpace(op.source, tuple(z))))
     return ComplexSummary(flavor=complex_obj.flavor, records=tuple(records),
                           warnings=tuple(warnings))

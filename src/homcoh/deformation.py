@@ -23,13 +23,13 @@ from fractions import Fraction
 from functools import cached_property
 from .algebra import (ASSOCIATIVE, LIE as LIE_KIND, HomAlgebra, first_failure,
                       identity_defect, product_defect, skew_defect,
-                      sparse_columns, twist_defect, validate)
+                      twist_defect, validate)
 from .bracket import (cup_product_assoc, gerstenhaber_bracket, nr_bracket,
                       overline_comp)
-from .cochain import HOM, LIE, MorphismCochain, MultilinearMap
+from .cochain import HOM, LIE, MorphismCochain, MultilinearMap, is_compatible
 from .cohomology import ModuleComplex, MorphismComplex
 from .errors import NotACocycle, ObstructionMismatch, UsageError
-from .exact import Matrix, solve, value_class
+from .exact import solve, value_class
 from .rep import HomMorphism
 
 
@@ -56,6 +56,11 @@ def _series(leading, terms, zero) -> list:
 def _get(series: list, degree: int, zero):
     """Coefficient of a series by degree; ``zero`` outside its range."""
     return series[degree] if 0 <= degree < len(series) else zero
+
+
+def _identity(n: int) -> MultilinearMap:
+    """The identity of an n-dimensional space, as a linear map."""
+    return MultilinearMap(1, n, n, {(j,): {j: Fraction(1)} for j in range(n)})
 
 
 @value_class
@@ -119,7 +124,7 @@ class MorphismDeformation:
     phi: HomMorphism
     def_a: FormalDeformation
     def_b: FormalDeformation
-    phi_terms: tuple[tuple[int, Matrix], ...]
+    phi_terms: tuple[tuple[int, MultilinearMap], ...]
     order: int
 
     def __post_init__(self):
@@ -132,30 +137,36 @@ class MorphismDeformation:
                 f"deformation order {self.order}")
         _check_degrees(self.phi_terms, self.order, "phi term")
         for _, m in self.phi_terms:
-            if (m.rows, m.cols) != (self.phi.target.dim, self.phi.source.dim):
+            if (m.arity, m.source_dim, m.target_dim) != (
+                    1, self.phi.source.dim, self.phi.target.dim):
                 raise UsageError("phi term has wrong shape")
         object.__setattr__(self, "phi_terms", tuple(sorted(self.phi_terms)))
 
     @classmethod
     def build(cls, phi: HomMorphism, def_a: FormalDeformation,
-              def_b: FormalDeformation, phi_terms: dict[int, Matrix],
+              def_b: FormalDeformation,
+              phi_terms: dict[int, MultilinearMap],
               order: int) -> "MorphismDeformation":
         return cls(phi, def_a, def_b, tuple(sorted(phi_terms.items())), order)
 
     @cached_property
-    def phi_series(self) -> list[Matrix]:
-        """Morphism coefficients by degree; degree 0 is the morphism."""
-        return _series(self.phi.matrix, self.phi_terms,
-                       Matrix.zero(self.phi.target.dim, self.phi.source.dim))
+    def phi_series(self) -> list[MultilinearMap]:
+        """Morphism coefficients by degree, as linear maps; degree 0 is the
+        morphism."""
+        return _series(MultilinearMap.from_matrix(self.phi.matrix),
+                       self.phi_terms, self._phi_zero)
 
     @cached_property
     def phi_entries(self) -> list[dict]:
         """Nonzero columns of each coefficient of ``phi_series``."""
-        return [sparse_columns(m) for m in self.phi_series]
+        return [m.columns() for m in self.phi_series]
 
-    def phi_term(self, degree: int) -> Matrix:
-        return _get(self.phi_series, degree,
-                    Matrix.zero(self.phi.target.dim, self.phi.source.dim))
+    @property
+    def _phi_zero(self) -> MultilinearMap:
+        return MultilinearMap.zero(1, self.phi.source.dim, self.phi.target.dim)
+
+    def phi_term(self, degree: int) -> MultilinearMap:
+        return _get(self.phi_series, degree, self._phi_zero)
 
     @property
     def flavor(self) -> str:
@@ -169,12 +180,8 @@ class MorphismDeformation:
     def extended_by(self, theta: MorphismCochain) -> "MorphismDeformation":
         """This deformation with theta as its order-(N+1) triple."""
         phi_terms = dict(self.phi_terms)
-        ab = theta.comp_AB
-        mat = Matrix.from_columns([ab.value_on_basis((j,))
-                                   for j in range(ab.source_dim)],
-                                  nrows=ab.target_dim)
-        if not mat.is_zero():
-            phi_terms[self.order + 1] = mat
+        if not theta.comp_AB.is_zero():
+            phi_terms[self.order + 1] = theta.comp_AB
         return _sharing_complex(MorphismDeformation.build(
             self.phi, self.def_a.with_term(self.order + 1, theta.comp_A),
             self.def_b.with_term(self.order + 1, theta.comp_B), phi_terms,
@@ -191,13 +198,14 @@ def _sharing_complex(extension, d):
 
 @value_class
 class FormalAutomorphismPair:
-    """Pair of unit-leading-term endomorphism series, one per algebra;
-    every coefficient must commute with the corresponding twist."""
+    """Pair of unit-leading-term endomorphism series, one per algebra, with
+    linear maps as coefficients; every coefficient must commute with the
+    corresponding twist."""
 
     source: HomAlgebra
     target: HomAlgebra
-    psi_a_terms: tuple[tuple[int, Matrix], ...]
-    psi_b_terms: tuple[tuple[int, Matrix], ...]
+    psi_a_terms: tuple[tuple[int, MultilinearMap], ...]
+    psi_b_terms: tuple[tuple[int, MultilinearMap], ...]
     order: int
 
     def __post_init__(self):
@@ -205,35 +213,37 @@ class FormalAutomorphismPair:
                                 (self.target, self.psi_b_terms, "target")):
             _check_degrees(terms, self.order, f"{tag} series term")
             for degree, m in terms:
-                if (m.rows, m.cols) != (alg.dim, alg.dim):
+                if (m.arity, m.source_dim, m.target_dim) != (1, alg.dim,
+                                                             alg.dim):
                     raise UsageError(f"{tag} series term has wrong shape")
-                if m @ alg.alpha != alg.alpha @ m:
+                if not is_compatible(m, alg.alpha, alg.alpha):
                     raise UsageError(
                         f"{tag} series term at degree {degree} does not "
                         "commute with the twist")
 
     @cached_property
-    def series(self) -> tuple[list[Matrix], list[Matrix]]:
+    def series(self) -> tuple[list[MultilinearMap], list[MultilinearMap]]:
         """Coefficients by degree of the source and the target series."""
-        return tuple(_series(Matrix.identity(alg.dim), terms,
-                             Matrix.zero(alg.dim, alg.dim))
+        return tuple(_series(_identity(alg.dim), terms,
+                             MultilinearMap.zero(1, alg.dim, alg.dim))
                      for alg, terms in ((self.source, self.psi_a_terms),
                                         (self.target, self.psi_b_terms)))
 
-    def term(self, side: str, degree: int) -> Matrix:
+    def term(self, side: str, degree: int) -> MultilinearMap:
         alg = self.source if side == "a" else self.target
         return _get(self.series[0 if side == "a" else 1], degree,
-                    Matrix.zero(alg.dim, alg.dim))
+                    MultilinearMap.zero(1, alg.dim, alg.dim))
 
-    def inverse_terms(self, side: str, up_to: int) -> list[Matrix]:
-        """Coefficients of the truncated series inverse (unit leading term)."""
+    def inverse_terms(self, side: str, up_to: int) -> list[MultilinearMap]:
+        """Coefficients of the truncated series inverse (unit leading term):
+        minus the sum of term i after inverse term s - i."""
         alg = self.source if side == "a" else self.target
-        inv = [Matrix.identity(alg.dim)]
+        inv = [_identity(alg.dim)]
         for s in range(1, up_to + 1):
-            acc = Matrix.zero(alg.dim, alg.dim)
+            acc = MultilinearMap.zero(1, alg.dim, alg.dim)
             for i in range(1, s + 1):
-                acc = acc + self.term(side, i) @ inv[s - i]
-            inv.append(acc.scale(-1))
+                acc = acc + inv[s - i].pushforward(self.term(side, i))
+            inv.append(-acc)
         return inv
 
 
@@ -338,9 +348,8 @@ def check_morphism_deformation(md: MorphismDeformation,
 
 def coefficient_cochain(md: MorphismDeformation, degree: int) -> MorphismCochain:
     """(source term, target term, morphism term) at one degree."""
-    return MorphismCochain(
-        md.def_a.term(degree), md.def_b.term(degree),
-        MultilinearMap.from_matrix(md.phi_term(degree)))
+    return MorphismCochain(md.def_a.term(degree), md.def_b.term(degree),
+                           md.phi_term(degree))
 
 
 def infinitesimal_report(md: MorphismDeformation):
@@ -377,7 +386,7 @@ def apply_equivalence(md: MorphismDeformation,
     inv_b = psi.inverse_terms("b", N)
 
     def transported(d: FormalDeformation, side: str,
-                    inv: list[Matrix]) -> FormalDeformation:
+                    inv: list[MultilinearMap]) -> FormalDeformation:
         """psi_t o mu_t o (psi_t^-1 x psi_t^-1), through order N."""
         zero = MultilinearMap.zero(2, d.base.dim, d.base.dim)
         pulled = []  # coefficients of mu_t(psi_t^-1 x, psi_t^-1 y)
@@ -400,11 +409,11 @@ def apply_equivalence(md: MorphismDeformation,
 
     phi_terms = {}
     for s in range(1, N + 1):
-        acc = Matrix.zero(B.dim, A.dim)
+        acc = MultilinearMap.zero(1, A.dim, B.dim)
         for i in range(s + 1):
             for j in range(s - i + 1):
-                k = s - i - j
-                acc = acc + psi.term("b", i) @ md.phi_term(j) @ inv_a[k]
+                acc = acc + inv_a[s - i - j].pushforward(
+                    md.phi_term(j)).pushforward(psi.term("b", i))
         if not acc.is_zero():
             phi_terms[s] = acc
     return MorphismDeformation.build(
@@ -449,14 +458,12 @@ def obstruction(md: MorphismDeformation) -> MorphismCochain:
         ob_phi = MultilinearMap.zero(2, A.dim, B.dim)
         for p in range(1, N + 1):
             q = N + 1 - p
-            mu_bp = md.def_b.term(p)
-            phi_q = MultilinearMap.from_matrix(md.phi_term(q))
+            mu_bp, phi_p, phi_q = (md.def_b.term(p), md.phi_term(p),
+                                   md.phi_term(q))
             if not mu_bp.is_zero() and not phi_q.is_zero():
                 ob_phi = ob_phi + overline_comp(md.phi, mu_bp, phi_q)
-            ob_phi = ob_phi - md.def_a.term(q).pushforward(md.phi_term(p))
-            f_p = MultilinearMap.from_matrix(md.phi_term(p))
-            f_q = MultilinearMap.from_matrix(md.phi_term(q))
-            ob_phi = ob_phi + cup_product_assoc(md.phi, f_p, f_q)
+            ob_phi = ob_phi - md.def_a.term(q).pushforward(phi_p)
+            ob_phi = ob_phi + cup_product_assoc(md.phi, phi_p, phi_q)
         for p in range(1, N + 1):
             for q in range(1, N + 1):
                 k = N + 1 - p - q

@@ -192,7 +192,9 @@ def _bind(owner: str, names: tuple, defaults: dict, args: tuple,
 
 @value_class
 class Matrix:
-    """Dense row-major matrix of rationals."""
+    """Dense row-major matrix of rationals: the boundary type, in which
+    algebras, morphisms and modules hold their twists and maps and files
+    write them.  The engine computes on sparse maps."""
 
     rows: int
     cols: int
@@ -227,10 +229,6 @@ class Matrix:
         return cls(n, n, tuple(Fraction(1 if i == j else 0)
                                for i in range(n) for j in range(n)))
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, (Fraction(0),) * (rows * cols))
-
     def at(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
 
@@ -239,10 +237,6 @@ class Matrix:
 
     def column(self, j: int) -> Vector:
         return self.entries[j::self.cols]
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, tuple(
-            x for j in range(self.cols) for x in self.entries[j::self.cols]))
 
     def matvec(self, v) -> Vector:
         if len(v) != self.cols:
@@ -261,25 +255,6 @@ class Matrix:
             raise UsageError("matmul: inner dimensions differ")
         cols = [self.matvec(other.column(j)) for j in range(other.cols)]
         return Matrix.from_columns(cols, nrows=self.rows)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise UsageError("matrix add: shapes differ")
-        return Matrix(self.rows, self.cols,
-                      tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise UsageError("matrix sub: shapes differ")
-        return Matrix(self.rows, self.cols,
-                      tuple(a - b for a, b in zip(self.entries, other.entries)))
-
-    def scale(self, c) -> "Matrix":
-        c = Fraction(c)
-        return Matrix(self.rows, self.cols, tuple(c * x for x in self.entries))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
 
 
 @value_class

@@ -103,6 +103,12 @@ def _matrix_json(m: Matrix) -> list:
             for i in range(m.rows)]
 
 
+def _linear_json(m: MultilinearMap) -> list:
+    """The dense rows of a linear map."""
+    return _matrix_json(Matrix.from_columns(
+        [m.value_on_basis((j,)) for j in range(m.source_dim)]))
+
+
 def _parse_mul_entries(entries, basis: list[str], kind: str,
                        context: str) -> list:
     dim = len(basis)
@@ -285,8 +291,8 @@ def parse_deformation(data, base_dir: str = ".", context: str = "deformation"):
                 raise ParseError(f"{where}: degree must be in 1..{order}")
             if degree in phi_terms:
                 raise ParseError(f"{where}: duplicate degree {degree}")
-            phi_terms[degree] = _parse_matrix(
-                entry["matrix"], phi.target.dim, phi.source.dim, where)
+            phi_terms[degree] = MultilinearMap.from_matrix(_parse_matrix(
+                entry["matrix"], phi.target.dim, phi.source.dim, where))
         return MorphismDeformation.build(
             phi,
             FormalDeformation.from_terms(phi.source, order, terms_a),
@@ -350,7 +356,7 @@ def morphism_deformation_to_json(md: MorphismDeformation,
              "mul": _bilinear_term_json(t.entries, md.phi.target)}
             for deg, t in md.def_b.terms]
     if md.phi_terms:
-        out["phi_terms"] = [{"degree": deg, "matrix": _matrix_json(m)}
+        out["phi_terms"] = [{"degree": deg, "matrix": _linear_json(m)}
                             for deg, m in md.phi_terms]
     return out
 

@@ -178,11 +178,7 @@ def mdef_2(w=1, k2=1, a21=1, a31=1) -> MorphismDeformation:
     """Order-1 deformation of phi12_2 pairing def_g1 with def_g2 and a
     degree-1 morphism term supported on the first basis vector."""
     phi = phi12_2()
-    phi1 = Matrix.from_columns([
-        [0, Fraction(a21), Fraction(a31)],
-        [0, 0, 0],
-        [0, 0, 0],
-    ])
+    phi1 = MultilinearMap.from_values(1, 3, 3, {(0,): (0, a21, a31)})
     return MorphismDeformation.build(phi, def_g1(w), def_g2(k2),
                                      {1: phi1}, 1)
 

@@ -7,12 +7,12 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, gcd
 
-from homcoh.algebra import (ASSOCIATIVE, HomAlgebra, apply_alpha,
-                            identity_defect, multiply)
-from homcoh.cochain import MorphismCochain, MultilinearMap, permutation_sign
+from homcoh.algebra import ASSOCIATIVE, HomAlgebra, identity_defect, multiply
+from homcoh.cochain import (HOM, LIE, Coords, MorphismCochain, MultilinearMap,
+                            compatibility_rows, kernel_space, permutation_sign)
 from homcoh.errors import HomcohError, UsageError
-from homcoh.exact import (Matrix, SparseMatrix, dense_vector,
-                          independent_subset, solve)
+from homcoh.exact import (Matrix, SparseMatrix, dense_vector, expand_product,
+                          independent_subset, lincomb, solve, sparse_vector)
 
 
 class ImageOutsideCodomain(HomcohError):
@@ -153,6 +153,80 @@ def vec_is_zero(a) -> bool:
     return all(x == 0 for x in a)
 
 
+# Dense matrix arithmetic, entry by entry, for the oracles and tests that
+# add, scale or compare matrices.
+
+def zero_matrix(rows: int, cols: int) -> Matrix:
+    return Matrix(rows, cols, (Fraction(0),) * (rows * cols))
+
+
+def matrix_sum(a: Matrix, b: Matrix, c=1) -> Matrix:
+    """a + c b."""
+    assert (a.rows, a.cols) == (b.rows, b.cols), "matrix shapes differ"
+    return Matrix(a.rows, a.cols,
+                  tuple(x + c * y for x, y in zip(a.entries, b.entries)))
+
+
+def scaled_matrix(a: Matrix, c) -> Matrix:
+    return Matrix(a.rows, a.cols, tuple(Fraction(c) * x for x in a.entries))
+
+
+def matrix_is_zero(a: Matrix) -> bool:
+    return vec_is_zero(a.entries)
+
+
+def linear_matrix(m: MultilinearMap) -> Matrix:
+    """The dense matrix of a linear (arity-1) map, read off its stored
+    entries: column j is its value on e_j."""
+    return Matrix(m.target_dim, m.source_dim, tuple(
+        Fraction(m.entries.get((j,), {}).get(i, 0))
+        for i in range(m.target_dim) for j in range(m.source_dim)))
+
+
+def apply_alpha(algebra: HomAlgebra, x) -> tuple:
+    return algebra.alpha.matvec(x)
+
+
+def evaluate(m: MultilinearMap, args) -> tuple:
+    """The multilinear extension of m to arbitrary coordinate vectors."""
+    if len(args) != m.arity:
+        raise UsageError(f"expected {m.arity} arguments, got {len(args)}")
+    if any(len(arg) != m.source_dim for arg in args):
+        raise UsageError("argument length != source_dim")
+    out = {}
+    for s, c in expand_product([sparse_vector(arg) for arg in args]):
+        for r, x in m.entries.get(s, {}).items():
+            out[r] = out.get(r, 0) + c * x
+    return dense_vector(out, m.target_dim)
+
+
+# The twist-compatible cochain spaces, built from the package's
+# compatibility rows and kernel, and linear combinations of their bases.
+
+def hom_cochain_basis(source: HomAlgebra, target_dim: int, beta: Matrix,
+                      arity: int):
+    """The canonical basis of {f : beta∘f = f∘alpha^(tensor arity)}; arity
+    0 is the whole target space."""
+    return kernel_space(Coords(arity, source.dim, target_dim, False),
+                        compatibility_rows(HOM, source, target_dim, beta,
+                                           arity))
+
+
+def lie_cochain_basis(source: HomAlgebra, target_dim: int, beta: Matrix,
+                      arity: int):
+    """The canonical basis of the alternating twist-compatible maps, solved
+    on strictly increasing argument tuples."""
+    return kernel_space(Coords(arity, source.dim, target_dim, True),
+                        compatibility_rows(LIE, source, target_dim, beta,
+                                           arity))
+
+
+def combine(space, coeffs: dict):
+    """The cochain sum of c times basis element j of space over the sparse
+    {j: c}."""
+    return space.system.to_full(lincomb(coeffs, space.coords))
+
+
 # Dense coefficient tensors: the flat layout of a multilinear map, indexed
 # row-major lexicographically over the argument tuple with the target
 # coordinate innermost.  Tests that build a map from such a tuple, or read
@@ -245,7 +319,7 @@ def basis_solve(complex_obj, n: int, target):
     rhs = op.target.project(target)
     coeffs = None if rhs is None else solve(
         operator_matrix(op, space.coords), rhs)
-    return None if coeffs is None else space.combine(coeffs)
+    return None if coeffs is None else combine(space, coeffs)
 
 
 # Dense defining identities, evaluated on basis vectors with ``multiply``
@@ -312,7 +386,7 @@ def dense_morphism_witnesses(source, target, matrix):
 
 # Dense coboundary formulas, evaluated tensor by tensor on basis vectors.
 # They are the reference the compiled sparse operators are checked against,
-# so they use only MultilinearMap.evaluate and the algebra's bilinear maps.
+# so they use only ``evaluate`` and the algebra's bilinear maps.
 
 def _basis_args(n: int, t) -> list:
     return [tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in t]
@@ -330,12 +404,12 @@ def dense_delta_hom(A, left, right, target_dim: int, f):
     for t in product(range(A.dim), repeat=n + 1):
         args = _basis_args(A.dim, t)
         alphas = [apply_alpha(A, a) for a in args]
-        total = list(left(ap.matvec(args[0]), f.evaluate(args[1:])))
+        total = list(left(ap.matvec(args[0]), evaluate(f, args[1:])))
         for k in range(1, n + 1):
             margs = alphas[:k - 1] + [multiply(A, args[k - 1], args[k])] \
                 + alphas[k + 1:]
-            total = _signed(total, f.evaluate(margs), k % 2)
-        last = right(f.evaluate(args[:n]), ap.matvec(args[n]))
+            total = _signed(total, evaluate(f, margs), k % 2)
+        last = right(evaluate(f, args[:n]), ap.matvec(args[n]))
         values[t] = tuple(_signed(total, last, (n + 1) % 2))
     return MultilinearMap.from_values(n + 1, A.dim, target_dim, values)
 
@@ -350,7 +424,8 @@ def dense_delta_lie(L, act, target_dim: int, f):
         alphas = [apply_alpha(L, a) for a in args]
         total = [Fraction(0)] * target_dim
         for i in range(n + 1):
-            term = act(ap.matvec(args[i]), f.evaluate(args[:i] + args[i + 1:]))
+            term = act(ap.matvec(args[i]),
+                       evaluate(f, args[:i] + args[i + 1:]))
             total = _signed(total, term, i % 2)
         total = _signed(total, dense_bracket_terms(L, f, args, alphas), False)
         values[t] = tuple(total)
@@ -364,7 +439,7 @@ def dense_bracket_terms(L, f, args, alphas):
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
             rest = [alphas[p] for p in range(n + 1) if p != i and p != j]
-            term = f.evaluate([multiply(L, args[i], args[j])] + rest)
+            term = evaluate(f, [multiply(L, args[i], args[j])] + rest)
             total = _signed(total, term, (i + j) % 2)
     return total
 
@@ -382,12 +457,12 @@ def dense_d_component(A, M, i: int, f):
         args = _basis_args(A.dim, t)
         alphas = [apply_alpha(A, a) for a in args]
         margs = alphas[:i] + [multiply(A, args[i], args[i + 1])] + alphas[i + 2:]
-        total = list(f.evaluate(margs))
+        total = list(evaluate(f, margs))
         if i == 0:
             total = _signed(total, left(ap.matvec(args[0]),
-                                        f.evaluate(args[1:])), True)
+                                        evaluate(f, args[1:])), True)
         if i == n - 1:
-            total = _signed(total, right(f.evaluate(args[:n]),
+            total = _signed(total, right(evaluate(f, args[:n]),
                                          ap.matvec(args[n])), True)
         values[t] = tuple(total)
     return MultilinearMap.from_values(n + 1, A.dim, M.carrier_dim, values)
@@ -403,7 +478,7 @@ def dense_derivation_D_assoc(A, f):
         for i in range(1, n + 1):
             margs = alphas[:i - 1] + [multiply(A, args[i - 1], args[i])] \
                 + alphas[i + 1:]
-            total = _signed(total, f.evaluate(margs), i % 2)
+            total = _signed(total, evaluate(f, margs), i % 2)
         values[t] = tuple(total)
     return MultilinearMap.from_values(n + 1, A.dim, f.target_dim, values)
 
@@ -429,9 +504,9 @@ def dense_comp_product(A, phi, psi):
         twisted = [ap.matvec(x) for x in args]
         total = [Fraction(0)] * psi.target_dim
         for k in range(b + 1):
-            inner = phi.evaluate(args[k:k + a + 1])
+            inner = evaluate(phi, args[k:k + a + 1])
             slots = twisted[:k] + [inner] + twisted[k + a + 1:]
-            total = _signed(total, psi.evaluate(slots), (a * k) % 2)
+            total = _signed(total, evaluate(psi, slots), (a * k) % 2)
         values[t] = tuple(total)
     return MultilinearMap.from_values(a + b + 1, A.dim, psi.target_dim,
                                       values)
@@ -463,7 +538,7 @@ def dense_delta_morphism(phi, c, flavor: str):
     values = {}
     for t in product(range(A.dim), repeat=n):
         after = phi.apply(c.comp_A.value_on_basis(t))
-        pulled = c.comp_B.evaluate([cols[i] for i in t])
+        pulled = evaluate(c.comp_B, [cols[i] for i in t])
         values[t] = tuple(a - b for a, b in zip(after, pulled))
     defect = MultilinearMap.from_values(n, A.dim, B.dim, values)
     mult = lambda X: (lambda x, y: multiply(X, x, y))
@@ -505,14 +580,16 @@ def _mu(d, degree: int):
 def _phi(md, degree: int):
     if degree == 0:
         return md.phi.matrix
-    return dict(md.phi_terms).get(
-        degree, Matrix.zero(md.phi.target.dim, md.phi.source.dim))
+    term = dict(md.phi_terms).get(degree)
+    return zero_matrix(md.phi.target.dim, md.phi.source.dim) \
+        if term is None else linear_matrix(term)
 
 
 def _psi(terms, n: int, degree: int):
     if degree == 0:
         return Matrix.identity(n)
-    return dict(terms).get(degree, Matrix.zero(n, n))
+    term = dict(terms).get(degree)
+    return zero_matrix(n, n) if term is None else linear_matrix(term)
 
 
 def dense_algebra_order_defect(d, s: int):
@@ -526,14 +603,17 @@ def dense_algebra_order_defect(d, s: int):
         for i in range(s + 1):
             outer, inner = _mu(d, i), _mu(d, s - i)
             if A.kind == ASSOCIATIVE:
-                total = _signed(total, outer.evaluate(
-                    [apply_alpha(A, x), inner.evaluate([y, z])]), False)
-                total = _signed(total, outer.evaluate(
-                    [inner.evaluate([x, y]), apply_alpha(A, z)]), True)
+                total = _signed(total, evaluate(
+                    outer, [apply_alpha(A, x), evaluate(inner, [y, z])]),
+                    False)
+                total = _signed(total, evaluate(
+                    outer, [evaluate(inner, [x, y]), apply_alpha(A, z)]),
+                    True)
                 continue
             for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-                total = _signed(total, outer.evaluate(
-                    [apply_alpha(A, a), inner.evaluate([b, c])]), False)
+                total = _signed(total, evaluate(
+                    outer, [apply_alpha(A, a), evaluate(inner, [b, c])]),
+                    False)
         values[t] = tuple(total)
     return MultilinearMap.from_values(3, A.dim, A.dim, values)
 
@@ -547,10 +627,10 @@ def dense_morphism_order_defect(md, s: int):
         total = [Fraction(0)] * B.dim
         for i in range(s + 1):
             total = _signed(total, _phi(md, i).matvec(
-                _mu(md.def_a, s - i).evaluate([x, y])), False)
+                evaluate(_mu(md.def_a, s - i), [x, y])), False)
             for j in range(s - i + 1):
-                term = _mu(md.def_b, i).evaluate(
-                    [_phi(md, j).matvec(x), _phi(md, s - i - j).matvec(y)])
+                term = evaluate(_mu(md.def_b, i), [
+                    _phi(md, j).matvec(x), _phi(md, s - i - j).matvec(y)])
                 total = _signed(total, term, True)
         values[t] = tuple(total)
     return MultilinearMap.from_values(2, A.dim, B.dim, values)
@@ -567,15 +647,15 @@ def dense_connecting_obstruction(md):
         x, y = _basis_args(A.dim, t)
         total = [Fraction(0)] * B.dim
         for i in range(1, N + 1):
-            prod_term = _mu(md.def_a, s - i).evaluate([x, y])
+            prod_term = evaluate(_mu(md.def_a, s - i), [x, y])
             total = _signed(total, _phi(md, i).matvec(prod_term), True)
         for i in range(s + 1):
             for j in range(s - i + 1):
                 k = s - i - j
                 if (i, j, k) in ((s, 0, 0), (0, s, 0), (0, 0, s)):
                     continue
-                term = _mu(md.def_b, i).evaluate([_phi(md, j).matvec(x),
-                                                  _phi(md, k).matvec(y)])
+                term = evaluate(_mu(md.def_b, i), [_phi(md, j).matvec(x),
+                                                   _phi(md, k).matvec(y)])
                 total = _signed(total, term, False)
         values[t] = tuple(total)
     return MultilinearMap.from_values(2, A.dim, B.dim, values)
@@ -590,10 +670,10 @@ def dense_transported_mul(md, psi, side: str, s: int):
     n = alg.dim
     inv = [Matrix.identity(n)]
     for m in range(1, s + 1):
-        acc = Matrix.zero(n, n)
+        acc = zero_matrix(n, n)
         for i in range(1, m + 1):
-            acc = acc + _psi(terms, n, i) @ inv[m - i]
-        inv.append(acc.scale(-1))
+            acc = matrix_sum(acc, _psi(terms, n, i) @ inv[m - i])
+        inv.append(scaled_matrix(acc, -1))
     values = {}
     for t in product(range(n), repeat=2):
         x, y = _basis_args(n, t)
@@ -602,8 +682,8 @@ def dense_transported_mul(md, psi, side: str, s: int):
             for j in range(s - i + 1):
                 for k in range(s - i - j + 1):
                     ell = s - i - j - k
-                    term = _psi(terms, n, i).matvec(_mu(d, j).evaluate(
-                        [inv[k].matvec(x), inv[ell].matvec(y)]))
+                    term = _psi(terms, n, i).matvec(evaluate(
+                        _mu(d, j), [inv[k].matvec(x), inv[ell].matvec(y)]))
                     total = _signed(total, term, False)
         values[t] = tuple(total)
     return MultilinearMap.from_values(2, n, n, values)
@@ -829,7 +909,7 @@ def dense_degree_zero_images(M) -> list[MultilinearMap]:
     left = dense_action(M.left, d)
     right = M.right and dense_action(M.right, d)
     images = []
-    for m in dense_nullspace(M.beta - Matrix.identity(d)):
+    for m in dense_nullspace(matrix_sum(M.beta, Matrix.identity(d), -1)):
         values = {}
         for i in range(n):
             value = left(basis_vector(n, i), m)

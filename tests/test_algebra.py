@@ -4,9 +4,10 @@ from itertools import product
 
 import pytest
 
-from helpers import dense_morphism_witnesses, dense_validity
+from helpers import (apply_alpha, dense_morphism_witnesses, dense_validity,
+                     scaled_matrix, zero_matrix)
 from homcoh import fixtures
-from homcoh.algebra import (ASSOCIATIVE, LIE, HomAlgebra, apply_alpha,
+from homcoh.algebra import (ASSOCIATIVE, LIE, HomAlgebra,
                             multiply, validate, yau_twist)
 from homcoh.cohomology import ModuleComplex
 from homcoh.errors import MorphismViolation, UsageError
@@ -180,7 +181,7 @@ def test_morphism_witnesses_match_dense_oracles():
     for _ in range(300):
         A, B = rng.choice(algebras), rng.choice(algebras)
         cases.append((A, B, _random_matrix(rng, B.dim, A.dim)
-                      if rng.random() < 0.9 else Matrix.zero(B.dim, A.dim)))
+                      if rng.random() < 0.9 else zero_matrix(B.dim, A.dim)))
     verdicts = set()
     for A, B, m in cases:
         report = check_morphism(A, B, m)
@@ -206,8 +207,8 @@ def test_witnesses_over_denominators_match_dense_oracles():
         witnesses += [report.witness, report.multiplicativity_witness]
     for _ in range(200):
         A, B = rng.choice(algebras), rng.choice(algebras)
-        m = _random_matrix(rng, B.dim, A.dim).scale(
-            Fraction(rng.choice([1, 2]), rng.choice([1, 3])))
+        m = scaled_matrix(_random_matrix(rng, B.dim, A.dim),
+                          Fraction(rng.choice([1, 2]), rng.choice([1, 3])))
         report = check_morphism(A, B, m)
         expected = dense_morphism_witnesses(A, B, m)
         assert (report.product_witness, report.twist_witness) == expected
@@ -221,7 +222,8 @@ def test_yau_twist_rejections_match_dense_oracles():
     outcomes = set()
     for A in _fixture_algebras() + _random_algebras(34, 120):
         for gamma in (_random_matrix(rng, A.dim, A.dim),
-                      Matrix.identity(A.dim).scale(rng.choice([0, 1]))):
+                      scaled_matrix(Matrix.identity(A.dim),
+                                    rng.choice([0, 1]))):
             product_witness, twist_witness = \
                 dense_morphism_witnesses(A, A, gamma)
             if product_witness is None and twist_witness is None:

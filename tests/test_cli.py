@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from homcoh import cli, deformation, files, fixtures, operator
+from homcoh import cli, cohomology, deformation, files, fixtures, operator
 from homcoh.algebra import HomAlgebra
 from homcoh.cli import build_parser, main
+from homcoh.cochain import Coords
 
 
 def run(capsys, *argv):
@@ -399,6 +400,53 @@ def test_each_algebra_is_validated_once_per_command(monkeypatch, capsys):
     assert main(["morphism-cohomology", "phi12_2", "--degree", "1..2"]) == 0
     phi = fixtures.builtin("morphism", "phi12_2")
     assert sorted(checked) == sorted([phi.source.name, phi.target.name])
+
+
+def test_every_degree_is_checked_before_any_coboundary_is_compiled(
+        monkeypatch, capsys):
+    """Under HOMCOH_MAX_ARITY=2, degree 3 of 1..3 is an input error before
+    the coboundaries of degrees 1 and 2 are compiled."""
+    compiled = []
+    hom_delta = cohomology.hom_delta
+
+    def spy(A, left, right, d, n):
+        compiled.append(n)
+        return hom_delta(A, left, right, d, n)
+    monkeypatch.setattr(cohomology, "hom_delta", spy)
+    monkeypatch.setenv("HOMCOH_MAX_ARITY", "2")
+    code, out, err = run(capsys, "cohomology", "a3", "--degree", "1..3")
+    assert code == 2 and out == ""
+    assert "arity 3 exceeds limit 2" in err
+    assert compiled == []
+    code, _, _ = run(capsys, "cohomology", "a3", "--degree", "1..2")
+    assert code == 0 and compiled == [1, 2]
+
+
+def test_morphism_cohomology_builds_only_the_maps_it_prints(monkeypatch,
+                                                            capsys):
+    """The source and target summaries are read for dim H only, so no
+    representative of theirs becomes a map; text output prints none."""
+    built = []
+    to_full = Coords.to_full
+
+    def counted(self, x):
+        built.append(self)
+        return to_full(self, x)
+    monkeypatch.setattr(Coords, "to_full", counted)
+    code, out, _ = run(capsys, "morphism-cohomology", "phi_assoc",
+                       "--degree", "1..2", "--json")
+    assert code == 0
+    degrees = json.loads(out)["degrees"]
+    coupled = sum(len(d["coupled"]["representatives"]) for d in degrees)
+    connecting = sum(len(d["connecting_component"]["representatives"])
+                     for d in degrees)
+    assert (coupled, connecting) == (4, 3)
+    # a coupled representative is three maps, a connecting one is one
+    assert len(built) == 3 * coupled + connecting
+    built.clear()
+    code, _, _ = run(capsys, "morphism-cohomology", "phi_assoc", "--degree",
+                     "1..2")
+    assert code == 0 and built == []
 
 
 def test_deform_check_rejects_a_negative_order(capsys):

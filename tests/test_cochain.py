@@ -8,13 +8,13 @@ import pytest
 from helpers import (bareiss_rank, dense_coeffs, dense_evaluate,
                      dense_is_alternating, dense_is_compatible, dense_map,
                      dense_nonzero_entries, dense_pullback, dense_pushforward,
-                     dense_to_full)
+                     dense_to_full, evaluate, hom_cochain_basis,
+                     lie_cochain_basis, zero_matrix)
 from homcoh import fixtures
 from homcoh.algebra import HomAlgebra
 from homcoh.cochain import (CochainSpace, Coords, MorphismCochain,
                             MorphismCoords, MultilinearMap, alternator,
-                            hom_cochain_basis, is_alternating, is_compatible,
-                            lie_cochain_basis)
+                            is_alternating, is_compatible)
 from homcoh.cohomology import MorphismComplex
 from homcoh.errors import ArityLimitError, UsageError
 from homcoh.exact import Matrix, dense_vector, sparse_vector
@@ -50,7 +50,7 @@ def test_hom_basis_commutant_dimension(a3):
 
 def test_hom_basis_zero_structure_map_kills_everything():
     dual = fixtures.dual_numbers()
-    space = hom_cochain_basis(dual, 2, Matrix.zero(2, 2), 1)
+    space = hom_cochain_basis(dual, 2, zero_matrix(2, 2), 1)
     assert space.dim == 0
 
 
@@ -81,7 +81,7 @@ def test_basis_coordinates_store_only_their_nonzero_entries():
 
 def test_hom_basis_arity_zero_is_full_target():
     A = fixtures.assoc3(1, 2)
-    space = hom_cochain_basis(A, 2, Matrix.zero(2, 2), 0)
+    space = hom_cochain_basis(A, 2, zero_matrix(2, 2), 0)
     assert space.dim == 2
 
 
@@ -242,8 +242,9 @@ def test_evaluate_is_multilinear():
     x = vec(1, 2, 0)
     y = vec(0, 1, 1)
     z = vec(2, 0, 1)
-    lhs = f.evaluate([tuple(a + b for a, b in zip(x, y)), z])
-    rhs = tuple(a + b for a, b in zip(f.evaluate([x, z]), f.evaluate([y, z])))
+    lhs = evaluate(f, [tuple(a + b for a, b in zip(x, y)), z])
+    rhs = tuple(a + b for a, b in zip(evaluate(f, [x, z]),
+                                      evaluate(f, [y, z])))
     assert lhs == rhs
 
 
@@ -315,7 +316,7 @@ def test_sparse_maps_match_the_flat_tensor():
             for _ in range(3):
                 args = [rand_sparse_coefficients(rng, sd)
                         for _ in range(arity)]
-                assert f.evaluate(args) == dense_evaluate(f, args)
+                assert evaluate(f, args) == dense_evaluate(f, args)
 
 
 def test_structure_checks_match_dense_oracles(a3, l4a):
@@ -350,10 +351,13 @@ def test_structure_checks_match_dense_oracles(a3, l4a):
                 matrices = [Matrix.from_rows(
                     [rand_sparse_coefficients(rng, width) for _ in range(n)])
                     for _ in range(k)]
-                assert f.pullback(matrices) == dense_pullback(f, matrices)
+                assert f.pullback([MultilinearMap.from_matrix(m)
+                                   for m in matrices]) == \
+                    dense_pullback(f, matrices)
                 m = Matrix.from_rows([rand_sparse_coefficients(rng, d)
                                       for _ in range(2)])
-                assert f.pushforward(m) == dense_pushforward(f, m)
+                assert f.pushforward(MultilinearMap.from_matrix(m)) == \
+                    dense_pushforward(f, m)
     assert seen == {(False, False), (False, True), (True, False),
                     (True, True)}
 

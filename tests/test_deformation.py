@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (basis_solve, dense_algebra_order_defect,
+from helpers import (basis_solve, combine, dense_algebra_order_defect,
                      dense_connecting_obstruction, dense_morphism_order_defect,
-                     dense_transported_mul)
+                     dense_transported_mul, linear_matrix, matrix_is_zero,
+                     matrix_sum, scaled_matrix, zero_matrix)
 from homcoh import algebra, bracket, deformation, fixtures
 from homcoh.algebra import ASSOCIATIVE, LIE, HomAlgebra
 from homcoh.bracket import (cup_product_assoc, gerstenhaber_bracket,
@@ -60,7 +61,8 @@ def test_mdef_2_verdicts():
 
 def test_corrupt_phi_term_fails_twist_equation():
     md = fixtures.mdef_2()
-    corrupt = Matrix.from_columns([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    corrupt = MultilinearMap.from_matrix(
+        Matrix.from_columns([[1, 0, 0], [0, 0, 0], [0, 0, 0]]))
     bad = MorphismDeformation.build(md.phi, md.def_a, md.def_b,
                                     {1: corrupt}, 1)
     report = check_morphism_deformation(bad)
@@ -133,7 +135,8 @@ def test_apply_equivalence_identity_pair_is_noop():
 
 def test_apply_equivalence_shifts_infinitesimal_by_coboundary():
     md = fixtures.mdef_2()
-    N = Matrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 1, 0]])
+    N = MultilinearMap.from_matrix(
+        Matrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 1, 0]]))
     psi = FormalAutomorphismPair(source=md.phi.source, target=md.phi.target,
                                  psi_a_terms=((1, N),), psi_b_terms=(),
                                  order=1)
@@ -144,7 +147,7 @@ def test_apply_equivalence_shifts_infinitesimal_by_coboundary():
         assert before.family_ok(family) == after.family_ok(family)
     t_old = coefficient_cochain(md, 1)
     t_new = coefficient_cochain(out, 1)
-    one = MorphismCochain(MultilinearMap.from_matrix(N),
+    one = MorphismCochain(N,
                           MultilinearMap.zero(1, 3, 3),
                           MultilinearMap.constant(3, vec(0, 0, 0)))
     shift = MorphismComplex(md.phi, "lie").delta(one)
@@ -155,7 +158,8 @@ def test_apply_equivalence_shifts_infinitesimal_by_coboundary():
 
 def test_apply_equivalence_requires_twist_commuting_terms():
     md = fixtures.mdef_2()
-    bad = Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    bad = MultilinearMap.from_matrix(
+        Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
     with pytest.raises(UsageError):
         FormalAutomorphismPair(source=md.phi.source, target=md.phi.target,
                                psi_a_terms=((1, bad),), psi_b_terms=(),
@@ -166,7 +170,8 @@ def test_apply_equivalence_rejects_a_pair_over_other_algebras():
     md = fixtures.mdef_2()
     heis = fixtures.heisenberg()
     # commutes with the identity twist of heis, not with that of the source
-    term = Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    term = MultilinearMap.from_matrix(
+        Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
     for source, target in ((heis, md.phi.target), (md.phi.source, heis)):
         terms = ((1, term),)
         psi = FormalAutomorphismPair(
@@ -179,7 +184,8 @@ def test_apply_equivalence_rejects_a_pair_over_other_algebras():
 
 def test_automorphism_pair_rejects_repeated_and_out_of_range_degrees():
     md = fixtures.mdef_2()
-    a, b, c = (Matrix.identity(3).scale(k) for k in (1, 2, 3))
+    a, b, c = (MultilinearMap.from_matrix(
+        scaled_matrix(Matrix.identity(3), k)) for k in (1, 2, 3))
     for terms in (((1, a), (1, b)), ((1, a), (5, c)), ((0, a),)):
         for side in ("psi_a_terms", "psi_b_terms"):
             pair = {"psi_a_terms": (), "psi_b_terms": (), side: terms}
@@ -190,17 +196,19 @@ def test_automorphism_pair_rejects_repeated_and_out_of_range_degrees():
 
 def test_series_inverse_exact():
     md = fixtures.mdef_2()
-    N = Matrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 1, 0]])
+    N = MultilinearMap.from_matrix(
+        Matrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 1, 0]]))
     psi = FormalAutomorphismPair(source=md.phi.source, target=md.phi.target,
                                  psi_a_terms=((1, N),), psi_b_terms=(),
                                  order=3)
     inv = psi.inverse_terms("a", 3)
     # coefficient of each order of psi_t o psi_t^{-1} must vanish
     for s in range(1, 4):
-        acc = Matrix.zero(3, 3)
+        acc = zero_matrix(3, 3)
         for i in range(s + 1):
-            acc = acc + psi.term("a", i) @ inv[s - i]
-        assert acc.is_zero()
+            acc = matrix_sum(acc, linear_matrix(psi.term("a", i))
+                             @ linear_matrix(inv[s - i]))
+        assert matrix_is_zero(acc)
 
 
 def test_obstruction_trivial_is_zero(phi):
@@ -305,8 +313,9 @@ def _assoc_example():
         FormalDeformation.from_terms(B, 2, {}), {}, 2)
     psi = FormalAutomorphismPair(
         source=A, target=B,
-        psi_a_terms=((1, A.alpha), (2, A.alpha @ A.alpha)),
-        psi_b_terms=((1, B.alpha),), order=2)
+        psi_a_terms=((1, MultilinearMap.from_matrix(A.alpha)),
+                     (2, MultilinearMap.from_matrix(A.alpha @ A.alpha))),
+        psi_b_terms=((1, MultilinearMap.from_matrix(B.alpha)),), order=2)
     return trivial, psi, apply_equivalence(trivial, psi)
 
 
@@ -373,7 +382,8 @@ def test_connecting_obstruction_matches_dense_oracle():
 
 def test_apply_equivalence_matches_dense_oracle():
     md = _mdef_2_extensions(3)[-1]
-    nil = Matrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 1, 0]])
+    nil = MultilinearMap.from_matrix(
+        Matrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 1, 0]]))
     pairs = [(md, FormalAutomorphismPair(
         source=md.phi.source, target=md.phi.target,
         psi_a_terms=((1, nil),), psi_b_terms=(), order=3))]
@@ -448,7 +458,7 @@ def test_obstruction_mismatch_sites_raise_on_perturbed_displayed_side(
 def test_displayed_obstruction_side_does_not_use_the_kernel(monkeypatch):
     _, _, assoc = _assoc_example()
     md = fixtures.mdef_2()
-    f = MultilinearMap.from_matrix(assoc.phi_term(2))
+    f = assoc.phi_term(2)
 
     def displayed():
         return [
@@ -458,7 +468,8 @@ def test_displayed_obstruction_side_does_not_use_the_kernel(monkeypatch):
             overline_comp(assoc.phi, assoc.def_b.term(1), f),
             cup_product_assoc(assoc.phi, f, f),
             assoc.def_a.term(1).pushforward(assoc.phi_term(2)),
-            md.def_b.term(1).pullback([md.phi_term(1), md.phi.matrix])]
+            md.def_b.term(1).pullback(
+                [md.phi_term(1), MultilinearMap.from_matrix(md.phi.matrix)])]
 
     before = displayed()
     assert any(not m.is_zero() for m in before)
@@ -582,9 +593,9 @@ def test_stacked_obstruction_solve_matches_the_basis_solve():
         for n in (1, 2):
             op, space = complex_obj.operator(n), complex_obj.bound_space(n)
             for k in range(15):
-                image = complex_obj.delta(space.combine(
-                    {j: Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
-                     for j in range(space.dim)}))
+                image = complex_obj.delta(combine(
+                    space, {j: Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+                            for j in range(space.dim)}))
                 noise = op.target.to_full({
                     rng.randrange(op.target.dim): Fraction(rng.randint(1, 3))
                     for _ in range(2 if op.target.dim else 0)})

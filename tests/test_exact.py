@@ -5,7 +5,8 @@ from math import gcd
 import pytest
 
 from helpers import (bareiss_rank, columns, dense, dense_nullspace,
-                     dense_rref, dense_solve, densify, in_span)
+                     dense_rref, dense_solve, densify, in_span, matrix_sum,
+                     zero_matrix)
 from homcoh.cochain import Coords, MorphismCoords, MultilinearMap
 from homcoh.deformation import CheckResult, OrderRecord
 from homcoh.errors import ParseError, UsageError
@@ -145,7 +146,7 @@ def _oracle_cases():
         return [[entry(density, big) for _ in range(nc)] for _ in range(nr)]
 
     cases = [Matrix(0, 0, ()), Matrix(0, 4, ()), Matrix(3, 0, ()),
-             Matrix.zero(3, 4), Matrix.identity(5)]
+             zero_matrix(3, 4), Matrix.identity(5)]
     for _ in range(60):
         nr, nc = rng.randint(1, 9), rng.randint(1, 9)
         kind = rng.choice(("sparse", "dense", "big", "deficient", "holes"))
@@ -164,9 +165,9 @@ def _oracle_cases():
             rows[rng.randrange(nr)] = [Fraction(0)] * nc
         cases.append(Matrix.from_rows(rows))
     for n in (4, 7):  # full-rank squares
-        cases.append(Matrix.identity(n) + Matrix.from_rows(
+        cases.append(matrix_sum(Matrix.identity(n), Matrix.from_rows(
             [[Fraction(0) if j <= i else entry(0.7) for j in range(n)]
-             for i in range(n)]))
+             for i in range(n)])))
     return rng, cases
 
 

@@ -11,7 +11,8 @@ from math import lcm
 
 import pytest
 
-from helpers import (bareiss_rank, column_rank, dense, dense_action,
+from helpers import (bareiss_rank, column_rank, combine, dense, dense_action,
+                     evaluate, lie_cochain_basis, matrix_sum,
                      dense_coeffs, dense_d_component, dense_degree_zero_images,
                      dense_delta_hom, dense_delta_lie, dense_delta_morphism,
                      dense_derivation_D_assoc, dense_derivation_D_lie,
@@ -22,7 +23,7 @@ from homcoh import cochain, fixtures, operator
 from homcoh.algebra import ASSOCIATIVE, LIE, HomAlgebra, multiply, yau_twist
 from homcoh.cochain import (HOM, LIE as LIE_FLAVOR, Coords, MorphismCochain,
                             MultilinearMap, alternator, compatibility_rows,
-                            is_compatible, lie_cochain_basis)
+                            is_compatible)
 from homcoh.cohomology import (HomSelfComplex, LieSelfComplex,
                                ModuleComplex, MorphismComplex,
                                compute_cohomology, connecting_complex)
@@ -317,7 +318,7 @@ def dense_dims(space_n, space_prev, delta):
     the dense coboundary."""
     images = [dense_coeffs(delta(f)) for f in space_n.basis]
     kernel = nullspace_basis(Matrix.from_columns(images)) if images else []
-    z = [sparse_vector(dense_coeffs(space_n.combine(k))) for k in kernel]
+    z = [sparse_vector(dense_coeffs(combine(space_n, k))) for k in kernel]
     b_all = [sparse_vector(dense_coeffs(delta(g))) for g in space_prev.basis]
     b = [b_all[i] for i in independent_subset(b_all)]
     if b and column_rank(b + z) != len(z):
@@ -424,12 +425,13 @@ def test_operators_with_denominators_match_the_differential_matrix():
                       for j in range(space.dim)}
             x = lincomb(coeffs, space.coords)
             assert len({v.denominator for v in x.values()}) > 1
-            image = image_space.combine(sparse_vector(
+            image = combine(image_space, sparse_vector(
                 matrix.matvec(dense_vector(coeffs, space.dim))))
-            assert apply_operator(op, space.combine(coeffs)) == image
+            assert apply_operator(op, combine(space, coeffs)) == image
             for j, f in enumerate(space.basis):
-                assert apply_operator(op, f) == image_space.combine(
-                    sparse_vector(matrix.column(j))), (complex_obj.flavor, n)
+                assert apply_operator(op, f) == combine(
+                    image_space, sparse_vector(matrix.column(j))), \
+                    (complex_obj.flavor, n)
             assert not second.apply(op.apply(x)), (complex_obj.flavor, n)
             b = op.apply(x)
             assert op.apply(solve(operator_matrix(op), b)) == b
@@ -522,7 +524,8 @@ def test_degree_zero_images_match_the_dense_formula():
     for M in modules:
         complex_obj = ModuleComplex(M.algebra, M)
         op, images = complex_obj.operator(0), complex_obj.degree_zero_images()
-        fixed = nullspace_basis(M.beta - Matrix.identity(M.carrier_dim))
+        fixed = nullspace_basis(
+            matrix_sum(M.beta, Matrix.identity(M.carrier_dim), -1))
         expected = dense_degree_zero_images(M)
         assert len(images) == len(fixed) == len(expected)
         for m, image, want in zip(fixed, images, expected):
@@ -624,7 +627,7 @@ def compatible_dim(system, alpha: Matrix, beta: Matrix) -> int:
                                    for j in range(system.dim)])
         defects.append([x - y for t in system.tuples for x, y in zip(
             beta.matvec(f.value_on_basis(t)),
-            f.evaluate([cols[j] for j in t]))])
+            evaluate(f, [cols[j] for j in t]))])
     return system.dim - bareiss_rank(Matrix.from_rows(defects))
 
 

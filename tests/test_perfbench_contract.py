@@ -1,7 +1,8 @@
 """Every ``homcoh`` name that the benchmark scripts in ``perfbench/``
-import, or read as an attribute of a ``homcoh`` module, still exists, so
-a change that deletes or renames one fails here and not only when the
-benchmark runs."""
+import, or read as an attribute of a ``homcoh`` module, still exists, and
+one pass of every benchmark workload gives its recorded output, so a
+change that deletes or renames what the benchmark uses, or changes what
+it computes, fails here and not only when the benchmark runs."""
 
 import ast
 import importlib
@@ -73,3 +74,26 @@ def test_every_homcoh_name_the_benchmark_uses_exists():
             "multiply", "write_builtin_files", "main"} <= names
     missing = [ref for ref in refs if _resolve(ref[1], ref[2]) is None]
     assert missing == []
+
+
+def test_one_pass_of_every_workload_gives_its_recorded_output(
+        tmp_path, monkeypatch):
+    """Each workload of ``perfbench/workloads.py``, listed in
+    BENCHMARK.json or not, is prepared in a temporary directory and one pass
+    of its operations is checked against ``perfbench/expected.json``."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    expected = workloads.load_expected()
+    assert set(workloads.WORKLOADS) == set(expected)
+    seed = workloads.DEFAULT_SEED
+    for wl in workloads.WORKLOADS.values():
+        workdir = tmp_path / wl.name
+        inputs = wl.prepare(seed, workdir)
+        ops = wl.operations(inputs)
+        with workloads.op_cwd(wl, workdir):
+            failures = [(name, error) for name, op in ops
+                        if (error := workloads.check(wl, inputs, name, op(),
+                                                     seed, expected))]
+        assert failures == [], wl.name
+        assert len(ops) == len(expected[wl.name]), wl.name
