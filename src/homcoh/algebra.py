@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import MorphismViolation, UsageError
-from .exact import (Matrix, Vector, as_fraction, integral,
+from .exact import (Matrix, Vector, as_fraction, dense_vector, integral,
                     rational_to_string, sparse_vector, value_class)
 
 
@@ -278,27 +278,13 @@ def _scaled(entries: dict, c: int) -> dict:
     return {k: {r: c * x for r, x in v.items()} for k, v in entries.items()}
 
 
-def bilinear(tensor, x, y, dim: int) -> Vector:
-    """The sum of x_i y_j tensor[i][j] over all i, j (a length-dim vector)."""
-    out = [Fraction(0)] * dim
-    for i, a in enumerate(x):
-        if a:
-            row = tensor[i]
-            for j, b in enumerate(y):
-                if b:
-                    c = a * b
-                    for k, e in enumerate(row[j]):
-                        if e:
-                            out[k] += c * e
-    return tuple(out)
-
-
 def multiply(algebra: HomAlgebra, x, y) -> Vector:
     """Bilinear extension of the structure constants."""
     n = algebra.dim
     if len(x) != n or len(y) != n:
         raise UsageError("multiply: vector length != dim")
-    return bilinear(algebra.mul, x, y, n)
+    return dense_vector(_bilinear(algebra.sparse.mul, sparse_vector(x),
+                                  sparse_vector(y)), n)
 
 
 @value_class

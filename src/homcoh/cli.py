@@ -12,13 +12,13 @@ from functools import cache
 
 from . import files
 from .algebra import ASSOCIATIVE, validate
-from .cochain import HOM, LIE
+from .cochain import HOM, LIE, _check_arity_guard
 from .cohomology import (ComplexSummary, ModuleComplex, MorphismComplex,
                          compute_cohomology, connecting_complex)
-from .deformation import (MorphismDeformation, algebra_obstruction,
+from .deformation import (FAMILIES, MorphismDeformation, algebra_obstruction,
                           check_algebra_deformation, check_morphism_deformation,
-                          extend_deformation, infinitesimal_report, obstruction,
-                          solve_obstruction)
+                          check_order_bound, extend_deformation,
+                          infinitesimal_report, obstruction, solve_obstruction)
 from .errors import (HomcohError, NotACocycle, ObstructionMismatch, ParseError,
                      UsageError)
 from .exact import rational_to_string
@@ -54,6 +54,7 @@ def _parse_degrees(text: str) -> list[int]:
             raise ParseError(f"bad degree range {text!r}") from None
         if lo_i > hi_i:
             raise ParseError(f"empty degree range {text!r}")
+        _check_arity_guard(hi_i)  # before the range is built
         return list(range(lo_i, hi_i + 1))
     try:
         return [int(text)]
@@ -225,7 +226,7 @@ def cmd_morphism_cohomology(args) -> int:
 
 def _order_record_json(rec) -> dict:
     out = {"order": rec.order}
-    for field in ("algebra_a", "algebra_b", "morphism_eq", "twist_eq"):
+    for field in FAMILIES:
         check = getattr(rec, field)
         if check is not None:
             out[field] = {"ok": check.ok,
@@ -234,17 +235,13 @@ def _order_record_json(rec) -> dict:
 
 
 def _deform_check(target, args) -> int:
-    up_to = args.to_order
     if isinstance(target, MorphismDeformation):
-        report = check_morphism_deformation(target, up_to=up_to)
-        families = {
-            "source": report.family_ok("algebra_a"),
-            "target": report.family_ok("algebra_b"),
-            "morphism": report.family_ok("morphism_eq"),
-            "twist": report.family_ok("twist_eq")}
+        report = check_morphism_deformation(target, up_to=args.to_order)
+        names = ("source", "target", "morphism", "twist")
     else:
-        report = check_algebra_deformation(target, up_to=up_to)
-        families = {"algebra": report.family_ok("algebra_a")}
+        report = check_algebra_deformation(target, up_to=args.to_order)
+        names = ("algebra",)
+    families = {name: report.family_ok(f) for name, f in zip(names, FAMILIES)}
     payload = {"command": "deform-check",
                "order": target.order,
                "overall_ok": report.overall_ok,
@@ -255,12 +252,8 @@ def _deform_check(target, args) -> int:
                 else "some checks fail")]
     for name, ok in sorted(families.items()):
         lines.append(f"  {name}: {'ok' if ok else 'FAIL'}")
-    for rec in report.orders:
-        if not rec.ok():
-            bad = [f for f in ("algebra_a", "algebra_b", "morphism_eq",
-                               "twist_eq")
-                   if getattr(rec, f) is not None and not getattr(rec, f).ok]
-            lines.append(f"  order {rec.order}: failing: {', '.join(bad)}")
+    lines += [f"  order {rec.order}: failing: {', '.join(rec.failing())}"
+              for rec in report.orders if not rec.ok()]
     _emit(payload, args.json, lines)
     return EXIT_OK if report.overall_ok else EXIT_MATH
 
@@ -321,19 +314,15 @@ def _deform_obstruction(target, args) -> int:
 
 def _deform_extend(target, args) -> int:
     goal = args.to_order if args.to_order is not None else target.order + 1
-    current = target
+    current = extend_deformation(target, goal)
+    if current.order < goal:
+        payload = {"command": "deform-extend", "extended": False,
+                   "reached_order": current.order, "requested_order": goal}
+        _emit(payload, args.json,
+              [f"no extension: obstruction at order {current.order} "
+               "is not a coboundary"])
+        return EXIT_MATH
     ref = files.base_reference(args.input, target)
-    while current.order < goal:
-        nxt = extend_deformation(current)
-        if nxt is None:
-            payload = {"command": "deform-extend", "extended": False,
-                       "reached_order": current.order,
-                       "requested_order": goal}
-            _emit(payload, args.json,
-                  [f"no extension: obstruction at order {current.order} "
-                   "is not a coboundary"])
-            return EXIT_MATH
-        current = nxt
     if isinstance(current, MorphismDeformation):
         body = files.morphism_deformation_to_json(current, ref)
     else:
@@ -353,17 +342,14 @@ def cmd_deform(args) -> int:
         if args.action in ("infinitesimal", "obstruction"):
             raise ParseError(f"--to-order {n}: deform {args.action} takes "
                              "no order")
+        check_order_bound(n, "--to-order")
         least = 0 if args.action == "check" else target.order + 1
         if n < least:
             raise ParseError(f"--to-order {n}: must be at least {least} "
                              f"for deform {args.action} of this deformation")
-    if args.action == "check":
-        return _deform_check(target, args)
-    if args.action == "infinitesimal":
-        return _deform_infinitesimal(target, args)
-    if args.action == "obstruction":
-        return _deform_obstruction(target, args)
-    return _deform_extend(target, args)
+    run = {"check": _deform_check, "infinitesimal": _deform_infinitesimal,
+           "obstruction": _deform_obstruction, "extend": _deform_extend}
+    return run[args.action](target, args)
 
 
 def cmd_selftest(args) -> int:

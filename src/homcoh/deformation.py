@@ -1,6 +1,6 @@
 """One-parameter formal deformations of algebras and of morphisms:
 order-by-order verification, the infinitesimal report, equivalence
-transport, obstruction cochains, and one-step extension by linear solve.
+transport, obstruction cochains, and extension by linear solve.
 
 Each deformation owns the complex of its cochains, built on first use:
 the Hom-complex of the base, or the coupled complex of the morphism.
@@ -31,6 +31,21 @@ from .cohomology import ModuleComplex, MorphismComplex
 from .errors import NotACocycle, ObstructionMismatch, UsageError
 from .exact import solve, value_class
 from .rep import HomMorphism
+
+
+# Bounds the order of a deformation and every order asked of one: checking
+# or extending to order N costs roughly N^3.
+MAX_ORDER = 1000
+
+# The verdict families of an ``OrderRecord``, in report order.
+FAMILIES = ("algebra_a", "algebra_b", "morphism_eq", "twist_eq")
+
+
+def check_order_bound(n: int, what: str):
+    """Input error when an order n exceeds ``MAX_ORDER``."""
+    if n > MAX_ORDER:
+        raise UsageError(f"{what} {n} exceeds the bound {MAX_ORDER} on "
+                         "deformation orders")
 
 
 def _check_degrees(terms, order: int, what: str):
@@ -74,6 +89,7 @@ class FormalDeformation:
     def __post_init__(self):
         if self.order < 0:
             raise UsageError("order must be >= 0")
+        check_order_bound(self.order, "order")
         _check_degrees(self.terms, self.order, "term")
         for _, term in self.terms:
             if (term.arity, term.source_dim, term.target_dim) != (
@@ -261,10 +277,13 @@ class OrderRecord:
     morphism_eq: CheckResult | None = None
     twist_eq: CheckResult | None = None
 
+    def failing(self) -> list[str]:
+        """The families checked at this order that fail."""
+        return [f for f in FAMILIES
+                if getattr(self, f) is not None and not getattr(self, f).ok]
+
     def ok(self) -> bool:
-        return all(c.ok for c in (self.algebra_a, self.algebra_b,
-                                  self.morphism_eq, self.twist_eq)
-                   if c is not None)
+        return not self.failing()
 
 
 @value_class
@@ -289,22 +308,46 @@ def _algebra_order_defect(d: FormalDeformation, s: int) -> dict:
     return identity_defect(d.base.kind, d.base.sparse.alpha, pairs)
 
 
+def _algebra_verdict(d: FormalDeformation, s: int) -> CheckResult:
+    """Structure identity at order s; for the Lie kind the stored term of
+    degree s is also checked for skew-symmetry."""
+    n = d.base.dim
+    witness = None
+    if d.base.kind == LIE_KIND and s >= 1:
+        witness = first_failure(skew_defect(_get(d.entries, s, {})), n)
+    if witness is None:
+        witness = first_failure(_algebra_order_defect(d, s), n)
+    return CheckResult(witness is None, witness)
+
+
+def order_record(d: FormalDeformation | MorphismDeformation,
+                 s: int) -> OrderRecord:
+    """The verdicts of d at order s: the algebra deformation, or for a
+    morphism deformation the two algebra deformations, the morphism
+    coefficient equation, and twist compatibility of the morphism term."""
+    if isinstance(d, FormalDeformation):
+        return OrderRecord(order=s, algebra_a=_algebra_verdict(d, s))
+    A, B = d.phi.source, d.phi.target
+    mdefect = first_failure(_morphism_order_defect(d, s), B.dim)
+    twist = first_failure(twist_defect(
+        _get(d.phi_entries, s, {}), A.sparse.alpha, B.sparse.alpha),
+        B.dim, A.basis_names) if s <= d.order else None
+    return OrderRecord(order=s,
+                       algebra_a=_algebra_verdict(d.def_a, s),
+                       algebra_b=_algebra_verdict(d.def_b, s),
+                       morphism_eq=CheckResult(mdefect is None, mdefect),
+                       twist_eq=CheckResult(twist is None, twist))
+
+
+def _report(d, up_to: int) -> DeformationReport:
+    return DeformationReport(tuple(order_record(d, s)
+                                   for s in range(up_to + 1)))
+
+
 def check_algebra_deformation(d: FormalDeformation,
                               up_to: int | None = None) -> DeformationReport:
-    """Structure identity coefficient-by-coefficient; for the Lie kind each
-    stored term is also checked for skew-symmetry at its own order."""
-    up_to = 2 * d.order if up_to is None else up_to
-    n = d.base.dim
-    records = []
-    for s in range(up_to + 1):
-        witness = None
-        if d.base.kind == LIE_KIND and s >= 1:
-            witness = first_failure(skew_defect(_get(d.entries, s, {})), n)
-        if witness is None:
-            witness = first_failure(_algebra_order_defect(d, s), n)
-        records.append(OrderRecord(order=s,
-                                   algebra_a=CheckResult(witness is None, witness)))
-    return DeformationReport(tuple(records))
+    """Verdicts of orders 0..up_to, by default to twice the order of d."""
+    return _report(d, 2 * d.order if up_to is None else up_to)
 
 
 def _morphism_order_defect(md: MorphismDeformation, s: int) -> dict:
@@ -321,29 +364,10 @@ def _morphism_order_defect(md: MorphismDeformation, s: int) -> dict:
 
 def check_morphism_deformation(md: MorphismDeformation,
                                up_to: int | None = None) -> DeformationReport:
-    """Four verdicts per order: the two algebra deformations, the morphism
-    coefficient equation, and twist compatibility of the morphism term.
-
-    The morphism equation is trilinear in the stored families, so orders
-    run to three times the deformation order by default.
-    """
-    up_to = 3 * md.order if up_to is None else up_to
-    A, B = md.phi.source, md.phi.target
-    rep_a = check_algebra_deformation(md.def_a, up_to)
-    rep_b = check_algebra_deformation(md.def_b, up_to)
-    records = []
-    for s in range(up_to + 1):
-        mdefect = first_failure(_morphism_order_defect(md, s), B.dim)
-        twist = first_failure(twist_defect(
-            _get(md.phi_entries, s, {}), A.sparse.alpha, B.sparse.alpha),
-            B.dim, A.basis_names) if s <= md.order else None
-        records.append(OrderRecord(
-            order=s,
-            algebra_a=rep_a.orders[s].algebra_a,
-            algebra_b=rep_b.orders[s].algebra_a,
-            morphism_eq=CheckResult(mdefect is None, mdefect),
-            twist_eq=CheckResult(twist is None, twist)))
-    return DeformationReport(tuple(records))
+    """Verdicts of orders 0..up_to.  The morphism equation is trilinear in
+    the stored families, so orders run to three times the deformation
+    order by default."""
+    return _report(md, 3 * md.order if up_to is None else up_to)
 
 
 def coefficient_cochain(md: MorphismDeformation, degree: int) -> MorphismCochain:
@@ -426,15 +450,12 @@ def algebra_obstruction(d: FormalDeformation) -> MultilinearMap:
     against the direct order-(N+1) coefficient of the structure identity."""
     A = d.base
     N = d.order
+    bracket = gerstenhaber_bracket if A.kind == ASSOCIATIVE else nr_bracket
     acc = MultilinearMap.zero(3, A.dim, A.dim)
     for p in range(1, N + 1):
         mu_p, mu_q = d.term(p), d.term(N + 1 - p)
-        if mu_p.is_zero() or mu_q.is_zero():
-            continue
-        if A.kind == ASSOCIATIVE:
-            acc = acc + gerstenhaber_bracket(A, mu_p, mu_q).scale(Fraction(1, 2))
-        else:
-            acc = acc + nr_bracket(A, mu_p, mu_q).scale(Fraction(1, 2))
+        if not mu_p.is_zero() and not mu_q.is_zero():
+            acc = acc + bracket(A, mu_p, mu_q).scale(Fraction(1, 2))
     # no term of degree N + 1 is stored, so only products of the tail count
     direct = MultilinearMap.from_sparse(
         3, A.dim, A.dim, _algebra_order_defect(d, N + 1)).scale(-1)
@@ -454,8 +475,8 @@ def obstruction(md: MorphismDeformation) -> MorphismCochain:
     N = md.order
     ob_a = algebra_obstruction(md.def_a)
     ob_b = algebra_obstruction(md.def_b)
+    ob_phi = MultilinearMap.zero(2, A.dim, B.dim)
     if md.flavor == HOM:
-        ob_phi = MultilinearMap.zero(2, A.dim, B.dim)
         for p in range(1, N + 1):
             q = N + 1 - p
             mu_bp, phi_p, phi_q = (md.def_b.term(p), md.phi_term(p),
@@ -472,7 +493,6 @@ def obstruction(md: MorphismDeformation) -> MorphismCochain:
                 ob_phi = ob_phi + md.def_b.term(p).pullback(
                     [md.phi_term(q), md.phi_term(k)])
     else:
-        ob_phi = MultilinearMap.zero(2, A.dim, B.dim)
         for i in range(1, N + 1):
             ob_phi = ob_phi + md.def_a.term(N + 1 - i).pushforward(
                 md.phi_term(i))
@@ -527,23 +547,29 @@ def solve_obstruction(d: FormalDeformation | MorphismDeformation, ob):
     return None if x is None else op.source.to_full(x)
 
 
-def extend_deformation(d: FormalDeformation | MorphismDeformation):
-    """Solve for an order-(N+1) term killing the obstruction of d, an
-    algebra or a morphism deformation; returns the re-verified extension,
-    or None when the obstruction is not a coboundary."""
+def extend_deformation(d: FormalDeformation | MorphismDeformation,
+                       to_order: int | None = None):
+    """Extend d, an algebra or a morphism deformation, one order at a time
+    to to_order (default: the order of d plus one), each term solving the
+    obstruction at its order.  Returns the last extension reached, which
+    stops below to_order where the obstruction is not a coboundary.
+
+    d is checked once; an extension only at its new order, as its lower
+    orders hold no new term.  A family that held through the order of d
+    and fails at a new order means a sign convention bug."""
+    goal = d.order + 1 if to_order is None else to_order
+    check_order_bound(goal, "order")
     morphism = isinstance(d, MorphismDeformation)
-    theta = solve_obstruction(
-        d, obstruction(d) if morphism else algebra_obstruction(d))
-    if theta is None:
-        return None
-    extended = d.extended_by(theta)
-    check = check_morphism_deformation if morphism \
-        else check_algebra_deformation
-    # orders 0..N involve no degree-(N+1) term, so they are the report of d
-    after = check(extended, up_to=d.order + 1)
-    before = DeformationReport(after.orders[:d.order + 1])
-    for family in ("algebra_a", "algebra_b", "morphism_eq", "twist_eq"):
-        if before.family_ok(family) and not after.family_ok(family):
-            raise ObstructionMismatch(
-                f"extension broke the {family} checks; sign convention bug")
-    return extended
+    report = _report(d, d.order)
+    held = [f for f in FAMILIES if report.family_ok(f)]
+    while d.order < goal:
+        theta = solve_obstruction(
+            d, obstruction(d) if morphism else algebra_obstruction(d))
+        if theta is None:
+            break
+        d = d.extended_by(theta)
+        for family in order_record(d, d.order).failing():
+            if family in held:
+                raise ObstructionMismatch(f"extension broke the {family} "
+                                          "checks; sign convention bug")
+    return d

@@ -20,8 +20,8 @@ from .cochain import (HOM, LIE as LIE_FLAVOR, Coords, MultilinearMap,
                       alternator, compatibility_rows, is_alternating,
                       is_compatible, kernel_space)
 from .cohomology import ModuleComplex, MorphismComplex
-from .deformation import (apply_equivalence, check_morphism_deformation,
-                          coefficient_cochain, FormalAutomorphismPair,
+from .deformation import (FAMILIES, FormalAutomorphismPair, apply_equivalence,
+                          check_morphism_deformation, coefficient_cochain,
                           infinitesimal_report, obstruction)
 from .exact import (Matrix, dense_vector, lincomb, nullspace_basis, rref,
                     solve, sparse_vector)
@@ -402,7 +402,7 @@ def suite_deformations() -> SuiteResult:
     transported = apply_equivalence(md, psi)
     before = check_morphism_deformation(md)
     after = check_morphism_deformation(transported)
-    for family in ("algebra_a", "algebra_b", "morphism_eq", "twist_eq"):
+    for family in FAMILIES:
         out.expect(before.family_ok(family) == after.family_ok(family),
                    f"equivalence transport changed the {family} verdict")
     t_old = coefficient_cochain(md, 1)

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, gcd
 
-from homcoh.algebra import ASSOCIATIVE, HomAlgebra, identity_defect, multiply
+from homcoh.algebra import ASSOCIATIVE, HomAlgebra, identity_defect
 from homcoh.cochain import (HOM, LIE, Coords, MorphismCochain, MultilinearMap,
                             compatibility_rows, kernel_space, permutation_sign)
 from homcoh.errors import HomcohError, UsageError
@@ -320,6 +320,18 @@ def basis_solve(complex_obj, n: int, target):
     coeffs = None if rhs is None else solve(
         operator_matrix(op, space.coords), rhs)
     return None if coeffs is None else combine(space, coeffs)
+
+
+def multiply(A: HomAlgebra, x, y) -> tuple:
+    """The product of two dense vectors, summed over the dense structure
+    constants ``A.mul``: the oracle of ``homcoh.algebra.multiply``, which
+    evaluates through the sparse kernel."""
+    out = [Fraction(0)] * A.dim
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            for k, e in enumerate(A.mul[i][j]):
+                out[k] += a * b * e
+    return tuple(out)
 
 
 # Dense defining identities, evaluated on basis vectors with ``multiply``

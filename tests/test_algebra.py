@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (apply_alpha, dense_morphism_witnesses, dense_validity,
                      scaled_matrix, zero_matrix)
+from helpers import multiply as dense_multiply
 from homcoh import fixtures
 from homcoh.algebra import (ASSOCIATIVE, LIE, HomAlgebra,
                             multiply, validate, yau_twist)
@@ -24,6 +25,19 @@ def test_multiply_examples(a3, b2):
     assert multiply(a3, vec(1, 0, 0), vec(0, 1, 0)) == vec(0, 1, 0)
     assert multiply(a3, vec(0, 0, 0), vec(1, 2, 3)) == vec(0, 0, 0)
     assert multiply(b2, vec(1, 1), vec(1, 0)) == vec(1, 1)
+
+
+def test_multiply_matches_the_dense_oracle():
+    rng = random.Random(23)
+    for kind in (ASSOCIATIVE, LIE):
+        for _ in range(4):
+            A = random_valid_hom_algebra(rng, kind)
+            for _ in range(5):
+                x, y = ([Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+                         for _ in range(A.dim)] for _ in range(2))
+                got = multiply(A, x, y)
+                assert got == dense_multiply(A, x, y)
+                assert all(type(c) is Fraction for c in got)
 
 
 def test_twist_power_rejects_a_negative_exponent(a3):

@@ -6,9 +6,9 @@ from math import factorial
 from helpers import (alpha_associator, basis_vector, combine, cup_bracket_lie,
                      dense_alternator, dense_comp_product,
                      dense_cup_product_assoc, dense_map, dense_overline_comp,
-                     diamond, evaluate, zero_matrix)
+                     diamond, evaluate, multiply, zero_matrix)
 from homcoh import fixtures
-from homcoh.algebra import HomAlgebra, multiply, validate
+from homcoh.algebra import HomAlgebra, validate
 from homcoh.bracket import (comp_product, cup_product_assoc,
                             gerstenhaber_bracket, nr_bracket, overline_comp)
 from homcoh.cochain import (MultilinearMap, alternator, is_alternating,

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from functools import cached_property
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from homcoh import cli, cohomology, deformation, files, fixtures, operator
 from homcoh.algebra import HomAlgebra
 from homcoh.cli import build_parser, main
 from homcoh.cochain import Coords
+from homcoh.errors import UsageError
 
 
 def run(capsys, *argv):
@@ -476,6 +478,58 @@ def test_deform_obstruction_rejects_an_order(capsys):
                          "--to-order", "5")
     assert code == 2
     assert "--to-order 5" in err and out == ""
+
+
+def _refuse_deformation_work(monkeypatch):
+    """Make every order check and obstruction raise, where the deformation
+    module defines them and where the command line imports them."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an order was checked or obstructed")
+    for owner, name in ((deformation, "_algebra_order_defect"),
+                        (deformation, "_morphism_order_defect"),
+                        (deformation, "obstruction"),
+                        (deformation, "algebra_obstruction"),
+                        (cli, "obstruction"), (cli, "algebra_obstruction")):
+        monkeypatch.setattr(owner, name, refuse)
+
+
+def test_deformation_orders_are_bounded_before_any_work(monkeypatch,
+                                                        tmp_path, capsys):
+    _refuse_deformation_work(monkeypatch)
+    big = tmp_path / "big.json"
+    big.write_text('{"algebra": "g1_2_0", "order": 20000, "terms": []}')
+    runs = [(("deform", action, str(big)), "order 20000")
+            for action in ("check", "infinitesimal", "obstruction", "extend")]
+    runs += [(("deform", action, name, "--to-order", str(10 ** 9)),
+              f"--to-order {10 ** 9}")
+             for action in ("check", "extend") for name in ("mdef_2", "def_g1")]
+    for argv, value in runs:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"{value} exceeds the bound {deformation.MAX_ORDER}" in err
+    bound = deformation.MAX_ORDER
+    A = fixtures.builtin("algebra", "g1_2_0")
+    assert deformation.FormalDeformation.from_terms(A, bound, {}).order \
+        == bound
+    with pytest.raises(UsageError, match=f"order {bound + 1}"):
+        deformation.FormalDeformation.from_terms(A, bound + 1, {})
+    with pytest.raises(UsageError, match=f"order {bound + 1}"):
+        deformation.extend_deformation(fixtures.def_g1(), bound + 1)
+
+
+@pytest.mark.parametrize("command", ["cohomology", "morphism-cohomology"])
+def test_a_degree_range_is_guarded_before_it_is_built(capsys, command):
+    source = "a3" if command == "cohomology" else "phi_assoc"
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, command, source, "--degree",
+                             "1..3000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
+    assert code == 2 and out == ""
+    assert "arity 3000000 exceeds limit" in err
 
 
 def test_a_shared_parser_answers_as_a_fresh_process(capsys):

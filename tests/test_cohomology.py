@@ -11,9 +11,9 @@ import pytest
 from helpers import (ImageOutsideCodomain, basis_vector, combine, dense_coeffs,
                      dense_map, differential_matrix, evaluate,
                      hom_cochain_basis, in_span, lie_cochain_basis,
-                     matrix_is_zero)
+                     matrix_is_zero, multiply)
 from homcoh import cochain, cohomology, fixtures, operator
-from homcoh.algebra import LIE, HomAlgebra, multiply
+from homcoh.algebra import LIE, HomAlgebra
 from homcoh.cochain import (Coords, MorphismCochain, MultilinearMap,
                             is_alternating, is_compatible)
 from homcoh.cohomology import (HomSelfComplex, ModuleComplex,

@@ -223,7 +223,6 @@ def test_trivial_deformation_extends_with_zero_term(phi):
         phi, FormalDeformation.from_terms(phi.source, 1, {}),
         FormalDeformation.from_terms(phi.target, 1, {}), {}, 1)
     extended = extend_deformation(trivial)
-    assert extended is not None
     assert extended.order == 2
     assert extended.def_a.term(2).is_zero()
     assert extended.def_b.term(2).is_zero()
@@ -249,7 +248,6 @@ def test_rigid_extension_from_coboundary_term(a3):
     d = FormalDeformation.from_terms(a3, 1, {1: mu1})
     assert check_algebra_deformation(d, up_to=1).overall_ok
     extended = extend_deformation(d)
-    assert extended is not None
     assert extended.order == 2
     assert check_algebra_deformation(extended, up_to=2).overall_ok
 
@@ -258,7 +256,7 @@ def test_rigid_extension_second_coboundary_term(a3):
     g = MultilinearMap.from_values(1, 3, 3, {(1,): vec(1, 1, 0)})
     mu1 = ModuleComplex(a3).delta(g)
     d = FormalDeformation.from_terms(a3, 1, {1: mu1})
-    assert extend_deformation(d) is not None
+    assert extend_deformation(d).order == d.order + 1
 
 
 def test_non_coboundary_obstruction_blocks_extension():
@@ -276,29 +274,28 @@ def test_non_coboundary_obstruction_blocks_extension():
     assert check_algebra_deformation(d, up_to=1).overall_ok
     ob = algebra_obstruction(d)
     assert not ob.is_zero()
-    assert extend_deformation(d) is None
+    assert extend_deformation(d).order == d.order
 
     from homcoh.rep import HomMorphism
     ident = HomMorphism(L, L, Matrix.identity(3))
     md = MorphismDeformation.build(ident, d, d, {}, 1)
-    assert extend_deformation(md) is None
+    assert extend_deformation(md).order == md.order
 
 
 def test_extend_morphism_deformation_of_mdef_2():
     md = fixtures.mdef_2()
     extended = extend_deformation(md)
-    if extended is not None:
-        assert extended.order == 2
-        after = check_morphism_deformation(extended, up_to=2)
-        assert after.family_ok("algebra_a")
-        assert after.family_ok("morphism_eq")
-        assert after.family_ok("twist_eq")
-        # second-order obstruction of the extension is again a cocycle in
-        # the slots whose underlying algebras are valid
-        ob2 = obstruction(extended)
-        image = MorphismComplex(extended.phi, "lie").delta(ob2)
-        assert image.comp_A.is_zero()
-        assert image.comp_AB.is_zero()
+    assert extended.order == 2
+    after = check_morphism_deformation(extended, up_to=2)
+    assert after.family_ok("algebra_a")
+    assert after.family_ok("morphism_eq")
+    assert after.family_ok("twist_eq")
+    # second-order obstruction of the extension is again a cocycle in
+    # the slots whose underlying algebras are valid
+    ob2 = obstruction(extended)
+    image = MorphismComplex(extended.phi, "lie").delta(ob2)
+    assert image.comp_A.is_zero()
+    assert image.comp_AB.is_zero()
 
 
 def _assoc_example():
@@ -484,20 +481,25 @@ def test_displayed_obstruction_side_does_not_use_the_kernel(monkeypatch):
     assert displayed() == before
 
 
-def test_extension_step_checks_the_extension_once(monkeypatch):
+def test_extension_checks_each_order_once(monkeypatch):
     _, _, assoc = _assoc_example()
     calls = []
-    real = deformation.check_morphism_deformation
+    real = deformation.order_record
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("up_to"))
-        return real(*args, **kwargs)
+    def counted(d, s):
+        calls.append(s)
+        return real(d, s)
 
-    monkeypatch.setattr(deformation, "check_morphism_deformation", counted)
-    for md in (assoc, fixtures.mdef_2()):
+    monkeypatch.setattr(deformation, "order_record", counted)
+    for md in (fixtures.mdef_2(), assoc):
         calls.clear()
-        assert extend_deformation(md) is not None
-        assert calls == [md.order + 1]
+        extended = extend_deformation(md, md.order + 3)
+        assert extended.order == md.order + 3
+        assert sorted(calls) == list(range(extended.order + 1))
+        stepped = md
+        for _ in range(3):
+            stepped = extend_deformation(stepped)
+        assert stepped == extended
 
 
 def _zero_product(name, kind, twist):
@@ -527,7 +529,7 @@ def test_extension_over_an_empty_compatible_space():
     d = FormalDeformation.from_terms(L, 1, {1: term})
     assert not d.complex.bound_space(2).coords
     assert not algebra_obstruction(d).is_zero()
-    assert extend_deformation(d) is None
+    assert extend_deformation(d).order == d.order
 
 
 def test_obstruction_solve_builds_no_basis_and_applies_no_operator(

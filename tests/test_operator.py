@@ -12,7 +12,7 @@ from math import lcm
 import pytest
 
 from helpers import (bareiss_rank, column_rank, combine, dense, dense_action,
-                     evaluate, lie_cochain_basis, matrix_sum,
+                     evaluate, lie_cochain_basis, matrix_sum, multiply,
                      dense_coeffs, dense_d_component, dense_degree_zero_images,
                      dense_delta_hom, dense_delta_lie, dense_delta_morphism,
                      dense_derivation_D_assoc, dense_derivation_D_lie,
@@ -20,7 +20,7 @@ from helpers import (bareiss_rank, column_rank, combine, dense, dense_action,
                      dense_to_full, differential_matrix, operator_matrix,
                      row_apply)
 from homcoh import cochain, fixtures, operator
-from homcoh.algebra import ASSOCIATIVE, LIE, HomAlgebra, multiply, yau_twist
+from homcoh.algebra import ASSOCIATIVE, LIE, HomAlgebra, yau_twist
 from homcoh.cochain import (HOM, LIE as LIE_FLAVOR, Coords, MorphismCochain,
                             MultilinearMap, alternator, compatibility_rows,
                             is_compatible)

@@ -4,13 +4,13 @@ from itertools import product
 import pytest
 
 from homcoh import fixtures
-from homcoh.algebra import ASSOCIATIVE, LIE, multiply
+from homcoh.algebra import ASSOCIATIVE, LIE
 from homcoh.errors import UsageError
 import random
 
 from helpers import (apply_alpha, basis_vector, dense_action,
                      dense_validate_bimodule, dense_validate_lie_module,
-                     zero_matrix)
+                     multiply, zero_matrix)
 from homcoh.exact import Matrix
 from homcoh.rep import (HomMorphism, Module, adjoint_module, check_morphism,
                         self_module, validate_bimodule, validate_lie_module)
