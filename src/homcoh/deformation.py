@@ -10,11 +10,12 @@ Every coboundary and solve here goes through it, and one
 A deformation is stored as its finitely many coefficient terms; the
 structure identity is checked coefficient-wise in the formal parameter up
 to the order where any product of stored terms could still contribute.
-Each family reads its coefficients once into a list by degree
-(``series``), and the order defects sum only products of nonzero entries.
-They are the defects of ``homcoh.algebra`` summed over degree tuples: the
-order-0 coefficient is the validity check of the base algebras and the
-morphism check of the base morphism.
+Each series holds its nonzero coefficients as a {degree: coefficient}
+dict in increasing degree (``series``), and every series sum walks the
+stored degrees of its factors.  The order defects are the defects of
+``homcoh.algebra`` summed over those degree tuples: the order-0
+coefficient is the validity check of the base algebras and the morphism
+check of the base morphism.
 """
 
 from __future__ import annotations
@@ -29,13 +30,16 @@ from .bracket import (cup_product_assoc, gerstenhaber_bracket, nr_bracket,
 from .cochain import HOM, LIE, MorphismCochain, MultilinearMap, is_compatible
 from .cohomology import ModuleComplex, MorphismComplex
 from .errors import NotACocycle, ObstructionMismatch, UsageError
-from .exact import solve, value_class
+from .exact import Matrix, solve, value_class
 from .rep import HomMorphism
 
 
-# Bounds the order of a deformation and every order asked of one: checking
-# or extending to order N costs roughly N^3.
+# Bounds the order of a deformation and every order asked of one.
 MAX_ORDER = 1000
+
+# Bounds the coefficient tuples that the default check of a deformation
+# walks, which grow with its nonzero terms, not with its order.
+MAX_CHECK_TUPLES = 2_000_000
 
 # The verdict families of an ``OrderRecord``, in report order.
 FAMILIES = ("algebra_a", "algebra_b", "morphism_eq", "twist_eq")
@@ -46,6 +50,21 @@ def check_order_bound(n: int, what: str):
     if n > MAX_ORDER:
         raise UsageError(f"{what} {n} exceeds the bound {MAX_ORDER} on "
                          "deformation orders")
+
+
+def _check_work_bound(d: FormalDeformation | MorphismDeformation):
+    """Input error when the default check of d walks more than
+    ``MAX_CHECK_TUPLES`` coefficient tuples: |mu|^2 for an algebra
+    deformation, |mu_A|^2 + |mu_B|^2 + |phi| |mu_A| + |mu_B| |phi|^2 for a
+    morphism deformation, where |.| counts the nonzero coefficients."""
+    if isinstance(d, FormalDeformation):
+        tuples = len(d.series) ** 2
+    else:
+        a, b, f = len(d.def_a.series), len(d.def_b.series), len(d.phi_series)
+        tuples = a * a + b * b + f * a + b * f * f
+    if tuples > MAX_CHECK_TUPLES:
+        raise UsageError(f"checking this deformation walks {tuples} "
+                         f"coefficient tuples, over the bound {MAX_CHECK_TUPLES}")
 
 
 def _check_degrees(terms, order: int, what: str):
@@ -59,23 +78,32 @@ def _check_degrees(terms, order: int, what: str):
         seen.add(degree)
 
 
-def _series(leading, terms, zero) -> list:
-    """Coefficients by degree, from the leading term up to the highest
-    stored degree."""
-    out = [leading] + [zero] * max((d for d, _ in terms), default=0)
-    for degree, t in terms:
-        out[degree] = t
-    return out
+def _series(leading, terms) -> dict:
+    """The nonzero coefficients by degree, in increasing degree: the
+    leading term at 0, then the stored terms (sorted by degree)."""
+    return {degree: m for degree, m in ((0, leading), *terms)
+            if not m.is_zero()}
 
 
-def _get(series: list, degree: int, zero):
-    """Coefficient of a series by degree; ``zero`` outside its range."""
-    return series[degree] if 0 <= degree < len(series) else zero
+def _tail(series: dict) -> dict:
+    """The coefficients of a series above its leading term."""
+    return {degree: m for degree, m in series.items() if degree}
 
 
-def _identity(n: int) -> MultilinearMap:
-    """The identity of an n-dimensional space, as a linear map."""
-    return MultilinearMap(1, n, n, {(j,): {j: Fraction(1)} for j in range(n)})
+def _pairs(first: dict, second: dict, total: int) -> list:
+    """(a, b) over the coefficients a of first and b of second whose
+    degrees add to total."""
+    return [(a, second[total - i]) for i, a in first.items()
+            if total - i in second]
+
+
+def _sum_by_degree(products) -> dict:
+    """{degree: sum of the maps of that degree} over (degree, map) pairs,
+    nonzero sums only."""
+    acc = {}
+    for degree, m in products:
+        acc[degree] = acc[degree] + m if degree in acc else m
+    return {degree: m for degree, m in acc.items() if not m.is_zero()}
 
 
 @value_class
@@ -96,6 +124,7 @@ class FormalDeformation:
                     2, self.base.dim, self.base.dim):
                 raise UsageError("terms must be bilinear self-maps")
         object.__setattr__(self, "terms", tuple(sorted(self.terms)))
+        _check_work_bound(self)
 
     @classmethod
     def from_terms(cls, base: HomAlgebra, order: int,
@@ -103,20 +132,21 @@ class FormalDeformation:
         return cls(base, order, tuple(sorted(terms.items())))
 
     @cached_property
-    def series(self) -> list[MultilinearMap]:
-        """Coefficients by degree; degree 0 is the base multiplication."""
+    def series(self) -> dict[int, MultilinearMap]:
+        """Nonzero coefficients by degree; 0 is the base multiplication."""
         n = self.base.dim
-        mu0 = MultilinearMap.from_sparse(2, n, n, self.base.sparse.mul)
-        return _series(mu0, self.terms, MultilinearMap.zero(2, n, n))
+        return _series(MultilinearMap.from_sparse(2, n, n,
+                                                  self.base.sparse.mul),
+                       self.terms)
 
     @cached_property
-    def entries(self) -> list[dict]:
+    def entries(self) -> dict[int, dict]:
         """Nonzero entries of each coefficient of ``series``."""
-        return [m.entries for m in self.series]
+        return {degree: m.entries for degree, m in self.series.items()}
 
     def term(self, degree: int) -> MultilinearMap:
-        return _get(self.series, degree,
-                    MultilinearMap.zero(2, self.base.dim, self.base.dim))
+        n = self.base.dim
+        return self.series.get(degree, MultilinearMap.zero(2, n, n))
 
     def with_term(self, degree: int, term: MultilinearMap) -> "FormalDeformation":
         terms = {d: t for d, t in self.terms}
@@ -157,6 +187,7 @@ class MorphismDeformation:
                     1, self.phi.source.dim, self.phi.target.dim):
                 raise UsageError("phi term has wrong shape")
         object.__setattr__(self, "phi_terms", tuple(sorted(self.phi_terms)))
+        _check_work_bound(self)
 
     @classmethod
     def build(cls, phi: HomMorphism, def_a: FormalDeformation,
@@ -166,23 +197,20 @@ class MorphismDeformation:
         return cls(phi, def_a, def_b, tuple(sorted(phi_terms.items())), order)
 
     @cached_property
-    def phi_series(self) -> list[MultilinearMap]:
-        """Morphism coefficients by degree, as linear maps; degree 0 is the
-        morphism."""
+    def phi_series(self) -> dict[int, MultilinearMap]:
+        """Nonzero morphism coefficients by degree, as linear maps; degree
+        0 is the morphism."""
         return _series(MultilinearMap.from_matrix(self.phi.matrix),
-                       self.phi_terms, self._phi_zero)
+                       self.phi_terms)
 
     @cached_property
-    def phi_entries(self) -> list[dict]:
+    def phi_entries(self) -> dict[int, dict]:
         """Nonzero columns of each coefficient of ``phi_series``."""
-        return [m.columns() for m in self.phi_series]
-
-    @property
-    def _phi_zero(self) -> MultilinearMap:
-        return MultilinearMap.zero(1, self.phi.source.dim, self.phi.target.dim)
+        return {degree: m.columns() for degree, m in self.phi_series.items()}
 
     def phi_term(self, degree: int) -> MultilinearMap:
-        return _get(self.phi_series, degree, self._phi_zero)
+        return self.phi_series.get(degree, MultilinearMap.zero(
+            1, self.phi.source.dim, self.phi.target.dim))
 
     @property
     def flavor(self) -> str:
@@ -238,28 +266,31 @@ class FormalAutomorphismPair:
                         "commute with the twist")
 
     @cached_property
-    def series(self) -> tuple[list[MultilinearMap], list[MultilinearMap]]:
-        """Coefficients by degree of the source and the target series."""
-        return tuple(_series(_identity(alg.dim), terms,
-                             MultilinearMap.zero(1, alg.dim, alg.dim))
-                     for alg, terms in ((self.source, self.psi_a_terms),
-                                        (self.target, self.psi_b_terms)))
+    def series(self) -> dict[str, dict[int, MultilinearMap]]:
+        """Nonzero coefficients by degree of the source ("a") and the
+        target ("b") series."""
+        return {side: _series(MultilinearMap.from_matrix(
+                    Matrix.identity(alg.dim)), terms)
+                for side, alg, terms in (("a", self.source, self.psi_a_terms),
+                                         ("b", self.target, self.psi_b_terms))}
 
-    def term(self, side: str, degree: int) -> MultilinearMap:
-        alg = self.source if side == "a" else self.target
-        return _get(self.series[0 if side == "a" else 1], degree,
-                    MultilinearMap.zero(1, alg.dim, alg.dim))
-
-    def inverse_terms(self, side: str, up_to: int) -> list[MultilinearMap]:
-        """Coefficients of the truncated series inverse (unit leading term):
-        minus the sum of term i after inverse term s - i."""
-        alg = self.source if side == "a" else self.target
-        inv = [_identity(alg.dim)]
-        for s in range(1, up_to + 1):
-            acc = MultilinearMap.zero(1, alg.dim, alg.dim)
-            for i in range(1, s + 1):
-                acc = acc + inv[s - i].pushforward(self.term(side, i))
-            inv.append(-acc)
+    def inverse_terms(self, side: str, up_to: int) -> dict[int, MultilinearMap]:
+        """Nonzero coefficients, through degree up_to, of the series
+        inverse (unit leading term): minus the sum of term i after inverse
+        term s - i.  Each inverse term, once known, is pushed along the
+        stored terms into the sums of the higher degrees."""
+        n = (self.source if side == "a" else self.target).dim
+        inv, pending = {}, {0: self.series[side][0]}
+        while pending:
+            s = min(pending)
+            inv_s = pending.pop(s)
+            if inv_s.is_zero():
+                continue
+            inv[s] = inv_s
+            for i, m in _tail(self.series[side]).items():
+                if s + i <= up_to:
+                    pending[s + i] = pending.get(s + i, MultilinearMap.zero(
+                        1, n, n)) - inv_s.pushforward(m)
         return inv
 
 
@@ -303,8 +334,9 @@ def _algebra_order_defect(d: FormalDeformation, s: int) -> dict:
     """Order-s coefficient of the structure identity of the deformed
     multiplication, summed over the pairs (outer, inner) of nonzero
     coefficients with degrees adding to s (see ``identity_defect``)."""
-    pairs = [(outer, inner) for i, outer in enumerate(d.entries)
-             if outer and (inner := _get(d.entries, s - i, {}))]
+    mu = d.entries
+    pairs = [(outer, inner) for i, outer in mu.items()
+             if (inner := mu.get(s - i))]
     return identity_defect(d.base.kind, d.base.sparse.alpha, pairs)
 
 
@@ -314,7 +346,7 @@ def _algebra_verdict(d: FormalDeformation, s: int) -> CheckResult:
     n = d.base.dim
     witness = None
     if d.base.kind == LIE_KIND and s >= 1:
-        witness = first_failure(skew_defect(_get(d.entries, s, {})), n)
+        witness = first_failure(skew_defect(d.entries.get(s, {})), n)
     if witness is None:
         witness = first_failure(_algebra_order_defect(d, s), n)
     return CheckResult(witness is None, witness)
@@ -330,7 +362,7 @@ def order_record(d: FormalDeformation | MorphismDeformation,
     A, B = d.phi.source, d.phi.target
     mdefect = first_failure(_morphism_order_defect(d, s), B.dim)
     twist = first_failure(twist_defect(
-        _get(d.phi_entries, s, {}), A.sparse.alpha, B.sparse.alpha),
+        d.phi_entries.get(s, {}), A.sparse.alpha, B.sparse.alpha),
         B.dim, A.basis_names) if s <= d.order else None
     return OrderRecord(order=s,
                        algebra_a=_algebra_verdict(d.def_a, s),
@@ -354,11 +386,9 @@ def _morphism_order_defect(md: MorphismDeformation, s: int) -> dict:
     """Order-s coefficient of phi_t(mul_A_t(x,y)) - mul_B_t(phi_t x, phi_t y),
     summed over the degree tuples whose coefficients are all nonzero."""
     mu_a, mu_b, phi = md.def_a.entries, md.def_b.entries, md.phi_entries
-    after = [(m, mu) for i, m in enumerate(phi)
-             if m and (mu := _get(mu_a, s - i, {}))]
-    through = [(mu, left, right) for i, mu in enumerate(mu_b) if mu
-               for j, left in enumerate(phi)
-               if left and (right := _get(phi, s - i - j, {}))]
+    after = [(m, mu) for i, m in phi.items() if (mu := mu_a.get(s - i))]
+    through = [(mu, left, right) for i, mu in mu_b.items()
+               for j, left in phi.items() if (right := phi.get(s - i - j))]
     return product_defect(after, through)
 
 
@@ -402,60 +432,42 @@ def apply_equivalence(md: MorphismDeformation,
     if psi.order < md.order:
         raise UsageError("automorphism order must cover the deformation order")
     N = md.order
-    A, B = md.phi.source, md.phi.target
-    if psi.source != A or psi.target != B:
+    if psi.source != md.phi.source or psi.target != md.phi.target:
         raise UsageError("automorphism pair is not over the algebras of the "
                          "morphism")
     inv_a = psi.inverse_terms("a", N)
-    inv_b = psi.inverse_terms("b", N)
 
     def transported(d: FormalDeformation, side: str,
-                    inv: list[MultilinearMap]) -> FormalDeformation:
+                    inv: dict[int, MultilinearMap]) -> FormalDeformation:
         """psi_t o mu_t o (psi_t^-1 x psi_t^-1), through order N."""
-        zero = MultilinearMap.zero(2, d.base.dim, d.base.dim)
-        pulled = []  # coefficients of mu_t(psi_t^-1 x, psi_t^-1 y)
-        for m in range(N + 1):
-            acc = zero
-            for j in range(m + 1):
-                if d.term(j).is_zero():
-                    continue
-                for k in range(m - j + 1):
-                    acc = acc + d.term(j).pullback([inv[k], inv[m - j - k]])
-            pulled.append(acc)
-        terms = {}
-        for s in range(1, N + 1):
-            acc = zero
-            for i in range(s + 1):
-                acc = acc + pulled[s - i].pushforward(psi.term(side, i))
-            if not acc.is_zero():
-                terms[s] = acc
-        return FormalDeformation.from_terms(d.base, N, terms)
+        # coefficients of mu_t(psi_t^-1 x, psi_t^-1 y)
+        pulled = _sum_by_degree(
+            (j + k + m, mu.pullback([left, right]))
+            for j, mu in d.series.items() for k, left in inv.items()
+            for m, right in inv.items() if j + k + m <= N)
+        return FormalDeformation.from_terms(d.base, N, _sum_by_degree(
+            (i + m, p.pushforward(psi_i))
+            for i, psi_i in psi.series[side].items()
+            for m, p in pulled.items() if 1 <= i + m <= N))
 
-    phi_terms = {}
-    for s in range(1, N + 1):
-        acc = MultilinearMap.zero(1, A.dim, B.dim)
-        for i in range(s + 1):
-            for j in range(s - i + 1):
-                acc = acc + inv_a[s - i - j].pushforward(
-                    md.phi_term(j)).pushforward(psi.term("b", i))
-        if not acc.is_zero():
-            phi_terms[s] = acc
+    phi_terms = _sum_by_degree(
+        (i + j + k, inv_k.pushforward(phi_j).pushforward(psi_i))
+        for i, psi_i in psi.series["b"].items()
+        for j, phi_j in md.phi_series.items()
+        for k, inv_k in inv_a.items() if 1 <= i + j + k <= N)
     return MorphismDeformation.build(
         md.phi, transported(md.def_a, "a", inv_a),
-        transported(md.def_b, "b", inv_b), phi_terms, N)
+        transported(md.def_b, "b", psi.inverse_terms("b", N)), phi_terms, N)
 
 
 def algebra_obstruction(d: FormalDeformation) -> MultilinearMap:
     """Half the graded bracket of the deformation tail with itself, checked
     against the direct order-(N+1) coefficient of the structure identity."""
-    A = d.base
-    N = d.order
+    A, N = d.base, d.order
     bracket = gerstenhaber_bracket if A.kind == ASSOCIATIVE else nr_bracket
-    acc = MultilinearMap.zero(3, A.dim, A.dim)
-    for p in range(1, N + 1):
-        mu_p, mu_q = d.term(p), d.term(N + 1 - p)
-        if not mu_p.is_zero() and not mu_q.is_zero():
-            acc = acc + bracket(A, mu_p, mu_q).scale(Fraction(1, 2))
+    mu = _tail(d.series)
+    acc = sum((bracket(A, mu_p, mu_q) for mu_p, mu_q in _pairs(mu, mu, N + 1)),
+              MultilinearMap.zero(3, A.dim, A.dim)).scale(Fraction(1, 2))
     # no term of degree N + 1 is stored, so only products of the tail count
     direct = MultilinearMap.from_sparse(
         3, A.dim, A.dim, _algebra_order_defect(d, N + 1)).scale(-1)
@@ -472,46 +484,31 @@ def obstruction(md: MorphismDeformation) -> MorphismCochain:
     order-(N+1) coefficients; verified to be a coupled cocycle wherever
     the underlying algebras are valid."""
     A, B = md.phi.source, md.phi.target
-    N = md.order
     ob_a = algebra_obstruction(md.def_a)
     ob_b = algebra_obstruction(md.def_b)
-    ob_phi = MultilinearMap.zero(2, A.dim, B.dim)
+    s = md.order + 1
+    mu_a, mu_b, phi = md.def_a.series, md.def_b.series, md.phi_series
     if md.flavor == HOM:
-        for p in range(1, N + 1):
-            q = N + 1 - p
-            mu_bp, phi_p, phi_q = (md.def_b.term(p), md.phi_term(p),
-                                   md.phi_term(q))
-            if not mu_bp.is_zero() and not phi_q.is_zero():
-                ob_phi = ob_phi + overline_comp(md.phi, mu_bp, phi_q)
-            ob_phi = ob_phi - md.def_a.term(q).pushforward(phi_p)
-            ob_phi = ob_phi + cup_product_assoc(md.phi, phi_p, phi_q)
-        for p in range(1, N + 1):
-            for q in range(1, N + 1):
-                k = N + 1 - p - q
-                if k < 1:
-                    continue
-                ob_phi = ob_phi + md.def_b.term(p).pullback(
-                    [md.phi_term(q), md.phi_term(k)])
+        # every degree p, q, k of the displayed sums is at least 1
+        mu_a, mu_b, phi = _tail(mu_a), _tail(mu_b), _tail(phi)
+        terms = [overline_comp(md.phi, m, f) for m, f in _pairs(mu_b, phi, s)]
+        terms += [-m.pushforward(f) for f, m in _pairs(phi, mu_a, s)]
+        terms += [cup_product_assoc(md.phi, f, g)
+                  for f, g in _pairs(phi, phi, s)]
+        terms += [m.pullback([f, g]) for p, m in mu_b.items()
+                  for f, g in _pairs(phi, phi, s - p)]
     else:
-        for i in range(1, N + 1):
-            ob_phi = ob_phi + md.def_a.term(N + 1 - i).pushforward(
-                md.phi_term(i))
-        s = N + 1
-        for i in range(s + 1):
-            mu = md.def_b.term(i)
-            if mu.is_zero():
-                continue
-            for j in range(s - i + 1):
-                k = s - i - j
-                if (i, j, k) in ((s, 0, 0), (0, s, 0), (0, 0, s)):
-                    continue
-                ob_phi = ob_phi - mu.pullback([md.phi_term(j),
-                                               md.phi_term(k)])
+        # the one-slot tuples (s, 0, 0), (0, s, 0), (0, 0, s) are skipped
+        terms = [m.pushforward(f) for f, m in _pairs(_tail(phi), mu_a, s)]
+        terms += [-m.pullback([phi[j], phi[s - i - j]])
+                  for i, m in mu_b.items() for j in phi
+                  if s - i - j in phi and s not in (i, j, s - i - j)]
+    ob_phi = sum(terms, MultilinearMap.zero(2, A.dim, B.dim))
     # The known part of the order-(N+1) morphism equation: its coefficient
     # in md itself, whose families all stop at order N, so it holds exactly
     # the terms without the unknown extension.
     direct = MultilinearMap.from_sparse(2, A.dim, B.dim,
-                                        _morphism_order_defect(md, N + 1))
+                                        _morphism_order_defect(md, s))
     if md.flavor == HOM:
         direct = direct.scale(-1)
     if ob_phi != direct:

@@ -239,23 +239,31 @@ def morphism_to_json(phi: HomMorphism, source_ref: str,
             "matrix": _matrix_json(phi.matrix)}
 
 
-def _parse_term_list(entries, algebra: HomAlgebra, order: int,
+def _parse_term_list(entries, order: int, field: str, parse_value,
                      context: str) -> dict[int, MultilinearMap]:
+    """{degree: term} from entries {"degree": d, field: value}, each degree
+    in 1..order and none repeated; parse_value(value, where) reads a term."""
     terms = {}
     for pos, entry in enumerate(entries):
         where = f"{context}[{pos}]"
-        _require_keys(entry, ("degree", "mul"), (), where)
+        _require_keys(entry, ("degree", field), (), where)
         degree = entry["degree"]
         if type(degree) is not int or degree < 1 or degree > order:
             raise ParseError(f"{where}: degree must be in 1..{order}")
         if degree in terms:
             raise ParseError(f"{where}: duplicate degree {degree}")
-        mul = _parse_mul_entries(entry["mul"], list(algebra.basis_names),
-                                 algebra.kind, where)
-        terms[degree] = MultilinearMap.from_sparse(
-            2, algebra.dim, algebra.dim,
-            sparse_tensor(mul, algebra.dim, algebra.dim))
+        terms[degree] = parse_value(entry[field], where)
     return terms
+
+
+def _bilinear_terms(entries, algebra: HomAlgebra, order: int,
+                    context: str) -> dict[int, MultilinearMap]:
+    """The "mul" terms of a deformation of algebra."""
+    n = algebra.dim
+    return _parse_term_list(entries, order, "mul", lambda mul, where: (
+        MultilinearMap.from_sparse(2, n, n, sparse_tensor(_parse_mul_entries(
+            mul, list(algebra.basis_names), algebra.kind, where), n, n))),
+        context)
 
 
 def parse_deformation(data, base_dir: str = ".", context: str = "deformation"):
@@ -278,21 +286,15 @@ def parse_deformation(data, base_dir: str = ".", context: str = "deformation"):
             if declared != phi.source:
                 raise ParseError(f"{context}: algebra does not match the "
                                  "morphism's source")
-        terms_a = _parse_term_list(lists["terms"], phi.source, order,
-                                   f"{context}: terms")
-        terms_b = _parse_term_list(lists["target_terms"], phi.target, order,
-                                   f"{context}: target_terms")
-        phi_terms = {}
-        for pos, entry in enumerate(lists["phi_terms"]):
-            where = f"{context}: phi_terms[{pos}]"
-            _require_keys(entry, ("degree", "matrix"), (), where)
-            degree = entry["degree"]
-            if type(degree) is not int or degree < 1 or degree > order:
-                raise ParseError(f"{where}: degree must be in 1..{order}")
-            if degree in phi_terms:
-                raise ParseError(f"{where}: duplicate degree {degree}")
-            phi_terms[degree] = MultilinearMap.from_matrix(_parse_matrix(
-                entry["matrix"], phi.target.dim, phi.source.dim, where))
+        terms_a = _bilinear_terms(lists["terms"], phi.source, order,
+                                  f"{context}: terms")
+        terms_b = _bilinear_terms(lists["target_terms"], phi.target, order,
+                                  f"{context}: target_terms")
+        phi_terms = _parse_term_list(
+            lists["phi_terms"], order, "matrix",
+            lambda rows, where: MultilinearMap.from_matrix(_parse_matrix(
+                rows, phi.target.dim, phi.source.dim, where)),
+            f"{context}: phi_terms")
         return MorphismDeformation.build(
             phi,
             FormalDeformation.from_terms(phi.source, order, terms_a),
@@ -304,7 +306,7 @@ def parse_deformation(data, base_dir: str = ".", context: str = "deformation"):
         if key in data:
             raise ParseError(f"{context}: {key} requires a morphism")
     base = load("algebra", refs["algebra"], base_dir)
-    terms = _parse_term_list(lists["terms"], base, order, f"{context}: terms")
+    terms = _bilinear_terms(lists["terms"], base, order, f"{context}: terms")
     return FormalDeformation.from_terms(base, order, terms)
 
 

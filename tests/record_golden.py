@@ -50,8 +50,10 @@ def golden_commands() -> dict[str, list[str]]:
             cmds[f"deform-{action}-{name}"] = ["deform", action, name,
                                                "--json"]
     for action, name, order in (("check", "mdef_2", 9), ("check", "def_g1", 6),
+                                ("check", "mdef_2", 30),
                                 ("extend", "mdef_2", 5),
-                                ("extend", "def_g1", 6)):
+                                ("extend", "def_g1", 6),
+                                ("extend", "mdef_2", 100)):
         cmds[f"deform-{action}-{name}-to-order-{order}"] = [
             "deform", action, name, "--to-order", str(order), "--json"]
     cmds["selftest-fast"] = ["selftest", "--fast", "--json"]

@@ -517,6 +517,37 @@ def test_deformation_orders_are_bounded_before_any_work(monkeypatch,
         deformation.extend_deformation(fixtures.def_g1(), bound + 1)
 
 
+def _every_degree_file(tmp_path, n: int) -> str:
+    """mdef_2 with its order-1 source, target and morphism terms repeated
+    at every degree 1..n."""
+    data = files.morphism_deformation_to_json(fixtures.mdef_2(), "phi12_2")
+    data["order"] = n
+    for key in ("terms", "target_terms", "phi_terms"):
+        data[key] = [dict(data[key][0], degree=k) for k in range(1, n + 1)]
+    path = tmp_path / f"every_{n}.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_deformation_check_work_is_bounded_while_parsed(monkeypatch,
+                                                        tmp_path, capsys):
+    _refuse_deformation_work(monkeypatch)
+
+    def refuse(*args):
+        raise AssertionError("an order was checked")
+    monkeypatch.setattr(deformation, "order_record", refuse)
+    # 201 nonzero coefficients per series: 3 * 201^2 + 201^3 tuples
+    big = _every_degree_file(tmp_path, 200)
+    for action in ("check", "infinitesimal", "obstruction", "extend"):
+        code, out, err = run(capsys, "deform", action, big)
+        assert code == 2 and out == ""
+        assert ("walks 8241804 coefficient tuples, over the bound "
+                f"{deformation.MAX_CHECK_TUPLES}") in err
+    # 3 * 101^2 + 101^3 = 1060904 tuples are admitted
+    admitted = files.load("deformation", _every_degree_file(tmp_path, 100))
+    assert admitted.order == 100 and len(admitted.phi_series) == 101
+
+
 @pytest.mark.parametrize("command", ["cohomology", "morphism-cohomology"])
 def test_a_degree_range_is_guarded_before_it_is_built(capsys, command):
     source = "a3" if command == "cohomology" else "phi_assoc"

@@ -202,12 +202,16 @@ def test_series_inverse_exact():
                                  psi_a_terms=((1, N),), psi_b_terms=(),
                                  order=3)
     inv = psi.inverse_terms("a", 3)
+    # N squares to zero, so the inverse 1 - tN stops at degree 1
+    assert sorted(inv) == [0, 1]
     # coefficient of each order of psi_t o psi_t^{-1} must vanish
     for s in range(1, 4):
         acc = zero_matrix(3, 3)
         for i in range(s + 1):
-            acc = matrix_sum(acc, linear_matrix(psi.term("a", i))
-                             @ linear_matrix(inv[s - i]))
+            inv_term = inv.get(s - i, MultilinearMap.zero(1, 3, 3))
+            psi_term = psi.series["a"].get(i, MultilinearMap.zero(1, 3, 3))
+            acc = matrix_sum(acc, linear_matrix(psi_term)
+                             @ linear_matrix(inv_term))
         assert matrix_is_zero(acc)
 
 
@@ -500,6 +504,43 @@ def test_extension_checks_each_order_once(monkeypatch):
         for _ in range(3):
             stepped = extend_deformation(stepped)
         assert stepped == extended
+
+
+def _at_order(md, order):
+    """md with the same stored terms, at a higher order."""
+    return MorphismDeformation.build(
+        md.phi, FormalDeformation(md.def_a.base, order, md.def_a.terms),
+        FormalDeformation(md.def_b.base, order, md.def_b.terms),
+        dict(md.phi_terms), order)
+
+
+def _extension_step_work(monkeypatch, md):
+    """(MultilinearMap constructions, pullbacks) in one extension step."""
+    counts = {"__init__": 0, "pullback": 0}
+    with monkeypatch.context() as patch:
+        for name in counts:
+            def counted(*args, _real=getattr(MultilinearMap, name),
+                        _name=name):
+                counts[_name] += 1
+                return _real(*args)
+            patch.setattr(MultilinearMap, name, counted)
+        assert extend_deformation(md, md.order + 1).order == md.order + 1
+    return counts["__init__"], counts["pullback"]
+
+
+def test_an_extension_step_costs_the_same_at_every_order(monkeypatch):
+    # every term above degree 1 of an extension of mdef_2 vanishes, and
+    # so does every term of an extension of the trivial deformation
+    mdef_2 = fixtures.mdef_2()
+    phi = fixtures.phi_assoc()
+    trivial = MorphismDeformation.build(
+        phi, FormalDeformation.from_terms(phi.source, 1, {}),
+        FormalDeformation.from_terms(phi.target, 1, {}), {}, 1)
+    for md in (mdef_2, trivial):
+        assert extend_deformation(md, 10) == _at_order(md, 10)
+        low, high = (_extension_step_work(monkeypatch, _at_order(md, n))
+                     for n in (10, 60))
+        assert low == high
 
 
 def _zero_product(name, kind, twist):

@@ -231,3 +231,72 @@ def test_no_module_imports_dataclasses():
         if lines:
             offenders[path.name] = lines
     assert offenders == {}
+
+
+# deformation.py holds each series by its nonzero degrees, so a series sum
+# walks the stored degrees; reading coefficients by degree over a range
+# walks every degree, stored or not
+COEFFICIENT_READS = {"term", "phi_term"}
+
+
+def _is_range_loop(node: ast.AST) -> bool:
+    """A for loop or comprehension that iterates over a range(...) call."""
+    if isinstance(node, (ast.For, ast.AsyncFor)):
+        iters = [node.iter]
+    elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
+                           ast.GeneratorExp)):
+        iters = [g.iter for g in node.generators]
+    else:
+        return False
+    return any(isinstance(it, ast.Call)
+               and getattr(it.func, "id", None) == "range" for it in iters)
+
+
+def coefficient_reads_over_ranges(tree: ast.AST) -> list[str]:
+    """Qualified names of the functions that call .term or .phi_term
+    inside a loop over a range."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            name = ".".join(scope) or "<module>"
+            if _is_range_loop(child) and name not in found and any(
+                    isinstance(n, ast.Call)
+                    and isinstance(n.func, ast.Attribute)
+                    and n.func.attr in COEFFICIENT_READS
+                    for n in ast.walk(child)):
+                found.append(name)
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_rule_sees_coefficient_reads_over_ranges():
+    tree = ast.parse(
+        "def f(d, n):\n"
+        "    for p in range(1, n + 1):\n"
+        "        if p:\n"
+        "            acc = acc + d.term(p)\n"
+        "class C:\n"
+        "    def g(self, md, n):\n"
+        "        return [md.phi_term(j) for j in range(n)]\n"
+        "def h(d, n):\n"
+        "    for p, m in d.series.items():\n"
+        "        acc = acc + d.term(p)\n"
+        "    return [s for s in range(n)], d.term(1)\n"
+        "def k(psi, n):\n"
+        "    for s in range(n):\n"
+        "        for i in range(s):\n"
+        "            psi.term('a', i)\n")
+    assert coefficient_reads_over_ranges(tree) == ["f", "C.g", "k"]
+
+
+def test_deformation_series_sums_walk_stored_degrees():
+    path = SOURCE / "deformation.py"
+    assert coefficient_reads_over_ranges(
+        ast.parse(path.read_text(), str(path))) == []
