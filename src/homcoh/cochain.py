@@ -13,11 +13,11 @@ Cochains have two coordinate systems (``Coords``): full coordinates, one
 per argument tuple and target index, numbered row-major lexicographically
 over the tuple (i_1, ..., i_k) with the target coordinate innermost (the
 canonical bases depend on this order), and for alternating maps reduced
-coordinates, one per strictly increasing argument tuple.  A
-``CochainSpace`` is the kernel of integer rows over one coordinate system
-(``kernel_space``); it stores its basis as sparse {coordinate: value}
-dicts and builds maps only on demand: each nonzero reduced coordinate is
-scattered over the signed permutations of its tuple.
+coordinates, one per strictly increasing argument tuple; ``locate``
+sorts only a tuple that is not one of them.  A ``CochainSpace`` stores a
+basis as sparse {coordinate: value} dicts and builds maps only on demand:
+each nonzero reduced coordinate is scattered over the signed permutations
+of its tuple.
 
 The public ``MultilinearMap`` constructor (and ``from_sparse``,
 ``from_values`` and the file parsers, which go through it) checks every
@@ -38,8 +38,8 @@ from math import factorial, lcm, prod
 from .algebra import (HomAlgebra, _add, _after, _nonzero, sparse_columns,
                       transposed)
 from .errors import ArityLimitError, UsageError
-from .exact import (Matrix, SparseMatrix, Vector, as_fraction, dense_vector,
-                    expand_product, integral, nullspace_basis, value_class)
+from .exact import (Matrix, Vector, as_fraction, dense_vector, expand_product,
+                    value_class)
 
 HOM = "hom"
 LIE = "lie"
@@ -296,7 +296,7 @@ class Coords:
     def locate(self, t) -> tuple[int, int] | None:
         """(tuple index, sign) holding the value on argument tuple t; None
         where an alternating map vanishes (a repeated argument)."""
-        if not self.reduced:
+        if t in self.index or not self.reduced:
             return self.index[t], 1
         srt, sign = _sort_sign(t)
         return (self.index[srt], sign) if sign else None
@@ -355,36 +355,36 @@ class CochainSpace:
         return tuple(self.system.to_full(v) for v in self.coords)
 
 
-def kernel_space(system, rows: list[dict]) -> CochainSpace:
-    """The cochains of ``system`` that the {column: int} rows annihilate,
-    with the canonical kernel basis."""
-    return CochainSpace(system, tuple(nullspace_basis(
-        SparseMatrix(len(rows), system.dim, tuple(rows)))))
-
-
 def compatibility_rows(flavor: str, source: HomAlgebra, target_dim: int,
-                       beta: Matrix, arity: int) -> list[dict]:
+                       beta: tuple[dict, int], arity: int) -> list[dict]:
     """The nonzero integer rows {unknown: int} of the system beta∘f =
     f∘alpha^(tensor arity) in the coordinates of the flavor, at most one
     per argument tuple and target coordinate; arity 0 has none (no
-    structure-map constraint there).  Where alpha maps each e_i of a tuple
-    t to c_i e_i and row r of beta reads only coordinate r, the row of
-    (t, r) is one product, dropped when it cancels."""
+    structure-map constraint there).  beta is given by its nonzero rows
+    as integer numerators over one denominator (``Module.beta_rows``).
+    Where alpha maps each e_i of a tuple t to c_i e_i and row r of beta
+    reads only coordinate r, the row of (t, r) is one product, dropped
+    when it cancels (for scalar alpha and beta, before any tuple is
+    walked)."""
     if arity < 0:
         raise UsageError("arity must be >= 0")
     _check_arity_guard(arity)
     if arity == 0:
         return []
     d = target_dim
-    system = Coords(arity, source.dim, d, flavor == LIE)
     (alpha, a), _ = source.integral
-    beta_rows, b = integral(transposed(sparse_columns(beta)))
+    beta_rows, b = beta
     den = lcm(a ** arity, b)  # each row: beta(f(e_t)) - f(alpha e_t)
     fa, fb = den // a ** arity, den // b
     scalar = {i: col.get(i, 0) for i in range(source.dim)
               if (col := alpha.get(i, {})).keys() <= {i}}
     own = {r: row.get(r, 0) for r in range(d)
            if (row := beta_rows.get(r, {})).keys() <= {r}}
+    cs, bs = set(scalar.values()), set(own.values())
+    if (len(scalar), len(own), len(cs), len(bs)) == (source.dim, d, 1, 1) \
+            and fb * bs.pop() == fa * cs.pop() ** arity:
+        return []  # scalar alpha and beta: every row is this cancelling one
+    system = Coords(arity, source.dim, d, flavor == LIE)
     rows = []
     for ti, t in enumerate(system.tuples):
         # f(alpha e_{t_1}, ..., alpha e_{t_k}) in the unknowns of the system

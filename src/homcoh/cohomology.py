@@ -19,15 +19,16 @@ complex is the only way to apply a coboundary: ``delta(f)`` takes a cochain
 of that complex, and ``ModuleComplex.face(i, f)`` applies the face
 operators of the associative kind.  Every coboundary and face is a compiled
 ``operator.SparseOperator``; a complex compiles each degree (and each face
-index and arity) once, and caches per degree the integer compatibility
-rows whose kernel is its twist-compatible cochains, and that kernel's
-basis (``bound_space``) when asked for; ``operator(0)`` of a module
-complex is its optional arity-0 coboundary.  ``compute_cohomology``
-solves one stacked integer system per degree for the cocycles, keeps them
-in operator coordinates, takes the coboundaries from the integer kernel
-of the rows one degree down, and reads them in the coordinates of the
-canonical cocycle basis: multilinear maps are built only for the
-representatives and the cocycle basis of a record, when read.
+index and arity) once, and caches per degree its compatibility rows (whose
+kernel, ``bound_space``, is its twist-compatible cochains), their echelon
+and that of its cocycle system; a morphism complex sets its parts'
+echelons side by side and eliminates only its connecting rows.
+``operator(0)`` of a module complex is its optional arity-0 coboundary.
+``compute_cohomology`` reads the cocycles off the system echelon and the
+coboundaries off the compatibility echelon one degree down (the
+operator's columns when it is empty), in the coordinates of the canonical
+cocycle basis: multilinear maps are built only for the representatives
+and the cocycle basis of a record, when read.
 
 Invalid input algebras degrade to best-effort reports: a coboundary that
 is not a cocycle is reported as a warning, and the coboundary space is
@@ -39,14 +40,14 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .algebra import (ASSOCIATIVE, LIE as LIE_KIND, HomAlgebra, _add,
-                      _nonzero, sparse_columns, transposed, validate)
+from .algebra import (ASSOCIATIVE, LIE as LIE_KIND, HomAlgebra, _nonzero,
+                      validate)
 from .cochain import (HOM, LIE, CochainSpace, MorphismCochain,
-                      MultilinearMap, _check_arity_guard, compatibility_rows,
-                      kernel_space)
+                      MultilinearMap, _check_arity_guard, compatibility_rows)
 from .errors import UsageError
-from .exact import (SparseMatrix, integer_kernel, intersection_basis,
-                    nullspace_basis, pivot_columns, value_class)
+from .exact import (Echelon, SparseMatrix, echelon, integer_kernel, integral,
+                    intersection_basis, pivot_columns, rational_kernel,
+                    value_class)
 from .operator import (SparseOperator, apply_operator, hom_delta, hom_operator,
                        lie_operator, morphism_delta)
 from .rep import (HomMorphism, Module, adjoint_module, check_morphism,
@@ -124,11 +125,24 @@ class _ComplexBase:
         the Lie kind, alternating) cochains."""
         return self._memo(("rows", n), lambda: self._build_rows(n))
 
+    def compatibility_echelon(self, n: int) -> Echelon:
+        """The echelon of ``compatibility_rows(n)``, eliminated once."""
+        return self._memo(("echelon", n), lambda: echelon(
+            self.compatibility_rows(n)))
+
+    def system_echelon(self, n: int) -> Echelon:
+        """The echelon of the system whose kernel is the degree-n cocycles:
+        the operator's rows, after the compatibility echelon (Lie kind)."""
+        return self._memo(("system", n), lambda: echelon(
+            self.operator(n).rows, Echelon() if self.full_cocycles
+            else self.compatibility_echelon(n)))
+
     def bound_space(self, n: int) -> CochainSpace:
-        """The twist-compatible cochains of degree n: the kernel of their
-        compatibility rows."""
-        return self._memo(("bound", n), lambda: kernel_space(
-            self.operator(n).source, self.compatibility_rows(n)))
+        """The twist-compatible cochains of degree n: the canonical kernel
+        of their compatibility echelon."""
+        source = self.operator(n).source
+        return self._memo(("bound", n), lambda: CochainSpace(source, tuple(
+            rational_kernel(self.compatibility_echelon(n), source.dim))))
 
     def compatible_system(self, n: int) -> SparseMatrix:
         """The operator's rows stacked on the compatibility rows, over the
@@ -182,7 +196,7 @@ class ModuleComplex(_ComplexBase):
     def _build_rows(self, n: int) -> list[dict]:
         M = self.module
         return compatibility_rows(HOM if self.full_cocycles else LIE,
-                                  self.algebra, M.carrier_dim, M.beta, n)
+                                  self.algebra, M.carrier_dim, M.beta_rows, n)
 
     def _compile(self, n: int):
         M = self.module
@@ -229,11 +243,11 @@ class ModuleComplex(_ComplexBase):
         the structure map of the module fixes (its canonical kernel basis
         of beta - 1): e_i -> e_i m, minus m e_i for a bimodule."""
         M, op = self.module, self.operator(0)
-        fixed = sparse_columns(M.beta)
-        for j in range(M.carrier_dim):
-            _add(fixed, j, {j: 1}, -1)
+        rows, den = M.beta_rows
+        fixed = {j: {**rows.get(j, {}), j: rows.get(j, {}).get(j, 0) - den}
+                 for j in range(M.carrier_dim)}
         return [op.numerators(m) for m in integer_kernel(
-            transposed(_nonzero(fixed)).values(), M.carrier_dim)]
+            echelon(_nonzero(fixed).values()), M.carrier_dim)]
 
 
 # former names, kept while perfbench/workloads.py and record.py import them
@@ -273,12 +287,30 @@ class MorphismComplex(_ComplexBase):
         return out
 
     def _build_rows(self, n: int) -> list[dict]:
-        parts = (self.source.compatibility_rows(n),
-                 self.target.compatibility_rows(n),
-                 self.connecting.compatibility_rows(n - 1))  # none at arity 0
-        return [{start + k: c for k, c in row.items()}
-                for start, rows in zip(self.operator(n).source.starts, parts)
-                for row in rows]
+        return [row for _, row in self.compatibility_echelon(n)]
+
+    def _side_by_side(self, n: int, parts) -> Echelon:
+        """The parts' echelons, each shifted to its degree-n columns."""
+        return Echelon((start + col, {start + k: c for k, c in row.items()})
+                       for start, e in zip(self.operator(n).source.starts,
+                                           parts) for col, row in e)
+
+    def compatibility_echelon(self, n: int) -> Echelon:
+        # block-diagonal rows: the parts' echelons (none at arity 0)
+        return self._memo(("echelon", n), lambda: self._side_by_side(n, (
+            self.source.compatibility_echelon(n),
+            self.target.compatibility_echelon(n),
+            self.connecting.compatibility_echelon(n - 1))))
+
+    def system_echelon(self, n: int) -> Echelon:
+        # the parts' echelons side by side, then only the connecting rows
+        A, B, AB = self.source, self.target, self.connecting
+        own = len(A.operator(n).rows) + len(B.operator(n).rows)
+        return self._memo(("system", n), lambda: echelon(
+            self.operator(n).rows[own:], self._side_by_side(n, (
+                A.system_echelon(n), B.system_echelon(n),
+                Echelon() if self.full_cocycles
+                else AB.compatibility_echelon(n - 1)))))
 
     def _compile(self, n: int):
         return morphism_delta(
@@ -305,14 +337,14 @@ def compute_cohomology(complex_obj: _ComplexBase, degrees,
     """Per-degree cocycles Z, coboundaries B, cohomology Z/B, and
     canonical representatives of a basis of Z/B.
 
-    Z is the canonical kernel of one integer system over the operator's
+    Z is the canonical kernel of ``system_echelon(n)``, in the operator's
     source coordinates: the operator's rows alone for the associative
     kind, stacked on the compatibility rows for the Lie kind (the kernel
     of the operator on the compatible basis, mapped back vector by
     vector: both are reduced at the same trailing columns).
 
     B is spanned by the integer images of the integer kernel of the
-    compatibility rows one degree down (at degree 1, with
+    compatibility echelon one degree down (at degree 1, with
     ``include_degree_zero``, of the 0-cochains the structure map fixes),
     read in Z's coordinates, which a non-alternating image of a non-skew
     bracket lacks.  An image off the kernel of the system (delta squared
@@ -344,20 +376,23 @@ def compute_cohomology(complex_obj: _ComplexBase, degrees,
         op = complex_obj.operator(n)
         # the associative kind solves on all cochains; for the Lie kind no
         # basis of degree n is built: dim C_n is the rank defect
-        rows = ([] if complex_obj.full_cocycles
-                else complex_obj.compatibility_rows(n))
-        dim_c = op.source.dim - len(pivot_columns(rows))
-        system = (SparseOperator(op.source, None, op.rows + rows) if rows
-                  else op)  # its columns check membership in Z, in integers
-        z = nullspace_basis(SparseMatrix(
-            len(system.rows), op.source.dim, system.rows)) if dim_c else []
+        pinned = () if complex_obj.full_cocycles else \
+            complex_obj.compatibility_echelon(n)
+        dim_c = op.source.dim - len(pinned)
+        z = tuple(rational_kernel(complex_obj.system_echelon(n),
+                                  op.source.dim)) if dim_c else ()
+        # the system's columns check membership in Z, in integers
+        system = SparseOperator(op.source, None, op.rows + [
+            row for _, row in pinned]) if pinned else op
 
         images_at, images = op.source, []
         if n > 1:
             prev = complex_obj.operator(n - 1)
+            below = complex_obj.compatibility_echelon(n - 1)
             images_at, images = prev.target, [
                 prev.numerators(v) for v in integer_kernel(
-                    complex_obj.compatibility_rows(n - 1), prev.source.dim)]
+                    below, prev.source.dim)] if below else [
+                dict(col) for col in prev.columns]  # no row: every column
         elif include_degree_zero:
             images_at = complex_obj.operator(0).target
             images = complex_obj.degree_zero_images()
@@ -368,8 +403,9 @@ def compute_cohomology(complex_obj: _ComplexBase, degrees,
                 f"degree {n}: coboundaries escape the cocycles "
                 "(delta-squared is nonzero; invalid input structure)")
             lifted = [recoord(v, op.source, images_at) for v in z]
-            b = [recoord(v, images_at, op.source)
-                 for v in intersection_basis(images, lifted)]
+            b = list(integral(dict(enumerate(  # integer rows, for the pivots
+                recoord(v, images_at, op.source)
+                for v in intersection_basis(images, lifted))))[0].values())
 
         # the Z-coordinates of B, free columns reversed: z_k at len(z) - 1 - k
         at = {max(v): len(z) - 1 - k for k, v in enumerate(z)}
@@ -382,7 +418,7 @@ def compute_cohomology(complex_obj: _ComplexBase, degrees,
             dim_coboundaries=len(pivots),
             dim_cohomology=len(z) - len(pivots),
             representative_space=CochainSpace(op.source, reps),
-            cocycles=CochainSpace(op.source, tuple(z))))
+            cocycles=CochainSpace(op.source, z)))
     return ComplexSummary(flavor=complex_obj.flavor, records=tuple(records),
                           warnings=tuple(warnings))
 

@@ -8,26 +8,27 @@ in a span.  All arithmetic is exact; there is no floating point anywhere in
 the package.
 
 Vectors are sparse {coordinate: value} dicts holding only their nonzero
-entries: kernel bases, right-hand sides and solutions, the columns of
-``SparseMatrix.from_columns`` and the inputs of ``lincomb``,
-``independent_subset`` and ``intersection_basis``, all ``Fraction``s
-but the integer vectors of ``integer_kernel``.  Dense tuples remain only for ``Matrix`` and the vectors of the algebras.
+entries, ``Fraction``s but the integer vectors of ``integer_kernel``;
+dense tuples remain only for ``Matrix`` and the vectors of the algebras.
+``integral`` writes constants as integer numerators over one denominator,
+as the coboundary compilers read them, and a ``SparseMatrix`` may hold
+integer rows over one ``den`` (a compiled operator's matrix).
 
-Integers live below that: ``integral`` writes constants as integer
-numerators over one denominator, as the coboundary compilers read them,
-and a ``SparseMatrix`` may hold integer rows over one ``den`` (a compiled
-operator's matrix).  One sparse, fraction-free kernel does every
-elimination: integer rows enter as they are, rational ones as primitive
-numerators, the pivot is the row with the fewest nonzeros among those
-leading in the next column (Markowitz), and values become ``Fraction``
-once, at the end.  Since the RREF is unique, pivoting and row scaling
-decide only the cost.  Canonical choices, fixed once so every result is
-reproducible bit for bit:
+One sparse, fraction-free kernel does every elimination, on integer rows
+only: rationals are cleared where they enter (a matrix's rows, ``solve``'s
+right-hand side, the vectors of ``independent_subset`` and
+``intersection_basis``).  ``echelon`` is the one forward elimination; it
+continues from a finished ``Echelon``, so rows already eliminated are not
+fed again, and the kernels read an ``Echelon``.  The pivot is the row
+with the fewest nonzeros among those leading in the next column
+(Markowitz), and values become ``Fraction`` once, at the end.  The RREF
+is unique, so pivoting, seeding and row scaling decide only the cost.
+Canonical choices, fixed once so every result is reproducible bit for bit:
 
 * ``rref`` pivots in the leftmost columns independent of those before.
-* ``nullspace_basis`` returns one vector per free column, in increasing
-  free-column order, with the free coordinate set to 1;
-  ``integer_kernel`` returns the same vectors as primitive integer ones.
+* ``nullspace_basis`` and ``rational_kernel`` return one vector per free
+  column, in increasing free-column order, with the free coordinate set
+  to 1; ``integer_kernel`` returns the same vectors as primitive integers.
 * ``solve`` returns the particular solution with all free coordinates 0.
 * ``pivot_columns`` returns the leading columns of an echelon form, and
   ``independent_subset`` those of its vectors' matrix: the greedy choice.
@@ -294,6 +295,12 @@ def _primitive(row: dict) -> dict:
     return {k: v // g for k, v in row.items() if v}
 
 
+def _cleared(rows) -> list[dict]:
+    """Integer rows as they are, any other as its primitive numerators."""
+    return [row if all(type(x) is int for x in row.values())
+            else _primitive(integral({0: row})[0][0]) for row in rows]
+
+
 def _rows(m) -> list[dict]:
     """The rows of a Matrix or SparseMatrix as {column: value} dicts."""
     if isinstance(m, SparseMatrix):
@@ -311,44 +318,39 @@ def _combine(row: dict, piv: dict, col: int) -> dict:
     return _primitive(out)
 
 
-def _echelon(rows) -> list[tuple[int, dict]]:
-    """Fraction-free sparse forward elimination of {column: value} rows
-    without zero entries, integer ones as they are and others as primitive
-    numerators: (pivot column, integer row) pairs in increasing column
-    order.  Rows are bucketed by leading column; of the rows leading in the
-    next column, the one with the fewest nonzeros is the pivot, and only
-    the others in its bucket need elimination."""
+Echelon = tuple  # of (pivot column, integer row leading there) pairs
+
+def echelon(rows, seed: Echelon = Echelon()) -> Echelon:
+    """The echelon of seed's rows and the {column: int} rows without zero
+    entries: fraction-free sparse forward elimination, continued from
+    ``seed``.  Rows are bucketed by leading column; in a column without a
+    seed row the one with the fewest nonzeros is the pivot, and only the
+    others in its bucket need elimination."""
+    pivots = dict(seed)
     buckets: dict[int, list] = {}
-    width = 0
+    width = 1 + max((max(row) for row in pivots.values()), default=-1)
     for row in rows:
-        if any(type(x) is not int for x in row.values()):
-            den = lcm(*(x.denominator for x in row.values()))
-            row = _primitive({k: x.numerator * (den // x.denominator)
-                              for k, x in row.items()})
         if row:
             buckets.setdefault(min(row), []).append(row)
             width = max(width, max(row) + 1)
-    echelon = []
     for col in range(width):
-        group = buckets.pop(col, None)
-        if group is None:
+        if (group := buckets.pop(col, None)) is None:
             continue
-        piv = min(group, key=len)
+        if (piv := pivots.get(col)) is None:
+            piv = pivots[col] = min(group, key=len)
         for row in group:
-            if row is not piv:
-                row = _combine(row, piv, col)
-                if row:
-                    buckets.setdefault(min(row), []).append(row)
-        echelon.append((col, piv))
-    return echelon
+            if row is not piv and (row := _combine(row, piv, col)):
+                buckets.setdefault(min(row), []).append(row)
+    return Echelon(sorted(pivots.items()))
 
 
-def _reduced(rows) -> list[tuple[int, dict]]:
-    """The nonzero rows of the RREF, as primitive integer (pivot column,
-    {column: int}) pairs in increasing column order.  Back substitution
-    runs from the last pivot up, so each row meets only finished rows."""
+def _reduced(e: Echelon) -> list[tuple[int, dict]]:
+    """The nonzero rows of the RREF of an echelon, as primitive integer
+    (pivot column, {column: int}) pairs in increasing column order.  Back
+    substitution runs from the last pivot up, so each row meets only
+    finished rows."""
     done: dict[int, dict] = {}
-    for col, row in reversed(_echelon(rows)):
+    for col, row in reversed(e):
         for j in [j for j in row if j in done]:
             row = _combine(row, done[j], j)
         done[col] = row
@@ -358,7 +360,7 @@ def _reduced(rows) -> list[tuple[int, dict]]:
 def rref(m) -> RrefResult:
     """Unique reduced row echelon form, rank, and pivot columns of a
     Matrix or SparseMatrix."""
-    reduced = _reduced(_rows(m))
+    reduced = _reduced(echelon(_cleared(_rows(m))))
     entries = [_ZERO] * (m.rows * m.cols)
     for i, (col, row) in enumerate(reduced):
         for k, x in row.items():
@@ -367,12 +369,12 @@ def rref(m) -> RrefResult:
                       tuple(col for col, _ in reduced))
 
 
-def integer_kernel(rows, cols: int) -> list[dict]:
-    """The canonical kernel basis of {column: value} rows without zero
-    entries over ``cols`` columns, each vector as its primitive integer
-    multiple: the canonical vector times the lcm of its denominators, so
-    its free coordinate is that lcm, and positive."""
-    reduced = _reduced(rows)
+def integer_kernel(e: Echelon, cols: int) -> list[dict]:
+    """The canonical kernel basis of an echelon over ``cols`` columns,
+    each vector as its primitive integer multiple: the canonical vector
+    times the lcm of its denominators, so its free coordinate is that lcm,
+    and positive."""
+    reduced = _reduced(e)
     pivots = {col for col, _ in reduced}
     terms = {fc: [] for fc in range(cols) if fc not in pivots}
     for col, row in reduced:
@@ -387,12 +389,16 @@ def integer_kernel(rows, cols: int) -> list[dict]:
     return basis
 
 
-def nullspace_basis(m) -> list[dict]:
-    """Canonical kernel basis: one sparse vector per free column of the
-    RREF, in increasing column order, with that coordinate 1 and the other
-    free ones 0 (``integer_kernel`` divided by its free coordinate)."""
+def rational_kernel(e: Echelon, cols: int) -> list[dict]:
+    """``integer_kernel``, each vector divided by its free coordinate."""
     return [{k: Fraction(x, v[fc]) for k, x in v.items()}
-            for v in integer_kernel(_rows(m), m.cols) for fc in (max(v),)]
+            for v in integer_kernel(e, cols) for fc in (max(v),)]
+
+
+def nullspace_basis(m) -> list[dict]:
+    """Canonical kernel basis of a Matrix or SparseMatrix: one sparse
+    vector per free column of the RREF (``rational_kernel``)."""
+    return rational_kernel(echelon(_cleared(_rows(m))), m.cols)
 
 
 def solve(m, b: dict) -> dict | None:
@@ -406,7 +412,7 @@ def solve(m, b: dict) -> dict | None:
     for i, c in b.items():
         rows[i] = {**rows[i], last: c * den}
     x = {}
-    for col, row in _reduced(rows):
+    for col, row in _reduced(echelon(_cleared(rows))):
         if col == last:
             return None
         if last in row:
@@ -415,9 +421,9 @@ def solve(m, b: dict) -> dict | None:
 
 
 def pivot_columns(rows) -> list[int]:
-    """The pivot columns of {column: value} rows without zero entries, in
-    increasing order: as many as the rank, fixed by forward elimination."""
-    return [col for col, _ in _echelon(rows)]
+    """The pivot columns of {column: int} rows without zero entries, in
+    increasing order: as many as the rank."""
+    return [col for col, _ in echelon(rows)]
 
 
 def independent_subset(vectors) -> list[int]:
@@ -425,7 +431,7 @@ def independent_subset(vectors) -> list[int]:
     the pivot columns of the matrix with these columns."""
     vectors = list(vectors)
     m = SparseMatrix.from_columns(vectors, _height(vectors))
-    return pivot_columns(m.data)
+    return pivot_columns(_cleared(m.data))
 
 
 def intersection_basis(u_cols, w_cols) -> list[dict]:

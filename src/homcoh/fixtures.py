@@ -177,10 +177,11 @@ def def_g2(k2=1) -> FormalDeformation:
 def mdef_2(w=1, k2=1, a21=1, a31=1) -> MorphismDeformation:
     """Order-1 deformation of phi12_2 pairing def_g1 with def_g2 and a
     degree-1 morphism term supported on the first basis vector."""
-    phi = phi12_2()
+    def_a, def_b = def_g1(w), def_g2(k2)
+    # the families' bases are the ends, so checks that they match hit identity
+    phi = HomMorphism(def_a.base, def_b.base, phi12_2().matrix)
     phi1 = MultilinearMap.from_values(1, 3, 3, {(0,): (0, a21, a31)})
-    return MorphismDeformation.build(phi, def_g1(w), def_g2(k2),
-                                     {1: phi1}, 1)
+    return MorphismDeformation.build(phi, def_a, def_b, {1: phi1}, 1)
 
 
 def dual_numbers() -> HomAlgebra:

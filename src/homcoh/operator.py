@@ -5,10 +5,11 @@ coefficients are integer polynomials in the structure constants, the
 twist, its power alpha^(n-1), the module actions and the morphism matrix.
 The compilers here read each of these as integer numerators over one
 denominator (``exact.integral``) and build the matrix once, from the
-nonzero constants only (a zero bracket or product builds nothing, and
-alpha is expanded once per distinct remaining tuple): integer {column:
-int} rows over one denominator ``den`` per operator, 1 for integer
-constants.  A coboundary is then a sparse integer product, and
+nonzero constants only (a zero bracket or product builds nothing, alpha
+is expanded once per distinct remaining tuple, and each term is written
+straight into its rows, where an entry that cancels is dropped): integer
+{column: int} rows over one denominator ``den`` per operator, 1 for
+integer constants.  A coboundary is then a sparse integer product, and
 ``SparseOperator.apply`` makes a ``Fraction`` only for each nonzero output
 entry (``numerators`` stops before that, on integer coordinates, for
 callers that need only the span of an image).  Module actions are read in
@@ -45,7 +46,7 @@ class SparseOperator:
         self.rows, self.den = rows, den
 
     @cached_property
-    def _columns(self) -> list[list]:
+    def columns(self) -> list[list]:
         """The (row, coefficient) pairs of each source coordinate."""
         cols = [[] for _ in range(self.source.dim)]
         for i, row in enumerate(self.rows):
@@ -56,7 +57,7 @@ class SparseOperator:
     def numerators(self, x: dict) -> dict:
         """The image of the sparse integer coordinates x, by the columns of
         its entries, as integer numerators over the operator's ``den``."""
-        cols, out = self._columns, {}  # one per source coordinate
+        cols, out = self.columns, {}  # one per source coordinate
         if x and not 0 <= min(x) <= max(x) < len(cols):
             raise UsageError(f"operator needs coordinates below {len(cols)}")
         for j, v in x.items():
@@ -100,17 +101,23 @@ def _act_table(A: HomAlgebra, n: int, action: tuple[dict, int], d: int,
     return table, p * t
 
 
-def _tuple_rows(d: int, inner: dict, acts: list) -> list[dict]:
-    """The d rows of one output tuple.  ``inner`` maps an input tuple index
-    to the coefficient linking equal target coordinates; each act (weight,
-    input tuple index, table) mixes them through table[r]."""
-    rows = [{j * d + r: c for j, c in inner.items()} for r in range(d)]
+def _write(rows: list, at: int, d: int, inner: dict, acts) -> None:
+    """Add one output tuple to its d rows, from index ``at``: ``inner``
+    {input tuple index: c} once per carrier coordinate, each act (weight,
+    input tuple index, table) only in the rows its table reaches.  An
+    entry that cancels is dropped as it is written."""
+    for j, c in inner.items():
+        if c:
+            for r in range(d):
+                rows[at + r][j * d + r] = c
     for w, j, table in acts:
         for r, col in table.items():
-            row = rows[r]
+            row = rows[at + r]
             for q, c in col.items():
-                row[j * d + q] = row.get(j * d + q, 0) + w * c
-    return [{k: c for k, c in row.items() if c} for row in rows]
+                if v := row.get(k := j * d + q, 0) + w * c:
+                    row[k] = v
+                else:
+                    row.pop(k, None)
 
 
 def hom_operator(A: HomAlgebra, d: int, n: int, merge, left=None,
@@ -131,8 +138,8 @@ def hom_operator(A: HomAlgebra, d: int, n: int, merge, left=None,
     mden = a ** max(n - 1, 0) * m  # a merge term: a product, n - 1 twists
     den = lcm(mden, *(act[1] for act in (lt, rt) if act))
     merge = [w * (den // mden) for w in merge]
-    rows = []
-    for t in tgt.tuples:
+    rows = [{} for _ in range(tgt.dim)]
+    for ti, t in enumerate(tgt.tuples):
         inner = {}
         for k, w in enumerate(merge):
             if not w or t[k:k + 2] not in mul:  # no term, or a zero product
@@ -143,14 +150,12 @@ def hom_operator(A: HomAlgebra, d: int, n: int, merge, left=None,
             for s, c in expand_product(args):
                 j = src.index[s]
                 inner[j] = inner.get(j, 0) + w * c
-        acts = []
-        if lt:
-            acts.append((left[0] * (den // lt[1]), src.index[t[1:]],
-                         lt[0][t[0]]))
-        if rt:
-            acts.append((right[0] * (den // rt[1]), src.index[t[:-1]],
-                         rt[0][t[-1]]))
-        rows += _tuple_rows(d, inner, acts)
+        acts = []  # an empty table column (a central element) adds nothing
+        if lt and (table := lt[0][t[0]]):
+            acts.append((left[0] * (den // lt[1]), src.index[t[1:]], table))
+        if rt and (table := rt[0][t[-1]]):
+            acts.append((right[0] * (den // rt[1]), src.index[t[:-1]], table))
+        _write(rows, ti * d, d, inner, acts)
     return SparseOperator(src, tgt, rows, den)
 
 
@@ -169,14 +174,14 @@ def lie_operator(L: HomAlgebra, d: int, n: int, action=None,
     act = action is not None and _act_table(L, n, action, d)
     mden = a ** max(n - 1, 0) * m  # a bracket term: a product, n - 1 twists
     den = lcm(mden, act[1]) if act else mden
-    rows, rests = [], {}  # rests: alpha^(tensor n-1) of a remaining tuple
-    for t in tgt.tuples:
+    rows, rests = [{} for _ in range(tgt.dim)], {}
+    for ti, t in enumerate(tgt.tuples):
         inner = {}
         for i, j in combinations(range(n + 1), 2):
             if not (bracket := mul.get((t[i], t[j]))):
                 continue
             rest = t[:i] + t[i + 1:j] + t[j + 1:]
-            if rest not in rests:
+            if rest not in rests:  # alpha^(tensor n-1), once per rest
                 rests[rest] = expand_product([alpha.get(b, {}) for b in rest])
             w = (-1) ** (i + j) * (den // mden)
             for k, e in bracket.items():
@@ -184,12 +189,13 @@ def lie_operator(L: HomAlgebra, d: int, n: int, action=None,
                     if loc := src.locate((k,) + s):
                         inner[loc[0]] = inner.get(loc[0], 0) + \
                             w * loc[1] * e * c
-        acts = []
+        acts = []  # an empty table column (a central element) adds nothing
         for i in range(n + 1) if act else ():
-            if loc := src.locate(t[:i] + t[i + 1:]):
+            if (table := act[0][t[i]]) and \
+                    (loc := src.locate(t[:i] + t[i + 1:])):
                 acts.append(((-1) ** i * loc[1] * (den // act[1]), loc[0],
-                             act[0][t[i]]))
-        rows += _tuple_rows(d, inner, acts)
+                             table))
+        _write(rows, ti * d, d, inner, acts)
     return SparseOperator(src, tgt, rows, den)
 
 

@@ -15,11 +15,12 @@ basis arguments (algebra indices, then the carrier index).
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import lcm
 
 from .algebra import (ASSOCIATIVE, LIE, HomAlgebra, _after, _nonzero,
                       _products, first_failure, morphism_witnesses,
-                      sparse_columns)
+                      sparse_columns, transposed)
 from .errors import UsageError
 from .exact import Matrix, Vector, integral, value_class
 
@@ -90,6 +91,11 @@ class Module:
         if (self.right is None) != (self.algebra.kind == LIE):
             raise UsageError("a module has a right action exactly when its "
                              "algebra is of the associative kind")
+
+    @cached_property
+    def beta_rows(self) -> tuple[dict, int]:
+        """beta's nonzero rows {r: {s: x}} as (numerators, denominator)."""
+        return integral(transposed(sparse_columns(self.beta)))
 
 
 def _defect(*terms) -> dict:

@@ -7,12 +7,15 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, gcd
 
-from homcoh.algebra import ASSOCIATIVE, HomAlgebra, identity_defect
-from homcoh.cochain import (HOM, LIE, Coords, MorphismCochain, MultilinearMap,
-                            compatibility_rows, kernel_space, permutation_sign)
+from homcoh.algebra import (ASSOCIATIVE, HomAlgebra, identity_defect,
+                            sparse_columns, transposed)
+from homcoh.cochain import (HOM, LIE, CochainSpace, Coords, MorphismCochain,
+                            MultilinearMap, compatibility_rows,
+                            permutation_sign)
 from homcoh.errors import HomcohError, UsageError
-from homcoh.exact import (Matrix, SparseMatrix, dense_vector, expand_product,
-                          independent_subset, lincomb, solve, sparse_vector)
+from homcoh.exact import (Matrix, SparseMatrix, dense_vector, echelon,
+                          expand_product, independent_subset, integral,
+                          lincomb, rational_kernel, solve, sparse_vector)
 
 
 class ImageOutsideCodomain(HomcohError):
@@ -203,13 +206,26 @@ def evaluate(m: MultilinearMap, args) -> tuple:
 # The twist-compatible cochain spaces, built from the package's
 # compatibility rows and kernel, and linear combinations of their bases.
 
+def kernel_space(system, rows: list[dict]) -> CochainSpace:
+    """The cochains of system that the integer rows annihilate, with the
+    canonical kernel basis."""
+    return CochainSpace(system, tuple(rational_kernel(echelon(rows),
+                                                      system.dim)))
+
+
+def beta_rows(beta: Matrix) -> tuple[dict, int]:
+    """The nonzero rows of beta as (integer numerators, denominator), the
+    form ``compatibility_rows`` reads."""
+    return integral(transposed(sparse_columns(beta)))
+
+
 def hom_cochain_basis(source: HomAlgebra, target_dim: int, beta: Matrix,
                       arity: int):
     """The canonical basis of {f : beta∘f = f∘alpha^(tensor arity)}; arity
     0 is the whole target space."""
     return kernel_space(Coords(arity, source.dim, target_dim, False),
-                        compatibility_rows(HOM, source, target_dim, beta,
-                                           arity))
+                        compatibility_rows(HOM, source, target_dim,
+                                           beta_rows(beta), arity))
 
 
 def lie_cochain_basis(source: HomAlgebra, target_dim: int, beta: Matrix,
@@ -217,8 +233,8 @@ def lie_cochain_basis(source: HomAlgebra, target_dim: int, beta: Matrix,
     """The canonical basis of the alternating twist-compatible maps, solved
     on strictly increasing argument tuples."""
     return kernel_space(Coords(arity, source.dim, target_dim, True),
-                        compatibility_rows(LIE, source, target_dim, beta,
-                                           arity))
+                        compatibility_rows(LIE, source, target_dim,
+                                           beta_rows(beta), arity))
 
 
 def combine(space, coeffs: dict):

@@ -3,7 +3,10 @@
     PYTHONPATH=src python3 tests/record_golden.py
 
 Each file under ``tests/golden/`` holds one command: its argv, exit code
-and exact stdout.  Re-record only when an output change is intended.
+and exact stdout.  Re-record only when an output change is intended.  A
+command that names a ``.json`` file runs in a directory holding the
+built-in fixtures as files (``files.write_builtin_files``): ``g1_2_2.json``,
+the source of ``phi12_1``, has no built-in name.
 """
 
 from __future__ import annotations
@@ -12,9 +15,10 @@ import contextlib
 import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
-from homcoh import fixtures
+from homcoh import files, fixtures
 from homcoh.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -32,8 +36,10 @@ def golden_commands() -> dict[str, list[str]]:
                                       "--json", "--force"]
     for name, morphism, degree0 in (("a3", "phi_assoc", False),
                                     ("a3", "phi_assoc", True),
+                                    ("g1_2_2.json", "phi12_1", False),
+                                    ("g1_2_0", "phi12_2", False),
                                     ("g1_2_0", "phi12_2", True)):
-        stem = f"cohomology-{name}-values-in-{morphism}"
+        stem = f"cohomology-{name.removesuffix('.json')}-values-in-{morphism}"
         cmds[stem + "-degree0" * degree0] = [
             "cohomology", name, "--degree", "1..3", "--values-in", morphism,
             "--json"] + ["--degree0"] * degree0
@@ -43,8 +49,9 @@ def golden_commands() -> dict[str, list[str]]:
             "cohomology", name, "--degree", "1..3", "--json",
             "--degree0"] + ["--force"] * force
     for name in sorted(fixtures.BUILTIN_MORPHISMS):
-        cmds[f"morphism-cohomology-{name}"] = [
-            "morphism-cohomology", name, "--degree", "1..2", "--json"]
+        for suffix, degrees in (("", "1..2"), ("-to-degree-3", "1..3")):
+            cmds[f"morphism-cohomology-{name}{suffix}"] = [
+                "morphism-cohomology", name, "--degree", degrees, "--json"]
     for name in sorted(fixtures.BUILTIN_DEFORMATIONS):
         for action in ("check", "infinitesimal", "obstruction", "extend"):
             cmds[f"deform-{action}-{name}"] = ["deform", action, name,
@@ -62,8 +69,11 @@ def golden_commands() -> dict[str, list[str]]:
 
 def run_cli(argv: list[str]) -> tuple[int, str]:
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), \
+    with tempfile.TemporaryDirectory() as workdir, \
+            contextlib.chdir(workdir), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
+        if any(arg.endswith(".json") for arg in argv[1:]):
+            files.write_builtin_files(workdir)
         code = main(argv)
     return code, out.getvalue()
 

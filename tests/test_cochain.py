@@ -2,19 +2,20 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from math import lcm, prod
 
 import pytest
 
-from helpers import (bareiss_rank, dense_coeffs, dense_evaluate,
+from helpers import (bareiss_rank, beta_rows, dense_coeffs, dense_evaluate,
                      dense_is_alternating, dense_is_compatible, dense_map,
                      dense_nonzero_entries, dense_pullback, dense_pushforward,
                      dense_to_full, evaluate, hom_cochain_basis,
                      lie_cochain_basis, zero_matrix)
-from homcoh import fixtures
-from homcoh.algebra import HomAlgebra
-from homcoh.cochain import (CochainSpace, Coords, MorphismCochain,
+from homcoh import cochain, fixtures
+from homcoh.algebra import ASSOCIATIVE, LIE as LIE_KIND, HomAlgebra
+from homcoh.cochain import (HOM, LIE, CochainSpace, Coords, MorphismCochain,
                             MorphismCoords, MultilinearMap, alternator,
-                            is_alternating, is_compatible)
+                            compatibility_rows, is_alternating, is_compatible)
 from homcoh.cohomology import MorphismComplex
 from homcoh.errors import ArityLimitError, UsageError
 from homcoh.exact import Matrix, dense_vector, sparse_vector
@@ -391,3 +392,63 @@ def test_zero_map_holds_no_entries():
     assert zero.entries == {} and zero.is_zero()
     assert peak < 16 * 1024
     assert MultilinearMap.from_values(4, 10, 10, {}) == zero
+
+
+def _diagonal_walk(flavor: str, alpha: list, beta: list, arity: int) -> list:
+    """The compatibility rows of diagonal twists, built by walking every
+    tuple: row (t, r) is beta_r - prod(alpha_i for i in t) over the
+    common denominator, dropped when it cancels."""
+    den = lcm(lcm(*(x.denominator for x in alpha)) ** arity,
+              lcm(*(x.denominator for x in beta)))
+    d, rows = len(beta), []
+    for ti, t in enumerate(Coords(arity, len(alpha), d, flavor == LIE).tuples):
+        for r in range(d):
+            if v := (beta[r] - prod(alpha[i] for i in t)) * den:
+                rows.append({ti * d + r: int(v)})
+    return rows
+
+
+def _diagonal_case(flavor: str, alpha: list, beta: list, arity: int) -> list:
+    n = len(alpha)
+    A = HomAlgebra(name="zero", kind=ASSOCIATIVE if flavor == HOM else LIE_KIND,
+                   dim=n, mul=[[[0] * n] * n] * n,
+                   alpha=Matrix.from_rows([[alpha[i] if i == j else 0
+                                            for j in range(n)]
+                                           for i in range(n)]))
+    B = Matrix.from_rows([[beta[i] if i == j else 0 for j in range(len(beta))]
+                          for i in range(len(beta))])
+    return compatibility_rows(flavor, A, len(beta), beta_rows(B), arity)
+
+
+def test_scalar_twists_that_cancel_build_no_row_and_walk_no_tuple(
+        monkeypatch):
+    """compatibility_rows against the full tuple walk on random scalar and
+    diagonal twists, called directly: scalar alpha and beta whose product
+    cancels give no row, and build no coordinate system to walk."""
+    rng = random.Random(41)
+    value = lambda: rng.choice((0, 1, 1, 2, -1, 3, Fraction(1, 2),
+                                Fraction(-2, 3)))
+    cancelled = walked = 0
+    for _ in range(300):
+        flavor, arity = rng.choice((HOM, LIE)), rng.randint(1, 3)
+        n, d = rng.randint(1, 4), rng.randint(1, 3)
+        c, b = value(), value()
+        alpha = [c] * n if rng.random() < 0.6 else [value() for _ in range(n)]
+        beta = [b] * d if rng.random() < 0.6 else [value() for _ in range(d)]
+        rows = _diagonal_case(flavor, alpha, beta, arity)
+        assert rows == _diagonal_walk(flavor, alpha, beta, arity)
+        cancelled += not rows and len(set(alpha)) == len(set(beta)) == 1
+        walked += bool(rows)
+    assert cancelled > 20 and walked > 100
+
+    # 2I against 4I: 2^2 = 4 cancels at arity 2, 2^3 = 8 does not at 3
+    cases = [(HOM, [2] * 3, [4] * 3), (LIE, [2] * 4, [4] * 2)]
+    for flavor, alpha, beta in cases:
+        assert _diagonal_case(flavor, alpha, beta, 3) == \
+            _diagonal_walk(flavor, alpha, beta, 3) != []
+    monkeypatch.setattr(cochain, "Coords", None)  # a walk would fail
+    for flavor, alpha, beta in cases:
+        assert _diagonal_case(flavor, alpha, beta, 2) == []
+        assert _diagonal_case(flavor, [-1] * 3, [-1, -1], 3) == \
+            _diagonal_case(flavor, [Fraction(1, 2)] * 2, [Fraction(1, 4)], 2) \
+            == []

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import random
 import sys
@@ -12,8 +14,8 @@ from helpers import (ImageOutsideCodomain, basis_vector, combine, dense_coeffs,
                      dense_map, differential_matrix, evaluate,
                      hom_cochain_basis, in_span, lie_cochain_basis,
                      matrix_is_zero, multiply)
-from homcoh import cochain, cohomology, fixtures, operator
-from homcoh.algebra import LIE, HomAlgebra
+from homcoh import cli, cochain, cohomology, exact, fixtures, operator
+from homcoh.algebra import ASSOCIATIVE, LIE, HomAlgebra, yau_twist
 from homcoh.cochain import (Coords, MorphismCochain, MultilinearMap,
                             is_alternating, is_compatible)
 from homcoh.cohomology import (HomSelfComplex, ModuleComplex,
@@ -21,7 +23,8 @@ from homcoh.cohomology import (HomSelfComplex, ModuleComplex,
                                connecting_complex, self_cohomology)
 from homcoh.errors import ArityLimitError, UsageError
 from homcoh.files import cochain_to_json
-from homcoh.exact import Matrix, sparse_vector
+from homcoh.exact import (Echelon, Matrix, echelon, integer_kernel,
+                          pivot_columns, sparse_vector)
 from homcoh.operator import SparseOperator
 from homcoh.rep import HomMorphism, adjoint_module, self_module
 
@@ -640,3 +643,118 @@ def test_representatives_hold_only_their_nonzero_entries():
     assert (rec.dim_cochains, rec.dim_cocycles, rec.dim_coboundaries,
             rec.dim_cohomology) == (245, 189, 105, 84)
     assert peak < 4 * 2 ** 20
+
+
+def ut(m: int) -> HomAlgebra:
+    """The associative algebra of upper-triangular m x m matrices, basis
+    E_ij (i <= j) with E_ij E_jl = E_il, identity twist."""
+    units = [(i, j) for i in range(m) for j in range(i, m)]
+    dim = len(units)
+    mul = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for x, (i, j) in enumerate(units):
+        for y, (k, l) in enumerate(units):
+            if j == k:
+                mul[x][y][units.index((i, l))] = 1
+    return HomAlgebra(name=f"ut{m}", kind=ASSOCIATIVE, dim=dim, mul=mul,
+                      alpha=Matrix.identity(dim))
+
+
+def diagonal(values) -> Matrix:
+    return Matrix.from_rows([[x if i == j else 0 for j in range(len(values))]
+                             for i, x in enumerate(values)])
+
+
+@pytest.mark.parametrize("X, degrees", [
+    (heis(5), (1, 2, 3)), (yau_twist(heis(5), diagonal([1, 2, 2, 1, 2])),
+                           (1, 2, 3)),
+    (ut(2), (1, 2, 3)), (yau_twist(ut(2), diagonal([1, 2, 1])), (1, 2, 3)),
+    (ut(3), (1, 2))], ids=lambda x: getattr(x, "name", None))
+def test_a_morphism_complex_seeded_by_its_parts_eliminates_as_from_scratch(
+        X, degrees):
+    """On the identity morphism of X, the coupled compatibility echelon
+    (the parts' echelons side by side) and the coupled system echelon
+    (continued from the parts' echelons by the connecting rows only) have
+    the pivots and canonical kernel of eliminating, from scratch, the
+    parts' compatibility rows shifted into the coupled coordinates (and
+    for the system, the coupled operator's rows)."""
+    complex_obj = MorphismComplex(HomMorphism(X, X, Matrix.identity(X.dim)),
+                                  "lie" if X.kind == LIE else "hom")
+    for n in degrees:
+        op = complex_obj.operator(n)
+        parts = (complex_obj.source.compatibility_rows(n),
+                 complex_obj.target.compatibility_rows(n),
+                 complex_obj.connecting.compatibility_rows(n - 1))
+        rows = [{start + k: c for k, c in row.items()}
+                for start, part in zip(op.source.starts, parts)
+                for row in part]
+        system = op.rows + ([] if complex_obj.full_cocycles else rows)
+        for seeded, whole in ((complex_obj.compatibility_echelon(n), rows),
+                              (complex_obj.system_echelon(n), system)):
+            assert isinstance(seeded, Echelon)
+            assert [col for col, _ in seeded] == pivot_columns(whole)
+            assert integer_kernel(seeded, op.source.dim) == \
+                integer_kernel(echelon(whole), op.source.dim)
+
+
+def _recorded_eliminations(monkeypatch) -> list:
+    """Every non-empty row list fed to ``exact.echelon`` from now on; the
+    rows are kept, so their ids stay unique."""
+    fed, real = [], exact.echelon
+
+    def recording(rows, *seed):
+        rows = list(rows)
+        if rows:
+            fed.append(rows)
+        return real(rows, *seed)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("homcoh") and \
+                getattr(module, "echelon", None) is real:
+            monkeypatch.setattr(module, "echelon", recording)
+    return fed
+
+
+def _fed_again(fed: list) -> int:
+    """The number of rows fed to more than one elimination."""
+    calls = {}
+    for i, rows in enumerate(fed):
+        for row in rows:
+            calls.setdefault(id(row), set()).add(i)
+    return sum(len(c) > 1 for c in calls.values())
+
+
+def _run(argv: list[str]) -> int:
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(argv)
+
+
+def test_a_report_eliminates_no_row_twice(monkeypatch):
+    """cohomology l4a --degree 1..3 eliminates each degree's compatibility
+    rows once: dim C, the stacked cocycle system and the coboundaries one
+    degree up all read that echelon."""
+    fed = _recorded_eliminations(monkeypatch)
+    assert _run(["cohomology", "l4a", "--degree", "1..3"]) == 0
+    assert fed and _fed_again(fed) == 0
+
+
+def test_the_coupled_system_is_fed_only_the_connecting_rows(monkeypatch):
+    """morphism-cohomology phi12_2 --degree 1..2 eliminates each part once:
+    the coupled system continues from the parts' echelons and is fed no
+    row of the source or target coboundary."""
+    fed, built = _recorded_eliminations(monkeypatch), []
+
+    def complex_of(*args):
+        built.append(MorphismComplex(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "MorphismComplex", complex_of)
+    assert _run(["morphism-cohomology", "phi12_2", "--degree", "1..2"]) == 0
+    assert _fed_again(fed) == 0
+    (coupled,) = built
+    fed_ids = {id(row) for rows in fed for row in rows}
+    for n in (1, 2):
+        op = coupled.operator(n)
+        own = len(coupled.source.operator(n).rows) + \
+            len(coupled.target.operator(n).rows)
+        assert fed_ids.isdisjoint(id(row) for row in op.rows[:own])
+        assert any(rows == op.rows[own:] for rows in fed)

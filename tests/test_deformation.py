@@ -286,6 +286,17 @@ def test_non_coboundary_obstruction_blocks_extension():
     assert extend_deformation(md).order == md.order
 
 
+def test_builtin_mdef_2_and_its_extensions_share_their_ends():
+    """The built-in mdef_2 builds its morphism over its families' own
+    bases, and each extension keeps those objects, so the check that a
+    family's base is an end of the morphism compares an object with
+    itself at every step."""
+    md = fixtures.mdef_2()
+    for d in (md, extend_deformation(md), extend_deformation(md, 4)):
+        assert d.def_a.base is d.phi.source
+        assert d.def_b.base is d.phi.target
+
+
 def test_extend_morphism_deformation_of_mdef_2():
     md = fixtures.mdef_2()
     extended = extend_deformation(md)

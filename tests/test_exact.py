@@ -10,8 +10,9 @@ from helpers import (bareiss_rank, columns, dense, dense_nullspace,
 from homcoh.cochain import Coords, MorphismCoords, MultilinearMap
 from homcoh.deformation import CheckResult, OrderRecord
 from homcoh.errors import ParseError, UsageError
-from homcoh.exact import (Matrix, SparseMatrix, independent_subset,
-                          integer_kernel, intersection_basis, nullspace_basis,
+from homcoh.exact import (Echelon, Matrix, SparseMatrix, echelon,
+                          independent_subset, integer_kernel,
+                          intersection_basis, nullspace_basis, pivot_columns,
                           rational_from_string, rational_to_string, rref,
                           solve, sparse_vector)
 
@@ -293,7 +294,8 @@ def test_integer_kernel_is_the_canonical_kernel_in_integers():
     full = empty = 0
     for rows, cols in _integer_systems():
         m = SparseMatrix(len(rows), cols, tuple(rows))
-        kernel, canonical = integer_kernel(rows, cols), nullspace_basis(m)
+        kernel, canonical = integer_kernel(echelon(rows), cols), \
+            nullspace_basis(m)
         rank = bareiss_rank(dense(m))
         assert len(kernel) == len(canonical) == cols - rank
         for v, f in zip(kernel, canonical):
@@ -311,6 +313,43 @@ def test_integer_kernel_is_the_canonical_kernel_in_integers():
         full += bool(rows) and rank == cols
         empty += not rows
     assert full and empty
+
+
+def reduced_rows(rows, cols: int) -> list:
+    """The nonzero rows of the RREF of integer rows."""
+    res = rref(SparseMatrix(len(rows), cols, tuple(rows)))
+    return [res.reduced.row(i) for i in range(res.rank)]
+
+
+def test_a_seeded_elimination_matches_the_unseeded_one():
+    """Continuing from the echelons of two column blocks and feeding in
+    only the rows that couple them gives the RREF, kernel and pivots of
+    eliminating every row at once, on seeded random block systems."""
+    rng = random.Random(31)
+    entry = lambda: rng.choice((-6, -3, -2, -1, 1, 2, 4, 5))
+
+    def rows(lo: int, hi: int, count: int) -> list:
+        return [row for row in ({j: entry() for j in range(lo, hi)
+                                 if rng.random() < 0.45}
+                                for _ in range(count)) if row]
+
+    coupled = 0
+    for _ in range(80):
+        a, b = rng.randint(1, 6), rng.randint(0, 6)
+        cols = a + b
+        block_a, block_b = rows(0, a, rng.randint(0, a + 2)), \
+            rows(a, cols, rng.randint(0, b + 2))
+        coupling = rows(0, cols, rng.randint(0, 4))
+        seed = Echelon(echelon(block_a) + echelon(block_b))
+        assert [col for col, _ in seed] == sorted(col for col, _ in seed)
+        seeded, whole = echelon(coupling, seed), block_a + block_b + coupling
+        assert [col for col, _ in seeded] == pivot_columns(whole)
+        assert integer_kernel(seeded, cols) == \
+            integer_kernel(echelon(whole), cols)
+        assert reduced_rows([row for _, row in seeded], cols) == \
+            reduced_rows(whole, cols)
+        coupled += len(seeded) > len(seed)
+    assert coupled > 20
 
 
 def test_exact_arithmetic_round_trip():

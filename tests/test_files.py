@@ -246,7 +246,7 @@ def _dumps(value) -> str:
 
 def test_json_text_matches_json_dumps_on_every_golden_payload():
     names = sorted(os.listdir(GOLDEN_DIR))
-    assert len(names) == 73
+    assert len(names) == 78
     for name in names:
         with open(os.path.join(GOLDEN_DIR, name), encoding="utf-8") as fh:
             payload = json.loads(json.load(fh)["stdout"])

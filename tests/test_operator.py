@@ -29,12 +29,13 @@ from homcoh.cohomology import (HomSelfComplex, LieSelfComplex,
                                compute_cohomology, connecting_complex)
 from homcoh.errors import UsageError
 from homcoh.exact import (Matrix, SparseMatrix, dense_vector,
-                          independent_subset, intersection_basis, lincomb,
-                          nullspace_basis, rref, solve, sparse_vector)
+                          independent_subset, integral, intersection_basis,
+                          lincomb, nullspace_basis, rref, solve,
+                          sparse_vector)
 from homcoh.deformation import FormalDeformation, solve_obstruction
 from homcoh.operator import (apply_operator, hom_delta, hom_operator,
                              lie_operator)
-from homcoh.rep import HomMorphism, adjoint_module, self_module
+from homcoh.rep import HomMorphism, Module, adjoint_module, self_module
 from homcoh.selftest import _conjugate, _rand_invertible, random_valid_hom_algebra
 
 
@@ -642,7 +643,7 @@ def test_compatibility_rows_have_the_compatible_maps_as_kernel():
         flavor = LIE_FLAVOR if A.kind == LIE else HOM
         for k in (1, 2, 3) if A.dim < 7 else (1, 2):
             system = Coords(k, A.dim, d, flavor == LIE_FLAVOR)
-            rows = compatibility_rows(flavor, A, d, M.beta, k)
+            rows = compatibility_rows(flavor, A, d, M.beta_rows, k)
             kernel = nullspace_basis(SparseMatrix(len(rows), system.dim,
                                                   tuple(rows)))
             assert all(is_compatible(system.to_full(v), A.alpha, M.beta)
@@ -653,15 +654,53 @@ def test_compatibility_rows_have_the_compatible_maps_as_kernel():
     assert 0 < kept["heis7_twisted", 7, 2][0] < 147  # some rows cancel
 
 
+def random_module(rng, kind: str) -> Module:
+    """A module of random constants over a random algebra of the given
+    kind: a twist that is not diagonal, for the Lie kind a bracket that is
+    skew only half the time, and actions of small values (three in eight
+    of them zero), mirrored on the right a third of the time, so that
+    terms cancel."""
+    n, d = rng.randint(2, 3), rng.randint(1, 3)
+    value = lambda: rng.choice((0, 0, 0, 1, -1, 1, 2, Fraction(1, 2)))
+    mul = [[[value() for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    if kind == LIE and rng.random() < 0.5:
+        for i in range(n):
+            mul[i][i] = [0] * n
+            for j in range(i):
+                mul[i][j] = [-x for x in mul[j][i]]
+    alpha = [[value() for _ in range(n)] for _ in range(n)]
+    alpha[1][0] = alpha[1][0] or 1
+    A = HomAlgebra("random", kind, n, mul, Matrix.from_rows(alpha))
+
+    def action(key):
+        return integral({key(a, q): v for a in range(n) for q in range(d)
+                         if (v := {r: x for r in range(d)
+                                   if (x := value())})})
+
+    left = action(lambda a, q: (a, q))
+    right = None if kind == LIE else (
+        ({(q, a): v for (a, q), v in left[0].items()}, left[1])
+        if rng.random() < 1 / 3 else action(lambda a, q: (q, a)))
+    return Module(A, d, Matrix.identity(d), left, right)
+
+
 def test_compiled_operators_match_the_dense_formulas_where_shortcuts_fire():
     """``lie_operator`` and ``hom_operator`` (through each module
     complex's coboundary) against the dense formulas on the shortcut
     modules, up to arity 2: zero brackets and products, shared remaining
-    tuples, and actions that reach only some output coordinates."""
+    tuples, and actions that reach only some output coordinates; and on
+    seeded random modules of both kinds, up to arity 3 (2 in dimension
+    3), with non-diagonal twists, brackets that are not skew (images in
+    full coordinates) and actions whose terms cancel.  No compiled row
+    holds a zero entry."""
     rng = random.Random(19)
-    for M in shortcut_modules():
+    modules = shortcut_modules() + [
+        random_module(rng, kind) for kind in (ASSOCIATIVE, LIE) * 20]
+    full = 0
+    for M in modules:
         A, d = M.algebra, M.carrier_dim
-        for k in (1, 2):
+        complex_obj = ModuleComplex(A, M)
+        for k in (1, 2, 3) if (A.name, A.dim) == ("random", 2) else (1, 2):
             if A.kind == LIE:
                 f = rand_alternating(rng, k, A.dim, d)
                 want = dense_delta_lie(A, dense_action(M.left, d), d, f)
@@ -669,7 +708,11 @@ def test_compiled_operators_match_the_dense_formulas_where_shortcuts_fire():
                 f = rand_map(rng, k, A.dim, d)
                 want = dense_delta_hom(A, dense_action(M.left, d),
                                        dense_action(M.right, d), d, f)
-            assert ModuleComplex(A, M).delta(f) == want, (A.name, d, k)
+            assert complex_obj.delta(f) == want, (A.name, d, k)
+            op = complex_obj.operator(k)
+            assert all(all(row.values()) for row in op.rows), (A.name, d, k)
+            full += A.kind == LIE and not op.target.reduced
+    assert full > 10
 
 
 def count_expansions(monkeypatch) -> list:
@@ -694,7 +737,8 @@ def test_heisenberg5_compiles_from_its_nonzero_constants(monkeypatch):
     H = heisenberg_lie(2)
     calls = count_expansions(monkeypatch)
     for k in (1, 2, 3):
-        assert compatibility_rows(LIE_FLAVOR, H, 5, H.alpha, k) == []
+        assert compatibility_rows(LIE_FLAVOR, H, 5,
+                                  self_module(H).beta_rows, k) == []
     assert calls == []
     (mul, _), places = H.integral[1], [(0, 1), (0, 2), (1, 2)]
     rests = {tuple(b for p, b in enumerate(t) if p not in (i, j))
@@ -703,3 +747,27 @@ def test_heisenberg5_compiles_from_its_nonzero_constants(monkeypatch):
     op = lie_operator(H, 5, 2, self_module(H).left)
     assert len(rests) == 5 and 0 < len(calls) <= len(rests)
     assert sum(map(len, op.rows)) == 44
+
+
+def test_heisenberg5_sorts_only_out_of_order_bracket_tuples(monkeypatch):
+    """Compiling delta_1, delta_2 and delta_3 of heis5 in itself sorts only
+    the argument tuples (k,) + s of bracket terms that are not strictly
+    increasing: [x_i, y_i] = z puts z before the remaining arguments, in 6
+    target tuples at n = 2 and at n = 3 (none at n = 1, where nothing
+    remains).  Increasing tuples are looked up as they are, and an action
+    by the central z looks up nothing."""
+    H = heisenberg_lie(2)
+    sorted_tuples, real = [], cochain._sort_sign
+
+    def counted(t):
+        sorted_tuples.append(t)
+        return real(t)
+
+    monkeypatch.setattr(cochain, "_sort_sign", counted)
+    counts = []
+    for n in (1, 2, 3):
+        sorted_tuples.clear()
+        lie_operator(H, 5, n, self_module(H).left)
+        counts.append(len(sorted_tuples))
+        assert all(t[0] == 4 and len(t) == n for t in sorted_tuples)
+    assert counts == [0, 6, 6]

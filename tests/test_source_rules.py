@@ -300,3 +300,79 @@ def test_deformation_series_sums_walk_stored_degrees():
     path = SOURCE / "deformation.py"
     assert coefficient_reads_over_ranges(
         ast.parse(path.read_text(), str(path))) == []
+
+
+# a complex eliminates each degree's compatibility rows once, into the
+# echelon it keeps (``compatibility_echelon``); dimensions, kernels and
+# spaces read that echelon instead of eliminating the rows again
+KERNEL_READS = {"pivot_columns", "integer_kernel", "nullspace_basis",
+                "rational_kernel", "kernel_space"}
+
+
+def _called(call: ast.Call) -> str | None:
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else \
+        getattr(func, "id", None)
+
+
+def _calls_of(node: ast.AST, names) -> list[ast.Call]:
+    return [n for n in ast.walk(node)
+            if isinstance(n, ast.Call) and _called(n) in names]
+
+
+def _row_calls(node: ast.AST) -> list[ast.Call]:
+    """The compatibility_rows calls in node that no echelon call takes."""
+    eliminated = {id(n) for call in _calls_of(node, {"echelon"})
+                  for n in ast.walk(call)}
+    return [n for n in _calls_of(node, {"compatibility_rows"})
+            if id(n) not in eliminated]
+
+
+def kernel_reads_of_compatibility_rows(tree: ast.AST) -> list[int]:
+    """Lines of the kernel reads given compatibility rows: an argument
+    that calls compatibility_rows, or names a variable that the same
+    function assigns from such a call (not from their echelon)."""
+    found = set()
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        rows = {t.id for a in ast.walk(scope) if isinstance(a, ast.Assign)
+                and _row_calls(a.value)
+                for t in a.targets if isinstance(t, ast.Name)}
+        for call in _calls_of(scope, KERNEL_READS):
+            for arg in call.args + [k.value for k in call.keywords]:
+                if _row_calls(arg) or any(isinstance(n, ast.Name)
+                                          and n.id in rows
+                                          for n in ast.walk(arg)):
+                    found.add(call.lineno)
+    return sorted(found)
+
+
+def test_rule_sees_kernel_reads_of_compatibility_rows():
+    tree = ast.parse(
+        "def f(c, n):\n"
+        "    k = integer_kernel(c.compatibility_rows(n - 1), 4)\n"
+        "    rows = [] if c.full else c.compatibility_rows(n)\n"
+        "    dim = 4 - len(pivot_columns(rows))\n"
+        "    e = echelon(c.compatibility_rows(n))\n"
+        "    s = kernel_space(s, e)\n"
+        "    return exact.nullspace_basis(\n"
+        "        SparseMatrix(1, 2, tuple(rows)))\n"
+        "class C:\n"
+        "    def g(self, n):\n"
+        "        return self._memo(n, lambda: kernel_space(\n"
+        "            self.source, self.compatibility_rows(n)))\n"
+        "def h(c, n):\n"
+        "    return pivot_columns(rows), integer_kernel(c.echelon(n), 3)\n")
+    assert kernel_reads_of_compatibility_rows(tree) == [2, 4, 7, 11]
+
+
+def test_compatibility_rows_are_eliminated_once_per_complex():
+    offenders = {}
+    for name in ("cohomology.py", "deformation.py"):
+        path = SOURCE / name
+        lines = kernel_reads_of_compatibility_rows(
+            ast.parse(path.read_text(), str(path)))
+        if lines:
+            offenders[name] = lines
+    assert offenders == {}
