@@ -15,9 +15,10 @@ over the tuple (i_1, ..., i_k) with the target coordinate innermost (the
 canonical bases depend on this order), and for alternating maps reduced
 coordinates, one per strictly increasing argument tuple; ``locate``
 sorts only a tuple that is not one of them.  A ``CochainSpace`` stores a
-basis as sparse {coordinate: value} dicts and builds maps only on demand:
-each nonzero reduced coordinate is scattered over the signed permutations
-of its tuple.
+basis as sparse integer {coordinate: value} dicts, each a multiple of its
+canonical vector, and builds maps only on demand: each nonzero reduced
+coordinate, divided by the free one, is scattered over the signed
+permutations of its tuple.
 
 The public ``MultilinearMap`` constructor (and ``from_sparse``,
 ``from_values`` and the file parsers, which go through it) checks every
@@ -340,8 +341,10 @@ class Coords:
 @value_class
 class CochainSpace:
     """A cochain space with its basis stored as sparse coordinate vectors
-    of ``system`` (a ``Coords`` or ``MorphismCoords``); full cochains are
-    built only when asked for."""
+    of ``system`` (a ``Coords`` or ``MorphismCoords``): the primitive
+    integer vectors of ``exact.integer_kernel``.  Each basis cochain is
+    built only when asked for, from its vector divided by the free
+    coordinate (the largest index)."""
 
     system: object
     coords: tuple[dict, ...]
@@ -352,7 +355,9 @@ class CochainSpace:
 
     @cached_property
     def basis(self) -> tuple:
-        return tuple(self.system.to_full(v) for v in self.coords)
+        return tuple(self.system.to_full({k: Fraction(x, v[fc])
+                                          for k, x in v.items()})
+                     for v in self.coords for fc in (max(v),))
 
 
 def compatibility_rows(flavor: str, source: HomAlgebra, target_dim: int,

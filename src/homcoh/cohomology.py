@@ -19,16 +19,17 @@ complex is the only way to apply a coboundary: ``delta(f)`` takes a cochain
 of that complex, and ``ModuleComplex.face(i, f)`` applies the face
 operators of the associative kind.  Every coboundary and face is a compiled
 ``operator.SparseOperator``; a complex compiles each degree (and each face
-index and arity) once, and caches per degree its compatibility rows (whose
-kernel, ``bound_space``, is its twist-compatible cochains), their echelon
-and that of its cocycle system; a morphism complex sets its parts'
-echelons side by side and eliminates only its connecting rows.
+index and arity) once, and caches per degree the echelon of its
+compatibility rows (whose kernel, ``bound_space``, is its twist-compatible
+cochains), eliminated as the rows are built, and that of its cocycle
+system; a morphism complex sets its parts' echelons side by side and
+eliminates only its connecting rows.
 ``operator(0)`` of a module complex is its optional arity-0 coboundary.
 ``compute_cohomology`` reads the cocycles off the system echelon and the
 coboundaries off the compatibility echelon one degree down (the
-operator's columns when it is empty), in the coordinates of the canonical
-cocycle basis: multilinear maps are built only for the representatives
-and the cocycle basis of a record, when read.
+operator's columns when it is empty), in the coordinates of the integer
+cocycle basis: ``Fraction``s and multilinear maps are made only for the
+representatives and the cocycle basis of a record, when read.
 
 Invalid input algebras degrade to best-effort reports: a coboundary that
 is not a cocycle is reported as a warning, and the coboundary space is
@@ -45,9 +46,8 @@ from .algebra import (ASSOCIATIVE, LIE as LIE_KIND, HomAlgebra, _nonzero,
 from .cochain import (HOM, LIE, CochainSpace, MorphismCochain,
                       MultilinearMap, _check_arity_guard, compatibility_rows)
 from .errors import UsageError
-from .exact import (Echelon, SparseMatrix, echelon, integer_kernel, integral,
-                    intersection_basis, pivot_columns, rational_kernel,
-                    value_class)
+from .exact import (Echelon, echelon, integer_kernel, integral,
+                    intersection_basis, pivot_columns, value_class)
 from .operator import (SparseOperator, apply_operator, hom_delta, hom_operator,
                        lie_operator, morphism_delta)
 from .rep import (HomMorphism, Module, adjoint_module, check_morphism,
@@ -99,7 +99,7 @@ class ComplexSummary:
 
 class _ComplexBase:
     """Shared engine: each concrete complex supplies, per degree, its
-    compatibility rows and compiled operator, the degree of each of its
+    compatibility echelon and compiled operator, the degree of each of its
     cochains (``_degree`` rejects any other cochain), and whether the
     cocycle equation is solved on all multilinear maps; the
     twist-compatible spaces and systems follow from those."""
@@ -119,16 +119,11 @@ class _ComplexBase:
         """The compiled coboundary from degree n to degree n + 1."""
         return self._memo(("operator", n), lambda: self._compile(n))
 
-    def compatibility_rows(self, n: int) -> list[dict]:
-        """Integer rows over the degree-n coordinates (the source of
-        ``operator(n)``) whose kernel is the twist-compatible (and, for
-        the Lie kind, alternating) cochains."""
-        return self._memo(("rows", n), lambda: self._build_rows(n))
-
     def compatibility_echelon(self, n: int) -> Echelon:
-        """The echelon of ``compatibility_rows(n)``, eliminated once."""
-        return self._memo(("echelon", n), lambda: echelon(
-            self.compatibility_rows(n)))
+        """The echelon of integer rows over the degree-n coordinates (the
+        source of ``operator(n)``) whose kernel is the twist-compatible
+        (and, for the Lie kind, alternating) cochains, eliminated once."""
+        return self._memo(("echelon", n), lambda: self._compatibility(n))
 
     def system_echelon(self, n: int) -> Echelon:
         """The echelon of the system whose kernel is the degree-n cocycles:
@@ -142,15 +137,7 @@ class _ComplexBase:
         of their compatibility echelon."""
         source = self.operator(n).source
         return self._memo(("bound", n), lambda: CochainSpace(source, tuple(
-            rational_kernel(self.compatibility_echelon(n), source.dim))))
-
-    def compatible_system(self, n: int) -> SparseMatrix:
-        """The operator's rows stacked on the compatibility rows, over the
-        operator's denominator: a twist-compatible degree-n cochain maps
-        to its coboundary followed by zeros."""
-        op = self.operator(n)
-        rows = op.rows + self.compatibility_rows(n)
-        return SparseMatrix(len(rows), op.source.dim, rows, op.den)
+            integer_kernel(self.compatibility_echelon(n), source.dim))))
 
     def delta(self, f):
         """The coboundary of f, a cochain of this complex."""
@@ -193,10 +180,11 @@ class ModuleComplex(_ComplexBase):
             validate_lie_module
         return out + [f"{self.label}: {p}" for p in check(self.module)]
 
-    def _build_rows(self, n: int) -> list[dict]:
+    def _compatibility(self, n: int) -> Echelon:
         M = self.module
-        return compatibility_rows(HOM if self.full_cocycles else LIE,
-                                  self.algebra, M.carrier_dim, M.beta_rows, n)
+        return echelon(compatibility_rows(
+            HOM if self.full_cocycles else LIE, self.algebra, M.carrier_dim,
+            M.beta_rows, n))
 
     def _compile(self, n: int):
         M = self.module
@@ -258,7 +246,7 @@ class MorphismComplex(_ComplexBase):
     """Coupled complex of phi: A -> B.  Its degree-n cochains are those of
     ``source`` (A in itself) and ``target`` (B in itself) at degree n and
     of ``connecting`` (A in B through phi) at degree n - 1; its
-    compatibility rows and operators are assembled from theirs."""
+    compatibility echelons and operators are assembled from theirs."""
 
     def __init__(self, phi: HomMorphism, flavor: str):
         super().__init__()
@@ -286,21 +274,18 @@ class MorphismComplex(_ComplexBase):
             out.append(f"morphism: {mreport.describe()}")
         return out
 
-    def _build_rows(self, n: int) -> list[dict]:
-        return [row for _, row in self.compatibility_echelon(n)]
-
     def _side_by_side(self, n: int, parts) -> Echelon:
         """The parts' echelons, each shifted to its degree-n columns."""
         return Echelon((start + col, {start + k: c for k, c in row.items()})
                        for start, e in zip(self.operator(n).source.starts,
                                            parts) for col, row in e)
 
-    def compatibility_echelon(self, n: int) -> Echelon:
+    def _compatibility(self, n: int) -> Echelon:
         # block-diagonal rows: the parts' echelons (none at arity 0)
-        return self._memo(("echelon", n), lambda: self._side_by_side(n, (
+        return self._side_by_side(n, (
             self.source.compatibility_echelon(n),
             self.target.compatibility_echelon(n),
-            self.connecting.compatibility_echelon(n - 1))))
+            self.connecting.compatibility_echelon(n - 1)))
 
     def system_echelon(self, n: int) -> Echelon:
         # the parts' echelons side by side, then only the connecting rows
@@ -338,10 +323,12 @@ def compute_cohomology(complex_obj: _ComplexBase, degrees,
     canonical representatives of a basis of Z/B.
 
     Z is the canonical kernel of ``system_echelon(n)``, in the operator's
-    source coordinates: the operator's rows alone for the associative
-    kind, stacked on the compatibility rows for the Lie kind (the kernel
-    of the operator on the compatible basis, mapped back vector by
-    vector: both are reduced at the same trailing columns).
+    source coordinates, held as its primitive integer vectors (the record
+    divides each by its free coordinate when read): the operator's rows
+    alone for the associative kind, stacked on the compatibility rows for
+    the Lie kind (the kernel of the operator on the compatible basis,
+    mapped back vector by vector: both are reduced at the same trailing
+    columns).
 
     B is spanned by the integer images of the integer kernel of the
     compatibility echelon one degree down (at degree 1, with
@@ -349,8 +336,9 @@ def compute_cohomology(complex_obj: _ComplexBase, degrees,
     read in Z's coordinates, which a non-alternating image of a non-skew
     bracket lacks.  An image off the kernel of the system (delta squared
     is nonzero on an invalid input) is reported, and B becomes B ∩ Z.
-    Each canonical z_k is 1 at its free column and 0 at the others, so a
-    cocycle's values there are its coordinates in Z.  Eliminating those
+    Each z_k is nonzero at its free column and 0 at the others, so a
+    cocycle's values there are its coordinates in Z, each scaled by the
+    free coordinate of its z_k, which moves no pivot.  Eliminating those
     of B, free columns reversed, gives dim B as the rank and, as pivots,
     the k for which some coboundary ends in z_k; the other z_k are the
     representatives: the greedy choice of an elimination of [B | Z].
@@ -379,8 +367,8 @@ def compute_cohomology(complex_obj: _ComplexBase, degrees,
         pinned = () if complex_obj.full_cocycles else \
             complex_obj.compatibility_echelon(n)
         dim_c = op.source.dim - len(pinned)
-        z = tuple(rational_kernel(complex_obj.system_echelon(n),
-                                  op.source.dim)) if dim_c else ()
+        z = tuple(integer_kernel(complex_obj.system_echelon(n),
+                                 op.source.dim)) if dim_c else ()
         # the system's columns check membership in Z, in integers
         system = SparseOperator(op.source, None, op.rows + [
             row for _, row in pinned]) if pinned else op

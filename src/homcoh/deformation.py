@@ -30,7 +30,7 @@ from .bracket import (cup_product_assoc, gerstenhaber_bracket, nr_bracket,
 from .cochain import HOM, LIE, MorphismCochain, MultilinearMap, is_compatible
 from .cohomology import ModuleComplex, MorphismComplex
 from .errors import NotACocycle, ObstructionMismatch, UsageError
-from .exact import Matrix, solve, value_class
+from .exact import Matrix, SparseMatrix, solve, value_class
 from .rep import HomMorphism
 
 
@@ -531,8 +531,9 @@ def obstruction(md: MorphismDeformation) -> MorphismCochain:
 
 def solve_obstruction(d: FormalDeformation | MorphismDeformation, ob):
     """A twist-compatible 2-cochain of the complex of d whose coboundary
-    is ob, or None when there is none: the solution of the compatible
-    system with every free column 0.  That is the basis solution: a
+    is ob, or None when there is none: the solution with every free column
+    0 of the operator's rows, stacked on the compatibility rows, whose
+    eliminated echelon seeds the solve.  That is the basis solution: a
     compatible basis vector is 1 at its free column and 0 at the others,
     and a column is free exactly when the image of its basis vector lies
     in the span of the earlier ones.  Reduced coordinates hold only
@@ -540,7 +541,9 @@ def solve_obstruction(d: FormalDeformation | MorphismDeformation, ob):
     coboundary."""
     op = d.complex.operator(2)
     rhs = op.target.project(ob)
-    x = None if rhs is None else solve(d.complex.compatible_system(2), rhs)
+    x = None if rhs is None else solve(
+        SparseMatrix(len(op.rows), op.source.dim, op.rows, op.den), rhs,
+        d.complex.compatibility_echelon(2))
     return None if x is None else op.source.to_full(x)
 
 

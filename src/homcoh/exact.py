@@ -18,18 +18,20 @@ One sparse, fraction-free kernel does every elimination, on integer rows
 only: rationals are cleared where they enter (a matrix's rows, ``solve``'s
 right-hand side, the vectors of ``independent_subset`` and
 ``intersection_basis``).  ``echelon`` is the one forward elimination; it
-continues from a finished ``Echelon``, so rows already eliminated are not
-fed again, and the kernels read an ``Echelon``.  The pivot is the row
-with the fewest nonzeros among those leading in the next column
-(Markowitz), and values become ``Fraction`` once, at the end.  The RREF
-is unique, so pivoting, seeding and row scaling decide only the cost.
+continues from a finished ``Echelon`` (as ``solve`` can), so rows already
+eliminated are not fed again, and the kernels read an ``Echelon``.  The
+pivot is the row with the fewest nonzeros among those leading in the next
+column (Markowitz), and values become ``Fraction`` once, at the end.  The
+RREF is unique, so pivoting, seeding and row scaling decide only the cost.
 Canonical choices, fixed once so every result is reproducible bit for bit:
 
 * ``rref`` pivots in the leftmost columns independent of those before.
-* ``nullspace_basis`` and ``rational_kernel`` return one vector per free
-  column, in increasing free-column order, with the free coordinate set
-  to 1; ``integer_kernel`` returns the same vectors as primitive integers.
-* ``solve`` returns the particular solution with all free coordinates 0.
+* ``nullspace_basis`` returns one vector per free column, in increasing
+  free-column order, with the free coordinate set to 1; ``integer_kernel``
+  returns the same vectors as primitive integers, each with its free
+  coordinate at its largest index, and callers divide only what they read.
+* ``solve`` returns the particular solution with all free coordinates 0,
+  whatever echelon it is seeded with.
 * ``pivot_columns`` returns the leading columns of an echelon form, and
   ``independent_subset`` those of its vectors' matrix: the greedy choice.
 """
@@ -389,21 +391,20 @@ def integer_kernel(e: Echelon, cols: int) -> list[dict]:
     return basis
 
 
-def rational_kernel(e: Echelon, cols: int) -> list[dict]:
-    """``integer_kernel``, each vector divided by its free coordinate."""
-    return [{k: Fraction(x, v[fc]) for k, x in v.items()}
-            for v in integer_kernel(e, cols) for fc in (max(v),)]
-
-
 def nullspace_basis(m) -> list[dict]:
     """Canonical kernel basis of a Matrix or SparseMatrix: one sparse
-    vector per free column of the RREF (``rational_kernel``)."""
-    return rational_kernel(echelon(_cleared(_rows(m))), m.cols)
+    vector per free column of the RREF, the ``integer_kernel`` vector
+    divided by its free coordinate (its largest index)."""
+    return [{k: Fraction(x, v[fc]) for k, x in v.items()} for v in
+            integer_kernel(echelon(_cleared(_rows(m))), m.cols)
+            for fc in (max(v),)]
 
 
-def solve(m, b: dict) -> dict | None:
+def solve(m, b: dict, seed: Echelon = Echelon()) -> dict | None:
     """The particular solution of m x = b, for a sparse right-hand side,
-    with all free coordinates 0; None when there is none."""
+    with all free coordinates 0; None when there is none.  ``seed``, an
+    echelon over m's columns, stacks rows with a zero right-hand side
+    under m without eliminating them again."""
     if b and not 0 <= min(b) <= max(b) < m.rows:
         raise UsageError(f"solve: rhs does not fit in {m.rows} rows")
     last = m.cols  # the column of b in the augmented rows
@@ -412,7 +413,7 @@ def solve(m, b: dict) -> dict | None:
     for i, c in b.items():
         rows[i] = {**rows[i], last: c * den}
     x = {}
-    for col, row in _reduced(echelon(_cleared(rows))):
+    for col, row in _reduced(echelon(_cleared(rows), seed)):
         if col == last:
             return None
         if last in row:

@@ -159,8 +159,10 @@ def parse_algebra(data, context: str = "algebra") -> HomAlgebra:
     if type(dim) is not int or dim < 1:
         raise ParseError(f"{context}: dim must be a positive integer")
     basis = data["basis"]
-    if (not isinstance(basis, list) or len(basis) != dim
-            or len(set(basis)) != dim):
+    if not isinstance(basis, list) or \
+            not all(isinstance(name, str) for name in basis):
+        raise ParseError(f"{context}: basis must be a list of name strings")
+    if len(basis) != dim or len(set(basis)) != dim:
         raise ParseError(f"{context}: basis must list {dim} distinct names")
     alpha = _parse_matrix(data["alpha"], dim, dim, f"{context}: alpha")
     mul = _parse_mul_entries(data["mul"], basis, data["kind"], context)

@@ -3,13 +3,16 @@
 Every differential of the package is linear in the cochain, and its
 coefficients are integer polynomials in the structure constants, the
 twist, its power alpha^(n-1), the module actions and the morphism matrix.
-The compilers here read each of these as integer numerators over one
-denominator (``exact.integral``) and build the matrix once, from the
-nonzero constants only (a zero bracket or product builds nothing, alpha
-is expanded once per distinct remaining tuple, and each term is written
-straight into its rows, where an entry that cancels is dropped): integer
-{column: int} rows over one denominator ``den`` per operator, 1 for
-integer constants.  A coboundary is then a sparse integer product, and
+Both kinds, and each face operator, are lists of terms over one walker:
+a merge multiplies two arguments and twists the others by alpha, and an
+act lets the module act by one twisted argument.  The walker reads every
+constant as an integer numerator over one denominator (``exact.integral``)
+and builds the matrix once, from the nonzero constants only (a zero
+bracket or product builds nothing, alpha is expanded once per distinct
+remaining tuple, each action table is built once, and each term is
+written straight into its rows, where an entry that cancels is dropped):
+integer {column: int} rows over one denominator ``den`` per operator, 1
+for integer constants.  A coboundary is then a sparse integer product, and
 ``SparseOperator.apply`` makes a ``Fraction`` only for each nonzero output
 entry (``numerators`` stops before that, on integer coordinates, for
 callers that need only the span of an image).  Module actions are read in
@@ -101,23 +104,58 @@ def _act_table(A: HomAlgebra, n: int, action: tuple[dict, int], d: int,
     return table, p * t
 
 
-def _write(rows: list, at: int, d: int, inner: dict, acts) -> None:
-    """Add one output tuple to its d rows, from index ``at``: ``inner``
-    {input tuple index: c} once per carrier coordinate, each act (weight,
-    input tuple index, table) only in the rows its table reaches.  An
-    entry that cancels is dropped as it is written."""
-    for j, c in inner.items():
-        if c:
-            for r in range(d):
-                rows[at + r][j * d + r] = c
-    for w, j, table in acts:
-        for r, col in table.items():
-            row = rows[at + r]
-            for q, c in col.items():
-                if v := row.get(k := j * d + q, 0) + w * c:
-                    row[k] = v
-                else:
-                    row.pop(k, None)
+def _compile(X: HomAlgebra, d: int, n: int, reduced: bool, merges,
+             acts) -> SparseOperator:
+    """The sum of coboundary terms on arity-n cochains with values in a
+    d-dimensional carrier, walked over the nonzero constants of X and
+    written straight into the d rows of each output tuple, where an entry
+    that cancels is dropped.
+
+    A merge (i, j, p, w) weights f(..., x_i x_j, ...) with the product at
+    position p among alpha x_q of the other arguments q, in order; an
+    act (slot, w, table) weights the action (``_act_table``) of
+    alpha^(n-1) x_slot on f of the other arguments, only in the rows its
+    table reaches.  With ``reduced`` the input is an alternating cochain,
+    and so is the image when the product is skew.
+    """
+    src = Coords(n, X.dim, d, reduced)
+    (alpha, a), (mul, m) = X.integral
+    tgt = Coords(n + 1, X.dim, d, reduced and not skew_defect(mul))
+    mden = a ** max(n - 1, 0) * m  # a merge term: a product, n - 1 twists
+    den = lcm(mden, *(tden for _, _, (_, tden) in acts))
+    merges = [(i, j, p, w * (den // mden)) for i, j, p, w in merges if w]
+    acts = [(slot, w * (den // tden), table)
+            for slot, w, (table, tden) in acts]
+    rows, rests = [{} for _ in range(tgt.dim)], {}
+    for ti, t in enumerate(tgt.tuples):
+        inner, at = {}, ti * d
+        for i, j, p, w in merges:
+            if not (product := mul.get((t[i], t[j]))):
+                continue
+            rest = t[:i] + t[i + 1:j] + t[j + 1:]
+            if rest not in rests:  # alpha^(tensor n-1), once per rest
+                rests[rest] = expand_product([alpha.get(b, {}) for b in rest])
+            for k, e in product.items():
+                for s, c in rests[rest]:
+                    if loc := src.locate(s[:p] + (k,) + s[p:]):
+                        inner[loc[0]] = inner.get(loc[0], 0) + \
+                            w * loc[1] * e * c
+        for j, c in inner.items():
+            if c:
+                for r in range(d):
+                    rows[at + r][j * d + r] = c
+        for slot, w, table in acts:  # a central element has no column
+            if (col := table[t[slot]]) and \
+                    (loc := src.locate(t[:slot] + t[slot + 1:])):
+                j, sw = loc[0], loc[1] * w
+                for r, qs in col.items():
+                    row = rows[at + r]
+                    for q, c in qs.items():
+                        if v := row.get(k := j * d + q, 0) + sw * c:
+                            row[k] = v
+                        else:
+                            row.pop(k, None)
+    return SparseOperator(src, tgt, rows, den)
 
 
 def hom_operator(A: HomAlgebra, d: int, n: int, merge, left=None,
@@ -131,32 +169,11 @@ def hom_operator(A: HomAlgebra, d: int, n: int, merge, left=None,
     alpha^(n-1) x_n), the actions as in ``Module.left`` and
     ``Module.right``.
     """
-    src, tgt = Coords(n, A.dim, d, False), Coords(n + 1, A.dim, d, False)
-    (alpha, a), (mul, m) = A.integral
-    lt = left and _act_table(A, n, left[1], d)
-    rt = right and _act_table(A, n, right[1], d, right=True)
-    mden = a ** max(n - 1, 0) * m  # a merge term: a product, n - 1 twists
-    den = lcm(mden, *(act[1] for act in (lt, rt) if act))
-    merge = [w * (den // mden) for w in merge]
-    rows = [{} for _ in range(tgt.dim)]
-    for ti, t in enumerate(tgt.tuples):
-        inner = {}
-        for k, w in enumerate(merge):
-            if not w or t[k:k + 2] not in mul:  # no term, or a zero product
-                continue
-            args = ([alpha.get(i, {}) for i in t[:k]]
-                    + [mul[t[k:k + 2]]]
-                    + [alpha.get(i, {}) for i in t[k + 2:]])
-            for s, c in expand_product(args):
-                j = src.index[s]
-                inner[j] = inner.get(j, 0) + w * c
-        acts = []  # an empty table column (a central element) adds nothing
-        if lt and (table := lt[0][t[0]]):
-            acts.append((left[0] * (den // lt[1]), src.index[t[1:]], table))
-        if rt and (table := rt[0][t[-1]]):
-            acts.append((right[0] * (den // rt[1]), src.index[t[:-1]], table))
-        _write(rows, ti * d, d, inner, acts)
-    return SparseOperator(src, tgt, rows, den)
+    acts = [(slot, side[0], _act_table(A, n, side[1], d, flip))
+            for slot, side, flip in ((0, left, False), (n, right, True))
+            if side]
+    return _compile(A, d, n, False,
+                    [(k, k + 1, k, w) for k, w in enumerate(merge)], acts)
 
 
 def lie_operator(L: HomAlgebra, d: int, n: int, action=None,
@@ -168,35 +185,12 @@ def lie_operator(L: HomAlgebra, d: int, n: int, action=None,
     action(alpha^(n-1) x_i, f(..., x_n)) (x_i omitted).  With ``reduced``
     the input is an alternating cochain.
     """
-    src = Coords(n, L.dim, d, reduced)
-    (alpha, a), (mul, m) = L.integral
-    tgt = Coords(n + 1, L.dim, d, reduced and not skew_defect(mul))
-    act = action is not None and _act_table(L, n, action, d)
-    mden = a ** max(n - 1, 0) * m  # a bracket term: a product, n - 1 twists
-    den = lcm(mden, act[1]) if act else mden
-    rows, rests = [{} for _ in range(tgt.dim)], {}
-    for ti, t in enumerate(tgt.tuples):
-        inner = {}
-        for i, j in combinations(range(n + 1), 2):
-            if not (bracket := mul.get((t[i], t[j]))):
-                continue
-            rest = t[:i] + t[i + 1:j] + t[j + 1:]
-            if rest not in rests:  # alpha^(tensor n-1), once per rest
-                rests[rest] = expand_product([alpha.get(b, {}) for b in rest])
-            w = (-1) ** (i + j) * (den // mden)
-            for k, e in bracket.items():
-                for s, c in rests[rest]:
-                    if loc := src.locate((k,) + s):
-                        inner[loc[0]] = inner.get(loc[0], 0) + \
-                            w * loc[1] * e * c
-        acts = []  # an empty table column (a central element) adds nothing
-        for i in range(n + 1) if act else ():
-            if (table := act[0][t[i]]) and \
-                    (loc := src.locate(t[:i] + t[i + 1:])):
-                acts.append(((-1) ** i * loc[1] * (den // act[1]), loc[0],
-                             table))
-        _write(rows, ti * d, d, inner, acts)
-    return SparseOperator(src, tgt, rows, den)
+    table = action is not None and _act_table(L, n, action, d)
+    return _compile(L, d, n, reduced,
+                    [(i, j, 0, (-1) ** (i + j))
+                     for i, j in combinations(range(n + 1), 2)],
+                    [(i, (-1) ** i, table) for i in range(n + 1)]
+                    if table else [])
 
 
 def hom_delta(A: HomAlgebra, rho_l, rho_r, d: int, n: int) -> SparseOperator:

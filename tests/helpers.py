@@ -15,7 +15,7 @@ from homcoh.cochain import (HOM, LIE, CochainSpace, Coords, MorphismCochain,
 from homcoh.errors import HomcohError, UsageError
 from homcoh.exact import (Matrix, SparseMatrix, dense_vector, echelon,
                           expand_product, independent_subset, integral,
-                          lincomb, rational_kernel, solve, sparse_vector)
+                          integer_kernel, lincomb, solve, sparse_vector)
 
 
 class ImageOutsideCodomain(HomcohError):
@@ -146,8 +146,9 @@ def dense_action(action, dim: int):
     def act(x, y) -> tuple:
         out = [Fraction(0)] * dim
         for (i, j), v in entries.items():
-            for r, c in v.items():
-                out[r] += x[i] * y[j] * Fraction(c, den)
+            if xy := x[i] * y[j]:  # a zero factor adds nothing
+                for r, c in v.items():
+                    out[r] += xy * Fraction(c, den)
         return tuple(out)
     return act
 
@@ -208,9 +209,17 @@ def evaluate(m: MultilinearMap, args) -> tuple:
 
 def kernel_space(system, rows: list[dict]) -> CochainSpace:
     """The cochains of system that the integer rows annihilate, with the
-    canonical kernel basis."""
-    return CochainSpace(system, tuple(rational_kernel(echelon(rows),
-                                                      system.dim)))
+    canonical kernel basis (held as its integer vectors)."""
+    return CochainSpace(system, tuple(integer_kernel(echelon(rows),
+                                                     system.dim)))
+
+
+def canonical_coords(space) -> tuple:
+    """The coordinates of the basis cochains of space: each stored integer
+    vector divided by its free coordinate, the value at its largest
+    index."""
+    return tuple({k: Fraction(x, v[max(v)]) for k, x in v.items()}
+                 for v in space.coords)
 
 
 def beta_rows(beta: Matrix) -> tuple[dict, int]:
@@ -240,7 +249,7 @@ def lie_cochain_basis(source: HomAlgebra, target_dim: int, beta: Matrix,
 def combine(space, coeffs: dict):
     """The cochain sum of c times basis element j of space over the sparse
     {j: c}."""
-    return space.system.to_full(lincomb(coeffs, space.coords))
+    return space.system.to_full(lincomb(coeffs, canonical_coords(space)))
 
 
 # Dense coefficient tensors: the flat layout of a multilinear map, indexed
@@ -291,7 +300,8 @@ def differential_matrix(space_n, space_n1, delta) -> Matrix:
     """Matrix of delta with columns over space_n's basis, expressed in
     space_n1's basis; raises ImageOutsideCodomain when an image escapes
     (which signals an invalid algebra or module)."""
-    codomain = SparseMatrix.from_columns(space_n1.coords, space_n1.system.dim)
+    codomain = SparseMatrix.from_columns(canonical_coords(space_n1),
+                                         space_n1.system.dim)
     cols = []
     for j, f in enumerate(space_n.basis):
         x = space_n1.system.project(delta(f))  # None: not alternating
@@ -334,19 +344,21 @@ def basis_solve(complex_obj, n: int, target):
     op, space = complex_obj.operator(n), complex_obj.bound_space(n)
     rhs = op.target.project(target)
     coeffs = None if rhs is None else solve(
-        operator_matrix(op, space.coords), rhs)
+        operator_matrix(op, canonical_coords(space)), rhs)
     return None if coeffs is None else combine(space, coeffs)
 
 
 def multiply(A: HomAlgebra, x, y) -> tuple:
     """The product of two dense vectors, summed over the dense structure
     constants ``A.mul``: the oracle of ``homcoh.algebra.multiply``, which
-    evaluates through the sparse kernel."""
+    evaluates through the sparse kernel.  A zero factor adds nothing, so
+    its terms are skipped."""
     out = [Fraction(0)] * A.dim
     for i, a in enumerate(x):
-        for j, b in enumerate(y):
-            for k, e in enumerate(A.mul[i][j]):
-                out[k] += a * b * e
+        for j, b in enumerate(y) if a else ():
+            for k, e in enumerate(A.mul[i][j]) if b else ():
+                if e:
+                    out[k] += a * b * e
     return tuple(out)
 
 
@@ -421,6 +433,10 @@ def _basis_args(n: int, t) -> list:
 
 
 def _signed(total, term, negative: bool):
+    """total plus or minus term, entry by entry; a zero term adds
+    nothing, so total is returned as it is."""
+    if not any(term):
+        return total
     return [x - y if negative else x + y for x, y in zip(total, term)]
 
 
@@ -963,8 +979,8 @@ def dense_quotient(b_maps, z_maps) -> tuple[int, list]:
     if rank(b + z) > len(z):
         kernel = dense_nullspace(columns(
             b + [tuple(-x for x in v) for v in z], height))
-        b = [tuple(sum(c[j] * v[i] for j, v in enumerate(b))
-                   for i in range(height)) for c in kernel]
+        b = [tuple(sum((c[j] * v[i] for j, v in enumerate(b) if c[j]),
+                       Fraction(0)) for i in range(height)) for c in kernel]
     chosen, reps = list(b), []
     for m, v in zip(z_maps, z):
         if rank(chosen + [v]) > rank(chosen):

@@ -45,6 +45,20 @@ def test_validate_parse_error_exit_two(tmp_path, capsys):
         assert message in err
 
 
+def test_validate_names_a_basis_of_non_strings(tmp_path, capsys):
+    """A basis entry that is not a string is an input error (exit 2) that
+    names the basis, whether or not it could be hashed."""
+    path = tmp_path / "a3.json"
+    files.write_builtin_files(str(tmp_path))
+    data = json.loads(path.read_text())
+    for basis in ([[name] for name in data["basis"]],
+                  list(range(1, len(data["basis"]) + 1))):
+        path.write_text(json.dumps({**data, "basis": basis}))
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 2
+        assert "basis must be a list of name strings" in err
+
+
 def test_validate_missing_input_exit_two(capsys):
     code, _, err = run(capsys, "validate", "nonexistent-thing")
     assert code == 2

@@ -21,6 +21,7 @@ from homcoh.cochain import (Coords, MorphismCochain, MultilinearMap,
 from homcoh.cohomology import (HomSelfComplex, ModuleComplex,
                                MorphismComplex, compute_cohomology,
                                connecting_complex, self_cohomology)
+from homcoh.deformation import extend_deformation
 from homcoh.errors import ArityLimitError, UsageError
 from homcoh.files import cochain_to_json
 from homcoh.exact import (Echelon, Matrix, echelon, integer_kernel,
@@ -681,9 +682,11 @@ def test_a_morphism_complex_seeded_by_its_parts_eliminates_as_from_scratch(
                                   "lie" if X.kind == LIE else "hom")
     for n in degrees:
         op = complex_obj.operator(n)
-        parts = (complex_obj.source.compatibility_rows(n),
-                 complex_obj.target.compatibility_rows(n),
-                 complex_obj.connecting.compatibility_rows(n - 1))
+        parts = [cochain.compatibility_rows(
+            complex_obj.component_flavor, part.algebra,
+            part.module.carrier_dim, part.module.beta_rows, k)
+            for part, k in ((complex_obj.source, n), (complex_obj.target, n),
+                            (complex_obj.connecting, n - 1))]
         rows = [{start + k: c for k, c in row.items()}
                 for start, part in zip(op.source.starts, parts)
                 for row in part]
@@ -735,6 +738,32 @@ def test_a_report_eliminates_no_row_twice(monkeypatch):
     fed = _recorded_eliminations(monkeypatch)
     assert _run(["cohomology", "l4a", "--degree", "1..3"]) == 0
     assert fed and _fed_again(fed) == 0
+
+
+@pytest.mark.parametrize("steps", [1, 5])
+def test_an_extension_eliminates_its_compatibility_rows_once(monkeypatch,
+                                                             steps):
+    """Extending mdef_2 by one order or by five feeds the 15 degree-2
+    compatibility rows of its complex to ``exact.echelon`` once, and no row
+    of their echelon: every obstruction solve continues from it."""
+    fed, made = _recorded_eliminations(monkeypatch), []
+    real = cochain.compatibility_rows
+
+    def kept(*args):
+        made.extend(rows := real(*args))
+        return rows
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("homcoh.") and \
+                getattr(module, "compatibility_rows", None) is real:
+            monkeypatch.setattr(module, "compatibility_rows", kept)
+    d = fixtures.mdef_2()
+    extended = extend_deformation(d, d.order + steps)
+    assert extended.order == d.order + steps
+    assert extended.complex is d.complex and len(made) == 15
+    rows = {id(row) for row in made} | {
+        id(row) for _, row in d.complex.compatibility_echelon(2)}
+    assert sum(id(row) in rows for batch in fed for row in batch) == 15
 
 
 def test_the_coupled_system_is_fed_only_the_connecting_rows(monkeypatch):

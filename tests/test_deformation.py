@@ -6,7 +6,8 @@ import pytest
 from helpers import (basis_solve, combine, dense_algebra_order_defect,
                      dense_connecting_obstruction, dense_morphism_order_defect,
                      dense_transported_mul, linear_matrix, matrix_is_zero,
-                     matrix_sum, scaled_matrix, zero_matrix)
+                     matrix_sum, operator_matrix, scaled_matrix,
+                     zero_matrix)
 from homcoh import algebra, bracket, deformation, fixtures
 from homcoh.algebra import ASSOCIATIVE, LIE, HomAlgebra
 from homcoh.bracket import (cup_product_assoc, gerstenhaber_bracket,
@@ -657,8 +658,8 @@ def test_stacked_obstruction_solve_matches_the_basis_solve():
                 if n == 2:
                     got = solve_obstruction(d, target)
                 else:
-                    x = solve(complex_obj.compatible_system(1),
-                              op.target.project(target))
+                    x = solve(operator_matrix(op), op.target.project(target),
+                              complex_obj.compatibility_echelon(1))
                     got = None if x is None else op.source.to_full(x)
                 assert got == basis_solve(complex_obj, n, target)
                 if got is not None:

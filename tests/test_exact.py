@@ -12,9 +12,9 @@ from homcoh.deformation import CheckResult, OrderRecord
 from homcoh.errors import ParseError, UsageError
 from homcoh.exact import (Echelon, Matrix, SparseMatrix, echelon,
                           independent_subset, integer_kernel,
-                          intersection_basis, nullspace_basis, pivot_columns,
-                          rational_from_string, rational_to_string, rref,
-                          solve, sparse_vector)
+                          intersection_basis, lincomb, nullspace_basis,
+                          pivot_columns, rational_from_string,
+                          rational_to_string, rref, solve, sparse_vector)
 
 
 def frac_matrix(rows):
@@ -350,6 +350,52 @@ def test_a_seeded_elimination_matches_the_unseeded_one():
             reduced_rows(whole, cols)
         coupled += len(seeded) > len(seed)
     assert coupled > 20
+
+
+def test_a_seeded_solve_matches_the_stacked_solve():
+    """solve(m, b, seed), with seed the echelon of more rows over m's
+    columns, is the solve of m stacked on those rows with a zero
+    right-hand side, and the dense one: on seeded random systems over a
+    denominator, with right-hand sides that the stacked system solves,
+    that only m solves and that neither solves, many of them
+    rank-deficient."""
+    rng = random.Random(37)
+    entry = lambda: rng.choice((-6, -3, -2, -1, 1, 2, 4, 5))
+    solved = unsolved = dependent = free = 0
+    for _ in range(80):
+        cols = rng.randint(1, 8)
+        rows = lambda count: [row for row in (
+            {j: entry() for j in range(cols) if rng.random() < 0.4}
+            for _ in range(count)) if row]
+        top, extra = rows(rng.randint(1, cols)), rows(rng.randint(0, cols))
+        if top and extra and rng.random() < 0.5:  # a row of m plus another
+            row = {j: top[0].get(j, 0) + 2 * extra[0].get(j, 0)
+                   for j in top[0].keys() | extra[0].keys()}
+            extra.append({j: c for j, c in row.items() if c} or extra[0])
+        den = rng.choice((1, 3, 4))
+        m = SparseMatrix(len(top), cols, tuple(top), den)
+        stacked = SparseMatrix(len(top + extra), cols, tuple(top + extra), den)
+        image = lambda x: sparse_vector([
+            sum(c * x.get(j, 0) for j, c in row.items()) / den for row in top])
+        kernel = integer_kernel(echelon(extra), cols)  # stacked rows vanish
+        allowed = lincomb({k: Fraction(entry(), 3)
+                           for k in range(len(kernel))}, kernel)
+        anywhere = {j: Fraction(entry(), rng.choice((1, 2)))
+                    for j in range(cols)}
+        noise = {i: Fraction(entry(), rng.choice((1, 5)))
+                 for i in range(len(top)) if rng.random() < 0.6}
+        for b in (image(allowed), image(anywhere), noise):
+            got = solve(m, b, echelon(extra))
+            assert got == solve(stacked, b)
+            assert densify(got, cols) == dense_solve(
+                dense(stacked), [den * b.get(i, 0)
+                                 for i in range(stacked.rows)])
+            solved += got is not None
+            unsolved += got is None
+        rank = bareiss_rank(dense(stacked))
+        dependent += rank < stacked.rows
+        free += rank < cols
+    assert solved > 120 and unsolved > 60 and dependent > 30 and free > 30
 
 
 def test_exact_arithmetic_round_trip():

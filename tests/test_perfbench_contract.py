@@ -6,6 +6,7 @@ it computes, fails here and not only when the benchmark runs."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 from types import ModuleType
 
@@ -74,6 +75,22 @@ def test_every_homcoh_name_the_benchmark_uses_exists():
             "multiply", "write_builtin_files", "main"} <= names
     missing = [ref for ref in refs if _resolve(ref[1], ref[2]) is None]
     assert missing == []
+
+
+# The parameters that ``perfbench/spans.py::_measure`` reads by name from
+# the bound arguments of each traced function (``run.py --trace 1``).
+TRACED_PARAMETERS = {
+    ("exact", "solve"): {"m"}, ("exact", "nullspace_basis"): {"m"},
+    ("exact", "rref"): {"m"}, ("exact", "independent_subset"): {"vectors"},
+    ("exact", "intersection_basis"): {"u_cols", "w_cols"},
+    ("cohomology", "compute_cohomology"): {"complex_obj", "degrees"},
+}
+
+
+def test_every_parameter_the_tracer_reads_keeps_its_name():
+    for (module, name), params in TRACED_PARAMETERS.items():
+        fn = getattr(importlib.import_module(f"homcoh.{module}"), name)
+        assert params <= set(inspect.signature(fn).parameters), name
 
 
 def test_one_pass_of_every_workload_gives_its_recorded_output(
