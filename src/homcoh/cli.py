@@ -11,8 +11,8 @@ import sys
 from functools import cache
 
 from . import files
-from .algebra import ASSOCIATIVE, validate
-from .cochain import HOM, LIE, _check_arity_guard
+from .algebra import LIE, validate
+from .cochain import _check_arity_guard
 from .cohomology import (ComplexSummary, ModuleComplex, MorphismComplex,
                          compute_cohomology, connecting_complex)
 from .deformation import (FAMILIES, MorphismDeformation, algebra_obstruction,
@@ -78,7 +78,7 @@ def cmd_validate(args) -> int:
     loaded = files.load(files.EITHER, args.input)
     if isinstance(loaded, HomMorphism):
         phi = loaded
-        report = check_morphism(phi.source, phi.target, phi.matrix)
+        report = check_morphism(phi)
         payload = {"command": "validate", "type": "morphism",
                    "source": phi.source.name, "target": phi.target.name,
                    "is_valid": report.is_valid,
@@ -112,7 +112,7 @@ def _summary_payload(summary: ComplexSummary, target_names) -> dict:
 
 def cmd_cohomology(args) -> int:
     A = files.load("algebra", args.input)
-    if args.lie and A.kind != "lie":
+    if args.lie and A.kind != LIE:
         raise ParseError(f"{A.name} is not a Lie-kind algebra")
     degrees = _parse_degrees(args.degree)
     report = validate(A)
@@ -160,8 +160,7 @@ def cmd_cohomology(args) -> int:
 def cmd_morphism_cohomology(args) -> int:
     phi = files.load("morphism", args.input)
     degrees = _parse_degrees(args.degree)
-    flavor = HOM if phi.source.kind == ASSOCIATIVE else LIE
-    complex_obj = MorphismComplex(phi, flavor)
+    complex_obj = MorphismComplex(phi)
     coupled = compute_cohomology(complex_obj, degrees)
     payload = {"command": "morphism-cohomology",
                "source": phi.source.name, "target": phi.target.name,

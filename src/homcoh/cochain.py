@@ -42,9 +42,6 @@ from .errors import ArityLimitError, UsageError
 from .exact import (Matrix, Vector, as_fraction, dense_vector, expand_product,
                     value_class)
 
-HOM = "hom"
-LIE = "lie"
-
 _DEFAULT_MAX_ARITY = 4
 
 
@@ -360,10 +357,10 @@ class CochainSpace:
                      for v in self.coords for fc in (max(v),))
 
 
-def compatibility_rows(flavor: str, source: HomAlgebra, target_dim: int,
+def compatibility_rows(reduced: bool, source: HomAlgebra, target_dim: int,
                        beta: tuple[dict, int], arity: int) -> list[dict]:
     """The nonzero integer rows {unknown: int} of the system beta∘f =
-    f∘alpha^(tensor arity) in the coordinates of the flavor, at most one
+    f∘alpha^(tensor arity) in reduced or full coordinates, at most one
     per argument tuple and target coordinate; arity 0 has none (no
     structure-map constraint there).  beta is given by its nonzero rows
     as integer numerators over one denominator (``Module.beta_rows``).
@@ -389,7 +386,7 @@ def compatibility_rows(flavor: str, source: HomAlgebra, target_dim: int,
     if (len(scalar), len(own), len(cs), len(bs)) == (source.dim, d, 1, 1) \
             and fb * bs.pop() == fa * cs.pop() ** arity:
         return []  # scalar alpha and beta: every row is this cancelling one
-    system = Coords(arity, source.dim, d, flavor == LIE)
+    system = Coords(arity, source.dim, d, reduced)
     rows = []
     for ti, t in enumerate(system.tuples):
         # f(alpha e_{t_1}, ..., alpha e_{t_k}) in the unknowns of the system

@@ -2,7 +2,7 @@
 cocycle/coboundary/cohomology computation for all complex flavors.
 
 Cocycle convention, fixed by the worked examples this tool reproduces and
-applied uniformly per flavor:
+applied uniformly per kind:
 
 * Lie-kind complexes: cocycles and coboundaries both live in the
   twist-compatible alternating cochain spaces.
@@ -41,10 +41,9 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .algebra import (ASSOCIATIVE, LIE as LIE_KIND, HomAlgebra, _nonzero,
-                      validate)
-from .cochain import (HOM, LIE, CochainSpace, MorphismCochain,
-                      MultilinearMap, _check_arity_guard, compatibility_rows)
+from .algebra import ASSOCIATIVE, HomAlgebra, _nonzero, validate
+from .cochain import (CochainSpace, MorphismCochain, MultilinearMap,
+                      _check_arity_guard, compatibility_rows)
 from .errors import UsageError
 from .exact import (Echelon, echelon, integer_kernel, integral,
                     intersection_basis, pivot_columns, value_class)
@@ -182,9 +181,8 @@ class ModuleComplex(_ComplexBase):
 
     def _compatibility(self, n: int) -> Echelon:
         M = self.module
-        return echelon(compatibility_rows(
-            HOM if self.full_cocycles else LIE, self.algebra, M.carrier_dim,
-            M.beta_rows, n))
+        return echelon(compatibility_rows(not self.full_cocycles, self.algebra,
+                                          M.carrier_dim, M.beta_rows, n))
 
     def _compile(self, n: int):
         M = self.module
@@ -248,17 +246,11 @@ class MorphismComplex(_ComplexBase):
     of ``connecting`` (A in B through phi) at degree n - 1; its
     compatibility echelons and operators are assembled from theirs."""
 
-    def __init__(self, phi: HomMorphism, flavor: str):
+    def __init__(self, phi: HomMorphism):
         super().__init__()
-        if flavor not in (HOM, LIE):
-            raise UsageError(f"unknown flavor {flavor!r}")
-        kind = ASSOCIATIVE if flavor == HOM else LIE_KIND
-        if phi.source.kind != kind or phi.target.kind != kind:
-            raise UsageError(f"flavor {flavor!r} does not match the algebras")
         self.phi = phi
-        self.component_flavor = flavor
-        self.flavor = MORPHISM_HOM if flavor == HOM else MORPHISM_LIE
-        self.full_cocycles = flavor == HOM
+        self.full_cocycles = phi.source.kind == ASSOCIATIVE
+        self.flavor = MORPHISM_HOM if self.full_cocycles else MORPHISM_LIE
         self.source = ModuleComplex(phi.source)
         self.target = ModuleComplex(phi.target)
         self.connecting = connecting_complex(phi)
@@ -269,7 +261,7 @@ class MorphismComplex(_ComplexBase):
         out = [f"{X.name}: {report.describe()}"
                for X in (phi.source, phi.target)
                if not (report := validate(X)).is_valid]
-        mreport = check_morphism(phi.source, phi.target, phi.matrix)
+        mreport = check_morphism(phi)
         if not mreport.is_valid:
             out.append(f"morphism: {mreport.describe()}")
         return out
@@ -299,8 +291,7 @@ class MorphismComplex(_ComplexBase):
 
     def _compile(self, n: int):
         return morphism_delta(
-            self.phi.matrix, self.component_flavor, self.source.operator(n),
-            self.target.operator(n),
+            self.phi, self.source.operator(n), self.target.operator(n),
             self.connecting.operator(n - 1) if n > 1 else None)
 
     def _degree(self, c) -> int:

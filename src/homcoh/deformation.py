@@ -22,12 +22,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from .algebra import (ASSOCIATIVE, LIE as LIE_KIND, HomAlgebra, first_failure,
+from .algebra import (ASSOCIATIVE, LIE, HomAlgebra, first_failure,
                       identity_defect, product_defect, skew_defect,
                       twist_defect, validate)
 from .bracket import (cup_product_assoc, gerstenhaber_bracket, nr_bracket,
                       overline_comp)
-from .cochain import HOM, LIE, MorphismCochain, MultilinearMap, is_compatible
+from .cochain import MorphismCochain, MultilinearMap, is_compatible
 from .cohomology import ModuleComplex, MorphismComplex
 from .errors import NotACocycle, ObstructionMismatch, UsageError
 from .exact import Matrix, SparseMatrix, solve, value_class
@@ -38,7 +38,9 @@ from .rep import HomMorphism
 MAX_ORDER = 1000
 
 # Bounds the coefficient tuples that the default check of a deformation
-# walks, which grow with its nonzero terms, not with its order.
+# walks, which grow with its nonzero terms, not with its order.  A file
+# and a check are bounded, not a construction: an extension adds terms at
+# each order it reaches, and checks only that order.
 MAX_CHECK_TUPLES = 2_000_000
 
 # The verdict families of an ``OrderRecord``, in report order.
@@ -52,8 +54,8 @@ def check_order_bound(n: int, what: str):
                          "deformation orders")
 
 
-def _check_work_bound(d: FormalDeformation | MorphismDeformation):
-    """Input error when the default check of d walks more than
+def check_work_bound(d: FormalDeformation | MorphismDeformation):
+    """d, or an input error when the default check of d walks more than
     ``MAX_CHECK_TUPLES`` coefficient tuples: |mu|^2 for an algebra
     deformation, |mu_A|^2 + |mu_B|^2 + |phi| |mu_A| + |mu_B| |phi|^2 for a
     morphism deformation, where |.| counts the nonzero coefficients."""
@@ -65,6 +67,7 @@ def _check_work_bound(d: FormalDeformation | MorphismDeformation):
     if tuples > MAX_CHECK_TUPLES:
         raise UsageError(f"checking this deformation walks {tuples} "
                          f"coefficient tuples, over the bound {MAX_CHECK_TUPLES}")
+    return d
 
 
 def _check_degrees(terms, order: int, what: str):
@@ -124,7 +127,6 @@ class FormalDeformation:
                     2, self.base.dim, self.base.dim):
                 raise UsageError("terms must be bilinear self-maps")
         object.__setattr__(self, "terms", tuple(sorted(self.terms)))
-        _check_work_bound(self)
 
     @classmethod
     def from_terms(cls, base: HomAlgebra, order: int,
@@ -187,7 +189,6 @@ class MorphismDeformation:
                     1, self.phi.source.dim, self.phi.target.dim):
                 raise UsageError("phi term has wrong shape")
         object.__setattr__(self, "phi_terms", tuple(sorted(self.phi_terms)))
-        _check_work_bound(self)
 
     @classmethod
     def build(cls, phi: HomMorphism, def_a: FormalDeformation,
@@ -212,14 +213,10 @@ class MorphismDeformation:
         return self.phi_series.get(degree, MultilinearMap.zero(
             1, self.phi.source.dim, self.phi.target.dim))
 
-    @property
-    def flavor(self) -> str:
-        return HOM if self.phi.source.kind == ASSOCIATIVE else LIE
-
     @cached_property
     def complex(self) -> MorphismComplex:
         """The coupled complex of the morphism, which holds the cochains."""
-        return MorphismComplex(self.phi, self.flavor)
+        return MorphismComplex(self.phi)
 
     def extended_by(self, theta: MorphismCochain) -> "MorphismDeformation":
         """This deformation with theta as its order-(N+1) triple."""
@@ -345,7 +342,7 @@ def _algebra_verdict(d: FormalDeformation, s: int) -> CheckResult:
     degree s is also checked for skew-symmetry."""
     n = d.base.dim
     witness = None
-    if d.base.kind == LIE_KIND and s >= 1:
+    if d.base.kind == LIE and s >= 1:
         witness = first_failure(skew_defect(d.entries.get(s, {})), n)
     if witness is None:
         witness = first_failure(_algebra_order_defect(d, s), n)
@@ -372,6 +369,7 @@ def order_record(d: FormalDeformation | MorphismDeformation,
 
 
 def _report(d, up_to: int) -> DeformationReport:
+    check_work_bound(d)
     return DeformationReport(tuple(order_record(d, s)
                                    for s in range(up_to + 1)))
 
@@ -488,7 +486,7 @@ def obstruction(md: MorphismDeformation) -> MorphismCochain:
     ob_b = algebra_obstruction(md.def_b)
     s = md.order + 1
     mu_a, mu_b, phi = md.def_a.series, md.def_b.series, md.phi_series
-    if md.flavor == HOM:
+    if A.kind == ASSOCIATIVE:
         # every degree p, q, k of the displayed sums is at least 1
         mu_a, mu_b, phi = _tail(mu_a), _tail(mu_b), _tail(phi)
         terms = [overline_comp(md.phi, m, f) for m, f in _pairs(mu_b, phi, s)]
@@ -509,7 +507,7 @@ def obstruction(md: MorphismDeformation) -> MorphismCochain:
     # the terms without the unknown extension.
     direct = MultilinearMap.from_sparse(2, A.dim, B.dim,
                                         _morphism_order_defect(md, s))
-    if md.flavor == HOM:
+    if A.kind == ASSOCIATIVE:
         direct = direct.scale(-1)
     if ob_phi != direct:
         raise ObstructionMismatch(

@@ -22,7 +22,8 @@ from json.encoder import encode_basestring_ascii
 
 from .algebra import ASSOCIATIVE, LIE, HomAlgebra, sparse_tensor
 from .cochain import MorphismCochain, MultilinearMap
-from .deformation import FormalDeformation, MorphismDeformation
+from .deformation import (FormalDeformation, MorphismDeformation,
+                          check_work_bound)
 from .errors import ParseError
 from .exact import Matrix, rational_from_string, rational_to_string
 from .rep import HomMorphism
@@ -297,11 +298,11 @@ def parse_deformation(data, base_dir: str = ".", context: str = "deformation"):
             lambda rows, where: MultilinearMap.from_matrix(_parse_matrix(
                 rows, phi.target.dim, phi.source.dim, where)),
             f"{context}: phi_terms")
-        return MorphismDeformation.build(
+        return check_work_bound(MorphismDeformation.build(
             phi,
             FormalDeformation.from_terms(phi.source, order, terms_a),
             FormalDeformation.from_terms(phi.target, order, terms_b),
-            phi_terms, order)
+            phi_terms, order))
     if "algebra" not in refs:
         raise ParseError(f"{context}: needs either 'morphism' or 'algebra'")
     for key in ("phi_terms", "target_terms"):
@@ -309,7 +310,7 @@ def parse_deformation(data, base_dir: str = ".", context: str = "deformation"):
             raise ParseError(f"{context}: {key} requires a morphism")
     base = load("algebra", refs["algebra"], base_dir)
     terms = _bilinear_terms(lists["terms"], base, order, f"{context}: terms")
-    return FormalDeformation.from_terms(base, order, terms)
+    return check_work_bound(FormalDeformation.from_terms(base, order, terms))
 
 
 def base_reference(ref: str, d) -> str:

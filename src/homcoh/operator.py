@@ -34,10 +34,11 @@ from functools import cached_property
 from itertools import combinations
 from math import lcm
 
-from .algebra import HomAlgebra, _add, skew_defect, sparse_columns
-from .cochain import HOM, Coords, MorphismCoords
+from .algebra import ASSOCIATIVE, HomAlgebra, _add, skew_defect, sparse_columns
+from .cochain import Coords, MorphismCoords
 from .errors import UsageError
-from .exact import Matrix, expand_product, integral
+from .exact import expand_product, integral
+from .rep import HomMorphism
 
 
 class SparseOperator:
@@ -200,27 +201,28 @@ def hom_delta(A: HomAlgebra, rho_l, rho_r, d: int, n: int) -> SparseOperator:
                         (1, rho_l), ((-1) ** (n + 1), rho_r))
 
 
-def morphism_delta(matrix: Matrix, flavor: str, op_a: SparseOperator,
+def morphism_delta(phi: HomMorphism, op_a: SparseOperator,
                    op_b: SparseOperator,
                    op_ab: SparseOperator | None) -> SparseOperator:
-    """Coupled coboundary on (comp_A, comp_B, comp_AB) coordinates of a
-    morphism with the given matrix, from the degree-n coboundaries op_a and
-    op_b of both ends and the degree-(n-1) coboundary op_ab of the adjoint
-    module (None for n = 1, where that coboundary is zero).
+    """Coupled coboundary on (comp_A, comp_B, comp_AB) coordinates of phi,
+    from the degree-n coboundaries op_a and op_b of both ends and the
+    degree-(n-1) coboundary op_ab of the adjoint module (None for n = 1,
+    where that coboundary is zero).
 
     The connecting block is the defect phi∘f_A - f_B∘(phi, ..., phi) minus
-    (hom), or times (-1)^(n-1) plus (lie), the module coboundary of comp_AB.
-    All blocks are brought over one common denominator.
+    (associative kind), or times (-1)^(n-1) plus (Lie kind), the module
+    coboundary of comp_AB.  All blocks share one common denominator.
     """
-    n, a_dim, b_dim = op_a.source.arity, matrix.cols, matrix.rows
+    n, a_dim, b_dim = op_a.source.arity, phi.source.dim, phi.target.dim
     if op_ab is None:  # comp_AB is reduced as comp_A is, its image as dA's
         ab_src = Coords(0, a_dim, b_dim, op_a.source.reduced)
         ab_tgt = Coords(1, a_dim, b_dim, op_a.target.reduced)
     else:
         ab_src, ab_tgt = op_ab.source, op_ab.target
-    pcols, q = integral(sparse_columns(matrix))
+    pcols, q = integral(sparse_columns(phi.matrix))
     den = lcm(op_a.den, op_b.den, q ** n, op_ab.den if op_ab else 1)
-    w_def, w_ab = (1, -1) if flavor == HOM else ((-1) ** (n - 1), 1)
+    w_def, w_ab = (1, -1) if phi.source.kind == ASSOCIATIVE else \
+        ((-1) ** (n - 1), 1)
     off_b, off_ab = op_a.source.dim, op_a.source.dim + op_b.source.dim
     rows = [{off + j: c * (den // op.den) for j, c in row.items()}
             for off, op in ((0, op_a), (off_b, op_b)) for row in op.rows]

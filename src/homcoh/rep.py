@@ -60,11 +60,10 @@ class MorphismReport:
         return "; ".join(parts)
 
 
-def check_morphism(source: HomAlgebra, target: HomAlgebra,
-                   matrix: Matrix) -> MorphismReport:
+def check_morphism(phi: HomMorphism) -> MorphismReport:
     """Verify both morphism equations on basis vectors, with witnesses."""
-    HomMorphism(source, target, matrix)  # checks the shape
-    product_witness, twist_witness = morphism_witnesses(source, target, matrix)
+    product_witness, twist_witness = morphism_witnesses(
+        phi.source, phi.target, phi.matrix)
     return MorphismReport(product_witness is None, product_witness,
                           twist_witness is None, twist_witness)
 

@@ -215,12 +215,12 @@ def _fixture_complexes():
         ("hom_self:b2", ModuleComplex(b2)),
         ("lie_self:l4a", ModuleComplex(l4a)),
         ("lie_self:g1(2,3)", ModuleComplex(g1)),
-        ("morphism_hom:phi_assoc", MorphismComplex(phi, "hom")),
-        ("morphism_lie:id_g1", MorphismComplex(g1_id, "lie")),
+        ("morphism_hom:phi_assoc", MorphismComplex(phi)),
+        ("morphism_lie:id_g1", MorphismComplex(g1_id)),
     ]
 
 
-def suite_delta_squared(random_per_flavor: int = 25) -> SuiteResult:
+def suite_delta_squared(random_per_kind: int = 25) -> SuiteResult:
     out = SuiteResult("delta_squared")
     for label, complex_obj in _fixture_complexes():
         for n in (1, 2):
@@ -229,7 +229,7 @@ def suite_delta_squared(random_per_flavor: int = 25) -> SuiteResult:
                            f"{label}: delta^2 != 0 at degree {n}, basis {k}")
     rng = random.Random(202)
     for kind in (ASSOCIATIVE, LIE):
-        for t in range(random_per_flavor):
+        for t in range(random_per_kind):
             A = random_valid_hom_algebra(rng, kind)
             out.expect(validate(A).is_valid,
                        f"random {kind} algebra {t} is not valid")

@@ -9,7 +9,7 @@ from math import factorial, gcd
 
 from homcoh.algebra import (ASSOCIATIVE, HomAlgebra, identity_defect,
                             sparse_columns, transposed)
-from homcoh.cochain import (HOM, LIE, CochainSpace, Coords, MorphismCochain,
+from homcoh.cochain import (CochainSpace, Coords, MorphismCochain,
                             MultilinearMap, compatibility_rows,
                             permutation_sign)
 from homcoh.errors import HomcohError, UsageError
@@ -86,8 +86,8 @@ def dense_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 
 def dense(m) -> Matrix:
-    """A SparseMatrix as a dense Matrix."""
-    return Matrix(m.rows, m.cols, tuple(Fraction(row.get(j, 0))
+    """A SparseMatrix as a dense Matrix: its numerators over its den."""
+    return Matrix(m.rows, m.cols, tuple(Fraction(row.get(j, 0), m.den)
                                         for row in m.data
                                         for j in range(m.cols)))
 
@@ -233,7 +233,7 @@ def hom_cochain_basis(source: HomAlgebra, target_dim: int, beta: Matrix,
     """The canonical basis of {f : beta∘f = f∘alpha^(tensor arity)}; arity
     0 is the whole target space."""
     return kernel_space(Coords(arity, source.dim, target_dim, False),
-                        compatibility_rows(HOM, source, target_dim,
+                        compatibility_rows(False, source, target_dim,
                                            beta_rows(beta), arity))
 
 
@@ -242,7 +242,7 @@ def lie_cochain_basis(source: HomAlgebra, target_dim: int, beta: Matrix,
     """The canonical basis of the alternating twist-compatible maps, solved
     on strictly increasing argument tuples."""
     return kernel_space(Coords(arity, source.dim, target_dim, True),
-                        compatibility_rows(LIE, source, target_dim,
+                        compatibility_rows(True, source, target_dim,
                                            beta_rows(beta), arity))
 
 
@@ -572,10 +572,11 @@ def dense_alternator(m):
     return MultilinearMap.from_values(k, m.source_dim, m.target_dim, values)
 
 
-def dense_delta_morphism(phi, c, flavor: str):
+def dense_delta_morphism(phi, c):
     """Coupled coboundary: the self coboundaries of comp_A and comp_B, and
     in the connecting slot the defect phi∘f_A - f_B∘(phi, ..., phi)
-    combined with the adjoint-module coboundary of comp_AB."""
+    combined with the adjoint-module coboundary of comp_AB, by the kind of
+    phi's algebras."""
     A, B = phi.source, phi.target
     n = c.degree
     cols = [phi.matrix.column(j) for j in range(A.dim)]
@@ -588,7 +589,7 @@ def dense_delta_morphism(phi, c, flavor: str):
     mult = lambda X: (lambda x, y: multiply(X, x, y))
     # the adjoint actions: B acted on through phi
     through = lambda x, v: multiply(B, phi.apply(x), v)
-    if flavor == "hom":
+    if A.kind == ASSOCIATIVE:
         d_a = dense_delta_hom(A, mult(A), mult(A), A.dim, c.comp_A)
         d_b = dense_delta_hom(B, mult(B), mult(B), B.dim, c.comp_B)
         if n == 1:
@@ -802,12 +803,17 @@ def diamond(lam: MultilinearMap, phi) -> MultilinearMap:
 # The dense forms that the sparse MultilinearMap replaces: each reads the
 # flat coefficient tuple (``dense_coeffs``) or visits every basis tuple.
 
-def _dense_value(m: MultilinearMap, t) -> tuple:
-    off = 0
-    for i in t:
-        off = off * m.source_dim + i
-    d = m.target_dim
-    return dense_coeffs(m)[off * d:(off + 1) * d]
+def _dense_values(m: MultilinearMap):
+    """t -> the dense value of m at the argument tuple t, sliced from one
+    flat coefficient tuple built once."""
+    coeffs, d = dense_coeffs(m), m.target_dim
+
+    def value(t) -> tuple:
+        off = 0
+        for i in t:
+            off = off * m.source_dim + i
+        return coeffs[off * d:(off + 1) * d]
+    return value
 
 
 def dense_nonzero_entries(m: MultilinearMap) -> list:
@@ -834,12 +840,13 @@ def dense_evaluate(m: MultilinearMap, args) -> tuple:
 
 
 def dense_is_alternating(m: MultilinearMap) -> bool:
+    value = _dense_values(m)
     for t in product(range(m.source_dim), repeat=m.arity):
-        val = _dense_value(m, t)
+        val = value(t)
         for perm in permutations(range(m.arity)):
             s = tuple(t[p] for p in perm)
             want = tuple(permutation_sign(perm) * x for x in val)
-            if _dense_value(m, s) != want:
+            if value(s) != want:
                 return False
     return True
 
@@ -847,7 +854,8 @@ def dense_is_alternating(m: MultilinearMap) -> bool:
 def dense_is_compatible(m: MultilinearMap, alpha: Matrix,
                         beta: Matrix) -> bool:
     cols = [alpha.column(j) for j in range(alpha.cols)]
-    return all(beta.matvec(_dense_value(m, t))
+    value = _dense_values(m)
+    return all(beta.matvec(value(t))
                == dense_evaluate(m, [cols[i] for i in t])
                for t in product(range(m.source_dim), repeat=m.arity))
 
@@ -861,16 +869,17 @@ def dense_pullback(m: MultilinearMap, matrices) -> MultilinearMap:
 
 
 def dense_pushforward(m: MultilinearMap, matrix: Matrix) -> MultilinearMap:
+    value = _dense_values(m)
     return MultilinearMap.from_values(m.arity, m.source_dim, matrix.rows, {
-        t: matrix.matvec(_dense_value(m, t))
+        t: matrix.matvec(value(t))
         for t in product(range(m.source_dim), repeat=m.arity)})
 
 
 def dense_cup_product_assoc(phi, f, g) -> MultilinearMap:
     n, B = f.source_dim, phi.target
+    f_at, g_at = _dense_values(f), _dense_values(g)
     return MultilinearMap.from_values(f.arity + g.arity, n, B.dim, {
-        t: multiply(B, _dense_value(f, t[:f.arity]),
-                    _dense_value(g, t[f.arity:]))
+        t: multiply(B, f_at(t[:f.arity]), g_at(t[f.arity:]))
         for t in product(range(n), repeat=f.arity + g.arity)})
 
 

@@ -34,7 +34,7 @@ def test_criterion_1_associative_example():
     B = fixtures.assoc2()
     assert validate(B).is_valid
     phi = fixtures.phi_assoc()
-    assert check_morphism(phi.source, phi.target, phi.matrix).is_valid
+    assert check_morphism(phi).is_valid
     rec = self_cohomology(B, [2]).record(2)
     assert rec.dim_cocycles == 3
     assert rec.dim_coboundaries == 2

@@ -13,7 +13,7 @@ from homcoh.algebra import (ASSOCIATIVE, LIE, HomAlgebra,
 from homcoh.cohomology import ModuleComplex
 from homcoh.errors import MorphismViolation, UsageError
 from homcoh.exact import Matrix
-from homcoh.rep import check_morphism, self_module
+from homcoh.rep import HomMorphism, check_morphism, self_module
 from homcoh.selftest import _conjugate, _rand_invertible, random_valid_hom_algebra
 
 
@@ -198,7 +198,7 @@ def test_morphism_witnesses_match_dense_oracles():
                       if rng.random() < 0.9 else zero_matrix(B.dim, A.dim)))
     verdicts = set()
     for A, B, m in cases:
-        report = check_morphism(A, B, m)
+        report = check_morphism(HomMorphism(A, B, m))
         expected = dense_morphism_witnesses(A, B, m)
         assert (report.product_witness, report.twist_witness) == expected
         verdicts.add((report.product_ok, report.twist_ok))
@@ -223,7 +223,7 @@ def test_witnesses_over_denominators_match_dense_oracles():
         A, B = rng.choice(algebras), rng.choice(algebras)
         m = scaled_matrix(_random_matrix(rng, B.dim, A.dim),
                           Fraction(rng.choice([1, 2]), rng.choice([1, 3])))
-        report = check_morphism(A, B, m)
+        report = check_morphism(HomMorphism(A, B, m))
         expected = dense_morphism_witnesses(A, B, m)
         assert (report.product_witness, report.twist_witness) == expected
         witnesses += expected

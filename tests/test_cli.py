@@ -231,6 +231,16 @@ def test_morphism_cohomology_compare(capsys):
     assert statuses == {"PASS"}
 
 
+def test_cohomology_compare_pins_the_published_cocycle_counts(capsys):
+    code, out, _ = run(capsys, "cohomology", "b2", "--degree", "2",
+                       "--json", "--compare-paper")
+    assert code == 0
+    assert [(c["quantity"], c["expected"], c["computed"], c["status"])
+            for c in json.loads(out)["comparisons"]] == [
+        ("dim H^2", 1, 1, "PASS"), ("dim Z^2", 3, 3, "PASS"),
+        ("dim B^2", 2, 2, "PASS")]
+
+
 TEXT_REPORTS = {
     ("cohomology", "a3", "--degree", "1..3"): [
         "assoc3(a=1,b=2) [hom_self]",
@@ -335,6 +345,51 @@ def test_deform_extend_over_an_empty_compatible_space(tmp_path, capsys):
         assert payload["reached_order"] == reached
         assert payload["deformation"] == {"algebra": "ab2.json",
                                           "order": reached, "terms": []}
+
+
+def test_deform_extend_stops_where_the_obstruction_is_no_coboundary(
+        tmp_path, capsys):
+    # l4b_e1 deformed by the second representative of its H^2
+    path = tmp_path / "l4b_e1_def.json"
+    path.write_text(json.dumps({"algebra": "l4b_e1", "order": 1, "terms": [
+        {"degree": 1, "mul": [
+            {"left": "f1", "right": "f2", "value": {"f2": "-1"}},
+            {"left": "f1", "right": "f3",
+             "value": {"f2": "-1/2", "f4": "3/2"}},
+            {"left": "f1", "right": "f4", "value": {"f4": "-1"}},
+            {"left": "f2", "right": "f3", "value": {"f2": "1"}},
+            {"left": "f3", "right": "f4", "value": {"f4": "1"}}]}]}))
+    code, out, _ = run(capsys, "deform", "extend", str(path), "--json")
+    assert code == 1
+    assert json.loads(out) == {"command": "deform-extend", "extended": False,
+                               "reached_order": 1, "requested_order": 2}
+    code, out, _ = run(capsys, "deform", "obstruction", str(path), "--json")
+    assert code == 0 and json.loads(out)["is_coboundary"] is False
+
+
+# A deformation of phi12_1 whose every extension adds a morphism term.
+GROWING = {"morphism": "phi12_1", "order": 1, "terms": [], "target_terms": [
+    {"degree": 1, "mul": [
+        {"left": "f1", "right": "f2", "value": {"f2": "2"}},
+        {"left": "f1", "right": "f3", "value": {"f2": "1"}}]}],
+    "phi_terms": [{"degree": 1, "matrix": [["0", "0", "0"], ["-1", "0", "0"],
+                                           ["0", "1", "0"]]}]}
+
+
+def _growing_file(tmp_path) -> str:
+    path = tmp_path / "growing.json"
+    path.write_text(json.dumps(GROWING))
+    return str(path)
+
+
+def test_deform_extend_adds_a_morphism_term(tmp_path, capsys):
+    code, out, _ = run(capsys, "deform", "extend", _growing_file(tmp_path),
+                       "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["extended"] and payload["reached_order"] == 2
+    assert [t["degree"] for t in payload["deformation"]["phi_terms"]] == \
+        [1, 2]
 
 
 def test_deform_obstruction_computes_the_obstruction_once(capsys,
@@ -560,6 +615,21 @@ def test_deformation_check_work_is_bounded_while_parsed(monkeypatch,
     # 3 * 101^2 + 101^3 = 1060904 tuples are admitted
     admitted = files.load("deformation", _every_degree_file(tmp_path, 100))
     assert admitted.order == 100 and len(admitted.phi_series) == 101
+
+
+def test_an_extension_is_bounded_where_it_is_checked(monkeypatch,
+                                                     tmp_path):
+    """The check work of GROWING grows with each order it is extended by.
+    The bound holds where a file is read and where every order is checked,
+    never at an order that an extension reaches."""
+    monkeypatch.setattr(deformation, "MAX_CHECK_TUPLES", 60)
+    extended = deformation.extend_deformation(
+        files.load("deformation", _growing_file(tmp_path)), 8)
+    assert extended.order == 8
+    assert [d for d, _ in extended.phi_terms] == list(range(1, 9))
+    with pytest.raises(UsageError, match="coefficient tuples, over the "
+                                         "bound 60"):
+        deformation.check_morphism_deformation(extended)
 
 
 @pytest.mark.parametrize("command", ["cohomology", "morphism-cohomology"])

@@ -12,8 +12,8 @@ from helpers import (bareiss_rank, beta_rows, dense_coeffs, dense_evaluate,
                      dense_to_full, evaluate, hom_cochain_basis,
                      lie_cochain_basis, zero_matrix)
 from homcoh import cochain, fixtures
-from homcoh.algebra import ASSOCIATIVE, LIE as LIE_KIND, HomAlgebra
-from homcoh.cochain import (HOM, LIE, CochainSpace, Coords, MorphismCochain,
+from homcoh.algebra import ASSOCIATIVE, LIE, HomAlgebra
+from homcoh.cochain import (CochainSpace, Coords, MorphismCochain,
                             MorphismCoords, MultilinearMap, alternator,
                             compatibility_rows, is_alternating, is_compatible)
 from homcoh.cohomology import MorphismComplex
@@ -65,7 +65,7 @@ def test_basis_coordinates_store_only_their_nonzero_entries():
     # morphism coordinates shift each component's indices, with no padding
     phi = fixtures.phi_assoc()
     A, B = phi.source, phi.target
-    space = MorphismComplex(phi, "hom").bound_space(2)
+    space = MorphismComplex(phi).bound_space(2)
     parts = (hom_cochain_basis(A, A.dim, A.alpha, 2),
              hom_cochain_basis(B, B.dim, B.alpha, 2),
              hom_cochain_basis(A, B.dim, B.alpha, 1))
@@ -175,13 +175,13 @@ def component_spaces(space: CochainSpace) -> list[CochainSpace]:
 
 
 def test_morphism_space_degree_one_connecting_is_whole_target(phi):
-    space_ab = component_spaces(MorphismComplex(phi, "hom").bound_space(1))[2]
+    space_ab = component_spaces(MorphismComplex(phi).bound_space(1))[2]
     assert space_ab.system.arity == 0
     assert space_ab.dim == 2
 
 
 def test_morphism_space_dimensions_additive(phi):
-    space = MorphismComplex(phi, "hom").bound_space(2)
+    space = MorphismComplex(phi).bound_space(2)
     sa, sb, sab = component_spaces(space)
     total = space.dim
     assert total == sum(s.dim for s in (sa, sb, sab))
@@ -190,7 +190,7 @@ def test_morphism_space_dimensions_additive(phi):
 
 def test_morphism_space_components_match_individual_builders():
     phi2 = fixtures.phi12_2()
-    space = MorphismComplex(phi2, "lie").bound_space(2)
+    space = MorphismComplex(phi2).bound_space(2)
     sa, sb, sab = component_spaces(space)
     A, B = phi2.source, phi2.target
     assert sa.dim == lie_cochain_basis(A, A.dim, A.alpha, 2).dim
@@ -394,30 +394,30 @@ def test_zero_map_holds_no_entries():
     assert MultilinearMap.from_values(4, 10, 10, {}) == zero
 
 
-def _diagonal_walk(flavor: str, alpha: list, beta: list, arity: int) -> list:
+def _diagonal_walk(reduced: bool, alpha: list, beta: list, arity: int) -> list:
     """The compatibility rows of diagonal twists, built by walking every
     tuple: row (t, r) is beta_r - prod(alpha_i for i in t) over the
     common denominator, dropped when it cancels."""
     den = lcm(lcm(*(x.denominator for x in alpha)) ** arity,
               lcm(*(x.denominator for x in beta)))
     d, rows = len(beta), []
-    for ti, t in enumerate(Coords(arity, len(alpha), d, flavor == LIE).tuples):
+    for ti, t in enumerate(Coords(arity, len(alpha), d, reduced).tuples):
         for r in range(d):
             if v := (beta[r] - prod(alpha[i] for i in t)) * den:
                 rows.append({ti * d + r: int(v)})
     return rows
 
 
-def _diagonal_case(flavor: str, alpha: list, beta: list, arity: int) -> list:
+def _diagonal_case(reduced: bool, alpha: list, beta: list, arity: int) -> list:
     n = len(alpha)
-    A = HomAlgebra(name="zero", kind=ASSOCIATIVE if flavor == HOM else LIE_KIND,
+    A = HomAlgebra(name="zero", kind=LIE if reduced else ASSOCIATIVE,
                    dim=n, mul=[[[0] * n] * n] * n,
                    alpha=Matrix.from_rows([[alpha[i] if i == j else 0
                                             for j in range(n)]
                                            for i in range(n)]))
     B = Matrix.from_rows([[beta[i] if i == j else 0 for j in range(len(beta))]
                           for i in range(len(beta))])
-    return compatibility_rows(flavor, A, len(beta), beta_rows(B), arity)
+    return compatibility_rows(reduced, A, len(beta), beta_rows(B), arity)
 
 
 def test_scalar_twists_that_cancel_build_no_row_and_walk_no_tuple(
@@ -430,25 +430,25 @@ def test_scalar_twists_that_cancel_build_no_row_and_walk_no_tuple(
                                 Fraction(-2, 3)))
     cancelled = walked = 0
     for _ in range(300):
-        flavor, arity = rng.choice((HOM, LIE)), rng.randint(1, 3)
+        reduced, arity = rng.choice((False, True)), rng.randint(1, 3)
         n, d = rng.randint(1, 4), rng.randint(1, 3)
         c, b = value(), value()
         alpha = [c] * n if rng.random() < 0.6 else [value() for _ in range(n)]
         beta = [b] * d if rng.random() < 0.6 else [value() for _ in range(d)]
-        rows = _diagonal_case(flavor, alpha, beta, arity)
-        assert rows == _diagonal_walk(flavor, alpha, beta, arity)
+        rows = _diagonal_case(reduced, alpha, beta, arity)
+        assert rows == _diagonal_walk(reduced, alpha, beta, arity)
         cancelled += not rows and len(set(alpha)) == len(set(beta)) == 1
         walked += bool(rows)
     assert cancelled > 20 and walked > 100
 
     # 2I against 4I: 2^2 = 4 cancels at arity 2, 2^3 = 8 does not at 3
-    cases = [(HOM, [2] * 3, [4] * 3), (LIE, [2] * 4, [4] * 2)]
-    for flavor, alpha, beta in cases:
-        assert _diagonal_case(flavor, alpha, beta, 3) == \
-            _diagonal_walk(flavor, alpha, beta, 3) != []
+    cases = [(False, [2] * 3, [4] * 3), (True, [2] * 4, [4] * 2)]
+    for reduced, alpha, beta in cases:
+        assert _diagonal_case(reduced, alpha, beta, 3) == \
+            _diagonal_walk(reduced, alpha, beta, 3) != []
     monkeypatch.setattr(cochain, "Coords", None)  # a walk would fail
-    for flavor, alpha, beta in cases:
-        assert _diagonal_case(flavor, alpha, beta, 2) == []
-        assert _diagonal_case(flavor, [-1] * 3, [-1, -1], 3) == \
-            _diagonal_case(flavor, [Fraction(1, 2)] * 2, [Fraction(1, 4)], 2) \
+    for reduced, alpha, beta in cases:
+        assert _diagonal_case(reduced, alpha, beta, 2) == []
+        assert _diagonal_case(reduced, [-1] * 3, [-1, -1], 3) == \
+            _diagonal_case(reduced, [Fraction(1, 2)] * 2, [Fraction(1, 4)], 2) \
             == []

@@ -172,7 +172,7 @@ def test_delta_morphism_zero_and_commuting_cocycles(phi):
     zero = MorphismCochain(MultilinearMap.zero(1, 3, 3),
                            MultilinearMap.zero(1, 2, 2),
                            MultilinearMap.constant(3, vec(0, 0)))
-    assert MorphismComplex(phi, "hom").delta(zero).is_zero()
+    assert MorphismComplex(phi).delta(zero).is_zero()
 
 
 def test_delta_morphism_kills_commuting_cocycle_pair(phi):
@@ -184,7 +184,7 @@ def test_delta_morphism_kills_commuting_cocycle_pair(phi):
         assert phi.apply(f.value_on_basis((j,))) == vec(0, 0)
     c = MorphismCochain(f, MultilinearMap.zero(1, 2, 2),
                         MultilinearMap.constant(3, vec(0, 0)))
-    assert MorphismComplex(phi, "hom").delta(c).is_zero()
+    assert MorphismComplex(phi).delta(c).is_zero()
 
 
 def test_delta_hom_self_degree_one_hand_formula():
@@ -208,7 +208,7 @@ def test_delta_morphism_identity_pair(phi):
         MultilinearMap.from_matrix(Matrix.identity(3)),
         MultilinearMap.from_matrix(Matrix.identity(2)),
         MultilinearMap.constant(3, vec(0, 0)))
-    image = MorphismComplex(phi, "hom").delta(ident)
+    image = MorphismComplex(phi).delta(ident)
     assert image.comp_AB.is_zero()
     A = phi.source
     for t in product(range(3), repeat=2):
@@ -265,7 +265,7 @@ def test_morphism_complex_checks_dimensions_before_compiling(phi,
 
     for name in ("hom_delta", "morphism_delta"):
         monkeypatch.setattr(cohomology, name, counting(name))
-    complex_obj = MorphismComplex(phi, "hom")
+    complex_obj = MorphismComplex(phi)
     a, b = phi.source.dim, phi.target.dim
     good = (MultilinearMap.zero(1, a, a), MultilinearMap.zero(1, b, b),
             MultilinearMap.constant(a, (0,) * b))
@@ -302,12 +302,22 @@ def test_complexes_reject_cochains_of_another_kind(a3, phi, heis):
     with pytest.raises(UsageError, match="not MorphismCochain"):
         ModuleComplex(a3).face(0, c)
     with pytest.raises(UsageError, match="not MultilinearMap"):
-        MorphismComplex(phi, "hom").delta(MultilinearMap.zero(1, 3, 3))
+        MorphismComplex(phi).delta(MultilinearMap.zero(1, 3, 3))
     with pytest.raises(UsageError, match="do not match"):
         ModuleComplex(a3).delta(MultilinearMap.zero(1, 2, 2))
     with pytest.raises(UsageError, match="do not match"):
         ModuleComplex(phi.source, adjoint_module(phi)).face(
             0, MultilinearMap.zero(1, 3, 3))
+
+
+def test_a_morphism_between_two_kinds_has_no_complex(a3, heis):
+    """A morphism complex takes its kind from its algebras, which share
+    one; a morphism between an associative-kind and a Lie-kind algebra is
+    refused, from either end."""
+    for phi in (HomMorphism(a3, heis, Matrix.identity(3)),
+                HomMorphism(heis, a3, Matrix.identity(3))):
+        with pytest.raises(UsageError, match="algebras of one kind"):
+            MorphismComplex(phi)
     with pytest.raises(UsageError, match="associative-kind"):
         ModuleComplex(heis).face(0, MultilinearMap.zero(1, 3, 3))
 
@@ -393,7 +403,7 @@ def test_compatibility_closure_of_the_operator(a3, l4a):
 
 
 def test_morphism_complex_product_formula_is_reported_not_assumed(phi):
-    coupled = compute_cohomology(MorphismComplex(phi, "hom"), [2]).record(2)
+    coupled = compute_cohomology(MorphismComplex(phi), [2]).record(2)
     ha = self_cohomology(phi.source, [2]).record(2).dim_cohomology
     hb = self_cohomology(phi.target, [2]).record(2).dim_cohomology
     hab = compute_cohomology(connecting_complex(phi), [1]).record(1)
@@ -409,7 +419,7 @@ def test_triviality_implication_on_fixture(phi):
     hb = self_cohomology(phi.target, [n]).record(n).dim_cohomology
     hab = compute_cohomology(connecting_complex(phi),
                              [n - 1]).record(n - 1).dim_cohomology
-    coupled = compute_cohomology(MorphismComplex(phi, "hom"), [n]).record(n)
+    coupled = compute_cohomology(MorphismComplex(phi), [n]).record(n)
     if ha == 0 and hb == 0 and hab == 0:
         assert coupled.dim_cohomology == 0
 
@@ -425,7 +435,7 @@ def test_the_arity_zero_coboundary_needs_a_module_complex(phi):
     # a morphism complex once ignored include_degree_zero
     for n in (1, 2):
         with pytest.raises(UsageError, match="arity-0"):
-            compute_cohomology(MorphismComplex(phi, "hom"), [n],
+            compute_cohomology(MorphismComplex(phi), [n],
                                include_degree_zero=True)
 
 
@@ -440,7 +450,7 @@ def test_degree_zero_mode_off_by_default_and_available(a3):
 
 def test_coupled_morphism_square_zero_on_compatible_triples():
     G = fixtures.g1(2, 3)
-    complex_obj = MorphismComplex(HomMorphism(G, G, Matrix.identity(3)), "lie")
+    complex_obj = MorphismComplex(HomMorphism(G, G, Matrix.identity(3)))
     for n in (1, 2):
         for c in complex_obj.bound_space(n).basis:
             assert complex_obj.delta(complex_obj.delta(c)).is_zero()
@@ -487,11 +497,10 @@ def test_morphism_operator_compiles_each_component_once(monkeypatch):
             return _real(*args)
         monkeypatch.setattr(cohomology, name, counting)
     G = fixtures.g1(2, 3)
-    for phi, flavor in ((fixtures.phi_assoc(), "hom"),
-                        (fixtures.phi12_2(), "lie"),
-                        (HomMorphism(G, G, Matrix.identity(3)), "lie")):
+    for phi in (fixtures.phi_assoc(), fixtures.phi12_2(),
+                HomMorphism(G, G, Matrix.identity(3))):
         compiled.clear()
-        coupled = MorphismComplex(phi, flavor)
+        coupled = MorphismComplex(phi)
         for n in (1, 2):
             coupled.operator(n)
         # both ends at degrees 1 and 2, the connecting module at degree 1
@@ -612,12 +621,12 @@ def test_arity_guard_fires_before_any_compile(monkeypatch, limit, degree):
     monkeypatch.setenv("HOMCOH_MAX_ARITY", str(limit))
     for complex_obj in (connecting_complex(psi),
                         ModuleComplex(phi.source, adjoint_module(phi)),
-                        MorphismComplex(phi, "hom"),
-                        MorphismComplex(psi, "lie")):
+                        MorphismComplex(phi),
+                        MorphismComplex(psi)):
         with pytest.raises(ArityLimitError):
             compute_cohomology(complex_obj, [degree])
     assert compiled == []
-    compute_cohomology(MorphismComplex(psi, "lie"), [limit])
+    compute_cohomology(MorphismComplex(psi), [limit])
     assert "morphism_delta" in compiled
 
 
@@ -678,12 +687,11 @@ def test_a_morphism_complex_seeded_by_its_parts_eliminates_as_from_scratch(
     the pivots and canonical kernel of eliminating, from scratch, the
     parts' compatibility rows shifted into the coupled coordinates (and
     for the system, the coupled operator's rows)."""
-    complex_obj = MorphismComplex(HomMorphism(X, X, Matrix.identity(X.dim)),
-                                  "lie" if X.kind == LIE else "hom")
+    complex_obj = MorphismComplex(HomMorphism(X, X, Matrix.identity(X.dim)))
     for n in degrees:
         op = complex_obj.operator(n)
         parts = [cochain.compatibility_rows(
-            complex_obj.component_flavor, part.algebra,
+            not complex_obj.full_cocycles, part.algebra,
             part.module.carrier_dim, part.module.beta_rows, k)
             for part, k in ((complex_obj.source, n), (complex_obj.target, n),
                             (complex_obj.connecting, n - 1))]

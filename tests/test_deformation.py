@@ -119,7 +119,7 @@ def test_padded_leading_coefficient_is_again_a_cocycle():
                                      {2: md.def_b.term(1)}),
         {2: md.phi_term(1)}, 2)
     theta2 = coefficient_cochain(padded, 2)
-    image = MorphismComplex(md.phi, "lie").delta(theta2)
+    image = MorphismComplex(md.phi).delta(theta2)
     assert image.comp_A.is_zero()
     assert image.comp_AB.is_zero()
 
@@ -151,7 +151,7 @@ def test_apply_equivalence_shifts_infinitesimal_by_coboundary():
     one = MorphismCochain(N,
                           MultilinearMap.zero(1, 3, 3),
                           MultilinearMap.constant(3, vec(0, 0, 0)))
-    shift = MorphismComplex(md.phi, "lie").delta(one)
+    shift = MorphismComplex(md.phi).delta(one)
     assert t_old.comp_A - t_new.comp_A == shift.comp_A
     assert t_old.comp_B - t_new.comp_B == shift.comp_B
     assert t_old.comp_AB - t_new.comp_AB == shift.comp_AB
@@ -242,7 +242,7 @@ def test_obstruction_def_g1():
 def test_obstruction_mdef_2_is_cocycle_in_valid_slots():
     md = fixtures.mdef_2()
     ob = obstruction(md)
-    image = MorphismComplex(md.phi, "lie").delta(ob)
+    image = MorphismComplex(md.phi).delta(ob)
     assert image.comp_A.is_zero()
     assert image.comp_AB.is_zero()
 
@@ -309,7 +309,7 @@ def test_extend_morphism_deformation_of_mdef_2():
     # second-order obstruction of the extension is again a cocycle in
     # the slots whose underlying algebras are valid
     ob2 = obstruction(extended)
-    image = MorphismComplex(extended.phi, "lie").delta(ob2)
+    image = MorphismComplex(extended.phi).delta(ob2)
     assert image.comp_A.is_zero()
     assert image.comp_AB.is_zero()
 
@@ -382,7 +382,7 @@ def test_connecting_obstruction_matches_dense_oracle():
         dense = dense_connecting_obstruction(md)
         direct = _morphism_defect(md, md.order + 1)
         assert direct.scale(-1) == dense
-        sign = 1 if md.flavor == "hom" else -1
+        sign = 1 if md.phi.source.kind == ASSOCIATIVE else -1
         assert obstruction(md).comp_AB == dense.scale(sign)
     # families whose own order exceeds the deformation's are rejected, so
     # no family term can reach the order-(N+1) slots as a known term
@@ -620,7 +620,7 @@ def off_diagonal(m: Matrix) -> bool:
 def trivial_deformations():
     """Order-1 deformations with no terms, whose complexes hold the
     targets: the first two seeded random valid algebras of each kind whose
-    twist is not diagonal, and the fixture morphisms of both flavors."""
+    twist is not diagonal, and the fixture morphisms of both kinds."""
     rng = random.Random(140)
     out = []
     for kind in (ASSOCIATIVE, LIE):

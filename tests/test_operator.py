@@ -22,9 +22,8 @@ from helpers import (bareiss_rank, canonical_coords, column_rank, combine,
                      row_apply)
 from homcoh import cochain, fixtures, operator
 from homcoh.algebra import ASSOCIATIVE, LIE, HomAlgebra, yau_twist
-from homcoh.cochain import (HOM, LIE as LIE_FLAVOR, Coords, MorphismCochain,
-                            MultilinearMap, alternator, compatibility_rows,
-                            is_compatible)
+from homcoh.cochain import (Coords, MorphismCochain, MultilinearMap,
+                            alternator, compatibility_rows, is_compatible)
 from homcoh.cohomology import (HomSelfComplex, LieSelfComplex,
                                ModuleComplex, MorphismComplex,
                                compute_cohomology, connecting_complex)
@@ -142,8 +141,7 @@ def test_delta_morphism_matches_dense_formula(name, flavor):
         c = MorphismCochain(make(rng, n, A.dim, A.dim),
                             make(rng, n, B.dim, B.dim),
                             make(rng, n - 1, A.dim, B.dim))
-        assert MorphismComplex(phi, flavor).delta(c) == dense_delta_morphism(
-            phi, c, flavor)
+        assert MorphismComplex(phi).delta(c) == dense_delta_morphism(phi, c)
 
 
 def test_faces_and_derivations_match_dense_formulas():
@@ -178,8 +176,8 @@ def valid_complexes():
            LieSelfComplex(fixtures.lie4a(1, 1, 1, 1)),
            LieSelfComplex(G),
            ModuleComplex(G, self_module(G)),
-           MorphismComplex(phi, "hom"),
-           MorphismComplex(HomMorphism(G, G, Matrix.identity(3)), "lie")]
+           MorphismComplex(phi),
+           MorphismComplex(HomMorphism(G, G, Matrix.identity(3)))]
     for kind in (ASSOCIATIVE, LIE, ASSOCIATIVE, LIE):
         A = random_valid_hom_algebra(rng, kind)
         out.append(HomSelfComplex(A) if kind == ASSOCIATIVE
@@ -206,8 +204,8 @@ def operator_kinds():
             ("lie self", LieSelfComplex(fixtures.lie4a(1, 1, 1, 1))),
             ("lie module", ModuleComplex(psi.source, adjoint_module(psi))),
             ("non-skew", LieSelfComplex(non_skew_lie())),
-            ("morphism hom", MorphismComplex(phi, "hom")),
-            ("morphism lie", MorphismComplex(psi, "lie"))]
+            ("morphism hom", MorphismComplex(phi)),
+            ("morphism lie", MorphismComplex(psi))]
 
 
 def test_apply_matches_the_row_scan():
@@ -289,8 +287,8 @@ def lie_kind_complexes():
     psi = fixtures.builtin("morphism", "phi12_1")
     return ([lambda L=L: LieSelfComplex(L) for L in algebras]
             + [lambda: connecting_complex(psi),
-               lambda: MorphismComplex(psi, "lie"),
-               lambda: MorphismComplex(fixtures.phi12_2(), "lie")])
+               lambda: MorphismComplex(psi),
+               lambda: MorphismComplex(fixtures.phi12_2())])
 
 
 def test_stacked_cocycles_match_the_restricted_kernel():
@@ -359,7 +357,7 @@ def test_non_alternating_input_is_rejected():
     c = MorphismCochain(bad, MultilinearMap.zero(2, 3, 3),
                         MultilinearMap.zero(1, 3, 3))
     with pytest.raises(UsageError):
-        MorphismComplex(HomMorphism(G, G, Matrix.identity(3)), "lie").delta(c)
+        MorphismComplex(HomMorphism(G, G, Matrix.identity(3))).delta(c)
 
 
 def test_non_alternating_target_is_not_a_coboundary():
@@ -397,19 +395,16 @@ def denominator_complexes():
                               ([2, -1, 1], [1, 1, -1], [-2, 1, 2])])
     assert P @ P_inv == Matrix.identity(3)
     out = [ModuleComplex(fixtures.g1(2, Fraction(1, 2)))]
-    for X, flavor in ((fixtures.g1(2, Fraction(1, 2)), "lie"),
-                      (fixtures.assoc3(1, 2), "hom")):
+    for X in (fixtures.g1(2, Fraction(1, 2)), fixtures.assoc3(1, 2)):
         Y = _conjugate(X, P)
-        out += [ModuleComplex(Y), MorphismComplex(HomMorphism(X, Y, P_inv),
-                                                  flavor)]
+        out += [ModuleComplex(Y), MorphismComplex(HomMorphism(X, Y, P_inv))]
     return out
 
 
 def dense_coboundary(complex_obj):
     """The dense formula of a complex's coboundary, on full cochains."""
     if isinstance(complex_obj, MorphismComplex):
-        return lambda c: dense_delta_morphism(
-            complex_obj.phi, c, complex_obj.component_flavor)
+        return lambda c: dense_delta_morphism(complex_obj.phi, c)
     X = complex_obj.algebra
     if X.kind == ASSOCIATIVE:
         return lambda f: dense_delta_hom(X, mult(X), mult(X), X.dim, f)
@@ -455,7 +450,7 @@ def test_operators_hold_integer_rows_over_one_denominator():
     heis, a3 = fixtures.heisenberg(), fixtures.assoc3(1, 2)
     integral = [ModuleComplex(heis), ModuleComplex(a3),
                 ModuleComplex(heis, self_module(heis)),
-                MorphismComplex(fixtures.phi_assoc(), "hom")]
+                MorphismComplex(fixtures.phi_assoc())]
     for complex_obj in integral + denominator_complexes():
         for n in (1, 2, 3):
             op = complex_obj.operator(n)
@@ -476,7 +471,7 @@ def test_operators_hold_integer_rows_over_one_denominator():
 def test_values_leave_the_integer_layer_as_fractions():
     complexes = [ModuleComplex(fixtures.heisenberg()),
                  ModuleComplex(fixtures.assoc3(1, 2)),
-                 MorphismComplex(fixtures.phi_assoc(), "hom")]
+                 MorphismComplex(fixtures.phi_assoc())]
     for complex_obj in complexes + denominator_complexes():
         summary = compute_cohomology(complex_obj, [1, 2])
         for n in (1, 2):
@@ -575,7 +570,7 @@ def test_representatives_match_the_dense_greedy_quotient():
                                          include_degree_zero=True)
             rec, op = summary.record(n), complex_obj.operator(n)
             rows = op.rows + ([] if assoc else compatibility_rows(
-                LIE_FLAVOR, X, X.dim, complex_obj.module.beta_rows, n))
+                True, X, X.dim, complex_obj.module.beta_rows, n))
             system = SparseMatrix(len(rows), op.source.dim, rows, op.den)
             z = tuple(op.source.to_full(sparse_vector(v))
                       for v in dense_nullspace(dense(system)))
@@ -645,10 +640,10 @@ def test_compatibility_rows_have_the_compatible_maps_as_kernel():
     kept = {}
     for M in shortcut_modules():
         A, d = M.algebra, M.carrier_dim
-        flavor = LIE_FLAVOR if A.kind == LIE else HOM
+        reduced = A.kind == LIE
         for k in (1, 2, 3) if A.dim < 7 else (1, 2):
-            system = Coords(k, A.dim, d, flavor == LIE_FLAVOR)
-            rows = compatibility_rows(flavor, A, d, M.beta_rows, k)
+            system = Coords(k, A.dim, d, reduced)
+            rows = compatibility_rows(reduced, A, d, M.beta_rows, k)
             kernel = nullspace_basis(SparseMatrix(len(rows), system.dim,
                                                   tuple(rows)))
             assert all(is_compatible(system.to_full(v), A.alpha, M.beta)
@@ -742,7 +737,7 @@ def test_heisenberg5_compiles_from_its_nonzero_constants(monkeypatch):
     H = heisenberg_lie(2)
     calls = count_expansions(monkeypatch)
     for k in (1, 2, 3):
-        assert compatibility_rows(LIE_FLAVOR, H, 5,
+        assert compatibility_rows(True, H, 5,
                                   self_module(H).beta_rows, k) == []
     assert calls == []
     (mul, _), places = H.integral[1], [(0, 1), (0, 2), (1, 2)]

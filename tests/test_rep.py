@@ -22,27 +22,27 @@ def vec(*xs):
 
 
 def test_check_morphism_fixture(phi):
-    report = check_morphism(phi.source, phi.target, phi.matrix)
+    report = check_morphism(phi)
     assert report.is_valid
 
 
 def test_check_morphism_identity_and_zero(a3, b2):
-    assert check_morphism(a3, a3, Matrix.identity(3)).is_valid
-    assert check_morphism(a3, b2, zero_matrix(2, 3)).is_valid
+    assert check_morphism(HomMorphism(a3, a3, Matrix.identity(3))).is_valid
+    assert check_morphism(HomMorphism(a3, b2, zero_matrix(2, 3))).is_valid
 
 
 def test_check_morphism_reports_first_failure(a3, b2):
     bad = Matrix.from_rows([[1, 0, 0], [0, 0, 0]])
-    report = check_morphism(a3, b2, bad)
+    report = check_morphism(HomMorphism(a3, b2, bad))
     assert not report.is_valid
     assert report.product_ok and report.product_witness is None
     assert report.twist_witness == ("e1", vec(0, 1))
     worse = Matrix.from_rows([[1, 1, 1], [0, 0, 0]])
-    report = check_morphism(a3, b2, worse)
+    report = check_morphism(HomMorphism(a3, b2, worse))
     assert report.product_witness == (("e1", "e3"), vec(1, 0))
     assert report.twist_witness == ("e1", vec(0, 1))
     swapped = Matrix.from_rows([[0, 1, 0], [1, 0, 1]])
-    report = check_morphism(a3, b2, swapped)
+    report = check_morphism(HomMorphism(a3, b2, swapped))
     assert report.product_witness == (("e1", "e2"), vec(1, -1))
     assert report.twist_witness == ("e1", vec(0, 1))
 

@@ -376,3 +376,80 @@ def test_compatibility_rows_are_eliminated_once_per_complex():
         if lines:
             offenders[name] = lines
     assert offenders == {}
+
+
+# algebra.ASSOCIATIVE and algebra.LIE are the one kind vocabulary: a kind is
+# read off the algebra that carries it, never restated by a second constant
+# or passed beside it as an argument
+KIND_WORDS = {"associative", "lie", "hom"}
+
+
+def kind_constants(tree: ast.AST) -> list[int]:
+    """Lines of the module-level assignments of a kind word to a name."""
+    def words(value):
+        items = value.elts if isinstance(value, (ast.Tuple, ast.List)) \
+            else [value]
+        return [v.value for v in items if isinstance(v, ast.Constant)]
+
+    return sorted(node.lineno for node in tree.body
+                  if isinstance(node, (ast.Assign, ast.AnnAssign))
+                  and node.value is not None
+                  and KIND_WORDS & set(words(node.value)))
+
+
+def test_rule_sees_kind_constants():
+    tree = ast.parse(
+        'HOM = "hom"\n'
+        'LIE: str = "lie"\n'
+        'A, B = "associative", "lie"\n'
+        'HOM_SELF = "hom_self"\n'
+        'def f():\n'
+        '    kind = "lie"\n'
+        'X = Y = "hom"\n'
+        'KINDS: tuple\n')
+    assert kind_constants(tree) == [1, 2, 3, 7]
+
+
+def test_only_algebra_names_the_kinds():
+    offenders = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        lines = kind_constants(ast.parse(path.read_text(), str(path)))
+        if lines and path.name != "algebra.py":
+            offenders[path.name] = lines
+    assert offenders == {}
+
+
+def flavor_parameters(tree: ast.AST) -> list[int]:
+    """Lines of the functions and lambdas with a parameter named flavor."""
+    def params(a: ast.arguments) -> list[ast.arg]:
+        return a.posonlyargs + a.args + a.kwonlyargs + [
+            p for p in (a.vararg, a.kwarg) if p is not None]
+
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.Lambda))
+                  and any(p.arg == "flavor" for p in params(node.args)))
+
+
+def test_rule_sees_flavor_parameters():
+    tree = ast.parse(
+        "def f(phi, flavor):\n"
+        "    pass\n"
+        "class C:\n"
+        "    def __init__(self, phi, *, flavor='hom'):\n"
+        "        self.flavor = flavor\n"
+        "g = lambda flavor: flavor\n"
+        "def h(random_per_flavor, kind, **flavor):\n"
+        "    return flavor\n"
+        "def k(phi):\n"
+        "    return phi.flavor\n")
+    assert flavor_parameters(tree) == [1, 4, 6, 7]
+
+
+def test_no_function_takes_a_flavor():
+    offenders = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        lines = flavor_parameters(ast.parse(path.read_text(), str(path)))
+        if lines:
+            offenders[path.name] = lines
+    assert offenders == {}
