@@ -15,23 +15,53 @@ skew-symmetry.  Algebra validity, morphism checks, the twist construction,
 the module axioms (``homcoh.rep``), the order-by-order deformation checks
 and the compiled coboundaries all go through it; validity, morphism and
 module checks and the compilers read the constants as integers over one
-denominator each (``HomAlgebra.integral``).
+denominator each (``HomAlgebra.integral``).  An algebra also keeps, once
+built, the other constants every compile of its complexes reads: the
+powers of its twist, whether its product is skew, the rows of its twist
+and the tables of its action on itself (``Action``).
 """
 
 from __future__ import annotations
 
+import os
 from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
-from .errors import MorphismViolation, UsageError
+from .errors import ArityLimitError, MorphismViolation, UsageError
 from .exact import (Matrix, Vector, as_fraction, dense_vector, integral,
                     rational_to_string, sparse_vector, value_class)
 
 
 def format_vector(v) -> list[str]:
     return [rational_to_string(x) for x in v]
+
+
+_DEFAULT_MAX_ARITY = 4
+
+
+def max_arity() -> int:
+    raw = os.environ.get("HOMCOH_MAX_ARITY", "")
+    if not raw:
+        return _DEFAULT_MAX_ARITY
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise UsageError("HOMCOH_MAX_ARITY must be a non-negative integer, "
+                         f"got {raw!r}")
+    return value
+
+
+def _check_arity_guard(k: int):
+    limit = max_arity()
+    if k > limit:
+        raise ArityLimitError(
+            f"cochain arity {k} exceeds limit {limit}; "
+            f"raise HOMCOH_MAX_ARITY to override")
+
 
 ASSOCIATIVE = "associative"
 LIE = "lie"
@@ -89,17 +119,45 @@ class HomAlgebra:
         numerators over one denominator each: ((alpha, a), (mul, m))."""
         return integral(self.sparse.alpha), integral(self.sparse.mul)
 
+    @cached_property
+    def _powers(self) -> list[dict]:
+        """The integer columns of alpha^0, alpha^1, ... built so far."""
+        return [{j: {j: 1} for j in range(self.dim)}]
+
     def twist_power(self, exponent: int) -> tuple[dict, int]:
-        """alpha^exponent as (nonzero integer columns, a^exponent)."""
+        """alpha^exponent as (nonzero integer columns, a^exponent).  Each
+        power is built once per algebra, as alpha times the power below it,
+        and kept; the arity guard bounds the exponent of a new power, and so
+        how many are kept.  Callers share the columns and only read them."""
         if exponent < 0:
             raise UsageError(f"negative twist power {exponent}")
         (alpha, a), _ = self.integral
-        cols = {j: {j: 1} for j in range(self.dim)}
-        for _ in range(exponent):
+        powers = self._powers
+        if exponent >= len(powers):
+            _check_arity_guard(exponent)
+        while len(powers) <= exponent:
             acc = {}
-            _after(acc, alpha, cols)
-            cols = _nonzero(acc)
-        return cols, a ** exponent
+            _after(acc, alpha, powers[-1])
+            powers.append(_nonzero(acc))
+        return powers[exponent], a ** exponent
+
+    @cached_property
+    def skew(self) -> bool:
+        """Whether the product is skew-symmetric on basis pairs."""
+        return not skew_defect(self.integral[1][0])
+
+    @cached_property
+    def twist_rows(self) -> tuple[dict, int]:
+        """alpha's nonzero rows {r: {s: x}} as (numerators, denominator):
+        the structure map of A as a module over itself."""
+        (alpha, a), _ = self.integral
+        return transposed(alpha), a
+
+    @cached_property
+    def self_action(self) -> Action:
+        """The product as the integer action of A on itself, from either
+        side; it keeps the tables of A acting on itself."""
+        return Action(self.integral[1])
 
     @cached_property
     def validity(self) -> ValidityReport:
@@ -115,6 +173,42 @@ class HomAlgebra:
         mult_witness = morphism_witnesses(self, self, self.alpha)[0]
         return ValidityReport(witness is None, witness, mult_witness is None,
                               mult_witness, self.kind)
+
+
+class Action(tuple):
+    """An integer action (numerators, den) of an algebra on a carrier, keyed
+    (algebra, carrier) from the left or (carrier, algebra) from the right,
+    that keeps the table of each (exponent, side) it is compiled with
+    (``table``).  An ``Action`` of an ``Action`` is itself."""
+
+    def __new__(cls, action):
+        if isinstance(action, cls):
+            return action
+        self = super().__new__(cls, action)
+        self._tables = {}
+        return self
+
+    def table(self, A: HomAlgebra, exponent: int, d: int,
+              right: bool = False) -> tuple[list, int]:
+        """(table, den): table[b] = {r: {q: c}} over the r reached, den
+        times coordinate r of the action of column b of alpha^exponent on
+        basis vector q of the d-dimensional carrier.  A kept table is read
+        only through the power of A's twist it was built from."""
+        P, p = A.twist_power(exponent)
+        kept = self._tables.get((exponent, right))
+        if kept is None or kept[0] is not P:
+            acts, t = self
+            table = []
+            for b in range(A.dim):
+                rows = {}
+                for a, pa in P.get(b, {}).items():
+                    for q in range(d):
+                        for r, e in acts.get((q, a) if right else (a, q),
+                                             {}).items():
+                            _add(rows, r, {q: e}, pa)
+                table.append(rows)
+            kept = self._tables[exponent, right] = (P, table, p * t)
+        return kept[1:]
 
 
 # alpha: {j: column j of the twist}, nonzero columns only;

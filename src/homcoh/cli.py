@@ -11,8 +11,7 @@ import sys
 from functools import cache
 
 from . import files
-from .algebra import LIE, validate
-from .cochain import _check_arity_guard
+from .algebra import LIE, _check_arity_guard, validate
 from .cohomology import (ComplexSummary, ModuleComplex, MorphismComplex,
                          compute_cohomology, connecting_complex)
 from .deformation import (FAMILIES, MorphismDeformation, algebra_obstruction,

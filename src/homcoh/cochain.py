@@ -30,41 +30,16 @@ the entries took longer than building them.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, combinations, permutations, product
 from math import factorial, lcm, prod
 
-from .algebra import (HomAlgebra, _add, _after, _nonzero, sparse_columns,
-                      transposed)
-from .errors import ArityLimitError, UsageError
+from .algebra import (HomAlgebra, _add, _after, _check_arity_guard, _nonzero,
+                      sparse_columns, transposed)
+from .errors import UsageError
 from .exact import (Matrix, Vector, as_fraction, dense_vector, expand_product,
                     value_class)
-
-_DEFAULT_MAX_ARITY = 4
-
-
-def max_arity() -> int:
-    raw = os.environ.get("HOMCOH_MAX_ARITY", "")
-    if not raw:
-        return _DEFAULT_MAX_ARITY
-    try:
-        value = int(raw)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise UsageError("HOMCOH_MAX_ARITY must be a non-negative integer, "
-                         f"got {raw!r}")
-    return value
-
-
-def _check_arity_guard(k: int):
-    limit = max_arity()
-    if k > limit:
-        raise ArityLimitError(
-            f"cochain arity {k} exceeds limit {limit}; "
-            f"raise HOMCOH_MAX_ARITY to override")
 
 
 def permutation_sign(perm) -> int:
@@ -335,6 +310,15 @@ class Coords:
                 if t in index for r, x in v.items()}
 
 
+@lru_cache(maxsize=64)
+def coords(arity: int, source_dim: int, target_dim: int,
+           reduced: bool) -> Coords:
+    """The one ``Coords`` of each shape the compilers use, so that its
+    tuples, index and scatter are built once per shape; the 64 shapes
+    used last are kept."""
+    return Coords(arity, source_dim, target_dim, reduced)
+
+
 @value_class
 class CochainSpace:
     """A cochain space with its basis stored as sparse coordinate vectors
@@ -386,7 +370,7 @@ def compatibility_rows(reduced: bool, source: HomAlgebra, target_dim: int,
     if (len(scalar), len(own), len(cs), len(bs)) == (source.dim, d, 1, 1) \
             and fb * bs.pop() == fa * cs.pop() ** arity:
         return []  # scalar alpha and beta: every row is this cancelling one
-    system = Coords(arity, source.dim, d, reduced)
+    system = coords(arity, source.dim, d, reduced)
     rows = []
     for ti, t in enumerate(system.tuples):
         # f(alpha e_{t_1}, ..., alpha e_{t_k}) in the unknowns of the system

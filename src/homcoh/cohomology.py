@@ -41,9 +41,10 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .algebra import ASSOCIATIVE, HomAlgebra, _nonzero, validate
+from .algebra import (ASSOCIATIVE, HomAlgebra, _check_arity_guard, _nonzero,
+                      validate)
 from .cochain import (CochainSpace, MorphismCochain, MultilinearMap,
-                      _check_arity_guard, compatibility_rows)
+                      compatibility_rows)
 from .errors import UsageError
 from .exact import (Echelon, echelon, integer_kernel, integral,
                     intersection_basis, pivot_columns, value_class)

@@ -385,6 +385,9 @@ def integer_kernel(e: Echelon, cols: int) -> list[dict]:
                 terms[k].append((col, x, row[col]))
     basis = []
     for fc, ts in terms.items():
+        if not ts:  # a free column no pivot row reaches
+            basis.append({fc: 1})
+            continue
         scale = lcm(*(p for _, _, p in ts))
         v = {fc: scale, **{col: -x * (scale // p) for col, x, p in ts}}
         basis.append(v if scale == 1 else _primitive(v))

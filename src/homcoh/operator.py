@@ -9,15 +9,20 @@ act lets the module act by one twisted argument.  The walker reads every
 constant as an integer numerator over one denominator (``exact.integral``)
 and builds the matrix once, from the nonzero constants only (a zero
 bracket or product builds nothing, alpha is expanded once per distinct
-remaining tuple, each action table is built once, and each term is
-written straight into its rows, where an entry that cancels is dropped):
+remaining tuple, and each term is written straight into its rows, where
+an entry that cancels is dropped):
 integer {column: int} rows over one denominator ``den`` per operator, 1
 for integer constants.  A coboundary is then a sparse integer product, and
 ``SparseOperator.apply`` makes a ``Fraction`` only for each nonzero output
 entry (``numerators`` stops before that, on integer coordinates, for
 callers that need only the span of an image).  Module actions are read in
 the integer form a ``rep.Module`` holds them in (``Module.left``,
-``Module.right``).
+``Module.right``).  Each action table is built once per algebra or module
+and exponent, not once per operator: the action keeps it
+(``algebra.Action``), and the self module of an algebra reads the tables
+its algebra keeps.  The twist powers and the skew flag are the algebra's,
+and the coordinates of each shape are one shared ``Coords``
+(``cochain.coords``); everything an operator builds from them is its own.
 
 Operators map sparse {coordinate: value} dicts between ``cochain.Coords``
 systems; ``apply_operator`` converts a multilinear map once on the way in
@@ -34,8 +39,8 @@ from functools import cached_property
 from itertools import combinations
 from math import lcm
 
-from .algebra import ASSOCIATIVE, HomAlgebra, _add, skew_defect, sparse_columns
-from .cochain import Coords, MorphismCoords
+from .algebra import ASSOCIATIVE, Action, HomAlgebra, sparse_columns
+from .cochain import MorphismCoords, coords
 from .errors import UsageError
 from .exact import expand_product, integral
 from .rep import HomMorphism
@@ -86,25 +91,6 @@ def apply_operator(op: SparseOperator, f):
     return op.target.to_full(op.apply(x))
 
 
-def _act_table(A: HomAlgebra, n: int, action: tuple[dict, int], d: int,
-               right: bool = False) -> tuple[list, int]:
-    """(table, den): table[b] = {r: {q: c}} over the r reached, den times
-    coordinate r of the action of column b of alpha^max(n-1, 0) on carrier
-    basis vector q (from the left, or from the right), from a module's
-    integer action: keyed (algebra, carrier), (carrier, algebra) if right."""
-    P, p = A.twist_power(max(n - 1, 0))
-    acts, t = action
-    table = []
-    for b in range(A.dim):
-        rows = {}
-        for a, pa in P.get(b, {}).items():
-            for q in range(d):
-                for r, e in acts.get((q, a) if right else (a, q), {}).items():
-                    _add(rows, r, {q: e}, pa)
-        table.append(rows)
-    return table, p * t
-
-
 def _compile(X: HomAlgebra, d: int, n: int, reduced: bool, merges,
              acts) -> SparseOperator:
     """The sum of coboundary terms on arity-n cochains with values in a
@@ -114,14 +100,14 @@ def _compile(X: HomAlgebra, d: int, n: int, reduced: bool, merges,
 
     A merge (i, j, p, w) weights f(..., x_i x_j, ...) with the product at
     position p among alpha x_q of the other arguments q, in order; an
-    act (slot, w, table) weights the action (``_act_table``) of
+    act (slot, w, table) weights the action (``algebra.Action.table``) of
     alpha^(n-1) x_slot on f of the other arguments, only in the rows its
     table reaches.  With ``reduced`` the input is an alternating cochain,
     and so is the image when the product is skew.
     """
-    src = Coords(n, X.dim, d, reduced)
+    src = coords(n, X.dim, d, reduced)
     (alpha, a), (mul, m) = X.integral
-    tgt = Coords(n + 1, X.dim, d, reduced and not skew_defect(mul))
+    tgt = coords(n + 1, X.dim, d, reduced and X.skew)
     mden = a ** max(n - 1, 0) * m  # a merge term: a product, n - 1 twists
     den = lcm(mden, *(tden for _, _, (_, tden) in acts))
     merges = [(i, j, p, w * (den // mden)) for i, j, p, w in merges if w]
@@ -170,7 +156,7 @@ def hom_operator(A: HomAlgebra, d: int, n: int, merge, left=None,
     alpha^(n-1) x_n), the actions as in ``Module.left`` and
     ``Module.right``.
     """
-    acts = [(slot, side[0], _act_table(A, n, side[1], d, flip))
+    acts = [(slot, side[0], Action(side[1]).table(A, max(n - 1, 0), d, flip))
             for slot, side, flip in ((0, left, False), (n, right, True))
             if side]
     return _compile(A, d, n, False,
@@ -186,7 +172,8 @@ def lie_operator(L: HomAlgebra, d: int, n: int, action=None,
     action(alpha^(n-1) x_i, f(..., x_n)) (x_i omitted).  With ``reduced``
     the input is an alternating cochain.
     """
-    table = action is not None and _act_table(L, n, action, d)
+    table = action is not None and \
+        Action(action).table(L, max(n - 1, 0), d)
     return _compile(L, d, n, reduced,
                     [(i, j, 0, (-1) ** (i + j))
                      for i, j in combinations(range(n + 1), 2)],
@@ -215,8 +202,8 @@ def morphism_delta(phi: HomMorphism, op_a: SparseOperator,
     """
     n, a_dim, b_dim = op_a.source.arity, phi.source.dim, phi.target.dim
     if op_ab is None:  # comp_AB is reduced as comp_A is, its image as dA's
-        ab_src = Coords(0, a_dim, b_dim, op_a.source.reduced)
-        ab_tgt = Coords(1, a_dim, b_dim, op_a.target.reduced)
+        ab_src = coords(0, a_dim, b_dim, op_a.source.reduced)
+        ab_tgt = coords(1, a_dim, b_dim, op_a.target.reduced)
     else:
         ab_src, ab_tgt = op_ab.source, op_ab.target
     pcols, q = integral(sparse_columns(phi.matrix))

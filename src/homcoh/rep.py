@@ -18,8 +18,8 @@ from __future__ import annotations
 from functools import cached_property
 from math import lcm
 
-from .algebra import (ASSOCIATIVE, LIE, HomAlgebra, _after, _nonzero,
-                      _products, first_failure, morphism_witnesses,
+from .algebra import (ASSOCIATIVE, LIE, Action, HomAlgebra, _after,
+                      _nonzero, _products, first_failure, morphism_witnesses,
                       sparse_columns, transposed)
 from .errors import UsageError
 from .exact import Matrix, Vector, integral, value_class
@@ -75,7 +75,9 @@ class Module:
     ``left`` holds the nonzero left actions {(algebra index, carrier
     index): vector} and ``right`` the nonzero right actions {(carrier
     index, algebra index): vector}, each as (integer numerators,
-    denominator); a module over a Lie-kind algebra has no ``right``.
+    denominator); a module over a Lie-kind algebra has no ``right``.  Each
+    is held as an ``algebra.Action``, which keeps the tables the compiled
+    coboundaries read, so a module builds each table once.
     """
 
     algebra: HomAlgebra
@@ -90,10 +92,16 @@ class Module:
         if (self.right is None) != (self.algebra.kind == LIE):
             raise UsageError("a module has a right action exactly when its "
                              "algebra is of the associative kind")
+        object.__setattr__(self, "left", Action(self.left))
+        if self.right is not None:
+            object.__setattr__(self, "right", Action(self.right))
 
     @cached_property
     def beta_rows(self) -> tuple[dict, int]:
-        """beta's nonzero rows {r: {s: x}} as (numerators, denominator)."""
+        """beta's nonzero rows {r: {s: x}} as (numerators, denominator);
+        the algebra's own when beta is its twist."""
+        if self.beta is self.algebra.alpha:
+            return self.algebra.twist_rows
         return integral(transposed(sparse_columns(self.beta)))
 
 
@@ -182,7 +190,9 @@ def adjoint_module(phi: HomMorphism) -> Module:
 
 def self_module(A: HomAlgebra) -> Module:
     """A acting on itself by its own product from both sides (associative
-    kind), or by its own bracket from the left (Lie kind)."""
-    mul = A.integral[1]
-    return Module(A, A.dim, A.alpha, mul,
-                  mul if A.kind == ASSOCIATIVE else None)
+    kind), or by its own bracket from the left (Lie kind).  Its structure
+    rows and action tables are A's own (``HomAlgebra.twist_rows``,
+    ``HomAlgebra.self_action``), so every self module of A shares them."""
+    act = A.self_action
+    return Module(A, A.dim, A.alpha, act,
+                  act if A.kind == ASSOCIATIVE else None)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial, gcd
+from math import factorial, gcd, prod
 
 from homcoh.algebra import (ASSOCIATIVE, HomAlgebra, identity_defect,
                             sparse_columns, transposed)
@@ -851,21 +851,40 @@ def dense_is_alternating(m: MultilinearMap) -> bool:
     return True
 
 
+def _dense_pulled(m: MultilinearMap, matrices) -> tuple:
+    """The flat coefficient tuple of x_1, ..., x_k -> m(M_1 x_1, ...,
+    M_k x_k): the flat tensor of m contracted with each matrix once, at its
+    slot, each nonzero entry with the row of M_p at its index there."""
+    cur, dims = list(dense_coeffs(m)), [m.source_dim] * m.arity
+    for p, M in enumerate(matrices):
+        inner = prod(dims[p + 1:]) * m.target_dim
+        rows = [M.row(s) for s in range(M.rows)]
+        nxt = [Fraction(0)] * (len(cur) // dims[p] * M.cols)
+        for at, x in enumerate(cur):
+            if x:
+                o, rest = divmod(at, dims[p] * inner)
+                s, off = divmod(rest, inner)
+                for j, c in enumerate(rows[s]):
+                    if c:
+                        nxt[(o * M.cols + j) * inner + off] += c * x
+        cur, dims[p] = nxt, M.cols
+    return tuple(cur)
+
+
 def dense_is_compatible(m: MultilinearMap, alpha: Matrix,
                         beta: Matrix) -> bool:
-    cols = [alpha.column(j) for j in range(alpha.cols)]
-    value = _dense_values(m)
-    return all(beta.matvec(value(t))
-               == dense_evaluate(m, [cols[i] for i in t])
-               for t in product(range(m.source_dim), repeat=m.arity))
+    value, d = _dense_values(m), m.target_dim
+    pulled = _dense_pulled(m, [alpha] * m.arity)
+    return all(beta.matvec(value(t)) == pulled[i * d:(i + 1) * d]
+               for i, t in enumerate(product(range(m.source_dim),
+                                             repeat=m.arity)))
 
 
 def dense_pullback(m: MultilinearMap, matrices) -> MultilinearMap:
     """x_1, ..., x_k -> m(M_1 x_1, ..., M_k x_k), on every basis tuple."""
     width = matrices[0].cols if matrices else m.source_dim
-    return MultilinearMap.from_values(m.arity, width, m.target_dim, {
-        t: dense_evaluate(m, [M.column(i) for M, i in zip(matrices, t)])
-        for t in product(range(width), repeat=m.arity)})
+    return dense_map(m.arity, width, m.target_dim,
+                     _dense_pulled(m, matrices))
 
 
 def dense_pushforward(m: MultilinearMap, matrix: Matrix) -> MultilinearMap:

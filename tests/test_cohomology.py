@@ -14,7 +14,8 @@ from helpers import (ImageOutsideCodomain, basis_vector, combine, dense_coeffs,
                      dense_map, differential_matrix, evaluate,
                      hom_cochain_basis, in_span, lie_cochain_basis,
                      matrix_is_zero, multiply)
-from homcoh import cli, cochain, cohomology, exact, fixtures, operator
+from homcoh import (algebra, cli, cochain, cohomology, exact, fixtures,
+                    operator)
 from homcoh.algebra import ASSOCIATIVE, LIE, HomAlgebra, yau_twist
 from homcoh.cochain import (Coords, MorphismCochain, MultilinearMap,
                             is_alternating, is_compatible)
@@ -795,3 +796,57 @@ def test_the_coupled_system_is_fed_only_the_connecting_rows(monkeypatch):
             len(coupled.target.operator(n).rows)
         assert fed_ids.isdisjoint(id(row) for row in op.rows[:own])
         assert any(rows == op.rows[own:] for rows in fed)
+
+
+def test_complexes_over_one_algebra_share_its_constants_and_nothing_else(
+        monkeypatch):
+    """Two complexes of l4a in itself, each computing H^2 and H^3, build
+    each power of the twist once (alpha^1 and alpha^2 are one product by
+    alpha each), read one action table per exponent, the structure rows of
+    l4a and one coordinate system per shape.  Each complex still compiles
+    its own degrees and feeds its own rows to ``exact.echelon``."""
+    A = fixtures.builtin("algebra", "l4a")
+    (alpha, _), _ = A.integral
+    products, compiled = [], []
+    real_after, real_compile = algebra._after, operator._compile
+
+    def after(acc, m, mu, c=1):
+        if m is alpha:
+            products.append(mu)
+        return real_after(acc, m, mu, c)
+
+    def compile_(X, d, n, reduced, merges, acts):
+        compiled.append((n, [table for _, _, (table, _) in acts]))
+        return real_compile(X, d, n, reduced, merges, acts)
+
+    monkeypatch.setattr(algebra, "_after", after)
+    monkeypatch.setattr(operator, "_compile", compile_)
+    fed = _recorded_eliminations(monkeypatch)
+    own, other = complexes = [ModuleComplex(A), ModuleComplex(A)]
+    dims = [[(r.dim_cochains, r.dim_cocycles, r.dim_coboundaries)
+             for r in compute_cohomology(c, [2, 3]).records]
+            for c in complexes]
+    assert dims[0] == dims[1]
+
+    # built once: the constants of l4a
+    assert len(products) == 2
+    tables = {}
+    for n, acts in compiled:
+        tables.setdefault(n, set()).update(map(id, acts))
+    assert sorted(tables) == [1, 2, 3]
+    assert all(len(ids) == 1 for ids in tables.values())
+    assert own.module.beta_rows is other.module.beta_rows
+    assert all(own.operator(n).source is other.operator(n).source
+               for n in (1, 2, 3))
+
+    # never shared: each complex compiles and eliminates its own degrees
+    assert sorted(n for n, _ in compiled) == [1, 1, 2, 2, 3, 3]
+    fed_ids = [{id(row) for row in rows} for rows in fed]
+    for n in (2, 3):
+        assert own.operator(n) is not other.operator(n)
+        assert own.system_echelon(n) is not other.system_echelon(n)
+        assert own.compatibility_echelon(n) is not \
+            other.compatibility_echelon(n)
+        for c in complexes:
+            rows = {id(row) for row in c.operator(n).rows}
+            assert rows and rows in fed_ids

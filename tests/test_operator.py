@@ -21,7 +21,7 @@ from helpers import (bareiss_rank, canonical_coords, column_rank, combine,
                      dense_to_full, differential_matrix, operator_matrix,
                      row_apply)
 from homcoh import cochain, fixtures, operator
-from homcoh.algebra import ASSOCIATIVE, LIE, HomAlgebra, yau_twist
+from homcoh.algebra import ASSOCIATIVE, LIE, Action, HomAlgebra, yau_twist
 from homcoh.cochain import (Coords, MorphismCochain, MultilinearMap,
                             alternator, compatibility_rows, is_compatible)
 from homcoh.cohomology import (HomSelfComplex, LieSelfComplex,
@@ -771,3 +771,21 @@ def test_heisenberg5_sorts_only_out_of_order_bracket_tuples(monkeypatch):
         counts.append(len(sorted_tuples))
         assert all(t[0] == 4 and len(t) == n for t in sorted_tuples)
     assert counts == [0, 6, 6]
+
+
+def test_a_kept_action_table_is_read_only_through_its_own_twist():
+    """An action keeps one table per exponent and side, for the twist power
+    it was built from: compiled through another algebra's twist, the
+    action builds the table again, so every operator equals the one
+    compiled from a fresh action."""
+    A = fixtures.lie4a(1, 1, 1, 1)
+    B = HomAlgebra("plain", LIE, A.dim, A.mul, Matrix.identity(A.dim))
+    kept = A.self_action
+    for X in (A, B, A):
+        for n in (1, 2, 3):
+            fresh = Action(tuple(kept))
+            assert lie_operator(X, 4, n, kept).rows == \
+                lie_operator(X, 4, n, fresh).rows, (X.name, n)
+    assert Action(kept) is kept
+    assert kept.table(A, 1, 4) == kept.table(A, 1, 4)
+    assert kept.table(A, 1, 4)[0] is kept.table(A, 1, 4)[0]

@@ -453,3 +453,86 @@ def test_no_function_takes_a_flavor():
         if lines:
             offenders[path.name] = lines
     assert offenders == {}
+
+
+# nothing caches without bound in a long-lived process: an lru_cache names
+# its integer maxsize, and an unbounded cache holds the one value of a
+# function without parameters
+LRU_CACHES = {"lru_cache", "functools.lru_cache"}
+UNBOUNDED_CACHES = {"cache", "functools.cache"}
+
+
+def _maxsize(call: ast.Call):
+    """The maxsize node an lru_cache(...) call gives, or None."""
+    given = call.args[:1] + [k.value for k in call.keywords
+                             if k.arg == "maxsize"]
+    return given[0] if given else None
+
+
+def unbounded_caches(tree: ast.AST) -> list[int]:
+    """Lines of the caches that may grow without bound: an lru_cache
+    without an integer maxsize, and a cache (or lru_cache(maxsize=None))
+    that is not a decorator of a function without parameters."""
+    parameterless = {id(d) for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef))
+                     and not any((node.args.posonlyargs, node.args.args,
+                                  node.args.kwonlyargs, node.args.vararg,
+                                  node.args.kwarg))
+                     for d in node.decorator_list}
+    calls = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    found = set()
+    for node in ast.walk(tree):
+        name = _dotted(node)
+        if isinstance(node, ast.Call) and _dotted(node.func) in LRU_CACHES:
+            size = _maxsize(node)
+            bounded = isinstance(size, ast.Constant) and \
+                type(size.value) is int
+            unbounded = isinstance(size, ast.Constant) and size.value is None
+            if not bounded and not (unbounded and id(node) in parameterless):
+                found.add(node.lineno)
+        elif name in LRU_CACHES and id(node) not in calls:
+            found.add(node.lineno)  # the default maxsize, not named
+        elif name in UNBOUNDED_CACHES and id(node) not in parameterless:
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_rule_sees_unbounded_caches():
+    tree = ast.parse(
+        "@lru_cache(maxsize=None)\n"
+        "def f(x):\n"
+        "    return x\n"
+        "@functools.cache\n"
+        "def g(x):\n"
+        "    return x\n"
+        "@lru_cache\n"
+        "def h():\n"
+        "    return 1\n"
+        "@cache\n"
+        "def parser():\n"
+        "    return 2\n"
+        "@lru_cache(maxsize=None)\n"
+        "def table():\n"
+        "    return 3\n"
+        "@lru_cache(maxsize=64)\n"
+        "def shape(a, b):\n"
+        "    return a, b\n"
+        "@functools.lru_cache(16)\n"
+        "def other(a):\n"
+        "    return a\n"
+        "kept = lru_cache(maxsize=size)(shape)\n"
+        "held = cache(shape)\n"
+        "@lru_cache(maxsize=True)\n"
+        "def flag(a):\n"
+        "    return a\n")
+    assert unbounded_caches(tree) == [1, 4, 7, 22, 23, 24]
+
+
+def test_every_cache_is_bounded():
+    offenders = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        lines = unbounded_caches(ast.parse(path.read_text(), str(path)))
+        if lines:
+            offenders[path.name] = lines
+    assert offenders == {}
