@@ -71,7 +71,11 @@ MulTensor = tuple[tuple[Vector, ...], ...]
 
 def freeze_tensor(rows: int, cols: int, dim: int, tensor,
                   message: str) -> MulTensor:
-    """tensor[i][j] as tuples of length-dim ``Fraction`` vectors."""
+    """tensor[i][j] as tuples of length-dim ``Fraction`` vectors; a tensor
+    of another shape is a ``UsageError``."""
+    if len(tensor) != rows or any(len(row) != cols for row in tensor):
+        raise UsageError(f"structure constants must be {rows} rows of "
+                         f"{cols} vectors")
     out = tuple(tuple(tuple(as_fraction(x) for x in tensor[i][j])
                       for j in range(cols)) for i in range(rows))
     if any(len(v) != dim for row in out for v in row):
@@ -105,6 +109,8 @@ class HomAlgebra:
                 raise UsageError(f"basis name {name!r} is not a string")
         if len(names) != self.dim:
             raise UsageError("basis_names length != dim")
+        if len(set(names)) != self.dim:
+            raise UsageError(f"basis names must be distinct, got {names}")
         object.__setattr__(self, "basis_names", names)
 
     @cached_property

@@ -17,8 +17,8 @@ assembles the coupled complex of a morphism from three of them: both ends
 in themselves and the source in the adjoint module of the target.  A
 complex is the only way to apply a coboundary: ``delta(f)`` takes a cochain
 of that complex, and ``ModuleComplex.face(i, f)`` applies the face
-operators of the associative kind.  Every coboundary and face is a compiled
-``operator.SparseOperator``; a complex compiles each degree (and each face
+operators of the associative kind.  Every coboundary and face is compiled
+into an ``exact.SparseMatrix``; a complex compiles each degree (and each face
 index and arity) once, and caches per degree the echelon of its
 compatibility rows (whose kernel, ``bound_space``, is its twist-compatible
 cochains), eliminated as the rows are built, and that of its cocycle
@@ -46,12 +46,12 @@ from .algebra import (ASSOCIATIVE, HomAlgebra, _check_arity_guard, _nonzero,
 from .cochain import (CochainSpace, MorphismCochain, MultilinearMap,
                       compatibility_rows)
 from .errors import UsageError
-from .exact import (Echelon, echelon, integer_kernel, integral,
+from .exact import (Echelon, SparseMatrix, echelon, integer_kernel, integral,
                     intersection_basis, pivot_columns, value_class)
-from .operator import (SparseOperator, apply_operator, hom_delta, hom_operator,
-                       lie_operator, morphism_delta)
+from .operator import (apply_operator, hom_delta, hom_operator, lie_operator,
+                       morphism_delta)
 from .rep import (HomMorphism, Module, adjoint_module, check_morphism,
-                  self_module, validate_bimodule, validate_lie_module)
+                  self_module, validate_module)
 
 HOM_SELF = "hom_self"
 HOM_BIMODULE = "hom_bimodule"
@@ -129,7 +129,7 @@ class _ComplexBase:
         """The echelon of the system whose kernel is the degree-n cocycles:
         the operator's rows, after the compatibility echelon (Lie kind)."""
         return self._memo(("system", n), lambda: echelon(
-            self.operator(n).rows, Echelon() if self.full_cocycles
+            self.operator(n).data, Echelon() if self.full_cocycles
             else self.compatibility_echelon(n)))
 
     def bound_space(self, n: int) -> CochainSpace:
@@ -176,9 +176,8 @@ class ModuleComplex(_ComplexBase):
             if report.is_valid and not report.multiplicative:
                 out.append(f"{X.name}: twist is not multiplicative")
             return out
-        check = validate_bimodule if self.full_cocycles else \
-            validate_lie_module
-        return out + [f"{self.label}: {p}" for p in check(self.module)]
+        return out + [f"{self.label}: {p}"
+                      for p in validate_module(self.module)]
 
     def _compatibility(self, n: int) -> Echelon:
         M = self.module
@@ -283,9 +282,9 @@ class MorphismComplex(_ComplexBase):
     def system_echelon(self, n: int) -> Echelon:
         # the parts' echelons side by side, then only the connecting rows
         A, B, AB = self.source, self.target, self.connecting
-        own = len(A.operator(n).rows) + len(B.operator(n).rows)
+        own = A.operator(n).rows + B.operator(n).rows
         return self._memo(("system", n), lambda: echelon(
-            self.operator(n).rows[own:], self._side_by_side(n, (
+            self.operator(n).data[own:], self._side_by_side(n, (
                 A.system_echelon(n), B.system_echelon(n),
                 Echelon() if self.full_cocycles
                 else AB.compatibility_echelon(n - 1)))))
@@ -362,8 +361,8 @@ def compute_cohomology(complex_obj: _ComplexBase, degrees,
         z = tuple(integer_kernel(complex_obj.system_echelon(n),
                                  op.source.dim)) if dim_c else ()
         # the system's columns check membership in Z, in integers
-        system = SparseOperator(op.source, None, op.rows + [
-            row for _, row in pinned]) if pinned else op
+        system = SparseMatrix(op.rows + len(pinned), op.cols, op.data + tuple(
+            row for _, row in pinned)) if pinned else op
 
         images_at, images = op.source, []
         if n > 1:

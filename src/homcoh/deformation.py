@@ -30,7 +30,7 @@ from .bracket import (cup_product_assoc, gerstenhaber_bracket, nr_bracket,
 from .cochain import MorphismCochain, MultilinearMap, is_compatible
 from .cohomology import ModuleComplex, MorphismComplex
 from .errors import NotACocycle, ObstructionMismatch, UsageError
-from .exact import Matrix, SparseMatrix, solve, value_class
+from .exact import Matrix, solve, value_class
 from .rep import HomMorphism
 
 
@@ -540,8 +540,7 @@ def solve_obstruction(d: FormalDeformation | MorphismDeformation, ob):
     op = d.complex.operator(2)
     rhs = op.target.project(ob)
     x = None if rhs is None else solve(
-        SparseMatrix(len(op.rows), op.source.dim, op.rows, op.den), rhs,
-        d.complex.compatibility_echelon(2))
+        op, rhs, d.complex.compatibility_echelon(2))
     return None if x is None else op.source.to_full(x)
 
 

@@ -12,7 +12,7 @@ entries, ``Fraction``s but the integer vectors of ``integer_kernel``;
 dense tuples remain only for ``Matrix`` and the vectors of the algebras.
 ``integral`` writes constants as integer numerators over one denominator,
 as the coboundary compilers read them, and a ``SparseMatrix`` may hold
-integer rows over one ``den`` (a compiled operator's matrix).
+integer rows over one ``den``, as a compiled operator does.
 
 One sparse, fraction-free kernel does every elimination, on integer rows
 only: rationals are cleared where they enter (a matrix's rows, ``solve``'s
@@ -39,6 +39,7 @@ Canonical choices, fixed once so every result is reproducible bit for bit:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import itemgetter
 
@@ -263,12 +264,43 @@ class Matrix:
 @value_class
 class SparseMatrix:
     """The matrix data / den: one {column: value} dict of nonzero entries
-    per row, over one positive denominator; absent entries are zero."""
+    per row, over one positive denominator; absent entries are zero.  A
+    compiled operator has integer rows, and the coordinates (``Coords``)
+    of its columns and rows as ``source`` and ``target``."""
 
     rows: int
     cols: int
     data: tuple[dict, ...]
     den: int = 1
+    source: object = None
+    target: object = None
+
+    @cached_property
+    def columns(self) -> list[list]:
+        """The (row, coefficient) pairs of each column."""
+        cols = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.data):
+            for j, c in row.items():
+                cols[j].append((i, c))
+        return cols
+
+    def numerators(self, x: dict) -> dict:
+        """The image of the sparse integer coordinates x, by the columns of
+        its entries, as integer numerators over ``den``."""
+        cols, out = self.columns, {}  # one per column
+        if x and not 0 <= min(x) <= max(x) < len(cols):
+            raise UsageError(f"operator needs coordinates below {len(cols)}")
+        for j, v in x.items():
+            for i, c in cols[j]:
+                out[i] = out.get(i, 0) + c * v
+        return {i: v for i, v in out.items() if v}
+
+    def apply(self, x: dict) -> dict:
+        """The sparse image of the sparse rational coordinates x: one
+        ``Fraction`` per nonzero output entry."""
+        xs, den = integral({0: x})
+        return {i: Fraction(v, den * self.den)
+                for i, v in self.numerators(xs[0]).items()}
 
     @classmethod
     def from_columns(cls, vectors, nrows: int) -> "SparseMatrix":

@@ -179,9 +179,17 @@ def algebra_to_json(A: HomAlgebra) -> dict:
 
 
 def _load_json(path: str):
+    def unique(pairs):  # every object of the file, its keys each once
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [k for k, _ in pairs]
+            key = next(k for i, k in enumerate(keys) if k in keys[:i])
+            raise ParseError(f"{path}: duplicate key {key!r}")
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:

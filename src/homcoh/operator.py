@@ -11,9 +11,10 @@ and builds the matrix once, from the nonzero constants only (a zero
 bracket or product builds nothing, alpha is expanded once per distinct
 remaining tuple, and each term is written straight into its rows, where
 an entry that cancels is dropped):
-integer {column: int} rows over one denominator ``den`` per operator, 1
-for integer constants.  A coboundary is then a sparse integer product, and
-``SparseOperator.apply`` makes a ``Fraction`` only for each nonzero output
+an ``exact.SparseMatrix`` of integer {column: int} rows over one
+denominator ``den`` per operator, 1 for integer constants, with its source
+and target coordinates.  A coboundary is then a sparse integer product, and
+``SparseMatrix.apply`` makes a ``Fraction`` only for each nonzero output
 entry (``numerators`` stops before that, on integer coordinates, for
 callers that need only the span of an image).  Module actions are read in
 the integer form a ``rep.Module`` holds them in (``Module.left``,
@@ -34,55 +35,17 @@ the images reduced as well.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from math import lcm
 
 from .algebra import ASSOCIATIVE, Action, HomAlgebra, sparse_columns
 from .cochain import MorphismCoords, coords
 from .errors import UsageError
-from .exact import expand_product, integral
+from .exact import SparseMatrix, expand_product, integral
 from .rep import HomMorphism
 
 
-class SparseOperator:
-    """Exact linear map from ``source`` to ``target`` coordinates: one
-    {column: int} row per target coordinate, over the denominator ``den``."""
-
-    def __init__(self, source, target, rows: list[dict], den: int = 1):
-        self.source, self.target = source, target
-        self.rows, self.den = rows, den
-
-    @cached_property
-    def columns(self) -> list[list]:
-        """The (row, coefficient) pairs of each source coordinate."""
-        cols = [[] for _ in range(self.source.dim)]
-        for i, row in enumerate(self.rows):
-            for j, c in row.items():
-                cols[j].append((i, c))
-        return cols
-
-    def numerators(self, x: dict) -> dict:
-        """The image of the sparse integer coordinates x, by the columns of
-        its entries, as integer numerators over the operator's ``den``."""
-        cols, out = self.columns, {}  # one per source coordinate
-        if x and not 0 <= min(x) <= max(x) < len(cols):
-            raise UsageError(f"operator needs coordinates below {len(cols)}")
-        for j, v in x.items():
-            for i, c in cols[j]:
-                out[i] = out.get(i, 0) + c * v
-        return {i: v for i, v in out.items() if v}
-
-    def apply(self, x: dict) -> dict:
-        """The sparse image of the sparse rational coordinates x: one
-        ``Fraction`` per nonzero output entry."""
-        xs, den = integral({0: x})
-        return {i: Fraction(v, den * self.den)
-                for i, v in self.numerators(xs[0]).items()}
-
-
-def apply_operator(op: SparseOperator, f):
+def apply_operator(op: SparseMatrix, f):
     """op applied to a multilinear map (or morphism cochain), as one; the
     map is converted to sparse coordinates once."""
     x = op.source.project(f)
@@ -92,7 +55,7 @@ def apply_operator(op: SparseOperator, f):
 
 
 def _compile(X: HomAlgebra, d: int, n: int, reduced: bool, merges,
-             acts) -> SparseOperator:
+             acts) -> SparseMatrix:
     """The sum of coboundary terms on arity-n cochains with values in a
     d-dimensional carrier, walked over the nonzero constants of X and
     written straight into the d rows of each output tuple, where an entry
@@ -142,11 +105,11 @@ def _compile(X: HomAlgebra, d: int, n: int, reduced: bool, merges,
                             row[k] = v
                         else:
                             row.pop(k, None)
-    return SparseOperator(src, tgt, rows, den)
+    return SparseMatrix(tgt.dim, src.dim, tuple(rows), den, src, tgt)
 
 
 def hom_operator(A: HomAlgebra, d: int, n: int, merge, left=None,
-                 right=None) -> SparseOperator:
+                 right=None) -> SparseMatrix:
     """Associative-kind coboundary terms on arity-n cochains with values in
     a d-dimensional carrier, in full coordinates.
 
@@ -164,7 +127,7 @@ def hom_operator(A: HomAlgebra, d: int, n: int, merge, left=None,
 
 
 def lie_operator(L: HomAlgebra, d: int, n: int, action=None,
-                 reduced: bool = True) -> SparseOperator:
+                 reduced: bool = True) -> SparseMatrix:
     """Lie-kind coboundary terms on arity-n cochains with values in a
     d-dimensional carrier: the sum over i < j of (-1)^(i+j) f([x_i, x_j],
     alpha x_0, ..., alpha x_n) (x_i, x_j omitted), plus, given a module's
@@ -181,16 +144,16 @@ def lie_operator(L: HomAlgebra, d: int, n: int, action=None,
                     if table else [])
 
 
-def hom_delta(A: HomAlgebra, rho_l, rho_r, d: int, n: int) -> SparseOperator:
+def hom_delta(A: HomAlgebra, rho_l, rho_r, d: int, n: int) -> SparseMatrix:
     """The associative-kind coboundary with values in a bimodule, from its
     integer actions (``Module.left``, ``Module.right``)."""
     return hom_operator(A, d, n, [(-1) ** (k + 1) for k in range(n)],
                         (1, rho_l), ((-1) ** (n + 1), rho_r))
 
 
-def morphism_delta(phi: HomMorphism, op_a: SparseOperator,
-                   op_b: SparseOperator,
-                   op_ab: SparseOperator | None) -> SparseOperator:
+def morphism_delta(phi: HomMorphism, op_a: SparseMatrix,
+                   op_b: SparseMatrix,
+                   op_ab: SparseMatrix | None) -> SparseMatrix:
     """Coupled coboundary on (comp_A, comp_B, comp_AB) coordinates of phi,
     from the degree-n coboundaries op_a and op_b of both ends and the
     degree-(n-1) coboundary op_ab of the adjoint module (None for n = 1,
@@ -212,7 +175,7 @@ def morphism_delta(phi: HomMorphism, op_a: SparseOperator,
         ((-1) ** (n - 1), 1)
     off_b, off_ab = op_a.source.dim, op_a.source.dim + op_b.source.dim
     rows = [{off + j: c * (den // op.den) for j, c in row.items()}
-            for off, op in ((0, op_a), (off_b, op_b)) for row in op.rows]
+            for off, op in ((0, op_a), (off_b, op_b)) for row in op.data]
     for ti, t in enumerate(ab_tgt.tuples):
         loc_a = op_a.source.locate(t)
         pulled = []  # diamond: comp_B evaluated on phi of the arguments
@@ -225,7 +188,7 @@ def morphism_delta(phi: HomMorphism, op_a: SparseOperator,
         for r in range(b_dim):
             row = {} if op_ab is None else {
                 off_ab + j: w_ab * (den // op_ab.den) * c
-                for j, c in op_ab.rows[ti * b_dim + r].items()}
+                for j, c in op_ab.data[ti * b_dim + r].items()}
             for i, col in pcols.items() if loc_a else ():
                 if r in col:
                     k = loc_a[0] * a_dim + i
@@ -233,6 +196,6 @@ def morphism_delta(phi: HomMorphism, op_a: SparseOperator,
             for base, c in pulled:
                 row[base + r] = row.get(base + r, 0) + c
             rows.append({k: c for k, c in row.items() if c})
-    return SparseOperator(MorphismCoords((op_a.source, op_b.source, ab_src)),
-                          MorphismCoords((op_a.target, op_b.target, ab_tgt)),
-                          rows, den)
+    src = MorphismCoords((op_a.source, op_b.source, ab_src))
+    return SparseMatrix(len(rows), src.dim, tuple(rows), den, src,
+                        MorphismCoords((op_a.target, op_b.target, ab_tgt)))

@@ -7,10 +7,11 @@ phi, or into a left module (Lie kind) via the bracket through phi.  Both
 are a ``Module``, which holds its nonzero actions as integer numerators
 over one denominator each, the form the compiled coboundaries read.
 
-The module axioms are checked by the sparse kernel of ``homcoh.algebra``:
-each axiom is a defect over the nonzero actions, twist and structure-map
-columns, read as integer numerators over one denominator each, keyed by its
-basis arguments (algebra indices, then the carrier index).
+A module (M, beta) over A is exactly a semidirect product A ⋉ M, twisted
+by alpha ⊕ beta, that satisfies the algebra's own identity: so
+``validate_module`` checks the axioms with the sparse kernel of
+``homcoh.algebra`` that checks every algebra, on the integer constants of
+A ⋉ M.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from __future__ import annotations
 from functools import cached_property
 from math import lcm
 
-from .algebra import (ASSOCIATIVE, LIE, Action, HomAlgebra, _after,
-                      _nonzero, _products, first_failure, morphism_witnesses,
-                      sparse_columns, transposed)
+from .algebra import (ASSOCIATIVE, LIE, Action, HomAlgebra, _nonzero,
+                      _products, _scaled, identity_defect, morphism_witnesses,
+                      product_defect, sparse_columns, transposed)
 from .errors import UsageError
 from .exact import Matrix, Vector, integral, value_class
 
@@ -77,7 +78,8 @@ class Module:
     index, algebra index): vector}, each as (integer numerators,
     denominator); a module over a Lie-kind algebra has no ``right``.  Each
     is held as an ``algebra.Action``, which keeps the tables the compiled
-    coboundaries read, so a module builds each table once.
+    coboundaries read, so a module builds each table once.  An entry
+    outside the algebra and the carrier is a ``UsageError``.
     """
 
     algebra: HomAlgebra
@@ -92,9 +94,19 @@ class Module:
         if (self.right is None) != (self.algebra.kind == LIE):
             raise UsageError("a module has a right action exactly when its "
                              "algebra is of the associative kind")
-        object.__setattr__(self, "left", Action(self.left))
-        if self.right is not None:
-            object.__setattr__(self, "right", Action(self.right))
+        n, d = self.algebra.dim, self.carrier_dim
+        for side, shape in (("left", (n, d)), ("right", (d, n))):
+            if (action := getattr(self, side)) is None:
+                continue
+            for key, v in action[0].items():
+                if not (len(key) == 2 and 0 <= key[0] < shape[0]
+                        and 0 <= key[1] < shape[1]
+                        and all(0 <= r < d for r in v)):
+                    raise UsageError(
+                        f"{side} action entry {key} with coordinates "
+                        f"{sorted(v)} does not fit a {n}-dimensional algebra "
+                        f"acting on a {d}-dimensional carrier")
+            object.__setattr__(self, side, Action(action))
 
     @cached_property
     def beta_rows(self) -> tuple[dict, int]:
@@ -105,71 +117,70 @@ class Module:
         return integral(transposed(sparse_columns(self.beta)))
 
 
-def _defect(*terms) -> dict:
-    """The sum of sign * outer(us[i], ws[j]) at key(i, j) over the terms
-    (sign, den, outer, us, ws, key), each of integer values over its den,
-    brought to one denominator (see ``algebra._products``)."""
-    top = lcm(*(term[1] for term in terms))
-    acc = {}
-    for sign, den, outer, us, ws, key in terms:
-        _products(acc, outer, us, ws, key, sign * (top // den))
-    return _nonzero(acc)
-
-
 def _units(n: int) -> dict:
     """The basis vectors of an n-dimensional space, as sparse vectors."""
     return {i: {i: 1} for i in range(n)}
 
 
-def _messages(dim: int, checks) -> list[str]:
-    """One message per failing check (template, defect), formatted with
-    its first failing basis arguments."""
-    return [template.format(*first_failure(defect, dim)[0])
-            for template, defect in checks if defect]
+def _placed(entries: dict, c: int, at, shift: int) -> dict:
+    """c times each sparse vector of entries, at key at(k), its
+    coordinates shifted by ``shift``."""
+    return {at(k): {shift + i: c * x for i, x in v.items()}
+            for k, v in entries.items()}
 
 
-def validate_bimodule(M: Module) -> list[str]:
-    """Return human-readable violations (empty list when all axioms hold).
-
-    Checked on basis triples: the left axiom, its mirror image on the
-    right, and the left/right compatibility equation.
-    """
+def _semidirect(M: Module) -> tuple[dict, int, dict]:
+    """A ⋉ M on A's basis followed by the carrier's (carrier index q at
+    dim A + q), as (twist columns, t, products): the twist alpha ⊕ beta
+    over t, and A's product with both actions over one denominator."""
+    n = M.algebra.dim
     (alpha, a), (mul, m) = M.algebra.integral
-    (left, l), (right, r) = M.left, M.right
-    beta, b = integral(sparse_columns(M.beta))
-    return _messages(M.carrier_dim, (
-        ("left axiom fails at ({0},{1};{2})", _defect(
-            (1, l * m * b, left, mul, beta, lambda xy, v: xy + (v,)),
-            (-1, l * a * l, left, alpha, left, lambda x, yv: (x,) + yv))),
-        ("right axiom fails at ({2};{0},{1})", _defect(
-            (1, r * b * m, right, beta, mul, lambda v, xy: xy + (v,)),
-            (-1, r * r * a, right, right, alpha,
-             lambda vx, y: (vx[1], y, vx[0])))),
-        ("compatibility fails at ({0};{2};{1})", _defect(
-            (1, r * l * a, right, left, alpha,
-             lambda xv, z: (xv[0], z, xv[1])),
-            (-1, l * a * r, left, alpha, right,
-             lambda x, vz: (x, vz[1], vz[0]))))))
+    (beta, b), (left, l) = M.beta_rows, M.left
+    # for the Lie kind [m, x] = -rho(x)m: the left action mirrored, over -l
+    right, r = M.right or ({(q, x): v for (x, q), v in left.items()}, -l)
+    t, p = lcm(a, b), lcm(m, l, r)
+    twist = {**_placed(alpha, t // a, lambda j: j, 0),
+             **_placed(transposed(beta), t // b, lambda q: n + q, n)}
+    product = {**_placed(mul, p // m, lambda k: k, 0),
+               **_placed(left, p // l, lambda k: (k[0], n + k[1]), n),
+               **_placed(right, p // r, lambda k: (n + k[0], k[1]), n)}
+    return twist, t, product
 
 
-def validate_lie_module(P: Module) -> list[str]:
-    """Violations of the two module axioms, checked on bases."""
-    L, d = P.algebra, P.carrier_dim
-    (alpha, a), (mul, m) = L.integral
-    act, p = P.left
-    beta, b = integral(sparse_columns(P.beta))
-    after = {}  # beta(act(u, v)) as a bilinear map
-    _after(after, beta, act)
-    return _messages(d, (
-        ("structure-map axiom fails at ({0};{1})", _defect(
-            (1, p * a * b, act, alpha, beta, lambda u, v: (u, v)),
-            (-1, b * p, after, _units(L.dim), _units(d),
-             lambda u, v: (u, v)))),
-        ("module condition fails at ({0},{1};{2})", _defect(
-            (1, p * m * b, act, mul, beta, lambda uv, z: uv + (z,)),
-            (-1, p * a * p, act, alpha, act, lambda u, vz: (u,) + vz),
-            (1, p * a * p, act, alpha, act,
-             lambda v, uz: (uz[0], v, uz[1]))))))
+# The module axioms, by kind: the structure identity of A ⋉ M on the
+# triples with one carrier argument, one axiom for each position of that
+# argument (a triple with two vanishes, as M M = 0).  Each has its message,
+# and the order of the triple's arguments in which its first failure is
+# taken, ending with the carrier argument.
+_AXIOMS = {
+    ASSOCIATIVE: (("left axiom fails at ({0},{1};{2})", (0, 1, 2)),
+                  ("right axiom fails at ({2};{0},{1})", (1, 2, 0)),
+                  ("compatibility fails at ({0};{2};{1})", (0, 2, 1))),
+    LIE: (("module condition fails at ({0},{1};{2})", (0, 1, 2)),),
+}
+
+
+def validate_module(M: Module) -> list[str]:
+    """Violations of the module axioms (empty when all hold), each at its
+    first failing basis arguments: the structure identity of A ⋉ M
+    (``_semidirect``) on the triples with one carrier argument, after, for
+    the Lie kind, multiplicativity of its twist on the pairs (x, m) (the
+    structure-map axiom).  Both sides of each are over one denominator."""
+    A, n = M.algebra, M.algebra.dim
+    twist, t, product = _semidirect(M)
+    identity = identity_defect(A.kind, twist, [(product, product)])
+    checks = [(identity, *axiom) for axiom in _AXIOMS[A.kind]]
+    if A.kind == LIE:
+        checks.insert(0, (product_defect(
+            [(_scaled(twist, t), product)], [(product, twist, twist)]),
+            "structure-map axiom fails at ({0};{1})", (0, 1)))
+    out = []
+    for defect, template, order in checks:
+        if failing := [tuple(k[i] for i in order) for k in defect
+                       if k[order[-1]] >= n]:
+            *xs, v = min(failing)
+            out.append(template.format(*xs, v - n))
+    return out
 
 
 def adjoint_module(phi: HomMorphism) -> Module:

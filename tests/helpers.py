@@ -274,7 +274,7 @@ def dense_coeffs(m: MultilinearMap) -> tuple:
 
 
 # The dense forms that the gather in ``Coords.to_full``, the column index
-# in ``SparseOperator.apply`` and the operator matrices of
+# in ``SparseMatrix.apply`` and the operator matrices of
 # ``compute_cohomology`` replace.
 
 def dense_to_full(system, x) -> MultilinearMap:
@@ -293,7 +293,7 @@ def row_apply(op, x) -> tuple:
     """op applied to x by one pass over every row of the operator, whose
     integer rows are over ``op.den``."""
     return tuple(sum([c * x[j] for j, c in row.items() if x[j]], Fraction(0))
-                 / op.den for row in op.rows)
+                 / op.den for row in op.data)
 
 
 def differential_matrix(space_n, space_n1, delta) -> Matrix:
@@ -326,13 +326,12 @@ def column_rank(vectors) -> int:
 
 
 def operator_matrix(op, vectors=None) -> SparseMatrix:
-    """A compiled operator's matrix (integer rows over ``den``); with
-    sparse ``vectors``, the matrix whose column j is the image of
-    vectors[j]."""
+    """A compiled operator's matrix (integer rows over ``den``), the
+    operator itself; with sparse ``vectors``, the matrix whose column j is
+    the image of vectors[j]."""
     if vectors is None:
-        return SparseMatrix(len(op.rows), op.source.dim, op.rows, op.den)
-    return SparseMatrix.from_columns([op.apply(v) for v in vectors],
-                                     len(op.rows))
+        return op
+    return SparseMatrix.from_columns([op.apply(v) for v in vectors], op.rows)
 
 
 def basis_solve(complex_obj, n: int, target):

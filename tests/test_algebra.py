@@ -272,7 +272,28 @@ def test_basis_names_given_as_a_list_are_stored_as_a_tuple(a3):
     (("x", "y", (1,)), r"basis name \(1,\) is not a string"),
     ([1, 2, 3], "basis name 1 is not a string"),
     (["x", None, "z"], "basis name None is not a string"),
-    (("x", "y"), "basis_names length != dim")])
+    (("x", "y"), "basis_names length != dim"),
+    (("x", "y", "x"), "basis names must be distinct")])
 def test_basis_names_must_be_strings_one_per_basis_vector(a3, names, message):
     with pytest.raises(UsageError, match=message):
         _renamed(a3, names)
+
+
+@pytest.mark.parametrize("shape", ["too few rows", "extra row",
+                                   "extra column", "short row"])
+def test_structure_constants_must_have_the_algebra_shape(a3, shape):
+    """A tensor of another shape than dim x dim is refused, neither read
+    past its end nor cut to size."""
+    mul = [list(row) for row in a3.mul]
+    zero = (0,) * a3.dim
+    if shape == "too few rows":
+        del mul[-1]
+    elif shape == "extra row":
+        mul.append([zero] * a3.dim)
+    elif shape == "extra column":
+        mul[0].append(zero)
+    else:
+        del mul[1][0]
+    with pytest.raises(UsageError, match="structure constants must be 3 "
+                                         "rows of 3 vectors"):
+        HomAlgebra(a3.name, a3.kind, a3.dim, mul, a3.alpha)

@@ -45,6 +45,24 @@ def test_validate_parse_error_exit_two(tmp_path, capsys):
         assert message in err
 
 
+def test_validate_refuses_a_key_given_twice(tmp_path, capsys):
+    """A key repeated in any object of a file (the top level, a mul
+    entry, a value map) is an input error (exit 2) that names the file and
+    the key, whichever of the values would have won."""
+    files.write_builtin_files(str(tmp_path))
+    text = (tmp_path / "b2.json").read_text()
+    path = tmp_path / "dup.json"
+    for old, new, key in (
+            ('"alpha": [', '"alpha": [["1", "0"], ["0", "1"]], "alpha": [',
+             "alpha"),
+            ('"left": "f1",', '"left": "f2", "left": "f1",', "left"),
+            ('"f1": "1"', '"f1": "1", "f1": "2"', "f1")):
+        path.write_text(text.replace(old, new, 1))
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"input error: {path}: duplicate key {key!r}\n"
+
+
 def test_validate_names_a_basis_of_non_strings(tmp_path, capsys):
     """A basis entry that is not a string is an input error (exit 2) that
     names the basis, whether or not it could be hashed."""

@@ -25,9 +25,8 @@ from homcoh.cohomology import (HomSelfComplex, ModuleComplex,
 from homcoh.deformation import extend_deformation
 from homcoh.errors import ArityLimitError, UsageError
 from homcoh.files import cochain_to_json
-from homcoh.exact import (Echelon, Matrix, echelon, integer_kernel,
-                          pivot_columns, sparse_vector)
-from homcoh.operator import SparseOperator
+from homcoh.exact import (Echelon, Matrix, SparseMatrix, echelon,
+                          integer_kernel, pivot_columns, sparse_vector)
 from homcoh.rep import HomMorphism, adjoint_module, self_module
 
 
@@ -291,7 +290,7 @@ def test_module_complex_rejects_a_module_over_another_algebra(a3, b2, heis):
         ModuleComplex(a3, a3)
     twin = fixtures.assoc3(1, 2)  # equal to a3, built again
     assert twin is not a3
-    assert ModuleComplex(a3, self_module(twin)).operator(1).rows
+    assert ModuleComplex(a3, self_module(twin)).operator(1).data
 
 
 def test_complexes_reject_cochains_of_another_kind(a3, phi, heis):
@@ -473,7 +472,7 @@ def test_module_complex_in_the_self_module_is_the_self_complex():
             ops = own.operator(n), given.operator(n)
             assert ops[0].source == ops[1].source
             assert ops[0].target == ops[1].target
-            assert ops[0].rows == ops[1].rows
+            assert ops[0].data == ops[1].data
             assert own.bound_space(n) == given.bound_space(n)
         for degree0 in (False, True):
             assert compute_cohomology(
@@ -563,7 +562,7 @@ def test_top_degree_builds_no_basis_and_applies_no_operator(monkeypatch):
     compatibility rows: it builds no cochain space at all and applies no
     operator to make Fraction images."""
     built, applied = [], []
-    real_space, real_apply = cochain.CochainSpace, SparseOperator.apply
+    real_space, real_apply = cochain.CochainSpace, SparseMatrix.apply
 
     def space(*args):
         built.append(args[0].arity)
@@ -574,7 +573,7 @@ def test_top_degree_builds_no_basis_and_applies_no_operator(monkeypatch):
         return real_apply(self, x)
 
     monkeypatch.setattr(cochain, "CochainSpace", space)
-    monkeypatch.setattr(SparseOperator, "apply", apply)
+    monkeypatch.setattr(SparseMatrix, "apply", apply)
     rec = compute_cohomology(ModuleComplex(heisenberg5()), [3]).record(3)
     assert (rec.dim_cochains, rec.dim_cocycles, rec.dim_coboundaries,
             rec.dim_cohomology) == (50, 41, 20, 21)
@@ -699,7 +698,7 @@ def test_a_morphism_complex_seeded_by_its_parts_eliminates_as_from_scratch(
         rows = [{start + k: c for k, c in row.items()}
                 for start, part in zip(op.source.starts, parts)
                 for row in part]
-        system = op.rows + ([] if complex_obj.full_cocycles else rows)
+        system = list(op.data) + ([] if complex_obj.full_cocycles else rows)
         for seeded, whole in ((complex_obj.compatibility_echelon(n), rows),
                               (complex_obj.system_echelon(n), system)):
             assert isinstance(seeded, Echelon)
@@ -792,10 +791,10 @@ def test_the_coupled_system_is_fed_only_the_connecting_rows(monkeypatch):
     fed_ids = {id(row) for rows in fed for row in rows}
     for n in (1, 2):
         op = coupled.operator(n)
-        own = len(coupled.source.operator(n).rows) + \
-            len(coupled.target.operator(n).rows)
-        assert fed_ids.isdisjoint(id(row) for row in op.rows[:own])
-        assert any(rows == op.rows[own:] for rows in fed)
+        own = coupled.source.operator(n).rows + \
+            coupled.target.operator(n).rows
+        assert fed_ids.isdisjoint(id(row) for row in op.data[:own])
+        assert any(rows == list(op.data[own:]) for rows in fed)
 
 
 def test_complexes_over_one_algebra_share_its_constants_and_nothing_else(
@@ -848,5 +847,5 @@ def test_complexes_over_one_algebra_share_its_constants_and_nothing_else(
         assert own.compatibility_echelon(n) is not \
             other.compatibility_echelon(n)
         for c in complexes:
-            rows = {id(row) for row in c.operator(n).rows}
+            rows = {id(row) for row in c.operator(n).data}
             assert rows and rows in fed_ids

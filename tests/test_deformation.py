@@ -21,8 +21,7 @@ from homcoh.deformation import (FormalAutomorphismPair, FormalDeformation,
                                 extend_deformation, infinitesimal_report,
                                 obstruction, solve_obstruction)
 from homcoh.errors import ObstructionMismatch, UsageError
-from homcoh.exact import Matrix, solve
-from homcoh.operator import SparseOperator
+from homcoh.exact import Matrix, SparseMatrix, solve
 from homcoh.selftest import random_valid_hom_algebra
 
 
@@ -593,7 +592,7 @@ def test_obstruction_solve_builds_no_basis_and_applies_no_operator(
     md = fixtures.mdef_2()
     cases.append((md, obstruction(md)))
     built, applied = [], []
-    real_init, real_apply = CochainSpace.__init__, SparseOperator.apply
+    real_init, real_apply = CochainSpace.__init__, SparseMatrix.apply
 
     def init(self, *args, **kw):
         built.append(args)
@@ -604,7 +603,7 @@ def test_obstruction_solve_builds_no_basis_and_applies_no_operator(
         return real_apply(self, x)
 
     monkeypatch.setattr(CochainSpace, "__init__", init)
-    monkeypatch.setattr(SparseOperator, "apply", apply)
+    monkeypatch.setattr(SparseMatrix, "apply", apply)
     solved = [solve_obstruction(d, ob) for d, ob in cases]
     assert built == [] and applied == []
     monkeypatch.undo()

@@ -446,7 +446,7 @@ def test_value_class_arguments_bind_as_in_a_call():
     s = SparseMatrix(rows=1, cols=2, data=({1: 3},))
     assert (s.rows, s.cols, s.data, s.den) == (1, 2, ({1: 3},), 1)
     assert SparseMatrix(1, 2, ({1: 3},), den=4).den == 4
-    for args, kwargs in [((1, 2), {}), ((1, 2, (), 1, 0), {}),
+    for args, kwargs in [((1, 2), {}), ((1, 2, (), 1, None, None, 0), {}),
                          ((1, 2, ()), {"rows": 1}), ((1, 2, ()), {"size": 1})]:
         with pytest.raises(TypeError):
             SparseMatrix(*args, **kwargs)
@@ -464,7 +464,8 @@ def test_value_class_reprs_keep_the_dataclass_form():
         "Matrix(rows=2, cols=2, entries=(Fraction(1, 1), Fraction(1, 2), "
         "Fraction(0, 1), Fraction(-3, 1)))")
     assert repr(SparseMatrix(2, 3, ({0: 1}, {2: -4}), 3)) == (
-        "SparseMatrix(rows=2, cols=3, data=({0: 1}, {2: -4}), den=3)")
+        "SparseMatrix(rows=2, cols=3, data=({0: 1}, {2: -4}), den=3, "
+        "source=None, target=None)")
     assert repr(MorphismCoords((Coords(1, 2, 2, False),))) == (
         "MorphismCoords(parts=(Coords(arity=1, source_dim=2, target_dim=2, "
         "reduced=False),))")

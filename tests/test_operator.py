@@ -225,7 +225,7 @@ def test_apply_matches_the_row_scan():
             m = operator_matrix(op, [sparse_vector(x) for x in dense_vectors])
             assert m == SparseMatrix.from_columns(
                 [sparse_vector(row_apply(op, x)) for x in dense_vectors],
-                len(op.rows))
+                len(op.data))
         if name == "non-skew":
             assert not op.target.reduced and op.source.reduced
     with pytest.raises(UsageError, match="coordinates"):
@@ -454,7 +454,11 @@ def test_operators_hold_integer_rows_over_one_denominator():
     for complex_obj in integral + denominator_complexes():
         for n in (1, 2, 3):
             op = complex_obj.operator(n)
-            assert all(type(c) is int and c for row in op.rows
+            # a sparse matrix with the coordinates of its columns and rows
+            assert type(op) is SparseMatrix
+            assert (op.rows, op.cols) == (len(op.data), op.source.dim)
+            assert op.rows == op.target.dim
+            assert all(type(c) is int and c for row in op.data
                        for c in row.values())
             if complex_obj in integral:
                 assert op.den == 1, (complex_obj.flavor, n)
@@ -569,7 +573,7 @@ def test_representatives_match_the_dense_greedy_quotient():
             summary = compute_cohomology(complex_obj, [n],
                                          include_degree_zero=True)
             rec, op = summary.record(n), complex_obj.operator(n)
-            rows = op.rows + ([] if assoc else compatibility_rows(
+            rows = list(op.data) + ([] if assoc else compatibility_rows(
                 True, X, X.dim, complex_obj.module.beta_rows, n))
             system = SparseMatrix(len(rows), op.source.dim, rows, op.den)
             z = tuple(op.source.to_full(sparse_vector(v))
@@ -710,7 +714,7 @@ def test_compiled_operators_match_the_dense_formulas_where_shortcuts_fire():
                                        dense_action(M.right, d), d, f)
             assert complex_obj.delta(f) == want, (A.name, d, k)
             op = complex_obj.operator(k)
-            assert all(all(row.values()) for row in op.rows), (A.name, d, k)
+            assert all(all(row.values()) for row in op.data), (A.name, d, k)
             full += A.kind == LIE and not op.target.reduced
     assert full > 10
 
@@ -746,7 +750,7 @@ def test_heisenberg5_compiles_from_its_nonzero_constants(monkeypatch):
              if mul.get((t[i], t[j]))}
     op = lie_operator(H, 5, 2, self_module(H).left)
     assert len(rests) == 5 and 0 < len(calls) <= len(rests)
-    assert sum(map(len, op.rows)) == 44
+    assert sum(map(len, op.data)) == 44
 
 
 def test_heisenberg5_sorts_only_out_of_order_bracket_tuples(monkeypatch):
@@ -784,8 +788,8 @@ def test_a_kept_action_table_is_read_only_through_its_own_twist():
     for X in (A, B, A):
         for n in (1, 2, 3):
             fresh = Action(tuple(kept))
-            assert lie_operator(X, 4, n, kept).rows == \
-                lie_operator(X, 4, n, fresh).rows, (X.name, n)
+            assert lie_operator(X, 4, n, kept).data == \
+                lie_operator(X, 4, n, fresh).data, (X.name, n)
     assert Action(kept) is kept
     assert kept.table(A, 1, 4) == kept.table(A, 1, 4)
     assert kept.table(A, 1, 4)[0] is kept.table(A, 1, 4)[0]

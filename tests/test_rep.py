@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from homcoh import fixtures
-from homcoh.algebra import ASSOCIATIVE, LIE
+from homcoh.algebra import ASSOCIATIVE, LIE, HomAlgebra
 from homcoh.errors import UsageError
 import random
 
@@ -13,7 +13,7 @@ from helpers import (apply_alpha, basis_vector, dense_action,
                      multiply, zero_matrix)
 from homcoh.exact import Matrix
 from homcoh.rep import (HomMorphism, Module, adjoint_module, check_morphism,
-                        self_module, validate_bimodule, validate_lie_module)
+                        self_module, validate_module)
 from homcoh.selftest import random_valid_hom_algebra
 
 
@@ -67,7 +67,7 @@ def test_adjoint_bimodule_satisfies_axioms(phi, a3):
     for M in (adjoint_module(phi),
               adjoint_module(HomMorphism(a3, a3, Matrix.identity(3))),
               self_module(fixtures.assoc2())):
-        assert validate_bimodule(M) == []
+        assert validate_module(M) == []
 
 
 def test_lie_adjoint_identity_is_bracket():
@@ -76,7 +76,7 @@ def test_lie_adjoint_identity_is_bracket():
     act = dense_action(P.left, 3)
     for i, j in product(range(3), repeat=2):
         assert act(basis_vector(3, i), basis_vector(3, j)) == G.mul[i][j]
-    assert validate_lie_module(P) == []
+    assert validate_module(P) == []
 
 
 def test_lie_adjoint_fixture_values():
@@ -96,7 +96,7 @@ def test_lie_adjoint_module_axioms_hold_for_valid_morphisms():
     heis = fixtures.heisenberg()
     for P in (adjoint_module(HomMorphism(G, G, Matrix.identity(3))),
               adjoint_module(HomMorphism(heis, heis, Matrix.identity(3)))):
-        assert validate_lie_module(P) == []
+        assert validate_module(P) == []
 
 
 def test_adjoint_right_axiom_mirror_holds(phi):
@@ -145,18 +145,38 @@ def _broken(rng, M):
     return Module(M.algebra, M.carrier_dim, **fields)
 
 
+def _random_algebra(rng, kind: str, dim: int) -> HomAlgebra:
+    """A dim-dimensional algebra of the kind with small random constants
+    and a random twist: most often invalid, and for the Lie kind most
+    often not skew."""
+    def pick():
+        return Fraction(rng.choice((0, 0, 1, -1, 2)), rng.choice((1, 2)))
+
+    return HomAlgebra(f"random{dim}", kind, dim,
+                      [[[pick() for _ in range(dim)] for _ in range(dim)]
+                       for _ in range(dim)],
+                      Matrix.from_rows([[pick() for _ in range(dim)]
+                                        for _ in range(dim)]))
+
+
 def test_sparse_bimodule_checks_match_the_dense_oracle(phi):
     rng = random.Random(71)
     bases = [self_module(fixtures.assoc3(1, 2)), adjoint_module(phi),
              self_module(fixtures.assoc2())]
     bases += [self_module(random_valid_hom_algebra(rng, "associative"))
               for _ in range(2)]
+    # modules over invalid algebras, where the identity of A ⋉ M covers
+    # the axioms and A's own identity fails
+    invalid = [self_module(fixtures.invalid_assoc2())]
+    invalid += [self_module(_random_algebra(rng, ASSOCIATIVE, dim))
+                for dim in (2, 3, 2, 3)]
     seen = set()
-    for M in bases:
-        assert validate_bimodule(M) == dense_validate_bimodule(M) == []
+    assert all(validate_module(M) == [] for M in bases)
+    for M in bases + invalid:
+        assert validate_module(M) == dense_validate_bimodule(M)
         for _ in range(12):
             bad = _broken(rng, M)
-            got = validate_bimodule(bad)
+            got = validate_module(bad)
             assert got == dense_validate_bimodule(bad)
             seen.update(message.split(" fails")[0] for message in got)
     assert seen == {"left axiom", "right axiom", "compatibility"}
@@ -170,11 +190,15 @@ def test_sparse_lie_module_checks_match_the_dense_oracle():
              adjoint_module(HomMorphism(g, g, Matrix.identity(3)))]
     bases += [self_module(random_valid_hom_algebra(rng, "lie"))
               for _ in range(2)]
+    # modules over invalid algebras, most of them not skew
+    bases += [self_module(fixtures.g2())]
+    bases += [self_module(_random_algebra(rng, LIE, dim))
+              for dim in (2, 3, 2, 3)]
     seen = set()
     for P in bases:
-        assert validate_lie_module(P) == dense_validate_lie_module(P)
+        assert validate_module(P) == dense_validate_lie_module(P)
         for bad in [P] + [_broken(rng, P) for _ in range(12)]:
-            got = validate_lie_module(bad)
+            got = validate_module(bad)
             assert got == dense_validate_lie_module(bad)
             seen.update(message.split(" fails")[0] for message in got)
     assert seen == {"structure-map axiom", "module condition"}
@@ -203,6 +227,27 @@ def test_adjoint_actions_are_products_through_the_morphism(name):
         assert left(x, e) == multiply(B, phi.apply(x), e)
         if right:
             assert right(e, x) == multiply(B, e, phi.apply(x))
+
+
+def test_module_rejects_action_entries_outside_its_shape():
+    """An action entry whose key or value coordinates lie outside the
+    algebra and the carrier is refused, not ignored."""
+    g, alpha = fixtures.g1(2, 3), Matrix.identity(2)
+    a3 = fixtures.assoc3(1, 2)
+    fine = {(2, 1): {0: 1}}
+    for left, right, named in (
+            ({(0, 7): {1: 1}, (5, 0): {9: 1}}, None, r"left .*\(0, 7\)"),
+            ({(3, 0): {0: 1}}, None, r"left .*\(3, 0\)"),
+            ({(-1, 0): {0: 1}}, None, r"left .*\(-1, 0\)"),
+            ({(0, 1): {2: 1}}, None, r"left .*\(0, 1\) .*\[2\]"),
+            (fine, {(1, 3): {0: 1}}, r"right .*\(1, 3\) .*\[0\]"),
+            (fine, {(2, 0): {0: 1}}, r"right .*\(2, 0\)"),
+            (fine, {(0, 0): {-1: 1}}, r"right .*\(0, 0\) .*\[-1\]")):
+        X = g if right is None else a3
+        with pytest.raises(UsageError, match=named):
+            Module(X, 2, alpha, (left, 1), right and (right, 1))
+    assert Module(a3, 2, alpha, (fine, 1), ({(1, 2): {1: 1}}, 1)).left[0] \
+        == fine
 
 
 def test_module_rejects_actions_of_the_other_kind(a3, heis):

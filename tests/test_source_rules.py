@@ -378,6 +378,76 @@ def test_compatibility_rows_are_eliminated_once_per_complex():
     assert offenders == {}
 
 
+# exact.SparseMatrix is the one matrix of rows over a denominator: a
+# compiled operator is one, so no second class keeps rows over its own den
+DEN_OWNERS = {"exact.SparseMatrix"}
+
+
+def _targets(node: ast.AST) -> list:
+    """The targets of an assignment, annotated or augmented or not."""
+    return node.targets if isinstance(node, ast.Assign) else [node.target]
+
+
+def _binds_den(node: ast.AST) -> bool:
+    """An assignment target that is self.den, alone or in a tuple."""
+    if isinstance(node, (ast.Tuple, ast.List)):
+        return any(_binds_den(n) for n in node.elts)
+    return isinstance(node, ast.Attribute) and node.attr == "den" and \
+        getattr(node.value, "id", None) == "self"
+
+
+def den_bindings(tree: ast.AST) -> list[str]:
+    """Names of the classes that bind a den attribute: a field or class
+    attribute of that name, or an assignment to self.den in a method."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        fields = [t for node in cls.body
+                  if isinstance(node, (ast.Assign, ast.AnnAssign))
+                  for t in _targets(node) if getattr(t, "id", None) == "den"]
+        selves = [t for node in ast.walk(cls)
+                  if isinstance(node, (ast.Assign, ast.AnnAssign,
+                                       ast.AugAssign))
+                  for t in _targets(node) if _binds_den(t)]
+        if fields or selves:
+            found.append(cls.name)
+    return found
+
+
+def test_rule_sees_den_bindings():
+    tree = ast.parse(
+        "class A:\n"
+        "    den: int = 1\n"
+        "class B:\n"
+        "    def __init__(self, rows, den):\n"
+        "        self.rows, self.den = rows, den\n"
+        "class C:\n"
+        "    def f(self, other):\n"
+        "        other.den = 2\n"
+        "        den = self.den\n"
+        "        return den\n"
+        "class D:\n"
+        "    den = 1\n"
+        "class E:\n"
+        "    def g(self):\n"
+        "        self.den *= 3\n"
+        "def den(self):\n"
+        "    self.den = 4\n")
+    assert den_bindings(tree) == ["A", "B", "D", "E"]
+
+
+def test_one_class_holds_rows_over_a_denominator():
+    offenders = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        names = [f"{path.stem}.{name}" for name in
+                 den_bindings(ast.parse(path.read_text(), str(path)))]
+        bad = [n for n in names if n not in DEN_OWNERS]
+        if bad:
+            offenders[path.name] = bad
+    assert offenders == {}
+
+
 # algebra.ASSOCIATIVE and algebra.LIE are the one kind vocabulary: a kind is
 # read off the algebra that carries it, never restated by a second constant
 # or passed beside it as an argument
