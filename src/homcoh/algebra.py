@@ -6,7 +6,9 @@ multiplication is stored as the full structure-constant tensor
 ``mul[i][j]`` = coordinates of the product of basis vectors i and j, and the
 twist is the matrix whose column j is the image of basis vector j.  For the
 Lie kind the tensor is stored in full (both orders) and skew-symmetry is a
-checked invariant, not an assumption.
+checked invariant, not an assumption.  ``product_tensor`` lays the tensor
+out from the nonzero products, completing a Lie bracket given by one order
+of each pair.
 
 Every defining identity is evaluated by one sparse kernel, read from the
 nonzero constants only (``HomAlgebra.sparse``): the structure identity of
@@ -81,6 +83,28 @@ def freeze_tensor(rows: int, cols: int, dim: int, tensor,
     if any(len(v) != dim for row in out for v in row):
         raise UsageError(message)
     return out
+
+
+# the most entries dim^3 of a structure-constant tensor: dim <= 215
+MAX_TENSOR_ENTRIES = 10 ** 7
+
+
+def product_tensor(kind: str, dim: int, products: dict) -> list:
+    """The tensor mul[i][j][k] that ``HomAlgebra`` takes, from the nonzero
+    products {(i, j): {k: c}}; for the Lie kind a pair given in one order
+    only is completed by its negative in the other.  A tensor of more than
+    ``MAX_TENSOR_ENTRIES`` entries is a ``UsageError``, before any is
+    allocated."""
+    if dim ** 3 > MAX_TENSOR_ENTRIES:
+        raise UsageError(f"dim {dim} needs {dim ** 3} structure constants, "
+                         f"over the bound {MAX_TENSOR_ENTRIES}")
+    mul = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j), v in products.items():
+        for k, c in v.items():
+            mul[i][j][k] = c
+            if kind == LIE and (j, i) not in products:
+                mul[j][i][k] = -c
+    return mul
 
 
 @value_class

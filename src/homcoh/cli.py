@@ -18,8 +18,7 @@ from .deformation import (FAMILIES, MorphismDeformation, algebra_obstruction,
                           check_algebra_deformation, check_morphism_deformation,
                           check_order_bound, extend_deformation,
                           infinitesimal_report, obstruction, solve_obstruction)
-from .errors import (HomcohError, NotACocycle, ObstructionMismatch, ParseError,
-                     UsageError)
+from .errors import HomcohError, ParseError, UsageError
 from .exact import rational_to_string
 from .rep import HomMorphism, check_morphism
 
@@ -428,13 +427,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (NotACocycle, ObstructionMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MATH
-    except UsageError as exc:
+    except (ParseError, UsageError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except HomcohError as exc:

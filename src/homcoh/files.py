@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import json
 import os
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .algebra import ASSOCIATIVE, LIE, HomAlgebra, sparse_tensor
+from .algebra import (ASSOCIATIVE, LIE, HomAlgebra, product_tensor,
+                      sparse_tensor)
 from .cochain import MorphismCochain, MultilinearMap
 from .deformation import (FormalDeformation, MorphismDeformation,
                           check_work_bound)
@@ -112,10 +112,8 @@ def _linear_json(m: MultilinearMap) -> list:
 
 def _parse_mul_entries(entries, basis: list[str], kind: str,
                        context: str) -> list:
-    dim = len(basis)
     index = {name: i for i, name in enumerate(basis)}
-    mul = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    seen = set()
+    products = {}
     for pos, entry in enumerate(_expect(entries, list, context, "mul")):
         where = f"{context}: mul[{pos}]"
         _require_keys(entry, ("left", "right", "value"), (), where)
@@ -124,31 +122,26 @@ def _parse_mul_entries(entries, basis: list[str], kind: str,
                 raise ParseError(f"{where}: unknown basis name "
                                  f"{entry[key]!r} in {key}")
         i, j = index[entry["left"]], index[entry["right"]]
-        if (i, j) in seen:
+        if (i, j) in products:
             raise ParseError(f"{where}: duplicate product "
                              f"({entry['left']}, {entry['right']})")
-        seen.add((i, j))
-        value = entry["value"]
-        if not isinstance(value, dict):
+        if not isinstance(entry["value"], dict):
             raise ParseError(f"{where}: value must be an object")
-        for name, lit in value.items():
+        product = products[i, j] = {}
+        for name, lit in entry["value"].items():
             if name not in index:
                 raise ParseError(f"{where}: unknown basis name {name!r}")
-            mul[i][j][index[name]] = rational_from_string(lit)
+            product[index[name]] = rational_from_string(lit)
     if kind == LIE:
-        for i in range(dim):
-            for j in range(dim):
-                if (i, j) in seen and (j, i) in seen:
-                    for k in range(dim):
-                        if mul[i][j][k] != -mul[j][i][k]:
-                            raise ParseError(
-                                f"{context}: products ({basis[i]},{basis[j]}) "
-                                f"and ({basis[j]},{basis[i]}) are not "
-                                "antisymmetric to each other")
-                elif (i, j) in seen:
-                    for k in range(dim):
-                        mul[j][i][k] = -mul[i][j][k]
-    return mul
+        for i, j in sorted(products):
+            u, w = products[i, j], products.get((j, i))
+            if w is not None and any(u.get(k, 0) != -w.get(k, 0)
+                                     for k in {*u, *w}):
+                raise ParseError(
+                    f"{context}: products ({basis[i]},{basis[j]}) and "
+                    f"({basis[j]},{basis[i]}) are not antisymmetric to each "
+                    "other")
+    return product_tensor(kind, len(basis), products)
 
 
 def parse_algebra(data, context: str = "algebra") -> HomAlgebra:
@@ -350,24 +343,23 @@ def _bilinear_term_json(entries: dict, algebra: HomAlgebra) -> list:
             if algebra.kind != LIE or i <= j]
 
 
+def _mul_terms_json(terms, algebra: HomAlgebra) -> list:
+    """The {"degree": d, "mul": products} entries of bilinear terms."""
+    return [{"degree": deg, "mul": _bilinear_term_json(t.entries, algebra)}
+            for deg, t in terms]
+
+
 def algebra_deformation_to_json(d: FormalDeformation, algebra_ref: str) -> dict:
     return {"algebra": algebra_ref, "order": d.order,
-            "terms": [{"degree": deg,
-                       "mul": _bilinear_term_json(t.entries, d.base)}
-                      for deg, t in d.terms]}
+            "terms": _mul_terms_json(d.terms, d.base)}
 
 
 def morphism_deformation_to_json(md: MorphismDeformation,
                                  morphism_ref: str) -> dict:
     out = {"morphism": morphism_ref, "order": md.order,
-           "terms": [{"degree": deg,
-                      "mul": _bilinear_term_json(t.entries, md.phi.source)}
-                     for deg, t in md.def_a.terms]}
+           "terms": _mul_terms_json(md.def_a.terms, md.phi.source)}
     if md.def_b.terms:
-        out["target_terms"] = [
-            {"degree": deg,
-             "mul": _bilinear_term_json(t.entries, md.phi.target)}
-            for deg, t in md.def_b.terms]
+        out["target_terms"] = _mul_terms_json(md.def_b.terms, md.phi.target)
     if md.phi_terms:
         out["phi_terms"] = [{"degree": deg, "matrix": _linear_json(m)}
                             for deg, m in md.phi_terms]

@@ -3,36 +3,20 @@
 These are the instantiated worked examples the acceptance suite and the
 command line's comparison mode run against.  Parameters default to the
 published instantiations; a few helpers build classical algebras used by
-the randomized suites.
+the randomized suites.  Each algebra is written as the paper writes it, by
+its nonzero products {(i, j): {k: c}} (a Lie bracket by one order of each
+pair), and ``algebra.product_tensor`` lays them out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import ASSOCIATIVE, LIE, HomAlgebra
+from .algebra import ASSOCIATIVE, LIE, HomAlgebra, product_tensor
 from .cochain import MultilinearMap
 from .deformation import FormalDeformation, MorphismDeformation
 from .exact import Matrix
 from .rep import HomMorphism
-
-
-def _mul_tensor(dim: int, entries: dict) -> list:
-    """entries: {(i, j): {k: value}} with all indices 0-based."""
-    mul = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    for (i, j), val in entries.items():
-        for k, c in val.items():
-            mul[i][j][k] = Fraction(c)
-    return mul
-
-
-def _skew_tensor(dim: int, entries: dict) -> list:
-    mul = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    for (i, j), val in entries.items():
-        for k, c in val.items():
-            mul[i][j][k] = Fraction(c)
-            mul[j][i][k] = -Fraction(c)
-    return mul
 
 
 def _diag(*values) -> Matrix:
@@ -44,7 +28,7 @@ def _diag(*values) -> Matrix:
 def assoc3(a=1, b=2) -> HomAlgebra:
     """Three-dimensional associative-kind example with two parameters."""
     a, b = Fraction(a), Fraction(b)
-    mul = _mul_tensor(3, {
+    mul = product_tensor(ASSOCIATIVE, 3, {
         (0, 0): {0: a},
         (1, 1): {1: a},
         (0, 1): {1: a}, (1, 0): {1: a},
@@ -58,7 +42,7 @@ def assoc3(a=1, b=2) -> HomAlgebra:
 def assoc2() -> HomAlgebra:
     """Two-dimensional associative-kind example: unit-like first basis
     vector, everything else multiplying to the second one."""
-    mul = _mul_tensor(2, {
+    mul = product_tensor(ASSOCIATIVE, 2, {
         (0, 0): {0: 1},
         (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {1: 1},
     })
@@ -79,7 +63,7 @@ def phi_assoc() -> HomMorphism:
 def lie4a(a=1, b=1, c=1, d=1) -> HomAlgebra:
     """Four-dimensional Lie-kind example, first of the pair."""
     a, b, c, d = (Fraction(x) for x in (a, b, c, d))
-    mul = _skew_tensor(4, {(0, 1): {3: b}, (2, 3): {1: d}})
+    mul = product_tensor(LIE, 4, {(0, 1): {3: b}, (2, 3): {1: d}})
     alpha = Matrix.from_columns([
         [0, 0, 1, a],   # image of e1
         [0, 0, 0, b],   # image of e2
@@ -93,7 +77,7 @@ def lie4a(a=1, b=1, c=1, d=1) -> HomAlgebra:
 def lie4b(a=2, b=1, c=1, d=1, e=1) -> HomAlgebra:
     """Four-dimensional Lie-kind example, second of the pair."""
     a, b, c, d, e = (Fraction(x) for x in (a, b, c, d, e))
-    mul = _skew_tensor(4, {(0, 1): {3: d}})
+    mul = product_tensor(LIE, 4, {(0, 1): {3: d}})
     alpha = Matrix.from_columns([
         [a, b, 1, c],
         [0, 0, 0, d],
@@ -109,7 +93,7 @@ def g1(p1, p2) -> HomAlgebra:
     """Three-dimensional Lie-kind family: one nonzero bracket, diagonal
     twist with entries (p1, p2, p1*p2)."""
     p1, p2 = Fraction(p1), Fraction(p2)
-    mul = _skew_tensor(3, {(0, 1): {2: 1}})
+    mul = product_tensor(LIE, 3, {(0, 1): {2: 1}})
     return HomAlgebra(name=f"g1(p1={p1},p2={p2})", kind=LIE, dim=3, mul=mul,
                       alpha=_diag(p1, p2, p1 * p2))
 
@@ -117,7 +101,7 @@ def g1(p1, p2) -> HomAlgebra:
 def g2() -> HomAlgebra:
     """Three-dimensional Lie-kind companion of g1; fails the twisted
     Jacobi identity as printed, which downstream code must report."""
-    mul = _skew_tensor(3, {
+    mul = product_tensor(LIE, 3, {
         (0, 1): {0: 1, 2: 1},
         (1, 2): {1: 1},
         (0, 2): {0: 1, 2: 2},
@@ -186,14 +170,15 @@ def mdef_2(w=1, k2=1, a21=1, a31=1) -> MorphismDeformation:
 
 def dual_numbers() -> HomAlgebra:
     """Classical dual numbers with identity twist."""
-    mul = _mul_tensor(2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}})
+    mul = product_tensor(ASSOCIATIVE, 2, {(0, 0): {0: 1}, (0, 1): {1: 1},
+                                          (1, 0): {1: 1}})
     return HomAlgebra(name="dual_numbers", kind=ASSOCIATIVE, dim=2, mul=mul,
                       alpha=Matrix.identity(2))
 
 
 def heisenberg() -> HomAlgebra:
     """Classical Heisenberg bracket with identity twist."""
-    mul = _skew_tensor(3, {(0, 1): {2: 1}})
+    mul = product_tensor(LIE, 3, {(0, 1): {2: 1}})
     return HomAlgebra(name="heisenberg", kind=LIE, dim=3, mul=mul,
                       alpha=Matrix.identity(3))
 
@@ -201,7 +186,7 @@ def heisenberg() -> HomAlgebra:
 def invalid_assoc2() -> HomAlgebra:
     """Two-dimensional associative-kind input that fails the twisted
     associativity check (used to exercise witness reporting)."""
-    mul = _mul_tensor(2, {(0, 0): {0: 1}})
+    mul = product_tensor(ASSOCIATIVE, 2, {(0, 0): {0: 1}})
     alpha = Matrix.from_rows([[1, 1], [0, 0]])
     return HomAlgebra(name="invalid_assoc2", kind=ASSOCIATIVE, dim=2,
                       mul=mul, alpha=alpha)

@@ -129,10 +129,11 @@ def _placed(entries: dict, c: int, at, shift: int) -> dict:
             for k, v in entries.items()}
 
 
-def _semidirect(M: Module) -> tuple[dict, int, dict]:
+def _semidirect(M: Module) -> tuple[dict, int, dict, dict]:
     """A ⋉ M on A's basis followed by the carrier's (carrier index q at
-    dim A + q), as (twist columns, t, products): the twist alpha ⊕ beta
-    over t, and A's product with both actions over one denominator."""
+    dim A + q), as (twist columns, t, products, mixed): the twist alpha ⊕
+    beta over t, A's product with both actions over one denominator, and
+    its products with a carrier argument, the actions alone."""
     n = M.algebra.dim
     (alpha, a), (mul, m) = M.algebra.integral
     (beta, b), (left, l) = M.beta_rows, M.left
@@ -141,15 +142,17 @@ def _semidirect(M: Module) -> tuple[dict, int, dict]:
     t, p = lcm(a, b), lcm(m, l, r)
     twist = {**_placed(alpha, t // a, lambda j: j, 0),
              **_placed(transposed(beta), t // b, lambda q: n + q, n)}
-    product = {**_placed(mul, p // m, lambda k: k, 0),
-               **_placed(left, p // l, lambda k: (k[0], n + k[1]), n),
-               **_placed(right, p // r, lambda k: (n + k[0], k[1]), n)}
-    return twist, t, product
+    mixed = {**_placed(left, p // l, lambda k: (k[0], n + k[1]), n),
+             **_placed(right, p // r, lambda k: (n + k[0], k[1]), n)}
+    return twist, t, {**_placed(mul, p // m, lambda k: k, 0), **mixed}, mixed
 
 
 # The module axioms, by kind: the structure identity of A ⋉ M on the
 # triples with one carrier argument, one axiom for each position of that
-# argument (a triple with two vanishes, as M M = 0).  Each has its message,
+# argument (a triple with two vanishes, as M M = 0).  On such a triple the
+# outer product of every term has one carrier argument, so the identity is
+# evaluated with the mixed products outside, which leaves out the triples
+# of A that ``HomAlgebra.validity`` checks.  Each has its message,
 # and the order of the triple's arguments in which its first failure is
 # taken, ending with the carrier argument.
 _AXIOMS = {
@@ -167,12 +170,12 @@ def validate_module(M: Module) -> list[str]:
     the Lie kind, multiplicativity of its twist on the pairs (x, m) (the
     structure-map axiom).  Both sides of each are over one denominator."""
     A, n = M.algebra, M.algebra.dim
-    twist, t, product = _semidirect(M)
-    identity = identity_defect(A.kind, twist, [(product, product)])
+    twist, t, product, mixed = _semidirect(M)
+    identity = identity_defect(A.kind, twist, [(mixed, product)])
     checks = [(identity, *axiom) for axiom in _AXIOMS[A.kind]]
     if A.kind == LIE:
         checks.insert(0, (product_defect(
-            [(_scaled(twist, t), product)], [(product, twist, twist)]),
+            [(_scaled(twist, t), mixed)], [(mixed, twist, twist)]),
             "structure-map axiom fails at ({0};{1})", (0, 1)))
     out = []
     for defect, template, order in checks:

@@ -5,7 +5,9 @@ Random data comes from seeded generators, so two runs produce identical
 results byte for byte.  Valid random Hom-algebras are manufactured the only
 robust way available: take a classical algebra from a small curated family,
 change basis randomly, and twist it along a randomly chosen multiplication
-morphism.
+morphism.  The curated algebras and the random products of the bracket
+suite are tables of nonzero products {(i, j): {k: c}}, a Lie bracket by
+its pairs i < j, laid out by ``algebra.product_tensor``.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .algebra import (ASSOCIATIVE, LIE, HomAlgebra, multiply, validate,
-                      yau_twist)
+from .algebra import (ASSOCIATIVE, LIE, HomAlgebra, multiply, product_tensor,
+                      validate, yau_twist)
 from .bracket import gerstenhaber_bracket, nr_bracket
 from .cochain import (Coords, MultilinearMap, alternator, is_alternating,
                       is_compatible)
@@ -65,21 +67,24 @@ def _conjugate(A: HomAlgebra, P: Matrix) -> HomAlgebra:
                       alpha=alpha)
 
 
+def _untwisted(name: str, kind: str, dim: int, products: dict) -> HomAlgebra:
+    """The ordinary algebra of the nonzero products {(i, j): {k: c}}, with
+    identity twist."""
+    return HomAlgebra(name, kind, dim, product_tensor(kind, dim, products),
+                      Matrix.identity(dim))
+
+
 def _assoc_family(rng):
     """(ordinary associative algebra with identity twist, morphism) pairs."""
     pick = rng.randrange(5)
     if pick == 0:
-        mul = [[[Fraction(0)]]]
-        A = HomAlgebra("zero1", ASSOCIATIVE, 1, mul, Matrix.identity(1))
+        A = _untwisted("zero1", ASSOCIATIVE, 1, {})
         gamma = Matrix.from_rows([[_rand_fraction(rng)]])
     elif pick == 1:
         A = fixtures.dual_numbers()
         gamma = Matrix.from_rows([[1, 0], [0, _rand_fraction(rng)]])
     elif pick == 2:
-        mul = [[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)]
-        mul[0][0][0] = Fraction(1)
-        mul[1][1][1] = Fraction(1)
-        A = HomAlgebra("kxk", ASSOCIATIVE, 2, mul, Matrix.identity(2))
+        A = _untwisted("kxk", ASSOCIATIVE, 2, {(0, 0): {0: 1}, (1, 1): {1: 1}})
         gamma = rng.choice((
             Matrix.identity(2),
             Matrix.from_rows([[0, 1], [1, 0]]),
@@ -87,23 +92,17 @@ def _assoc_family(rng):
             Matrix.from_rows([[0, 0], [0, 0]])))
     elif pick == 3:
         # truncated polynomials in one variable, cube zero
-        mul = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
-        mul[0][0][0] = Fraction(1)
-        mul[0][1][1] = mul[1][0][1] = Fraction(1)
-        mul[0][2][2] = mul[2][0][2] = Fraction(1)
-        mul[1][1][2] = Fraction(1)
-        A = HomAlgebra("trunc3", ASSOCIATIVE, 3, mul, Matrix.identity(3))
+        A = _untwisted("trunc3", ASSOCIATIVE, 3, {
+            (0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
+            (0, 2): {2: 1}, (2, 0): {2: 1}, (1, 1): {2: 1}})
         c = _rand_fraction(rng)
         d = _rand_fraction(rng)
         gamma = Matrix.from_rows([[1, 0, 0], [0, c, 0], [0, d, c * c]])
     else:
         # upper-triangular two-by-two matrices
-        mul = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
-        mul[0][0][0] = Fraction(1)   # u u = u
-        mul[0][1][1] = Fraction(1)   # u v = v
-        mul[1][2][1] = Fraction(1)   # v w = v
-        mul[2][2][2] = Fraction(1)   # w w = w
-        A = HomAlgebra("uppertri", ASSOCIATIVE, 3, mul, Matrix.identity(3))
+        # u u = u, u v = v, v w = v, w w = w
+        A = _untwisted("uppertri", ASSOCIATIVE, 3, {
+            (0, 0): {0: 1}, (0, 1): {1: 1}, (1, 2): {1: 1}, (2, 2): {2: 1}})
         c = _rand_fraction(rng)
         gamma = Matrix.from_rows([[1, 0, 0], [0, c, 0], [0, 0, 1]])
     return A, gamma
@@ -113,8 +112,7 @@ def _lie_family(rng):
     pick = rng.randrange(4)
     if pick == 0:
         n = rng.choice((1, 2, 3))
-        mul = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-        A = HomAlgebra(f"abelian{n}", LIE, n, mul, Matrix.identity(n))
+        A = _untwisted(f"abelian{n}", LIE, n, {})
         gamma = _rand_matrix(rng, n, n)
     elif pick == 1:
         A = fixtures.heisenberg()
@@ -123,22 +121,14 @@ def _lie_family(rng):
         gamma = Matrix.from_rows([[p, 0, 0], [0, q, 0], [0, 0, p * q]])
     elif pick == 2:
         # affine line algebra: one bracket [e1, e2] = e2
-        mul = [[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)]
-        mul[0][1][1] = Fraction(1)
-        mul[1][0][1] = Fraction(-1)
-        A = HomAlgebra("affine", LIE, 2, mul, Matrix.identity(2))
+        A = _untwisted("affine", LIE, 2, {(0, 1): {1: 1}})
         beta = _rand_fraction(rng)
         q = _rand_fraction(rng)
         gamma = Matrix.from_rows([[1, 0], [beta, q]])
     else:
         # split extension: [e1,e2] = e2, [e1,e3] = lam e3
         lam = _rand_fraction(rng)
-        mul = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
-        mul[0][1][1] = Fraction(1)
-        mul[1][0][1] = Fraction(-1)
-        mul[0][2][2] = lam
-        mul[2][0][2] = -lam
-        A = HomAlgebra("split", LIE, 3, mul, Matrix.identity(3))
+        A = _untwisted("split", LIE, 3, {(0, 1): {1: 1}, (0, 2): {2: lam}})
         q = _rand_fraction(rng)
         r = _rand_fraction(rng)
         gamma = Matrix.from_rows([[1, 0, 0], [0, q, 0], [0, 0, r]])
@@ -247,23 +237,18 @@ def suite_bracket_detection(trials: int = 50) -> SuiteResult:
     rng = random.Random(303)
     for t in range(trials):
         n = 2
-        mul = [[[Fraction(rng.randint(-2, 2)) for _ in range(n)]
-                for _ in range(n)] for _ in range(n)]
-        A = HomAlgebra("rand_assoc", ASSOCIATIVE, n, mul, Matrix.identity(n))
+        A = _untwisted("rand_assoc", ASSOCIATIVE, n, {
+            (i, j): {k: rng.randint(-2, 2) for k in range(n)}
+            for i in range(n) for j in range(n)})
         m = _mul_as_map(A)
         out.expect(gerstenhaber_bracket(A, m, m).is_zero()
                    == validate(A).is_valid,
                    f"trial {t}: bracket does not detect twisted associativity")
     for t in range(trials):
         n = rng.choice((2, 3))
-        mul = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(n):
-                    c = Fraction(rng.randint(-2, 2))
-                    mul[i][j][k] = c
-                    mul[j][i][k] = -c
-        L = HomAlgebra("rand_lie", LIE, n, mul, Matrix.identity(n))
+        L = _untwisted("rand_lie", LIE, n, {
+            (i, j): {k: rng.randint(-2, 2) for k in range(n)}
+            for i in range(n) for j in range(i + 1, n)})
         b = _mul_as_map(L)
         out.expect(nr_bracket(L, b, b).is_zero() == validate(L).is_valid,
                    f"trial {t}: alternating bracket does not detect the "

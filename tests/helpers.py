@@ -12,6 +12,8 @@ from homcoh.algebra import (ASSOCIATIVE, HomAlgebra, identity_defect,
 from homcoh.cochain import (CochainSpace, Coords, MorphismCochain,
                             MultilinearMap, compatibility_rows,
                             permutation_sign)
+from homcoh.cohomology import (ModuleComplex, compute_cohomology,
+                               connecting_complex)
 from homcoh.errors import HomcohError, UsageError
 from homcoh.exact import (Matrix, SparseMatrix, dense_vector, echelon,
                           expand_product, independent_subset, integral,
@@ -1014,3 +1016,47 @@ def dense_quotient(b_maps, z_maps) -> tuple[int, list]:
             chosen.append(v)
             reps.append(m)
     return rank(b), reps
+
+
+def _cohomology(complex_obj, n: int):
+    return compute_cohomology(complex_obj, [n]).record(n)
+
+
+def connecting_map_rank(phi, n: int) -> int:
+    """The rank of c^n: H^n(A) + H^n(B) -> H^n(A; B), (f, g) -> phi f -
+    g phi^(x n), for a morphism phi: A -> B, read from the reports of the
+    three part complexes (never from the coupled one): the images of
+    their representatives, modulo the coboundaries of the connecting
+    complex, by ``bareiss_rank``.  The complexes of A and B start at arity
+    1, so c^0 = 0; and the arity-0 coboundary is off, so B^1(A; B) = 0."""
+    if n == 0:
+        return 0
+    P = MultilinearMap.from_matrix(phi.matrix)
+    images = [f.pushforward(P) for f in _cohomology(
+        ModuleComplex(phi.source), n).representatives]
+    images += [g.pullback([P] * n) for g in _cohomology(
+        ModuleComplex(phi.target), n).representatives]
+    connecting = connecting_complex(phi)
+    coords = connecting.operator(n).source
+    below = [connecting.delta(f) for f in
+             connecting.bound_space(n - 1).basis] if n > 1 else []
+
+    def rank(maps) -> int:
+        rows = [dense_vector(coords.project(m), coords.dim) for m in maps]
+        return bareiss_rank(Matrix.from_rows(rows)) if rows else 0
+
+    return rank(images + below) - rank(below)
+
+
+def exact_sequence_dimension(phi, n: int) -> int:
+    """dim H^n(phi) as the long exact sequence of the mapping cone of
+    C(A) + C(B) -> C(A; B) gives it: h^n(A) + h^n(B) - rk c^n +
+    h^(n-1)(A; B) - rk c^(n-1).  With the arity-0 coboundary off,
+    h^0(A; B) is the dimension of the twist-compatible 0-cochains."""
+    connecting = connecting_complex(phi)
+    below = connecting.bound_space(0).dim if n == 1 else \
+        _cohomology(connecting, n - 1).dim_cohomology
+    return (_cohomology(ModuleComplex(phi.source), n).dim_cohomology
+            + _cohomology(ModuleComplex(phi.target), n).dim_cohomology
+            - connecting_map_rank(phi, n) + below
+            - connecting_map_rank(phi, n - 1))

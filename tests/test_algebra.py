@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -7,9 +8,9 @@ import pytest
 from helpers import (apply_alpha, dense_morphism_witnesses, dense_validity,
                      scaled_matrix, zero_matrix)
 from helpers import multiply as dense_multiply
-from homcoh import fixtures
-from homcoh.algebra import (ASSOCIATIVE, LIE, HomAlgebra,
-                            multiply, validate, yau_twist)
+from homcoh import algebra, fixtures
+from homcoh.algebra import (ASSOCIATIVE, LIE, HomAlgebra, multiply,
+                            product_tensor, validate, yau_twist)
 from homcoh.cohomology import ModuleComplex
 from homcoh.errors import MorphismViolation, UsageError
 from homcoh.exact import Matrix
@@ -297,3 +298,29 @@ def test_structure_constants_must_have_the_algebra_shape(a3, shape):
     with pytest.raises(UsageError, match="structure constants must be 3 "
                                          "rows of 3 vectors"):
         HomAlgebra(a3.name, a3.kind, a3.dim, mul, a3.alpha)
+
+
+def test_product_tensor_lays_out_the_nonzero_products():
+    assert product_tensor(ASSOCIATIVE, 2, {(0, 1): {1: 3}, (1, 0): {0: 2}}) \
+        == [[[0, 0], [0, 3]], [[2, 0], [0, 0]]]
+    # a Lie pair given in one order is completed by its negative
+    assert product_tensor(LIE, 2, {(0, 1): {0: 1, 1: Fraction(1, 2)}}) \
+        == [[[0, 0], [1, Fraction(1, 2)]], [[-1, Fraction(-1, 2)], [0, 0]]]
+    # a pair given in both orders is laid out as given
+    assert product_tensor(LIE, 2, {(0, 1): {1: 1}, (1, 0): {1: 5},
+                                   (1, 1): {0: 1}}) \
+        == [[[0, 0], [0, 1]], [[0, 5], [1, 0]]]
+
+
+def test_a_tensor_over_the_bound_is_refused_before_it_is_allocated():
+    bound = algebra.MAX_TENSOR_ENTRIES
+    assert 215 ** 3 <= bound < 216 ** 3
+    tracemalloc.start()
+    try:
+        with pytest.raises(UsageError, match=f"dim 216 needs {216 ** 3} "
+                           f"structure constants, over the bound {bound}"):
+            product_tensor(LIE, 216, {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from homcoh import cli, cohomology, deformation, files, fixtures, operator
+from homcoh import (algebra, cli, cohomology, deformation, files, fixtures,
+                    operator)
 from homcoh.algebra import HomAlgebra
 from homcoh.cli import build_parser, main
 from homcoh.cochain import Coords
@@ -648,6 +649,31 @@ def test_an_extension_is_bounded_where_it_is_checked(monkeypatch,
     with pytest.raises(UsageError, match="coefficient tuples, over the "
                                          "bound 60"):
         deformation.check_morphism_deformation(extended)
+
+
+def _abelian_file(tmp_path, dim: int) -> str:
+    """An abelian Lie algebra file of that dim, with identity twist."""
+    path = tmp_path / f"abelian{dim}.json"
+    path.write_text(json.dumps({
+        "name": f"abelian{dim}", "kind": "lie", "dim": dim,
+        "basis": [f"e{i + 1}" for i in range(dim)], "mul": [],
+        "alpha": [["1" if i == j else "0" for j in range(dim)]
+                  for i in range(dim)]}))
+    return str(path)
+
+
+def test_a_file_dim_is_bounded_before_its_tensor_is_built(monkeypatch,
+                                                          tmp_path, capsys):
+    """A dim-n algebra has n^3 structure constants; a file over the bound
+    is an input error that names both, raised by ``product_tensor`` before
+    it allocates anything (the bound is lowered here, so small files show
+    it)."""
+    monkeypatch.setattr(algebra, "MAX_TENSOR_ENTRIES", 27)
+    code, out, err = run(capsys, "validate", _abelian_file(tmp_path, 4))
+    assert code == 2 and out == ""
+    assert "dim 4 needs 64 structure constants, over the bound 27" in err
+    code, out, _ = run(capsys, "validate", _abelian_file(tmp_path, 3))
+    assert code == 0 and "valid lie structure" in out
 
 
 @pytest.mark.parametrize("command", ["cohomology", "morphism-cohomology"])

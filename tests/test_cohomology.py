@@ -12,8 +12,8 @@ import pytest
 
 from helpers import (ImageOutsideCodomain, basis_vector, combine, dense_coeffs,
                      dense_map, differential_matrix, evaluate,
-                     hom_cochain_basis, in_span, lie_cochain_basis,
-                     matrix_is_zero, multiply)
+                     exact_sequence_dimension, hom_cochain_basis, in_span,
+                     lie_cochain_basis, matrix_is_zero, multiply)
 from homcoh import (algebra, cli, cochain, cohomology, exact, fixtures,
                     operator)
 from homcoh.algebra import ASSOCIATIVE, LIE, HomAlgebra, yau_twist
@@ -28,6 +28,7 @@ from homcoh.files import cochain_to_json
 from homcoh.exact import (Echelon, Matrix, SparseMatrix, echelon,
                           integer_kernel, pivot_columns, sparse_vector)
 from homcoh.rep import HomMorphism, adjoint_module, self_module
+from homcoh.selftest import _lie_family
 
 
 def vec(*xs):
@@ -849,3 +850,41 @@ def test_complexes_over_one_algebra_share_its_constants_and_nothing_else(
         for c in complexes:
             rows = {id(row) for row in c.operator(n).data}
             assert rows and rows in fed_ids
+
+
+def _yau_twisted_lie_morphism(seed: int) -> HomMorphism:
+    """gamma as a morphism of the Yau twist of an ordinary Lie algebra
+    along gamma, both drawn from the selftest's Lie family."""
+    A, gamma = _lie_family(random.Random(seed))
+    X = yau_twist(A, gamma)
+    return HomMorphism(X, X, gamma)
+
+
+def _heis3_in_heis5(twisted: bool) -> HomMorphism:
+    """x, y, z -> x1, y1, z, between the Yau twists along diag(1, 2, 2)
+    and diag(1, 2, 2, 1, 2) when ``twisted``."""
+    small, big = heis(3), heis(5)
+    if twisted:
+        small = yau_twist(small, diagonal([1, 2, 2]))
+        big = yau_twist(big, diagonal([1, 2, 2, 1, 2]))
+    return HomMorphism(small, big, Matrix.from_columns(
+        [basis_vector(5, 0), basis_vector(5, 2), basis_vector(5, 4)]))
+
+
+@pytest.mark.parametrize("phi", [
+    fixtures.phi12_1(), fixtures.phi12_2(),
+    HomMorphism(fixtures.g1(2, 3), fixtures.g1(2, 3), Matrix.identity(3)),
+    HomMorphism(heis(5), heis(5), Matrix.identity(5)),
+    _heis3_in_heis5(False), _heis3_in_heis5(True),
+    *(_yau_twisted_lie_morphism(seed) for seed in range(6))],
+    ids=["phi12_1", "phi12_2", "id_g1", "id_heis5", "heis3_in_heis5",
+         "heis3_in_heis5_twisted", *(f"yau_{seed}" for seed in range(6))])
+def test_lie_morphism_cohomology_follows_the_exact_sequence(phi):
+    """The coupled complex of phi: A -> B is the mapping cone of C(A) +
+    C(B) -> C(A; B), so its dimensions follow from those of the parts and
+    the ranks of the maps their cohomology induces (``helpers``), which
+    share nothing with the coupled elimination."""
+    coupled = MorphismComplex(phi)
+    for n in (1, 2, 3):
+        assert compute_cohomology(coupled, [n]).record(n).dim_cohomology \
+            == exact_sequence_dimension(phi, n)

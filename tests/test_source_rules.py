@@ -606,3 +606,78 @@ def test_every_cache_is_bounded():
         if lines:
             offenders[path.name] = lines
     assert offenders == {}
+
+
+# algebra.product_tensor alone lays out a structure-constant tensor from
+# its nonzero products and completes a Lie bracket; every algebra, file and
+# suite hands it a table of products
+TENSOR_BUILDERS = {"algebra.product_tensor"}
+
+
+def _is_repeated_list(node: ast.AST) -> bool:
+    """An expression [x] * n or n * [x]."""
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) \
+        and any(isinstance(side, ast.List) for side in (node.left, node.right))
+
+
+def _list_items(node: ast.AST) -> list:
+    """The item expressions of a list display, list comprehension or
+    repeated list."""
+    if isinstance(node, ast.ListComp):
+        return [node.elt]
+    if isinstance(node, ast.List):
+        return node.elts
+    if _is_repeated_list(node):
+        return [item for side in (node.left, node.right)
+                if isinstance(side, ast.List) for item in side.elts]
+    return []
+
+
+def tensor_builders(tree: ast.AST) -> list[str]:
+    """Qualified names of the functions that build a triple-nested list
+    whose innermost item is [x] * n."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            name = ".".join(scope) or "<module>"
+            if name not in found and any(
+                    _is_repeated_list(inner) for middle in _list_items(child)
+                    for inner in _list_items(middle)):
+                found.append(name)
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_rule_sees_tensor_builders():
+    tree = ast.parse(
+        "def f(n):\n"
+        "    return [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]\n"
+        "class C:\n"
+        "    def g(self, n):\n"
+        "        return [[[0] * n] * n] * n\n"
+        "def h(n):\n"
+        "    rows = [[0] * n for _ in range(n)]\n"
+        "    return [[[rng.randint(0, 2) for _ in range(n)] for _ in range(n)]\n"
+        "            for _ in range(n)]\n"
+        "def k(n):\n"
+        "    return [[[Fraction(0)]], [[0, 0] * n]]\n"
+        "table = [[n * [0] for _ in range(2)] for _ in range(2)]\n")
+    assert tensor_builders(tree) == ["f", "C.g", "k", "<module>"]
+
+
+def test_only_product_tensor_lays_out_structure_constants():
+    offenders = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        names = [f"{path.stem}.{name}" for name in
+                 tensor_builders(ast.parse(path.read_text(), str(path)))]
+        bad = [n for n in names if n not in TENSOR_BUILDERS]
+        if bad:
+            offenders[path.name] = bad
+    assert offenders == {}
