@@ -6,9 +6,9 @@ multiplication is stored as the full structure-constant tensor
 ``mul[i][j]`` = coordinates of the product of basis vectors i and j, and the
 twist is the matrix whose column j is the image of basis vector j.  For the
 Lie kind the tensor is stored in full (both orders) and skew-symmetry is a
-checked invariant, not an assumption.  ``product_tensor`` lays the tensor
-out from the nonzero products, completing a Lie bracket given by one order
-of each pair.
+checked invariant, not an assumption.  ``product_table`` completes a Lie
+bracket given by one order of each pair, for algebras and deformation
+terms alike; ``product_tensor`` lays its table out as the tensor.
 
 Every defining identity is evaluated by one sparse kernel, read from the
 nonzero constants only (``HomAlgebra.sparse``): the structure identity of
@@ -71,18 +71,16 @@ LIE = "lie"
 MulTensor = tuple[tuple[Vector, ...], ...]
 
 
-def freeze_tensor(rows: int, cols: int, dim: int, tensor,
-                  message: str) -> MulTensor:
-    """tensor[i][j] as tuples of length-dim ``Fraction`` vectors; a tensor
-    of another shape is a ``UsageError``."""
-    if len(tensor) != rows or any(len(row) != cols for row in tensor):
-        raise UsageError(f"structure constants must be {rows} rows of "
-                         f"{cols} vectors")
-    out = tuple(tuple(tuple(as_fraction(x) for x in tensor[i][j])
-                      for j in range(cols)) for i in range(rows))
-    if any(len(v) != dim for row in out for v in row):
-        raise UsageError(message)
-    return out
+def product_table(kind: str, products: dict) -> dict:
+    """The products {(i, j): {k: c}} of basis pairs, as given; for the Lie
+    kind a pair given in one order only is completed by its negative in the
+    other."""
+    table = dict(products)
+    if kind == LIE:
+        for (i, j), v in products.items():
+            if (j, i) not in products:
+                table[j, i] = {k: -c for k, c in v.items()}
+    return table
 
 
 # the most entries dim^3 of a structure-constant tensor: dim <= 215
@@ -90,20 +88,17 @@ MAX_TENSOR_ENTRIES = 10 ** 7
 
 
 def product_tensor(kind: str, dim: int, products: dict) -> list:
-    """The tensor mul[i][j][k] that ``HomAlgebra`` takes, from the nonzero
-    products {(i, j): {k: c}}; for the Lie kind a pair given in one order
-    only is completed by its negative in the other.  A tensor of more than
+    """The tensor mul[i][j][k] that ``HomAlgebra`` takes, laid out from
+    ``product_table(kind, products)``.  A tensor of more than
     ``MAX_TENSOR_ENTRIES`` entries is a ``UsageError``, before any is
     allocated."""
     if dim ** 3 > MAX_TENSOR_ENTRIES:
         raise UsageError(f"dim {dim} needs {dim ** 3} structure constants, "
                          f"over the bound {MAX_TENSOR_ENTRIES}")
     mul = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    for (i, j), v in products.items():
+    for (i, j), v in product_table(kind, products).items():
         for k, c in v.items():
             mul[i][j][k] = c
-            if kind == LIE and (j, i) not in products:
-                mul[j][i][k] = -c
     return mul
 
 
@@ -123,9 +118,15 @@ class HomAlgebra:
             raise UsageError("dim must be >= 1")
         if self.alpha.rows != self.dim or self.alpha.cols != self.dim:
             raise UsageError("alpha must be a dim x dim matrix")
-        object.__setattr__(self, "mul", freeze_tensor(
-            self.dim, self.dim, self.dim, self.mul,
-            "structure constant vector has wrong length"))
+        n, mul = self.dim, self.mul
+        if len(mul) != n or any(len(row) != n for row in mul):
+            raise UsageError(f"structure constants must be {n} rows of "
+                             f"{n} vectors")
+        mul = tuple(tuple(tuple(as_fraction(x) for x in mul[i][j])
+                          for j in range(n)) for i in range(n))
+        if any(len(v) != n for row in mul for v in row):
+            raise UsageError("structure constant vector has wrong length")
+        object.__setattr__(self, "mul", mul)
         names = tuple(f"e{i + 1}" for i in range(self.dim)) \
             if self.basis_names is None else tuple(self.basis_names)
         for name in names:
@@ -140,8 +141,9 @@ class HomAlgebra:
     @cached_property
     def sparse(self) -> SparseConstants:
         """The nonzero twist columns and products of basis pairs."""
-        return SparseConstants(sparse_columns(self.alpha),
-                               sparse_tensor(self.mul, self.dim, self.dim))
+        return SparseConstants(sparse_columns(self.alpha), sparse_entries(
+            ((i, j), v) for i, row in enumerate(self.mul)
+            for j, v in enumerate(row)))
 
     @cached_property
     def integral(self) -> tuple[tuple[dict, int], tuple[dict, int]]:
@@ -271,13 +273,6 @@ def transposed(columns: dict) -> dict:
         for i, x in col.items():
             rows.setdefault(i, {})[j] = x
     return rows
-
-
-def sparse_tensor(tensor, rows: int, cols: int) -> dict:
-    """The bilinear map {(i, j): sparse vector} of the nonzero vectors
-    tensor[i][j]."""
-    return sparse_entries(((i, j), tensor[i][j])
-                          for i in range(rows) for j in range(cols))
 
 
 def _bilinear(mu: dict, u: dict, w: dict) -> dict:
@@ -455,8 +450,10 @@ def yau_twist(A: HomAlgebra, gamma: Matrix) -> HomAlgebra:
     if twist_witness is not None:
         raise MorphismViolation("gamma does not commute with the twist",
                                 witness=twist_witness)
-    new_mul = [[gamma.matvec(A.mul[i][j]) for j in range(A.dim)]
-               for i in range(A.dim)]
+    products = {}
+    _after(products, sparse_columns(gamma), A.sparse.mul)
+    # laid out as A stores it: a pair held in one order only is not completed
     return HomAlgebra(name=f"{A.name}_twisted", kind=A.kind, dim=A.dim,
-                      mul=new_mul, alpha=gamma @ A.alpha,
-                      basis_names=A.basis_names)
+                      mul=product_tensor(A.kind, A.dim, {
+                          **{(j, i): {} for i, j in products}, **products}),
+                      alpha=gamma @ A.alpha, basis_names=A.basis_names)

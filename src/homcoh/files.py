@@ -19,8 +19,8 @@ import json
 import os
 from json.encoder import encode_basestring_ascii
 
-from .algebra import (ASSOCIATIVE, LIE, HomAlgebra, product_tensor,
-                      sparse_tensor)
+from .algebra import (ASSOCIATIVE, LIE, HomAlgebra, product_table,
+                      product_tensor)
 from .cochain import MorphismCochain, MultilinearMap
 from .deformation import (FormalDeformation, MorphismDeformation,
                           check_work_bound)
@@ -111,7 +111,9 @@ def _linear_json(m: MultilinearMap) -> list:
 
 
 def _parse_mul_entries(entries, basis: list[str], kind: str,
-                       context: str) -> list:
+                       context: str) -> dict:
+    """The product table {(i, j): {k: c}} of "mul" entries, a Lie bracket
+    completed (``product_table``)."""
     index = {name: i for i, name in enumerate(basis)}
     products = {}
     for pos, entry in enumerate(_expect(entries, list, context, "mul")):
@@ -141,7 +143,7 @@ def _parse_mul_entries(entries, basis: list[str], kind: str,
                     f"{context}: products ({basis[i]},{basis[j]}) and "
                     f"({basis[j]},{basis[i]}) are not antisymmetric to each "
                     "other")
-    return product_tensor(kind, len(basis), products)
+    return product_table(kind, products)
 
 
 def parse_algebra(data, context: str = "algebra") -> HomAlgebra:
@@ -159,7 +161,8 @@ def parse_algebra(data, context: str = "algebra") -> HomAlgebra:
     if len(basis) != dim or len(set(basis)) != dim:
         raise ParseError(f"{context}: basis must list {dim} distinct names")
     alpha = _parse_matrix(data["alpha"], dim, dim, f"{context}: alpha")
-    mul = _parse_mul_entries(data["mul"], basis, data["kind"], context)
+    mul = product_tensor(data["kind"], dim, _parse_mul_entries(
+        data["mul"], basis, data["kind"], context))
     return HomAlgebra(name=_expect(data["name"], str, context, "name"),
                       kind=data["kind"], dim=dim,
                       mul=mul, alpha=alpha, basis_names=tuple(basis))
@@ -265,8 +268,8 @@ def _bilinear_terms(entries, algebra: HomAlgebra, order: int,
     """The "mul" terms of a deformation of algebra."""
     n = algebra.dim
     return _parse_term_list(entries, order, "mul", lambda mul, where: (
-        MultilinearMap.from_sparse(2, n, n, sparse_tensor(_parse_mul_entries(
-            mul, list(algebra.basis_names), algebra.kind, where), n, n))),
+        MultilinearMap.from_sparse(2, n, n, _parse_mul_entries(
+            mul, list(algebra.basis_names), algebra.kind, where))),
         context)
 
 

@@ -5,14 +5,15 @@ command line's comparison mode run against.  Parameters default to the
 published instantiations; a few helpers build classical algebras used by
 the randomized suites.  Each algebra is written as the paper writes it, by
 its nonzero products {(i, j): {k: c}} (a Lie bracket by one order of each
-pair), and ``algebra.product_tensor`` lays them out.
+pair, a deformation term too), completed by ``algebra.product_table``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import ASSOCIATIVE, LIE, HomAlgebra, product_tensor
+from .algebra import (ASSOCIATIVE, LIE, HomAlgebra, product_table,
+                      product_tensor)
 from .cochain import MultilinearMap
 from .deformation import FormalDeformation, MorphismDeformation
 from .exact import Matrix
@@ -141,20 +142,16 @@ def def_g1(w=1) -> FormalDeformation:
     """Order-1 deformation of g1(2,0): the (e1,e3) bracket acquires a
     degree-1 term w*e2."""
     base = g1(2, 0)
-    term = MultilinearMap.from_values(2, 3, 3, {
-        (0, 2): (0, Fraction(w), 0),
-        (2, 0): (0, -Fraction(w), 0),
-    })
+    term = MultilinearMap.from_sparse(2, 3, 3, product_table(
+        LIE, {(0, 2): {1: Fraction(w)}}))
     return FormalDeformation.from_terms(base, 1, {1: term})
 
 
 def def_g2(k2=1) -> FormalDeformation:
     """Order-1 deformation of g2: the (f1,f2) bracket acquires k2*f3."""
     base = g2()
-    term = MultilinearMap.from_values(2, 3, 3, {
-        (0, 1): (0, 0, Fraction(k2)),
-        (1, 0): (0, 0, -Fraction(k2)),
-    })
+    term = MultilinearMap.from_sparse(2, 3, 3, product_table(
+        LIE, {(0, 1): {2: Fraction(k2)}}))
     return FormalDeformation.from_terms(base, 1, {1: term})
 
 

@@ -12,12 +12,14 @@ from homcoh.algebra import (ASSOCIATIVE, HomAlgebra, identity_defect,
 from homcoh.cochain import (CochainSpace, Coords, MorphismCochain,
                             MultilinearMap, compatibility_rows,
                             permutation_sign)
-from homcoh.cohomology import (ModuleComplex, compute_cohomology,
-                               connecting_complex)
+from homcoh.cohomology import (ModuleComplex, MorphismComplex,
+                               compute_cohomology, connecting_complex)
 from homcoh.errors import HomcohError, UsageError
 from homcoh.exact import (Matrix, SparseMatrix, dense_vector, echelon,
                           expand_product, independent_subset, integral,
                           integer_kernel, lincomb, solve, sparse_vector)
+from homcoh.operator import hom_delta
+from homcoh.rep import adjoint_module
 
 
 class ImageOutsideCodomain(HomcohError):
@@ -1022,41 +1024,107 @@ def _cohomology(complex_obj, n: int):
     return compute_cohomology(complex_obj, [n]).record(n)
 
 
-def connecting_map_rank(phi, n: int) -> int:
+def span_rank(vectors, width: int) -> int:
+    """The rank of sparse vectors of the given width, by ``bareiss_rank``."""
+    rows = [dense_vector(v, width) for v in vectors]
+    return bareiss_rank(Matrix.from_rows(rows)) if rows else 0
+
+
+def morphism_parts(phi) -> tuple:
+    """The three part complexes of phi's coupled complex, built apart from
+    it: A in itself, B in itself, and A in B through phi."""
+    return (ModuleComplex(phi.source), ModuleComplex(phi.target),
+            connecting_complex(phi))
+
+
+# The hom kind on its compatible subcomplex.  The reported hom-kind H^n is
+# Z(all maps) / B(compatible maps), which are not the cocycles and
+# coboundaries of one complex; restricted to twist-compatible cochains in
+# every part, the coupled complex is the mapping cone of its parts.
+
+class CompatibleModuleComplex(ModuleComplex):
+    """An associative-kind ``ModuleComplex`` whose cocycles are taken, as
+    its coboundaries are, on the twist-compatible cochains: the
+    ``hom_delta`` compile and full coordinates are kept, and so are the
+    compatibility rows in full coordinates."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.full_cocycles = False
+
+    def _compatibility(self, n: int):
+        M = self.module
+        return echelon(compatibility_rows(False, self.algebra, M.carrier_dim,
+                                          M.beta_rows, n))
+
+    def _compile(self, n: int):
+        M = self.module
+        return hom_delta(self.algebra, M.left, M.right, M.carrier_dim, n)
+
+
+def compatible_parts(phi) -> tuple:
+    """``morphism_parts`` of an associative-kind phi, each a
+    ``CompatibleModuleComplex``."""
+    return (CompatibleModuleComplex(phi.source),
+            CompatibleModuleComplex(phi.target),
+            CompatibleModuleComplex(phi.source, adjoint_module(phi)))
+
+
+def compatible_morphism_complex(phi) -> MorphismComplex:
+    """The coupled complex of an associative-kind phi on the compatible
+    cochains of its parts.  ``MorphismComplex`` builds its parts in
+    ``__init__``, so they are replaced after it."""
+    coupled = MorphismComplex(phi)
+    coupled.full_cocycles = False
+    coupled.source, coupled.target, coupled.connecting = compatible_parts(phi)
+    return coupled
+
+
+def coboundary_vectors(complex_obj, n: int) -> list[dict]:
+    """The integer images under ``operator(n - 1)`` of the compatible
+    cochains of degree n - 1, which span B^n (none at n = 1)."""
+    if n == 1:
+        return []
+    prev = complex_obj.operator(n - 1)
+    return [prev.numerators(v) for v in integer_kernel(
+        complex_obj.compatibility_echelon(n - 1), prev.source.dim)]
+
+
+def connecting_map_rank(phi, n: int, parts=None) -> int:
     """The rank of c^n: H^n(A) + H^n(B) -> H^n(A; B), (f, g) -> phi f -
     g phi^(x n), for a morphism phi: A -> B, read from the reports of the
-    three part complexes (never from the coupled one): the images of
-    their representatives, modulo the coboundaries of the connecting
-    complex, by ``bareiss_rank``.  The complexes of A and B start at arity
-    1, so c^0 = 0; and the arity-0 coboundary is off, so B^1(A; B) = 0."""
+    three part complexes (``morphism_parts`` unless given; never the
+    coupled one): the images of their representatives, modulo the
+    coboundaries of the connecting complex, by ``bareiss_rank``.  The
+    complexes of A and B start at arity 1, so c^0 = 0; and the arity-0
+    coboundary is off, so B^1(A; B) = 0."""
     if n == 0:
         return 0
+    source, target, connecting = parts or morphism_parts(phi)
     P = MultilinearMap.from_matrix(phi.matrix)
     images = [f.pushforward(P) for f in _cohomology(
-        ModuleComplex(phi.source), n).representatives]
+        source, n).representatives]
     images += [g.pullback([P] * n) for g in _cohomology(
-        ModuleComplex(phi.target), n).representatives]
-    connecting = connecting_complex(phi)
+        target, n).representatives]
     coords = connecting.operator(n).source
-    below = [connecting.delta(f) for f in
+    below = [coords.project(connecting.delta(f)) for f in
              connecting.bound_space(n - 1).basis] if n > 1 else []
-
-    def rank(maps) -> int:
-        rows = [dense_vector(coords.project(m), coords.dim) for m in maps]
-        return bareiss_rank(Matrix.from_rows(rows)) if rows else 0
-
-    return rank(images + below) - rank(below)
+    images = [coords.project(m) for m in images]
+    return (span_rank(images + below, coords.dim)
+            - span_rank(below, coords.dim))
 
 
-def exact_sequence_dimension(phi, n: int) -> int:
+def exact_sequence_dimension(phi, n: int, parts=None) -> int:
     """dim H^n(phi) as the long exact sequence of the mapping cone of
-    C(A) + C(B) -> C(A; B) gives it: h^n(A) + h^n(B) - rk c^n +
+    C(A) + C(B) -> C(A; B) gives it, from the part complexes
+    (``morphism_parts`` unless given): h^n(A) + h^n(B) - rk c^n +
     h^(n-1)(A; B) - rk c^(n-1).  With the arity-0 coboundary off,
     h^0(A; B) is the dimension of the twist-compatible 0-cochains."""
-    connecting = connecting_complex(phi)
+    parts = parts or morphism_parts(phi)
+    source, target, connecting = parts
     below = connecting.bound_space(0).dim if n == 1 else \
         _cohomology(connecting, n - 1).dim_cohomology
-    return (_cohomology(ModuleComplex(phi.source), n).dim_cohomology
-            + _cohomology(ModuleComplex(phi.target), n).dim_cohomology
-            - connecting_map_rank(phi, n) + below
-            - connecting_map_rank(phi, n - 1))
+    return (_cohomology(source, n).dim_cohomology
+            + _cohomology(target, n).dim_cohomology
+            - connecting_map_rank(phi, n, parts) + below
+            - connecting_map_rank(phi, n - 1, parts))

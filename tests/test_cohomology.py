@@ -10,10 +10,11 @@ from itertools import product
 
 import pytest
 
-from helpers import (ImageOutsideCodomain, basis_vector, combine, dense_coeffs,
-                     dense_map, differential_matrix, evaluate,
+from helpers import (ImageOutsideCodomain, basis_vector, coboundary_vectors,
+                     combine, compatible_morphism_complex, compatible_parts,
+                     dense_coeffs, dense_map, differential_matrix, evaluate,
                      exact_sequence_dimension, hom_cochain_basis, in_span,
-                     lie_cochain_basis, matrix_is_zero, multiply)
+                     lie_cochain_basis, matrix_is_zero, multiply, span_rank)
 from homcoh import (algebra, cli, cochain, cohomology, exact, fixtures,
                     operator)
 from homcoh.algebra import ASSOCIATIVE, LIE, HomAlgebra, yau_twist
@@ -28,7 +29,7 @@ from homcoh.files import cochain_to_json
 from homcoh.exact import (Echelon, Matrix, SparseMatrix, echelon,
                           integer_kernel, pivot_columns, sparse_vector)
 from homcoh.rep import HomMorphism, adjoint_module, self_module
-from homcoh.selftest import _lie_family
+from homcoh.selftest import _assoc_family, _lie_family
 
 
 def vec(*xs):
@@ -888,3 +889,47 @@ def test_lie_morphism_cohomology_follows_the_exact_sequence(phi):
     for n in (1, 2, 3):
         assert compute_cohomology(coupled, [n]).record(n).dim_cohomology \
             == exact_sequence_dimension(phi, n)
+
+
+def _identity(X: HomAlgebra) -> HomMorphism:
+    return HomMorphism(X, X, Matrix.identity(X.dim))
+
+
+def _yau_twisted_assoc_morphism(seed: int) -> HomMorphism:
+    """gamma as a morphism of the Yau twist of an ordinary associative
+    algebra along gamma, both drawn from the selftest's family."""
+    A, gamma = _assoc_family(random.Random(seed))
+    X = yau_twist(A, gamma)
+    return HomMorphism(X, X, gamma)
+
+
+@pytest.mark.parametrize("phi, degrees", [
+    (fixtures.phi_assoc(), (1, 2, 3)),
+    (_identity(fixtures.assoc3(1, 2)), (1, 2, 3)),
+    (_identity(fixtures.assoc2()), (1, 2, 3)),
+    (_identity(fixtures.dual_numbers()), (1, 2, 3)),
+    (_identity(ut(2)), (1, 2, 3)), (_identity(ut(3)), (1, 2)),
+    *((_yau_twisted_assoc_morphism(seed), (1, 2, 3)) for seed in range(6))],
+    ids=["phi_assoc", "id_a3", "id_b2", "id_dual_numbers", "id_ut2",
+         "id_ut3", *(f"yau_{seed}" for seed in range(6))])
+def test_hom_morphism_cohomology_follows_the_exact_sequence_when_compatible(
+        phi, degrees):
+    """The reported hom-kind H^n(phi) is Z(all maps) / B(compatible maps).
+    On the compatible cocycles of every part the coupled complex is the
+    mapping cone of its parts, and its dimensions follow from theirs
+    (``helpers``).  Both conventions share B, and the compatible Z lies
+    in the reported Z."""
+    coupled = compatible_morphism_complex(phi)
+    reported = MorphismComplex(phi)
+    for n in degrees:
+        record = compute_cohomology(coupled, [n]).record(n)
+        assert record.dim_cohomology \
+            == exact_sequence_dimension(phi, n, compatible_parts(phi))
+        width = coupled.operator(n).source.dim
+        assert reported.operator(n).source == coupled.operator(n).source
+        b, b_reported = (coboundary_vectors(c, n) for c in (coupled, reported))
+        assert span_rank(b, width) == span_rank(b_reported, width) \
+            == span_rank(b + b_reported, width) == record.dim_coboundaries
+        z = record.cocycles.coords
+        z_reported = compute_cohomology(reported, [n]).record(n).cocycles.coords
+        assert span_rank(z + z_reported, width) == len(z_reported)

@@ -112,6 +112,35 @@ def test_deformation_round_trip(tmp_path):
     assert d.terms == fixtures.def_g1().terms
 
 
+def test_deformation_terms_are_never_laid_out(tmp_path, monkeypatch):
+    """A deformation term is read as its product table: of an algebra file
+    and a deformation of it by 200 terms, only the algebra's tensor is laid
+    out."""
+    calls, lay_out = [], files.product_tensor
+
+    def counting(*args):
+        calls.append(args[:2])
+        return lay_out(*args)
+
+    monkeypatch.setattr(files, "product_tensor", counting)
+    n, order = 40, 200
+    names = [f"e{i + 1}" for i in range(n)]
+    (tmp_path / "abelian.json").write_text(json.dumps({
+        "name": "abelian40", "kind": "lie", "dim": n, "basis": names,
+        "alpha": [[str(int(i == j)) for j in range(n)] for i in range(n)],
+        "mul": []}))
+    payload = {"algebra": "abelian.json", "order": order, "terms": [
+        {"degree": d, "mul": [{"left": names[d % 20],
+                               "right": names[20 + d % 19],
+                               "value": {names[d % n]: str(d)}}]}
+        for d in range(1, order + 1)]}
+    path = tmp_path / "deform.json"
+    path.write_text(json.dumps(payload))
+    d = files.load("deformation", str(path))
+    assert calls == [("lie", n)]
+    assert files.algebra_deformation_to_json(d, "abelian.json") == payload
+
+
 def test_deformation_morphism_field_restrictions(tmp_path):
     files.write_builtin_files(str(tmp_path))
     payload = {"algebra": "g1_2_0.json", "order": 1, "terms": [],

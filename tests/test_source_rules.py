@@ -609,8 +609,8 @@ def test_every_cache_is_bounded():
 
 
 # algebra.product_tensor alone lays out a structure-constant tensor from
-# its nonzero products and completes a Lie bracket; every algebra, file and
-# suite hands it a table of products
+# its nonzero products, which algebra.product_table completes for the Lie
+# kind; every algebra, file and suite hands it a table of products
 TENSOR_BUILDERS = {"algebra.product_tensor"}
 
 
@@ -680,4 +680,55 @@ def test_only_product_tensor_lays_out_structure_constants():
         bad = [n for n in names if n not in TENSOR_BUILDERS]
         if bad:
             offenders[path.name] = bad
+    assert offenders == {}
+
+
+# only HomAlgebra reads its dense tensor ``mul``, to check it and to walk it
+# into the nonzero products (``HomAlgebra.sparse``); every other function
+# reads the products off ``sparse`` or from a table
+def dense_mul_reads(tree: ast.AST) -> list[str]:
+    """Qualified names of the functions that read an attribute ``mul`` of
+    an object other than ``self`` or a ``....sparse`` chain."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            name = ".".join(scope) or "<module>"
+            if isinstance(child, ast.Attribute) and child.attr == "mul" \
+                    and getattr(child.value, "id", None) != "self" \
+                    and getattr(child.value, "attr", None) != "sparse" \
+                    and name not in found:
+                found.append(name)
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_rule_sees_dense_mul_reads():
+    tree = ast.parse(
+        "class HomAlgebra:\n"
+        "    def sparse(self):\n"
+        "        return walk(self.mul)\n"
+        "def twist(A, gamma):\n"
+        "    return [gamma.matvec(v) for row in A.mul for v in row]\n"
+        "def table(A):\n"
+        "    return A.sparse.mul, A.integral[1], phi.source.sparse.mul\n"
+        "class C:\n"
+        "    def f(self, phi):\n"
+        "        return phi.source.mul[0][0]\n"
+        "x = fixtures.g2().mul\n")
+    assert dense_mul_reads(tree) == ["twist", "C.f", "<module>"]
+
+
+def test_only_hom_algebra_reads_its_dense_tensor():
+    offenders = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        names = dense_mul_reads(ast.parse(path.read_text(), str(path)))
+        if names:
+            offenders[path.name] = names
     assert offenders == {}
