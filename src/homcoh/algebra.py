@@ -179,11 +179,15 @@ class HomAlgebra:
         return not skew_defect(self.integral[1][0])
 
     @cached_property
-    def twist_rows(self) -> tuple[dict, int]:
-        """alpha's nonzero rows {r: {s: x}} as (numerators, denominator):
-        the structure map of A as a module over itself."""
-        (alpha, a), _ = self.integral
-        return transposed(alpha), a
+    def scalar_twist(self) -> dict:
+        """{i: c} for each basis vector that alpha maps to c e_i, c over the
+        denominator of ``integral``."""
+        return scalar_entries(self.integral[0][0], self.dim)
+
+    @cached_property
+    def twist_rows(self) -> StructureRows:
+        """alpha's rows: the structure map of A as a module over itself."""
+        return StructureRows(*self.integral[0], self.dim)
 
     @cached_property
     def self_action(self) -> Action:
@@ -243,6 +247,18 @@ class Action(tuple):
         return kept[1:]
 
 
+class StructureRows(tuple):
+    """A structure map of a dim-dimensional space, given by its nonzero
+    integer columns over one denominator, as (its nonzero rows {r: {s: x}},
+    den).  It keeps ``scalars``, ``scalar_entries`` of its rows, which
+    ``cochain.compatibility_rows`` reads."""
+
+    def __new__(cls, columns: dict, den: int, dim: int):
+        self = super().__new__(cls, (transposed(columns), den))
+        self.scalars = scalar_entries(self[0], dim)
+        return self
+
+
 # alpha: {j: column j of the twist}, nonzero columns only;
 # mul: {(i, j): product of basis vectors i and j}, nonzero only
 SparseConstants = namedtuple("SparseConstants", "alpha mul")
@@ -273,6 +289,13 @@ def transposed(columns: dict) -> dict:
         for i, x in col.items():
             rows.setdefault(i, {})[j] = x
     return rows
+
+
+def scalar_entries(vectors: dict, dim: int) -> dict:
+    """{i: c} for each i < dim whose sparse vector in vectors is c e_i (or
+    absent, c = 0)."""
+    return {i: v.get(i, 0) for i in range(dim)
+            if (v := vectors.get(i, {})).keys() <= {i}}
 
 
 def _bilinear(mu: dict, u: dict, w: dict) -> dict:

@@ -35,8 +35,8 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, combinations, permutations, product
 from math import factorial, lcm, prod
 
-from .algebra import (HomAlgebra, _add, _after, _check_arity_guard, _nonzero,
-                      sparse_columns, transposed)
+from .algebra import (HomAlgebra, StructureRows, _add, _after,
+                      _check_arity_guard, _nonzero, sparse_columns, transposed)
 from .errors import UsageError
 from .exact import (Matrix, Vector, as_fraction, dense_vector, expand_product,
                     value_class)
@@ -342,16 +342,16 @@ class CochainSpace:
 
 
 def compatibility_rows(reduced: bool, source: HomAlgebra, target_dim: int,
-                       beta: tuple[dict, int], arity: int) -> list[dict]:
+                       beta: StructureRows, arity: int) -> list[dict]:
     """The nonzero integer rows {unknown: int} of the system beta∘f =
     f∘alpha^(tensor arity) in reduced or full coordinates, at most one
     per argument tuple and target coordinate; arity 0 has none (no
-    structure-map constraint there).  beta is given by its nonzero rows
-    as integer numerators over one denominator (``Module.beta_rows``).
-    Where alpha maps each e_i of a tuple t to c_i e_i and row r of beta
-    reads only coordinate r, the row of (t, r) is one product, dropped
-    when it cancels (for scalar alpha and beta, before any tuple is
-    walked)."""
+    structure-map constraint there).  beta is given by its rows
+    (``Module.beta_rows``).  Where alpha maps each e_i of a tuple t to
+    c_i e_i and row r of beta reads only coordinate r (``scalar_twist``
+    and ``beta.scalars``, kept with the algebra and the rows), the row of
+    (t, r) is one product, dropped when it cancels (for scalar alpha and
+    beta, before any tuple is walked)."""
     if arity < 0:
         raise UsageError("arity must be >= 0")
     _check_arity_guard(arity)
@@ -362,10 +362,7 @@ def compatibility_rows(reduced: bool, source: HomAlgebra, target_dim: int,
     beta_rows, b = beta
     den = lcm(a ** arity, b)  # each row: beta(f(e_t)) - f(alpha e_t)
     fa, fb = den // a ** arity, den // b
-    scalar = {i: col.get(i, 0) for i in range(source.dim)
-              if (col := alpha.get(i, {})).keys() <= {i}}
-    own = {r: row.get(r, 0) for r in range(d)
-           if (row := beta_rows.get(r, {})).keys() <= {r}}
+    scalar, own = source.scalar_twist, beta.scalars
     cs, bs = set(scalar.values()), set(own.values())
     if (len(scalar), len(own), len(cs), len(bs)) == (source.dim, d, 1, 1) \
             and fb * bs.pop() == fa * cs.pop() ** arity:

@@ -26,10 +26,10 @@ system; a morphism complex sets its parts' echelons side by side and
 eliminates only its connecting rows.
 ``operator(0)`` of a module complex is its optional arity-0 coboundary.
 ``compute_cohomology`` reads the cocycles off the system echelon and the
-coboundaries off the compatibility echelon one degree down (the
-operator's columns when it is empty), in the coordinates of the integer
-cocycle basis: ``Fraction``s and multilinear maps are made only for the
-representatives and the cocycle basis of a record, when read.
+coboundaries off the compatibility echelon one degree down (the rows of
+the operator one degree down when it is empty), in the coordinates of the
+integer cocycle basis: ``Fraction``s and multilinear maps are made only
+for the representatives and the cocycle basis of a record, when read.
 
 Invalid input algebras degrade to best-effort reports: a coboundary that
 is not a cocycle is reported as a warning, and the coboundary space is
@@ -46,8 +46,9 @@ from .algebra import (ASSOCIATIVE, HomAlgebra, _check_arity_guard, _nonzero,
 from .cochain import (CochainSpace, MorphismCochain, MultilinearMap,
                       compatibility_rows)
 from .errors import UsageError
-from .exact import (Echelon, SparseMatrix, echelon, integer_kernel, integral,
-                    intersection_basis, pivot_columns, value_class)
+from .exact import (Echelon, SparseMatrix, echelon, independent_subset,
+                    integer_kernel, integral, intersection_basis,
+                    pivot_columns, value_class)
 from .operator import (apply_operator, hom_delta, hom_operator, lie_operator,
                        morphism_delta)
 from .rep import (HomMorphism, Module, adjoint_module, check_morphism,
@@ -322,17 +323,23 @@ def compute_cohomology(complex_obj: _ComplexBase, degrees,
     columns).
 
     B is spanned by the integer images of the integer kernel of the
-    compatibility echelon one degree down (at degree 1, with
-    ``include_degree_zero``, of the 0-cochains the structure map fixes),
-    read in Z's coordinates, which a non-alternating image of a non-skew
-    bracket lacks.  An image off the kernel of the system (delta squared
-    is nonzero on an invalid input) is reported, and B becomes B ∩ Z.
-    Each z_k is nonzero at its free column and 0 at the others, so a
-    cocycle's values there are its coordinates in Z, each scaled by the
-    free coordinate of its z_k, which moves no pivot.  Eliminating those
-    of B, free columns reversed, gives dim B as the rank and, as pivots,
-    the k for which some coboundary ends in z_k; the other z_k are the
-    representatives: the greedy choice of an elimination of [B | Z].
+    compatibility echelon one degree down, or by the columns of the
+    operator one degree down when that echelon has no row (at degree 1,
+    with ``include_degree_zero``, by the images of the 0-cochains the
+    structure map fixes), read in Z's coordinates, which a
+    non-alternating image of a non-skew bracket lacks.  An image off the
+    kernel of the system (delta squared is nonzero on an invalid input)
+    is reported, and B becomes B ∩ Z; the columns are checked all at
+    once, row by row of the system times the operator below.  Each z_k is
+    nonzero at its free column and 0 at the others, so a cocycle's values
+    there are its coordinates in Z, each scaled by the free coordinate of
+    its z_k, which moves no pivot.  Eliminating those of B, free columns
+    reversed, gives dim B as the rank and, as pivots, the k for which
+    some coboundary ends in z_k; the other z_k are the representatives,
+    the greedy choice over [B | Z].  When B is the operator's columns,
+    that matrix is the transpose of the operator's rows at the free
+    columns, and its pivots are the greedy independent subset of those
+    rows, from the last free column down (``independent_subset``).
     Kernels, ranks and pivots do not change under the injective map to
     multilinear maps.
     """
@@ -360,36 +367,43 @@ def compute_cohomology(complex_obj: _ComplexBase, degrees,
         dim_c = op.source.dim - len(pinned)
         z = tuple(integer_kernel(complex_obj.system_echelon(n),
                                  op.source.dim)) if dim_c else ()
-        # the system's columns check membership in Z, in integers
+        # the system checks membership in Z, in integers
         system = SparseMatrix(op.rows + len(pinned), op.cols, op.data + tuple(
             row for _, row in pinned)) if pinned else op
 
-        images_at, images = op.source, []
+        # the Z-coordinates of B, free columns reversed: z_k at len(z) - 1 - k
+        at = {max(v): len(z) - 1 - k for k, v in enumerate(z)}
+        images_at, images, pivots = op.source, [], None
         if n > 1:
             prev = complex_obj.operator(n - 1)
             below = complex_obj.compatibility_echelon(n - 1)
-            images_at, images = prev.target, [
-                prev.numerators(v) for v in integer_kernel(
-                    below, prev.source.dim)] if below else [
-                dict(col) for col in prev.columns]  # no row: every column
+            images_at = prev.target
+            if below:
+                images = [prev.numerators(v) for v in integer_kernel(
+                    below, prev.source.dim)]
+            elif images_at == op.source and not _escapes(system, prev):
+                # B is spanned by prev's columns, inside Z: its transpose
+                # at the free columns is prev's rows there
+                pivots = set(independent_subset(
+                    [prev.data[f] for f in sorted(at, reverse=True)]))
+            else:  # no row: every column
+                images = [dict(col) for col in prev.columns]
         elif include_degree_zero:
             images_at = complex_obj.operator(0).target
             images = complex_obj.degree_zero_images()
-        b = images if images_at == op.source else [
-            recoord(v, images_at, op.source) for v in images]
-        if any(v is None or system.numerators(v) for v in b):
-            warnings.append(
-                f"degree {n}: coboundaries escape the cocycles "
-                "(delta-squared is nonzero; invalid input structure)")
-            lifted = [recoord(v, op.source, images_at) for v in z]
-            b = list(integral(dict(enumerate(  # integer rows, for the pivots
-                recoord(v, images_at, op.source)
-                for v in intersection_basis(images, lifted))))[0].values())
-
-        # the Z-coordinates of B, free columns reversed: z_k at len(z) - 1 - k
-        at = {max(v): len(z) - 1 - k for k, v in enumerate(z)}
-        pivots = set(pivot_columns(
-            [{at[j]: x for j, x in v.items() if j in at} for v in b]))
+        if pivots is None:
+            b = images if images_at == op.source else [
+                recoord(v, images_at, op.source) for v in images]
+            if any(v is None or system.numerators(v) for v in b):
+                warnings.append(
+                    f"degree {n}: coboundaries escape the cocycles "
+                    "(delta-squared is nonzero; invalid input structure)")
+                lifted = [recoord(v, op.source, images_at) for v in z]
+                b = list(integral(dict(enumerate(  # integer rows
+                    recoord(v, images_at, op.source)
+                    for v in intersection_basis(images, lifted))))[0].values())
+            pivots = set(pivot_columns(
+                [{at[j]: x for j, x in v.items() if j in at} for v in b]))
         reps = tuple(v for k, v in enumerate(z)
                      if len(z) - 1 - k not in pivots)
         records.append(DegreeRecord(
@@ -400,6 +414,21 @@ def compute_cohomology(complex_obj: _ComplexBase, degrees,
             cocycles=CochainSpace(op.source, z)))
     return ComplexSummary(flavor=complex_obj.flavor, records=tuple(records),
                           warnings=tuple(warnings))
+
+
+def _escapes(system: SparseMatrix, prev: SparseMatrix) -> bool:
+    """Whether some column of prev is off the kernel of system: whether a
+    nonempty row of system, times prev (summed from prev's rows), is not
+    zero."""
+    for row in system.data:
+        if row:
+            acc = {}
+            for j, c in row.items():
+                for i, x in prev.data[j].items():
+                    acc[i] = acc.get(i, 0) + c * x
+            if any(acc.values()):
+                return True
+    return False
 
 
 def self_cohomology(X: HomAlgebra, degrees, **kw) -> ComplexSummary:

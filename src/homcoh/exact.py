@@ -17,12 +17,14 @@ integer rows over one ``den``, as a compiled operator does.
 One sparse, fraction-free kernel does every elimination, on integer rows
 only: rationals are cleared where they enter (a matrix's rows, ``solve``'s
 right-hand side, the vectors of ``independent_subset`` and
-``intersection_basis``).  ``echelon`` is the one forward elimination; it
+``intersection_basis``).  ``echelon`` is the forward elimination; it
 continues from a finished ``Echelon`` (as ``solve`` can), so rows already
 eliminated are not fed again, and the kernels read an ``Echelon``.  The
 pivot is the row with the fewest nonzeros among those leading in the next
 column (Markowitz), and values become ``Fraction`` once, at the end.  The
 RREF is unique, so pivoting, seeding and row scaling decide only the cost.
+``independent_subset`` eliminates its own way, as the greedy choice needs:
+its vectors as rows, in their input order, each against those kept.
 Canonical choices, fixed once so every result is reproducible bit for bit:
 
 * ``rref`` pivots in the leftmost columns independent of those before.
@@ -33,7 +35,9 @@ Canonical choices, fixed once so every result is reproducible bit for bit:
 * ``solve`` returns the particular solution with all free coordinates 0,
   whatever echelon it is seeded with.
 * ``pivot_columns`` returns the leading columns of an echelon form, and
-  ``independent_subset`` those of its vectors' matrix: the greedy choice.
+  ``independent_subset`` the greedy choice: the vectors independent of
+  those before them, the pivot columns of the matrix they are the
+  columns of.
 """
 
 from __future__ import annotations
@@ -464,10 +468,17 @@ def pivot_columns(rows) -> list[int]:
 
 def independent_subset(vectors) -> list[int]:
     """Indices of a maximal independent subset, chosen greedily in order:
-    the pivot columns of the matrix with these columns."""
-    vectors = list(vectors)
-    m = SparseMatrix.from_columns(vectors, _height(vectors))
-    return pivot_columns(_cleared(m.data))
+    each vector, cleared, is reduced against the rows kept before it (one
+    per leading column) and kept when anything is left."""
+    kept, keep = {}, []
+    for i, row in enumerate(_cleared(vectors)):
+        while row:
+            if (piv := kept.get(col := min(row))) is None:
+                kept[col] = row
+                keep.append(i)
+                break
+            row = _combine(row, piv, col)
+    return keep
 
 
 def intersection_basis(u_cols, w_cols) -> list[dict]:

@@ -19,9 +19,10 @@ from __future__ import annotations
 from functools import cached_property
 from math import lcm
 
-from .algebra import (ASSOCIATIVE, LIE, Action, HomAlgebra, _nonzero,
-                      _products, _scaled, identity_defect, morphism_witnesses,
-                      product_defect, sparse_columns, transposed)
+from .algebra import (ASSOCIATIVE, LIE, Action, HomAlgebra, StructureRows,
+                      _nonzero, _products, _scaled, identity_defect,
+                      morphism_witnesses, product_defect, sparse_columns,
+                      transposed)
 from .errors import UsageError
 from .exact import Matrix, Vector, integral, value_class
 
@@ -109,12 +110,12 @@ class Module:
             object.__setattr__(self, side, Action(action))
 
     @cached_property
-    def beta_rows(self) -> tuple[dict, int]:
-        """beta's nonzero rows {r: {s: x}} as (numerators, denominator);
-        the algebra's own when beta is its twist."""
+    def beta_rows(self) -> StructureRows:
+        """beta's rows; the algebra's own when beta is its twist."""
         if self.beta is self.algebra.alpha:
             return self.algebra.twist_rows
-        return integral(transposed(sparse_columns(self.beta)))
+        return StructureRows(*integral(sparse_columns(self.beta)),
+                             self.carrier_dim)
 
 
 def _units(n: int) -> dict:

@@ -7,8 +7,8 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, gcd, prod
 
-from homcoh.algebra import (ASSOCIATIVE, HomAlgebra, identity_defect,
-                            sparse_columns, transposed)
+from homcoh.algebra import (ASSOCIATIVE, HomAlgebra, StructureRows,
+                            identity_defect, sparse_columns)
 from homcoh.cochain import (CochainSpace, Coords, MorphismCochain,
                             MultilinearMap, compatibility_rows,
                             permutation_sign)
@@ -226,10 +226,9 @@ def canonical_coords(space) -> tuple:
                  for v in space.coords)
 
 
-def beta_rows(beta: Matrix) -> tuple[dict, int]:
-    """The nonzero rows of beta as (integer numerators, denominator), the
-    form ``compatibility_rows`` reads."""
-    return integral(transposed(sparse_columns(beta)))
+def beta_rows(beta: Matrix) -> StructureRows:
+    """The rows of beta, the form ``compatibility_rows`` reads."""
+    return StructureRows(*integral(sparse_columns(beta)), beta.rows)
 
 
 def hom_cochain_basis(source: HomAlgebra, target_dim: int, beta: Matrix,

@@ -6,6 +6,7 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 import pytest
@@ -581,6 +582,37 @@ def test_top_degree_builds_no_basis_and_applies_no_operator(monkeypatch):
             rec.dim_cohomology) == (50, 41, 20, 21)
     assert built == []
     assert applied == []
+
+
+def test_coboundaries_without_rows_below_are_read_from_the_rows(
+        monkeypatch):
+    """With no compatibility row one degree down (identity twist), H^2 and
+    H^3 read the coboundaries from the rows of the operator below: no
+    column view is built and no image is taken one at a time."""
+    products, builds = [], []
+    real_numerators = SparseMatrix.numerators
+    real_columns = SparseMatrix.__dict__["columns"].func
+
+    def numerators(self, x):
+        products.append(x)
+        return real_numerators(self, x)
+
+    def columns(self):
+        builds.append(self.cols)
+        return real_columns(self)
+
+    counted = cached_property(columns)
+    counted.__set_name__(SparseMatrix, "columns")
+    monkeypatch.setattr(SparseMatrix, "numerators", numerators)
+    monkeypatch.setattr(SparseMatrix, "columns", counted)
+    H = heisenberg5()
+    for n, dims in ((2, (50, 30, 10, 20)), (3, (50, 41, 20, 21))):
+        complex_obj = ModuleComplex(H)
+        assert complex_obj.compatibility_echelon(n - 1) == ()
+        rec = compute_cohomology(complex_obj, [n]).record(n)
+        assert (rec.dim_cochains, rec.dim_cocycles, rec.dim_coboundaries,
+                rec.dim_cohomology) == dims
+    assert (len(products), len(builds)) == (0, 0)
 
 
 def test_lie_report_builds_the_rows_of_each_degree_once(monkeypatch):

@@ -555,16 +555,24 @@ def sparse_algebra(name: str, kind: str, dim: int, entries: dict):
 def test_representatives_match_the_dense_greedy_quotient():
     """dim B, the cocycle basis and the representatives against a greedy
     choice over [B | Z] on dense coefficient tuples: on the escape path
-    (g2, invalid_assoc2 and two invalid inputs where B ∩ Z is neither 0
-    nor B) and on the non-skew path, at degree 1 with the arity-0
-    coboundary."""
+    (g2, invalid_assoc2 and three invalid inputs where B ∩ Z is neither 0
+    nor B), on the non-skew path, at degree 1 with the arity-0
+    coboundary, and on the path that reads B from the rows of the
+    operator below, which has no compatibility row there (heisenberg,
+    dual_numbers, and broken_jacobi, a skew bracket with identity twist
+    that escapes)."""
     broken_assoc = sparse_algebra("broken_assoc", ASSOCIATIVE, 3, {
         (1, 0): {0: -1}, (2, 2): {1: 1}})
     broken_lie = sparse_algebra("broken_lie", LIE, 4, {  # not skew either
         (0, 2): {0: -1}, (1, 3): {0: -2}, (3, 1): {0: 2}})
+    broken_jacobi = sparse_algebra("broken_jacobi", LIE, 4, {
+        (0, 1): {2: 1}, (1, 0): {2: -1}, (1, 2): {3: 1}, (2, 1): {3: -1},
+        (0, 2): {0: 1}, (2, 0): {0: -1}})
+    rows_below = [(fixtures.heisenberg(), (2, 3)),
+                  (fixtures.dual_numbers(), (2, 3)), (broken_jacobi, (2, 3))]
     cases = [(fixtures.g2(), (1, 2)), (fixtures.invalid_assoc2(), (1, 2, 3)),
              (non_skew_lie(), (1, 2, 3)), (broken_assoc, (1, 2)),
-             (broken_lie, (2, 3))]
+             (broken_lie, (2, 3))] + rows_below
     partial = 0
     for X, degrees in cases:
         assoc = X.kind == ASSOCIATIVE
@@ -573,6 +581,9 @@ def test_representatives_match_the_dense_greedy_quotient():
             summary = compute_cohomology(complex_obj, [n],
                                          include_degree_zero=True)
             rec, op = summary.record(n), complex_obj.operator(n)
+            if any(X is Y for Y, _ in rows_below):
+                assert complex_obj.compatibility_echelon(n - 1) == ()
+                assert complex_obj.operator(n - 1).target == op.source
             rows = list(op.data) + ([] if assoc else compatibility_rows(
                 True, X, X.dim, complex_obj.module.beta_rows, n))
             system = SparseMatrix(len(rows), op.source.dim, rows, op.den)
