@@ -94,16 +94,6 @@ class MultilinearMap:
                                  f"below {d}")
 
     @classmethod
-    def _unchecked(cls, arity: int, source_dim: int, target_dim: int,
-                   entries: dict) -> "MultilinearMap":
-        """A map whose entries are valid by construction, without the
-        per-entry check of ``__post_init__``."""
-        m = object.__new__(cls)
-        m.__dict__.update(arity=arity, source_dim=source_dim,
-                          target_dim=target_dim, entries=entries)
-        return m
-
-    @classmethod
     def zero(cls, arity: int, source_dim: int, target_dim: int) -> "MultilinearMap":
         return cls(arity, source_dim, target_dim, {})
 
@@ -245,7 +235,9 @@ def alternator(m: MultilinearMap) -> MultilinearMap:
 class Coords:
     """Coordinates of arity-k cochains: one per argument tuple and target
     index (full) or, for alternating maps, one per strictly increasing
-    tuple (reduced)."""
+    tuple (reduced).  Its landing tables, ``faces`` and ``insertions``,
+    are pure combinatorics of the shape: they hold nothing of an algebra
+    or operator, and live as long as the coordinates do."""
 
     arity: int
     source_dim: int
@@ -273,6 +265,61 @@ class Coords:
             return self.index[t], 1
         srt, sign = _sort_sign(t)
         return (self.index[srt], sign) if sign else None
+
+    def gather(self, terms) -> list[tuple[int, int]]:
+        """The nonzero (tuple index, coefficient) pairs of a sum of
+        (argument tuple, coefficient) terms: a tuple among these tuples is
+        read as it is, any other where ``locate`` places it."""
+        index, out = self.index, {}
+        for t, c in terms:
+            if t in index:
+                j = index[t]
+            elif loc := self.locate(t):
+                j, c = loc[0], loc[1] * c
+            else:
+                continue
+            out[j] = out.get(j, 0) + c
+        return [(j, c) for j, c in out.items() if c]
+
+    @cached_property
+    def _faces(self) -> dict:
+        return {}  # {reduced: faces(reduced)}
+
+    def faces(self, reduced: bool) -> list[tuple]:
+        """Per tuple index, per slot s, where the tuple without its s-th
+        argument lands among the tuples of arity one less, reduced or full
+        (``locate`` there), built whole on first use.  A face of an
+        increasing tuple is increasing, so only faces of full tuples among
+        reduced ones are located."""
+        kept = self._faces
+        if reduced not in kept:
+            lower = coords(self.arity - 1, self.source_dim, self.target_dim,
+                           reduced)
+            faces = ([t[:s] + t[s + 1:] for t in self.tuples]
+                     for s in range(self.arity))
+            if self.reduced or not reduced:  # every face is a lower tuple
+                index = lower.index.__getitem__  # and each (j, 1) is shared
+                at = [(j, 1) for j in range(len(lower.tuples))].__getitem__
+                slots = (map(at, map(index, f)) for f in faces)
+            else:
+                slots = (map(lower.locate, f) for f in faces)
+            kept[reduced] = list(zip(*slots))
+        return kept[reduced]
+
+    @cached_property
+    def insertions(self) -> dict:
+        """{(j, k, p): where tuple j of arity one less, reduced as these
+        are, lands with k inserted at position p (``locate``)}, each entry
+        filled on first use by ``insert``."""
+        return {}
+
+    def insert(self, j: int, k: int, p: int) -> tuple[int, int] | None:
+        """The entry (j, k, p) of ``insertions``, filled on first use."""
+        if (key := (j, k, p)) not in self.insertions:
+            s = coords(self.arity - 1, self.source_dim, self.target_dim,
+                       self.reduced).tuples[j]
+            self.insertions[key] = self.locate(s[:p] + (k,) + s[p:])
+        return self.insertions[key]
 
     @cached_property
     def _scatter(self) -> list[tuple[tuple[tuple[int, ...], bool], ...]]:
@@ -375,10 +422,8 @@ def compatibility_rows(reduced: bool, source: HomAlgebra, target_dim: int,
             ct = prod(scalar[i] for i in t)
             terms = {ti: ct} if ct else {}
         else:
-            terms = {}
-            for s, c in expand_product([alpha.get(i, {}) for i in t]):
-                if loc := system.locate(s):
-                    terms[loc[0]] = terms.get(loc[0], 0) + loc[1] * c
+            terms = dict(system.gather(expand_product(
+                [alpha.get(i, {}) for i in t])))
         for r in range(d):
             if one and r in own:
                 if v := fb * own[r] - fa * ct:

@@ -182,8 +182,9 @@ class ModuleComplex(_ComplexBase):
 
     def _compatibility(self, n: int) -> Echelon:
         M = self.module
-        return echelon(compatibility_rows(not self.full_cocycles, self.algebra,
-                                          M.carrier_dim, M.beta_rows, n))
+        rows = compatibility_rows(not self.full_cocycles, self.algebra,
+                                  M.carrier_dim, M.beta_rows, n)
+        return echelon(rows) if rows else Echelon()
 
     def _compile(self, n: int):
         M = self.module
@@ -398,22 +399,21 @@ def compute_cohomology(complex_obj: _ComplexBase, degrees,
                 warnings.append(
                     f"degree {n}: coboundaries escape the cocycles "
                     "(delta-squared is nonzero; invalid input structure)")
-                lifted = [recoord(v, op.source, images_at) for v in z]
+                same = images_at == op.source  # else a round trip each
+                lifted = z if same else \
+                    [recoord(v, op.source, images_at) for v in z]
                 b = list(integral(dict(enumerate(  # integer rows
-                    recoord(v, images_at, op.source)
+                    v if same else recoord(v, images_at, op.source)
                     for v in intersection_basis(images, lifted))))[0].values())
             pivots = set(pivot_columns(
                 [{at[j]: x for j, x in v.items() if j in at} for v in b]))
         reps = tuple(v for k, v in enumerate(z)
                      if len(z) - 1 - k not in pivots)
-        records.append(DegreeRecord(
-            degree=n, dim_cochains=dim_c, dim_cocycles=len(z),
-            dim_coboundaries=len(pivots),
-            dim_cohomology=len(z) - len(pivots),
-            representative_space=CochainSpace(op.source, reps),
-            cocycles=CochainSpace(op.source, z)))
-    return ComplexSummary(flavor=complex_obj.flavor, records=tuple(records),
-                          warnings=tuple(warnings))
+        records.append(DegreeRecord(  # positional: no keyword binding
+            n, dim_c, len(z), len(pivots), len(z) - len(pivots),
+            CochainSpace(op.source, reps), CochainSpace(op.source, z)))
+    return ComplexSummary(complex_obj.flavor, tuple(records),
+                          tuple(warnings))
 
 
 def _escapes(system: SparseMatrix, prev: SparseMatrix) -> bool:

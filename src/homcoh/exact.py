@@ -135,7 +135,9 @@ def value_class(cls):
     * ``__setattr__`` and ``__delattr__`` that raise ``AttributeError``
       (``object.__setattr__`` and ``cached_property`` still write the
       instance dict);
-    * ``__repr__`` in the form ``Name(field=value, ...)``."""
+    * ``__repr__`` in the form ``Name(field=value, ...)``;
+    * ``_unchecked``, a classmethod taking the fields positionally that
+      skips ``__post_init__``, for values valid by construction."""
     names = tuple(cls.__dict__.get("__annotations__", ()))
     defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
     width = len(names)
@@ -176,9 +178,15 @@ def value_class(cls):
                           for n, v in zip(names, fields(self.__dict__)))
         return f"{self.__class__.__qualname__}({shown})"
 
+    def _unchecked(klass, *args):
+        self = object.__new__(klass)
+        self.__dict__.update(zip(names, args))
+        return self
+
     for method in (__init__, __eq__, __hash__, __setattr__, __delattr__,
                    __repr__):
         setattr(cls, method.__name__, method)
+    cls._unchecked = classmethod(_unchecked)
     return cls
 
 
@@ -414,14 +422,16 @@ def integer_kernel(e: Echelon, cols: int) -> list[dict]:
     and positive."""
     reduced = _reduced(e)
     pivots = {col for col, _ in reduced}
-    terms = {fc: [] for fc in range(cols) if fc not in pivots}
+    terms = {}  # the free columns pivot rows reach
     for col, row in reduced:
         for k, x in row.items():
             if k != col:
-                terms[k].append((col, x, row[col]))
+                terms.setdefault(k, []).append((col, x, row[col]))
     basis = []
-    for fc, ts in terms.items():
-        if not ts:  # a free column no pivot row reaches
+    for fc in range(cols):
+        if fc in pivots:
+            continue
+        if (ts := terms.get(fc)) is None:  # a free column no row reaches
             basis.append({fc: 1})
             continue
         scale = lcm(*(p for _, _, p in ts))

@@ -10,7 +10,11 @@ constant as an integer numerator over one denominator (``exact.integral``)
 and builds the matrix once, from the nonzero constants only (a zero
 bracket or product builds nothing, alpha is expanded once per distinct
 remaining tuple, and each term is written straight into its rows, where
-an entry that cancels is dropped):
+an entry that cancels is dropped).  It reads argument tuples by their
+index: where a tuple without one argument, or with a product inserted,
+lands comes from the landing tables of the coordinates (``Coords.faces``,
+``Coords.insertions``), filled once per shape; only the terms of alpha's
+expansion are looked up as tuples (``Coords.gather``).  The result is
 an ``exact.SparseMatrix`` of integer {column: int} rows over one
 denominator ``den`` per operator, 1 for integer constants, with its source
 and target coordinates.  A coboundary is then a sparse integer product, and
@@ -22,8 +26,9 @@ the integer form a ``rep.Module`` holds them in (``Module.left``,
 and exponent, not once per operator: the action keeps it
 (``algebra.Action``), and the self module of an algebra reads the tables
 its algebra keeps.  The twist powers and the skew flag are the algebra's,
-and the coordinates of each shape are one shared ``Coords``
-(``cochain.coords``); everything an operator builds from them is its own.
+and the coordinates of each shape, with its landing tables, are one
+shared ``Coords`` (``cochain.coords``); the tables hold nothing of an
+algebra, and everything an operator builds from them is its own.
 
 Operators map sparse {coordinate: value} dicts between ``cochain.Coords``
 systems; ``apply_operator`` converts a multilinear map once on the way in
@@ -66,7 +71,8 @@ def _compile(X: HomAlgebra, d: int, n: int, reduced: bool, merges,
     act (slot, w, table) weights the action (``algebra.Action.table``) of
     alpha^(n-1) x_slot on f of the other arguments, only in the rows its
     table reaches.  With ``reduced`` the input is an alternating cochain,
-    and so is the image when the product is skew.
+    and so is the image when the product is skew.  Tuples are read by
+    their index, through the landing tables of the coordinates.
     """
     src = coords(n, X.dim, d, reduced)
     (alpha, a), (mul, m) = X.integral
@@ -76,27 +82,35 @@ def _compile(X: HomAlgebra, d: int, n: int, reduced: bool, merges,
     merges = [(i, j, p, w * (den // mden)) for i, j, p, w in merges if w]
     acts = [(slot, w * (den // tden), table)
             for slot, w, (table, tden) in acts]
+    faces = tgt.faces(reduced)  # f of the other arguments, for the acts
+    if merges:  # t without x_j, then without x_i: a rest, reduced as t is
+        outer = tgt.faces(tgt.reduced)
+        inner = coords(n, X.dim, d, tgt.reduced).faces(tgt.reduced)
+        rest_tuples = coords(n - 1, X.dim, d, tgt.reduced).tuples
+        lower = coords(n - 1, X.dim, d, reduced)  # the twisted rests
+    ins, insert = src.insertions, src.insert
     rows, rests = [{} for _ in range(tgt.dim)], {}
     for ti, t in enumerate(tgt.tuples):
-        inner, at = {}, ti * d
+        acc, at = {}, ti * d
         for i, j, p, w in merges:
             if not (product := mul.get((t[i], t[j]))):
                 continue
-            rest = t[:i] + t[i + 1:j] + t[j + 1:]
-            if rest not in rests:  # alpha^(tensor n-1), once per rest
-                rests[rest] = expand_product([alpha.get(b, {}) for b in rest])
+            r = inner[outer[ti][j][0]][i][0]
+            if (terms := rests.get(r)) is None:  # alpha^(tensor n-1), once
+                terms = rests[r] = lower.gather(expand_product(
+                    [alpha.get(b, {}) for b in rest_tuples[r]]))
             for k, e in product.items():
-                for s, c in rests[rest]:
-                    if loc := src.locate(s[:p] + (k,) + s[p:]):
-                        inner[loc[0]] = inner.get(loc[0], 0) + \
-                            w * loc[1] * e * c
-        for j, c in inner.items():
+                for s, c in terms:  # x_i x_j at p among the twisted rest
+                    key = (s, k, p)
+                    if loc := ins[key] if key in ins else insert(*key):
+                        acc[loc[0]] = acc.get(loc[0], 0) + w * loc[1] * e * c
+        for j, c in acc.items():
             if c:
                 for r in range(d):
                     rows[at + r][j * d + r] = c
+        face = faces[ti]
         for slot, w, table in acts:  # a central element has no column
-            if (col := table[t[slot]]) and \
-                    (loc := src.locate(t[:slot] + t[slot + 1:])):
+            if (col := table[t[slot]]) and (loc := face[slot]):
                 j, sw = loc[0], loc[1] * w
                 for r, qs in col.items():
                     row = rows[at + r]
@@ -178,12 +192,10 @@ def morphism_delta(phi: HomMorphism, op_a: SparseMatrix,
             for off, op in ((0, op_a), (off_b, op_b)) for row in op.data]
     for ti, t in enumerate(ab_tgt.tuples):
         loc_a = op_a.source.locate(t)
-        pulled = []  # diamond: comp_B evaluated on phi of the arguments
-        for s, c in expand_product([pcols.get(i, {}) for i in t]):
-            loc = op_b.source.locate(s)
-            if loc:
-                pulled.append((off_b + loc[0] * b_dim,
-                               -w_def * loc[1] * c * (den // q ** n)))
+        # diamond: comp_B evaluated on phi of the arguments
+        pulled = [(off_b + j * b_dim, -w_def * c * (den // q ** n))
+                  for j, c in op_b.source.gather(expand_product(
+                      [pcols.get(i, {}) for i in t]))]
         w_push = loc_a and w_def * loc_a[1] * (den // q)  # phi of comp_A
         for r in range(b_dim):
             row = {} if op_ab is None else {

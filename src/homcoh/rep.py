@@ -207,7 +207,8 @@ def self_module(A: HomAlgebra) -> Module:
     """A acting on itself by its own product from both sides (associative
     kind), or by its own bracket from the left (Lie kind).  Its structure
     rows and action tables are A's own (``HomAlgebra.twist_rows``,
-    ``HomAlgebra.self_action``), so every self module of A shares them."""
+    ``HomAlgebra.self_action``), so every self module of A shares them.
+    Its entries are A's own products, so they are not checked again."""
     act = A.self_action
-    return Module(A, A.dim, A.alpha, act,
-                  act if A.kind == ASSOCIATIVE else None)
+    return Module._unchecked(A, A.dim, A.alpha, act,
+                             act if A.kind == ASSOCIATIVE else None)

@@ -552,6 +552,14 @@ def sparse_algebra(name: str, kind: str, dim: int, entries: dict):
     return HomAlgebra(name, kind, dim, mul, Matrix.identity(dim))
 
 
+def broken_jacobi_lie() -> HomAlgebra:
+    """A skew bracket with identity twist that fails the Jacobi identity:
+    its coboundaries escape the cocycles at degree 3."""
+    return sparse_algebra("broken_jacobi", LIE, 4, {
+        (0, 1): {2: 1}, (1, 0): {2: -1}, (1, 2): {3: 1}, (2, 1): {3: -1},
+        (0, 2): {0: 1}, (2, 0): {0: -1}})
+
+
 def test_representatives_match_the_dense_greedy_quotient():
     """dim B, the cocycle basis and the representatives against a greedy
     choice over [B | Z] on dense coefficient tuples: on the escape path
@@ -565,9 +573,7 @@ def test_representatives_match_the_dense_greedy_quotient():
         (1, 0): {0: -1}, (2, 2): {1: 1}})
     broken_lie = sparse_algebra("broken_lie", LIE, 4, {  # not skew either
         (0, 2): {0: -1}, (1, 3): {0: -2}, (3, 1): {0: 2}})
-    broken_jacobi = sparse_algebra("broken_jacobi", LIE, 4, {
-        (0, 1): {2: 1}, (1, 0): {2: -1}, (1, 2): {3: 1}, (2, 1): {3: -1},
-        (0, 2): {0: 1}, (2, 0): {0: -1}})
+    broken_jacobi = broken_jacobi_lie()
     rows_below = [(fixtures.heisenberg(), (2, 3)),
                   (fixtures.dual_numbers(), (2, 3)), (broken_jacobi, (2, 3))]
     cases = [(fixtures.g2(), (1, 2)), (fixtures.invalid_assoc2(), (1, 2, 3)),
@@ -600,6 +606,22 @@ def test_representatives_match_the_dense_greedy_quotient():
             partial += 0 < dim_b and any("escape" in w
                                          for w in summary.warnings)
     assert partial >= 3
+
+
+def test_the_escape_path_keeps_images_in_their_own_coordinates(monkeypatch):
+    """broken_jacobi escapes at degree 3, where its coboundaries are the
+    columns of the operator below, in the coordinates of the cocycles: so
+    no vector is converted to a multilinear map and back (no
+    ``Coords.project`` call)."""
+    projected, real = [], Coords.project
+    monkeypatch.setattr(Coords, "project", lambda self, m: projected.append(m)
+                        or real(self, m))
+    complex_obj = ModuleComplex(broken_jacobi_lie())
+    summary = compute_cohomology(complex_obj, [3])
+    assert complex_obj.operator(2).target == complex_obj.operator(3).source
+    assert any("escape" in w for w in summary.warnings)
+    assert summary.record(3).dim_coboundaries > 0
+    assert projected == []
 
 
 def heisenberg_lie(k: int) -> HomAlgebra:
@@ -764,28 +786,100 @@ def test_heisenberg5_compiles_from_its_nonzero_constants(monkeypatch):
     assert sum(map(len, op.data)) == 44
 
 
-def test_heisenberg5_sorts_only_out_of_order_bracket_tuples(monkeypatch):
-    """Compiling delta_1, delta_2 and delta_3 of heis5 in itself sorts only
-    the argument tuples (k,) + s of bracket terms that are not strictly
-    increasing: [x_i, y_i] = z puts z before the remaining arguments, in 6
-    target tuples at n = 2 and at n = 3 (none at n = 1, where nothing
-    remains).  Increasing tuples are looked up as they are, and an action
-    by the central z looks up nothing."""
+def test_heisenberg5_sorts_each_out_of_order_landing_once(monkeypatch):
+    """From empty landing tables, compiling delta_1, delta_2 and delta_3 of
+    heis5 in itself sorts only argument tuples led by z ([x_i, y_i] = z is
+    inserted before the remaining increasing arguments), each once.  A
+    second compile, on a fresh complex of the same shapes, reads every
+    landing from the tables: it sorts nothing and locates nothing."""
     H = heisenberg_lie(2)
-    sorted_tuples, real = [], cochain._sort_sign
-
-    def counted(t):
-        sorted_tuples.append(t)
-        return real(t)
-
-    monkeypatch.setattr(cochain, "_sort_sign", counted)
-    counts = []
-    for n in (1, 2, 3):
+    sorted_tuples, located = [], []
+    real_sort, real_locate = cochain._sort_sign, Coords.locate
+    monkeypatch.setattr(cochain, "_sort_sign",
+                        lambda t: sorted_tuples.append(t) or real_sort(t))
+    monkeypatch.setattr(Coords, "locate", lambda self, t: located.append(t)
+                        or real_locate(self, t))
+    cochain.coords.cache_clear()
+    for first in (True, False):
         sorted_tuples.clear()
-        lie_operator(H, 5, n, self_module(H).left)
-        counts.append(len(sorted_tuples))
-        assert all(t[0] == 4 and len(t) == n for t in sorted_tuples)
-    assert counts == [0, 6, 6]
+        located.clear()
+        complex_obj = ModuleComplex(H)
+        for n in (1, 2, 3):
+            complex_obj.operator(n)
+        if first:
+            assert sorted_tuples
+            assert all(t[0] == 4 and list(t[1:]) == sorted(t[1:])
+                       for t in sorted_tuples)
+            assert len(set(sorted_tuples)) == len(sorted_tuples)
+        else:
+            assert sorted_tuples == located == []
+
+
+def table_algebras() -> list[HomAlgebra]:
+    """Every built-in algebra (l4a has a twist that is not scalar), heis5,
+    heis7, and a bracket that is not skew (reduced source, full target)."""
+    return [make() for make in fixtures.BUILTIN_FIXTURES.values()] + \
+        [heisenberg_lie(2), heisenberg_lie(3), non_skew_lie()]
+
+
+def test_landing_tables_compile_the_dense_coboundaries():
+    """Each coboundary of degree 1..3 of each table algebra in itself,
+    compiled from landing tables filled from empty, agrees with the dense
+    formula on a seeded random cochain."""
+    rng = random.Random(35)
+    shapes = set()
+    for X in table_algebras():
+        cochain.coords.cache_clear()
+        complex_obj = ModuleComplex(X)
+        for k in (1, 2, 3):
+            op = complex_obj.operator(k)
+            shapes.add((op.source.reduced, op.target.reduced,
+                        len(X.scalar_twist) == X.dim))
+            if X.kind == LIE:
+                f = rand_alternating(rng, k, X.dim, X.dim)
+                want = dense_delta_lie(X, mult(X), X.dim, f)
+            else:
+                f = rand_map(rng, k, X.dim, X.dim)
+                want = dense_delta_hom(X, mult(X), mult(X), X.dim, f)
+            assert apply_operator(op, f) == want, (X.name, k)
+    assert {(True, False, False), (True, True, False), (True, True, True),
+            (False, False, True)} <= shapes
+
+
+def test_compile_order_does_not_change_an_operator():
+    """delta_1, delta_2, delta_3 compiled upwards and downwards, each from
+    empty landing tables, are equal matrices."""
+    for X in table_algebras():
+        ops = []
+        for order in ((1, 2, 3), (3, 2, 1)):
+            cochain.coords.cache_clear()
+            complex_obj = ModuleComplex(X)
+            ops.append({n: complex_obj.operator(n) for n in order})
+        assert ops[0] == ops[1], X.name
+
+
+# Coords.locate calls of a cold compile of delta_1..delta_3 in itself, as
+# the compiler that located the tuple of every term made them
+TERM_BY_TERM_LOCATES = {"heis5": 70, "assoc3(a=1,b=2)": 472}
+
+
+def test_a_cold_compile_locates_no_more_than_term_by_term(monkeypatch):
+    """Filling the landing tables from empty locates no more tuples than
+    locating the tuple of every term did: the faces of a shape are read
+    from its index, and each insertion is located once."""
+    located, real = [], Coords.locate
+    monkeypatch.setattr(Coords, "locate", lambda self, t: located.append(t)
+                        or real(self, t))
+    counts = {}
+    for X in (heisenberg_lie(2), fixtures.assoc3(1, 2)):
+        cochain.coords.cache_clear()
+        located.clear()
+        complex_obj = ModuleComplex(X)
+        for n in (1, 2, 3):
+            complex_obj.operator(n)
+        counts[X.name] = len(located)
+    assert all(counts[name] <= pinned
+               for name, pinned in TERM_BY_TERM_LOCATES.items()), counts
 
 
 def test_a_kept_action_table_is_read_only_through_its_own_twist():

@@ -732,3 +732,70 @@ def test_only_hom_algebra_reads_its_dense_tensor():
         if names:
             offenders[path.name] = names
     assert offenders == {}
+
+
+def scoped_calls(tree: ast.AST, matches) -> list[str]:
+    """Qualified names of the functions (``<module>`` outside any) that
+    make a call whose callee expression ``matches``, each once."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            name = ".".join(scope) or "<module>"
+            if isinstance(child, ast.Call) and matches(child.func) \
+                    and name not in found:
+                found.append(name)
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def locate_calls(tree: ast.AST) -> list[str]:
+    """The functions that call a method ``locate``."""
+    return scoped_calls(tree, lambda f: isinstance(f, ast.Attribute)
+                        and f.attr == "locate")
+
+
+def unchecked_modules(tree: ast.AST) -> list[str]:
+    """The functions that build a Module through ``Module._unchecked``."""
+    return scoped_calls(tree, lambda f: isinstance(f, ast.Attribute)
+                        and f.attr == "_unchecked" and "Module" in (
+                            getattr(f.value, "id", None),
+                            getattr(f.value, "attr", None)))
+
+
+def test_rule_sees_locate_and_unchecked_module_calls():
+    tree = ast.parse(
+        "def _compile(src, t):\n"
+        "    return [src.locate(t), coords(1).locate((0,))]\n"
+        "class Coords:\n"
+        "    def insert(self, j):\n"
+        "        return self.locate(j), locate(j)\n"
+        "def self_module(A):\n"
+        "    return Module._unchecked(A), Map._unchecked(A)\n"
+        "m = rep.Module._unchecked(B)\n")
+    assert locate_calls(tree) == ["_compile", "Coords.insert"]
+    assert unchecked_modules(tree) == ["self_module", "<module>"]
+
+
+# the coboundary compiler reads every landing of a tuple from the tables of
+# its coordinates (``Coords.faces`` and ``Coords.insertions``), which alone
+# locate tuples for it
+def test_the_compiler_locates_no_tuple():
+    path = SOURCE / "operator.py"
+    assert "_compile" not in locate_calls(ast.parse(path.read_text(),
+                                                    str(path)))
+
+
+# a self module's actions are its algebra's own products, so it alone skips
+# the checks of Module; adjoint and file-built modules keep every check
+def test_only_self_module_builds_a_module_unchecked():
+    found = [f"{path.stem}.{name}" for path in sorted(SOURCE.glob("*.py"))
+             for name in unchecked_modules(ast.parse(path.read_text(),
+                                                     str(path)))]
+    assert found == ["rep.self_module"]
